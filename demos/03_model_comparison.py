@@ -4,7 +4,8 @@ Two effects appear as the displacement grows relative to the squeezing:
 (i) the closest classical surrogate approaches the full quantum model in
 total variation distance, and (ii) truncating the number of photons
 attributed to the squeezers (the k-order approximation) costs less
-likelihood on samples drawn from the full model.
+likelihood on samples drawn from the full model.  Samples that a truncated
+model gives probability 0 are flagged and left out of log L.
 """
 
 import math
@@ -13,7 +14,7 @@ import numpy as np
 from scipy.stats import unitary_group
 
 from dgbs import (ModelSpec, SourceConfig, StateKernel, TransferMatrix,
-                  all_patterns, build_classical_input, build_input_state,
+                  build_classical_input, build_input_state,
                   distribution_from_kernel, likelihood_ratio, propagate, tvd)
 
 d = 10
@@ -40,8 +41,9 @@ for n_alpha in (0.7, 2.2):
     samples = [dist.patterns[i] for i in idx]
     line = f"  <n_alpha>={n_alpha}:"
     for label in ("korder(0)", "korder(2)", "korder(3)"):
-        trace = likelihood_ratio(samples, ModelSpec.parse(label),
-                                 ModelSpec(), kern)
+        model = {4: distribution_from_kernel(kern, 4,
+                                             model=ModelSpec.parse(label))}
+        trace = likelihood_ratio(samples, model, {4: dist})
         line += f"  log L[{label}]={trace.log_ratio:+.2f}"
         if trace.flagged:
             line += f" ({len(trace.flagged)} flagged)"

@@ -8,8 +8,7 @@ from .errors import (ConfigurationError, CutoffError, DgbsError,
                      EnumerationBudgetError, NumericalError,
                      PhysicalityError, SchemaError)
 from .hafnian import (DetectionPattern, ReducedKernel, hafnian, loop_hafnian,
-                      loop_hafnian_korder, matching_polynomial,
-                      reduce_by_pattern)
+                      matching_polynomial, reduce_by_pattern)
 from .metrics import LikelihoodTrace, likelihood_ratio, tvd
 from .probability import (ModelSpec, PatternDistribution, StateKernel,
                           all_patterns, distribution_from_kernel,

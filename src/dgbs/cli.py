@@ -1,14 +1,14 @@
 """Command-line front end.
 
-Subcommands: probs, simulate, reconstruct, compare, lock, oracle.  All
-structured output is canonical JSON (sorted keys, fixed float repr) stamped
-with the config hash, so reruns with the same config and seed are
+Subcommands: probs, simulate, reconstruct, compare, sample, lock, oracle.
+All structured output is canonical JSON (sorted keys, fixed float repr)
+stamped with the config hash, so reruns with the same config and seed are
 byte-identical.  Exit codes: 0 success, 1 runtime/numerical failure,
 2 bad usage or configuration.
 
-The DGBS_WORKERS environment variable sets the process count for pattern
-probability evaluation (default 1); results are assembled in pattern order,
-so the worker count never changes the output bytes.
+The DGBS_WORKERS environment variable sets the process count with which
+``probs`` evaluates its pattern tables (default 1); results are assembled in
+pattern order, so the worker count never changes the output bytes.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
-from .errors import DgbsError, SchemaError
+from .errors import (ConfigurationError, DgbsError, EnumerationBudgetError,
+                     SchemaError)
 from .experiment import pid_lock, sample_patterns, simulate_records, \
     auto_select_pairs, build_error_signal, tune_pid_gains, \
     twofold_rates_from_state
@@ -87,13 +88,34 @@ def _kernel_for_model(config: dict, model: ModelSpec) -> StateKernel:
     return StateKernel.from_state(propagate(build(source, transfer.d), transfer))
 
 
+def _parse_model(text: str) -> ModelSpec:
+    try:
+        return ModelSpec.parse(text)
+    except (ValueError, ConfigurationError) as exc:
+        raise SchemaError(f"bad model {text!r}: {exc}") from exc
+
+
 def _model_arg(args) -> ModelSpec:
-    model = ModelSpec.parse(args.model)
-    if model.kind == "korder" and model.k is None:
-        model = ModelSpec("korder", args.k)
+    if args.model.strip() == "korder":
+        if args.k is None:
+            raise SchemaError("--model korder needs --k")
+        return _parse_model(f"korder({args.k})")
+    model = _parse_model(args.model)
     if args.k is not None and model.kind == "korder" and model.k != args.k:
         raise SchemaError("--k conflicts with the k embedded in --model")
     return model
+
+
+def _tables(kernel: StateKernel, model: ModelSpec, totals) -> dict:
+    """{N: collision-free fixed-N distribution}; a sector with zero mass or
+    beyond the enumeration budget is left out."""
+    tables = {}
+    for total in sorted(totals):
+        try:
+            tables[total] = distribution_from_kernel(kernel, total, True, model)
+        except (ConfigurationError, EnumerationBudgetError):
+            continue
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -187,17 +209,20 @@ def _read_samples(path: str, d: int):
 def cmd_compare(args) -> int:
     config = load_config(args.config)
     model_a = _model_arg(args)
-    model_b = ModelSpec.parse(args.model_b)
+    model_b = _parse_model(args.model_b)
     kernel_a = _kernel_for_model(config, model_a)
     kernel_b = _kernel_for_model(config, model_b)
-    tvds = {}
-    for total in range(1, args.n_max + 1):
-        try:
-            da = distribution_from_kernel(kernel_a, total, True, model_a)
-            db = distribution_from_kernel(kernel_b, total, True, model_b)
-        except DgbsError:
-            continue
-        tvds[str(total)] = tvd(da, db)
+    samples = None
+    totals = set(range(1, args.n_max + 1))
+    if args.samples:
+        samples = _read_samples(args.samples, kernel_a.d)
+        samples = [s for s in samples if s.total >= args.min_photons]
+        totals.update(s.total for s in samples)
+    tables_a = _tables(kernel_a, model_a, totals)
+    tables_b = _tables(kernel_b, model_b, totals)
+    tvds = {str(total): tvd(tables_a[total], tables_b[total])
+            for total in range(1, args.n_max + 1)
+            if total in tables_a and total in tables_b}
     payload = {
         "command": "compare",
         "version": __version__,
@@ -206,17 +231,15 @@ def cmd_compare(args) -> int:
         "model_b": model_b.label(),
         "tvd_by_total": tvds,
     }
-    if args.samples:
-        samples = _read_samples(args.samples, kernel_a.d)
-        samples = [s for s in samples if s.total >= args.min_photons]
-        trace = likelihood_ratio(samples, model_a, model_b, kernel_a,
-                                 state_or_kernel_b=kernel_b)
+    if samples is not None:
+        trace = likelihood_ratio(samples, tables_a, tables_b)
         payload["likelihood"] = {
             "samples": trace.sample_count,
             "log_ratio": trace.log_ratio,
-            "ratio": trace.ratio,
             "flagged": len(trace.flagged),
         }
+        if math.isfinite(trace.ratio):
+            payload["likelihood"]["ratio"] = trace.ratio
     _write(canonical_json(payload) + "\n", args.out)
     return 0
 
@@ -256,7 +279,10 @@ def cmd_oracle(args) -> int:
     config = load_config(args.config)
     source = source_from_config(config)
     transfer = transfer_from_config(config)
-    pattern = DetectionPattern(tuple(int(c) for c in args.pattern.split(",")))
+    try:
+        pattern = DetectionPattern(tuple(int(c) for c in args.pattern.split(",")))
+    except (ValueError, ConfigurationError) as exc:
+        raise SchemaError(f"bad --pattern {args.pattern!r}: {exc}") from exc
     kernel = StateKernel.from_state(
         propagate(build_input_state(source, transfer.d), transfer))
     engine = kernel.pattern_probability(pattern)
@@ -361,11 +387,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name in ("n_max", "pulses"):
+            if getattr(args, name, 0) < 0:
+                raise SchemaError(f"--{name.replace('_', '-')} must be "
+                                  f"nonnegative, got {getattr(args, name)}")
         return args.func(args)
-    except SchemaError as exc:
-        print(f"dgbs: config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (SchemaError, FileNotFoundError) as exc:
         print(f"dgbs: {exc}", file=sys.stderr)
         return 2
     except DgbsError as exc:

@@ -7,13 +7,14 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .hafnian import DetectionPattern
-from .probability import ModelSpec, StateKernel, all_patterns
+from .probability import (ModelSpec, StateKernel, all_patterns,
+                          predict_twofold)
 from .reconstruction import MeasurementRecord
 from .states import (GaussianState, SourceConfig, TransferMatrix,
                      build_input_state, propagate)
@@ -21,13 +22,6 @@ from .states import (GaussianState, SourceConfig, TransferMatrix,
 
 # ---------------------------------------------------------------------------
 # pattern sampling
-
-@dataclass(frozen=True)
-class ClickRecord:
-    pulse: int
-    bitmask: int        # collision-free pattern bitmask; -1 = discarded
-    phi: float
-
 
 class ClickTable:
     """Column-oriented store of per-pulse detection outcomes."""
@@ -40,10 +34,6 @@ class ClickTable:
     def __len__(self):
         return len(self.bitmasks)
 
-    def __iter__(self):
-        for i, (m, p) in enumerate(zip(self.bitmasks, self.phi)):
-            yield ClickRecord(i, int(m), float(p))
-
     def patterns(self, min_photons: int = 0):
         """Detection patterns (discards skipped) with at least min_photons."""
         out = []
@@ -55,11 +45,6 @@ class ClickTable:
             counts = tuple((int(m) >> i) & 1 for i in range(self.d))
             out.append(DetectionPattern(counts))
         return out
-
-    def nfold_rate(self, n: int) -> float:
-        kept = self.bitmasks[self.bitmasks >= 0]
-        hits = sum(1 for m in kept if int(m).bit_count() == n)
-        return hits / len(self.bitmasks)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -279,8 +264,6 @@ def build_error_signal(twofold_rates, pairs):
 
 def twofold_rates_from_state(config: SourceConfig, t: TransferMatrix):
     """phi -> {(j, k): p'_{j,k}} evaluated exactly from the circuit model."""
-    from .probability import predict_twofold
-
     base = StateKernel.from_state(propagate(
         build_input_state(replace(config, phi=0.0), t.d), t))
 
@@ -299,8 +282,6 @@ def auto_select_pairs(config: SourceConfig, t: TransferMatrix,
     """Pick the highest-visibility twofold fringes; signs are chosen so all
     slopes at the lock point add constructively (anti-correlated fringes are
     weighted by -1)."""
-    from .probability import predict_twofold
-
     kernel = StateKernel.from_state(propagate(
         build_input_state(replace(config, phi=0.0), t.d), t))
     b, g = kernel.a.b, kernel.gamma.gamma

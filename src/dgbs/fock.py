@@ -203,8 +203,7 @@ def choose_cutoff(config: SourceConfig, t: TransferMatrix, pattern_total: int,
 
 def oracle_probability(config: SourceConfig, t: TransferMatrix,
                        pattern: DetectionPattern, cutoff: int = None,
-                       eps: float = 0.05, tol: float = 1e-7,
-                       check_convergence: bool = False) -> float:
+                       eps: float = 0.05, tol: float = 1e-7) -> float:
     """Pattern probability by brute-force Fock expansion; the independent
     cross-check for the loop-Hafnian engine.
 
@@ -217,14 +216,7 @@ def oracle_probability(config: SourceConfig, t: TransferMatrix,
         raise ConfigurationError("pattern dimension does not match circuit")
     if cutoff is None:
         cutoff = choose_cutoff(config, t, pattern.total, tol=tol)
-    value = _oracle_probability_at(config, t, pattern, cutoff, eps)
-    if check_convergence:
-        again = _oracle_probability_at(config, t, pattern, 2 * cutoff, eps)
-        if abs(again - value) > 1e-6:
-            raise CutoffError(
-                f"oracle not converged: {value:.3e} vs {again:.3e} at doubled cutoff")
-        value = again
-    return value
+    return _oracle_probability_at(config, t, pattern, cutoff, eps)
 
 
 def _oracle_probability_at(config, t, pattern, cutoff, eps) -> float:

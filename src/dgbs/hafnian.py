@@ -160,12 +160,3 @@ def loop_hafnian(k: ReducedKernel) -> complex:
     poly = matching_polynomial(k.a_n, k.gamma_tilde)
     return _ordered_sum(poly)
 
-
-def loop_hafnian_korder(k: ReducedKernel, k_max: int) -> complex:
-    """Truncated loop Hafnian keeping terms with at most k_max matched pairs
-    (gamma~ appears at least 2N - 2*k_max times).  k_max >= N is exact."""
-    if k_max < 0:
-        raise ConfigurationError("k_max must be nonnegative")
-    poly = matching_polynomial(k.a_n, k.gamma_tilde)
-    cut = min(k_max, k.n_photons)
-    return _ordered_sum(poly[:cut + 1])

@@ -12,8 +12,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .hafnian import DetectionPattern
-from .probability import (ModelSpec, PatternDistribution, StateKernel,
-                          distribution_from_kernel)
+from .probability import PatternDistribution
 
 
 def tvd(p: PatternDistribution, q: PatternDistribution) -> float:
@@ -25,7 +24,11 @@ def tvd(p: PatternDistribution, q: PatternDistribution) -> float:
 
 @dataclass
 class LikelihoodTrace:
-    """Per-sample log-ratio increments and the cumulative likelihood ratio."""
+    """Per-sample log-ratio increments and the cumulative likelihood ratio.
+
+    A flagged sample has zero probability under at least one model; its
+    increment is -inf, +inf or 0 and it is left out of ``log_ratio``.
+    """
 
     increments: np.ndarray
     flagged: list = field(default_factory=list)
@@ -42,11 +45,16 @@ class LikelihoodTrace:
 
     @property
     def log_ratio(self) -> float:
-        return float(math.fsum(self.increments))
+        """log L summed over the unflagged samples, always finite."""
+        keep = np.ones(len(self.increments), dtype=bool)
+        keep[[i for i, *_ in self.flagged]] = False
+        return float(math.fsum(self.increments[keep]))
 
     @property
     def ratio(self) -> float:
-        return float(np.exp(self.log_ratio))
+        """exp(log_ratio); inf once log L exceeds the float range."""
+        with np.errstate(over="ignore"):
+            return float(np.exp(self.log_ratio))
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -59,55 +67,37 @@ class LikelihoodTrace:
         return buf.getvalue()
 
 
-def likelihood_ratio(samples, model_a: ModelSpec, model_b: ModelSpec,
-                     state_or_kernel, normalized: bool = True,
-                     collision_free: bool = True,
-                     state_or_kernel_b=None) -> LikelihoodTrace:
+def likelihood_ratio(samples, dists_a: dict, dists_b: dict) -> LikelihoodTrace:
     """Streaming likelihood ratio over a sample list.
 
-    By default both models are normalized over the fixed-N collision-free
-    pattern set of each sample before entering the ratio, matching how the
-    fixed-N distributions are constructed elsewhere; pass
-    ``normalized=False`` to use raw probabilities.
+    ``dists_a`` and ``dists_b`` map a photon number N to each model's
+    fixed-N :class:`PatternDistribution`, so a sample's probability is its
+    normalized probability within its own sector.  The two models may come
+    from different states (the classical-input comparison).
 
-    ``state_or_kernel_b`` lets model B run on its own surrogate state (the
-    classical-input comparison); it defaults to the shared kernel.
-
-    Samples with zero probability under either model contribute -inf/+inf
-    and are reported in ``flagged`` rather than silently dropped.
+    A sample with zero probability under either model, a pattern missing
+    from its sector's table, or a sector missing from a model's dict is
+    flagged: its increment is -inf/+inf (0 if both models give zero) and it
+    is reported in ``flagged`` rather than silently dropped.
     """
-    def as_kernel(obj):
-        return obj if isinstance(obj, StateKernel) else StateKernel.from_state(obj)
-
-    kernel_a = as_kernel(state_or_kernel)
-    kernel_b = kernel_a if state_or_kernel_b is None else as_kernel(state_or_kernel_b)
     samples = [s if isinstance(s, DetectionPattern) else DetectionPattern(tuple(s))
                for s in samples]
-    cache: dict = {}
-
-    def prob(n: DetectionPattern, model: ModelSpec, kernel, side) -> float:
-        if normalized:
-            key = (side, model.label(), n.total)
-            if key not in cache:
-                try:
-                    cache[key] = distribution_from_kernel(
-                        kernel, n.total, collision_free, model).as_dict()
-                except ConfigurationError:
-                    # zero mass in this sector: every sample gets flagged
-                    cache[key] = {}
-            return cache[key].get(n.counts, 0.0)
-        return kernel.pattern_probability(n, model)
-
+    tables_a = {n: dist.as_dict() for n, dist in dists_a.items()}
+    tables_b = {n: dist.as_dict() for n, dist in dists_b.items()}
     increments = np.zeros(len(samples))
     flagged = []
     for i, n in enumerate(samples):
-        pa = prob(n, model_a, kernel_a, "a")
-        pb = prob(n, model_b, kernel_b, "b")
+        pa = tables_a.get(n.total, {}).get(n.counts, 0.0)
+        pb = tables_b.get(n.total, {}).get(n.counts, 0.0)
         if pa <= 0 or pb <= 0:
             flagged.append((i, n.counts, pa, pb))
             increments[i] = (-np.inf if pa <= 0 < pb
                              else np.inf if pb <= 0 < pa else 0.0)
         else:
             increments[i] = np.log(pa) - np.log(pb)
-    return LikelihoodTrace(increments, flagged,
-                           model_a=model_a.label(), model_b=model_b.label())
+    return LikelihoodTrace(increments, flagged, model_a=_model_label(dists_a),
+                           model_b=_model_label(dists_b))
+
+
+def _model_label(dists: dict) -> str:
+    return next(iter(dists.values())).model if dists else ""

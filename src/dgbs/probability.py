@@ -2,8 +2,10 @@
 
 pr(n) = p_vac / prod(n_i!) * lhaf(A~_n), evaluated under four model kinds:
 the full quantum model, the k-order truncation, the squeezer-only model
-(displacement forced to zero) and the classical surrogate (same formula,
-evaluated on the closest-classical input state built by the caller).
+(the loop-free hafnian, times the displaced state's p_vac) and the classical
+surrogate (same formula, evaluated on the closest-classical input state built
+by the caller).  All four read the pair-count terms of one matching
+polynomial.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import ConfigurationError, EnumerationBudgetError
-from .hafnian import (DetectionPattern, ReducedKernel, loop_hafnian,
-                      matching_polynomial, reduce_by_pattern)
+from .errors import (ConfigurationError, EnumerationBudgetError,
+                     NumericalError)
+from .hafnian import (DetectionPattern, ReducedKernel, matching_polynomial,
+                      reduce_by_pattern)
 from .states import (AMatrix, GammaVector, GaussianState, a_matrix,
                      gamma_vector, log_vacuum_probability)
 
@@ -80,16 +83,14 @@ class StateKernel:
     def d(self) -> int:
         return self.a.d
 
-    def reduced(self, n: DetectionPattern, zero_gamma: bool = False) -> ReducedKernel:
-        gamma = self.gamma
-        if zero_gamma:
-            gamma = GammaVector(np.zeros_like(self.gamma.gamma))
-        return reduce_by_pattern(self.a, gamma, n)
+    def reduced(self, n: DetectionPattern) -> ReducedKernel:
+        return reduce_by_pattern(self.a, self.gamma, n)
 
     def korder_terms(self, n: DetectionPattern) -> np.ndarray:
         """Unnormalized pr(n)/p_vac contributions resolved by pair count:
         entry p is the term in which p photons came from the squeezers.
-        Cumulative sums give every k-order value at once."""
+        Cumulative sums give every k-order value at once, and the top entry
+        p = N, the loop-free hafnian, is the squeezer-only value."""
         kern = self.reduced(n)
         poly = matching_polynomial(kern.a_n, kern.gamma_tilde)
         norm = 1.0
@@ -103,22 +104,16 @@ class StateKernel:
             raise ConfigurationError(f"pattern has {n.d} modes, state has {self.d}")
         if n.total == 0:
             return self.p_vac
+        terms = self.korder_terms(n)
         if model.kind == "squeezer_only":
-            kern = self.reduced(n, zero_gamma=True)
-            val = loop_hafnian(kern)
-            norm = 1.0
-            for c in n.counts:
-                norm *= math.factorial(c)
-            val = val / norm
+            val = terms[n.total]
+        elif model.kind == "korder":
+            val = terms[:min(model.k, n.total) + 1].sum()
         else:
-            terms = self.korder_terms(n)
-            if model.kind == "korder":
-                val = terms[:min(model.k, n.total) + 1].sum()
-            else:
-                val = terms.sum()
+            val = terms.sum()
         val = complex(val)
         if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
-            raise ConfigurationError(
+            raise NumericalError(
                 f"probability came out non-real ({val!r}); kernel inconsistent")
         # Truncated models can dip slightly negative; clamp at zero.
         return max(val.real, 0.0) * self.p_vac

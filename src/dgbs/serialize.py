@@ -51,10 +51,18 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical_json(config).encode()).hexdigest()[:16]
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise SchemaError(f"config holds a non-finite number {text}")
+    return value
+
+
 def load_config(path: str) -> dict:
+    """Read a versioned config; every number in it must be finite."""
     with open(path) as f:
         try:
-            config = json.load(f)
+            config = json.load(f, parse_float=_finite, parse_constant=_finite)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):

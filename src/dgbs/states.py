@@ -11,7 +11,8 @@ has the block form ``[[G, M], [conj(M), conj(G)]]`` with G Hermitian
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -90,6 +91,23 @@ class GaussianState:
         h.update(np.round(self.sigma, 12).tobytes())
         h.update(np.round(self.delta, 12).tobytes())
         return h.hexdigest()[:16]
+
+    @cached_property
+    def sigma_q_solve(self) -> tuple:
+        """(Sigma_Q, Sigma_Q^-1): one condition check and one Cholesky
+        factorisation per state, shared by the kernel builders."""
+        sq = q_covariance(self)
+        cond = np.linalg.cond(sq)
+        if cond > COND_LIMIT:
+            raise NumericalError(f"Sigma_Q condition number {cond:.3e} exceeds {COND_LIMIT:.1e}")
+        factor = cho_factor((sq + sq.conj().T) / 2)
+        inv = cho_solve(factor, np.eye(2 * self.d, dtype=complex))
+        # made read-only in place: a contiguous copy would change the BLAS
+        # path of the products in gamma_vector and log_vacuum_probability,
+        # and with it their last bits
+        sq.setflags(write=False)
+        inv.setflags(write=False)
+        return sq, inv
 
 
 def vacuum_state(d: int) -> GaussianState:
@@ -258,17 +276,6 @@ def q_covariance(state: GaussianState) -> np.ndarray:
     return state.sigma + np.eye(2 * state.d) / 2
 
 
-def _solve_sigma_q(state: GaussianState):
-    """Hermitian solve against Sigma_Q; rejects ill-conditioned states."""
-    sq = q_covariance(state)
-    cond = np.linalg.cond(sq)
-    if cond > COND_LIMIT:
-        raise NumericalError(f"Sigma_Q condition number {cond:.3e} exceeds {COND_LIMIT:.1e}")
-    factor = cho_factor((sq + sq.conj().T) / 2)
-    inv = cho_solve(factor, np.eye(2 * state.d, dtype=complex))
-    return sq, inv
-
-
 @dataclass(frozen=True)
 class AMatrix:
     """Kernel matrix A = X (I - Sigma_Q^-1), stored via its B and C blocks."""
@@ -302,7 +309,7 @@ class AMatrix:
 
 
 def a_matrix(state: GaussianState) -> AMatrix:
-    sq, inv = _solve_sigma_q(state)
+    _, inv = state.sigma_q_solve
     a = block_swap(state.d) @ (np.eye(2 * state.d) - inv)
     d = state.d
     b = (a[:d, :d] + a[d:, d:].conj()) / 2
@@ -333,7 +340,7 @@ class GammaVector:
 
 
 def gamma_vector(state: GaussianState) -> GammaVector:
-    _, inv = _solve_sigma_q(state)
+    _, inv = state.sigma_q_solve
     return GammaVector(state.delta.conj() @ inv)
 
 
@@ -343,7 +350,7 @@ def vacuum_probability(state: GaussianState) -> float:
 
 
 def log_vacuum_probability(state: GaussianState) -> float:
-    sq, inv = _solve_sigma_q(state)
+    sq, inv = state.sigma_q_solve
     quad = (state.delta.conj() @ inv @ state.delta).real
     sign, logdet = np.linalg.slogdet(sq)
     if sign.real <= 0:

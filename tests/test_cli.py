@@ -131,3 +131,102 @@ class TestLockOracle:
                      "--pattern", "1,1,0", "--out", str(out)]) == 0
         obj = json.loads(out.read_text())
         assert obj["abs_diff"] < 1e-6
+
+
+def write_config(tmp_path, d, seed, source, name="cfg.json"):
+    u = haar_unitary(d, seed=seed)
+    cfg = {"version": 1, "source": source,
+           "transfer": {"t": matrix_to_json(math.sqrt(0.6) * u)}}
+    path = tmp_path / name
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ["probs", "--model", "korder"],
+        ["probs", "--model", "korder(x)"],
+        ["compare", "--model-b", "korder(x)"],
+        ["oracle", "--pattern", "a,b"],
+        ["probs", "--n-max", "-1"],
+        ["sample", "--n-max", "-1"],
+        ["compare", "--model-b", "full", "--n-max", "-1"],
+        ["sample", "--pulses", "-1"],
+        ["nan-config", "probs"],
+    ])
+    def test_usage_error_exits_2(self, argv, config_path, tmp_path, capsys):
+        if argv[0] == "nan-config":
+            text = open(config_path).read().replace('"r": 0.35', '"r": NaN')
+            config_path = tmp_path / "nan.json"
+            config_path.write_text(text)
+            argv = argv[1:]
+        code = main(argv[:1] + ["--config", str(config_path)] + argv[1:])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("dgbs:")
+        assert "Traceback" not in err
+
+    def test_bare_korder_takes_k(self, config_path, tmp_path):
+        out = tmp_path / "p.json"
+        assert main(["probs", "--config", config_path, "--model", "korder",
+                     "--k", "1", "--n-max", "1", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["model"] == "korder(1)"
+
+
+class TestCompareTables:
+    def test_each_table_built_once(self, config_path, tmp_path, monkeypatch):
+        import dgbs.cli
+        import dgbs.metrics
+        from dgbs.probability import distribution_from_kernel
+        samples = tmp_path / "s.csv"
+        main(["sample", "--config", config_path, "--pulses", "300",
+              "--n-max", "3", "--out", str(samples)])
+        calls = []
+
+        def counting(kernel, total, *args, **kw):
+            calls.append(total)
+            return distribution_from_kernel(kernel, total, *args, **kw)
+
+        for mod in (dgbs.cli, dgbs.metrics):
+            monkeypatch.setattr(mod, "distribution_from_kernel", counting,
+                                raising=False)
+        assert main(["compare", "--config", config_path, "--model", "full",
+                     "--model-b", "korder(1)", "--n-max", "2",
+                     "--samples", str(samples),
+                     "--out", str(tmp_path / "cmp.json")]) == 0
+        # N = 1, 2 for the TVD, plus N = 0 and 3 seen only in the samples
+        assert sorted(calls) == [0, 0, 1, 1, 2, 2, 3, 3]
+
+    def test_zero_probability_samples_do_not_crash(self, tmp_path):
+        # without squeezing the squeezer-only model gives every N >= 1
+        # sample probability 0, so every such sample is flagged
+        cfg = write_config(tmp_path, 3, 42, {
+            "r": 0.0, "alpha_mag": 0.6, "phi": 0.0,
+            "squeezer_ports": [0, 1], "coherent_port": 2})
+        samples = tmp_path / "s.csv"
+        assert main(["sample", "--config", cfg, "--n-max", "2",
+                     "--pulses", "2000", "--out", str(samples)]) == 0
+        out = tmp_path / "cmp.json"
+        assert main(["compare", "--config", cfg, "--model", "full",
+                     "--model-b", "squeezer_only", "--n-max", "2",
+                     "--samples", str(samples), "--out", str(out)]) == 0
+        like = json.loads(out.read_text())["likelihood"]
+        assert like["flagged"] > 0
+        assert like["log_ratio"] == 0.0     # only N=0 samples are unflagged
+
+
+class TestWorkers:
+    def test_pool_output_matches_serial(self, tmp_path, monkeypatch):
+        # N=4 on d=6 with collisions has 126 patterns, enough for the pool
+        cfg = write_config(tmp_path, 6, 0, {
+            "r": 0.35, "alpha_mag": 0.6, "phi": 0.0,
+            "squeezer_ports": [0, 1], "coherent_port": 2})
+        outs = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("DGBS_WORKERS", workers)
+            out = tmp_path / f"p{workers}.json"
+            assert main(["probs", "--config", cfg, "--collisions",
+                         "--n-max", "4", "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        assert len(json.loads(outs[0])["distributions"]["4"]["patterns"]) == 126

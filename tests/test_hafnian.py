@@ -4,8 +4,7 @@ from numpy.testing import assert_allclose
 
 from dgbs.errors import ConfigurationError, EnumerationBudgetError
 from dgbs.hafnian import (DetectionPattern, ReducedKernel, hafnian,
-                          loop_hafnian, loop_hafnian_korder,
-                          matching_polynomial, reduce_by_pattern)
+                          loop_hafnian, matching_polynomial, reduce_by_pattern)
 
 
 def brute_matchings(m, diag):
@@ -66,24 +65,6 @@ def test_loop_hafnian_matches_polynomial_sum(rng):
     kern = ReducedKernel(m, diag)
     assert loop_hafnian(kern) == pytest.approx(
         complex(matching_polynomial(m, diag).sum()))
-
-
-def test_korder_prefix(rng):
-    m = random_symmetric(6, rng)
-    diag = rng.normal(size=6) + 1j * rng.normal(size=6)
-    kern = ReducedKernel(m, diag)
-    poly = matching_polynomial(m, diag)
-    for k in range(4):
-        assert loop_hafnian_korder(kern, k) == pytest.approx(
-            complex(poly[:min(k, 3) + 1].sum()))
-    assert loop_hafnian_korder(kern, 3) == pytest.approx(loop_hafnian(kern))
-    assert loop_hafnian_korder(kern, 99) == pytest.approx(loop_hafnian(kern))
-
-
-def test_korder_rejects_negative(rng):
-    kern = ReducedKernel(random_symmetric(2, rng), np.zeros(2))
-    with pytest.raises(ConfigurationError):
-        loop_hafnian_korder(kern, -1)
 
 
 def test_kernel_validation():

@@ -57,46 +57,66 @@ class TestLikelihoodRatio:
             lossy_transfer(4, 0.5, seed=seed))
         return StateKernel.from_state(st)
 
+    def tables(self, kern, model=ModelSpec(), totals=(1, 2)):
+        return {n: distribution_from_kernel(kern, n, True, model)
+                for n in totals}
+
     def test_true_model_wins_on_average(self):
         kern = self.kernel(0.8)
         dist = distribution_from_kernel(kern, 2, True)
         rng = np.random.default_rng(0)
         idx = rng.choice(len(dist), size=400, p=dist.probabilities)
         samples = [dist.patterns[i] for i in idx]
-        tr = likelihood_ratio(samples, ModelSpec("full"),
-                              ModelSpec("korder", 0), kern)
+        tr = likelihood_ratio(samples, self.tables(kern),
+                              self.tables(kern, ModelSpec("korder", 0)))
         assert tr.log_ratio > 0
         assert tr.model_b == "korder(0)"
 
     def test_exact_truncation_gives_unity(self):
         kern = self.kernel(0.8)
         samples = [DetectionPattern((1, 1, 0, 0))]
-        tr = likelihood_ratio(samples, ModelSpec("korder", 2),
-                              ModelSpec("full"), kern)
+        tr = likelihood_ratio(samples,
+                              self.tables(kern, ModelSpec("korder", 2)),
+                              self.tables(kern))
         assert tr.ratio == pytest.approx(1.0, rel=1e-10)
 
     def test_zero_probability_flagged(self):
-        kern = self.kernel(0.0)  # no displacement: korder(0) kills N=1
+        kern = self.kernel(0.0)  # no displacement: korder(0) has no N >= 1 mass
         samples = [DetectionPattern((1, 0, 0, 0))]
-        tr = likelihood_ratio(samples, ModelSpec("korder", 0),
-                              ModelSpec("full"), kern)
+        tr = likelihood_ratio(samples,
+                              self.tables(kern, ModelSpec("korder", 0), ()),
+                              self.tables(kern))
         assert len(tr.flagged) == 1
         assert tr.increments[0] == -np.inf
+
+    def test_log_ratio_skips_flagged_samples(self):
+        kern = self.kernel(0.8)
+        samples = [DetectionPattern((1, 0, 0, 0)),
+                   DetectionPattern((1, 1, 0, 0))]
+        tr = likelihood_ratio(samples, self.tables(kern, totals=(2,)),
+                              self.tables(kern, ModelSpec("korder", 0)))
+        assert [f[0] for f in tr.flagged] == [0]
+        assert tr.increments[0] == -np.inf
+        assert tr.log_ratio == tr.increments[1]
+        assert math.isfinite(tr.log_ratio)
 
     def test_separate_kernel_for_model_b(self):
         ka, kb = self.kernel(0.8), self.kernel(0.8, seed=8)
         samples = [DetectionPattern((1, 0, 1, 0))]
-        same = likelihood_ratio(samples, ModelSpec("full"), ModelSpec("full"), ka)
-        cross = likelihood_ratio(samples, ModelSpec("full"), ModelSpec("full"),
-                                 ka, state_or_kernel_b=kb)
+        same = likelihood_ratio(samples, self.tables(ka), self.tables(ka))
+        cross = likelihood_ratio(samples, self.tables(ka), self.tables(kb))
         assert same.ratio == pytest.approx(1.0)
         assert cross.ratio != pytest.approx(1.0)
 
-    def test_unnormalized_uses_raw_probabilities(self):
+    def test_sector_normalized_probabilities(self):
         kern = self.kernel(0.6)
         n = DetectionPattern((0, 1, 0, 1))
-        tr = likelihood_ratio([n], ModelSpec("full"), ModelSpec("korder", 0),
-                              kern, normalized=False)
-        want = kern.pattern_probability(n) / kern.pattern_probability(
-            n, ModelSpec("korder", 0))
+        full, k0 = self.tables(kern), self.tables(kern, ModelSpec("korder", 0))
+        tr = likelihood_ratio([n], full, k0)
+        want = full[2].as_dict()[n.counts] / k0[2].as_dict()[n.counts]
         assert tr.ratio == pytest.approx(want, rel=1e-10)
+
+    def test_ratio_overflow_is_inf(self):
+        tr = LikelihoodTrace(np.full(1000, 1.0))
+        assert tr.log_ratio == pytest.approx(1000.0)
+        assert tr.ratio == math.inf

@@ -5,13 +5,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import lossy_transfer
-from dgbs.errors import ConfigurationError, EnumerationBudgetError
+from dgbs.errors import (ConfigurationError, EnumerationBudgetError,
+                         NumericalError)
 from dgbs.hafnian import DetectionPattern
 from dgbs.probability import (ModelSpec, PatternDistribution, StateKernel,
                               all_patterns, distribution_from_kernel,
                               enumerate_distribution, pattern_probability,
                               predict_single, predict_twofold)
-from dgbs.states import SourceConfig, build_input_state, propagate
+from dgbs.states import (GammaVector, SourceConfig, build_input_state,
+                         propagate)
 
 
 def kernel_for(cfg, d, eta=0.6, seed=0):
@@ -29,6 +31,8 @@ class TestModelSpec:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             ModelSpec("korder")
+        with pytest.raises(ConfigurationError):
+            ModelSpec("korder", -1)
         with pytest.raises(ConfigurationError):
             ModelSpec("full", k=2)
         with pytest.raises(ConfigurationError):
@@ -95,6 +99,24 @@ class TestModels:
         want = abs(g[0] * g[2] * g[3]) ** 2 * kern.p_vac
         assert got == pytest.approx(want, rel=1e-12)
 
+    def test_korder_prefix(self):
+        kern = kernel_for(SourceConfig(r=0.4, alpha_mag=0.8, phi=0.5), 4)
+        n = DetectionPattern((1, 1, 1, 0))
+        terms = kern.korder_terms(n)
+        for k in range(4):
+            want = max(terms[:min(k, 3) + 1].sum().real, 0.0) * kern.p_vac
+            assert kern.pattern_probability(n, ModelSpec("korder", k)) == want
+        full = kern.pattern_probability(n)
+        assert kern.pattern_probability(n, ModelSpec("korder", 99)) == full
+
+    def test_non_real_probability_is_numerical_error(self):
+        kern = kernel_for(SourceConfig(r=0.4, alpha_mag=0.8), 3)
+        # halves not conjugate: gamma_0 * gamma_{0+d} = (1+1j)^2 = 2j
+        bad = StateKernel(kern.a, GammaVector(np.full(6, 1 + 1j)),
+                          kern.log_p_vac)
+        with pytest.raises(NumericalError):
+            bad.pattern_probability(DetectionPattern((1, 0, 0)))
+
     def test_squeezer_only_matches_blocked_state(self):
         d = 4
         t = lossy_transfer(d, 0.6, seed=0)
@@ -102,10 +124,11 @@ class TestModels:
             build_input_state(SourceConfig(r=0.4, alpha_mag=0.8), d), t))
         blocked = StateKernel.from_state(propagate(
             build_input_state(SourceConfig(r=0.4, alpha_mag=0.0), d), t))
-        n = DetectionPattern((1, 1, 0, 0))
-        got = with_disp.pattern_probability(n, ModelSpec("squeezer_only"))
-        want = blocked.pattern_probability(n) / blocked.p_vac * with_disp.p_vac
-        assert got == pytest.approx(want, rel=1e-10)
+        for n in (DetectionPattern((1, 1, 0, 0)), DetectionPattern((2, 1, 1, 0))):
+            got = with_disp.pattern_probability(n, ModelSpec("squeezer_only"))
+            want = (blocked.pattern_probability(n) / blocked.p_vac
+                    * with_disp.p_vac)
+            assert got == pytest.approx(want, rel=1e-10)
 
     def test_vacuum_pattern(self):
         kern = kernel_for(SourceConfig(r=0.3, alpha_mag=0.4), 3)

@@ -123,6 +123,25 @@ class TestKernel:
         assert g.gamma[2] == pytest.approx(np.conj(alpha))
         assert g.gamma[5] == pytest.approx(alpha)
 
+    def test_one_factorisation_per_state(self, monkeypatch):
+        import dgbs.states
+        from dgbs.probability import StateKernel
+        calls = []
+        real = dgbs.states.cho_factor
+
+        def counting(*args, **kw):
+            calls.append(1)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(dgbs.states, "cho_factor", counting)
+        cfg = SourceConfig(r=0.4, alpha_mag=0.7, phi=0.9)
+        st = propagate(build_input_state(cfg, 4), lossy_transfer(4, 0.6, seed=3))
+        calls.clear()
+        kern = StateKernel.from_state(st)
+        assert len(calls) == 1
+        assert kern.log_p_vac == log_vacuum_probability(st)
+        assert len(calls) == 1
+
     def test_state_round_trip(self):
         t = lossy_transfer(4, 0.6, seed=3)
         cfg = SourceConfig(r=0.4, alpha_mag=0.7, phi=0.9)
