@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from dgbs.errors import ConfigurationError, EnumerationBudgetError
 from dgbs.hafnian import (DetectionPattern, ReducedKernel, hafnian,
                           loop_hafnian, matching_polynomial, reduce_by_pattern)
+from dgbs.probability import ModelSpec
 
 
 def brute_matchings(m, diag):
@@ -65,6 +66,15 @@ def test_loop_hafnian_matches_polynomial_sum(rng):
     kern = ReducedKernel(m, diag)
     assert loop_hafnian(kern) == pytest.approx(
         complex(matching_polynomial(m, diag).sum()))
+
+
+def test_korder_rejects_negative():
+    # The k-order prefix of the matching polynomial is selected through
+    # ModelSpec; a negative order is rejected however it is spelled.
+    with pytest.raises(ConfigurationError):
+        ModelSpec("korder", -1)
+    with pytest.raises(ConfigurationError):
+        ModelSpec.parse("korder(-1)")
 
 
 def test_kernel_validation():
