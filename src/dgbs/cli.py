@@ -5,10 +5,6 @@ All structured output is canonical JSON (sorted keys, fixed float repr)
 stamped with the config hash, so reruns with the same config and seed are
 byte-identical.  Exit codes: 0 success, 1 runtime/numerical failure,
 2 bad usage or configuration.
-
-The DGBS_WORKERS environment variable sets the process count with which
-``probs`` evaluates its pattern tables (default 1); results are assembled in
-pattern order, so the worker count never changes the output bytes.
 """
 
 from __future__ import annotations
@@ -16,9 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
+import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -39,37 +34,6 @@ from .serialize import (canonical_json, config_hash, drift_from_config,
                         pulses_from_config, source_from_config,
                         transfer_from_config)
 from .states import build_classical_input, build_input_state, propagate
-
-
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("DGBS_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
-_POOL_KERNEL = None
-
-
-def _pool_init(kernel, model_label):
-    global _POOL_KERNEL
-    _POOL_KERNEL = (kernel, ModelSpec.parse(model_label))
-
-
-def _pool_eval(pattern_counts):
-    kernel, model = _POOL_KERNEL
-    return kernel.pattern_probability(DetectionPattern(pattern_counts), model)
-
-
-def _pattern_probs(kernel: StateKernel, patterns, model: ModelSpec) -> np.ndarray:
-    workers = _workers()
-    if workers == 1 or len(patterns) < 64:
-        return np.array([kernel.pattern_probability(n, model) for n in patterns])
-    with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
-                             initargs=(kernel, model.label())) as pool:
-        vals = list(pool.map(_pool_eval, [n.counts for n in patterns],
-                             chunksize=32))
-    return np.array(vals)
 
 
 def _write(text: str, out: str):
@@ -131,7 +95,7 @@ def cmd_probs(args) -> int:
                                 collision_free=not args.collisions)
         if not patterns:
             continue
-        raw = _pattern_probs(kernel, patterns, model)
+        raw = kernel.pattern_probabilities(patterns, model)
         s = raw.sum()
         distributions[str(total)] = {
             "patterns": ["".join(str(c) for c in n.counts) for n in patterns],
@@ -175,13 +139,17 @@ def cmd_reconstruct(args) -> int:
     records = records_from_csv(text)
     threefolds = None
     if args.threefolds:
-        with open(args.threefolds) as f:
-            obj = json.load(f)
-        threefolds = PatternDistribution(
-            obj["d"], obj["total"], obj["collision_free"],
-            tuple(DetectionPattern(tuple(p)) for p in obj["patterns"]),
-            np.asarray(obj["probabilities"], dtype=float),
-            model=obj.get("model", "measured"))
+        try:
+            with open(args.threefolds) as f:
+                obj = json.load(f)
+            threefolds = PatternDistribution(
+                obj["d"], obj["total"], obj["collision_free"],
+                tuple(DetectionPattern(tuple(p)) for p in obj["patterns"]),
+                np.asarray(obj["probabilities"], dtype=float),
+                model=obj.get("model", "measured"))
+        except (ValueError, KeyError, TypeError, ConfigurationError) as exc:
+            raise SchemaError(
+                f"bad threefolds file {args.threefolds}: {exc!r}") from exc
     result = reconstruct(records, threefolds=threefolds, seed=args.seed)
     payload = json.loads(result.to_json())
     payload["command"] = "reconstruct"
@@ -198,9 +166,13 @@ def _read_samples(path: str, d: int):
     if not rows or rows[0][:2] != ["pulse", "bitmask_hex"]:
         raise SchemaError("samples CSV must have header pulse,bitmask_hex,phi")
     samples = []
-    for row in rows[1:]:
-        if not row or row[1] == "discard":
+    for line, row in enumerate(rows[1:], start=2):
+        if not row or row[1:2] == ["discard"]:
             continue
+        if len(row) < 2 or not re.fullmatch("[0-9a-fA-F]+", row[1]) \
+                or int(row[1], 16) >> d:
+            raise SchemaError(f"samples line {line}: {row[1:2]} is not a "
+                              f"bitmask over {d} modes")
         mask = int(row[1], 16)
         samples.append(DetectionPattern(tuple((mask >> i) & 1 for i in range(d))))
     return samples
@@ -249,6 +221,11 @@ def cmd_lock(args) -> int:
     source = source_from_config(config)
     transfer = transfer_from_config(config)
     drift = drift_from_config(config)
+    if not (math.isfinite(args.duration)
+            and args.duration >= drift.step_interval):
+        raise SchemaError(f"--duration must be finite and cover at least one "
+                          f"drift step of {drift.step_interval} s, got "
+                          f"{args.duration}")
     pairs = auto_select_pairs(source, transfer,
                               n_pairs=int(config.get("lock_pairs", 5)))
     signal = build_error_signal(twofold_rates_from_state(source, transfer), pairs)
@@ -283,9 +260,7 @@ def cmd_oracle(args) -> int:
         pattern = DetectionPattern(tuple(int(c) for c in args.pattern.split(",")))
     except (ValueError, ConfigurationError) as exc:
         raise SchemaError(f"bad --pattern {args.pattern!r}: {exc}") from exc
-    kernel = StateKernel.from_state(
-        propagate(build_input_state(source, transfer.d), transfer))
-    engine = kernel.pattern_probability(pattern)
+    engine = _kernel_for_model(config, ModelSpec()).pattern_probability(pattern)
     oracle = oracle_probability(source, transfer, pattern,
                                 cutoff=args.cutoff)
     payload = {
@@ -304,12 +279,10 @@ def cmd_oracle(args) -> int:
 def cmd_sample(args) -> int:
     config = load_config(args.config)
     model = _model_arg(args)
-    kernel_state = propagate(
-        build_input_state(source_from_config(config),
-                          transfer_from_config(config).d),
-        transfer_from_config(config))
-    table = sample_patterns(kernel_state, model, args.pulses, args.n_max,
-                            args.seed)
+    transfer = transfer_from_config(config)
+    state = propagate(build_input_state(source_from_config(config), transfer.d),
+                      transfer)
+    table = sample_patterns(state, model, args.pulses, args.n_max, args.seed)
     header = f"# dgbs sample config_hash={config_hash(config)} seed={args.seed}\n"
     _write(header + table.to_csv(), args.out)
     return 0

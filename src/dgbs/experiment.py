@@ -61,22 +61,21 @@ def sample_patterns(state: GaussianState, model: ModelSpec, pulses: int,
     """Draw i.i.d. collision-free patterns with N <= n_max from the exact
     distribution; residual probability mass goes to a discard bucket."""
     kernel = StateKernel.from_state(state)
-    patterns, probs = _pattern_table(kernel, model, n_max)
+    masks, probs = _pattern_table(kernel, model, n_max)
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(probs), size=pulses, p=probs)
-    masks = np.array([p.bitmask() for p in patterns] + [-1], dtype=np.int64)
     return ClickTable(masks[idx], np.full(pulses, phi), kernel.d)
 
 
 def _pattern_table(kernel: StateKernel, model: ModelSpec, n_max: int):
-    patterns = []
-    for total in range(0, n_max + 1):
-        patterns.extend(all_patterns(kernel.d, total, collision_free=True))
-    probs = np.array([kernel.pattern_probability(n, model) for n in patterns])
-    overflow = max(0.0, 1.0 - probs.sum())
-    probs = np.concatenate([probs, [overflow]])
-    probs = np.clip(probs, 0, None)
-    return patterns, probs / probs.sum()
+    """Bitmasks of the collision-free patterns with N <= n_max, then -1 for
+    the discard bucket, and their probabilities."""
+    patterns = [n for total in range(n_max + 1)
+                for n in all_patterns(kernel.d, total, collision_free=True)]
+    probs = kernel.pattern_probabilities(patterns, model)
+    probs = np.clip(np.append(probs, max(0.0, 1.0 - probs.sum())), 0, None)
+    masks = np.array([p.bitmask() for p in patterns] + [-1], dtype=np.int64)
+    return masks, probs / probs.sum()
 
 
 def sample_patterns_with_phase(state_builder, model: ModelSpec, phi_per_pulse,
@@ -94,11 +93,9 @@ def sample_patterns_with_phase(state_builder, model: ModelSpec, phi_per_pulse,
     d = None
     for b in np.unique(bins):
         sel = np.nonzero(bins == b)[0]
-        state = state_builder(b * width)
-        kernel = StateKernel.from_state(state)
+        kernel = StateKernel.from_state(state_builder(b * width))
         d = kernel.d
-        patterns, probs = _pattern_table(kernel, model, n_max)
-        table = np.array([p.bitmask() for p in patterns] + [-1], dtype=np.int64)
+        table, probs = _pattern_table(kernel, model, n_max)
         masks[sel] = table[rng.choice(len(probs), size=len(sel), p=probs)]
     return ClickTable(masks, phi_per_pulse, d)
 
@@ -108,15 +105,12 @@ def sample_patterns_with_phase(state_builder, model: ModelSpec, phi_per_pulse,
 
 def _setting_rates(kernel: StateKernel, include_collisions: bool):
     d = kernel.d
-    p_vac = kernel.p_vac
-    singles = np.array([kernel.pattern_probability(
-        DetectionPattern.from_modes([j], d)) for j in range(d)])
-    twofolds = {}
-    for j in range(d):
-        for k in range(j if include_collisions else j + 1, d):
-            n = DetectionPattern.from_modes([j, k], d)
-            twofolds[(j, k)] = kernel.pattern_probability(n)
-    return p_vac, singles, twofolds
+    modes = [(j,) for j in range(d)] + [
+        (j, k) for j in range(d)
+        for k in range(j if include_collisions else j + 1, d)]
+    rates = kernel.pattern_probabilities(
+        [DetectionPattern.from_modes(m, d) for m in modes])
+    return kernel.p_vac, rates[:d], dict(zip(modes[d:], rates[d:].tolist()))
 
 
 def _binomial_rates(rng, rate, pulses):
@@ -208,7 +202,12 @@ class DriftModel:
             raise ConfigurationError("need sigma >= 0 and step_interval > 0")
 
     def trace(self, duration: float, rng) -> np.ndarray:
-        n = int(round(duration / self.step_interval))
+        steps = duration / self.step_interval
+        n = int(round(steps)) if math.isfinite(steps) else 0
+        if n < 1:
+            raise ConfigurationError(
+                f"duration {duration} covers no drift step of "
+                f"{self.step_interval} s")
         t = np.arange(n) * self.step_interval
         out = np.zeros(n)
         if self.kind in ("random_walk", "composite"):

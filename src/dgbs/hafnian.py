@@ -4,13 +4,15 @@ The workhorse is :func:`matching_polynomial`, a subset dynamic program that
 enumerates all matchings of the index set (optionally with fixed points
 weighted by the diagonal vector) in a fixed deterministic order.  Its output
 is resolved by the number of matched pairs, which makes the truncated
-"k-order" sums a byproduct of the exact computation.
+"k-order" sums a byproduct of the exact computation.  The DP has a batch
+axis (:func:`matching_polynomials`); :func:`pattern_polynomials` evaluates a
+set of detection patterns with it, a bounded chunk at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum
+from math import comb, fsum
 
 import numpy as np
 
@@ -18,6 +20,8 @@ from .errors import ConfigurationError, EnumerationBudgetError
 
 SYMMETRY_TOL = 1e-10
 MAX_KERNEL_SIZE = 20  # 2N; the subset DP allocates 2^(2N) rows
+# working set of one batch of the subset DP (see _bytes_per_kernel)
+DP_CHUNK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -81,31 +85,73 @@ class ReducedKernel:
         return self.a_n.shape[0] // 2
 
 
+def _gather(a, gamma, patterns):
+    """Reduced kernels of P patterns of one total N: A's rows/columns i and
+    i+d (and gamma's entries) repeated n_i times, as (P, 2N, 2N), (P, 2N)."""
+    counts = np.array([n.counts for n in patterns], dtype=np.intp)
+    if counts.shape[1] != a.d:
+        raise ConfigurationError(
+            f"pattern has {counts.shape[1]} modes, kernel has {a.d}")
+    if (counts.sum(axis=1) != counts[0].sum()).any():
+        raise ConfigurationError("a pattern batch must share one photon total")
+    modes = np.repeat(np.tile(np.arange(a.d), len(counts)), counts.ravel())
+    modes = modes.reshape(len(counts), -1)
+    idx = np.concatenate([modes, modes + a.d], axis=1)
+    return a.full[idx[:, :, None], idx[:, None, :]], gamma.gamma[idx]
+
+
 def reduce_by_pattern(a, gamma, n: DetectionPattern) -> ReducedKernel:
     """Repeat row/column i and i+d of A (and entry i, i+d of gamma) n_i times."""
-    d = a.d
-    if n.d != d:
-        raise ConfigurationError(f"pattern has {n.d} modes, kernel has {d}")
-    idx = [i for i, c in enumerate(n.counts) for _ in range(c)]
-    idx = idx + [i + d for i in idx]
-    full = a.full
-    gvec = gamma.gamma if hasattr(gamma, "gamma") else np.asarray(gamma)
-    return ReducedKernel(full[np.ix_(idx, idx)], gvec[idx])
+    a_n, g = _gather(a, gamma, [n])
+    return ReducedKernel(a_n[0], g[0])
 
 
-def _check_kernel(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+def matching_polynomials(ms: np.ndarray, diags: np.ndarray) -> np.ndarray:
+    """:func:`matching_polynomial` of P kernels of one size: ``ms`` is
+    (P, 2N, 2N), ``diags`` is (P, 2N) and the result is (P, N + 1).  A DP
+    row holds all P kernels, pair-count-major, and all subsets of one size
+    are computed together; every entry is summed in the order of the
+    one-subset recursion, so a batch gives the bits of its kernels alone."""
+    ms = np.asarray(ms, dtype=complex)
+    diags = np.asarray(diags, dtype=complex)
+    if ms.ndim != 3 or ms.shape[1] != ms.shape[2]:
         raise ConfigurationError("matrix must be square")
-    n = m.shape[0]
+    count, n = ms.shape[:2]
+    half = n // 2
     if n % 2:
         raise ConfigurationError("Hafnian requires even dimension")
     if n > MAX_KERNEL_SIZE:
         raise EnumerationBudgetError(
             f"kernel size {n} exceeds matching-enumeration budget {MAX_KERNEL_SIZE}")
-    if n and np.abs(m - m.T).max() > SYMMETRY_TOL * max(1.0, np.abs(m).max()):
+    if diags.shape != (count, n):
+        raise ConfigurationError("diagonal weights must match the kernels")
+    if n and (np.abs(ms - ms.swapaxes(1, 2)).max(axis=(1, 2)) > SYMMETRY_TOL
+              * np.maximum(1.0, np.abs(ms).max(axis=(1, 2)))).any():
         raise ConfigurationError("matrix is not symmetric")
-    return m
+    # m[:, i, j] repeated for pair counts 1..N, diag[:, i] for 0..N
+    m_rows = np.tile(ms.transpose(1, 2, 0), (1, 1, half))
+    d_rows = np.tile(diags.T, (1, half + 1))
+    coeff = np.zeros((1 << n, (half + 1) * count), dtype=complex)
+    coeff[0, :count] = 1.0
+    one_pair_fewer = coeff[:, :-count]
+    masks = np.arange(1, 1 << n)
+    sizes = sum((masks >> b) & 1 for b in range(n))
+    for size in range(1, n + 1):
+        # subset = {i} + rest with i its lowest index: i is a fixed point,
+        # or i is paired with each j in rest in increasing order
+        level = masks[sizes == size]
+        low = level & -level
+        i = np.frexp(low)[1] - 1          # frexp(2^b) has exponent b + 1
+        rest = level ^ low
+        row = d_rows[i] * coeff[rest]
+        todo = rest.copy()
+        for _ in range(size - 1):
+            low_j = todo & -todo
+            row[:, count:] += m_rows[i, np.frexp(low_j)[1] - 1] \
+                * one_pair_fewer[rest ^ low_j]
+            todo ^= low_j
+        coeff[level] = row
+    return coeff[-1].reshape(half + 1, count).T.copy()
 
 
 def matching_polynomial(m: np.ndarray, diag: np.ndarray = None) -> np.ndarray:
@@ -115,33 +161,28 @@ def matching_polynomial(m: np.ndarray, diag: np.ndarray = None) -> np.ndarray:
     the 2N indices with exactly p matched pairs (the remaining 2N - 2p
     indices being fixed points), the product of the matched entries m[i, j]
     times the fixed-point weights diag[c].  Summation order is fixed by the
-    subset recursion, independent of any parallel partitioning upstream.
+    subset recursion; this is the batch of one of
+    :func:`matching_polynomials`.
     """
-    m = _check_kernel(m)
-    n = m.shape[0]
-    half = n // 2
-    if diag is None:
-        diag = np.zeros(n, dtype=complex)
-    else:
-        diag = np.asarray(diag, dtype=complex)
-    if n == 0:
-        return np.ones(1, dtype=complex)
-    coeff = np.zeros((1 << n, half + 1), dtype=complex)
-    coeff[0, 0] = 1.0
-    bit_index = {1 << i: i for i in range(n)}
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        i = bit_index[low]
-        rest = mask ^ low
-        row = diag[i] * coeff[rest]
-        sub = rest
-        while sub:
-            lowj = sub & -sub
-            j = bit_index[lowj]
-            row[1:] += m[i, j] * coeff[rest ^ lowj][:-1]
-            sub ^= lowj
-        coeff[mask] = row
-    return coeff[-1]
+    m = np.asarray(m, dtype=complex)
+    diag = np.zeros(len(m)) if diag is None else np.asarray(diag)
+    return matching_polynomials(m[None], diag[None])[0]
+
+
+def _bytes_per_kernel(n: int) -> int:
+    """Bytes of one size-n kernel's DP table, temporaries and inputs."""
+    return 16 * (n // 2 + 1) * ((1 << n) + 6 * comb(n, n // 2) + 2 * n * n)
+
+
+def pattern_polynomials(a, gamma, patterns) -> np.ndarray:
+    """(P, N + 1) matching polynomials of the kernels that P patterns of one
+    total N reduce (A, gamma) to.  Patterns are gathered and evaluated
+    DP_CHUNK_BYTES at a time, so memory does not grow with P."""
+    n = 2 * patterns[0].total
+    chunk = max(1, DP_CHUNK_BYTES // _bytes_per_kernel(n))
+    return np.concatenate([
+        matching_polynomials(*_gather(a, gamma, patterns[start:start + chunk]))
+        for start in range(0, len(patterns), chunk)])
 
 
 def hafnian(m: np.ndarray) -> complex:
@@ -150,13 +191,9 @@ def hafnian(m: np.ndarray) -> complex:
     return complex(poly[-1])
 
 
-def _ordered_sum(values: np.ndarray) -> complex:
-    """Deterministic compensated sum (fixed order, real/imag separately)."""
-    return complex(fsum(values.real), fsum(values.imag))
-
-
 def loop_hafnian(k: ReducedKernel) -> complex:
-    """Matching sum including fixed points weighted by gamma~."""
+    """Matching sum including fixed points weighted by gamma~, summed over
+    pair counts with a compensated sum (real and imaginary separately)."""
     poly = matching_polynomial(k.a_n, k.gamma_tilde)
-    return _ordered_sum(poly)
+    return complex(fsum(poly.real), fsum(poly.imag))
 

@@ -15,13 +15,13 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
 from .errors import (ConfigurationError, EnumerationBudgetError,
                      NumericalError)
-from .hafnian import (DetectionPattern, ReducedKernel, matching_polynomial,
+from .hafnian import (DetectionPattern, ReducedKernel, pattern_polynomials,
                       reduce_by_pattern)
 from .states import (AMatrix, GammaVector, GaussianState, a_matrix,
                      gamma_vector, log_vacuum_probability)
@@ -91,32 +91,47 @@ class StateKernel:
         entry p is the term in which p photons came from the squeezers.
         Cumulative sums give every k-order value at once, and the top entry
         p = N, the loop-free hafnian, is the squeezer-only value."""
-        kern = self.reduced(n)
-        poly = matching_polynomial(kern.a_n, kern.gamma_tilde)
-        norm = 1.0
-        for c in n.counts:
-            norm *= math.factorial(c)
-        return poly / norm
+        return self.pattern_terms([n])[0]
+
+    def pattern_terms(self, patterns) -> np.ndarray:
+        """:meth:`korder_terms` of P patterns of one total N, as (P, N + 1)."""
+        norm = [math.prod(map(math.factorial, n.counts)) for n in patterns]
+        poly = pattern_polynomials(self.a, self.gamma, patterns)
+        return poly / np.array(norm, dtype=float)[:, None]
+
+    def pattern_probabilities(self, patterns,
+                              model: ModelSpec = ModelSpec()) -> np.ndarray:
+        """pr(n) under ``model`` for each pattern, in the given order; the
+        patterns may mix totals and are evaluated one batch per total."""
+        groups = {}
+        for i, n in enumerate(patterns):
+            if n.d != self.d:
+                raise ConfigurationError(
+                    f"pattern has {n.d} modes, state has {self.d}")
+            groups.setdefault(n.total, []).append(i)
+        out = np.full(len(patterns), self.p_vac)
+        for total, rows in groups.items():
+            if total == 0:
+                continue
+            terms = self.pattern_terms([patterns[i] for i in rows])
+            if model.kind == "squeezer_only":
+                val = terms[:, total]
+            elif model.kind == "korder":
+                val = terms[:, :min(model.k, total) + 1].sum(axis=1)
+            else:
+                val = terms.sum(axis=1)
+            bad = np.abs(val.imag) > 1e-9 * np.fmax(1.0, np.abs(val.real))
+            if bad.any():
+                raise NumericalError(
+                    f"probability came out non-real ({complex(val[bad][0])!r}); "
+                    "kernel inconsistent")
+            # Truncated models can dip slightly negative; clamp at zero.
+            out[rows] = np.where(val.real < 0.0, 0.0, val.real) * self.p_vac
+        return out
 
     def pattern_probability(self, n: DetectionPattern,
                             model: ModelSpec = ModelSpec()) -> float:
-        if n.d != self.d:
-            raise ConfigurationError(f"pattern has {n.d} modes, state has {self.d}")
-        if n.total == 0:
-            return self.p_vac
-        terms = self.korder_terms(n)
-        if model.kind == "squeezer_only":
-            val = terms[n.total]
-        elif model.kind == "korder":
-            val = terms[:min(model.k, n.total) + 1].sum()
-        else:
-            val = terms.sum()
-        val = complex(val)
-        if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
-            raise NumericalError(
-                f"probability came out non-real ({val!r}); kernel inconsistent")
-        # Truncated models can dip slightly negative; clamp at zero.
-        return max(val.real, 0.0) * self.p_vac
+        return float(self.pattern_probabilities([n], model)[0])
 
 
 def pattern_probability(state: GaussianState, n: DetectionPattern,
@@ -158,29 +173,16 @@ def _as_kernel(obj) -> StateKernel:
 def all_patterns(d: int, total: int, collision_free: bool,
                  budget: int = DEFAULT_PATTERN_BUDGET):
     """Lexicographically ordered patterns with the given photon total."""
-    if collision_free:
-        if total > d:
-            return []
-        count = math.comb(d, total)
-    else:
-        count = math.comb(total + d - 1, d - 1)
+    count = math.comb(d, total) if collision_free else \
+        math.comb(total + d - 1, d - 1)
     if count > budget:
         raise EnumerationBudgetError(
             f"{count} patterns exceed enumeration budget {budget}")
-    if collision_free:
-        return [DetectionPattern.from_modes(modes, d)
-                for modes in combinations(range(d), total)]
-    patterns = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == d - 1:
-            patterns.append(DetectionPattern((*prefix, remaining)))
-            return
-        for c in range(remaining + 1):
-            rec((*prefix, c), remaining - c)
-
-    rec((), total)
-    return patterns
+    # multisets in reverse lexicographic order list the count vectors in
+    # lexicographic order
+    modes = combinations(range(d), total) if collision_free else \
+        reversed(list(combinations_with_replacement(range(d), total)))
+    return [DetectionPattern.from_modes(m, d) for m in modes]
 
 
 @dataclass(frozen=True)
@@ -215,16 +217,12 @@ class PatternDistribution:
     def as_dict(self) -> dict:
         return {p.counts: float(q) for p, q in zip(self.patterns, self.probabilities)}
 
-    def to_rows(self):
-        for p, q in zip(self.patterns, self.probabilities):
-            yield "".join(str(c) for c in p.counts), q
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["pattern", "probability"])
-        for label, q in self.to_rows():
-            writer.writerow([label, f"{q:.17g}"])
+        for p, q in zip(self.patterns, self.probabilities):
+            writer.writerow(["".join(map(str, p.counts)), f"{q:.17g}"])
         return buf.getvalue()
 
     def to_json(self) -> str:
@@ -245,7 +243,7 @@ def distribution_from_kernel(kernel: StateKernel, total: int,
                              budget: int = DEFAULT_PATTERN_BUDGET,
                              provenance: str = "") -> PatternDistribution:
     patterns = all_patterns(kernel.d, total, collision_free, budget)
-    raw = np.array([kernel.pattern_probability(n, model) for n in patterns])
+    raw = kernel.pattern_probabilities(patterns, model)
     s = raw.sum()
     if s <= 0:
         raise ConfigurationError("distribution has zero total mass; cannot normalize")

@@ -17,7 +17,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import minimize
@@ -91,9 +91,6 @@ class MeasurementRecord:
     def norm_twofold(self, j: int, k: int) -> np.ndarray:
         return self.twofolds[self._pair((j, k))] / self.p_vac
 
-    def has_diagonal(self) -> bool:
-        return any(j == k for j, k in self.twofolds)
-
 
 def records_to_csv(records) -> str:
     """Serialize records (dict setting -> MeasurementRecord) to the CSV
@@ -137,10 +134,12 @@ def records_from_csv(text: str) -> dict:
             raise SchemaError(f"line {line}: expected 5 columns")
         setting, phi_txt, modes, counts, pulses = row
         entry = data.setdefault(setting, {"phis": [], "values": {}, "pulses": None})
-        entry["pulses"] = math.inf if pulses == "inf" else float(pulses)
-        phi = None if phi_txt == "" else float(phi_txt)
-        key = (phi, modes)
-        entry["values"][key] = float(counts)
+        try:
+            entry["pulses"] = math.inf if pulses == "inf" else float(pulses)
+            phi = None if phi_txt == "" else float(phi_txt)
+            entry["values"][(phi, modes)] = float(counts)
+        except ValueError as exc:
+            raise SchemaError(f"line {line}: {exc}") from exc
         if phi is not None and (not entry["phis"] or entry["phis"][-1] != phi):
             if phi not in entry["phis"]:
                 entry["phis"].append(phi)
@@ -602,23 +601,16 @@ def optimize_undetermined_phases(result: ReconstructionResult,
         return result
     rng = np.random.default_rng(seed)
     d = result.d
-    base_b = result.b.copy()
     base_c = result.c.copy()
     mags_c = np.abs(result.c)
-    mags_b = np.abs(result.b)
 
     def build(phases):
-        b = base_b.copy()
         c = base_c.copy()
         for (j, k), th in zip(entries, phases):
             val = mags_c[j, k] * np.exp(1j * th)
             c[j, k] = val
             c[k, j] = np.conj(val)
-        c = (c + c.conj().T) / 2
-        kernel = StateKernel(AMatrix(d, (b + b.T) / 2, c),
-                             GammaVector.from_halves(result.gamma.astype(complex)),
-                             0.0)
-        return kernel
+        return replace(result, c=c).to_kernel()
 
     def objective(phases):
         try:

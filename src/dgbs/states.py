@@ -300,12 +300,10 @@ class AMatrix:
             object.__setattr__(self, "sigma_q_inv",
                                _frozen(np.asarray(self.sigma_q_inv, dtype=complex)))
 
-    @property
+    @cached_property
     def full(self) -> np.ndarray:
-        """The 2d x 2d matrix [[B, C], [C^T, conj(B)]]."""
-        top = np.hstack([self.b, self.c])
-        bottom = np.hstack([self.c.T, self.b.conj()])
-        return np.vstack([top, bottom])
+        """The 2d x 2d matrix [[B, C], [C^T, conj(B)]], built once."""
+        return _frozen(np.block([[self.b, self.c], [self.c.T, self.b.conj()]]))
 
 
 def a_matrix(state: GaussianState) -> AMatrix:

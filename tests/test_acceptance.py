@@ -220,10 +220,10 @@ def test_criterion_7_likelihood_trend():
         cfg = SourceConfig(r=math.asinh(math.sqrt(0.02 / 0.1)),
                            alpha_mag=math.sqrt(n_alpha), eta_c=0.1)
         kern = StateKernel.from_state(propagate(build_input_state(cfg, d), t))
-        terms = [kern.korder_terms(p) for p in pats]
-        full = np.array([max(tr.sum().real, 0.0) for tr in terms])
-        k4 = np.array([max(tr[:5].sum().real, 0.0) for tr in terms])
-        k0 = np.array([max(tr[0].real, 0.0) for tr in terms])
+        terms = kern.pattern_terms(pats)
+        full = np.maximum(terms.sum(axis=1).real, 0.0)
+        k4 = np.maximum(terms[:, :5].sum(axis=1).real, 0.0)
+        k0 = np.maximum(terms[:, 0].real, 0.0)
         tables[n_alpha] = (full / full.sum(), k4 / k4.sum(), k0 / k0.sum())
 
     all_ok = True

@@ -215,18 +215,59 @@ class TestCompareTables:
         assert like["log_ratio"] == 0.0     # only N=0 samples are unflagged
 
 
-class TestWorkers:
-    def test_pool_output_matches_serial(self, tmp_path, monkeypatch):
-        # N=4 on d=6 with collisions has 126 patterns, enough for the pool
-        cfg = write_config(tmp_path, 6, 0, {
-            "r": 0.35, "alpha_mag": 0.6, "phi": 0.0,
-            "squeezer_ports": [0, 1], "coherent_port": 2})
-        outs = []
-        for workers in ("1", "2"):
-            monkeypatch.setenv("DGBS_WORKERS", workers)
-            out = tmp_path / f"p{workers}.json"
-            assert main(["probs", "--config", cfg, "--collisions",
-                         "--n-max", "4", "--out", str(out)]) == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
-        assert len(json.loads(outs[0])["distributions"]["4"]["patterns"]) == 126
+class TestBadInput:
+    @pytest.mark.parametrize("duration", ["0", "-1", "0.05", "nan", "inf"])
+    def test_lock_duration_below_one_drift_step(self, duration, config_path,
+                                                capsys):
+        # the default drift step is 0.1 s
+        code = main(["lock", "--config", config_path,
+                     "--duration", duration])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("dgbs:") and "Traceback" not in err
+
+    def test_drift_trace_needs_one_step(self):
+        from dgbs.errors import ConfigurationError
+        from dgbs.experiment import DriftModel
+        rng = np.random.default_rng(0)
+        assert len(DriftModel().trace(0.1, rng)) == 1
+        for duration in (0.0, -1.0, 0.04, math.nan, math.inf):
+            with pytest.raises(ConfigurationError):
+                DriftModel().trace(duration, rng)
+
+    @pytest.mark.parametrize("kind", [
+        "threefolds_not_json", "threefolds_no_total", "records_bad_counts",
+        "samples_not_hex", "samples_mask_beyond_d"])
+    def test_malformed_file_exits_2(self, kind, config_path, tmp_path,
+                                    capsys):
+        records = tmp_path / "recs.csv"
+        assert main(["simulate", "--config", config_path,
+                     "--out", str(records)]) == 0
+        bad = tmp_path / "bad"
+        header = "pulse,bitmask_hex,phi\n0,3,0\n"
+        if kind == "threefolds_not_json":
+            bad.write_text("not json")
+        elif kind == "threefolds_no_total":
+            bad.write_text(json.dumps({"d": 3, "collision_free": True,
+                                       "patterns": [[1, 1, 1]],
+                                       "probabilities": [1.0]}))
+        elif kind == "records_bad_counts":
+            lines = records.read_text().splitlines()
+            fields = lines[2].split(",")
+            fields[3] = "many"
+            lines[2] = ",".join(fields)
+            records.write_text("\n".join(lines) + "\n")
+        else:
+            mask = "zz" if kind == "samples_not_hex" else "ff"
+            bad.write_text(header + f"1,{mask},0\n")
+        if kind.startswith("samples"):
+            argv = ["compare", "--config", config_path, "--model-b", "full",
+                    "--samples", str(bad)]
+        else:
+            argv = ["reconstruct", "--records", str(records)]
+            if kind.startswith("threefolds"):
+                argv += ["--threefolds", str(bad)]
+        code = main(argv + ["--out", str(tmp_path / "out.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("dgbs:") and "Traceback" not in err
