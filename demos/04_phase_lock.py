@@ -13,18 +13,19 @@ from scipy.stats import unitary_group
 
 from dgbs import SourceConfig, TransferMatrix
 from dgbs.experiment import (DriftModel, PidConfig, auto_select_pairs,
-                             build_error_signal, pid_lock, tune_pid_gains,
-                             twofold_rates_from_state)
+                             build_error_signal, lock_kernel, pid_lock,
+                             tune_pid_gains, twofold_rates_from_state)
 
 d = 6
 rng = np.random.default_rng(11)
 t = TransferMatrix.square(math.sqrt(0.5) * unitary_group.rvs(d, random_state=rng))
 cfg = SourceConfig(r=0.4, alpha_mag=0.9)
 
-pairs = auto_select_pairs(cfg, t, n_pairs=5)
+kernel = lock_kernel(cfg, t)  # the circuit at coherent phase 0
+pairs = auto_select_pairs(kernel, n_pairs=5)
 print(f"error-signal pairs (mode j, mode k, sign): {pairs}")
 
-signal = build_error_signal(twofold_rates_from_state(cfg, t), pairs)
+signal = build_error_signal(twofold_rates_from_state(kernel), pairs)
 drift = DriftModel()  # composite: slow sinusoid + random walk
 
 pid = tune_pid_gains(drift, signal, duration=20.0, seed=0)

@@ -20,9 +20,9 @@ import numpy as np
 from . import __version__
 from .errors import (ConfigurationError, DgbsError, EnumerationBudgetError,
                      SchemaError)
-from .experiment import pid_lock, sample_patterns, simulate_records, \
-    auto_select_pairs, build_error_signal, tune_pid_gains, \
-    twofold_rates_from_state
+from .experiment import (auto_select_pairs, build_error_signal, lock_kernel,
+                         pid_lock, sample_patterns, simulate_records,
+                         tune_pid_gains, twofold_rates_from_state)
 from .fock import oracle_probability
 from .hafnian import DetectionPattern
 from .metrics import likelihood_ratio, tvd
@@ -226,9 +226,9 @@ def cmd_lock(args) -> int:
         raise SchemaError(f"--duration must be finite and cover at least one "
                           f"drift step of {drift.step_interval} s, got "
                           f"{args.duration}")
-    pairs = auto_select_pairs(source, transfer,
-                              n_pairs=int(config.get("lock_pairs", 5)))
-    signal = build_error_signal(twofold_rates_from_state(source, transfer), pairs)
+    kernel = lock_kernel(source, transfer)
+    pairs = auto_select_pairs(kernel, n_pairs=int(config.get("lock_pairs", 5)))
+    signal = build_error_signal(twofold_rates_from_state(kernel), pairs)
     pid = pid_from_config(config)
     if pid is None:
         pid = tune_pid_gains(drift, signal, seed=args.seed)
@@ -279,10 +279,8 @@ def cmd_oracle(args) -> int:
 def cmd_sample(args) -> int:
     config = load_config(args.config)
     model = _model_arg(args)
-    transfer = transfer_from_config(config)
-    state = propagate(build_input_state(source_from_config(config), transfer.d),
-                      transfer)
-    table = sample_patterns(state, model, args.pulses, args.n_max, args.seed)
+    table = sample_patterns(_kernel_for_model(config, model), model,
+                            args.pulses, args.n_max, args.seed)
     header = f"# dgbs sample config_hash={config_hash(config)} seed={args.seed}\n"
     _write(header + table.to_csv(), args.out)
     return 0

@@ -13,11 +13,11 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .hafnian import DetectionPattern
-from .probability import (ModelSpec, StateKernel, all_patterns,
-                          predict_twofold)
+from .probability import (ModelSpec, PhaseFamily, StateKernel,
+                          TwofoldFringe, all_patterns, as_kernel)
 from .reconstruction import MeasurementRecord
-from .states import (GaussianState, SourceConfig, TransferMatrix,
-                     build_input_state, propagate)
+from .states import (SourceConfig, TransferMatrix, build_input_state,
+                     propagate)
 
 
 # ---------------------------------------------------------------------------
@@ -56,61 +56,68 @@ class ClickTable:
         return buf.getvalue()
 
 
-def sample_patterns(state: GaussianState, model: ModelSpec, pulses: int,
+def sample_patterns(state_or_kernel, model: ModelSpec, pulses: int,
                     n_max: int, seed: int, phi: float = 0.0) -> ClickTable:
     """Draw i.i.d. collision-free patterns with N <= n_max from the exact
     distribution; residual probability mass goes to a discard bucket."""
-    kernel = StateKernel.from_state(state)
-    masks, probs = _pattern_table(kernel, model, n_max)
+    kernel = as_kernel(state_or_kernel)
+    patterns = _sampler_patterns(kernel.d, n_max)
+    masks, probs = _with_discard(
+        patterns, kernel.pattern_probabilities(patterns, model))
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(probs), size=pulses, p=probs)
     return ClickTable(masks[idx], np.full(pulses, phi), kernel.d)
 
 
-def _pattern_table(kernel: StateKernel, model: ModelSpec, n_max: int):
-    """Bitmasks of the collision-free patterns with N <= n_max, then -1 for
-    the discard bucket, and their probabilities."""
-    patterns = [n for total in range(n_max + 1)
-                for n in all_patterns(kernel.d, total, collision_free=True)]
-    probs = kernel.pattern_probabilities(patterns, model)
+def _sampler_patterns(d: int, n_max: int) -> list:
+    """The collision-free patterns with N <= n_max, the sampler's outcomes."""
+    return [n for total in range(n_max + 1)
+            for n in all_patterns(d, total, collision_free=True)]
+
+
+def _with_discard(patterns, probs):
+    """Bitmasks of the patterns, then -1 for the discard bucket, and their
+    normalised probabilities."""
     probs = np.clip(np.append(probs, max(0.0, 1.0 - probs.sum())), 0, None)
     masks = np.array([p.bitmask() for p in patterns] + [-1], dtype=np.int64)
     return masks, probs / probs.sum()
 
 
-def sample_patterns_with_phase(state_builder, model: ModelSpec, phi_per_pulse,
-                               n_max: int, seed: int,
-                               phi_bins: int = 64) -> ClickTable:
-    """Like :func:`sample_patterns` but with the instantaneous (locked)
-    phase coupled into the state; phases are quantized to ``phi_bins`` bins
-    per 2 pi to bound the number of exact distributions computed."""
+def sample_patterns_with_phase(config: SourceConfig, t: TransferMatrix,
+                               model: ModelSpec, phi_per_pulse, n_max: int,
+                               seed: int, phi_bins: int = 64) -> ClickTable:
+    """Like :func:`sample_patterns` on the circuit ``t`` fed by ``config``,
+    with the instantaneous (locked) phase of each pulse as the coherent
+    phase.  Phases are quantized to ``phi_bins`` bins per 2 pi, and the
+    occupied bins are evaluated as one phase family."""
     phi_per_pulse = np.asarray(phi_per_pulse, dtype=float)
     pulses = len(phi_per_pulse)
     width = 2 * math.pi / phi_bins
     bins = np.round(phi_per_pulse / width).astype(int)
+    occupied = np.unique(bins)
+    family = PhaseFamily.scan(config, t, occupied * width,
+                              classical=model.kind == "classical")
+    patterns = _sampler_patterns(t.d, n_max)
+    probs = family.pattern_probabilities(patterns, model)
     rng = np.random.default_rng(seed)
     masks = np.empty(pulses, dtype=np.int64)
-    d = None
-    for b in np.unique(bins):
+    for f, b in enumerate(occupied):
         sel = np.nonzero(bins == b)[0]
-        kernel = StateKernel.from_state(state_builder(b * width))
-        d = kernel.d
-        table, probs = _pattern_table(kernel, model, n_max)
-        masks[sel] = table[rng.choice(len(probs), size=len(sel), p=probs)]
-    return ClickTable(masks, phi_per_pulse, d)
+        table, p = _with_discard(patterns, probs[f])
+        masks[sel] = table[rng.choice(len(p), size=len(sel), p=p)]
+    return ClickTable(masks, phi_per_pulse, t.d)
 
 
 # ---------------------------------------------------------------------------
 # three-setting measurement records
 
-def _setting_rates(kernel: StateKernel, include_collisions: bool):
-    d = kernel.d
-    modes = [(j,) for j in range(d)] + [
-        (j, k) for j in range(d)
-        for k in range(j if include_collisions else j + 1, d)]
-    rates = kernel.pattern_probabilities(
-        [DetectionPattern.from_modes(m, d) for m in modes])
-    return kernel.p_vac, rates[:d], dict(zip(modes[d:], rates[d:].tolist()))
+def _setting_patterns(d: int, include_collisions: bool) -> tuple:
+    """The singles and twofold patterns every setting records, and the mode
+    pairs (j, k) of the twofolds."""
+    pairs = [(j, k) for j in range(d)
+             for k in range(j if include_collisions else j + 1, d)]
+    modes = [(j,) for j in range(d)] + pairs
+    return [DetectionPattern.from_modes(m, d) for m in modes], pairs
 
 
 def _binomial_rates(rng, rate, pulses):
@@ -126,25 +133,30 @@ def simulate_records(config: SourceConfig, t: TransferMatrix,
 
     With finite ``pulses_per_setting`` every observable receives independent
     binomial counting noise (pulses are split evenly over the phi grid for
-    scanned settings); ``math.inf`` yields exact noiseless rates.
+    scanned settings); ``math.inf`` yields exact noiseless rates.  Each
+    scanned setting is one :class:`PhaseFamily`.
     """
     if phi_grid is None:
         phi_grid = np.linspace(0, 10 * math.pi, 100, endpoint=False)
     phi_grid = np.asarray(phi_grid, dtype=float)
     rng = np.random.default_rng(seed)
     noisy = np.isfinite(pulses_per_setting)
+    d = t.d
+    patterns, pairs = _setting_patterns(d, include_collisions)
     records = {}
 
     blocked_cfg = replace(config, alpha_mag=0.0)
-    kernel = StateKernel.from_state(propagate(build_input_state(blocked_cfg, t.d), t))
-    p_vac, singles, twofolds = _setting_rates(kernel, include_collisions)
+    kernel = StateKernel.from_state(propagate(build_input_state(blocked_cfg, d), t))
+    rates = kernel.pattern_probabilities(patterns)
+    p_vac, singles = kernel.p_vac, rates[:d]
+    twofolds = dict(zip(pairs, rates[d:].tolist()))
     if noisy:
         singles = _binomial_rates(rng, singles, pulses_per_setting)
         twofolds = {k: float(_binomial_rates(rng, v, pulses_per_setting))
                     for k, v in twofolds.items()}
         p_vac = float(_binomial_rates(rng, p_vac, pulses_per_setting))
     records["blocked"] = MeasurementRecord(
-        "blocked", t.d, pulses_per_setting, p_vac, singles, twofolds)
+        "blocked", d, pulses_per_setting, p_vac, singles, twofolds)
 
     settings = [("input1", config.coherent_port)]
     if second_input_port is not None:
@@ -153,25 +165,18 @@ def simulate_records(config: SourceConfig, t: TransferMatrix,
     for name, port in settings:
         cfg = replace(config, coherent_port=port,
                       squeezer_ports=_avoid_overlap(config.squeezer_ports, port))
-        nphi = len(phi_grid)
-        p_vac = np.zeros(nphi)
-        singles = np.zeros((t.d, nphi))
-        two = {}
-        for i, phv in enumerate(phi_grid):
-            kern = StateKernel.from_state(propagate(
-                build_input_state(replace(cfg, phi=phv), t.d), t))
-            pv, s, tf = _setting_rates(kern, include_collisions)
-            p_vac[i] = pv
-            singles[:, i] = s
-            for key, v in tf.items():
-                two.setdefault(key, np.zeros(nphi))[i] = v
+        family = PhaseFamily.scan(cfg, t, phi_grid)
+        rates = family.pattern_probabilities(patterns)
+        p_vac = family.p_vac
+        singles = np.ascontiguousarray(rates[:, :d].T)
+        two = {key: rates[:, d + i].copy() for i, key in enumerate(pairs)}
         if noisy:
             p_vac = _binomial_rates(rng, p_vac, pulses_per_bin)
             singles = _binomial_rates(rng, singles, pulses_per_bin)
             two = {k: _binomial_rates(rng, v, pulses_per_bin)
                    for k, v in two.items()}
         records[name] = MeasurementRecord(
-            name, t.d, pulses_per_bin, p_vac, singles, two, phi=phi_grid)
+            name, d, pulses_per_bin, p_vac, singles, two, phi=phi_grid)
     return records
 
 
@@ -261,39 +266,43 @@ def build_error_signal(twofold_rates, pairs):
     return signal
 
 
-def twofold_rates_from_state(config: SourceConfig, t: TransferMatrix):
-    """phi -> {(j, k): p'_{j,k}} evaluated exactly from the circuit model."""
-    base = StateKernel.from_state(propagate(
+def lock_kernel(config: SourceConfig, t: TransferMatrix) -> StateKernel:
+    """The circuit's kernel at coherent phase 0, the origin of the phase
+    that the lock measures and actuates."""
+    return StateKernel.from_state(propagate(
         build_input_state(replace(config, phi=0.0), t.d), t))
 
+
+def twofold_rates_from_state(kernel: StateKernel):
+    """phi -> {(j, k): p'_{j,k}} evaluated exactly from the phase-0 kernel
+    (:func:`lock_kernel`); each pair's phi-independent constants are
+    computed once."""
+    fringes = {(j, k): TwofoldFringe.of(kernel, j, k)
+               for j in range(kernel.d) for k in range(j + 1, kernel.d)}
+
     def rates(phi: float) -> dict:
-        out = {}
-        for j in range(t.d):
-            for k in range(j + 1, t.d):
-                out[(j, k)] = predict_twofold(base, j, k, phi)[1]
-        return out
+        rotation = np.exp(2j * phi)
+        return {pair: f.rate_at(rotation) for pair, f in fringes.items()}
 
     return rates
 
 
-def auto_select_pairs(config: SourceConfig, t: TransferMatrix,
-                      setpoint: float = math.pi / 4, n_pairs: int = 5):
-    """Pick the highest-visibility twofold fringes; signs are chosen so all
-    slopes at the lock point add constructively (anti-correlated fringes are
-    weighted by -1)."""
-    kernel = StateKernel.from_state(propagate(
-        build_input_state(replace(config, phi=0.0), t.d), t))
+def auto_select_pairs(kernel: StateKernel, setpoint: float = math.pi / 4,
+                      n_pairs: int = 5):
+    """Pick the highest-visibility twofold fringes of the phase-0 kernel
+    (:func:`lock_kernel`); signs are chosen so all slopes at the lock point
+    add constructively (anti-correlated fringes are weighted by -1)."""
     b, g = kernel.a.b, kernel.gamma.gamma
     candidates = []
-    for j in range(t.d):
-        for k in range(j + 1, t.d):
-            offset = predict_twofold(kernel, j, k, 0.0)[0]
+    for j in range(kernel.d):
+        for k in range(j + 1, kernel.d):
+            fringe = TwofoldFringe.of(kernel, j, k)
             amp = 2 * abs(b[j, k] * g[j] * g[k])
             if amp == 0:
                 continue
-            phase = float(np.angle(b[j, k] * np.conj(g[j]) * np.conj(g[k])))
+            phase = float(np.angle(fringe.weight))
             slope = -2 * amp * math.sin(2 * setpoint + phase)
-            vis = amp / max(offset + amp, 1e-30)
+            vis = amp / max(fringe.blocked + amp, 1e-30)
             candidates.append((vis, j, k, slope))
     candidates.sort(reverse=True)
     chosen = candidates[:n_pairs]

@@ -6,7 +6,8 @@ weighted by the diagonal vector) in a fixed deterministic order.  Its output
 is resolved by the number of matched pairs, which makes the truncated
 "k-order" sums a byproduct of the exact computation.  The DP has a batch
 axis (:func:`matching_polynomials`); :func:`pattern_polynomials` evaluates a
-set of detection patterns with it, a bounded chunk at a time.
+set of detection patterns with it, for a family of loop-weight vectors that
+share one A, a bounded chunk at a time.
 """
 
 from __future__ import annotations
@@ -85,25 +86,24 @@ class ReducedKernel:
         return self.a_n.shape[0] // 2
 
 
-def _gather(a, gamma, patterns):
-    """Reduced kernels of P patterns of one total N: A's rows/columns i and
-    i+d (and gamma's entries) repeated n_i times, as (P, 2N, 2N), (P, 2N)."""
+def _pattern_index(d: int, patterns) -> np.ndarray:
+    """The rows/columns of A (and entries of gamma) that P patterns of one
+    total N keep: i and i+d, each repeated n_i times, as (P, 2N)."""
     counts = np.array([n.counts for n in patterns], dtype=np.intp)
-    if counts.shape[1] != a.d:
+    if counts.shape[1] != d:
         raise ConfigurationError(
-            f"pattern has {counts.shape[1]} modes, kernel has {a.d}")
+            f"pattern has {counts.shape[1]} modes, kernel has {d}")
     if (counts.sum(axis=1) != counts[0].sum()).any():
         raise ConfigurationError("a pattern batch must share one photon total")
-    modes = np.repeat(np.tile(np.arange(a.d), len(counts)), counts.ravel())
+    modes = np.repeat(np.tile(np.arange(d), len(counts)), counts.ravel())
     modes = modes.reshape(len(counts), -1)
-    idx = np.concatenate([modes, modes + a.d], axis=1)
-    return a.full[idx[:, :, None], idx[:, None, :]], gamma.gamma[idx]
+    return np.concatenate([modes, modes + d], axis=1)
 
 
 def reduce_by_pattern(a, gamma, n: DetectionPattern) -> ReducedKernel:
     """Repeat row/column i and i+d of A (and entry i, i+d of gamma) n_i times."""
-    a_n, g = _gather(a, gamma, [n])
-    return ReducedKernel(a_n[0], g[0])
+    idx = _pattern_index(a.d, [n])[0]
+    return ReducedKernel(a.full[np.ix_(idx, idx)], gamma.gamma[idx])
 
 
 def matching_polynomials(ms: np.ndarray, diags: np.ndarray) -> np.ndarray:
@@ -174,15 +174,30 @@ def _bytes_per_kernel(n: int) -> int:
     return 16 * (n // 2 + 1) * ((1 << n) + 6 * comb(n, n // 2) + 2 * n * n)
 
 
-def pattern_polynomials(a, gamma, patterns) -> np.ndarray:
-    """(P, N + 1) matching polynomials of the kernels that P patterns of one
-    total N reduce (A, gamma) to.  Patterns are gathered and evaluated
-    DP_CHUNK_BYTES at a time, so memory does not grow with P."""
-    n = 2 * patterns[0].total
-    chunk = max(1, DP_CHUNK_BYTES // _bytes_per_kernel(n))
-    return np.concatenate([
-        matching_polynomials(*_gather(a, gamma, patterns[start:start + chunk]))
-        for start in range(0, len(patterns), chunk)])
+def pattern_polynomials(a, gammas, patterns) -> np.ndarray:
+    """(F, P, N + 1) matching polynomials of the kernels that P patterns of
+    one total N reduce (A, gammas[f]) to, for a family of F loop-weight
+    vectors ``gammas`` (F, 2d) that share A.  Each pattern's reduced A is
+    gathered once for the whole family; the (gamma, pattern) kernels are
+    evaluated DP_CHUNK_BYTES at a time, so memory grows with neither F
+    nor P."""
+    gammas = np.asarray(gammas, dtype=complex)
+    idx = _pattern_index(a.d, patterns)
+    count, n = idx.shape
+    per_call = max(1, DP_CHUNK_BYTES // _bytes_per_kernel(n))
+    out = np.empty((len(gammas), count, n // 2 + 1), dtype=complex)
+    for start in range(0, count, per_call):
+        rows = idx[start:start + per_call]
+        a_n = a.full[rows[:, :, None], rows[:, None, :]]
+        fam = max(1, per_call // len(rows))
+        for f in range(0, len(gammas), fam):
+            g = gammas[f:f + fam][:, rows]
+            size = len(g) * len(rows)
+            ms = np.broadcast_to(a_n, (len(g), *a_n.shape))
+            out[f:f + fam, start:start + len(rows)] = matching_polynomials(
+                ms.reshape(size, n, n), g.reshape(size, n)
+            ).reshape(len(g), len(rows), -1)
+    return out
 
 
 def hafnian(m: np.ndarray) -> complex:

@@ -15,7 +15,9 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +25,9 @@ from .errors import (ConfigurationError, EnumerationBudgetError,
                      NumericalError)
 from .hafnian import (DetectionPattern, ReducedKernel, pattern_polynomials,
                       reduce_by_pattern)
-from .states import (AMatrix, GammaVector, GaussianState, a_matrix,
-                     gamma_vector, log_vacuum_probability)
+from .states import (AMatrix, GammaVector, GaussianState, SourceConfig,
+                     TransferMatrix, a_matrix, gamma_vector,
+                     log_vacuum_probability, phase_scan)
 
 DEFAULT_PATTERN_BUDGET = 200_000
 
@@ -65,8 +68,74 @@ class ModelSpec:
         return cls(text)
 
 
+class PhaseFamily:
+    """Kernels of one circuit over a scan of the coherent-beam phase.
+
+    A phase scan only rotates the displacement: Sigma_Q, its one solve and
+    A are shared, and only gamma and p_vac depend on phi.  Row f of
+    ``gammas`` (F, 2d) and of ``log_p_vac`` (F,) belongs to the f-th phase.
+    Every method evaluates all F kernels at once, one DP per photon total;
+    :class:`StateKernel` is the family of one.
+    """
+
+    def __init__(self, a: AMatrix, gammas, log_p_vac):
+        self.a = a
+        self.gammas = np.asarray(gammas, dtype=complex)
+        self.log_p_vac = np.asarray(log_p_vac, dtype=float)
+        self.p_vac = np.array([math.exp(v) for v in self.log_p_vac])
+
+    @classmethod
+    def scan(cls, config: SourceConfig, t: TransferMatrix, phis,
+             classical: bool = False) -> "PhaseFamily":
+        """The family of ``propagate(build_input_state(replace(config,
+        phi=phi), t.d), t)`` over ``phis`` (the classical surrogate input
+        if ``classical``), from one state and one Sigma_Q solve."""
+        state, gammas, log_p_vac = phase_scan(config, t, phis, classical)
+        return cls(a_matrix(state), gammas, log_p_vac)
+
+    def pattern_terms(self, patterns) -> np.ndarray:
+        """:meth:`StateKernel.korder_terms` of P patterns of one total N at
+        every phase, as (F, P, N + 1)."""
+        norm = [math.prod(map(math.factorial, n.counts)) for n in patterns]
+        poly = pattern_polynomials(self.a, self.gammas, patterns)
+        return poly / np.array(norm, dtype=float)[:, None]
+
+    def pattern_probabilities(self, patterns,
+                              model: ModelSpec = ModelSpec()) -> np.ndarray:
+        """pr(n) under ``model`` for each pattern at each phase, as (F, P);
+        the patterns may mix totals and are evaluated one batch per total."""
+        groups = {}
+        for i, n in enumerate(patterns):
+            if n.d != self.a.d:
+                raise ConfigurationError(
+                    f"pattern has {n.d} modes, state has {self.a.d}")
+            groups.setdefault(n.total, []).append(i)
+        out = np.repeat(self.p_vac[:, None], len(patterns), axis=1)
+        for total, rows in groups.items():
+            if total == 0:
+                continue
+            terms = self.pattern_terms([patterns[i] for i in rows])
+            terms = terms.reshape(-1, total + 1)
+            if model.kind == "squeezer_only":
+                val = terms[:, total]
+            elif model.kind == "korder":
+                val = terms[:, :min(model.k, total) + 1].sum(axis=1)
+            else:
+                val = terms.sum(axis=1)
+            bad = np.abs(val.imag) > 1e-9 * np.fmax(1.0, np.abs(val.real))
+            if bad.any():
+                raise NumericalError(
+                    f"probability came out non-real ({complex(val[bad][0])!r}); "
+                    "kernel inconsistent")
+            # Truncated models can dip slightly negative; clamp at zero.
+            val = np.where(val.real < 0.0, 0.0, val.real).reshape(len(out), -1)
+            out[:, rows] = val * self.p_vac[:, None]
+        return out
+
+
 class StateKernel:
-    """Cached (A, gamma, p_vac) triple of a state, the probability engine."""
+    """Cached (A, gamma, p_vac) triple of a state; its probabilities are
+    those of the family of one (:attr:`family`)."""
 
     def __init__(self, a: AMatrix, gamma: GammaVector, log_p_vac: float):
         self.a = a
@@ -83,6 +152,11 @@ class StateKernel:
     def d(self) -> int:
         return self.a.d
 
+    @cached_property
+    def family(self) -> PhaseFamily:
+        """This kernel as a family of one."""
+        return PhaseFamily(self.a, self.gamma.gamma[None], [self.log_p_vac])
+
     def reduced(self, n: DetectionPattern) -> ReducedKernel:
         return reduce_by_pattern(self.a, self.gamma, n)
 
@@ -95,39 +169,13 @@ class StateKernel:
 
     def pattern_terms(self, patterns) -> np.ndarray:
         """:meth:`korder_terms` of P patterns of one total N, as (P, N + 1)."""
-        norm = [math.prod(map(math.factorial, n.counts)) for n in patterns]
-        poly = pattern_polynomials(self.a, self.gamma, patterns)
-        return poly / np.array(norm, dtype=float)[:, None]
+        return self.family.pattern_terms(patterns)[0]
 
     def pattern_probabilities(self, patterns,
                               model: ModelSpec = ModelSpec()) -> np.ndarray:
         """pr(n) under ``model`` for each pattern, in the given order; the
         patterns may mix totals and are evaluated one batch per total."""
-        groups = {}
-        for i, n in enumerate(patterns):
-            if n.d != self.d:
-                raise ConfigurationError(
-                    f"pattern has {n.d} modes, state has {self.d}")
-            groups.setdefault(n.total, []).append(i)
-        out = np.full(len(patterns), self.p_vac)
-        for total, rows in groups.items():
-            if total == 0:
-                continue
-            terms = self.pattern_terms([patterns[i] for i in rows])
-            if model.kind == "squeezer_only":
-                val = terms[:, total]
-            elif model.kind == "korder":
-                val = terms[:, :min(model.k, total) + 1].sum(axis=1)
-            else:
-                val = terms.sum(axis=1)
-            bad = np.abs(val.imag) > 1e-9 * np.fmax(1.0, np.abs(val.real))
-            if bad.any():
-                raise NumericalError(
-                    f"probability came out non-real ({complex(val[bad][0])!r}); "
-                    "kernel inconsistent")
-            # Truncated models can dip slightly negative; clamp at zero.
-            out[rows] = np.where(val.real < 0.0, 0.0, val.real) * self.p_vac
-        return out
+        return self.family.pattern_probabilities(patterns, model)[0]
 
     def pattern_probability(self, n: DetectionPattern,
                             model: ModelSpec = ModelSpec()) -> float:
@@ -141,7 +189,7 @@ def pattern_probability(state: GaussianState, n: DetectionPattern,
 
 def predict_single(state_or_kernel, j: int) -> tuple:
     """(p_j, p'_j) = (C_jj, C_jj + |gamma_j|^2), as ratios to p_vac."""
-    kern = _as_kernel(state_or_kernel)
+    kern = as_kernel(state_or_kernel)
     c_jj = kern.a.c[j, j].real
     return c_jj, c_jj + abs(kern.gamma.gamma[j]) ** 2
 
@@ -149,25 +197,43 @@ def predict_single(state_or_kernel, j: int) -> tuple:
 def predict_twofold(state_or_kernel, j: int, k: int, phi: float = 0.0) -> tuple:
     """(p_jk, p'_jk) as ratios to p_vac; phi is an extra phase added to the
     state's own displacement phase.  p'_jk(phi) = a + b cos(2 phi + c)."""
-    if j == k:
-        raise ConfigurationError("twofold prediction needs two distinct modes")
-    kern = _as_kernel(state_or_kernel)
-    b_m, c_m, g = kern.a.b, kern.a.c, kern.gamma.gamma
-    p_j, p_k = c_m[j, j].real, c_m[k, k].real
-    blocked = p_j * p_k + abs(b_m[j, k]) ** 2 + abs(c_m[j, k]) ** 2
-    gj, gk = g[j], g[k]
-    p1j = p_j + abs(gj) ** 2
-    p1k = p_k + abs(gk) ** 2
-    offset = (p1j * p1k + abs(b_m[j, k]) ** 2 + abs(c_m[j, k]) ** 2
-              + 2 * (c_m[j, k] * np.conj(gj) * gk).real)
-    fringe = b_m[j, k] * np.conj(gj) * np.conj(gk) * np.exp(2j * phi)
-    return blocked, offset + 2 * fringe.real
+    fringe = TwofoldFringe.of(as_kernel(state_or_kernel), j, k)
+    return fringe.blocked, fringe.rate_at(np.exp(2j * phi))
 
 
-def _as_kernel(obj) -> StateKernel:
-    if isinstance(obj, StateKernel):
-        return obj
-    return StateKernel.from_state(obj)
+class TwofoldFringe(NamedTuple):
+    """The phi-independent parts of one pair's :func:`predict_twofold`:
+    p_jk, and p'_jk(phi) = offset + 2 Re(weight e^{2 i phi}) with
+    weight = B_jk conj(gamma_j) conj(gamma_k)."""
+
+    blocked: float
+    offset: float
+    weight: complex
+
+    @classmethod
+    def of(cls, kern: "StateKernel", j: int, k: int) -> "TwofoldFringe":
+        if j == k:
+            raise ConfigurationError(
+                "twofold prediction needs two distinct modes")
+        b_m, c_m, g = kern.a.b, kern.a.c, kern.gamma.gamma
+        p_j, p_k = c_m[j, j].real, c_m[k, k].real
+        blocked = p_j * p_k + abs(b_m[j, k]) ** 2 + abs(c_m[j, k]) ** 2
+        gj, gk = g[j], g[k]
+        p1j = p_j + abs(gj) ** 2
+        p1k = p_k + abs(gk) ** 2
+        offset = (p1j * p1k + abs(b_m[j, k]) ** 2 + abs(c_m[j, k]) ** 2
+                  + 2 * (c_m[j, k] * np.conj(gj) * gk).real)
+        return cls(blocked, offset, b_m[j, k] * np.conj(gj) * np.conj(gk))
+
+    def rate_at(self, rotation) -> float:
+        """p'_jk at the phase phi with ``rotation`` = e^{2 i phi}."""
+        return self.offset + 2 * (self.weight * rotation).real
+
+
+def as_kernel(state_or_kernel) -> "StateKernel":
+    if isinstance(state_or_kernel, StateKernel):
+        return state_or_kernel
+    return StateKernel.from_state(state_or_kernel)
 
 
 def all_patterns(d: int, total: int, collision_free: bool,

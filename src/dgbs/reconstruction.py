@@ -102,22 +102,25 @@ def records_to_csv(records) -> str:
         rec = records.get(setting)
         if rec is None:
             continue
-        phis = rec.phi if rec.phi is not None else [""]
-        n_bins = len(phis)
-        pulses = rec.pulses if np.isfinite(rec.pulses) else "inf"
-
-        def emit(i, label, rate):
-            phi_txt = "" if phis[i] == "" else f"{phis[i]:.17g}"
-            counts = rate * rec.pulses if np.isfinite(rec.pulses) else rate
-            writer.writerow([setting, phi_txt, label, f"{counts:.17g}", pulses])
-
-        for i in range(n_bins):
-            emit(i, "vac", rec.p_vac[i] if rec.p_vac.size > 1 else rec.p_vac[0])
-            for j in range(rec.d):
-                emit(i, str(j), rec.singles[j, i] if rec.singles.ndim == 2
-                     else rec.singles[j])
-            for (j, k), v in sorted(rec.twofolds.items()):
-                emit(i, f"{j}:{k}", v[i] if np.ndim(v) else float(v))
+        phis = [""] if rec.phi is None else \
+            [f"{p:.17g}" for p in rec.phi.tolist()]
+        pairs = sorted(rec.twofolds)
+        labels = ["vac", *map(str, range(rec.d)),
+                  *(f"{j}:{k}" for j, k in pairs)]
+        # one row per label, one column per phi bin; unscanned rates repeat
+        rates = np.empty((len(labels), len(phis)))
+        rates[0] = rec.p_vac if rec.p_vac.size > 1 else rec.p_vac[0]
+        rates[1:rec.d + 1] = rec.singles if rec.singles.ndim == 2 \
+            else rec.singles[:, None]
+        for row, pair in enumerate(pairs, start=rec.d + 1):
+            rates[row] = rec.twofolds[pair]
+        if np.isfinite(rec.pulses):
+            pulses, counts = rec.pulses, rates * rec.pulses
+        else:
+            pulses, counts = "inf", rates
+        for phi, column in zip(phis, counts.T.tolist()):
+            writer.writerows([setting, phi, label, f"{c:.17g}", pulses]
+                             for label, c in zip(labels, column))
     return buf.getvalue()
 
 

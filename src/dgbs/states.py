@@ -109,6 +109,14 @@ class GaussianState:
         inv.setflags(write=False)
         return sq, inv
 
+    @cached_property
+    def sigma_q_logdet(self) -> float:
+        """log det Sigma_Q, shared by every displacement of this covariance."""
+        sign, logdet = np.linalg.slogdet(self.sigma_q_solve[0])
+        if sign.real <= 0:
+            raise NumericalError("det Sigma_Q not positive")
+        return logdet
+
 
 def vacuum_state(d: int) -> GaussianState:
     return GaussianState(d, np.eye(2 * d, dtype=complex) / 2,
@@ -231,7 +239,11 @@ def build_input_state(config: SourceConfig, total_modes: int) -> GaussianState:
     source and detection loss alike.  Mode-dependent circuit loss belongs in
     a sub-unitary transfer matrix instead.
     """
-    d = total_modes
+    return _assemble(config, total_modes, *_quantum_input(config, total_modes))
+
+
+def _quantum_input(config: SourceConfig, d: int) -> tuple:
+    """(sigma, coherent amplitude, maps) of :func:`build_input_state`."""
     ports = (*config.squeezer_ports, config.coherent_port)
     if max(ports) >= d:
         raise ConfigurationError(f"input port {max(ports)} >= total modes {d}")
@@ -244,15 +256,72 @@ def build_input_state(config: SourceConfig, total_modes: int) -> GaussianState:
     sigma[q + d, q + d] += sh ** 2
     sigma[p, q + d] = sigma[q, p + d] = sh * ch
     sigma[p + d, q] = sigma[q + d, p] = sh * ch
-    delta = np.zeros(2 * d, dtype=complex)
-    alpha = config.alpha_mag * np.exp(1j * config.phi)
-    delta[config.coherent_port] = alpha
-    delta[config.coherent_port + d] = np.conj(alpha)
-    state = GaussianState(d, sigma, delta)
+    maps = []
     if config.eta_tot < 1:
-        root = np.sqrt(config.eta_tot) * np.eye(d)
-        state = propagate(state, TransferMatrix.square(root))
+        maps.append(TransferMatrix.square(np.sqrt(config.eta_tot) * np.eye(d)))
+    return sigma, config.alpha_mag, maps
+
+
+def _coherent_delta(d: int, port: int, amplitude, phi) -> np.ndarray:
+    delta = np.zeros(2 * d, dtype=complex)
+    alpha = amplitude * np.exp(1j * phi)
+    delta[port] = alpha
+    delta[port + d] = np.conj(alpha)
+    return delta
+
+
+def _assemble(config: SourceConfig, d: int, sigma, amplitude,
+              maps) -> GaussianState:
+    """The state with covariance sigma and the coherent beam of amplitude
+    ``amplitude`` at the config's port and phase, pushed through ``maps``."""
+    state = GaussianState(d, sigma, _coherent_delta(
+        d, config.coherent_port, amplitude, config.phi))
+    for t in maps:
+        state = propagate(state, t)
     return state
+
+
+def phase_scan(config: SourceConfig, t: TransferMatrix, phis,
+               classical: bool = False) -> tuple:
+    """(state, gammas, log_p_vacs) of the source through ``t`` over a scan
+    of the coherent phase over ``phis``.
+
+    A phase scan only rotates the displacement, so one state (at the
+    config's phase) is built and validated, and its Sigma_Q solve serves
+    every phase.  Row f of the (F, 2d) ``gammas`` and of ``log_p_vacs`` is
+    gamma and log p_vac at ``phis[f]``, computed with the matvecs of
+    ``propagate(build_input_state(replace(config, phi=phis[f]), d), t)``
+    (:func:`build_classical_input` if ``classical``), so the bits agree.
+    """
+    d = t.d
+    sigma, amplitude, maps = \
+        (_classical_input if classical else _quantum_input)(config, d)
+    maps = [*maps, t]
+    state = _assemble(config, d, sigma, amplitude, maps)
+    _, inv = state.sigma_q_solve
+    doubled = [_doubled_map(m) for m in maps]
+    gammas = np.empty((len(phis), 2 * d), dtype=complex)
+    log_p_vacs = np.empty(len(phis))
+    for f, phi in enumerate(phis):
+        delta = _coherent_delta(d, config.coherent_port, amplitude, phi)
+        for s in doubled:
+            delta = s @ delta
+        if np.abs(delta[d:] - delta[:d].conj()).max() > BLOCK_TOL:
+            raise PhysicalityError("displacement is not conjugate-paired")
+        gamma = delta.conj() @ inv
+        gammas[f] = gamma
+        log_p_vacs[f] = _log_vacuum(state, gamma, delta)
+    return state, gammas, log_p_vacs
+
+
+def _doubled_map(t: TransferMatrix) -> np.ndarray:
+    """S = T_map (+) conj(T_map), acting on doubled-ordering vectors."""
+    s = t.mode_map()
+    d = t.d
+    s_full = np.zeros((2 * d, 2 * d), dtype=complex)
+    s_full[:d, :d] = s
+    s_full[d:, d:] = s.conj()
+    return s_full
 
 
 def propagate(state: GaussianState, t: TransferMatrix) -> GaussianState:
@@ -260,11 +329,8 @@ def propagate(state: GaussianState, t: TransferMatrix) -> GaussianState:
     (I - S S^dag)/2 and delta' = S delta, with S = T_map (+) conj(T_map)."""
     if state.d != t.d:
         raise ConfigurationError(f"state has {state.d} modes, circuit expects {t.d}")
-    s = t.mode_map()
     d = t.d
-    s_full = np.zeros((2 * d, 2 * d), dtype=complex)
-    s_full[:d, :d] = s
-    s_full[d:, d:] = s.conj()
+    s_full = _doubled_map(t)
     sigma = s_full @ state.sigma @ s_full.conj().T
     sigma += (np.eye(2 * d) - s_full @ s_full.conj().T) / 2
     delta = s_full @ state.delta
@@ -348,12 +414,15 @@ def vacuum_probability(state: GaussianState) -> float:
 
 
 def log_vacuum_probability(state: GaussianState) -> float:
-    sq, inv = state.sigma_q_solve
-    quad = (state.delta.conj() @ inv @ state.delta).real
-    sign, logdet = np.linalg.slogdet(sq)
-    if sign.real <= 0:
-        raise NumericalError("det Sigma_Q not positive")
-    return -quad / 2 - logdet / 2
+    _, inv = state.sigma_q_solve
+    return _log_vacuum(state, state.delta.conj() @ inv, state.delta)
+
+
+def _log_vacuum(state: GaussianState, gamma, delta) -> float:
+    """log p_vac = -delta^dag Sigma_Q^-1 delta / 2 - log det Sigma_Q / 2,
+    from gamma = delta^dag Sigma_Q^-1 and the state's Sigma_Q."""
+    quad = (gamma @ delta).real
+    return -quad / 2 - state.sigma_q_logdet / 2
 
 
 def state_from_a(a: AMatrix, gamma: GammaVector) -> GaussianState:
@@ -415,7 +484,12 @@ def build_classical_input(config: SourceConfig, total_modes: int) -> GaussianSta
     coherent amplitude is attenuated by sqrt(eta_tot) to match; feed the
     result through a lossless circuit.
     """
-    d = total_modes
+    return _assemble(config, total_modes,
+                     *_classical_input(config, total_modes))
+
+
+def _classical_input(config: SourceConfig, d: int) -> tuple:
+    """(sigma, coherent amplitude, maps) of :func:`build_classical_input`."""
     params = closest_classical_state(config.r, config.eta_tot)
     v_plus, v_minus = params.quad_variances()
     g = (v_plus + v_minus) / 4          # <a a^dag + a^dag a>/2
@@ -427,13 +501,9 @@ def build_classical_input(config: SourceConfig, total_modes: int) -> GaussianSta
         sigma[port + d, port + d] = g
         sigma[port, port + d] = sign * m
         sigma[port + d, port] = sign * m
-    delta = np.zeros(2 * d, dtype=complex)
-    alpha = np.sqrt(config.eta_tot) * config.alpha_mag * np.exp(1j * config.phi)
-    delta[config.coherent_port] = alpha
-    delta[config.coherent_port + d] = np.conj(alpha)
-    state = GaussianState(d, sigma, delta)
     bs = np.eye(d, dtype=complex)
     inv_sqrt2 = 1 / np.sqrt(2)
     bs[p, p] = bs[p, q] = bs[q, p] = inv_sqrt2
     bs[q, q] = -inv_sqrt2
-    return propagate(state, TransferMatrix.square(bs))
+    return (sigma, np.sqrt(config.eta_tot) * config.alpha_mag,
+            [TransferMatrix.square(bs)])

@@ -15,8 +15,9 @@ from numpy.testing import assert_allclose
 from conftest import haar_unitary, lossy_transfer
 from dgbs.cli import main as cli_main
 from dgbs.experiment import (DriftModel, PidConfig, auto_select_pairs,
-                             build_error_signal, pid_lock, simulate_records,
-                             tune_pid_gains, twofold_rates_from_state)
+                             build_error_signal, lock_kernel, pid_lock,
+                             simulate_records, tune_pid_gains,
+                             twofold_rates_from_state)
 from dgbs.fock import oracle_probability
 from dgbs.hafnian import (DetectionPattern, ReducedKernel, hafnian,
                           loop_hafnian, matching_polynomial)
@@ -251,8 +252,9 @@ def test_criterion_7_likelihood_trend():
 def test_criterion_8_phase_lock():
     cfg = SourceConfig(r=0.4, alpha_mag=0.9)
     t = lossy_transfer(6, 0.5, seed=11)
-    pairs = auto_select_pairs(cfg, t, n_pairs=5)
-    signal = build_error_signal(twofold_rates_from_state(cfg, t), pairs)
+    kern = lock_kernel(cfg, t)
+    pairs = auto_select_pairs(kern, n_pairs=5)
+    signal = build_error_signal(twofold_rates_from_state(kern), pairs)
     drift = DriftModel()
     pid = tune_pid_gains(drift, signal, duration=20.0, seed=0)
     locked = pid_lock(drift, pid, signal, duration=60.0, seed=5)

@@ -1,13 +1,20 @@
-"""Batched pattern evaluation is bit-identical to one pattern at a time.
+"""Batched pattern evaluation is bit-identical to one pattern at a time,
+and a phase family to one state per phase.
 
 Every probability table goes through one batched call
-(``StateKernel.pattern_probabilities``), which groups patterns by photon
-total and runs the subset DP over chunks of patterns.  These properties pin
-the batch to the single-pattern results, bit for bit, for any mix of totals,
-collisions, models and chunk sizes.
+(``PhaseFamily.pattern_probabilities``, of which
+``StateKernel.pattern_probabilities`` is the family of one), which groups
+patterns by photon total and runs the subset DP over chunks of (phase,
+pattern) kernels.  These properties pin the batch to the single-pattern
+results and the family to per-phase states, bit for bit, for any mix of
+totals, collisions, models and chunk sizes.
 """
 
+import csv
 import importlib
+import io
+import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -17,9 +24,14 @@ from hypothesis import strategies as st
 
 from conftest import lossy_transfer
 from dgbs.errors import ConfigurationError
+from dgbs.experiment import (auto_select_pairs, build_error_signal,
+                             lock_kernel, simulate_records,
+                             twofold_rates_from_state)
 from dgbs.hafnian import (DetectionPattern, matching_polynomial,
                           matching_polynomials)
-from dgbs.probability import ModelSpec, StateKernel, all_patterns
+from dgbs.probability import (ModelSpec, PhaseFamily, StateKernel,
+                              all_patterns, predict_twofold)
+from dgbs.reconstruction import MeasurementRecord, records_to_csv
 from dgbs.states import (SourceConfig, build_classical_input,
                          build_input_state, propagate)
 
@@ -108,3 +120,178 @@ def test_batch_edges():
                             DetectionPattern((1, 1, 0))])
     with pytest.raises(ConfigurationError):
         kern.pattern_probabilities([DetectionPattern((1, 0))])
+
+
+# ---------------------------------------------------------------------------
+# phase families
+
+def random_circuit(d, seed):
+    rng = np.random.default_rng(seed)
+    cfg = SourceConfig(r=rng.uniform(0, 0.8), alpha_mag=rng.uniform(0.1, 1.2),
+                       phi=rng.uniform(0, 6.3),
+                       eta_c=rng.choice([1.0, rng.uniform(0.3, 1)]))
+    return cfg, lossy_transfer(d, rng.uniform(0.3, 1), seed), rng
+
+
+@PROPERTY
+@given(d=st.integers(3, 5), seed=st.integers(0, 2 ** 32 - 1),
+       count=st.integers(1, 7), model=st.sampled_from(MODELS),
+       chunk_bytes=st.sampled_from([1, hafnian.DP_CHUNK_BYTES]))
+def test_family_matches_state_per_phase(d, seed, count, model, chunk_bytes):
+    cfg, t, rng = random_circuit(d, seed)
+    phis = rng.uniform(-10, 40, count)
+    classical = model.kind == "classical"
+    build = build_classical_input if classical else build_input_state
+    patterns = [n for total in range(4)
+                for n in all_patterns(d, total, collision_free=False)]
+    with mock.patch.object(hafnian, "DP_CHUNK_BYTES", chunk_bytes):
+        family = PhaseFamily.scan(cfg, t, phis, classical=classical)
+        probs = family.pattern_probabilities(patterns, model)
+    for f, phi in enumerate(phis):
+        kern = StateKernel.from_state(
+            propagate(build(replace(cfg, phi=phi), d), t))
+        assert same_bits(family.gammas[f], kern.gamma.gamma)
+        assert family.log_p_vac[f] == kern.log_p_vac
+        assert same_bits(probs[f], kern.pattern_probabilities(patterns, model))
+
+
+def per_phase_records(config, t, second_input_port, phi_grid, pulses, seed,
+                      include_collisions):
+    """simulate_records computed with one state and one kernel per phase
+    and one pattern at a time."""
+    d = t.d
+    modes = [(j,) for j in range(d)] + [
+        (j, k) for j in range(d)
+        for k in range(j if include_collisions else j + 1, d)]
+    patterns = [DetectionPattern.from_modes(m, d) for m in modes]
+    rng = np.random.default_rng(seed)
+    noisy = np.isfinite(pulses)
+
+    def binomial(rate, n):
+        return rng.binomial(int(n), np.clip(rate, 0, 1)) / n
+
+    def rates(cfg):
+        kern = StateKernel.from_state(propagate(build_input_state(cfg, d), t))
+        return kern.p_vac, np.array([kern.pattern_probability(n)
+                                     for n in patterns])
+
+    p_vac, r = rates(replace(config, alpha_mag=0.0))
+    singles, twofolds = r[:d], dict(zip(modes[d:], r[d:].tolist()))
+    if noisy:
+        singles = binomial(singles, pulses)
+        twofolds = {k: float(binomial(v, pulses)) for k, v in twofolds.items()}
+        p_vac = float(binomial(p_vac, pulses))
+    records = {"blocked": MeasurementRecord("blocked", d, pulses, p_vac,
+                                            singles, twofolds)}
+    ports = [("input1", config.coherent_port)]
+    if second_input_port is not None:
+        ports.append(("input2", second_input_port))
+    per_bin = pulses / len(phi_grid) if noisy else math.inf
+    for name, port in ports:
+        per_phi = [rates(replace(config, coherent_port=port, phi=phi))
+                   for phi in phi_grid]
+        p_vac = np.array([pv for pv, _ in per_phi])
+        r = np.array([rr for _, rr in per_phi]).T
+        singles, two = r[:d], dict(zip(modes[d:], r[d:]))
+        if noisy:
+            p_vac = binomial(p_vac, per_bin)
+            singles = binomial(singles, per_bin)
+            two = {k: binomial(v, per_bin) for k, v in two.items()}
+        records[name] = MeasurementRecord(name, d, per_bin, p_vac, singles,
+                                          two, phi=phi_grid)
+    return records
+
+
+def row_by_row_csv(records):
+    """The records CSV written one row at a time."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["setting", "phi", "modes", "counts", "pulses"])
+    for setting in ("blocked", "input1", "input2"):
+        rec = records.get(setting)
+        if rec is None:
+            continue
+        finite = np.isfinite(rec.pulses)
+        scale = rec.pulses if finite else 1.0
+        phis = [None] if rec.phi is None else list(rec.phi)
+        for i, phi in enumerate(phis):
+            rows = [("vac", rec.p_vac[min(i, rec.p_vac.size - 1)])]
+            rows += [(str(j), rec.singles[j, i] if rec.singles.ndim == 2
+                      else rec.singles[j]) for j in range(rec.d)]
+            rows += [(f"{j}:{k}", np.atleast_1d(v)[min(i, np.size(v) - 1)])
+                     for (j, k), v in sorted(rec.twofolds.items())]
+            for label, rate in rows:
+                writer.writerow([setting, "" if phi is None else f"{phi:.17g}",
+                                 label, f"{rate * scale if finite else rate:.17g}",
+                                 rec.pulses if finite else "inf"])
+    return buf.getvalue()
+
+
+@PROPERTY
+@given(d=st.integers(3, 5), seed=st.integers(0, 2 ** 32 - 1),
+       nphi=st.integers(1, 6), noisy=st.booleans(), collisions=st.booleans(),
+       second=st.booleans(),
+       chunk_bytes=st.sampled_from([1, hafnian.DP_CHUNK_BYTES]))
+def test_simulate_records_match_state_per_phase(d, seed, nphi, noisy,
+                                                collisions, second,
+                                                chunk_bytes):
+    cfg, t, rng = random_circuit(d, seed)
+    phi_grid = np.sort(rng.uniform(0, 4 * math.pi, nphi))
+    args = (cfg, t, d - 1 if second else None, phi_grid,
+            1e5 if noisy else math.inf, seed % 1000, collisions)
+    with mock.patch.object(hafnian, "DP_CHUNK_BYTES", chunk_bytes):
+        got = records_to_csv(simulate_records(*args))
+    want = per_phase_records(*args)
+    assert got == records_to_csv(want) == row_by_row_csv(want)
+
+
+@PROPERTY
+@given(d=st.integers(3, 6), seed=st.integers(0, 2 ** 32 - 1),
+       n_pairs=st.integers(1, 6),
+       phis=st.lists(st.floats(-50, 50), min_size=1, max_size=8))
+def test_lock_signal_matches_predict_twofold(d, seed, n_pairs, phis):
+    cfg, t, _ = random_circuit(d, seed)
+    kern = lock_kernel(cfg, t)
+    pairs = auto_select_pairs(kern, n_pairs=n_pairs)
+    rates = twofold_rates_from_state(kern)
+    signal = build_error_signal(rates, pairs)
+    for phi in phis:
+        table = rates(phi)
+        for (j, k), rate in table.items():
+            assert rate == predict_twofold(kern, j, k, phi)[1]
+        want = 0.0
+        for j, k, sign in pairs:
+            want += sign * predict_twofold(kern, j, k, phi)[1]
+        assert signal(phi) == want
+
+
+# ---------------------------------------------------------------------------
+# invariances
+
+@PROPERTY
+@given(n=st.sampled_from([2, 4, 6, 8]), seed=st.integers(0, 2 ** 32 - 1),
+       data=st.data())
+def test_matching_polynomial_permutation_invariant(n, seed, data):
+    (m,), (diag,) = random_kernels(np.random.default_rng(seed), 1, n)
+    perm = np.array(data.draw(st.permutations(range(n))))
+    got = matching_polynomial(m[np.ix_(perm, perm)], diag[perm])
+    # each pair count sums terms of at most this magnitude
+    scale = matching_polynomial(np.abs(m), np.abs(diag)).real
+    assert np.all(np.abs(got - matching_polynomial(m, diag))
+                  <= 1e-12 * scale + 1e-300)
+
+
+@PROPERTY
+@given(d=st.integers(3, 5), seed=st.integers(0, 2 ** 32 - 1),
+       total=st.integers(1, 5), k=st.integers(0, 3),
+       pick=st.integers(0, 10 ** 6))
+def test_cumulative_korder_reaches_full_at_n(d, seed, total, k, pick):
+    kern = state_kernel(d, seed, ModelSpec())
+    sector = all_patterns(d, total, collision_free=False)
+    n = sector[pick % len(sector)]
+    terms = kern.korder_terms(n)
+    assert np.cumsum(terms)[-1] == pytest.approx(terms.sum(), rel=1e-12,
+                                                 abs=1e-300)
+    full = kern.pattern_probability(n)
+    assert kern.pattern_probability(n, ModelSpec("korder", total)) == full
+    assert kern.pattern_probability(n, ModelSpec("korder", total + k)) == full

@@ -6,8 +6,12 @@ import pytest
 
 from conftest import haar_unitary
 from dgbs.cli import main
+from dgbs.experiment import sample_patterns
+from dgbs.probability import ModelSpec
 from dgbs.serialize import (canonical_json, config_hash, load_config,
-                            matrix_from_json, matrix_to_json)
+                            matrix_from_json, matrix_to_json,
+                            source_from_config, transfer_from_config)
+from dgbs.states import build_classical_input, propagate
 
 
 @pytest.fixture
@@ -114,6 +118,27 @@ class TestCompare:
                      "--out", str(out)]) == 0
         obj = json.loads(out.read_text())
         assert obj["likelihood"]["samples"] >= 0
+
+
+class TestSample:
+    def test_classical_model_samples_the_surrogate(self, config_path,
+                                                   tmp_path):
+        config = load_config(config_path)
+        transfer = transfer_from_config(config)
+        state = propagate(build_classical_input(source_from_config(config),
+                                                transfer.d), transfer)
+        table = sample_patterns(state, ModelSpec("classical"), 2000, 2, 7)
+        header = (f"# dgbs sample config_hash={config_hash(config)} "
+                  "seed=7\n")
+        outs = {}
+        for model in ("classical", "full"):
+            out = tmp_path / f"{model}.csv"
+            assert main(["sample", "--config", config_path, "--model", model,
+                         "--pulses", "2000", "--n-max", "2", "--seed", "7",
+                         "--out", str(out)]) == 0
+            outs[model] = out.read_text()
+        assert outs["classical"] == header + table.to_csv()
+        assert outs["classical"] != outs["full"]
 
 
 class TestLockOracle:

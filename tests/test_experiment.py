@@ -7,7 +7,8 @@ from numpy.testing import assert_allclose
 from conftest import haar_unitary, lossy_transfer
 from dgbs.errors import ConfigurationError
 from dgbs.experiment import (ClickTable, DriftModel, PidConfig,
-                             auto_select_pairs, build_error_signal, pid_lock,
+                             auto_select_pairs, build_error_signal,
+                             lock_kernel, pid_lock,
                              sample_patterns, sample_patterns_with_phase,
                              simulate_records, transfer_from_singles,
                              tune_pid_gains, twofold_rates_from_state)
@@ -54,13 +55,8 @@ class TestSampling:
 
     def test_phase_coupled_sampling(self):
         cfg, t, _ = standard()
-
-        def builder(phi):
-            from dataclasses import replace
-            return propagate(build_input_state(replace(cfg, phi=phi), t.d), t)
-
         phis = np.array([0.0, 0.0, math.pi / 4, math.pi / 4])
-        table = sample_patterns_with_phase(builder, ModelSpec(), phis, 2, seed=0)
+        table = sample_patterns_with_phase(cfg, t, ModelSpec(), phis, 2, seed=0)
         assert len(table) == 4
         assert_allclose(table.phi, phis)
 
@@ -103,9 +99,9 @@ class TestSimulatedRecords:
 class TestPhaseLock:
     def setup_method(self):
         cfg, t, _ = standard(d=5, eta=0.6, seed=4)
-        pairs = auto_select_pairs(cfg, t, n_pairs=4)
-        self.signal = build_error_signal(twofold_rates_from_state(cfg, t),
-                                         pairs)
+        kern = lock_kernel(cfg, t)
+        pairs = auto_select_pairs(kern, n_pairs=4)
+        self.signal = build_error_signal(twofold_rates_from_state(kern), pairs)
         self.drift = DriftModel()
 
     def test_lock_beats_free_running(self):
