@@ -28,7 +28,7 @@ from .hafnian import DetectionPattern
 from .metrics import likelihood_ratio, tvd
 from .probability import (ModelSpec, PatternDistribution, StateKernel,
                           all_patterns, distribution_from_kernel)
-from .reconstruction import reconstruct, records_from_csv
+from .reconstruction import reconstruct, records_from_csv, records_to_csv
 from .serialize import (canonical_json, config_hash, drift_from_config,
                         load_config, phi_grid_from_config, pid_from_config,
                         pulses_from_config, source_from_config,
@@ -125,7 +125,6 @@ def cmd_simulate(args) -> int:
         pulses_per_setting=pulses_from_config(config),
         seed=args.seed,
         include_collisions=bool(config.get("include_collisions", False)))
-    from .reconstruction import records_to_csv
     header = f"# dgbs simulate config_hash={config_hash(config)} seed={args.seed}\n"
     _write(header + records_to_csv(records), args.out)
     return 0

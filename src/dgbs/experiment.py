@@ -4,8 +4,6 @@ amplitude estimation from singles rates."""
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, replace
 
@@ -47,13 +45,17 @@ class ClickTable:
         return out
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["pulse", "bitmask_hex", "phi"])
-        for i, (m, p) in enumerate(zip(self.bitmasks, self.phi)):
-            writer.writerow([i, format(int(m), "x") if m >= 0 else "discard",
-                             f"{p:.17g}"])
-        return buf.getvalue()
+        """pulse, bitmask_hex, phi; rows joined in blocks to bound memory."""
+        masks, which = np.unique(self.bitmasks, return_inverse=True)
+        hexes = [format(m, "x") if m >= 0 else "discard"
+                 for m in masks.tolist()]
+        blocks = ["pulse,bitmask_hex,phi\n"]
+        for lo in range(0, len(self), 4096):
+            rows = zip(range(lo, lo + 4096), which[lo:lo + 4096].tolist(),
+                       self.phi[lo:lo + 4096].tolist())
+            blocks.append("".join(f"{i},{hexes[h]},{p:.17g}\n"
+                                  for i, h, p in rows))
+        return "".join(blocks)
 
 
 def sample_patterns(state_or_kernel, model: ModelSpec, pulses: int,
@@ -147,16 +149,14 @@ def simulate_records(config: SourceConfig, t: TransferMatrix,
 
     blocked_cfg = replace(config, alpha_mag=0.0)
     kernel = StateKernel.from_state(propagate(build_input_state(blocked_cfg, d), t))
-    rates = kernel.pattern_probabilities(patterns)
-    p_vac, singles = kernel.p_vac, rates[:d]
-    twofolds = dict(zip(pairs, rates[d:].tolist()))
+    rates = np.append(kernel.p_vac,
+                      kernel.pattern_probabilities(patterns))[:, None]
     if noisy:
-        singles = _binomial_rates(rng, singles, pulses_per_setting)
-        twofolds = {k: float(_binomial_rates(rng, v, pulses_per_setting))
-                    for k, v in twofolds.items()}
-        p_vac = float(_binomial_rates(rng, p_vac, pulses_per_setting))
+        # the vacuum rate is drawn after the other observables
+        rates[1:] = _binomial_rates(rng, rates[1:], pulses_per_setting)
+        rates[0] = _binomial_rates(rng, rates[0], pulses_per_setting)
     records["blocked"] = MeasurementRecord(
-        "blocked", d, pulses_per_setting, p_vac, singles, twofolds)
+        "blocked", d, pulses_per_setting, rates, pairs)
 
     settings = [("input1", config.coherent_port)]
     if second_input_port is not None:
@@ -166,17 +166,12 @@ def simulate_records(config: SourceConfig, t: TransferMatrix,
         cfg = replace(config, coherent_port=port,
                       squeezer_ports=_avoid_overlap(config.squeezer_ports, port))
         family = PhaseFamily.scan(cfg, t, phi_grid)
-        rates = family.pattern_probabilities(patterns)
-        p_vac = family.p_vac
-        singles = np.ascontiguousarray(rates[:, :d].T)
-        two = {key: rates[:, d + i].copy() for i, key in enumerate(pairs)}
+        rates = np.vstack([family.p_vac,
+                           family.pattern_probabilities(patterns).T])
         if noisy:
-            p_vac = _binomial_rates(rng, p_vac, pulses_per_bin)
-            singles = _binomial_rates(rng, singles, pulses_per_bin)
-            two = {k: _binomial_rates(rng, v, pulses_per_bin)
-                   for k, v in two.items()}
+            rates = _binomial_rates(rng, rates, pulses_per_bin)
         records[name] = MeasurementRecord(
-            name, d, pulses_per_bin, p_vac, singles, two, phi=phi_grid)
+            name, d, pulses_per_bin, rates, pairs, phi=phi_grid)
     return records
 
 

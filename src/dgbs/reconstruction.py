@@ -18,6 +18,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import minimize
@@ -35,143 +36,164 @@ TWO_PI = 2 * math.pi
 # ---------------------------------------------------------------------------
 # measurement records
 
+CSV_HEADER = ["setting", "phi", "modes", "counts", "pulses"]
+
+
 @dataclass
 class MeasurementRecord:
-    """Singles/twofold rates for one measurement setting.
+    """Rate table of one measurement setting.
 
-    For scanned settings (`input1`, `input2`) the arrays carry one column per
-    phi grid point; for `blocked` they are phi-independent scalars/vectors.
-    ``twofolds`` maps ordered pairs (j, k) with j <= k; a diagonal key (j, j)
-    is the photon-number-resolved two-photon rate pr(2_j) and is optional.
-    """
+    ``rates`` has one row per observable and one column per phi grid point
+    (one column for `blocked`, which has no grid): row 0 is the vacuum rate,
+    rows 1..d the singles, then one twofold row per pair in ``pairs`` order
+    (sorted, j <= k; a diagonal pair (j, j) is the photon-number-resolved
+    rate pr(2_j) and is optional).  ``p_vac``, ``singles`` and ``twofolds``
+    are read-only views of the table."""
 
     setting: str
     d: int
     pulses: float
-    p_vac: np.ndarray
-    singles: np.ndarray
-    twofolds: dict
+    rates: np.ndarray
+    pairs: tuple = ()
     phi: np.ndarray = None
 
     def __post_init__(self):
         if self.setting not in SETTINGS:
             raise ConfigurationError(f"unknown setting {self.setting!r}")
-        scanned = self.setting != "blocked"
-        if scanned and self.phi is None:
-            raise ConfigurationError(f"setting {self.setting!r} requires a phi grid")
-        self.p_vac = np.atleast_1d(np.asarray(self.p_vac, dtype=float))
-        self.singles = np.asarray(self.singles, dtype=float)
-        self.twofolds = {self._pair(k): np.asarray(v, dtype=float)
-                         for k, v in self.twofolds.items()}
+        if (self.phi is None) != (self.setting == "blocked"):
+            raise ConfigurationError("scanned settings need a phi grid, blocked none")
+        self.pairs = tuple(map(tuple, self.pairs))
+        if list(self.pairs) != sorted(set(self.pairs)) or \
+                not all(0 <= j <= k < self.d for j, k in self.pairs):
+            raise ConfigurationError("pairs must be sorted, distinct, 0 <= j <= k < d")
         if self.phi is not None:
             self.phi = np.asarray(self.phi, dtype=float)
-        for name, arr in (("p_vac", self.p_vac), ("singles", self.singles),
-                          *((f"twofold{k}", v) for k, v in self.twofolds.items())):
-            if arr.min() < 0 or arr.max() > 1:
-                raise ConfigurationError(f"{name} rates outside [0,1]")
-
-    @staticmethod
-    def _pair(key):
-        j, k = key
-        return (int(min(j, k)), int(max(j, k)))
+        # a C-ordered copy: in-memory and CSV-read tables fit to the same bits
+        self.rates = np.array(self.rates, dtype=float, order="C")
+        self.rates.setflags(write=False)
+        shape = (1 + self.d + len(self.pairs),
+                 1 if self.phi is None else len(self.phi))
+        if self.rates.shape != shape:
+            raise ConfigurationError(
+                f"rate table has shape {self.rates.shape}, expected {shape}")
+        if not ((self.rates >= 0) & (self.rates <= 1)).all():
+            raise ConfigurationError("rates outside [0,1]")
 
     @property
-    def sigma_scale(self) -> float:
-        """1/sqrt(pulses); zero for noiseless (infinite-pulse) records."""
-        return 0.0 if not np.isfinite(self.pulses) else 1.0 / math.sqrt(self.pulses)
+    def p_vac(self) -> np.ndarray:
+        return self.rates[0]
+
+    @property
+    def singles(self) -> np.ndarray:
+        return self.rates[1:self.d + 1]
+
+    @cached_property
+    def twofolds(self) -> dict:
+        """(j, k) -> the twofold row of that pair."""
+        return dict(zip(self.pairs, self.rates[self.d + 1:]))
 
     def rate_sigma(self, rate: np.ndarray) -> np.ndarray:
-        """Poisson counting sigma of a rate: sqrt(counts)/pulses."""
-        return np.sqrt(np.maximum(rate, 0.0)) * self.sigma_scale
+        """Poisson counting sigma of a rate, sqrt(counts)/pulses (0 if noiseless)."""
+        scale = 1.0 / math.sqrt(self.pulses) if np.isfinite(self.pulses) else 0.0
+        return np.sqrt(np.maximum(rate, 0.0)) * scale
 
     def norm_singles(self) -> np.ndarray:
-        """p_j (or p'_j / p''_j): singles divided by the vacuum rate."""
-        return self.singles / self.p_vac
+        """p_j (or p'_j / p''_j): singles / vacuum rate, averaged over phi."""
+        return (self.singles / self.p_vac).mean(axis=1)
 
     def norm_twofold(self, j: int, k: int) -> np.ndarray:
-        return self.twofolds[self._pair((j, k))] / self.p_vac
+        return self.twofolds[(min(j, k), max(j, k))] / self.p_vac
 
 
 def records_to_csv(records) -> str:
     """Serialize records (dict setting -> MeasurementRecord) to the CSV
-    interchange format: setting, phi, modes, counts, pulses."""
+    format setting, phi, modes, counts, pulses: one row per table cell."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["setting", "phi", "modes", "counts", "pulses"])
-    for setting in SETTINGS:
-        rec = records.get(setting)
-        if rec is None:
-            continue
+    writer.writerow(CSV_HEADER)
+    for rec in (records[s] for s in SETTINGS if s in records):
         phis = [""] if rec.phi is None else \
             [f"{p:.17g}" for p in rec.phi.tolist()]
-        pairs = sorted(rec.twofolds)
         labels = ["vac", *map(str, range(rec.d)),
-                  *(f"{j}:{k}" for j, k in pairs)]
-        # one row per label, one column per phi bin; unscanned rates repeat
-        rates = np.empty((len(labels), len(phis)))
-        rates[0] = rec.p_vac if rec.p_vac.size > 1 else rec.p_vac[0]
-        rates[1:rec.d + 1] = rec.singles if rec.singles.ndim == 2 \
-            else rec.singles[:, None]
-        for row, pair in enumerate(pairs, start=rec.d + 1):
-            rates[row] = rec.twofolds[pair]
+                  *(f"{j}:{k}" for j, k in rec.pairs)]
         if np.isfinite(rec.pulses):
-            pulses, counts = rec.pulses, rates * rec.pulses
+            pulses, counts = rec.pulses, rec.rates * rec.pulses
         else:
-            pulses, counts = "inf", rates
+            pulses, counts = "inf", rec.rates
         for phi, column in zip(phis, counts.T.tolist()):
-            writer.writerows([setting, phi, label, f"{c:.17g}", pulses]
+            writer.writerows([rec.setting, phi, label, f"{c:.17g}", pulses]
                              for label, c in zip(labels, column))
     return buf.getvalue()
 
 
 def records_from_csv(text: str) -> dict:
-    """Inverse of :func:`records_to_csv`."""
+    """Inverse of :func:`records_to_csv`.  Rows may come in any order; phi
+    columns keep their order of first appearance.  Each setting must give
+    every (phi, modes) cell of its table once, all with one pulses value."""
     rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != ["setting", "phi", "modes", "counts", "pulses"]:
+    if not rows or rows[0] != CSV_HEADER:
         raise SchemaError("records CSV must start with the standard header")
-    data: dict = {}
+    by_setting: dict = {}
     for line, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != 5:
             raise SchemaError(f"line {line}: expected 5 columns")
-        setting, phi_txt, modes, counts, pulses = row
-        entry = data.setdefault(setting, {"phis": [], "values": {}, "pulses": None})
-        try:
-            entry["pulses"] = math.inf if pulses == "inf" else float(pulses)
-            phi = None if phi_txt == "" else float(phi_txt)
-            entry["values"][(phi, modes)] = float(counts)
-        except ValueError as exc:
-            raise SchemaError(f"line {line}: {exc}") from exc
-        if phi is not None and (not entry["phis"] or entry["phis"][-1] != phi):
-            if phi not in entry["phis"]:
-                entry["phis"].append(phi)
-    records = {}
-    for setting, entry in data.items():
-        pulses = entry["pulses"]
-        scale = 1.0 if not np.isfinite(pulses) else pulses
-        labels = {m for (_, m) in entry["values"]}
-        d = 1 + max(int(m.split(":")[-1]) for m in labels if m != "vac")
-        phis = entry["phis"] or None
-        bins = phis if phis else [None]
+        if row[0] not in SETTINGS:
+            raise SchemaError(f"line {line}: unknown setting {row[0]!r}")
+        by_setting.setdefault(row[0], []).append(row)
+    return {setting: _table_record(setting, setting_rows)
+            for setting, setting_rows in by_setting.items()}
 
-        def rate(phi, label):
-            return entry["values"][(phi, label)] / scale
 
-        p_vac = np.array([rate(p, "vac") for p in bins])
-        singles = np.array([[rate(p, str(j)) for p in bins] for j in range(d)])
-        twofolds = {}
-        for m in sorted(labels):
-            if ":" in m:
-                j, k = (int(x) for x in m.split(":"))
-                twofolds[(j, k)] = np.array([rate(p, m) for p in bins])
-        if phis is None:
-            singles = singles[:, 0]
-            twofolds = {k: v[0] for k, v in twofolds.items()}
-        records[setting] = MeasurementRecord(
-            setting, d, pulses, p_vac, singles, twofolds,
-            phi=np.array(phis) if phis else None)
-    return records
+def _table_record(setting: str, rows: list) -> MeasurementRecord:
+    """One setting's record from its CSV rows (each distinct text parsed once)."""
+    _, phi_texts, labels, counts, pulses = zip(*rows)
+    scanned = setting != "blocked"
+    phis, column_of, modes = {}, {}, {}
+    try:
+        pulses = {float(p) for p in set(pulses)}
+        counts = np.array(list(map(float, counts)))
+        for text in dict.fromkeys(phi_texts):
+            phi = float(text) if scanned else None
+            if not (math.isfinite(phi) if scanned else text == ""):
+                raise ValueError(f"bad phi {text!r}")
+            column_of[text] = phis.setdefault(phi, len(phis))
+        for label in dict.fromkeys(labels):
+            parts = [] if label == "vac" else label.split(":")
+            if len(parts) > 2 or not all(p.isdecimal() for p in parts):
+                raise ValueError(f"bad modes label {label!r}")
+            modes[label] = tuple(sorted(map(int, parts)))
+    except ValueError as exc:
+        raise SchemaError(f"{setting}: {exc}") from None
+    if len(pulses) != 1 or not min(pulses) > 0:
+        raise SchemaError(f"{setting}: rows must share one positive pulses "
+                          f"value, got {sorted(pulses)}")
+    d = 1 + max((m[0] for m in modes.values() if len(m) == 1), default=-1)
+    pairs = sorted({m for m in modes.values() if len(m) == 2})
+    if (1 + d + len(pairs)) * len(phis) > 2 * len(rows):  # no huge tables
+        raise SchemaError(f"{setting}: {len(rows)} rows leave most of the "
+                          f"table of {d} modes x {len(phis)} phi values empty")
+    row_modes = [(), *((j,) for j in range(d)), *pairs]
+    row_of = {m: r for r, m in enumerate(row_modes)}
+    flat = np.array([row_of[modes[label]] for label in labels]) * len(phis) \
+        + np.array([column_of[text] for text in phi_texts])
+    seen = np.bincount(flat, minlength=len(row_modes) * len(phis))
+    if (seen != 1).any():
+        cell = int(np.argmax(seen != 1))
+        row, col = divmod(cell, len(phis))
+        label = ":".join(map(str, row_modes[row])) or "vac"
+        raise SchemaError(f"{setting}: {label!r} row at phi {list(phis)[col]} "
+                          f"appears {seen[cell]} times")
+    table = np.empty((len(row_modes), len(phis)))
+    table.flat[flat] = counts
+    pulse = pulses.pop()
+    try:
+        return MeasurementRecord(
+            setting, d, pulse, table / (pulse if math.isfinite(pulse) else 1.0),
+            pairs, phi=list(phis) if scanned else None)
+    except ConfigurationError as exc:
+        raise SchemaError(f"{setting}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -278,19 +300,14 @@ def fit_fringe_windows(phi_grid, values, uncertainties=None,
 
 def recover_c_diag(blocked: MeasurementRecord):
     """C_jj = p_j from the blocked setting, with Poisson uncertainties."""
-    p = blocked.norm_singles()
-    if p.ndim != 1:
-        raise ConfigurationError("blocked singles must be phi-independent")
-    return p.copy(), blocked.rate_sigma(blocked.singles) / blocked.p_vac[0]
+    sigma = blocked.rate_sigma(blocked.singles) / blocked.p_vac
+    return blocked.norm_singles(), sigma[:, 0]
 
 
 def recover_gamma(input1: MeasurementRecord, c_diag: np.ndarray):
     """gamma_j = sqrt(p'_j - C_jj), clamped at zero (and flagged) when shot
     noise pushes the radicand negative."""
-    p1 = input1.norm_singles()
-    if p1.ndim == 2:
-        p1 = p1.mean(axis=1)
-    rad = p1 - c_diag
+    rad = input1.norm_singles() - c_diag
     flags = [j for j, v in enumerate(rad) if v < 0]
     gamma = np.sqrt(np.maximum(rad, 0.0))
     return gamma, flags
@@ -378,10 +395,7 @@ def recover_mu(input2: MeasurementRecord, c_diag: np.ndarray, b: np.ndarray,
     jointly from the fringe phases given arg B, with arg(mu_0) = 0 and a
     common scan-origin offset eliminated."""
     d = len(c_diag)
-    p2 = input2.norm_singles()
-    if p2.ndim == 2:
-        p2 = p2.mean(axis=1)
-    mag = np.sqrt(np.maximum(p2 - c_diag, 0.0))
+    mag = np.sqrt(np.maximum(input2.norm_singles() - c_diag, 0.0))
     # fringe phase: c''_jk = arg B_jk - m_j - m_k (+ tau) in this convention
     y = {}
     for (j, k), fit in fringes2.items():
@@ -495,8 +509,10 @@ class ReconstructionResult:
 
 
 def _fit_all_fringes(record: MeasurementRecord, n_best: int, weighted: bool):
+    """Fringe fits keyed (j, k) in label-text order ("0:10" before "0:2")."""
     fringes = {}
-    for (j, k), rates in record.twofolds.items():
+    for (j, k), rates in sorted(record.twofolds.items(),
+                                key=lambda item: "%d:%d" % item[0]):
         values = rates / record.p_vac
         sig = record.rate_sigma(rates) / record.p_vac if weighted else None
         fringes[(j, k)] = fit_fringe_windows(record.phi, values, sig,
@@ -516,6 +532,8 @@ def reconstruct(records: dict, threefolds: PatternDistribution = None,
     missing = [s for s in ("blocked", "input1") if s not in records]
     if missing:
         raise ConfigurationError(f"missing measurement settings: {missing}")
+    if len({(rec.d, rec.pairs) for rec in records.values()}) > 1:
+        raise ConfigurationError("the settings record different observables")
     blocked, input1 = records["blocked"], records["input1"]
     d = blocked.d
     flags = []
@@ -526,8 +544,8 @@ def reconstruct(records: dict, threefolds: PatternDistribution = None,
 
     fringes1 = _fit_all_fringes(input1, n_best_windows, weighted)
     b_bound = np.full((d, d), np.inf)
-    for (j, k) in input1.twofolds:
-        if j == k or (j, k) not in blocked.twofolds:
+    for (j, k) in input1.pairs:
+        if j == k:
             continue
         p_jk = float(np.mean(blocked.norm_twofold(j, k)))
         cap = math.sqrt(max(p_jk - c_diag[j] * c_diag[k], 0.0))
@@ -542,30 +560,21 @@ def reconstruct(records: dict, threefolds: PatternDistribution = None,
     flags += cflags
 
     mu = None
-    sign_flags = []
     if "input2" in records:
         input2 = records["input2"]
         fringes2 = _fit_all_fringes(input2, n_best_windows, weighted)
         mu, _tau, mu_undet = recover_mu(input2, c_diag, b, fringes2)
         flags += [("mu_phase_undetermined", k) for k in mu_undet]
         p2 = input2.norm_singles()
-        if p2.ndim == 2:
-            p2 = p2.mean(axis=1)
-        r_terms = {}
-        for (j, k), fit in fringes2.items():
-            if j == k:
-                continue
-            r_terms[(j, k)] = (fit.offset - p2[j] * p2[k] - abs(b[j, k]) ** 2
-                               - abs_sq[j, k]) / 2
+        r_terms = {(j, k): (fit.offset - p2[j] * p2[k] - abs(b[j, k]) ** 2
+                            - abs_sq[j, k]) / 2
+                   for (j, k), fit in fringes2.items() if j != k}
         im_c, sign_flags = resolve_im_sign(mu, re_c, abs_im, r_terms)
-        flags += sign_flags
     else:
         im_c = np.zeros((d, d))
-        for j in range(d):
-            for k in range(j + 1, d):
-                if abs_im[j, k] > 0:
-                    sign_flags.append(("im_sign_unknown", j, k))
-        flags += sign_flags
+        sign_flags = [("im_sign_unknown", j, k) for j in range(d)
+                      for k in range(j + 1, d) if abs_im[j, k] > 0]
+    flags += sign_flags
 
     c = np.diag(c_diag).astype(complex) + re_c * (1 - np.eye(d)) + 1j * im_c
     c = (c + c.conj().T) / 2

@@ -349,7 +349,6 @@ class AMatrix:
     d: int
     b: np.ndarray
     c: np.ndarray
-    sigma_q_inv: np.ndarray = None
 
     def __post_init__(self):
         b = np.asarray(self.b, dtype=complex)
@@ -362,9 +361,6 @@ class AMatrix:
             raise PhysicalityError("C block is not Hermitian")
         object.__setattr__(self, "b", _frozen(b))
         object.__setattr__(self, "c", _frozen(c))
-        if self.sigma_q_inv is not None:
-            object.__setattr__(self, "sigma_q_inv",
-                               _frozen(np.asarray(self.sigma_q_inv, dtype=complex)))
 
     @cached_property
     def full(self) -> np.ndarray:
@@ -380,7 +376,7 @@ def a_matrix(state: GaussianState) -> AMatrix:
     b = (b + b.T) / 2
     c = (a[:d, d:] + a[d:, :d].T) / 2
     c = (c + c.conj().T) / 2
-    return AMatrix(d, b, c, sigma_q_inv=inv)
+    return AMatrix(d, b, c)
 
 
 @dataclass(frozen=True)

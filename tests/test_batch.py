@@ -176,13 +176,14 @@ def per_phase_records(config, t, second_input_port, phi_grid, pulses, seed,
                                      for n in patterns])
 
     p_vac, r = rates(replace(config, alpha_mag=0.0))
-    singles, twofolds = r[:d], dict(zip(modes[d:], r[d:].tolist()))
+    singles, twofolds = r[:d], r[d:].tolist()
     if noisy:
         singles = binomial(singles, pulses)
-        twofolds = {k: float(binomial(v, pulses)) for k, v in twofolds.items()}
+        twofolds = [float(binomial(v, pulses)) for v in twofolds]
         p_vac = float(binomial(p_vac, pulses))
-    records = {"blocked": MeasurementRecord("blocked", d, pulses, p_vac,
-                                            singles, twofolds)}
+    table = np.array([p_vac, *singles, *twofolds])[:, None]
+    records = {"blocked": MeasurementRecord("blocked", d, pulses, table,
+                                            modes[d:])}
     ports = [("input1", config.coherent_port)]
     if second_input_port is not None:
         ports.append(("input2", second_input_port))
@@ -192,13 +193,14 @@ def per_phase_records(config, t, second_input_port, phi_grid, pulses, seed,
                    for phi in phi_grid]
         p_vac = np.array([pv for pv, _ in per_phi])
         r = np.array([rr for _, rr in per_phi]).T
-        singles, two = r[:d], dict(zip(modes[d:], r[d:]))
+        singles, two = r[:d], list(r[d:])
         if noisy:
             p_vac = binomial(p_vac, per_bin)
             singles = binomial(singles, per_bin)
-            two = {k: binomial(v, per_bin) for k, v in two.items()}
-        records[name] = MeasurementRecord(name, d, per_bin, p_vac, singles,
-                                          two, phi=phi_grid)
+            two = [binomial(v, per_bin) for v in two]
+        table = np.vstack([p_vac, singles, *two])
+        records[name] = MeasurementRecord(name, d, per_bin, table, modes[d:],
+                                          phi=phi_grid)
     return records
 
 
@@ -215,10 +217,9 @@ def row_by_row_csv(records):
         scale = rec.pulses if finite else 1.0
         phis = [None] if rec.phi is None else list(rec.phi)
         for i, phi in enumerate(phis):
-            rows = [("vac", rec.p_vac[min(i, rec.p_vac.size - 1)])]
-            rows += [(str(j), rec.singles[j, i] if rec.singles.ndim == 2
-                      else rec.singles[j]) for j in range(rec.d)]
-            rows += [(f"{j}:{k}", np.atleast_1d(v)[min(i, np.size(v) - 1)])
+            rows = [("vac", rec.p_vac[i])]
+            rows += [(str(j), rec.singles[j, i]) for j in range(rec.d)]
+            rows += [(f"{j}:{k}", v[i])
                      for (j, k), v in sorted(rec.twofolds.items())]
             for label, rate in rows:
                 writer.writerow([setting, "" if phi is None else f"{phi:.17g}",

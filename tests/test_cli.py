@@ -296,3 +296,37 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("dgbs:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", [
+        "missing_cell", "duplicate_cell", "label_x:y", "label_foo",
+        "pair_beyond_d", "missing_single", "single_far_beyond_d",
+        "pulses_disagree", "unknown_setting"])
+    def test_malformed_records_exit_2(self, kind, config_path, tmp_path,
+                                      capsys):
+        records = tmp_path / "recs.csv"
+        assert main(["simulate", "--config", config_path,
+                     "--out", str(records)]) == 0
+        comment, header, *rows = records.read_text().splitlines()
+        setting, phi, _, counts, pulses = rows[-1].split(",")
+        if kind == "missing_cell":
+            rows.pop()
+        elif kind == "duplicate_cell":
+            rows.append(rows[-1])
+        elif kind.startswith("label_"):
+            rows.append(f"{setting},{phi},{kind[6:]},{counts},{pulses}")
+        elif kind == "pair_beyond_d":   # the config has d = 3
+            rows.append(f"{setting},{phi},0:3,{counts},{pulses}")
+        elif kind == "missing_single":
+            rows = [r for r in rows if r.split(",")[2] != "1"]
+        elif kind == "single_far_beyond_d":   # must not allocate its table
+            rows.append(f"{setting},{phi},{10 ** 12},{counts},{pulses}")
+        elif kind == "pulses_disagree":
+            rows[-1] = rows[-1].rsplit(",", 1)[0] + ",1000"
+        else:
+            rows[-1] = "input3," + rows[-1].split(",", 1)[1]
+        records.write_text("\n".join([comment, header, *rows]) + "\n")
+        code = main(["reconstruct", "--records", str(records),
+                     "--out", str(tmp_path / "out.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("dgbs:") and "Traceback" not in err

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import lossy_transfer
@@ -12,8 +14,8 @@ from dgbs.probability import (ModelSpec, PatternDistribution, StateKernel,
                               all_patterns, distribution_from_kernel,
                               enumerate_distribution, pattern_probability,
                               predict_single, predict_twofold)
-from dgbs.states import (GammaVector, SourceConfig, build_input_state,
-                         propagate)
+from dgbs.states import (GammaVector, SourceConfig, TransferMatrix,
+                         build_classical_input, build_input_state, propagate)
 
 
 def kernel_for(cfg, d, eta=0.6, seed=0):
@@ -193,3 +195,29 @@ class TestDistribution:
         da = distribution_from_kernel(full, 3)
         db = distribution_from_kernel(bare, 3)
         assert_allclose(da.probabilities, db.probabilities, atol=1e-13)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(3, 5), seed=st.integers(0, 2 ** 32 - 1),
+       model=st.sampled_from([ModelSpec(), ModelSpec("korder", 0),
+                              ModelSpec("korder", 2),
+                              ModelSpec("squeezer_only"),
+                              ModelSpec("classical")]),
+       total=st.integers(0, 4))
+def test_output_phase_gauge_leaves_probabilities_unchanged(d, seed, model,
+                                                          total):
+    # t -> t diag(e^{i theta}) rotates the phase of each output mode, which
+    # photon counting cannot see; collision patterns included
+    rng = np.random.default_rng(seed)
+    cfg = SourceConfig(r=rng.uniform(0, 0.8), alpha_mag=rng.uniform(0, 1.2),
+                       phi=rng.uniform(0, 6.3))
+    t = lossy_transfer(d, rng.uniform(0.3, 1), seed)
+    rotated = TransferMatrix.square(
+        t.t * np.exp(1j * rng.uniform(-math.pi, math.pi, d)))
+    build = build_classical_input if model.kind == "classical" \
+        else build_input_state
+    patterns = all_patterns(d, total, collision_free=False)
+    want, got = (StateKernel.from_state(propagate(build(cfg, d), circuit))
+                 .pattern_probabilities(patterns, model)
+                 for circuit in (t, rotated))
+    assert_allclose(got, want, rtol=1e-12, atol=0)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import lossy_transfer
@@ -76,10 +78,50 @@ class TestRecordsIO:
         with pytest.raises(SchemaError):
             records_from_csv("nope\n1,2,3\n")
 
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              database=None)
+    @given(d=st.integers(3, 12), seed=st.integers(0, 2 ** 32 - 1),
+           noisy=st.booleans(), collisions=st.booleans(),
+           second=st.booleans())
+    @example(d=12, seed=0, noisy=True, collisions=True, second=True)
+    @example(d=11, seed=1, noisy=False, collisions=False, second=True)
+    def test_tables_round_trip(self, d, seed, noisy, collisions, second):
+        # d >= 3: the squeezer pair and the probe take three input ports
+        rng = np.random.default_rng(seed)
+        cfg = SourceConfig(r=rng.uniform(0.1, 0.6),
+                           alpha_mag=rng.uniform(0.3, 1.2))
+        recs = simulate_records(
+            cfg, lossy_transfer(d, rng.uniform(0.3, 1), seed),
+            second_input_port=3 if second and d > 3 else None,
+            phi_grid=np.linspace(0, 2 * math.pi, 12, endpoint=False),
+            pulses_per_setting=1e6 if noisy else math.inf,
+            seed=seed % 1000, include_collisions=collisions)
+        text = records_to_csv(recs)
+        back = records_from_csv(text)
+        assert back.keys() == recs.keys()
+        for name, rec in recs.items():
+            got = back[name]
+            assert got.rates.tobytes() == rec.rates.tobytes()
+            assert (got.d, got.pulses, got.pairs) == \
+                (rec.d, rec.pulses, rec.pairs)
+            assert (got.phi is None and rec.phi is None) or \
+                got.phi.tobytes() == rec.phi.tobytes()
+        # rows in any order read to the same tables, as long as each
+        # setting's phi columns keep their order of first appearance; the
+        # grid increases, so a stable sort on phi leaves the settings and
+        # the observables shuffled within each column
+        header, *rows = text.splitlines()
+        rng.shuffle(rows)
+        rows.sort(key=lambda row: float(row.split(",")[1] or 0))
+        shuffled = records_from_csv("\n".join([header, *rows]) + "\n")
+        for name, rec in recs.items():
+            assert shuffled[name].rates.tobytes() == rec.rates.tobytes()
+        assert reconstruct(back).to_json() == reconstruct(recs).to_json()
+
     def test_rates_validated(self):
         with pytest.raises(ConfigurationError):
-            MeasurementRecord("blocked", 2, math.inf, 0.9,
-                              np.array([0.1, 1.5]), {})
+            MeasurementRecord("blocked", 2, math.inf,
+                              np.array([[0.9], [0.1], [1.5]]))
 
 
 class TestRoundTrip:
