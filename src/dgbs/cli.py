@@ -164,16 +164,19 @@ def _read_samples(path: str, d: int):
         rows = list(_csv.reader(line for line in f if not line.startswith("#")))
     if not rows or rows[0][:2] != ["pulse", "bitmask_hex"]:
         raise SchemaError("samples CSV must have header pulse,bitmask_hex,phi")
-    samples = []
+    samples, by_text = [], {}
     for line, row in enumerate(rows[1:], start=2):
         if not row or row[1:2] == ["discard"]:
             continue
-        if len(row) < 2 or not re.fullmatch("[0-9a-fA-F]+", row[1]) \
-                or int(row[1], 16) >> d:
-            raise SchemaError(f"samples line {line}: {row[1:2]} is not a "
-                              f"bitmask over {d} modes")
-        mask = int(row[1], 16)
-        samples.append(DetectionPattern(tuple((mask >> i) & 1 for i in range(d))))
+        text = "".join(row[1:2])
+        if text not in by_text:
+            if not re.fullmatch("[0-9a-fA-F]+", text) or int(text, 16) >> d:
+                raise SchemaError(f"samples line {line}: {row[1:2]} is not a "
+                                  f"bitmask over {d} modes")
+            mask = int(text, 16)
+            by_text[text] = DetectionPattern(
+                tuple((mask >> i) & 1 for i in range(d)))
+        samples.append(by_text[text])
     return samples
 
 

@@ -1,27 +1,30 @@
 """Exact Hafnian / loop-Hafnian kernels and pattern-indexed reduction.
 
-The workhorse is :func:`matching_polynomial`, a subset dynamic program that
-enumerates all matchings of the index set (optionally with fixed points
-weighted by the diagonal vector) in a fixed deterministic order.  Its output
-is resolved by the number of matched pairs, which makes the truncated
-"k-order" sums a byproduct of the exact computation.  The DP has a batch
-axis (:func:`matching_polynomials`); :func:`pattern_polynomials` evaluates a
-set of detection patterns with it, for a family of loop-weight vectors that
-share one A, a bounded chunk at a time.
+The workhorse is a subset dynamic program that enumerates all matchings
+(optionally with fixed points weighted by the diagonal vector) in a fixed
+order, resolved by the number of matched pairs, which makes the truncated
+"k-order" sums a byproduct of the exact computation.  A reduced kernel keeps
+A's rows in their global order, so a DP row depends only on its subset of
+labels (global index, copy number): :func:`pattern_polynomials` runs one DP
+per group of patterns over the label subsets the recursion reaches from
+them, for a family of loop-weight vectors that share one A, and
+:func:`matching_polynomial` is the DP of one pattern covering its matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, fsum
+from functools import lru_cache
+from math import fsum
 
 import numpy as np
 
 from .errors import ConfigurationError, EnumerationBudgetError
 
 SYMMETRY_TOL = 1e-10
-MAX_KERNEL_SIZE = 20  # 2N; the subset DP allocates 2^(2N) rows
-# working set of one batch of the subset DP (see _bytes_per_kernel)
+MAX_KERNEL_SIZE = 20  # 2N; one pattern's labels fit one int64 mask
+# working set of one DP group: Fibonacci(2N + 2) rows per pattern, each
+# 2N + 2 complex numbers (pair counts, temporaries, plan) per family member
 DP_CHUNK_BYTES = 2 << 20
 
 
@@ -106,52 +109,108 @@ def reduce_by_pattern(a, gamma, n: DetectionPattern) -> ReducedKernel:
     return ReducedKernel(a.full[np.ix_(idx, idx)], gamma.gamma[idx])
 
 
-def matching_polynomials(ms: np.ndarray, diags: np.ndarray) -> np.ndarray:
-    """:func:`matching_polynomial` of P kernels of one size: ``ms`` is
-    (P, 2N, 2N), ``diags`` is (P, 2N) and the result is (P, N + 1).  A DP
-    row holds all P kernels, pair-count-major, and all subsets of one size
-    are computed together; every entry is summed in the order of the
-    one-subset recursion, so a batch gives the bits of its kernels alone."""
-    ms = np.asarray(ms, dtype=complex)
-    diags = np.asarray(diags, dtype=complex)
-    if ms.ndim != 3 or ms.shape[1] != ms.shape[2]:
-        raise ConfigurationError("matrix must be square")
-    count, n = ms.shape[:2]
-    half = n // 2
-    if n % 2:
-        raise ConfigurationError("Hafnian requires even dimension")
+def _labels(idx: np.ndarray) -> np.ndarray:
+    """Labels of (P, 2N) nondecreasing kernel indices, index * 32 + copy
+    number: distinct within a pattern, and sorted like its indices."""
+    pos = np.arange(idx.shape[1])
+    first = np.diff(idx, axis=1, prepend=-1) != 0
+    return idx * 32 + pos - np.maximum.accumulate(np.where(first, pos, 0), 1)
+
+
+def _sorted_set(masks: np.ndarray) -> np.ndarray:
+    masks = np.sort(masks)  # np.unique's hash table is several times slower
+    return masks[np.r_[True, masks[1:] != masks[:-1]]]
+
+
+@lru_cache(maxsize=16)
+def _plan(key: bytes, shape: tuple) -> tuple:
+    """The shared DP of a pattern group, from its packed (P, 2N) labels.
+    A row is a subset of the labels, as an int64 mask whose bits follow
+    label order.  Returns each pattern's top-level row and, per subset size
+    s = 1..2N, (i, rest, js, pairs): the index of each row's lowest label i,
+    the row of rest = subset - {i} one level down, and for each j of rest in
+    increasing order (axis 0) the index of j and the row of rest - {j} two
+    levels down."""
+    labels = np.frombuffer(key, dtype=np.int64).reshape(shape)
+    n = shape[1]
+    bits = np.unique(labels)              # mask bit b stands for bits[b]
+    index = (bits >> 5).astype(np.int32)
+    masks = (1 << np.searchsorted(bits, labels)).sum(axis=1)
+
+    def low_index(low):                   # frexp(2^b) has exponent b + 1
+        return index[np.frexp(low)[1] - 1]
+
+    # top down: the subsets of each size that the recursion reaches
+    levels, children, reached = {0: np.zeros(1, np.int64)}, {}, {n: [masks]}
+    for s in range(n, 0, -1):
+        level = levels[s] = _sorted_set(np.concatenate(reached.pop(s)))
+        rest = todo = level ^ (level & -level)
+        pairs = np.empty((s - 1, len(level)), dtype=np.int64)
+        for k in range(s - 1):
+            pairs[k] = rest ^ (todo & -todo)
+            todo = todo & (todo - 1)
+        children[s] = rest, pairs
+        reached.setdefault(s - 1, []).append(rest)
+        reached.setdefault(s - 2, []).append(pairs.ravel())
+    return np.searchsorted(levels[n], masks).astype(np.int32), [
+        (low_index(levels[s] ^ rest),
+         np.searchsorted(levels[s - 1], rest).astype(np.int32),
+         low_index(rest ^ pairs),
+         np.searchsorted(levels[max(s - 2, 0)], pairs).astype(np.int32))
+        for s, (rest, pairs) in sorted(children.items())]
+
+
+def _evaluate(plan: tuple, m: np.ndarray, diags: np.ndarray) -> np.ndarray:
+    """Run one plan on matrix m and loop weights diags (F, len(m)), giving
+    (F, P, N + 1).  A row holds its pair counts 0..N for every family
+    member, and every entry is summed in the order of the one-subset
+    recursion, so its bits do not depend on the batch it is part of."""
+    tops, steps = plan
+    prev = np.zeros((1, len(steps) // 2 + 1, len(diags)), dtype=complex)
+    prev[0, 0] = 1.0
+    prev2, diag = None, diags.T
+    for i, rest, js, pairs in steps:
+        # subset = {i} + rest with i its lowest label: i is a fixed point,
+        # or i is paired with each j in rest in increasing order
+        row = diag[i][:, None, :] * prev[rest]
+        for j, pair in zip(js, pairs):
+            row[:, 1:] += m[i, j][:, None, None] * prev2[pair, :-1]
+        prev2, prev = prev, row
+    return prev[tops].transpose(2, 0, 1)
+
+
+def _polynomials(m: np.ndarray, diags: np.ndarray, idx: np.ndarray):
+    """(F, P, N + 1) matching polynomials of the kernels m[idx_p][:, idx_p]
+    with loop weights diags[f, idx_p], for the P rows idx_p of ``idx``
+    (nondecreasing indices into m).  Consecutive patterns share one DP,
+    in groups that fit DP_CHUNK_BYTES with their family."""
+    count, n = idx.shape
     if n > MAX_KERNEL_SIZE:
         raise EnumerationBudgetError(
             f"kernel size {n} exceeds matching-enumeration budget {MAX_KERNEL_SIZE}")
-    if diags.shape != (count, n):
-        raise ConfigurationError("diagonal weights must match the kernels")
-    if n and (np.abs(ms - ms.swapaxes(1, 2)).max(axis=(1, 2)) > SYMMETRY_TOL
-              * np.maximum(1.0, np.abs(ms).max(axis=(1, 2)))).any():
-        raise ConfigurationError("matrix is not symmetric")
-    # m[:, i, j] repeated for pair counts 1..N, diag[:, i] for 0..N
-    m_rows = np.tile(ms.transpose(1, 2, 0), (1, 1, half))
-    d_rows = np.tile(diags.T, (1, half + 1))
-    coeff = np.zeros((1 << n, (half + 1) * count), dtype=complex)
-    coeff[0, :count] = 1.0
-    one_pair_fewer = coeff[:, :-count]
-    masks = np.arange(1, 1 << n)
-    sizes = sum((masks >> b) & 1 for b in range(n))
-    for size in range(1, n + 1):
-        # subset = {i} + rest with i its lowest index: i is a fixed point,
-        # or i is paired with each j in rest in increasing order
-        level = masks[sizes == size]
-        low = level & -level
-        i = np.frexp(low)[1] - 1          # frexp(2^b) has exponent b + 1
-        rest = level ^ low
-        row = d_rows[i] * coeff[rest]
-        todo = rest.copy()
-        for _ in range(size - 1):
-            low_j = todo & -todo
-            row[:, count:] += m_rows[i, np.frexp(low_j)[1] - 1] \
-                * one_pair_fewer[rest ^ low_j]
-            todo ^= low_j
-        coeff[level] = row
-    return coeff[-1].reshape(half + 1, count).T.copy()
+    asym, mag = np.abs(m - m.T), np.abs(m)
+    labels = _labels(idx)
+    # Fibonacci(n + 2): the subsets the recursion reaches from n labels
+    rows_per_pattern = round(((1 + 5 ** 0.5) / 2) ** (n + 2) / 5 ** 0.5)
+    per_call = max(1, DP_CHUNK_BYTES // (16 * (n + 2) * rows_per_pattern))
+    out = np.empty((len(diags), count, n // 2 + 1), dtype=complex)
+    start = 0
+    while start < count:
+        # the next group: at most per_call // F patterns whose label union
+        # fits 63 mask bits (one pattern always fits, since 2N <= 20)
+        group = labels[start:start + max(1, per_call // max(1, len(diags)))]
+        first = np.sort(np.unique(group, return_index=True)[1])
+        stop = start + (len(group) if len(first) <= 63 else first[63] // n)
+        rows = idx[start:stop, :, None], idx[start:stop, None, :]
+        if n and (asym[rows].max(axis=(1, 2)) > SYMMETRY_TOL
+                  * np.maximum(1.0, mag[rows].max(axis=(1, 2)))).any():
+            raise ConfigurationError("matrix is not symmetric")
+        plan = _plan(labels[start:stop].tobytes(), (stop - start, n))
+        fam = max(1, per_call // (stop - start))
+        for f in range(0, len(diags), fam):
+            out[f:f + fam, start:stop] = _evaluate(plan, m, diags[f:f + fam])
+        start = stop
+    return out
 
 
 def matching_polynomial(m: np.ndarray, diag: np.ndarray = None) -> np.ndarray:
@@ -161,43 +220,28 @@ def matching_polynomial(m: np.ndarray, diag: np.ndarray = None) -> np.ndarray:
     the 2N indices with exactly p matched pairs (the remaining 2N - 2p
     indices being fixed points), the product of the matched entries m[i, j]
     times the fixed-point weights diag[c].  Summation order is fixed by the
-    subset recursion; this is the batch of one of
-    :func:`matching_polynomials`.
+    subset recursion; this is the shared DP of one pattern that covers each
+    index of m once.
     """
     m = np.asarray(m, dtype=complex)
     diag = np.zeros(len(m)) if diag is None else np.asarray(diag)
-    return matching_polynomials(m[None], diag[None])[0]
-
-
-def _bytes_per_kernel(n: int) -> int:
-    """Bytes of one size-n kernel's DP table, temporaries and inputs."""
-    return 16 * (n // 2 + 1) * ((1 << n) + 6 * comb(n, n // 2) + 2 * n * n)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ConfigurationError("matrix must be square")
+    if len(m) % 2:
+        raise ConfigurationError("Hafnian requires even dimension")
+    if diag.shape != (len(m),):
+        raise ConfigurationError("diagonal weights must match the kernels")
+    return _polynomials(m, diag.astype(complex)[None],
+                        np.arange(len(m))[None])[0, 0]
 
 
 def pattern_polynomials(a, gammas, patterns) -> np.ndarray:
     """(F, P, N + 1) matching polynomials of the kernels that P patterns of
     one total N reduce (A, gammas[f]) to, for a family of F loop-weight
-    vectors ``gammas`` (F, 2d) that share A.  Each pattern's reduced A is
-    gathered once for the whole family; the (gamma, pattern) kernels are
-    evaluated DP_CHUNK_BYTES at a time, so memory grows with neither F
+    vectors ``gammas`` (F, 2d) that share A.  Memory grows with neither F
     nor P."""
-    gammas = np.asarray(gammas, dtype=complex)
-    idx = _pattern_index(a.d, patterns)
-    count, n = idx.shape
-    per_call = max(1, DP_CHUNK_BYTES // _bytes_per_kernel(n))
-    out = np.empty((len(gammas), count, n // 2 + 1), dtype=complex)
-    for start in range(0, count, per_call):
-        rows = idx[start:start + per_call]
-        a_n = a.full[rows[:, :, None], rows[:, None, :]]
-        fam = max(1, per_call // len(rows))
-        for f in range(0, len(gammas), fam):
-            g = gammas[f:f + fam][:, rows]
-            size = len(g) * len(rows)
-            ms = np.broadcast_to(a_n, (len(g), *a_n.shape))
-            out[f:f + fam, start:start + len(rows)] = matching_polynomials(
-                ms.reshape(size, n, n), g.reshape(size, n)
-            ).reshape(len(g), len(rows), -1)
-    return out
+    return _polynomials(a.full, np.asarray(gammas, dtype=complex),
+                        _pattern_index(a.d, patterns))
 
 
 def hafnian(m: np.ndarray) -> complex:

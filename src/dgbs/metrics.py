@@ -84,18 +84,23 @@ def likelihood_ratio(samples, dists_a: dict, dists_b: dict) -> LikelihoodTrace:
                for s in samples]
     tables_a = {n: dist.as_dict() for n, dist in dists_a.items()}
     tables_b = {n: dist.as_dict() for n, dist in dists_b.items()}
-    increments = np.zeros(len(samples))
-    flagged = []
-    for i, n in enumerate(samples):
-        pa = tables_a.get(n.total, {}).get(n.counts, 0.0)
-        pb = tables_b.get(n.total, {}).get(n.counts, 0.0)
+    # each distinct pattern's increment is computed once
+    distinct = {}
+    codes = [distinct.setdefault(n.counts, len(distinct)) for n in samples]
+    values, zero = np.zeros(len(distinct)), {}
+    for counts, k in distinct.items():
+        total = sum(counts)
+        pa = tables_a.get(total, {}).get(counts, 0.0)
+        pb = tables_b.get(total, {}).get(counts, 0.0)
         if pa <= 0 or pb <= 0:
-            flagged.append((i, n.counts, pa, pb))
-            increments[i] = (-np.inf if pa <= 0 < pb
-                             else np.inf if pb <= 0 < pa else 0.0)
+            zero[k] = pa, pb
+            values[k] = (-np.inf if pa <= 0 < pb
+                         else np.inf if pb <= 0 < pa else 0.0)
         else:
-            increments[i] = np.log(pa) - np.log(pb)
-    return LikelihoodTrace(increments, flagged, model_a=_model_label(dists_a),
+            values[k] = np.log(pa) - np.log(pb)
+    flagged = [(i, n.counts, *zero[k])
+               for i, (n, k) in enumerate(zip(samples, codes)) if k in zero]
+    return LikelihoodTrace(values[codes], flagged, model_a=_model_label(dists_a),
                            model_b=_model_label(dists_b))
 
 

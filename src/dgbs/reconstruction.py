@@ -108,22 +108,22 @@ class MeasurementRecord:
 def records_to_csv(records) -> str:
     """Serialize records (dict setting -> MeasurementRecord) to the CSV
     format setting, phi, modes, counts, pulses: one row per table cell."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
+    blocks = [",".join(CSV_HEADER) + "\n"]
     for rec in (records[s] for s in SETTINGS if s in records):
         phis = [""] if rec.phi is None else \
             [f"{p:.17g}" for p in rec.phi.tolist()]
         labels = ["vac", *map(str, range(rec.d)),
                   *(f"{j}:{k}" for j, k in rec.pairs)]
         if np.isfinite(rec.pulses):
-            pulses, counts = rec.pulses, rec.rates * rec.pulses
+            pulses, counts = str(rec.pulses), rec.rates * rec.pulses
         else:
             pulses, counts = "inf", rec.rates
+        # one block per phi column; no field needs csv quoting
         for phi, column in zip(phis, counts.T.tolist()):
-            writer.writerows([rec.setting, phi, label, f"{c:.17g}", pulses]
-                             for label, c in zip(labels, column))
-    return buf.getvalue()
+            head = f"{rec.setting},{phi},"
+            blocks.append("".join(f"{head}{label},{c:.17g},{pulses}\n"
+                                  for label, c in zip(labels, column)))
+    return "".join(blocks)
 
 
 def records_from_csv(text: str) -> dict:
@@ -508,11 +508,15 @@ class ReconstructionResult:
         return json.dumps(payload, sort_keys=True)
 
 
-def _fit_all_fringes(record: MeasurementRecord, n_best: int, weighted: bool):
-    """Fringe fits keyed (j, k) in label-text order ("0:10" before "0:2")."""
+def _fit_all_fringes(record: MeasurementRecord, n_best: int, weighted: bool,
+                     diagonal: bool = True):
+    """Fringe fits keyed (j, k) in label-text order ("0:10" before "0:2");
+    the (j, j) fringes only if ``diagonal``."""
     fringes = {}
     for (j, k), rates in sorted(record.twofolds.items(),
                                 key=lambda item: "%d:%d" % item[0]):
+        if j == k and not diagonal:
+            continue
         values = rates / record.p_vac
         sig = record.rate_sigma(rates) / record.p_vac if weighted else None
         fringes[(j, k)] = fit_fringe_windows(record.phi, values, sig,
@@ -562,13 +566,15 @@ def reconstruct(records: dict, threefolds: PatternDistribution = None,
     mu = None
     if "input2" in records:
         input2 = records["input2"]
-        fringes2 = _fit_all_fringes(input2, n_best_windows, weighted)
+        # recover_mu and the r terms read only the j != k fringes
+        fringes2 = _fit_all_fringes(input2, n_best_windows, weighted,
+                                    diagonal=False)
         mu, _tau, mu_undet = recover_mu(input2, c_diag, b, fringes2)
         flags += [("mu_phase_undetermined", k) for k in mu_undet]
         p2 = input2.norm_singles()
         r_terms = {(j, k): (fit.offset - p2[j] * p2[k] - abs(b[j, k]) ** 2
                             - abs_sq[j, k]) / 2
-                   for (j, k), fit in fringes2.items() if j != k}
+                   for (j, k), fit in fringes2.items()}
         im_c, sign_flags = resolve_im_sign(mu, re_c, abs_im, r_terms)
     else:
         im_c = np.zeros((d, d))

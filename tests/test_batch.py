@@ -4,10 +4,10 @@ and a phase family to one state per phase.
 Every probability table goes through one batched call
 (``PhaseFamily.pattern_probabilities``, of which
 ``StateKernel.pattern_probabilities`` is the family of one), which groups
-patterns by photon total and runs the subset DP over chunks of (phase,
-pattern) kernels.  These properties pin the batch to the single-pattern
-results and the family to per-phase states, bit for bit, for any mix of
-totals, collisions, models and chunk sizes.
+patterns by photon total and runs one subset DP shared by each group of
+patterns, for every phase at once.  These properties pin the batch to the
+single-pattern results and the family to per-phase states, bit for bit, for
+any mix of totals, collisions, models and chunk sizes.
 """
 
 import csv
@@ -15,6 +15,7 @@ import importlib
 import io
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -28,12 +29,12 @@ from dgbs.experiment import (auto_select_pairs, build_error_signal,
                              lock_kernel, simulate_records,
                              twofold_rates_from_state)
 from dgbs.hafnian import (DetectionPattern, matching_polynomial,
-                          matching_polynomials)
+                          reduce_by_pattern)
 from dgbs.probability import (ModelSpec, PhaseFamily, StateKernel,
                               all_patterns, predict_twofold)
 from dgbs.reconstruction import MeasurementRecord, records_to_csv
-from dgbs.states import (SourceConfig, build_classical_input,
-                         build_input_state, propagate)
+from dgbs.states import (AMatrix, GammaVector, SourceConfig,
+                         build_classical_input, build_input_state, propagate)
 
 # the module, not the function ``dgbs.hafnian`` that the package exports
 hafnian = importlib.import_module("dgbs.hafnian")
@@ -65,14 +66,97 @@ def state_kernel(d, seed, model):
         propagate(build(cfg, d), lossy_transfer(d, rng.uniform(0.3, 1), seed)))
 
 
+def random_amatrix(rng, d):
+    (b,), _ = random_kernels(rng, 1, d)
+    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return AMatrix(d, b, (h + h.conj().T) / 2)
+
+
+def random_family(rng, count, d):
+    return rng.normal(size=(count, 2 * d)) + 1j * rng.normal(size=(count, 2 * d))
+
+
+def assert_rows_match_single_kernels(a, gammas, patterns, batch):
+    """Row (f, p) of the shared DP is the DP of pattern p's reduced kernel."""
+    for f, gamma in enumerate(gammas):
+        for p, n in enumerate(patterns):
+            kern = reduce_by_pattern(a, GammaVector(gamma), n)
+            assert same_bits(batch[f, p],
+                             matching_polynomial(kern.a_n, kern.gamma_tilde))
+
+
+def full_subset_dp(m, diag):
+    """Reference for the summation order: the recursion over all 2^n subsets
+    of one kernel in increasing mask order, each subset's lowest index a
+    fixed point or paired with each other index in increasing order."""
+    n = len(m)
+    coeff = np.zeros((1 << n, n // 2 + 1), dtype=complex)
+    coeff[0, 0] = 1.0
+    for mask in range(1, 1 << n):
+        i = (mask & -mask).bit_length() - 1
+        rest = mask & (mask - 1)
+        row = diag[i] * coeff[rest]
+        for j in range(i + 1, n):
+            if rest >> j & 1:
+                row[1:] += m[i, j] * coeff[rest ^ (1 << j)][:-1]
+        coeff[mask] = row
+    return coeff[-1]
+
+
 @PROPERTY
-@given(n=st.sampled_from([0, 2, 4, 6, 8]), count=st.integers(1, 9),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_dp_batch_matches_single_kernels(n, count, seed):
-    ms, diags = random_kernels(np.random.default_rng(seed), count, n)
-    batch = matching_polynomials(ms, diags)
-    for p in range(count):
-        assert same_bits(batch[p], matching_polynomial(ms[p], diags[p]))
+@given(n=st.sampled_from([0, 2, 4, 6, 8]), seed=st.integers(0, 2 ** 32 - 1))
+def test_dp_matches_full_subset_recursion(n, seed):
+    (m,), (diag,) = random_kernels(np.random.default_rng(seed), 1, n)
+    assert same_bits(matching_polynomial(m, diag), full_subset_dp(m, diag))
+
+
+@PROPERTY
+@given(d=st.integers(2, 6), total=st.integers(1, 4), families=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1),
+       picks=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=30),
+       chunk_bytes=st.sampled_from([1, 3000, hafnian.DP_CHUNK_BYTES]))
+def test_dp_batch_matches_single_kernels(d, total, families, seed, picks,
+                                         chunk_bytes):
+    # picks choose a batch of one total, collisions and repeats included
+    rng = np.random.default_rng(seed)
+    a, gammas = random_amatrix(rng, d), random_family(rng, families, d)
+    sector = all_patterns(d, total, collision_free=False)
+    patterns = [sector[k % len(sector)] for k in picks]
+    with mock.patch.object(hafnian, "DP_CHUNK_BYTES", chunk_bytes):
+        batch = hafnian.pattern_polynomials(a, gammas, patterns)
+    assert_rows_match_single_kernels(a, gammas, patterns, batch)
+
+
+def test_label_union_beyond_63_bits_splits_groups():
+    # d=8, N=4: four copies of each of the 16 indices are 64 labels, one
+    # more than a mask holds, so the eighth pattern starts a second group
+    d = 8
+    rng = np.random.default_rng(8)
+    a, gammas = random_amatrix(rng, d), random_family(rng, 2, d)
+    patterns = [DetectionPattern.from_modes([m] * 4, d) for m in range(d)]
+    with mock.patch.object(hafnian, "_evaluate",
+                           wraps=hafnian._evaluate) as evaluate:
+        batch = hafnian.pattern_polynomials(a, gammas, patterns)
+    assert evaluate.call_count == 2
+    assert_rows_match_single_kernels(a, gammas, patterns, batch)
+
+
+def test_non_symmetric_kernel_rejected():
+    d = 3
+    rng = np.random.default_rng(3)
+    a = random_amatrix(rng, d)
+    full = a.full.copy()
+    full[0, 1] += 1e-3
+    skewed = SimpleNamespace(d=d, full=full)
+    gammas = random_family(rng, 2, d)
+    with pytest.raises(ConfigurationError, match="not symmetric"):
+        hafnian.pattern_polynomials(skewed, gammas,
+                                    [DetectionPattern((0, 0, 2)),
+                                     DetectionPattern((1, 1, 0))])
+    # the check is per kernel: one that avoids rows 0 and 1 passes
+    assert same_bits(hafnian.pattern_polynomials(
+        skewed, gammas, [DetectionPattern((0, 0, 2))]),
+        hafnian.pattern_polynomials(a, gammas, [DetectionPattern((0, 0, 2))]))
 
 
 @PROPERTY
@@ -97,12 +181,16 @@ def test_probabilities_match_one_at_a_time(d, seed, model, picks, chunk_bytes):
 @pytest.mark.parametrize("d, total", [(6, 4), (4, 5)])
 def test_sector_longer_than_one_chunk(d, total):
     # d=6, N=4: 126 patterns at kernel size 8; d=4, N=5: 56 patterns at
-    # kernel size 10; each spans several chunks of the default budget
+    # kernel size 10; at an eighth of the default budget each sector is
+    # split into several DP groups
     kern = state_kernel(d, 7, ModelSpec())
     patterns = all_patterns(d, total, collision_free=False)
-    per_chunk = hafnian.DP_CHUNK_BYTES // hafnian._bytes_per_kernel(2 * total)
-    assert len(patterns) > 2 * per_chunk
-    terms = kern.pattern_terms(patterns)
+    with mock.patch.object(hafnian, "DP_CHUNK_BYTES",
+                           hafnian.DP_CHUNK_BYTES // 8), \
+            mock.patch.object(hafnian, "_evaluate",
+                              wraps=hafnian._evaluate) as evaluate:
+        terms = kern.pattern_terms(patterns)
+    assert evaluate.call_count >= 3
     for p, n in enumerate(patterns):
         assert same_bits(terms[p], kern.korder_terms(n))
     for model in MODELS[:5]:

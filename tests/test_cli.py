@@ -297,6 +297,23 @@ class TestBadInput:
         assert code == 2
         assert err.startswith("dgbs:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("mask", ["3g", "8"])
+    def test_bad_mask_after_repeats_names_its_line(self, mask, config_path,
+                                                   tmp_path, capsys):
+        # a valid mask parsed once and then repeated does not hide a bad
+        # one after it: line 1 is the header, lines 2-501 repeat mask 3
+        samples = tmp_path / "samples.csv"
+        samples.write_text("pulse,bitmask_hex,phi\n"
+                           + "".join(f"{i},3,0\n" for i in range(500))
+                           + f"500,{mask},0\n501,3,0\n")
+        code = main(["compare", "--config", config_path, "--model-b", "full",
+                     "--samples", str(samples),
+                     "--out", str(tmp_path / "out.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"samples line 502: ['{mask}'] is not a bitmask over 3 modes" \
+            in err and "Traceback" not in err
+
     @pytest.mark.parametrize("kind", [
         "missing_cell", "duplicate_cell", "label_x:y", "label_foo",
         "pair_beyond_d", "missing_single", "single_far_beyond_d",

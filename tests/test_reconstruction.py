@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -17,6 +19,27 @@ from dgbs.reconstruction import (MeasurementRecord, fit_fringe,
 from dgbs.states import SourceConfig, build_input_state, propagate
 
 PHI_GRID = np.linspace(0, 10 * math.pi, 120, endpoint=False)
+
+
+def csv_writer_text(records) -> str:
+    """The records CSV written row by row through csv.writer."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["setting", "phi", "modes", "counts", "pulses"])
+    for setting in ("blocked", "input1", "input2"):
+        if setting not in records:
+            continue
+        rec = records[setting]
+        finite = np.isfinite(rec.pulses)
+        phis = [""] if rec.phi is None else [f"{p:.17g}" for p in rec.phi]
+        labels = ["vac", *map(str, range(rec.d)),
+                  *(f"{j}:{k}" for j, k in rec.pairs)]
+        for i, phi in enumerate(phis):
+            for label, rate in zip(labels, rec.rates[:, i]):
+                writer.writerow([setting, phi, label,
+                                 f"{rate * rec.pulses if finite else rate:.17g}",
+                                 rec.pulses if finite else "inf"])
+    return buf.getvalue()
 
 
 def ground_truth(cfg, d, eta, seed):
@@ -97,6 +120,7 @@ class TestRecordsIO:
             pulses_per_setting=1e6 if noisy else math.inf,
             seed=seed % 1000, include_collisions=collisions)
         text = records_to_csv(recs)
+        assert text == csv_writer_text(recs)
         back = records_from_csv(text)
         assert back.keys() == recs.keys()
         for name, rec in recs.items():
