@@ -15,9 +15,8 @@ from .probability import (ModelSpec, PatternDistribution, StateKernel,
                           enumerate_distribution, pattern_probability,
                           predict_single, predict_twofold)
 from .reconstruction import (FringeFit, MeasurementRecord,
-                             ReconstructionResult, fit_fringe,
-                             fit_fringe_windows, gauge_fix, reconstruct,
-                             records_from_csv, records_to_csv)
+                             ReconstructionResult, fit_fringe, gauge_fix,
+                             reconstruct, records_from_csv, records_to_csv)
 from .states import (AMatrix, ClassicalStateParams, GammaVector,
                      GaussianState, SourceConfig, TransferMatrix, a_matrix,
                      build_classical_input, build_input_state,

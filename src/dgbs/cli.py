@@ -158,7 +158,9 @@ def cmd_reconstruct(args) -> int:
     return 0
 
 
-def _read_samples(path: str, d: int):
+def _read_samples(path: str, d: int, min_photons: int):
+    """The samples with at least ``min_photons`` clicks and the set of their
+    photon numbers; each distinct bitmask text is parsed and counted once."""
     import csv as _csv
     with open(path) as f:
         rows = list(_csv.reader(line for line in f if not line.startswith("#")))
@@ -174,10 +176,11 @@ def _read_samples(path: str, d: int):
                 raise SchemaError(f"samples line {line}: {row[1:2]} is not a "
                                   f"bitmask over {d} modes")
             mask = int(text, 16)
-            by_text[text] = DetectionPattern(
-                tuple((mask >> i) & 1 for i in range(d)))
-        samples.append(by_text[text])
-    return samples
+            n = DetectionPattern(tuple((mask >> i) & 1 for i in range(d)))
+            by_text[text] = n if n.total >= min_photons else None
+        if by_text[text] is not None:
+            samples.append(by_text[text])
+    return samples, {n.total for n in by_text.values() if n is not None}
 
 
 def cmd_compare(args) -> int:
@@ -189,9 +192,9 @@ def cmd_compare(args) -> int:
     samples = None
     totals = set(range(1, args.n_max + 1))
     if args.samples:
-        samples = _read_samples(args.samples, kernel_a.d)
-        samples = [s for s in samples if s.total >= args.min_photons]
-        totals.update(s.total for s in samples)
+        samples, sample_totals = _read_samples(args.samples, kernel_a.d,
+                                               args.min_photons)
+        totals |= sample_totals
     tables_a = _tables(kernel_a, model_a, totals)
     tables_b = _tables(kernel_b, model_b, totals)
     tvds = {str(total): tvd(tables_a[total], tables_b[total])

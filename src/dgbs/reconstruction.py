@@ -31,6 +31,7 @@ from .states import AMatrix, GammaVector
 
 SETTINGS = ("blocked", "input1", "input2")
 TWO_PI = 2 * math.pi
+BEST_WINDOWS = 5    # a fringe averages at most this many 2-pi windows
 
 
 # ---------------------------------------------------------------------------
@@ -229,70 +230,75 @@ class FringeFit:
         return math.sqrt(max(g @ self.covariance[1:, 1:] @ g, 0.0))
 
 
-def fit_fringe(phi_grid, values, uncertainties=None) -> FringeFit:
-    """Weighted linear least squares on the basis {1, cos 2phi, sin 2phi}."""
+def fit_fringe(phi_grid, values, uncertainties) -> list:
+    """Fit each row of the (P, F) ``values`` (sigmas ``uncertainties``) to
+    a + b cos(2 phi + c); one :class:`FringeFit` per row.  Each 2-pi window
+    of the scan (from its smallest phi) with >= 6 points is one stacked
+    weighted least-squares fit of all rows on {1, cos 2phi, sin 2phi}; each
+    row averages the offsets, phasors b e^{ic}, residuals and covariances
+    (over count^2) of its ``BEST_WINDOWS`` lowest-residual windows, ties in
+    window order."""
     phi = np.asarray(phi_grid, dtype=float)
     y = np.asarray(values, dtype=float)
-    if phi.shape != y.shape or phi.ndim != 1:
-        raise ConfigurationError("phi grid and values must be 1-d and equal length")
-    if len(phi) < 6 or phi.max() - phi.min() < TWO_PI * 0.9:
-        raise ConfigurationError("need >= 6 phi samples spanning at least 2 pi")
-    x = np.column_stack([np.ones_like(phi), np.cos(2 * phi), np.sin(2 * phi)])
-    if uncertainties is None:
-        w = np.ones_like(y)
-    else:
-        sig = np.asarray(uncertainties, dtype=float)
-        if np.all(sig == 0):
-            w = np.ones_like(y)
-        else:
-            floor = sig[sig > 0].min()
-            w = 1.0 / np.maximum(sig, floor) ** 2
-    xtw = x.T * w
-    gram = xtw @ x
-    if np.linalg.cond(gram) > 1e10:
-        raise ConfigurationError("degenerate phi grid: fringe design is rank-deficient")
-    beta = np.linalg.solve(gram, xtw @ y)
-    cov = np.linalg.inv(gram)
-    if uncertainties is None or np.all(np.asarray(uncertainties) == 0):
-        cov = np.zeros((3, 3))
-    resid = y - x @ beta
-    residual = float(np.sqrt(np.average(resid ** 2, weights=w)))
-    a = float(beta[0])
-    b = float(np.hypot(beta[1], beta[2]))
-    c = float(math.atan2(-beta[2], beta[1])) if b > 0 else 0.0
-    if c >= math.pi:
-        c -= TWO_PI
-    return FringeFit(a, b, c, residual, cov)
-
-
-def fit_fringe_windows(phi_grid, values, uncertainties=None,
-                       n_best: int = 5) -> FringeFit:
-    """Fit 2-pi windows of a long scan and average the lowest-residual ones."""
-    phi = np.asarray(phi_grid, dtype=float)
-    y = np.asarray(values, dtype=float)
-    sig = None if uncertainties is None else np.asarray(uncertainties, dtype=float)
+    sig = np.asarray(uncertainties, dtype=float)
+    if phi.ndim != 1 or len(phi) < 6 or y.ndim != 2 \
+            or y.shape[1:] != phi.shape or sig.shape != y.shape:
+        raise ConfigurationError("need (P, F) values and uncertainties over "
+                                 "a 1-d phi grid of F >= 6 points")
+    if not (np.isfinite(sig).all() and (sig >= 0).all()):
+        raise ConfigurationError("fringe uncertainties must be finite and >= 0")
     start = phi.min()
     n_windows = max(1, int(np.floor((phi.max() - start) / TWO_PI + 1e-9)))
-    fits = []
+    fits = []   # per window: (P, 4) offset, amplitude, phase, residual; cov
     for w in range(n_windows):
         lo, hi = start + w * TWO_PI, start + (w + 1) * TWO_PI
         mask = (phi >= lo - 1e-12) & (phi <= hi + 1e-12)
         if mask.sum() < 6:
             continue
-        fits.append(fit_fringe(phi[mask], y[mask],
-                               None if sig is None else sig[mask]))
+        p = phi[mask]
+        if p.max() - p.min() < TWO_PI * 0.9:
+            raise ConfigurationError("need >= 6 phi samples spanning at least 2 pi")
+        # compress keeps rows C-ordered (a boolean column index does not),
+        # so each row reduces alone: a row fits to the same bits in any batch
+        yw, sw = np.compress(mask, y, axis=1), np.compress(mask, sig, axis=1)
+        x = np.column_stack([np.ones_like(p), np.cos(2 * p), np.sin(2 * p)])
+        # sigmas floored at the row's smallest positive one in the window;
+        # an all-zero row (noiseless) is fitted unweighted, zero covariance
+        unweighted = (sw == 0).all(axis=1)
+        floor = np.where(sw > 0, sw, np.inf).min(axis=1, keepdims=True)
+        wt = 1.0 / np.maximum(sw, floor) ** 2
+        wt[unweighted] = 1.0
+        xtw = x.T * wt[:, None, :]
+        gram = xtw @ x
+        if (np.linalg.cond(gram) > 1e10).any():
+            raise ConfigurationError("degenerate phi grid: fringe design is rank-deficient")
+        beta = np.linalg.solve(gram, xtw @ yw[:, :, None])
+        cov = np.linalg.inv(gram)
+        cov[unweighted] = 0.0
+        resid = yw - (x @ beta)[:, :, 0]
+        residual = np.sqrt(np.average(resid ** 2, weights=wt, axis=1))
+        b = np.hypot(beta[:, 1, 0], beta[:, 2, 0])
+        # libm's atan2: numpy's vector arctan2 can differ from it in the
+        # last bit (it does with AVX-512); libm keeps phases host-independent
+        c = np.array([math.atan2(-s, k) for k, s in beta[:, 1:, 0].tolist()])
+        c[b == 0] = 0.0
+        c[c >= math.pi] -= TWO_PI
+        fits.append((np.column_stack([beta[:, 0, 0], b, c, residual]), cov))
     if not fits:
         raise ConfigurationError("scan too short: no full 2-pi window available")
-    fits.sort(key=lambda f: f.residual)
-    best = fits[:min(n_best, len(fits))]
-    m = len(best)
-    a = float(np.mean([f.offset for f in best]))
-    phasor = np.mean([f.amplitude * np.exp(1j * f.phase) for f in best])
-    b = float(abs(phasor))
-    c = float(np.angle(phasor)) if b > 0 else 0.0
-    cov = sum(f.covariance for f in best) / m ** 2
-    residual = float(np.mean([f.residual for f in best]))
-    return FringeFit(a, b, c, residual, cov)
+    # (P, windows, ...) in window order; pick each row's best windows
+    params, covs = (np.stack(part, axis=1) for part in zip(*fits))
+    best = np.argsort(params[:, :, 3], axis=1, kind="stable")[:, :BEST_WINDOWS]
+    params = np.take_along_axis(params, best[:, :, None], axis=1)
+    covs = np.take_along_axis(covs, best[:, :, None, None], axis=1)
+    offset = params[:, :, 0].mean(axis=1)
+    phasor = (params[:, :, 1] * np.exp(1j * params[:, :, 2])).mean(axis=1)
+    amplitude = np.hypot(phasor.real, phasor.imag)   # np.abs rounds apart
+    phase = np.where(amplitude > 0, np.angle(phasor), 0.0)
+    residual = params[:, :, 3].mean(axis=1)
+    cov = covs.sum(axis=1) / best.shape[1] ** 2
+    return [FringeFit(*map(float, row), covariance=m) for row, m in
+            zip(np.column_stack([offset, amplitude, phase, residual]), cov)]
 
 
 # ---------------------------------------------------------------------------
@@ -313,15 +319,15 @@ def recover_gamma(input1: MeasurementRecord, c_diag: np.ndarray):
     return gamma, flags
 
 
-def recover_b(fringes: dict, gamma: np.ndarray, gamma_floor: float = 1e-6,
-              b_bound: np.ndarray = None):
+def recover_b(fringes: dict, gamma: np.ndarray, excess: dict,
+              gamma_floor: float = 1e-6):
     """|B_jk| = b / (2 gamma_j gamma_k) and arg B_jk = c, from the input-1
     twofold fringes.  Diagonal keys (j, j) use the PNR rate convention
     pr(2_j)/p_vac, whose fringe amplitude is gamma_j^2 |B_jj|.
 
-    ``b_bound`` (from the blocked correlations, |B_jk|^2 <= p_jk - p_j p_k)
-    caps the noise amplification when a gamma is small; capped entries are
-    reported as clamped.
+    ``excess[(j, k)]``, the blocked p_jk - p_j p_k >= |B_jk|^2, caps the
+    noise amplification when a gamma is small; capped entries are reported
+    as clamped.
     """
     d = len(gamma)
     b = np.zeros((d, d), dtype=complex)
@@ -334,22 +340,21 @@ def recover_b(fringes: dict, gamma: np.ndarray, gamma_floor: float = 1e-6,
             flagged.append((j, k))
             continue
         mag = fit.amplitude / denom
-        if b_bound is not None and j != k and mag > b_bound[j, k]:
-            mag = b_bound[j, k]
+        cap = math.sqrt(max(excess[(j, k)], 0.0)) if j != k else math.inf
+        if mag > cap:
+            mag = cap
             clamped.append((j, k))
-        val = mag * np.exp(1j * fit.phase)
-        b[j, k] = val
-        b[k, j] = val
+        b[j, k] = b[k, j] = mag * np.exp(1j * fit.phase)
         if j == k:
             diag_known[j] = True
     return b, diag_known, flagged, clamped
 
 
-def recover_c_offdiag(blocked: MeasurementRecord, b: np.ndarray,
-                      c_diag: np.ndarray, gamma: np.ndarray,
-                      fringes: dict):
-    """|C_jk|^2 = p_jk - p_j p_k - |B_jk|^2; Re C from the fringe offset;
-    |Im C| from the remainder.  Returns (re_c, abs_im_c, flags)."""
+def recover_c_offdiag(excess: dict, b: np.ndarray, c_diag: np.ndarray,
+                      gamma: np.ndarray, fringes: dict):
+    """|C_jk|^2 = p_jk - p_j p_k - |B_jk|^2, with ``excess[(j, k)]`` the
+    blocked p_jk - p_j p_k; Re C from the fringe offset; |Im C| from the
+    remainder.  Returns (re_c, abs_im_c, abs_sq_c, flags)."""
     d = len(c_diag)
     re_c = np.zeros((d, d))
     abs_im = np.zeros((d, d))
@@ -358,8 +363,7 @@ def recover_c_offdiag(blocked: MeasurementRecord, b: np.ndarray,
     for (j, k), fit in fringes.items():
         if j == k:
             continue
-        p_jk = float(np.mean(blocked.norm_twofold(j, k)))
-        c_sq = p_jk - c_diag[j] * c_diag[k] - abs(b[j, k]) ** 2
+        c_sq = excess[(j, k)] - abs(b[j, k]) ** 2
         if c_sq < 0:
             flags.append(("abs_clamped", j, k))
             c_sq = 0.0
@@ -508,25 +512,8 @@ class ReconstructionResult:
         return json.dumps(payload, sort_keys=True)
 
 
-def _fit_all_fringes(record: MeasurementRecord, n_best: int, weighted: bool,
-                     diagonal: bool = True):
-    """Fringe fits keyed (j, k) in label-text order ("0:10" before "0:2");
-    the (j, j) fringes only if ``diagonal``."""
-    fringes = {}
-    for (j, k), rates in sorted(record.twofolds.items(),
-                                key=lambda item: "%d:%d" % item[0]):
-        if j == k and not diagonal:
-            continue
-        values = rates / record.p_vac
-        sig = record.rate_sigma(rates) / record.p_vac if weighted else None
-        fringes[(j, k)] = fit_fringe_windows(record.phi, values, sig,
-                                             n_best=n_best)
-    return fringes
-
-
 def reconstruct(records: dict, threefolds: PatternDistribution = None,
-                seed: int = 0, n_best_windows: int = 5,
-                weighted: bool = True) -> ReconstructionResult:
+                seed: int = 0) -> ReconstructionResult:
     """Full pipeline over the available settings.
 
     `blocked` and `input1` are required; `input2` is optional (without it
@@ -538,6 +525,11 @@ def reconstruct(records: dict, threefolds: PatternDistribution = None,
         raise ConfigurationError(f"missing measurement settings: {missing}")
     if len({(rec.d, rec.pairs) for rec in records.values()}) > 1:
         raise ConfigurationError("the settings record different observables")
+    for setting, rec in records.items():   # every rate is divided by p_vac
+        if (rec.p_vac == 0).any():
+            at = "" if rec.phi is None else \
+                f" at phi {rec.phi[rec.p_vac == 0][0]}"
+            raise ConfigurationError(f"{setting}: vacuum rate is 0{at}")
     blocked, input1 = records["blocked"], records["input1"]
     d = blocked.d
     flags = []
@@ -546,29 +538,34 @@ def reconstruct(records: dict, threefolds: PatternDistribution = None,
     gamma, gflags = recover_gamma(input1, c_diag)
     flags += [("gamma_clamped", j) for j in gflags]
 
-    fringes1 = _fit_all_fringes(input1, n_best_windows, weighted)
-    b_bound = np.full((d, d), np.inf)
-    for (j, k) in input1.pairs:
-        if j == k:
-            continue
-        p_jk = float(np.mean(blocked.norm_twofold(j, k)))
-        cap = math.sqrt(max(p_jk - c_diag[j] * c_diag[k], 0.0))
-        b_bound[j, k] = b_bound[k, j] = cap
-    b, diag_known, bflags, bclamped = recover_b(fringes1, gamma,
-                                                b_bound=b_bound)
+    # one fit per scanned setting, keyed (j, k) in label-text order ("0:10"
+    # before "0:2"); recover_mu and the r terms read only input2's j != k
+    fringes = {}
+    for setting in ("input1", "input2"):
+        if setting in records:
+            rec = records[setting]
+            keys = sorted((p for p in rec.pairs
+                           if setting == "input1" or p[0] != p[1]),
+                          key=lambda p: "%d:%d" % p)
+            rates = rec.rates[[rec.d + 1 + rec.pairs.index(p) for p in keys]]
+            fringes[setting] = dict(zip(keys, fit_fringe(
+                rec.phi, rates / rec.p_vac, rec.rate_sigma(rates) / rec.p_vac)))
+    fringes1 = fringes["input1"]
+
+    # p_jk - p_j p_k of the blocked setting bounds |B_jk|^2 and gives |C_jk|^2
+    excess = {(j, k): float(np.mean(blocked.norm_twofold(j, k)))
+              - c_diag[j] * c_diag[k] for j, k in blocked.pairs if j != k}
+    b, diag_known, bflags, bclamped = recover_b(fringes1, gamma, excess)
     flags += [("b_undetermined", j, k) for j, k in bflags]
     flags += [("b_clamped", j, k) for j, k in bclamped]
 
     re_c, abs_im, abs_sq, cflags = recover_c_offdiag(
-        blocked, b, c_diag, gamma, fringes1)
+        excess, b, c_diag, gamma, fringes1)
     flags += cflags
 
     mu = None
     if "input2" in records:
-        input2 = records["input2"]
-        # recover_mu and the r terms read only the j != k fringes
-        fringes2 = _fit_all_fringes(input2, n_best_windows, weighted,
-                                    diagonal=False)
+        input2, fringes2 = records["input2"], fringes["input2"]
         mu, _tau, mu_undet = recover_mu(input2, c_diag, b, fringes2)
         flags += [("mu_phase_undetermined", k) for k in mu_undet]
         p2 = input2.norm_singles()

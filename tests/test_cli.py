@@ -314,6 +314,28 @@ class TestBadInput:
         assert f"samples line 502: ['{mask}'] is not a bitmask over 3 modes" \
             in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("setting", ["blocked", "input1"])
+    def test_zero_vacuum_rate_exits_1(self, setting, config_path, tmp_path,
+                                      capsys):
+        # every rate is divided by the vacuum rate of its phi column
+        records = tmp_path / "recs.csv"
+        assert main(["simulate", "--config", config_path,
+                     "--out", str(records)]) == 0
+        comment, header, *rows = records.read_text().splitlines()
+        i = next(i for i, row in enumerate(rows)
+                 if row.startswith(f"{setting},") and ",vac," in row)
+        _, phi, _, _, pulses = rows[i].split(",")
+        rows[i] = f"{setting},{phi},vac,0,{pulses}"
+        records.write_text("\n".join([comment, header, *rows]) + "\n")
+        code = main(["reconstruct", "--records", str(records),
+                     "--out", str(tmp_path / "out.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"dgbs: {setting}: vacuum rate is 0") and \
+            "Traceback" not in err and err.count("\n") == 1
+        if phi:
+            assert f"at phi {float(phi)}" in err
+
     @pytest.mark.parametrize("kind", [
         "missing_cell", "duplicate_cell", "label_x:y", "label_foo",
         "pair_beyond_d", "missing_single", "single_far_beyond_d",

@@ -13,9 +13,9 @@ from dgbs.errors import ConfigurationError, SchemaError
 from dgbs.experiment import simulate_records
 from dgbs.metrics import tvd
 from dgbs.probability import StateKernel, distribution_from_kernel
-from dgbs.reconstruction import (MeasurementRecord, fit_fringe,
-                                 fit_fringe_windows, gauge_fix, reconstruct,
-                                 records_from_csv, records_to_csv)
+from dgbs.reconstruction import (MeasurementRecord, fit_fringe, gauge_fix,
+                                 reconstruct, records_from_csv,
+                                 records_to_csv)
 from dgbs.states import SourceConfig, build_input_state, propagate
 
 PHI_GRID = np.linspace(0, 10 * math.pi, 120, endpoint=False)
@@ -48,11 +48,103 @@ def ground_truth(cfg, d, eta, seed):
     return t, kern
 
 
+def reference_fringe_fit(phi, y, sig):
+    """(offset, phasor b e^{ic}, residual, covariance) of each row: every
+    2-pi window with >= 6 points fitted on its own by lstsq on the
+    sqrt(w)-scaled design, then the 5 lowest-residual windows averaged."""
+    start, two_pi = phi.min(), 2 * math.pi
+    n_windows = max(1, int(np.floor((phi.max() - start) / two_pi + 1e-9)))
+    out = []
+    for row_y, row_sig in zip(y, sig):
+        fits = []
+        for w in range(n_windows):
+            lo, hi = start + w * two_pi, start + (w + 1) * two_pi
+            m = (phi >= lo - 1e-12) & (phi <= hi + 1e-12)
+            if m.sum() < 6:
+                continue
+            p, v, s = phi[m], row_y[m], row_sig[m]
+            noiseless = not s.any()
+            wt = np.ones_like(s) if noiseless else \
+                1 / np.maximum(s, s[s > 0].min()) ** 2
+            x = np.stack([np.ones_like(p), np.cos(2 * p), np.sin(2 * p)], 1)
+            beta = np.linalg.lstsq(x * np.sqrt(wt)[:, None], v * np.sqrt(wt),
+                                   rcond=None)[0]
+            rms = math.sqrt(np.sum(wt * (v - x @ beta) ** 2) / np.sum(wt))
+            cov = np.zeros((3, 3)) if noiseless else \
+                np.linalg.inv(x.T @ (x * wt[:, None]))
+            fits.append((rms, beta, cov))
+        best = sorted(fits, key=lambda f: f[0])[:5]
+        betas = np.array([b for _, b, _ in best])
+        out.append((betas[:, 0].mean(), (betas[:, 1] - 1j * betas[:, 2]).mean(),
+                    np.mean([r for r, _, _ in best]),
+                    sum(c for _, _, c in best) / len(best) ** 2))
+    return out
+
+
+def fringe_grid(n_windows, short_tail, rng):
+    """phi from 0 to exactly n_windows * 2 pi; each window's points span
+    more than 0.98 of it, except a last window of 2-5 points if
+    ``short_tail``."""
+    points = [0.0, n_windows * 2 * math.pi]
+    for w in range(n_windows):
+        if short_tail and w == n_windows - 1:
+            inner = rng.uniform(0.01, 0.99, rng.integers(1, 5))
+        else:
+            inner = np.concatenate([rng.uniform(0, 0.01, 1),
+                                    rng.uniform(0.99, 1, 1),
+                                    rng.uniform(0, 1, rng.integers(4, 20))])
+        points += list(2 * math.pi * (w + inner))
+    return np.sort(points)
+
+
 class TestFringeFit:
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(kinds=st.lists(st.sampled_from(["weighted", "zero", "zero_window"]),
+                          min_size=1, max_size=8),
+           n_windows=st.integers(1, 7), short_tail=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(kinds=["zero_window", "zero", "weighted", "weighted"],
+             n_windows=7, short_tail=True, seed=0)
+    def test_batched_fit_matches_per_window_lstsq(self, kinds, n_windows,
+                                                  short_tail, seed):
+        rng = np.random.default_rng(seed)
+        short_tail = short_tail and n_windows > 1
+        phi = fringe_grid(n_windows, short_tail, rng)
+        p = len(kinds)
+        offset = rng.uniform(0.5, 2, (p, 1))
+        amp = rng.uniform(0.05, 0.5, (p, 1)) * offset
+        y = offset + amp * np.cos(2 * phi + rng.uniform(-4, 4, (p, 1))) \
+            + rng.normal(0, 0.01, (p, len(phi))) * amp
+        sig = 0.01 * amp * rng.uniform(0.5, 2, (p, len(phi)))
+        sig[rng.uniform(size=sig.shape) < 0.1] = 0.0   # floored sigmas
+        w = rng.integers(n_windows)
+        for row, kind in zip(sig, kinds):
+            if kind == "zero":
+                row[:] = 0.0
+            elif kind == "zero_window":
+                row[(phi >= w * 2 * math.pi) & (phi <= (w + 1) * 2 * math.pi)] = 0
+        fits = fit_fringe(phi, y, sig)
+        assert len(fits) == p
+        # a row fits to the same bits alone as in the batch
+        alone = fit_fringe(phi, y[-1:], sig[-1:])[0]
+        assert (alone.offset, alone.amplitude, alone.phase, alone.residual) \
+            == (fits[-1].offset, fits[-1].amplitude, fits[-1].phase,
+                fits[-1].residual)
+        assert alone.covariance.tobytes() == fits[-1].covariance.tobytes()
+        for fit, (a, phasor, residual, cov) in zip(
+                fits, reference_fringe_fit(phi, y, sig)):
+            assert fit.offset == pytest.approx(a, rel=1e-12)
+            assert abs(fit.amplitude * np.exp(1j * fit.phase) - phasor) <= \
+                1e-12 * abs(phasor)
+            assert fit.residual == pytest.approx(residual, rel=1e-12)
+            assert_allclose(fit.covariance, cov, rtol=1e-12,
+                            atol=1e-12 * np.abs(cov).max())
+
     def test_exact_recovery(self):
         phi = np.linspace(0, 2 * math.pi, 24, endpoint=False)
         y = 1.3 + 0.4 * np.cos(2 * phi + 0.9)
-        fit = fit_fringe(phi, y)
+        fit, = fit_fringe(phi, y[None], np.zeros((1, phi.size)))
         assert fit.offset == pytest.approx(1.3, abs=1e-12)
         assert fit.amplitude == pytest.approx(0.4, abs=1e-12)
         assert fit.phase == pytest.approx(0.9, abs=1e-12)
@@ -63,7 +155,7 @@ class TestFringeFit:
         phi = np.linspace(0, 2 * math.pi, 48, endpoint=False)
         sig = np.full_like(phi, 0.01)
         y = 1.0 + 0.3 * np.cos(2 * phi - 1.2) + rng.normal(0, 0.01, phi.size)
-        fit = fit_fringe(phi, y, sig)
+        fit, = fit_fringe(phi, y[None], sig[None])
         assert fit.offset == pytest.approx(1.0, abs=0.01)
         assert fit.phase == pytest.approx(-1.2, abs=0.05)
         assert fit.sigma_phase < 0.05
@@ -71,13 +163,17 @@ class TestFringeFit:
     def test_short_scan_rejected(self):
         phi = np.linspace(0, math.pi, 10)
         with pytest.raises(ConfigurationError):
-            fit_fringe(phi, np.ones_like(phi))
+            fit_fringe(phi, np.ones((1, phi.size)), np.zeros((1, phi.size)))
 
     def test_windows_average_best(self):
+        # seven windows, the third corrupted by large noise: the best five
+        # leave it out
         rng = np.random.default_rng(2)
-        phi = np.linspace(0, 10 * math.pi, 300, endpoint=False)
+        phi = np.linspace(0, 14 * math.pi, 420, endpoint=False)
         y = 0.8 + 0.2 * np.cos(2 * phi + 0.4) + rng.normal(0, 0.005, phi.size)
-        fit = fit_fringe_windows(phi, y, np.full_like(phi, 0.005), n_best=3)
+        bad = (phi > 4 * math.pi) & (phi < 6 * math.pi)
+        y[bad] += rng.normal(0, 2, bad.sum())
+        fit, = fit_fringe(phi, y[None], np.full((1, phi.size), 0.005))
         assert fit.amplitude == pytest.approx(0.2, abs=0.01)
         assert fit.phase == pytest.approx(0.4, abs=0.05)
 
