@@ -38,7 +38,7 @@ for n_alpha in (0.7, 2.2):
     dist = distribution_from_kernel(kern, 4)
     idx = np.random.default_rng(0).choice(len(dist), size=200,
                                           p=dist.probabilities)
-    samples = [dist.patterns[i] for i in idx]
+    samples = dist.patterns[idx]
     line = f"  <n_alpha>={n_alpha}:"
     for label in ("korder(0)", "korder(2)", "korder(3)"):
         model = {4: distribution_from_kernel(kern, 4,

@@ -93,12 +93,12 @@ def cmd_probs(args) -> int:
     for total in range(1, args.n_max + 1):
         patterns = all_patterns(kernel.d, total,
                                 collision_free=not args.collisions)
-        if not patterns:
+        if not len(patterns):
             continue
         raw = kernel.pattern_probabilities(patterns, model)
         s = raw.sum()
         distributions[str(total)] = {
-            "patterns": ["".join(str(c) for c in n.counts) for n in patterns],
+            "patterns": ["".join(map(str, n)) for n in patterns.tolist()],
             "probabilities": [float(v) for v in raw],
             "normalized": [float(v) for v in (raw / s if s > 0 else raw)],
         }
@@ -143,10 +143,15 @@ def cmd_reconstruct(args) -> int:
                 obj = json.load(f)
             threefolds = PatternDistribution(
                 obj["d"], obj["total"], obj["collision_free"],
-                tuple(DetectionPattern(tuple(p)) for p in obj["patterns"]),
-                np.asarray(obj["probabilities"], dtype=float),
+                obj["patterns"], np.asarray(obj["probabilities"], dtype=float),
                 model=obj.get("model", "measured"))
-        except (ValueError, KeyError, TypeError, ConfigurationError) as exc:
+            d = next((rec.d for rec in records.values()), threefolds.d)
+            if not np.array_equal(threefolds.patterns, all_patterns(
+                    d, threefolds.total, threefolds.collision_free)):
+                raise ConfigurationError(
+                    f"its patterns are not all the {d}-mode patterns of "
+                    f"{threefolds.total} photons")
+        except (ValueError, KeyError, TypeError, DgbsError) as exc:
             raise SchemaError(
                 f"bad threefolds file {args.threefolds}: {exc!r}") from exc
     result = reconstruct(records, threefolds=threefolds, seed=args.seed)
@@ -159,14 +164,14 @@ def cmd_reconstruct(args) -> int:
 
 
 def _read_samples(path: str, d: int, min_photons: int):
-    """The samples with at least ``min_photons`` clicks and the set of their
-    photon numbers; each distinct bitmask text is parsed and counted once."""
+    """The (S, d) counts of the samples with at least ``min_photons`` clicks
+    and the set of their photon numbers; each distinct text is parsed once."""
     import csv as _csv
     with open(path) as f:
         rows = list(_csv.reader(line for line in f if not line.startswith("#")))
     if not rows or rows[0][:2] != ["pulse", "bitmask_hex"]:
         raise SchemaError("samples CSV must have header pulse,bitmask_hex,phi")
-    samples, by_text = [], {}
+    masks, by_text = [], {}
     for line, row in enumerate(rows[1:], start=2):
         if not row or row[1:2] == ["discard"]:
             continue
@@ -176,11 +181,14 @@ def _read_samples(path: str, d: int, min_photons: int):
                 raise SchemaError(f"samples line {line}: {row[1:2]} is not a "
                                   f"bitmask over {d} modes")
             mask = int(text, 16)
-            n = DetectionPattern(tuple((mask >> i) & 1 for i in range(d)))
-            by_text[text] = n if n.total >= min_photons else None
+            by_text[text] = mask if mask.bit_count() >= min_photons else None
         if by_text[text] is not None:
-            samples.append(by_text[text])
-    return samples, {n.total for n in by_text.values() if n is not None}
+            masks.append(by_text[text])
+    # the bits of each distinct mask, one byte per count
+    distinct, index = np.unique(np.array(masks, dtype=np.int64),
+                                return_inverse=True)
+    counts = (distinct[:, None] >> np.arange(d) & 1).astype(np.int8)[index]
+    return counts, set(counts.sum(axis=1).tolist())
 
 
 def cmd_compare(args) -> int:

@@ -10,7 +10,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError
-from .hafnian import DetectionPattern
 from .probability import (ModelSpec, PhaseFamily, StateKernel,
                           TwofoldFringe, all_patterns, as_kernel)
 from .reconstruction import MeasurementRecord
@@ -32,17 +31,10 @@ class ClickTable:
     def __len__(self):
         return len(self.bitmasks)
 
-    def patterns(self, min_photons: int = 0):
-        """Detection patterns (discards skipped) with at least min_photons."""
-        out = []
-        for m in self.bitmasks:
-            if m < 0:
-                continue
-            if int(m).bit_count() < min_photons:
-                continue
-            counts = tuple((int(m) >> i) & 1 for i in range(self.d))
-            out.append(DetectionPattern(counts))
-        return out
+    def patterns(self) -> np.ndarray:
+        """(P, d) counts of the pulses, discards skipped."""
+        masks = self.bitmasks[self.bitmasks >= 0]
+        return (masks[:, None] >> np.arange(self.d)) & 1
 
     def to_csv(self) -> str:
         """pulse, bitmask_hex, phi; rows joined in blocks to bound memory."""
@@ -63,26 +55,26 @@ def sample_patterns(state_or_kernel, model: ModelSpec, pulses: int,
     """Draw i.i.d. collision-free patterns with N <= n_max from the exact
     distribution; residual probability mass goes to a discard bucket."""
     kernel = as_kernel(state_or_kernel)
-    patterns = _sampler_patterns(kernel.d, n_max)
-    masks, probs = _with_discard(
-        patterns, kernel.pattern_probabilities(patterns, model))
+    patterns, masks = _sampler_patterns(kernel.d, n_max)
+    probs = _with_discard(kernel.pattern_probabilities(patterns, model))
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(probs), size=pulses, p=probs)
     return ClickTable(masks[idx], np.full(pulses, phi), kernel.d)
 
 
-def _sampler_patterns(d: int, n_max: int) -> list:
-    """The collision-free patterns with N <= n_max, the sampler's outcomes."""
-    return [n for total in range(n_max + 1)
-            for n in all_patterns(d, total, collision_free=True)]
+def _sampler_patterns(d: int, n_max: int) -> tuple:
+    """The collision-free patterns with N <= n_max, the sampler's outcomes,
+    as (P, d) counts, and their bitmasks followed by -1 for the discard
+    bucket."""
+    patterns = np.concatenate([all_patterns(d, total, collision_free=True)
+                               for total in range(n_max + 1)])
+    return patterns, np.append(patterns @ (1 << np.arange(d)), -1)
 
 
-def _with_discard(patterns, probs):
-    """Bitmasks of the patterns, then -1 for the discard bucket, and their
-    normalised probabilities."""
+def _with_discard(probs):
+    """The patterns' probabilities, then the discard bucket's, normalised."""
     probs = np.clip(np.append(probs, max(0.0, 1.0 - probs.sum())), 0, None)
-    masks = np.array([p.bitmask() for p in patterns] + [-1], dtype=np.int64)
-    return masks, probs / probs.sum()
+    return probs / probs.sum()
 
 
 def sample_patterns_with_phase(config: SourceConfig, t: TransferMatrix,
@@ -99,13 +91,13 @@ def sample_patterns_with_phase(config: SourceConfig, t: TransferMatrix,
     occupied = np.unique(bins)
     family = PhaseFamily.scan(config, t, occupied * width,
                               classical=model.kind == "classical")
-    patterns = _sampler_patterns(t.d, n_max)
+    patterns, table = _sampler_patterns(t.d, n_max)
     probs = family.pattern_probabilities(patterns, model)
     rng = np.random.default_rng(seed)
     masks = np.empty(pulses, dtype=np.int64)
     for f, b in enumerate(occupied):
         sel = np.nonzero(bins == b)[0]
-        table, p = _with_discard(patterns, probs[f])
+        p = _with_discard(probs[f])
         masks[sel] = table[rng.choice(len(p), size=len(sel), p=p)]
     return ClickTable(masks, phi_per_pulse, t.d)
 
@@ -114,12 +106,13 @@ def sample_patterns_with_phase(config: SourceConfig, t: TransferMatrix,
 # three-setting measurement records
 
 def _setting_patterns(d: int, include_collisions: bool) -> tuple:
-    """The singles and twofold patterns every setting records, and the mode
-    pairs (j, k) of the twofolds."""
+    """The singles and twofold patterns every setting records, as (P, d)
+    counts, and the mode pairs (j, k) of the twofolds."""
     pairs = [(j, k) for j in range(d)
              for k in range(j if include_collisions else j + 1, d)]
-    modes = [(j,) for j in range(d)] + pairs
-    return [DetectionPattern.from_modes(m, d) for m in modes], pairs
+    eye = np.eye(d, dtype=np.int64)
+    j, k = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    return np.vstack([eye, eye[j] + eye[k]]), pairs
 
 
 def _binomial_rates(rng, rate, pulses):
@@ -245,7 +238,7 @@ class LockResult:
 def build_error_signal(twofold_rates, pairs):
     """S(phi) = sum over (j, k, sign) of sign * p'_{j,k}(phi).
 
-    ``twofold_rates`` maps phi to a dict {(j, k): rate} or to a matrix.
+    ``twofold_rates`` maps phi to a dict {(j, k): rate}.
     """
     if not pairs:
         raise ConfigurationError("error signal needs at least one mode pair")
@@ -254,8 +247,7 @@ def build_error_signal(twofold_rates, pairs):
         rates = twofold_rates(phi)
         total = 0.0
         for j, k, sign in pairs:
-            r = rates[(j, k)] if isinstance(rates, dict) else rates[j, k]
-            total += sign * r
+            total += sign * rates[(j, k)]
         return total
 
     return signal

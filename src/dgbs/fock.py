@@ -101,6 +101,12 @@ def apply_interferometer(psi: FockVector, u: np.ndarray) -> FockVector:
     Passive transformations conserve total photon number, so the total-photon
     cutoff introduces no boundary loss.
     """
+    return _interfere(psi, u, ())
+
+
+def _interfere(psi: FockVector, u: np.ndarray, limit: tuple) -> FockVector:
+    """:func:`apply_interferometer` without the monomials whose exponent j
+    exceeds limit[j], j < len(limit): exponents only grow as it expands."""
     u = np.asarray(u, dtype=complex)
     d = psi.d
     if u.shape != (d, d):
@@ -112,7 +118,7 @@ def apply_interferometer(psi: FockVector, u: np.ndarray) -> FockVector:
     for ket, amp in psi.amplitudes.items():
         # expand prod_i (sum_j u[j,i] a_j^dag)^{n_i} |0>, tracked as monomial
         # coefficients; |m> amplitude picks up sqrt(prod m_j!).
-        poly = {zero: amp / math.sqrt(_fact_prod(ket))}
+        poly = {zero: amp / math.sqrt(math.prod(map(math.factorial, ket)))}
         for i, n_i in enumerate(ket):
             col = u[:, i]
             for _ in range(n_i):
@@ -120,7 +126,7 @@ def apply_interferometer(psi: FockVector, u: np.ndarray) -> FockVector:
                 for mono, coeff in poly.items():
                     for j in range(d):
                         cj = col[j]
-                        if cj == 0:
+                        if cj == 0 or j < len(limit) and mono[j] >= limit[j]:
                             continue
                         key = list(mono)
                         key[j] += 1
@@ -128,17 +134,10 @@ def apply_interferometer(psi: FockVector, u: np.ndarray) -> FockVector:
                         nxt[key] = nxt.get(key, 0.0) + coeff * cj
                 poly = nxt
         for mono, coeff in poly.items():
-            val = coeff * math.sqrt(_fact_prod(mono))
+            val = coeff * math.sqrt(math.prod(map(math.factorial, mono)))
             out.amplitudes[mono] = out.amplitudes.get(mono, 0.0) + val
     out.amplitudes = {k: v for k, v in out.amplitudes.items() if v != 0}
     return out
-
-
-def _fact_prod(occ) -> float:
-    p = 1
-    for n in occ:
-        p *= math.factorial(n)
-    return p
 
 
 def dilate_lossy(t: TransferMatrix) -> np.ndarray:
@@ -226,8 +225,8 @@ def _oracle_probability_at(config, t, pattern, cutoff, eps) -> float:
     if config.eta_tot < 1:
         t = TransferMatrix(d, d, math.sqrt(config.eta_tot) * t.embedded())
     w = dilate_lossy(t)
-    psi = apply_interferometer(psi, w)
     target = pattern.counts
+    psi = _interfere(psi, w, target)
     prob = 0.0
     for ket, amp in psi.amplitudes.items():
         if ket[:d] == target:

@@ -30,7 +30,8 @@ DP_CHUNK_BYTES = 2 << 20
 
 @dataclass(frozen=True)
 class DetectionPattern:
-    """Photon counts per output mode."""
+    """Photon counts per output mode: one validated pattern.  A set of
+    patterns is a read-only (P, d) integer counts array instead."""
 
     counts: tuple
 
@@ -47,22 +48,6 @@ class DetectionPattern:
     @property
     def total(self) -> int:
         return sum(self.counts)
-
-    @property
-    def collision_free(self) -> bool:
-        return all(c <= 1 for c in self.counts)
-
-    @classmethod
-    def from_modes(cls, modes, d: int) -> "DetectionPattern":
-        counts = [0] * d
-        for m in modes:
-            counts[m] += 1
-        return cls(tuple(counts))
-
-    def bitmask(self) -> int:
-        if not self.collision_free:
-            raise ConfigurationError("bitmask defined for collision-free patterns only")
-        return sum(1 << i for i, c in enumerate(self.counts) if c)
 
 
 @dataclass(frozen=True)
@@ -89,13 +74,14 @@ class ReducedKernel:
         return self.a_n.shape[0] // 2
 
 
-def _pattern_index(d: int, patterns) -> np.ndarray:
-    """The rows/columns of A (and entries of gamma) that P patterns of one
-    total N keep: i and i+d, each repeated n_i times, as (P, 2N)."""
-    counts = np.array([n.counts for n in patterns], dtype=np.intp)
-    if counts.shape[1] != d:
+def _pattern_index(d: int, counts) -> np.ndarray:
+    """The rows/columns of A (and entries of gamma) that a (P, d) counts
+    array of one total N keeps: i and i+d, each repeated n_i times, as
+    (P, 2N)."""
+    counts = np.asarray(counts, dtype=np.intp)
+    if counts.ndim != 2 or counts.shape[1] != d:
         raise ConfigurationError(
-            f"pattern has {counts.shape[1]} modes, kernel has {d}")
+            f"patterns have shape {counts.shape}, kernel has {d} modes")
     if (counts.sum(axis=1) != counts[0].sum()).any():
         raise ConfigurationError("a pattern batch must share one photon total")
     modes = np.repeat(np.tile(np.arange(d), len(counts)), counts.ravel())
@@ -105,7 +91,7 @@ def _pattern_index(d: int, patterns) -> np.ndarray:
 
 def reduce_by_pattern(a, gamma, n: DetectionPattern) -> ReducedKernel:
     """Repeat row/column i and i+d of A (and entry i, i+d of gamma) n_i times."""
-    idx = _pattern_index(a.d, [n])[0]
+    idx = _pattern_index(a.d, [n.counts])[0]
     return ReducedKernel(a.full[np.ix_(idx, idx)], gamma.gamma[idx])
 
 
@@ -235,13 +221,13 @@ def matching_polynomial(m: np.ndarray, diag: np.ndarray = None) -> np.ndarray:
                         np.arange(len(m))[None])[0, 0]
 
 
-def pattern_polynomials(a, gammas, patterns) -> np.ndarray:
-    """(F, P, N + 1) matching polynomials of the kernels that P patterns of
-    one total N reduce (A, gammas[f]) to, for a family of F loop-weight
-    vectors ``gammas`` (F, 2d) that share A.  Memory grows with neither F
-    nor P."""
+def pattern_polynomials(a, gammas, counts) -> np.ndarray:
+    """(F, P, N + 1) matching polynomials of the kernels that the P rows of
+    a (P, d) counts array of one total N reduce (A, gammas[f]) to, for a
+    family of F loop-weight vectors ``gammas`` (F, 2d) that share A.
+    Memory grows with neither F nor P."""
     return _polynomials(a.full, np.asarray(gammas, dtype=complex),
-                        _pattern_index(a.d, patterns))
+                        _pattern_index(a.d, counts))
 
 
 def hafnian(m: np.ndarray) -> complex:

@@ -11,13 +11,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .hafnian import DetectionPattern
 from .probability import PatternDistribution
 
 
 def tvd(p: PatternDistribution, q: PatternDistribution) -> float:
     """Total variation distance D = sum_i |p_i - q_i| / 2 on a shared index set."""
-    if p.patterns != q.patterns:
+    if not np.array_equal(p.patterns, q.patterns):
         raise ConfigurationError("distributions are indexed by different pattern sets")
     return float(np.abs(p.probabilities - q.probabilities).sum() / 2)
 
@@ -68,7 +67,7 @@ class LikelihoodTrace:
 
 
 def likelihood_ratio(samples, dists_a: dict, dists_b: dict) -> LikelihoodTrace:
-    """Streaming likelihood ratio over a sample list.
+    """Streaming likelihood ratio over the (S, d) counts of the samples.
 
     ``dists_a`` and ``dists_b`` map a photon number N to each model's
     fixed-N :class:`PatternDistribution`, so a sample's probability is its
@@ -80,26 +79,27 @@ def likelihood_ratio(samples, dists_a: dict, dists_b: dict) -> LikelihoodTrace:
     flagged: its increment is -inf/+inf (0 if both models give zero) and it
     is reported in ``flagged`` rather than silently dropped.
     """
-    samples = [s if isinstance(s, DetectionPattern) else DetectionPattern(tuple(s))
-               for s in samples]
+    samples = np.asarray(samples)
     tables_a = {n: dist.as_dict() for n, dist in dists_a.items()}
     tables_b = {n: dist.as_dict() for n, dist in dists_b.items()}
-    # each distinct pattern's increment is computed once
+    # each distinct pattern's increment is computed once; rows are read in
+    # blocks, so that no sample's tuple outlives its block
     distinct = {}
-    codes = [distinct.setdefault(n.counts, len(distinct)) for n in samples]
+    codes = [distinct.setdefault(row, len(distinct))
+             for lo in range(0, len(samples), 4096)
+             for row in map(tuple, samples[lo:lo + 4096].tolist())]
     values, zero = np.zeros(len(distinct)), {}
     for counts, k in distinct.items():
         total = sum(counts)
         pa = tables_a.get(total, {}).get(counts, 0.0)
         pb = tables_b.get(total, {}).get(counts, 0.0)
         if pa <= 0 or pb <= 0:
-            zero[k] = pa, pb
+            zero[k] = counts, pa, pb
             values[k] = (-np.inf if pa <= 0 < pb
                          else np.inf if pb <= 0 < pa else 0.0)
         else:
             values[k] = np.log(pa) - np.log(pb)
-    flagged = [(i, n.counts, *zero[k])
-               for i, (n, k) in enumerate(zip(samples, codes)) if k in zero]
+    flagged = [(i, *zero[k]) for i, k in enumerate(codes) if k in zero]
     return LikelihoodTrace(values[codes], flagged, model_a=_model_label(dists_a),
                            model_b=_model_label(dists_b))
 

@@ -10,21 +10,19 @@ polynomial.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (ConfigurationError, EnumerationBudgetError,
                      NumericalError)
-from .hafnian import (DetectionPattern, ReducedKernel, pattern_polynomials,
-                      reduce_by_pattern)
+from .hafnian import (MAX_KERNEL_SIZE, DetectionPattern, ReducedKernel,
+                      pattern_polynomials, reduce_by_pattern)
 from .states import (AMatrix, GammaVector, GaussianState, SourceConfig,
                      TransferMatrix, a_matrix, gamma_vector,
                      log_vacuum_probability, phase_scan)
@@ -32,6 +30,10 @@ from .states import (AMatrix, GammaVector, GaussianState, SourceConfig,
 DEFAULT_PATTERN_BUDGET = 200_000
 
 MODEL_KINDS = ("full", "korder", "squeezer_only", "classical")
+
+# k! for every count a kernel of MAX_KERNEL_SIZE can hold
+FACTORIALS = np.array([math.factorial(k)
+                       for k in range(MAX_KERNEL_SIZE // 2 + 1)], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -93,29 +95,26 @@ class PhaseFamily:
         state, gammas, log_p_vac = phase_scan(config, t, phis, classical)
         return cls(a_matrix(state), gammas, log_p_vac)
 
-    def pattern_terms(self, patterns) -> np.ndarray:
-        """:meth:`StateKernel.korder_terms` of P patterns of one total N at
-        every phase, as (F, P, N + 1)."""
-        norm = [math.prod(map(math.factorial, n.counts)) for n in patterns]
-        poly = pattern_polynomials(self.a, self.gammas, patterns)
-        return poly / np.array(norm, dtype=float)[:, None]
+    def pattern_terms(self, counts) -> np.ndarray:
+        """:meth:`StateKernel.korder_terms` of the rows of a (P, d) counts
+        array of one total N at every phase, as (F, P, N + 1)."""
+        poly = pattern_polynomials(self.a, self.gammas, counts)
+        return poly / FACTORIALS[np.asarray(counts)].prod(axis=1)[:, None]
 
-    def pattern_probabilities(self, patterns,
+    def pattern_probabilities(self, counts,
                               model: ModelSpec = ModelSpec()) -> np.ndarray:
-        """pr(n) under ``model`` for each pattern at each phase, as (F, P);
-        the patterns may mix totals and are evaluated one batch per total."""
-        groups = {}
-        for i, n in enumerate(patterns):
-            if n.d != self.a.d:
-                raise ConfigurationError(
-                    f"pattern has {n.d} modes, state has {self.a.d}")
-            groups.setdefault(n.total, []).append(i)
-        out = np.repeat(self.p_vac[:, None], len(patterns), axis=1)
-        for total, rows in groups.items():
-            if total == 0:
-                continue
-            terms = self.pattern_terms([patterns[i] for i in rows])
-            terms = terms.reshape(-1, total + 1)
+        """pr(n) under ``model`` for each row of a (P, d) counts array at
+        each phase, as (F, P); the rows may mix totals and are evaluated one
+        batch per total."""
+        counts = np.asarray(counts)
+        if counts.ndim != 2 or counts.shape[1] != self.a.d:
+            raise ConfigurationError(
+                f"patterns have shape {counts.shape}, state has {self.a.d} modes")
+        totals = counts.sum(axis=1)
+        out = np.repeat(self.p_vac[:, None], len(counts), axis=1)
+        for total in np.unique(totals[totals > 0]).tolist():
+            rows = np.flatnonzero(totals == total)
+            terms = self.pattern_terms(counts[rows]).reshape(-1, total + 1)
             if model.kind == "squeezer_only":
                 val = terms[:, total]
             elif model.kind == "korder":
@@ -165,21 +164,23 @@ class StateKernel:
         entry p is the term in which p photons came from the squeezers.
         Cumulative sums give every k-order value at once, and the top entry
         p = N, the loop-free hafnian, is the squeezer-only value."""
-        return self.pattern_terms([n])[0]
+        return self.pattern_terms([n.counts])[0]
 
-    def pattern_terms(self, patterns) -> np.ndarray:
-        """:meth:`korder_terms` of P patterns of one total N, as (P, N + 1)."""
-        return self.family.pattern_terms(patterns)[0]
+    def pattern_terms(self, counts) -> np.ndarray:
+        """:meth:`korder_terms` of the rows of a (P, d) counts array of one
+        total N, as (P, N + 1)."""
+        return self.family.pattern_terms(counts)[0]
 
-    def pattern_probabilities(self, patterns,
+    def pattern_probabilities(self, counts,
                               model: ModelSpec = ModelSpec()) -> np.ndarray:
-        """pr(n) under ``model`` for each pattern, in the given order; the
-        patterns may mix totals and are evaluated one batch per total."""
-        return self.family.pattern_probabilities(patterns, model)[0]
+        """pr(n) under ``model`` for each row of a (P, d) counts array, in
+        order; the rows may mix totals and are evaluated one batch per
+        total."""
+        return self.family.pattern_probabilities(counts, model)[0]
 
     def pattern_probability(self, n: DetectionPattern,
                             model: ModelSpec = ModelSpec()) -> float:
-        return float(self.pattern_probabilities([n], model)[0])
+        return float(self.pattern_probabilities([n.counts], model)[0])
 
 
 def pattern_probability(state: GaussianState, n: DetectionPattern,
@@ -237,8 +238,10 @@ def as_kernel(state_or_kernel) -> "StateKernel":
 
 
 def all_patterns(d: int, total: int, collision_free: bool,
-                 budget: int = DEFAULT_PATTERN_BUDGET):
-    """Lexicographically ordered patterns with the given photon total."""
+                 budget: int = DEFAULT_PATTERN_BUDGET) -> np.ndarray:
+    """The patterns with the given photon total as a read-only (P, d)
+    counts array: collision-free rows in descending, the others in
+    ascending lexicographic order."""
     count = math.comb(d, total) if collision_free else \
         math.comb(total + d - 1, d - 1)
     if count > budget:
@@ -246,26 +249,41 @@ def all_patterns(d: int, total: int, collision_free: bool,
             f"{count} patterns exceed enumeration budget {budget}")
     # multisets in reverse lexicographic order list the count vectors in
     # lexicographic order
-    modes = combinations(range(d), total) if collision_free else \
+    combos = combinations(range(d), total) if collision_free else \
         reversed(list(combinations_with_replacement(range(d), total)))
-    return [DetectionPattern.from_modes(m, d) for m in modes]
+    modes = np.fromiter(chain.from_iterable(combos), dtype=np.intp,
+                        count=count * total).reshape(count, total)
+    cells = (np.arange(count)[:, None] * d + modes).ravel()
+    counts = np.bincount(cells, minlength=count * d).reshape(count, d)
+    counts.setflags(write=False)
+    return counts
 
 
 @dataclass(frozen=True)
 class PatternDistribution:
-    """Normalized probability table over fixed-N detection patterns."""
+    """Normalized probability table over fixed-N detection patterns, the
+    rows of the read-only (P, d) counts array ``patterns``."""
 
     d: int
     total: int
     collision_free: bool
-    patterns: tuple
+    patterns: np.ndarray
     probabilities: np.ndarray
     model: str = "full"
     provenance: str = ""
 
     def __post_init__(self):
+        patterns = np.array(self.patterns, dtype=np.int64)
+        if patterns.ndim != 2 or patterns.shape[1] != self.d:
+            raise ConfigurationError(
+                f"patterns must be rows of {self.d} photon counts")
+        if (patterns < 0).any() or (patterns.sum(axis=1) != self.total).any() \
+                or (self.collision_free and (patterns > 1).any()):
+            raise ConfigurationError(
+                f"patterns must be nonnegative, sum to {self.total} and be "
+                f"collision-free if collision_free is {self.collision_free}")
         probs = np.asarray(self.probabilities, dtype=float)
-        if len(self.patterns) != probs.shape[0]:
+        if len(patterns) != probs.shape[0]:
             raise ConfigurationError("pattern/probability length mismatch")
         if probs.size and (probs.min() < -1e-12 or abs(probs.sum() - 1) > 1e-9):
             raise ConfigurationError("probabilities must be nonnegative and sum to 1")
@@ -274,22 +292,16 @@ class PatternDistribution:
         if s > 0:
             probs = probs / s
         probs.setflags(write=False)
+        patterns.setflags(write=False)
         object.__setattr__(self, "probabilities", probs)
-        object.__setattr__(self, "patterns", tuple(self.patterns))
+        object.__setattr__(self, "patterns", patterns)
 
     def __len__(self):
         return len(self.patterns)
 
     def as_dict(self) -> dict:
-        return {p.counts: float(q) for p, q in zip(self.patterns, self.probabilities)}
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["pattern", "probability"])
-        for p, q in zip(self.patterns, self.probabilities):
-            writer.writerow(["".join(map(str, p.counts)), f"{q:.17g}"])
-        return buf.getvalue()
+        return dict(zip(map(tuple, self.patterns.tolist()),
+                        self.probabilities.tolist()))
 
     def to_json(self) -> str:
         return json.dumps({
@@ -298,8 +310,8 @@ class PatternDistribution:
             "collision_free": self.collision_free,
             "model": self.model,
             "provenance": self.provenance,
-            "patterns": [list(p.counts) for p in self.patterns],
-            "probabilities": [float(q) for q in self.probabilities],
+            "patterns": self.patterns.tolist(),
+            "probabilities": self.probabilities.tolist(),
         }, sort_keys=True)
 
 
@@ -314,7 +326,7 @@ def distribution_from_kernel(kernel: StateKernel, total: int,
     if s <= 0:
         raise ConfigurationError("distribution has zero total mass; cannot normalize")
     return PatternDistribution(kernel.d, total, collision_free,
-                               tuple(patterns), raw / s,
+                               patterns, raw / s,
                                model=model.label(), provenance=provenance)
 
 

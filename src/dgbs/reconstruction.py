@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import ConfigurationError, SchemaError
+from .errors import ConfigurationError, DgbsError, SchemaError
 from .metrics import tvd
 from .probability import (ModelSpec, PatternDistribution, StateKernel,
                           distribution_from_kernel)
@@ -632,7 +632,7 @@ def optimize_undetermined_phases(result: ReconstructionResult,
             dist = distribution_from_kernel(build(phases), threefolds.total,
                                             threefolds.collision_free,
                                             ModelSpec("full"))
-        except Exception:
+        except DgbsError:
             return 1.0
         return tvd(dist, threefolds)
 

@@ -117,7 +117,8 @@ def test_criterion_3_korder_endpoints():
                            phi=rng.uniform(0, 2 * math.pi))
         kern = StateKernel.from_state(propagate(build_input_state(cfg, d), t))
         total = int(rng.integers(1, min(d, 5) + 1))
-        pats = all_patterns(d, total, collision_free=True)
+        pats = [DetectionPattern(p)
+                for p in all_patterns(d, total, collision_free=True)]
         full = np.array([kern.pattern_probability(p) for p in pats])
         exact_at_n = np.array([kern.pattern_probability(
             p, ModelSpec("korder", total)) for p in pats])

@@ -6,12 +6,14 @@ import pytest
 
 from conftest import haar_unitary
 from dgbs.cli import main
-from dgbs.experiment import sample_patterns
-from dgbs.probability import ModelSpec
+from dgbs.experiment import sample_patterns, simulate_records
+from dgbs.hafnian import DetectionPattern
+from dgbs.probability import (ModelSpec, PatternDistribution, StateKernel,
+                              all_patterns, distribution_from_kernel)
 from dgbs.serialize import (canonical_json, config_hash, load_config,
                             matrix_from_json, matrix_to_json,
                             source_from_config, transfer_from_config)
-from dgbs.states import build_classical_input, propagate
+from dgbs.states import build_classical_input, build_input_state, propagate
 
 
 @pytest.fixture
@@ -261,10 +263,20 @@ class TestBadInput:
                 DriftModel().trace(duration, rng)
 
     @pytest.mark.parametrize("kind", [
-        "threefolds_not_json", "threefolds_no_total", "records_bad_counts",
-        "samples_not_hex", "samples_mask_beyond_d"])
+        "threefolds_not_json", "threefolds_no_total", "threefolds_bad_row",
+        "threefolds_other_d", "threefolds_other_d_no_fallback",
+        "records_bad_counts", "samples_not_hex", "samples_mask_beyond_d"])
     def test_malformed_file_exits_2(self, kind, config_path, tmp_path,
                                     capsys):
+        if kind.endswith("no_fallback"):
+            # d = 4 with a second input port: every entry is determined,
+            # so reconstruct itself never reads the threefolds
+            cfg = json.loads(open(config_path).read())
+            cfg["transfer"] = {"t": matrix_to_json(
+                math.sqrt(0.6) * haar_unitary(4, seed=42))}
+            cfg["second_input_port"] = 3
+            config_path = str(tmp_path / "d4.json")
+            (tmp_path / "d4.json").write_text(json.dumps(cfg))
         records = tmp_path / "recs.csv"
         assert main(["simulate", "--config", config_path,
                      "--out", str(records)]) == 0
@@ -276,6 +288,15 @@ class TestBadInput:
             bad.write_text(json.dumps({"d": 3, "collision_free": True,
                                        "patterns": [[1, 1, 1]],
                                        "probabilities": [1.0]}))
+        elif kind == "threefolds_bad_row":   # (2, 0, 0) is not a threefold
+            bad.write_text(json.dumps({"d": 3, "total": 3,
+                                       "collision_free": False,
+                                       "patterns": [[2, 0, 0]],
+                                       "probabilities": [1.0]}))
+        elif kind.startswith("threefolds_other_d"):   # valid, but for d = 9
+            pats = all_patterns(9, 3, collision_free=True)
+            bad.write_text(PatternDistribution(
+                9, 3, True, pats, np.full(len(pats), 1 / len(pats))).to_json())
         elif kind == "records_bad_counts":
             lines = records.read_text().splitlines()
             fields = lines[2].split(",")
@@ -296,6 +317,23 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("dgbs:") and "Traceback" not in err
+
+    def test_threefolds_with_empty_records_exit_1(self, tmp_path, capsys):
+        # with no records there is no d to check the threefolds against;
+        # the missing settings are the error
+        records, three = tmp_path / "recs.csv", tmp_path / "three.json"
+        records.write_text("setting,phi,modes,counts,pulses\n")
+        three.write_text(json.dumps({"d": 3, "total": 3,
+                                     "collision_free": True,
+                                     "patterns": [[1, 1, 1]],
+                                     "probabilities": [1.0]}))
+        code = main(["reconstruct", "--records", str(records),
+                     "--threefolds", str(three),
+                     "--out", str(tmp_path / "out.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("dgbs: missing measurement settings") and \
+            "Traceback" not in err
 
     @pytest.mark.parametrize("mask", ["3g", "8"])
     def test_bad_mask_after_repeats_names_its_line(self, mask, config_path,
@@ -369,3 +407,36 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("dgbs:") and "Traceback" not in err
+
+
+class TestPatternSets:
+    def test_pattern_sets_build_no_detection_pattern(self, config_path,
+                                                     tmp_path, monkeypatch):
+        # tables, the sampler, the records and compare --samples carry
+        # their pattern sets as counts arrays, never as DetectionPatterns
+        samples = tmp_path / "s.csv"
+        assert main(["sample", "--config", config_path, "--n-max", "3",
+                     "--pulses", "2000", "--out", str(samples)]) == 0
+        config = load_config(config_path)
+        source, transfer = source_from_config(config), \
+            transfer_from_config(config)
+        kernel = StateKernel.from_state(
+            propagate(build_input_state(source, transfer.d), transfer))
+        built = []
+        post_init = DetectionPattern.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(DetectionPattern, "__post_init__", counted)
+        distribution_from_kernel(kernel, 2, collision_free=False)
+        sample_patterns(kernel, ModelSpec(), 1000, 3, seed=0)
+        simulate_records(source, transfer, phi_grid=np.linspace(0, 6, 8),
+                         include_collisions=True)
+        assert main(["compare", "--config", config_path, "--model-b",
+                     "korder(1)", "--samples", str(samples),
+                     "--out", str(tmp_path / "cmp.json")]) == 0
+        assert built == []
+        DetectionPattern((1, 0, 1))   # the count sees a pattern built here
+        assert len(built) == 1

@@ -30,7 +30,7 @@ class TestSampling:
         table = sample_patterns(st, ModelSpec(), pulses=200_000, n_max=2, seed=3)
         n = DetectionPattern((1, 0, 1, 0))
         want = kern.pattern_probability(n)
-        got = np.mean(table.bitmasks == n.bitmask())
+        got = np.mean(table.bitmasks == 0b0101)
         sigma = math.sqrt(want * (1 - want) / len(table))
         assert abs(got - want) < 5 * sigma
 
@@ -44,7 +44,7 @@ class TestSampling:
         _, _, st = standard()
         table = sample_patterns(st, ModelSpec(), 50_000, n_max=1, seed=0)
         assert (table.bitmasks == -1).any()
-        assert all(p.total <= 1 for p in table.patterns())
+        assert table.patterns().sum(axis=1).max() <= 1
 
     def test_click_table_csv(self):
         _, _, st = standard()

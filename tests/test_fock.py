@@ -6,10 +6,10 @@ from numpy.testing import assert_allclose
 
 from conftest import haar_unitary, lossy_transfer
 from dgbs.errors import ConfigurationError, CutoffError
-from dgbs.fock import (FockVector, apply_interferometer, choose_cutoff,
-                       coherent_fock, dilate_lossy, expand_inputs,
-                       input_tail_mass, oracle_probability, tmsv_fock,
-                       vacuum_fock)
+from dgbs.fock import (FockVector, _interfere, apply_interferometer,
+                       choose_cutoff, coherent_fock, dilate_lossy,
+                       expand_inputs, input_tail_mass, oracle_probability,
+                       tmsv_fock, vacuum_fock)
 from dgbs.hafnian import DetectionPattern
 from dgbs.probability import StateKernel
 from dgbs.states import (SourceConfig, TransferMatrix, build_input_state,
@@ -56,6 +56,22 @@ class TestInterferometer:
         out = apply_interferometer(psi, bs)
         assert abs(out.amplitudes.get((1, 1), 0.0)) < 1e-12
         assert abs(out.amplitudes[(2, 0)]) ** 2 == pytest.approx(0.5)
+
+    def test_projected_expansion_keeps_target_amplitudes(self):
+        # the oracle's expansion drops monomials that overshoot the pattern
+        # in the first modes; the amplitudes that reach it are unchanged
+        psi = expand_inputs(SourceConfig(r=0.4, alpha_mag=0.7), 6, cutoff=6,
+                            eps=0.05)
+        w = dilate_lossy(lossy_transfer(3, 0.5, seed=4))
+        full = apply_interferometer(psi, w)
+        target = (2, 0, 1)
+        kept = _interfere(psi, w, target)
+        assert all(all(k <= n for k, n in zip(ket, target))
+                   for ket in kept.amplitudes)
+        want = {k: v for k, v in full.amplitudes.items() if k[:3] == target}
+        assert {k: v for k, v in kept.amplitudes.items()
+                if k[:3] == target} == want
+        assert len(want) > 0
 
     def test_rejects_non_unitary(self):
         psi = vacuum_fock(2, 2)

@@ -89,12 +89,6 @@ def test_kernel_validation():
 def test_detection_pattern_basics():
     n = DetectionPattern((1, 0, 2))
     assert n.d == 3 and n.total == 3
-    assert not n.collision_free
-    cf = DetectionPattern.from_modes([0, 2], 4)
-    assert cf.counts == (1, 0, 1, 0)
-    assert cf.bitmask() == 0b0101
-    with pytest.raises(ConfigurationError):
-        n.bitmask()
     with pytest.raises(ConfigurationError):
         DetectionPattern((1, -1))
 

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -66,7 +67,7 @@ class TestClosedForms:
         for j in range(4):
             _, p1 = predict_single(kern, j)
             want = kern.pattern_probability(
-                DetectionPattern.from_modes([j], 4)) / kern.p_vac
+                DetectionPattern(np.eye(4, dtype=int)[j])) / kern.p_vac
             assert p1 == pytest.approx(want, rel=1e-12)
 
     def test_predict_twofold_matches_engine(self):
@@ -76,7 +77,7 @@ class TestClosedForms:
             base = kernel_for(cfg, 4)
             _, want = predict_twofold(base, 0, 2, phi)
             got = kern.pattern_probability(
-                DetectionPattern.from_modes([0, 2], 4)) / kern.p_vac
+                DetectionPattern((1, 0, 1, 0))) / kern.p_vac
             assert got == pytest.approx(want, rel=1e-10)
 
     def test_predict_twofold_rejects_equal_modes(self):
@@ -141,13 +142,13 @@ class TestModels:
 class TestPatternEnumeration:
     def test_collision_free_count(self):
         pats = all_patterns(5, 2, collision_free=True)
-        assert len(pats) == math.comb(5, 2)
-        assert all(p.collision_free for p in pats)
+        assert pats.shape == (math.comb(5, 2), 5)
+        assert pats.max() == 1
 
     def test_with_collisions_count(self):
         pats = all_patterns(3, 3, collision_free=False)
-        assert len(pats) == math.comb(5, 2)
-        assert {p.total for p in pats} == {3}
+        assert pats.shape == (math.comb(5, 2), 3)
+        assert set(pats.sum(axis=1)) == {3}
 
     def test_budget(self):
         with pytest.raises(EnumerationBudgetError):
@@ -156,7 +157,23 @@ class TestPatternEnumeration:
     def test_lexicographic_order_is_stable(self):
         a = all_patterns(4, 2, collision_free=True)
         b = all_patterns(4, 2, collision_free=True)
-        assert [p.counts for p in a] == [p.counts for p in b]
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("collision_free", [True, False])
+    def test_matches_itertools_reference(self, collision_free):
+        # the count vectors of the multisets of modes: collision-free ones
+        # in descending, the others in ascending lexicographic order
+        multisets = combinations if collision_free \
+            else combinations_with_replacement
+        for d in range(1, 9):
+            for total in range(8):
+                want = sorted((tuple(c.count(m) for m in range(d))
+                               for c in multisets(range(d), total)),
+                              reverse=collision_free)
+                got = all_patterns(d, total, collision_free)
+                assert got.shape == (len(want), d)
+                assert got.tolist() == [list(c) for c in want]
+                assert not got.flags.writeable
 
 
 class TestDistribution:
@@ -168,21 +185,17 @@ class TestDistribution:
         assert len(dist) == math.comb(4, 2)
         assert dist.model == "full"
 
-    def test_csv_and_json(self):
+    def test_json(self):
         st = propagate(build_input_state(SourceConfig(r=0.3, alpha_mag=0.5), 3),
                        lossy_transfer(3, 0.5, seed=2))
         dist = enumerate_distribution(st, 1)
-        csv_text = dist.to_csv()
-        assert csv_text.splitlines()[0] == "pattern,probability"
-        assert len(csv_text.splitlines()) == 4
         assert '"collision_free": true' in dist.to_json().replace(
             '"collision_free":true', '"collision_free": true')
 
     def test_bad_probabilities_rejected(self):
         with pytest.raises(ConfigurationError):
             PatternDistribution(2, 1, True,
-                                (DetectionPattern((1, 0)),
-                                 DetectionPattern((0, 1))),
+                                ((1, 0), (0, 1)),
                                 np.array([0.2, 0.2]))
 
     def test_kernel_without_pvac_matches_normalized(self):

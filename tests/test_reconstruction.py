@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import lossy_transfer
-from dgbs.errors import ConfigurationError, SchemaError
+from dgbs import reconstruction
+from dgbs.errors import ConfigurationError, NumericalError, SchemaError
 from dgbs.experiment import simulate_records
 from dgbs.metrics import tvd
 from dgbs.probability import StateKernel, distribution_from_kernel
@@ -290,6 +291,33 @@ class TestRoundTrip:
         res = reconstruct(recs, threefolds=three, seed=0)
         assert res.fallback_entries  # Im C signs were undetermined
         assert res.optimizer_report["best_tvd"] < 1e-6
+
+    def test_optimizer_scores_only_domain_errors(self, monkeypatch):
+        # a DgbsError scores a phase as the worst fit; a programming error
+        # propagates
+        cfg = SourceConfig(r=0.35, alpha_mag=0.7)
+        t = lossy_transfer(4, 0.5, seed=3)
+        truth = StateKernel.from_state(propagate(build_input_state(cfg, 4), t))
+        res = reconstruct(simulate_records(cfg, t, phi_grid=PHI_GRID[:60],
+                                           include_collisions=True))
+        three = distribution_from_kernel(truth, 3)
+        assert res.fallback_entries
+
+        def failing(error):
+            def evaluate(*args, **kwargs):
+                raise error("evaluation failed")
+            return evaluate
+
+        monkeypatch.setattr(reconstruction, "distribution_from_kernel",
+                            failing(NumericalError))
+        out = reconstruction.optimize_undetermined_phases(res, three,
+                                                          restarts=1)
+        assert out.optimizer_report["best_tvd"] == 1.0
+        monkeypatch.setattr(reconstruction, "distribution_from_kernel",
+                            failing(TypeError))
+        with pytest.raises(TypeError, match="evaluation failed"):
+            reconstruction.optimize_undetermined_phases(res, three,
+                                                        restarts=1)
 
     def test_without_pnr_diagonal_distribution_still_exact(self):
         # B_jj never enters collision-free pattern probabilities
