@@ -10,6 +10,7 @@ byte-identical.  Exit codes: 0 success, 1 runtime/numerical failure,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import re
@@ -28,7 +29,8 @@ from .hafnian import DetectionPattern
 from .metrics import likelihood_ratio, tvd
 from .probability import (ModelSpec, PatternDistribution, StateKernel,
                           all_patterns, distribution_from_kernel)
-from .reconstruction import reconstruct, records_from_csv, records_to_csv
+from .reconstruction import (check_threefolds, reconstruct, records_from_csv,
+                             records_to_csv)
 from .serialize import (canonical_json, config_hash, drift_from_config,
                         load_config, phi_grid_from_config, pid_from_config,
                         pulses_from_config, source_from_config,
@@ -132,10 +134,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     with open(args.records) as f:
-        text = f.read()
-    if text.startswith("#"):
-        text = text.split("\n", 1)[1]
-    records = records_from_csv(text)
+        records = records_from_csv(f.read())
     threefolds = None
     if args.threefolds:
         try:
@@ -145,12 +144,8 @@ def cmd_reconstruct(args) -> int:
                 obj["d"], obj["total"], obj["collision_free"],
                 obj["patterns"], np.asarray(obj["probabilities"], dtype=float),
                 model=obj.get("model", "measured"))
-            d = next((rec.d for rec in records.values()), threefolds.d)
-            if not np.array_equal(threefolds.patterns, all_patterns(
-                    d, threefolds.total, threefolds.collision_free)):
-                raise ConfigurationError(
-                    f"its patterns are not all the {d}-mode patterns of "
-                    f"{threefolds.total} photons")
+            if records:   # else reconstruct names the missing settings
+                check_threefolds(threefolds, next(iter(records.values())).d)
         except (ValueError, KeyError, TypeError, DgbsError) as exc:
             raise SchemaError(
                 f"bad threefolds file {args.threefolds}: {exc!r}") from exc
@@ -163,27 +158,38 @@ def cmd_reconstruct(args) -> int:
     return 0
 
 
+def _data_lines(f, number: list):
+    """The lines of ``f`` that are not ``#`` comments, one at a time; after
+    each one, ``number[0]`` holds its line number in the file."""
+    for number[0], line in enumerate(f, start=1):
+        if not line.startswith("#"):
+            yield line
+
+
 def _read_samples(path: str, d: int, min_photons: int):
     """The (S, d) counts of the samples with at least ``min_photons`` clicks
     and the set of their photon numbers; each distinct text is parsed once."""
-    import csv as _csv
-    with open(path) as f:
-        rows = list(_csv.reader(line for line in f if not line.startswith("#")))
-    if not rows or rows[0][:2] != ["pulse", "bitmask_hex"]:
-        raise SchemaError("samples CSV must have header pulse,bitmask_hex,phi")
+    number = [0]
     masks, by_text = [], {}
-    for line, row in enumerate(rows[1:], start=2):
-        if not row or row[1:2] == ["discard"]:
-            continue
-        text = "".join(row[1:2])
-        if text not in by_text:
-            if not re.fullmatch("[0-9a-fA-F]+", text) or int(text, 16) >> d:
-                raise SchemaError(f"samples line {line}: {row[1:2]} is not a "
-                                  f"bitmask over {d} modes")
-            mask = int(text, 16)
-            by_text[text] = mask if mask.bit_count() >= min_photons else None
-        if by_text[text] is not None:
-            masks.append(by_text[text])
+    with open(path) as f:
+        rows = csv.reader(_data_lines(f, number))
+        if next(rows, [])[:2] != ["pulse", "bitmask_hex"]:
+            raise SchemaError(
+                "samples CSV must have header pulse,bitmask_hex,phi")
+        for row in rows:
+            if not row or row[1:2] == ["discard"]:
+                continue
+            text = "".join(row[1:2])
+            if text not in by_text:
+                if not re.fullmatch("[0-9a-fA-F]+", text) or int(text, 16) >> d:
+                    raise SchemaError(
+                        f"samples line {number[0]}: {row[1:2]} is not a "
+                        f"bitmask over {d} modes")
+                mask = int(text, 16)
+                by_text[text] = mask if mask.bit_count() >= min_photons \
+                    else None
+            if by_text[text] is not None:
+                masks.append(by_text[text])
     # the bits of each distinct mask, one byte per count
     distinct, index = np.unique(np.array(masks, dtype=np.int64),
                                 return_inverse=True)

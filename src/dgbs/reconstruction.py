@@ -21,12 +21,11 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import ConfigurationError, DgbsError, SchemaError
 from .metrics import tvd
 from .probability import (ModelSpec, PatternDistribution, StateKernel,
-                          distribution_from_kernel)
+                          all_patterns, distribution_from_kernel)
 from .states import AMatrix, GammaVector
 
 SETTINGS = ("blocked", "input1", "input2")
@@ -130,12 +129,18 @@ def records_to_csv(records) -> str:
 def records_from_csv(text: str) -> dict:
     """Inverse of :func:`records_to_csv`.  Rows may come in any order; phi
     columns keep their order of first appearance.  Each setting must give
-    every (phi, modes) cell of its table once, all with one pulses value."""
-    rows = list(csv.reader(io.StringIO(text)))
+    every (phi, modes) cell of its table once, all with one pulses value.
+    Leading ``#`` comment lines (``dgbs simulate`` writes one) are skipped
+    and counted in the line numbers of errors."""
+    start = comments = 0
+    while text.startswith("#", start):
+        start = text.find("\n", start) + 1 or len(text)
+        comments += 1
+    rows = list(csv.reader(io.StringIO(text[start:])))
     if not rows or rows[0] != CSV_HEADER:
         raise SchemaError("records CSV must start with the standard header")
     by_setting: dict = {}
-    for line, row in enumerate(rows[1:], start=2):
+    for line, row in enumerate(rows[1:], start=comments + 2):
         if not row:
             continue
         if len(row) != 5:
@@ -512,6 +517,16 @@ class ReconstructionResult:
         return json.dumps(payload, sort_keys=True)
 
 
+def check_threefolds(threefolds: PatternDistribution, d: int):
+    """Raise ConfigurationError unless ``threefolds`` is indexed by all the
+    d-mode patterns of its photon total, the set the optimizer predicts."""
+    if not np.array_equal(threefolds.patterns, all_patterns(
+            d, threefolds.total, threefolds.collision_free)):
+        raise ConfigurationError(
+            f"the threefolds are not indexed by all the {d}-mode patterns "
+            f"of {threefolds.total} photons")
+
+
 def reconstruct(records: dict, threefolds: PatternDistribution = None,
                 seed: int = 0) -> ReconstructionResult:
     """Full pipeline over the available settings.
@@ -532,6 +547,8 @@ def reconstruct(records: dict, threefolds: PatternDistribution = None,
             raise ConfigurationError(f"{setting}: vacuum rate is 0{at}")
     blocked, input1 = records["blocked"], records["input1"]
     d = blocked.d
+    if threefolds is not None:
+        check_threefolds(threefolds, d)
     flags = []
 
     c_diag, c_diag_sigma = recover_c_diag(blocked)
@@ -614,6 +631,8 @@ def optimize_undetermined_phases(result: ReconstructionResult,
     entries = result.fallback_entries
     if not entries:
         return result
+    # imported here: only a run that completes phases pays for scipy
+    from scipy.optimize import minimize
     rng = np.random.default_rng(seed)
     d = result.d
     base_c = result.c.copy()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from numpy.linalg import cholesky
 
 from .errors import ConfigurationError, NumericalError, PhysicalityError
 
@@ -100,14 +100,11 @@ class GaussianState:
         cond = np.linalg.cond(sq)
         if cond > COND_LIMIT:
             raise NumericalError(f"Sigma_Q condition number {cond:.3e} exceeds {COND_LIMIT:.1e}")
-        factor = cho_factor((sq + sq.conj().T) / 2)
-        inv = cho_solve(factor, np.eye(2 * self.d, dtype=complex))
-        # made read-only in place: a contiguous copy would change the BLAS
-        # path of the products in gamma_vector and log_vacuum_probability,
-        # and with it their last bits
-        sq.setflags(write=False)
-        inv.setflags(write=False)
-        return sq, inv
+        low = cholesky((sq + sq.conj().T) / 2)
+        # Sigma_Q^-1 = L^-H (L^-1 I), the order in which LAPACK potrs solves
+        inv = np.linalg.solve(low.conj().T,
+                              np.linalg.solve(low, np.eye(2 * self.d)))
+        return _frozen(sq), _frozen(inv)
 
     @cached_property
     def sigma_q_logdet(self) -> float:

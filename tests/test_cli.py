@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -352,6 +356,35 @@ class TestBadInput:
         assert f"samples line 502: ['{mask}'] is not a bitmask over 3 modes" \
             in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("kind", ["samples", "records"])
+    def test_bad_line_number_counts_the_comment(self, kind, config_path,
+                                                tmp_path, capsys):
+        # line 1 of a file that `sample` or `simulate` writes is its
+        # `# dgbs ...` comment, line 2 the CSV header, line 3 the first row
+        path = tmp_path / "data.csv"
+        command = ["sample", "--pulses", "5"] if kind == "samples" \
+            else ["simulate"]
+        assert main([*command, "--config", config_path,
+                     "--out", str(path)]) == 0
+        lines = path.read_text().splitlines()
+        assert lines[0].startswith("# dgbs")
+        fields = lines[2].split(",")
+        if kind == "samples":
+            fields[1] = "zz"
+            argv = ["compare", "--config", config_path, "--model-b", "full",
+                    "--samples", str(path)]
+            message = "samples line 3: ['zz'] is not a bitmask over 3 modes"
+        else:
+            fields[0] = "input3"
+            argv = ["reconstruct", "--records", str(path)]
+            message = "line 3: unknown setting 'input3'"
+        lines[2] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        code = main(argv + ["--out", str(tmp_path / "out.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert message in err and "Traceback" not in err
+
     @pytest.mark.parametrize("setting", ["blocked", "input1"])
     def test_zero_vacuum_rate_exits_1(self, setting, config_path, tmp_path,
                                       capsys):
@@ -440,3 +473,24 @@ class TestPatternSets:
         assert built == []
         DetectionPattern((1, 0, 1))   # the count sees a pattern built here
         assert len(built) == 1
+
+
+class TestStartup:
+    def test_cli_runs_without_scipy(self, config_path, tmp_path):
+        # a fresh interpreter: the modules of this test process do not count
+        import dgbs
+        src = str(Path(dgbs.__file__).resolve().parents[1])
+        code = (
+            "import sys\n"
+            "import dgbs, dgbs.cli\n"
+            f"assert dgbs.cli.main(['probs', '--config', {config_path!r},"
+            f" '--out', {str(tmp_path / 'p.json')!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules"
+            " if m == 'scipy' or m.startswith('scipy.')))\n")
+        out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                             env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
+        assert json.loads((tmp_path / "p.json").read_text())["command"] \
+            == "probs"

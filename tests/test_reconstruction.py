@@ -13,7 +13,8 @@ from dgbs import reconstruction
 from dgbs.errors import ConfigurationError, NumericalError, SchemaError
 from dgbs.experiment import simulate_records
 from dgbs.metrics import tvd
-from dgbs.probability import StateKernel, distribution_from_kernel
+from dgbs.probability import (PatternDistribution, StateKernel, all_patterns,
+                              distribution_from_kernel)
 from dgbs.reconstruction import (MeasurementRecord, fit_fringe, gauge_fix,
                                  reconstruct, records_from_csv,
                                  records_to_csv)
@@ -198,6 +199,22 @@ class TestRecordsIO:
         with pytest.raises(SchemaError):
             records_from_csv("nope\n1,2,3\n")
 
+    def test_leading_comments_skipped_and_counted(self):
+        recs = simulate_records(SourceConfig(r=0.3, alpha_mag=0.6),
+                                lossy_transfer(3, 0.5, seed=1),
+                                phi_grid=PHI_GRID[:8],
+                                pulses_per_setting=math.inf)
+        text = records_to_csv(recs)
+        back = records_from_csv("# one\n# two\n" + text)
+        for name, rec in recs.items():
+            assert back[name].rates.tobytes() == rec.rates.tobytes()
+        # line 1-2 comments, line 3 the header, line 4 the first row
+        header, first, *rest = text.splitlines()
+        bad = "\n".join(["# one", "# two", header, "input3" + first[7:],
+                         *rest])
+        with pytest.raises(SchemaError, match="line 4: unknown setting"):
+            records_from_csv(bad)
+
     @settings(max_examples=25, deadline=None, derandomize=True,
               database=None)
     @given(d=st.integers(3, 12), seed=st.integers(0, 2 ** 32 - 1),
@@ -291,6 +308,22 @@ class TestRoundTrip:
         res = reconstruct(recs, threefolds=three, seed=0)
         assert res.fallback_entries  # Im C signs were undetermined
         assert res.optimizer_report["best_tvd"] < 1e-6
+
+    def test_threefolds_of_other_d_rejected_before_any_fit(self,
+                                                          monkeypatch):
+        cfg = SourceConfig(r=0.35, alpha_mag=0.7)
+        recs = simulate_records(cfg, lossy_transfer(4, 0.5, seed=3),
+                                phi_grid=PHI_GRID[:60],
+                                include_collisions=True)
+        pats = all_patterns(9, 3, collision_free=True)
+        three = PatternDistribution(9, 3, True, pats,
+                                    np.full(len(pats), 1 / len(pats)))
+        fits = []
+        monkeypatch.setattr(reconstruction, "fit_fringe",
+                            lambda *args: fits.append(args))
+        with pytest.raises(ConfigurationError, match="4-mode patterns"):
+            reconstruct(recs, threefolds=three)
+        assert fits == []
 
     def test_optimizer_scores_only_domain_errors(self, monkeypatch):
         # a DgbsError scores a phase as the worst fit; a programming error

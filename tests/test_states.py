@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies
 from numpy.testing import assert_allclose
 
 from conftest import haar_unitary, lossy_transfer
@@ -127,13 +129,13 @@ class TestKernel:
         import dgbs.states
         from dgbs.probability import StateKernel
         calls = []
-        real = dgbs.states.cho_factor
+        real = dgbs.states.cholesky
 
         def counting(*args, **kw):
             calls.append(1)
             return real(*args, **kw)
 
-        monkeypatch.setattr(dgbs.states, "cho_factor", counting)
+        monkeypatch.setattr(dgbs.states, "cholesky", counting)
         cfg = SourceConfig(r=0.4, alpha_mag=0.7, phi=0.9)
         st = propagate(build_input_state(cfg, 4), lossy_transfer(4, 0.6, seed=3))
         calls.clear()
@@ -141,6 +143,27 @@ class TestKernel:
         assert len(calls) == 1
         assert kern.log_p_vac == log_vacuum_probability(st)
         assert len(calls) == 1
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(d=strategies.integers(1, 8),
+           seed=strategies.integers(0, 2 ** 32 - 1))
+    def test_sigma_q_inverse_matches_scipy(self, d, seed):
+        # a lossy circuit fed with displaced single-mode squeezed states
+        from scipy.linalg import cho_factor, cho_solve
+        rng = np.random.default_rng(seed)
+        r, theta = rng.uniform(0, 1.5, d), rng.uniform(-math.pi, math.pi, d)
+        g = np.diag(np.cosh(2 * r)) / 2
+        m = np.diag(np.exp(1j * theta) * np.sinh(2 * r)) / 2
+        alpha = rng.normal(size=d) + 1j * rng.normal(size=d)
+        source = GaussianState(d, np.block([[g, m], [m.conj(), g]]),
+                              np.concatenate([alpha, alpha.conj()]))
+        state = propagate(source, lossy_transfer(d, rng.uniform(0.05, 1), seed))
+        sq, inv = state.sigma_q_solve
+        ref = cho_solve(cho_factor((sq + sq.conj().T) / 2),
+                        np.eye(2 * d, dtype=complex))
+        assert np.abs(inv - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.abs(sq @ inv - np.eye(2 * d)).max() <= 1e-12
 
     def test_state_round_trip(self):
         t = lossy_transfer(4, 0.6, seed=3)
