@@ -14,7 +14,7 @@ from .probability import (ModelSpec, PatternDistribution, StateKernel,
                           all_patterns, distribution_from_kernel,
                           enumerate_distribution, pattern_probability,
                           predict_single, predict_twofold)
-from .reconstruction import (FringeFit, MeasurementRecord,
+from .reconstruction import (FringeFits, MeasurementRecord,
                              ReconstructionResult, fit_fringe, gauge_fix,
                              reconstruct, records_from_csv, records_to_csv)
 from .states import (AMatrix, ClassicalStateParams, GammaVector,

@@ -16,6 +16,12 @@ from .reconstruction import MeasurementRecord
 from .states import (SourceConfig, TransferMatrix, build_input_state,
                      propagate)
 
+PHI_BINS = 64                   # locked phases are quantized per 2 pi
+LOCK_SETPOINT = math.pi / 4     # default lock point of the coherent phase
+SETTLE_FRACTION = 0.2           # lock-trace head left out of the residual
+KP_GRID = (0.3, 0.6, 0.9, 1.2)  # tuned gains, in units of 1 / error slope
+KI_GRID = (0.0, 0.5, 2.0, 6.0)
+
 
 # ---------------------------------------------------------------------------
 # pattern sampling
@@ -79,14 +85,14 @@ def _with_discard(probs):
 
 def sample_patterns_with_phase(config: SourceConfig, t: TransferMatrix,
                                model: ModelSpec, phi_per_pulse, n_max: int,
-                               seed: int, phi_bins: int = 64) -> ClickTable:
+                               seed: int) -> ClickTable:
     """Like :func:`sample_patterns` on the circuit ``t`` fed by ``config``,
     with the instantaneous (locked) phase of each pulse as the coherent
-    phase.  Phases are quantized to ``phi_bins`` bins per 2 pi, and the
+    phase.  Phases are quantized to ``PHI_BINS`` bins per 2 pi, and the
     occupied bins are evaluated as one phase family."""
     phi_per_pulse = np.asarray(phi_per_pulse, dtype=float)
     pulses = len(phi_per_pulse)
-    width = 2 * math.pi / phi_bins
+    width = 2 * math.pi / PHI_BINS
     bins = np.round(phi_per_pulse / width).astype(int)
     occupied = np.unique(bins)
     family = PhaseFamily.scan(config, t, occupied * width,
@@ -131,7 +137,7 @@ def simulate_records(config: SourceConfig, t: TransferMatrix,
     scanned settings); ``math.inf`` yields exact noiseless rates.  Each
     scanned setting is one :class:`PhaseFamily`.
     """
-    if phi_grid is None:
+    if phi_grid is None:   # five 2-pi windows
         phi_grid = np.linspace(0, 10 * math.pi, 100, endpoint=False)
     phi_grid = np.asarray(phi_grid, dtype=float)
     rng = np.random.default_rng(seed)
@@ -216,7 +222,7 @@ class PidConfig:
     kp: float = 0.0
     ki: float = 0.0
     kd: float = 0.0
-    setpoint: float = math.pi / 4
+    setpoint: float = LOCK_SETPOINT
     update_interval: float = 0.1
     actuator_limit: float = 4 * math.pi
 
@@ -232,7 +238,6 @@ class LockResult:
     setpoint: float
     residual_std: float
     diverged: bool
-    settle_fraction: float = 0.2
 
 
 def build_error_signal(twofold_rates, pairs):
@@ -274,7 +279,7 @@ def twofold_rates_from_state(kernel: StateKernel):
     return rates
 
 
-def auto_select_pairs(kernel: StateKernel, setpoint: float = math.pi / 4,
+def auto_select_pairs(kernel: StateKernel, setpoint: float = LOCK_SETPOINT,
                       n_pairs: int = 5):
     """Pick the highest-visibility twofold fringes of the phase-0 kernel
     (:func:`lock_kernel`); signs are chosen so all slopes at the lock point
@@ -301,9 +306,8 @@ def auto_select_pairs(kernel: StateKernel, setpoint: float = math.pi / 4,
 
 
 def pid_lock(drift: DriftModel, pid: PidConfig, error_signal,
-             duration: float, seed: int = 0,
-             initial_phi: float = None) -> LockResult:
-    """Closed-loop simulation at the PID update interval.
+             duration: float, seed: int = 0) -> LockResult:
+    """Closed-loop simulation from the setpoint at the PID update interval.
 
     The measured error is S(phi) - S(setpoint); the actuator adds a phase
     correction updated every ``pid.update_interval`` seconds.
@@ -313,14 +317,13 @@ def pid_lock(drift: DriftModel, pid: PidConfig, error_signal,
     drift_trace = drift.trace(duration, rng)
     n = len(drift_trace)
     target = error_signal(pid.setpoint)
-    phi0 = pid.setpoint if initial_phi is None else initial_phi
     v = 0.0
     integral = 0.0
     prev_e = None
     phi = np.zeros(n)
     diverged = False
     for i in range(n):
-        phi[i] = phi0 + drift_trace[i] + v
+        phi[i] = pid.setpoint + drift_trace[i] + v
         e = error_signal(phi[i]) - target
         integral += e * dt
         deriv = 0.0 if prev_e is None else (e - prev_e) / dt
@@ -329,7 +332,7 @@ def pid_lock(drift: DriftModel, pid: PidConfig, error_signal,
         if abs(v) > pid.actuator_limit:
             v = math.copysign(pid.actuator_limit, v)
             diverged = True
-    settle = int(n * 0.2)
+    settle = int(n * SETTLE_FRACTION)
     residual = float(np.std(phi[settle:] - pid.setpoint))
     if residual > math.pi:
         diverged = True
@@ -338,21 +341,17 @@ def pid_lock(drift: DriftModel, pid: PidConfig, error_signal,
 
 
 def tune_pid_gains(drift: DriftModel, error_signal, duration: float = 30.0,
-                   seed: int = 0, setpoint: float = math.pi / 4,
-                   kp_grid=None, ki_grid=None) -> PidConfig:
-    """Grid search (both loop signs) minimizing the locked residual std."""
+                   seed: int = 0) -> PidConfig:
+    """Grid search over ``KP_GRID`` x ``KI_GRID`` (both loop signs) at
+    ``LOCK_SETPOINT``, minimizing the locked residual std."""
     # normalize gains by the error-signal slope at the setpoint
-    eps = 1e-4
+    setpoint, eps = LOCK_SETPOINT, 1e-4
     slope = (error_signal(setpoint + eps) - error_signal(setpoint - eps)) / (2 * eps)
     if slope == 0:
         raise ConfigurationError("error signal has zero slope at the setpoint")
-    if kp_grid is None:
-        kp_grid = [0.3, 0.6, 0.9, 1.2]
-    if ki_grid is None:
-        ki_grid = [0.0, 0.5, 2.0, 6.0]
     best = None
-    for kp in kp_grid:
-        for ki in ki_grid:
+    for kp in KP_GRID:
+        for ki in KI_GRID:
             cfg = PidConfig(kp=kp / slope, ki=ki / slope, setpoint=setpoint)
             res = pid_lock(drift, cfg, error_signal, duration, seed=seed)
             score = math.inf if res.diverged else res.residual_std

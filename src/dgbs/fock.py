@@ -19,6 +19,8 @@ from .states import SourceConfig, TransferMatrix
 
 UNITARY_TOL = 1e-12
 DEFAULT_TRUNCATION_EPS = 1e-6
+TAIL_TOP = 120      # photons summed per source in the input tail mass
+MAX_CUTOFF = 18     # largest total-photon cutoff the oracle expands
 
 
 @dataclass
@@ -159,13 +161,13 @@ def dilate_lossy(t: TransferMatrix) -> np.ndarray:
     return w
 
 
-def input_tail_mass(config: SourceConfig, cutoff: int, top: int = 120) -> float:
+def input_tail_mass(config: SourceConfig, cutoff: int) -> float:
     """Probability that the (pre-loss) input carries more than ``cutoff``
     photons in total: TMSV pair statistics convolved with the Poisson
-    coherent intensity."""
+    coherent intensity, both summed up to ``TAIL_TOP`` photons."""
     x = math.tanh(config.r) ** 2
     a2 = config.alpha_mag ** 2
-    half = top // 2
+    top, half = TAIL_TOP, TAIL_TOP // 2
     pdc = (1 - x) * x ** np.arange(half + 1)
     coh = np.exp(-a2) * np.array([a2 ** n / math.factorial(n)
                                   for n in range(top + 1)])
@@ -176,9 +178,9 @@ def input_tail_mass(config: SourceConfig, cutoff: int, top: int = 120) -> float:
 
 
 def choose_cutoff(config: SourceConfig, t: TransferMatrix, pattern_total: int,
-                  tol: float = 1e-7, max_cutoff: int = 18) -> int:
-    """Smallest total-photon cutoff whose estimated probability error stays
-    under ``tol``.
+                  tol: float = 1e-7) -> int:
+    """Smallest total-photon cutoff, at most ``MAX_CUTOFF``, whose estimated
+    probability error stays under ``tol``.
 
     Two error channels: in a lossy circuit, above-cutoff input components
     can reach the pattern by shedding their extra photons, bounded by the
@@ -189,14 +191,14 @@ def choose_cutoff(config: SourceConfig, t: TransferMatrix, pattern_total: int,
     sv_min = float(np.linalg.svd(t.mode_map(), compute_uv=False).min())
     eta_min = config.eta_tot * sv_min ** 2
     quad = 2.0 * (pattern_total + 1) ** 2
-    for cutoff in range(pattern_total + 2, max_cutoff + 1):
+    for cutoff in range(pattern_total + 2, MAX_CUTOFF + 1):
         tail = input_tail_mass(config, cutoff)
         extra = cutoff + 1 - pattern_total
         est = tail * max(3.0 * (1.0 - eta_min) ** extra, quad * tail)
         if est < tol:
             return cutoff
     raise CutoffError(
-        f"no cutoff <= {max_cutoff} reaches tolerance {tol:.1e}; the input "
+        f"no cutoff <= {MAX_CUTOFF} reaches tolerance {tol:.1e}; the input "
         "is too bright for the Fock oracle")
 
 

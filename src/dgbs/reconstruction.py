@@ -19,6 +19,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +32,13 @@ from .states import AMatrix, GammaVector
 SETTINGS = ("blocked", "input1", "input2")
 TWO_PI = 2 * math.pi
 BEST_WINDOWS = 5    # a fringe averages at most this many 2-pi windows
+GAMMA_FLOOR = 1e-6  # B_jk undetermined if its fringe denominator <= this^2
+B_FLOOR = 1e-9      # a pair with |B_jk| <= this gives no mu phase
+EPS_FLOOR = 1e-6    # Im(conj(mu_j) mu_k) below this * |mu_j mu_k|: no Im sign
+PHASE_INIT_SIGMA = 0.3  # spread of the optimizer's starts around direct phases
+# pair flags whose entries the threefold optimizer completes
+FALLBACK_FLAGS = ("b_undetermined", "invalid_argument", "epsilon_degenerate",
+                  "im_inconsistent", "im_sign_unknown")
 
 
 # ---------------------------------------------------------------------------
@@ -100,9 +108,6 @@ class MeasurementRecord:
     def norm_singles(self) -> np.ndarray:
         """p_j (or p'_j / p''_j): singles / vacuum rate, averaged over phi."""
         return (self.singles / self.p_vac).mean(axis=1)
-
-    def norm_twofold(self, j: int, k: int) -> np.ndarray:
-        return self.twofolds[(min(j, k), max(j, k))] / self.p_vac
 
 
 def records_to_csv(records) -> str:
@@ -205,44 +210,64 @@ def _table_record(setting: str, rows: list) -> MeasurementRecord:
 # ---------------------------------------------------------------------------
 # fringe fitting
 
-@dataclass
-class FringeFit:
-    """a + b cos(2 phi + c) with b >= 0 and c in [-pi, pi)."""
+def _at_least(x, floor):
+    """Python's max(x, floor) elementwise: x unless floor > x (np.maximum
+    turns -0.0 into 0.0, and the sign of a zero reaches the output)."""
+    return np.where(floor > x, floor, x)
 
-    offset: float
-    amplitude: float
-    phase: float
-    residual: float
-    covariance: np.ndarray  # covariance of the linear basis (1, cos, sin)
+
+def _libm(func, *args) -> np.ndarray:
+    """``func`` of math applied elementwise; numpy's vector cos, sin and
+    arctan2 can differ from libm in the last bit (they do with AVX-512),
+    libm keeps results host-independent."""
+    return np.vectorize(func, otypes=[float])(*args)
+
+
+class FringeFits(NamedTuple):
+    """Fits a + b cos(2 phi + c), b >= 0 and c in [-pi, pi), one per row:
+    (P,) ``offset``, ``amplitude``, ``phase`` and ``residual``, and the
+    (P, 3, 3) ``covariance`` of the linear basis (1, cos, sin).  The sigma
+    properties take any leading shape, a single row's scalars too."""
+
+    offset: np.ndarray
+    amplitude: np.ndarray
+    phase: np.ndarray
+    residual: np.ndarray
+    covariance: np.ndarray
 
     @property
-    def sigma_offset(self) -> float:
-        return math.sqrt(max(self.covariance[0, 0], 0.0))
+    def sigma_offset(self) -> np.ndarray:
+        return np.sqrt(_at_least(self.covariance[..., 0, 0], 0.0))
 
     @property
-    def sigma_amplitude(self) -> float:
+    def sigma_amplitude(self) -> np.ndarray:
         # delta method in the (cos, sin) coefficients
-        if self.amplitude == 0:
-            return math.sqrt(max(self.covariance[1, 1], 0.0))
-        g = np.array([math.cos(self.phase), -math.sin(self.phase)])
-        return math.sqrt(max(g @ self.covariance[1:, 1:] @ g, 0.0))
+        cos, sin = _libm(math.cos, self.phase), _libm(math.sin, self.phase)
+        return np.where(self.amplitude == 0,
+                        np.sqrt(_at_least(self.covariance[..., 1, 1], 0.0)),
+                        self._spread(cos, -sin))
 
     @property
-    def sigma_phase(self) -> float:
-        if self.amplitude == 0:
-            return math.pi
-        g = np.array([math.sin(self.phase), math.cos(self.phase)]) / self.amplitude
-        return math.sqrt(max(g @ self.covariance[1:, 1:] @ g, 0.0))
+    def sigma_phase(self) -> np.ndarray:
+        zero = self.amplitude == 0
+        amp = np.where(zero, 1.0, self.amplitude)
+        sin, cos = _libm(math.sin, self.phase), _libm(math.cos, self.phase)
+        return np.where(zero, math.pi, self._spread(sin / amp, cos / amp))
+
+    def _spread(self, g_cos, g_sin) -> np.ndarray:
+        """sqrt(g C g) per row, C the (cos, sin) block of the covariance."""
+        g = np.stack([g_cos, g_sin], axis=-1)
+        quad = g[..., None, :] @ self.covariance[..., 1:, 1:] @ g[..., :, None]
+        return np.sqrt(_at_least(quad[..., 0, 0], 0.0))
 
 
-def fit_fringe(phi_grid, values, uncertainties) -> list:
+def fit_fringe(phi_grid, values, uncertainties) -> FringeFits:
     """Fit each row of the (P, F) ``values`` (sigmas ``uncertainties``) to
-    a + b cos(2 phi + c); one :class:`FringeFit` per row.  Each 2-pi window
-    of the scan (from its smallest phi) with >= 6 points is one stacked
-    weighted least-squares fit of all rows on {1, cos 2phi, sin 2phi}; each
-    row averages the offsets, phasors b e^{ic}, residuals and covariances
-    (over count^2) of its ``BEST_WINDOWS`` lowest-residual windows, ties in
-    window order."""
+    a + b cos(2 phi + c).  Each 2-pi window of the scan (from its smallest
+    phi) with >= 6 points is one stacked weighted least-squares fit of all
+    rows on {1, cos 2phi, sin 2phi}; each row averages the offsets, phasors
+    b e^{ic}, residuals and covariances (over count^2) of its
+    ``BEST_WINDOWS`` lowest-residual windows, ties in window order."""
     phi = np.asarray(phi_grid, dtype=float)
     y = np.asarray(values, dtype=float)
     sig = np.asarray(uncertainties, dtype=float)
@@ -283,9 +308,7 @@ def fit_fringe(phi_grid, values, uncertainties) -> list:
         resid = yw - (x @ beta)[:, :, 0]
         residual = np.sqrt(np.average(resid ** 2, weights=wt, axis=1))
         b = np.hypot(beta[:, 1, 0], beta[:, 2, 0])
-        # libm's atan2: numpy's vector arctan2 can differ from it in the
-        # last bit (it does with AVX-512); libm keeps phases host-independent
-        c = np.array([math.atan2(-s, k) for k, s in beta[:, 1:, 0].tolist()])
+        c = _libm(math.atan2, -beta[:, 2, 0], beta[:, 1, 0])
         c[b == 0] = 0.0
         c[c >= math.pi] -= TWO_PI
         fits.append((np.column_stack([beta[:, 0, 0], b, c, residual]), cov))
@@ -302,167 +325,35 @@ def fit_fringe(phi_grid, values, uncertainties) -> list:
     phase = np.where(amplitude > 0, np.angle(phasor), 0.0)
     residual = params[:, :, 3].mean(axis=1)
     cov = covs.sum(axis=1) / best.shape[1] ** 2
-    return [FringeFit(*map(float, row), covariance=m) for row, m in
-            zip(np.column_stack([offset, amplitude, phase, residual]), cov)]
+    return FringeFits(offset, amplitude, phase, residual, cov)
 
 
 # ---------------------------------------------------------------------------
-# closed-form inversion steps
-
-def recover_c_diag(blocked: MeasurementRecord):
-    """C_jj = p_j from the blocked setting, with Poisson uncertainties."""
-    sigma = blocked.rate_sigma(blocked.singles) / blocked.p_vac
-    return blocked.norm_singles(), sigma[:, 0]
-
-
-def recover_gamma(input1: MeasurementRecord, c_diag: np.ndarray):
-    """gamma_j = sqrt(p'_j - C_jj), clamped at zero (and flagged) when shot
-    noise pushes the radicand negative."""
-    rad = input1.norm_singles() - c_diag
-    flags = [j for j, v in enumerate(rad) if v < 0]
-    gamma = np.sqrt(np.maximum(rad, 0.0))
-    return gamma, flags
-
-
-def recover_b(fringes: dict, gamma: np.ndarray, excess: dict,
-              gamma_floor: float = 1e-6):
-    """|B_jk| = b / (2 gamma_j gamma_k) and arg B_jk = c, from the input-1
-    twofold fringes.  Diagonal keys (j, j) use the PNR rate convention
-    pr(2_j)/p_vac, whose fringe amplitude is gamma_j^2 |B_jj|.
-
-    ``excess[(j, k)]``, the blocked p_jk - p_j p_k >= |B_jk|^2, caps the
-    noise amplification when a gamma is small; capped entries are reported
-    as clamped.
-    """
-    d = len(gamma)
-    b = np.zeros((d, d), dtype=complex)
-    diag_known = np.zeros(d, dtype=bool)
-    flagged = []
-    clamped = []
-    for (j, k), fit in fringes.items():
-        denom = (2 - (j == k)) * gamma[j] * gamma[k]
-        if denom <= gamma_floor ** 2:
-            flagged.append((j, k))
-            continue
-        mag = fit.amplitude / denom
-        cap = math.sqrt(max(excess[(j, k)], 0.0)) if j != k else math.inf
-        if mag > cap:
-            mag = cap
-            clamped.append((j, k))
-        b[j, k] = b[k, j] = mag * np.exp(1j * fit.phase)
-        if j == k:
-            diag_known[j] = True
-    return b, diag_known, flagged, clamped
-
-
-def recover_c_offdiag(excess: dict, b: np.ndarray, c_diag: np.ndarray,
-                      gamma: np.ndarray, fringes: dict):
-    """|C_jk|^2 = p_jk - p_j p_k - |B_jk|^2, with ``excess[(j, k)]`` the
-    blocked p_jk - p_j p_k; Re C from the fringe offset; |Im C| from the
-    remainder.  Returns (re_c, abs_im_c, abs_sq_c, flags)."""
-    d = len(c_diag)
-    re_c = np.zeros((d, d))
-    abs_im = np.zeros((d, d))
-    abs_sq = np.zeros((d, d))
-    flags = []
-    for (j, k), fit in fringes.items():
-        if j == k:
-            continue
-        c_sq = excess[(j, k)] - abs(b[j, k]) ** 2
-        if c_sq < 0:
-            flags.append(("abs_clamped", j, k))
-            c_sq = 0.0
-        gj2 = c_diag[j] + gamma[j] ** 2
-        gk2 = c_diag[k] + gamma[k] ** 2
-        denom = 2 * gamma[j] * gamma[k]
-        if denom == 0:
-            flags.append(("gamma_zero", j, k))
-            continue
-        re = (fit.offset - gj2 * gk2 - abs(b[j, k]) ** 2 - c_sq) / denom
-        # |Re C| cannot exceed |C|; keeps small-gamma noise amplification
-        # from leaking unbounded values into the kernel
-        bound = math.sqrt(c_sq)
-        if abs(re) > bound:
-            flags.append(("invalid_argument", j, k))
-            re = math.copysign(bound, re)
-        im_sq = c_sq - re ** 2
-        im = math.sqrt(max(im_sq, 0.0))
-        for a_, b_ in ((j, k), (k, j)):
-            re_c[a_, b_] = re
-            abs_im[a_, b_] = im
-            abs_sq[a_, b_] = c_sq
-    return re_c, abs_im, abs_sq, flags
-
+# closed-form inversion helpers
 
 def _wrap(x):
     return (np.asarray(x) + math.pi) % TWO_PI - math.pi
 
 
-def recover_mu(input2: MeasurementRecord, c_diag: np.ndarray, b: np.ndarray,
-               fringes2: dict, b_floor: float = 1e-9):
-    """Complex second-input response mu: |mu_j| from singles, phases solved
-    jointly from the fringe phases given arg B, with arg(mu_0) = 0 and a
-    common scan-origin offset eliminated."""
-    d = len(c_diag)
-    mag = np.sqrt(np.maximum(input2.norm_singles() - c_diag, 0.0))
-    # fringe phase: c''_jk = arg B_jk - m_j - m_k (+ tau) in this convention
-    y = {}
-    for (j, k), fit in fringes2.items():
-        if j == k or abs(b[j, k]) <= b_floor:
-            continue
-        y[(j, k)] = _wrap(np.angle(b[j, k]) - fit.phase)  # = m_j + m_k - tau
-    # y_jk = m_j + m_k - tau; the system is invariant under a uniform shift
-    # of all m_j (a global mu phase), so pinning m_0 = 0 is harmless.
-    phases = np.zeros(d)
-    ref = 0
-    taus = []
-    for (j, k), val in y.items():
-        if j != ref and k != ref and (ref, j) in y and (ref, k) in y:
-            taus.append(_wrap(y[(ref, j)] + y[(ref, k)] - val))
-    if taus:
-        tau = float(-np.angle(np.mean(np.exp(1j * np.array(taus)))))
-    else:
-        tau = 0.0
-    undetermined = []
-    for k in range(d):
-        if k == ref:
-            continue
-        if (ref, k) in y:
-            phases[k] = float(_wrap(y[(ref, k)] + tau))
-        else:
-            undetermined.append(k)
-    mu = mag * np.exp(1j * phases)
-    return mu, tau, undetermined
+def _pair_fits(rec: MeasurementRecord, diagonal: bool) -> tuple:
+    """(j, k, rate rows, fits) of the twofold fringes of a scanned setting:
+    the pairs in label-text order ("0:10" before "0:2"), diagonal pairs
+    only if ``diagonal``, and one :func:`fit_fringe` of their rows."""
+    pairs = sorted((p for p in rec.pairs if diagonal or p[0] != p[1]),
+                   key=lambda p: "%d:%d" % p)
+    rows = [rec.d + 1 + rec.pairs.index(p) for p in pairs]
+    j, k = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    rates = rec.rates[rows]
+    return j, k, rows, fit_fringe(rec.phi, rates / rec.p_vac,
+                                  rec.rate_sigma(rates) / rec.p_vac)
 
 
-def resolve_im_sign(mu: np.ndarray, re_c: np.ndarray, abs_im_c: np.ndarray,
-                    r_terms: dict, eps_floor: float = 1e-6):
-    """Signed Im C_jk from the second-input fringe offsets.
-
-    ``r_terms[(j, k)]`` must hold Re[conj(mu_j) mu_k C_jk].  The inversion
-    denominator is Im(conj(mu_j) mu_k); pairs with nearly phase-parallel mu
-    components are flagged for the fallback optimizer.
-    """
-    d = re_c.shape[0]
-    im_c = np.zeros((d, d))
-    flags = []
-    for (j, k), r in r_terms.items():
-        if j == k:
-            continue
-        cross = np.conj(mu[j]) * mu[k]
-        denom = cross.imag
-        scale = max(abs(cross), 1e-30)
-        if abs(denom) < eps_floor * scale:
-            flags.append(("epsilon_degenerate", j, k))
-            continue
-        im_est = (cross.real * re_c[j, k] - r) / denom
-        if abs_im_c[j, k] > 0 and abs(abs(im_est) - abs_im_c[j, k]) > \
-                0.5 * abs_im_c[j, k] + 1e-8:
-            flags.append(("im_inconsistent", j, k))
-        signed = math.copysign(abs_im_c[j, k], im_est) if im_est != 0 else 0.0
-        im_c[j, k] = signed
-        im_c[k, j] = -signed
-    return im_c, flags
+def _pair_flags(j, k, masks: dict) -> list:
+    """(kind, j, k) flags in pair order, the kinds of one pair in the order
+    of ``masks`` (kind -> (P,) bool)."""
+    hits = np.column_stack(list(masks.values())).tolist()
+    return [(kind, a, b) for a, b, hit in zip(j.tolist(), k.tolist(), hits)
+            for kind, flagged in zip(masks, hit) if flagged]
 
 
 # ---------------------------------------------------------------------------
@@ -483,9 +374,8 @@ class ReconstructionResult:
 
     def to_a_matrix(self) -> AMatrix:
         """Kernel with undetermined B diagonals left at zero (flagged)."""
-        b = self.b.copy()
-        c = (self.c + self.c.conj().T) / 2
-        return AMatrix(self.d, (b + b.T) / 2, c)
+        return AMatrix(self.d, (self.b + self.b.T) / 2,
+                       (self.c + self.c.conj().T) / 2)
 
     def to_kernel(self) -> StateKernel:
         """Probability kernel up to the (unknown) p_vac prefactor; valid for
@@ -549,69 +439,123 @@ def reconstruct(records: dict, threefolds: PatternDistribution = None,
     d = blocked.d
     if threefolds is not None:
         check_threefolds(threefolds, d)
-    flags = []
 
-    c_diag, c_diag_sigma = recover_c_diag(blocked)
-    gamma, gflags = recover_gamma(input1, c_diag)
-    flags += [("gamma_clamped", j) for j in gflags]
+    # C_jj = p_j from the blocked setting, with Poisson uncertainties;
+    # gamma_j = sqrt(p'_j - C_jj), clamped at zero (and flagged) when shot
+    # noise pushes the radicand negative
+    c_diag = blocked.norm_singles()
+    c_diag_sigma = (blocked.rate_sigma(blocked.singles) / blocked.p_vac)[:, 0]
+    rad = input1.norm_singles() - c_diag
+    gamma = np.sqrt(np.maximum(rad, 0.0))
+    flags = [("gamma_clamped", j) for j in np.flatnonzero(rad < 0).tolist()]
 
-    # one fit per scanned setting, keyed (j, k) in label-text order ("0:10"
-    # before "0:2"); recover_mu and the r terms read only input2's j != k
-    fringes = {}
-    for setting in ("input1", "input2"):
-        if setting in records:
-            rec = records[setting]
-            keys = sorted((p for p in rec.pairs
-                           if setting == "input1" or p[0] != p[1]),
-                          key=lambda p: "%d:%d" % p)
-            rates = rec.rates[[rec.d + 1 + rec.pairs.index(p) for p in keys]]
-            fringes[setting] = dict(zip(keys, fit_fringe(
-                rec.phi, rates / rec.p_vac, rec.rate_sigma(rates) / rec.p_vac)))
-    fringes1 = fringes["input1"]
+    # |B_jk| = b / (2 gamma_j gamma_k) and arg B_jk = c from the input-1
+    # fringes (a diagonal pair's PNR rate pr(2_j)/p_vac has amplitude
+    # gamma_j^2 |B_jj|); the blocked excess p_jk - p_j p_k >= |B_jk|^2 caps
+    # the noise amplification of a small gamma (flagged as clamped)
+    j1, k1, rows, fit1 = _pair_fits(input1, diagonal=True)
+    off = j1 != k1
+    excess = (blocked.rates[rows] / blocked.p_vac).mean(axis=1) \
+        - c_diag[j1] * c_diag[k1]
+    denom = np.where(off, 2, 1) * gamma[j1] * gamma[k1]
+    undetermined = denom <= GAMMA_FLOOR ** 2
+    mag = fit1.amplitude / np.where(undetermined, 1.0, denom)
+    cap = np.where(off, np.sqrt(_at_least(excess, 0.0)), math.inf)
+    clamped = ~undetermined & (mag > cap)
+    kj, kk = j1[~undetermined], k1[~undetermined]
+    b = np.zeros((d, d), dtype=complex)
+    b[kj, kk] = b[kk, kj] = (np.where(clamped, cap, mag)
+                             * np.exp(1j * fit1.phase))[~undetermined]
+    diag_known = np.isin(np.arange(d), kj[kj == kk])
+    flags += _pair_flags(j1, k1, {"b_undetermined": undetermined})
+    flags += _pair_flags(j1, k1, {"b_clamped": clamped})
 
-    # p_jk - p_j p_k of the blocked setting bounds |B_jk|^2 and gives |C_jk|^2
-    excess = {(j, k): float(np.mean(blocked.norm_twofold(j, k)))
-              - c_diag[j] * c_diag[k] for j, k in blocked.pairs if j != k}
-    b, diag_known, bflags, bclamped = recover_b(fringes1, gamma, excess)
-    flags += [("b_undetermined", j, k) for j, k in bflags]
-    flags += [("b_clamped", j, k) for j, k in bclamped]
-
-    re_c, abs_im, abs_sq, cflags = recover_c_offdiag(
-        excess, b, c_diag, gamma, fringes1)
-    flags += cflags
+    # |C_jk|^2 = excess - |B_jk|^2; Re C from the fringe offset; |Im C|
+    # from the remainder.  float_power is libm pow, as a scalar ** 2 is
+    # (an array ** 2 multiplies, which rounds apart).
+    j, k, offset, excess = (x[off] for x in (j1, k1, fit1.offset, excess))
+    b_sq = np.float_power(np.hypot(b.real, b.imag), 2)
+    c_sq = excess - b_sq[j, k]
+    abs_clamped = c_sq < 0
+    c_sq[abs_clamped] = 0.0
+    g2 = c_diag + np.float_power(gamma, 2)
+    denom = 2 * gamma[j] * gamma[k]
+    gamma_zero = denom == 0
+    re = (offset - g2[j] * g2[k] - b_sq[j, k] - c_sq) \
+        / np.where(gamma_zero, 1.0, denom)
+    # |Re C| cannot exceed |C|; keeps small-gamma noise amplification
+    # from leaking unbounded values into the kernel
+    bound = np.sqrt(c_sq)
+    invalid = ~gamma_zero & (np.abs(re) > bound)
+    re = np.where(invalid, np.copysign(bound, re), re)
+    im = np.sqrt(_at_least(c_sq - np.float_power(re, 2), 0.0))
+    re_c, abs_im, abs_sq = np.zeros((3, d, d))
+    kj, kk = j[~gamma_zero], k[~gamma_zero]
+    for m, values in ((re_c, re), (abs_im, im), (abs_sq, c_sq)):
+        m[kj, kk] = m[kk, kj] = values[~gamma_zero]
+    flags += _pair_flags(j, k, {"abs_clamped": abs_clamped,
+                                "gamma_zero": gamma_zero,
+                                "invalid_argument": invalid})
 
     mu = None
+    im_c = np.zeros((d, d))
     if "input2" in records:
-        input2, fringes2 = records["input2"], fringes["input2"]
-        mu, _tau, mu_undet = recover_mu(input2, c_diag, b, fringes2)
-        flags += [("mu_phase_undetermined", k) for k in mu_undet]
+        input2 = records["input2"]
+        j2, k2, _, fit2 = _pair_fits(input2, diagonal=False)
+        # second-input response mu: |mu_j| from the singles; phases m_j from
+        # y_jk = arg B_jk - c''_jk = m_j + m_k - tau where B is known, with
+        # m_0 = 0 (a global mu phase) and the scan-origin offset tau
+        # averaged over the triangles (0, j, k)
+        mu_mag = np.sqrt(np.maximum(input2.norm_singles() - c_diag, 0.0))
+        has_b = np.hypot(b.real, b.imag)[j2, k2] > B_FLOOR
+        y = _wrap(np.angle(b[j2, k2]) - fit2.phase)
+        from0 = has_b & (j2 == 0)
+        y0, has0 = np.zeros(d), np.zeros(d, dtype=bool)
+        y0[k2[from0]], has0[k2[from0]] = y[from0], True
+        closes = has_b & (j2 != 0) & has0[j2] & has0[k2]
+        taus = _wrap(y0[j2] + y0[k2] - y)[closes]
+        tau = float(-np.angle(np.exp(1j * taus).mean())) if taus.size else 0.0
+        mu = mu_mag * np.exp(1j * np.where(has0, _wrap(y0 + tau), 0.0))
+        flags += [("mu_phase_undetermined", m)
+                  for m in (np.flatnonzero(~has0[1:]) + 1).tolist()]
+
+        # signed Im C_jk from the fringe offsets r_jk = Re[conj(mu_j) mu_k
+        # C_jk] over Im(conj(mu_j) mu_k), degenerate (fallback optimizer)
+        # for nearly phase-parallel mu; conj(mu_j) mu_k term by term, as a
+        # complex scalar product rounds (numpy's vector one fuses)
         p2 = input2.norm_singles()
-        r_terms = {(j, k): (fit.offset - p2[j] * p2[k] - abs(b[j, k]) ** 2
-                            - abs_sq[j, k]) / 2
-                   for (j, k), fit in fringes2.items()}
-        im_c, sign_flags = resolve_im_sign(mu, re_c, abs_im, r_terms)
+        r = (fit2.offset - p2[j2] * p2[k2] - b_sq[j2, k2] - abs_sq[j2, k2]) / 2
+        u, v = np.conj(mu[j2]), mu[k2]
+        cross_re = u.real * v.real - u.imag * v.imag
+        cross_im = u.real * v.imag + u.imag * v.real
+        degenerate = np.abs(cross_im) < \
+            EPS_FLOOR * _at_least(np.hypot(cross_re, cross_im), 1e-30)
+        im_est = (cross_re * re_c[j2, k2] - r) \
+            / np.where(degenerate, 1.0, cross_im)
+        known_im = abs_im[j2, k2]
+        inconsistent = ~degenerate & (known_im > 0) & (
+            np.abs(np.abs(im_est) - known_im) > 0.5 * known_im + 1e-8)
+        signed = np.where(im_est != 0, np.copysign(known_im, im_est), 0.0)
+        im_c[j2[~degenerate], k2[~degenerate]] = signed[~degenerate]
+        im_c[k2[~degenerate], j2[~degenerate]] = -signed[~degenerate]
+        flags += _pair_flags(j2, k2, {"epsilon_degenerate": degenerate,
+                                      "im_inconsistent": inconsistent})
     else:
-        im_c = np.zeros((d, d))
-        sign_flags = [("im_sign_unknown", j, k) for j in range(d)
-                      for k in range(j + 1, d) if abs_im[j, k] > 0]
-    flags += sign_flags
+        flags += [("im_sign_unknown", j, k) for j in range(d)
+                  for k in range(j + 1, d) if abs_im[j, k] > 0]
 
     c = np.diag(c_diag).astype(complex) + re_c * (1 - np.eye(d)) + 1j * im_c
     c = (c + c.conj().T) / 2
 
-    fallback = sorted({(f[1], f[2]) for f in flags
-                       if len(f) == 3 and f[0] in
-                       ("b_undetermined", "invalid_argument",
-                        "epsilon_degenerate", "im_inconsistent",
-                        "im_sign_unknown")})
+    fallback = sorted({(f[1], f[2]) for f in flags if f[0] in FALLBACK_FLAGS})
+    labels = ["%d:%d" % p for p in zip(j1.tolist(), k1.tolist())]
     result = ReconstructionResult(
         d=d, b=b, c=c, gamma=gamma, mu=mu, diag_known=diag_known,
         uncertainties={
             "c_diag": c_diag_sigma,
-            "fringe_offset": {f"{j}:{k}": fringes1[(j, k)].sigma_offset
-                              for (j, k) in fringes1},
-            "fringe_amplitude": {f"{j}:{k}": fringes1[(j, k)].sigma_amplitude
-                                 for (j, k) in fringes1},
+            "fringe_offset": dict(zip(labels, fit1.sigma_offset.tolist())),
+            "fringe_amplitude": dict(zip(labels,
+                                         fit1.sigma_amplitude.tolist())),
         },
         flags=flags, fallback_entries=fallback)
 
@@ -622,8 +566,8 @@ def reconstruct(records: dict, threefolds: PatternDistribution = None,
 
 def optimize_undetermined_phases(result: ReconstructionResult,
                                  threefolds: PatternDistribution,
-                                 restarts: int = 10, seed: int = 0,
-                                 init_sigma: float = 0.3) -> ReconstructionResult:
+                                 restarts: int = 10,
+                                 seed: int = 0) -> ReconstructionResult:
     """Monte-Carlo phase completion: minimize the TVD between the measured
     threefold distribution and the kernel's prediction over the phases of
     the flagged entries; 10 restarts, Gaussian initials around the direct
@@ -634,7 +578,6 @@ def optimize_undetermined_phases(result: ReconstructionResult,
     # imported here: only a run that completes phases pays for scipy
     from scipy.optimize import minimize
     rng = np.random.default_rng(seed)
-    d = result.d
     base_c = result.c.copy()
     mags_c = np.abs(result.c)
 
@@ -662,7 +605,8 @@ def optimize_undetermined_phases(result: ReconstructionResult,
     for run in range(restarts):
         init = np.where(np.isnan(direct),
                         rng.uniform(-math.pi, math.pi, size=len(entries)),
-                        direct + rng.normal(0, init_sigma, size=len(entries)))
+                        direct + rng.normal(0, PHASE_INIT_SIGMA,
+                                            size=len(entries)))
         res = minimize(objective, init, method="Nelder-Mead",
                        options={"maxiter": 400 * max(1, len(entries)),
                                 "xatol": 1e-6, "fatol": 1e-12})
@@ -678,12 +622,9 @@ def optimize_undetermined_phases(result: ReconstructionResult,
         "converged": bool(best.success),
         "restarts": restarts,
     }
-    out = ReconstructionResult(
-        d=d, b=result.b, c=kernel.a.c, gamma=result.gamma, mu=result.mu,
-        diag_known=result.diag_known, uncertainties=result.uncertainties,
-        flags=result.flags + [("optimized", j, k) for j, k in entries],
-        fallback_entries=entries, optimizer_report=report)
-    return out
+    return replace(result, c=kernel.a.c, optimizer_report=report,
+                   flags=result.flags + [("optimized", j, k)
+                                         for j, k in entries])
 
 
 # ---------------------------------------------------------------------------

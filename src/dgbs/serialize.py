@@ -98,10 +98,11 @@ def transfer_from_config(config: dict) -> TransferMatrix:
     return TransferMatrix(m, d, t, None if ports is None else tuple(ports))
 
 
-def phi_grid_from_config(config: dict) -> np.ndarray:
+def phi_grid_from_config(config: dict):
+    """The config's phi grid, or None (the simulation default) if unset."""
     grid = config.get("phi_grid")
     if grid is None:
-        return np.linspace(0, 10 * math.pi, 100, endpoint=False)
+        return None
     if isinstance(grid, list):
         return np.asarray(grid, dtype=float)
     try:

@@ -209,21 +209,18 @@ class SourceConfig:
 
     @classmethod
     def from_detected_means(cls, n_pdc: float, n_alpha: float,
-                            eta_tot: float = None, per_mode: bool = True,
-                            **kw) -> "SourceConfig":
+                            eta_tot: float = None, **kw) -> "SourceConfig":
         """Build a config from detected mean photon numbers.
 
-        ``r = arcsinh(sqrt(n_pdc / eta_tot))`` with ``n_pdc`` interpreted
-        per squeezer mode by default (set ``per_mode=False`` to treat it as
-        the total over both modes).
+        ``r = arcsinh(sqrt(n_pdc / eta_tot))`` with ``n_pdc`` the mean per
+        squeezer mode.
         """
         if eta_tot is None:
             probe = cls(**kw)
             eta_tot = probe.eta_tot
         if eta_tot <= 0:
             raise ConfigurationError("eta_tot must be positive")
-        n = n_pdc if per_mode else n_pdc / 2
-        r = float(np.arcsinh(np.sqrt(n / eta_tot)))
+        r = float(np.arcsinh(np.sqrt(n_pdc / eta_tot)))
         return cls(r=r, alpha_mag=float(np.sqrt(n_alpha)), **kw)
 
 

@@ -72,7 +72,7 @@ class TestSimulatedRecords:
         inp1 = recs["input1"]
         for i, phv in enumerate(inp1.phi):
             _, want = predict_twofold(kern, 0, 2, phv)
-            got = inp1.norm_twofold(0, 2)[i]
+            got = (inp1.twofolds[(0, 2)] / inp1.p_vac)[i]
             assert got == pytest.approx(want, rel=1e-9)
 
     def test_noise_shrinks_with_pulses(self):

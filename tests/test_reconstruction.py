@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from dgbs.experiment import simulate_records
 from dgbs.metrics import tvd
 from dgbs.probability import (PatternDistribution, StateKernel, all_patterns,
                               distribution_from_kernel)
-from dgbs.reconstruction import (MeasurementRecord, fit_fringe, gauge_fix,
-                                 reconstruct, records_from_csv,
+from dgbs.reconstruction import (FringeFits, MeasurementRecord, fit_fringe,
+                                 gauge_fix, reconstruct, records_from_csv,
                                  records_to_csv)
 from dgbs.states import SourceConfig, build_input_state, propagate
 
@@ -83,6 +84,11 @@ def reference_fringe_fit(phi, y, sig):
     return out
 
 
+def fit_rows(fits):
+    """The rows of ``fits``, each a FringeFits of one row's scalars."""
+    return [FringeFits(*(x[i] for x in fits)) for i in range(len(fits.offset))]
+
+
 def fringe_grid(n_windows, short_tail, rng):
     """phi from 0 to exactly n_windows * 2 pi; each window's points span
     more than 0.98 of it, except a last window of 2-5 points if
@@ -126,10 +132,10 @@ class TestFringeFit:
                 row[:] = 0.0
             elif kind == "zero_window":
                 row[(phi >= w * 2 * math.pi) & (phi <= (w + 1) * 2 * math.pi)] = 0
-        fits = fit_fringe(phi, y, sig)
+        fits = fit_rows(fit_fringe(phi, y, sig))
         assert len(fits) == p
         # a row fits to the same bits alone as in the batch
-        alone = fit_fringe(phi, y[-1:], sig[-1:])[0]
+        alone = fit_rows(fit_fringe(phi, y[-1:], sig[-1:]))[0]
         assert (alone.offset, alone.amplitude, alone.phase, alone.residual) \
             == (fits[-1].offset, fits[-1].amplitude, fits[-1].phase,
                 fits[-1].residual)
@@ -146,7 +152,7 @@ class TestFringeFit:
     def test_exact_recovery(self):
         phi = np.linspace(0, 2 * math.pi, 24, endpoint=False)
         y = 1.3 + 0.4 * np.cos(2 * phi + 0.9)
-        fit, = fit_fringe(phi, y[None], np.zeros((1, phi.size)))
+        fit, = fit_rows(fit_fringe(phi, y[None], np.zeros((1, phi.size))))
         assert fit.offset == pytest.approx(1.3, abs=1e-12)
         assert fit.amplitude == pytest.approx(0.4, abs=1e-12)
         assert fit.phase == pytest.approx(0.9, abs=1e-12)
@@ -157,7 +163,7 @@ class TestFringeFit:
         phi = np.linspace(0, 2 * math.pi, 48, endpoint=False)
         sig = np.full_like(phi, 0.01)
         y = 1.0 + 0.3 * np.cos(2 * phi - 1.2) + rng.normal(0, 0.01, phi.size)
-        fit, = fit_fringe(phi, y[None], sig[None])
+        fit, = fit_rows(fit_fringe(phi, y[None], sig[None]))
         assert fit.offset == pytest.approx(1.0, abs=0.01)
         assert fit.phase == pytest.approx(-1.2, abs=0.05)
         assert fit.sigma_phase < 0.05
@@ -175,7 +181,8 @@ class TestFringeFit:
         y = 0.8 + 0.2 * np.cos(2 * phi + 0.4) + rng.normal(0, 0.005, phi.size)
         bad = (phi > 4 * math.pi) & (phi < 6 * math.pi)
         y[bad] += rng.normal(0, 2, bad.sum())
-        fit, = fit_fringe(phi, y[None], np.full((1, phi.size), 0.005))
+        fit, = fit_rows(fit_fringe(phi, y[None],
+                                   np.full((1, phi.size), 0.005)))
         assert fit.amplitude == pytest.approx(0.2, abs=0.01)
         assert fit.phase == pytest.approx(0.4, abs=0.05)
 
@@ -379,6 +386,93 @@ class TestRoundTrip:
         obj = json.loads(res.to_json())
         assert obj["d"] == 4
         assert len(obj["b"]) == 4
+
+
+FLAG_STAGES = (("gamma_clamped",), ("b_undetermined",), ("b_clamped",),
+               ("abs_clamped", "gamma_zero", "invalid_argument"),
+               ("mu_phase_undetermined",),
+               ("epsilon_degenerate", "im_inconsistent", "im_sign_unknown"),
+               ("optimized",))
+
+
+def flag_order(flag):
+    """(stage, place in the stage, kind's place within one pair) of a flag.
+    Fitted pairs come in label-text order ("4:10" before "4:5"); modes, the
+    im_sign_unknown upper triangle and the optimized entries in mode order."""
+    kind, *modes = flag
+    stage = next(s for s, kinds in enumerate(FLAG_STAGES) if kind in kinds)
+    if len(modes) == 1 or kind in ("im_sign_unknown", "optimized"):
+        place = tuple(modes)
+    else:
+        place = "%d:%d" % tuple(modes)
+    return stage, place, FLAG_STAGES[stage].index(kind)
+
+
+def zeroed(row):
+    return 0 * row
+
+
+def raised(row):
+    return row + row.mean()
+
+
+# expected flag; the setting edited and the modes of its edited rate row
+# (None: the setting is dropped); the edit; whether threefolds are passed
+FLAG_CASES = [
+    (("gamma_clamped", 4), "input1", (4,), zeroed, False),
+    (("b_undetermined", 4, 10), "input1", (4,), zeroed, False),
+    (("b_clamped", 1, 2), "blocked", (1, 2), zeroed, False),
+    (("abs_clamped", 1, 2), "blocked", (1, 2), zeroed, False),
+    (("gamma_zero", 4, 10), "input1", (4,), zeroed, False),
+    (("invalid_argument", 1, 2), "input1", (1, 2), raised, False),
+    (("mu_phase_undetermined", 4), "input1", (4,), zeroed, False),
+    (("epsilon_degenerate", 5, 10), "input2", (5,), zeroed, False),
+    (("im_inconsistent", 1, 2), "input2", (1, 2), raised, False),
+    (("im_sign_unknown", 1, 2), "input2", None, None, False),
+    (("optimized", 1, 2), "input2", (1, 2), raised, True),
+]
+
+
+class TestFlags:
+    D = 11   # two-digit modes: label-text and mode order differ
+
+    @pytest.fixture(scope="class")
+    def noiseless(self):
+        cfg = SourceConfig(r=0.4, alpha_mag=0.8)
+        t = lossy_transfer(self.D, 0.5, seed=7)
+        recs = simulate_records(
+            cfg, t, second_input_port=3,
+            phi_grid=np.linspace(0, 2 * math.pi, 12, endpoint=False),
+            include_collisions=True)
+        assert reconstruct(recs).flags == []
+        truth = StateKernel.from_state(propagate(build_input_state(cfg,
+                                                                   self.D), t))
+        return recs, distribution_from_kernel(truth, 3)
+
+    def test_cases_cover_every_kind(self):
+        kinds = {kind for kinds in FLAG_STAGES for kind in kinds}
+        assert {case[0][0] for case in FLAG_CASES} == kinds
+        assert len(kinds) == 11
+
+    @pytest.mark.parametrize("expected, setting, modes, edit, with_threefolds",
+                             FLAG_CASES, ids=[c[0][0] for c in FLAG_CASES])
+    def test_flag_kind(self, noiseless, expected, setting, modes, edit,
+                       with_threefolds):
+        recs, threefolds = noiseless
+        recs = dict(recs)
+        if modes is None:
+            del recs[setting]
+        else:
+            rec = recs[setting]
+            row = 1 + modes[0] if len(modes) == 1 else \
+                rec.d + 1 + rec.pairs.index(modes)
+            rates = rec.rates.copy()
+            rates[row] = edit(rates[row])
+            recs[setting] = replace(rec, rates=rates)
+        res = reconstruct(recs,
+                          threefolds=threefolds if with_threefolds else None)
+        assert expected in res.flags
+        assert res.flags == sorted(res.flags, key=flag_order)
 
 
 class TestGauge:
