@@ -15,6 +15,7 @@ import json
 import math
 import re
 import sys
+from operator import itemgetter
 
 import numpy as np
 
@@ -31,10 +32,10 @@ from .probability import (ModelSpec, PatternDistribution, StateKernel,
                           all_patterns, distribution_from_kernel)
 from .reconstruction import (check_threefolds, reconstruct, records_from_csv,
                              records_to_csv)
-from .serialize import (canonical_json, config_hash, drift_from_config,
-                        load_config, phi_grid_from_config, pid_from_config,
-                        pulses_from_config, source_from_config,
-                        transfer_from_config)
+from .serialize import (_codes, canonical_json, config_hash,
+                        drift_from_config, load_config, phi_grid_from_config,
+                        pid_from_config, pulses_from_config,
+                        source_from_config, transfer_from_config)
 from .states import build_classical_input, build_input_state, propagate
 
 
@@ -169,32 +170,43 @@ def _data_lines(f, number: list):
 def _read_samples(path: str, d: int, min_photons: int):
     """The (S, d) counts of the samples with at least ``min_photons`` clicks
     and the set of their photon numbers; each distinct text is parsed once."""
-    number = [0]
-    masks, by_text = [], {}
     with open(path) as f:
-        rows = csv.reader(_data_lines(f, number))
+        rows = csv.reader(line for line in f if not line.startswith("#"))
         if next(rows, [])[:2] != ["pulse", "bitmask_hex"]:
             raise SchemaError(
                 "samples CSV must have header pulse,bitmask_hex,phi")
-        for row in rows:
-            if not row or row[1:2] == ["discard"]:
-                continue
-            text = "".join(row[1:2])
-            if text not in by_text:
-                if not re.fullmatch("[0-9a-fA-F]+", text) or int(text, 16) >> d:
-                    raise SchemaError(
-                        f"samples line {number[0]}: {row[1:2]} is not a "
-                        f"bitmask over {d} modes")
-                mask = int(text, 16)
-                by_text[text] = mask if mask.bit_count() >= min_photons \
-                    else None
-            if by_text[text] is not None:
-                masks.append(by_text[text])
+        try:
+            texts, which = _codes(map(itemgetter(1), filter(None, rows)))
+        except IndexError:   # a row with no mask field
+            raise _bad_sample(path, d) from None
+    masks = np.full(len(texts), -1, dtype=np.int64)   # -1: discard
+    for i, text in enumerate(texts):
+        if text != "discard":
+            if not _is_mask(text, d):
+                raise _bad_sample(path, d)
+            masks[i] = int(text, 16)
     # the bits of each distinct mask, one byte per count
-    distinct, index = np.unique(np.array(masks, dtype=np.int64),
-                                return_inverse=True)
-    counts = (distinct[:, None] >> np.arange(d) & 1).astype(np.int8)[index]
-    return counts, set(counts.sum(axis=1).tolist())
+    bits = (masks[:, None] >> np.arange(d) & 1).astype(np.int8)
+    keep = (masks >= 0) & (bits.sum(axis=1) >= min_photons)
+    kept = which[keep[which]]   # the codes of the kept samples, in order
+    return bits[kept], set(bits[keep].sum(axis=1).tolist())
+
+
+def _is_mask(text: str, d: int) -> bool:
+    return bool(re.fullmatch("[0-9a-fA-F]+", text)) and not int(text, 16) >> d
+
+
+def _bad_sample(path: str, d: int) -> SchemaError:
+    """The error of the first samples row whose mask is not a bitmask over
+    ``d`` modes, found by reading the file again row by row."""
+    number = [0]
+    with open(path) as f:
+        rows = csv.reader(_data_lines(f, number))
+        next(rows)
+        row = next(row for row in rows if row and row[1:2] != ["discard"]
+                   and not _is_mask("".join(row[1:2]), d))
+    return SchemaError(f"samples line {number[0]}: {row[1:2]} is not a "
+                       f"bitmask over {d} modes")
 
 
 def cmd_compare(args) -> int:

@@ -13,6 +13,7 @@ from .errors import ConfigurationError
 from .probability import (ModelSpec, PhaseFamily, StateKernel,
                           TwofoldFringe, all_patterns, as_kernel)
 from .reconstruction import MeasurementRecord
+from .serialize import _csv_rows, _unique_ints
 from .states import (SourceConfig, TransferMatrix, build_input_state,
                      propagate)
 
@@ -43,17 +44,16 @@ class ClickTable:
         return (masks[:, None] >> np.arange(self.d)) & 1
 
     def to_csv(self) -> str:
-        """pulse, bitmask_hex, phi; rows joined in blocks to bound memory."""
-        masks, which = np.unique(self.bitmasks, return_inverse=True)
+        """pulse, bitmask_hex, phi; each distinct mask and phi formatted
+        once (phi by its bits, so that -0.0 and 0.0 stay apart)."""
+        masks, which = _unique_ints(self.bitmasks)
         hexes = [format(m, "x") if m >= 0 else "discard"
                  for m in masks.tolist()]
-        blocks = ["pulse,bitmask_hex,phi\n"]
-        for lo in range(0, len(self), 4096):
-            rows = zip(range(lo, lo + 4096), which[lo:lo + 4096].tolist(),
-                       self.phi[lo:lo + 4096].tolist())
-            blocks.append("".join(f"{i},{hexes[h]},{p:.17g}\n"
-                                  for i, h, p in rows))
-        return "".join(blocks)
+        bits, where = _unique_ints(self.phi.view(np.int64))
+        phis = [f"{p:.17g}" for p in bits.view(float).tolist()]
+        return "pulse,bitmask_hex,phi\n" + _csv_rows(len(self), [
+            np.arange(len(self)), ",", (hexes, which), ",", (phis, where),
+            "\n"])
 
 
 def sample_patterns(state_or_kernel, model: ModelSpec, pulses: int,

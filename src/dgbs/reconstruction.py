@@ -18,7 +18,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -27,6 +27,7 @@ from .errors import ConfigurationError, DgbsError, SchemaError
 from .metrics import tvd
 from .probability import (ModelSpec, PatternDistribution, StateKernel,
                           all_patterns, distribution_from_kernel)
+from .serialize import _codes, _csv_rows, _unique_ints
 from .states import AMatrix, GammaVector
 
 SETTINGS = ("blocked", "input1", "input2")
@@ -55,8 +56,8 @@ class MeasurementRecord:
     (one column for `blocked`, which has no grid): row 0 is the vacuum rate,
     rows 1..d the singles, then one twofold row per pair in ``pairs`` order
     (sorted, j <= k; a diagonal pair (j, j) is the photon-number-resolved
-    rate pr(2_j) and is optional).  ``p_vac``, ``singles`` and ``twofolds``
-    are read-only views of the table."""
+    rate pr(2_j) and is optional).  ``p_vac`` and ``singles`` are
+    read-only views of the table."""
 
     setting: str
     d: int
@@ -95,11 +96,6 @@ class MeasurementRecord:
     def singles(self) -> np.ndarray:
         return self.rates[1:self.d + 1]
 
-    @cached_property
-    def twofolds(self) -> dict:
-        """(j, k) -> the twofold row of that pair."""
-        return dict(zip(self.pairs, self.rates[self.d + 1:]))
-
     def rate_sigma(self, rate: np.ndarray) -> np.ndarray:
         """Poisson counting sigma of a rate, sqrt(counts)/pulses (0 if noiseless)."""
         scale = 1.0 / math.sqrt(self.pulses) if np.isfinite(self.pulses) else 0.0
@@ -112,7 +108,8 @@ class MeasurementRecord:
 
 def records_to_csv(records) -> str:
     """Serialize records (dict setting -> MeasurementRecord) to the CSV
-    format setting, phi, modes, counts, pulses: one row per table cell."""
+    format setting, phi, modes, counts, pulses: one row per table cell,
+    phi column by phi column.  No field needs csv quoting."""
     blocks = [",".join(CSV_HEADER) + "\n"]
     for rec in (records[s] for s in SETTINGS if s in records):
         phis = [""] if rec.phi is None else \
@@ -123,11 +120,14 @@ def records_to_csv(records) -> str:
             pulses, counts = str(rec.pulses), rec.rates * rec.pulses
         else:
             pulses, counts = "inf", rec.rates
-        # one block per phi column; no field needs csv quoting
-        for phi, column in zip(phis, counts.T.tolist()):
-            head = f"{rec.setting},{phi},"
-            blocks.append("".join(f"{head}{label},{c:.17g},{pulses}\n"
-                                  for label, c in zip(labels, column)))
+        # each distinct count (by its bits, so -0.0 stays) formatted once
+        bits, which = _unique_ints(counts.T.ravel().view(np.int64))
+        texts = [f"{c:.17g}" for c in bits.view(float).tolist()]
+        n_phi, n_obs = len(phis), len(labels)
+        blocks.append(_csv_rows(n_phi * n_obs, [
+            f"{rec.setting},", (phis, np.repeat(np.arange(n_phi), n_obs)),
+            ",", (labels, np.tile(np.arange(n_obs), n_phi)), ",",
+            (texts, which), f",{pulses}\n"]))
     return "".join(blocks)
 
 
@@ -144,42 +144,71 @@ def records_from_csv(text: str) -> dict:
     rows = list(csv.reader(io.StringIO(text[start:])))
     if not rows or rows[0] != CSV_HEADER:
         raise SchemaError("records CSV must start with the standard header")
-    by_setting: dict = {}
-    for line, row in enumerate(rows[1:], start=comments + 2):
-        if not row:
-            continue
-        if len(row) != 5:
-            raise SchemaError(f"line {line}: expected 5 columns")
-        if row[0] not in SETTINGS:
-            raise SchemaError(f"line {line}: unknown setting {row[0]!r}")
-        by_setting.setdefault(row[0], []).append(row)
-    return {setting: _table_record(setting, setting_rows)
-            for setting, setting_rows in by_setting.items()}
+    body = list(filter(None, rows[1:]))
+    settings, which = _codes(map(itemgetter(0), body))
+    if set(map(len, body)) - {5} or not set(settings) <= set(SETTINGS):
+        raise _bad_row(rows[1:], comments + 2)
+    try:
+        counts = np.fromiter(map(float, map(itemgetter(3), body)), float,
+                             len(body))
+    except ValueError:   # each setting parses its own, and names the first
+        counts = list(map(itemgetter(3), body))
+    phis, labels, pulses = (_codes(map(itemgetter(k), body))
+                            for k in (1, 2, 4))
+    return {setting: _table_record(setting, np.flatnonzero(which == code),
+                                   phis, labels, counts, pulses)
+            for code, setting in enumerate(settings)}
 
 
-def _table_record(setting: str, rows: list) -> MeasurementRecord:
-    """One setting's record from its CSV rows (each distinct text parsed once)."""
-    _, phi_texts, labels, counts, pulses = zip(*rows)
+def _bad_row(rows: list, first_line: int) -> SchemaError:
+    """The error of the first row that has not 5 columns or names an
+    unknown setting; ``first_line`` is the line number of ``rows[0]``."""
+    for line, row in enumerate(rows, start=first_line):
+        if row and len(row) != 5:
+            return SchemaError(f"line {line}: expected 5 columns")
+        if row and row[0] not in SETTINGS:
+            return SchemaError(f"line {line}: unknown setting {row[0]!r}")
+
+
+def _first_seen(codes: np.ndarray) -> np.ndarray:
+    """The distinct values of ``codes`` in order of first appearance."""
+    distinct, first = np.unique(codes, return_index=True)
+    return distinct[np.argsort(first)]
+
+
+def _table_record(setting: str, rows: np.ndarray, phi_column: tuple,
+                  mode_column: tuple, counts, pulse_column: tuple
+                  ) -> MeasurementRecord:
+    """One setting's record from its ``rows`` of the CSV.  The phi, modes
+    and pulses columns are (distinct texts, code per CSV row) pairs; counts
+    are floats (texts, if one of them is no number).  Each distinct text
+    is parsed once."""
     scanned = setting != "blocked"
+    (phi_texts, phi_codes), (labels, label_codes), (pulse_texts, pulse_codes) \
+        = [(texts, codes[rows])
+           for texts, codes in (phi_column, mode_column, pulse_column)]
     phis, column_of, modes = {}, {}, {}
     try:
-        pulses = {float(p) for p in set(pulses)}
-        counts = np.array(list(map(float, counts)))
-        for text in dict.fromkeys(phi_texts):
+        pulse_set = {float(pulse_texts[c]) for c in np.unique(pulse_codes)}
+        counts = counts[rows] if isinstance(counts, np.ndarray) else \
+            np.array([float(counts[i]) for i in rows.tolist()])
+        for c in _first_seen(phi_codes).tolist():
+            text = phi_texts[c]
             phi = float(text) if scanned else None
             if not (math.isfinite(phi) if scanned else text == ""):
                 raise ValueError(f"bad phi {text!r}")
-            column_of[text] = phis.setdefault(phi, len(phis))
-        for label in dict.fromkeys(labels):
+            column_of[c] = phis.setdefault(phi, len(phis))
+        for c in _first_seen(label_codes).tolist():
+            label = labels[c]
             parts = [] if label == "vac" else label.split(":")
             if len(parts) > 2 or not all(p.isdecimal() for p in parts):
                 raise ValueError(f"bad modes label {label!r}")
-            modes[label] = tuple(sorted(map(int, parts)))
+            modes[c] = tuple(sorted(map(int, parts)))
     except ValueError as exc:
         raise SchemaError(f"{setting}: {exc}") from None
-    if len(pulses) != 1 or not min(pulses) > 0:
+    if len(pulse_set) != 1 or not min(pulse_set) > 0:
         raise SchemaError(f"{setting}: rows must share one positive pulses "
-                          f"value, got {sorted(pulses)}")
+                          f"value, got {sorted(pulse_set)}")
     d = 1 + max((m[0] for m in modes.values() if len(m) == 1), default=-1)
     pairs = sorted({m for m in modes.values() if len(m) == 2})
     if (1 + d + len(pairs)) * len(phis) > 2 * len(rows):  # no huge tables
@@ -187,8 +216,12 @@ def _table_record(setting: str, rows: list) -> MeasurementRecord:
                           f"table of {d} modes x {len(phis)} phi values empty")
     row_modes = [(), *((j,) for j in range(d)), *pairs]
     row_of = {m: r for r, m in enumerate(row_modes)}
-    flat = np.array([row_of[modes[label]] for label in labels]) * len(phis) \
-        + np.array([column_of[text] for text in phi_texts])
+    # the table row of each label code and the column of each phi code
+    row_at = np.zeros(len(labels), int)
+    column_at = np.zeros(len(phi_texts), int)
+    row_at[list(modes)] = [row_of[m] for m in modes.values()]
+    column_at[list(column_of)] = list(column_of.values())
+    flat = row_at[label_codes] * len(phis) + column_at[phi_codes]
     seen = np.bincount(flat, minlength=len(row_modes) * len(phis))
     if (seen != 1).any():
         cell = int(np.argmax(seen != 1))
@@ -198,7 +231,7 @@ def _table_record(setting: str, rows: list) -> MeasurementRecord:
                           f"appears {seen[cell]} times")
     table = np.empty((len(row_modes), len(phis)))
     table.flat[flat] = counts
-    pulse = pulses.pop()
+    pulse = pulse_set.pop()
     try:
         return MeasurementRecord(
             setting, d, pulse, table / (pulse if math.isfinite(pulse) else 1.0),

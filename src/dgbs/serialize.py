@@ -1,4 +1,5 @@
-"""JSON interchange: complex matrices, run configs, and content hashes.
+"""JSON interchange: complex matrices, run configs, and content hashes;
+and the column-at-a-time helpers of the samples and records CSV text.
 
 Complex matrices are stored as {"shape": [r, c], "data": [[re, im], ...]}
 in row-major order.  Configs are dicts with a mandatory integer "version";
@@ -11,11 +12,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import defaultdict
+from itertools import count
 
 import numpy as np
 
 from .errors import SchemaError
-from .experiment import DriftModel, PidConfig
 from .states import SourceConfig, TransferMatrix
 
 CONFIG_VERSION = 1
@@ -119,7 +121,8 @@ def pulses_from_config(config: dict) -> float:
     return float(pulses)
 
 
-def drift_from_config(config: dict) -> DriftModel:
+def drift_from_config(config: dict):
+    from .experiment import DriftModel  # experiment imports this module
     obj = config.get("drift", {})
     try:
         return DriftModel(**obj)
@@ -127,7 +130,8 @@ def drift_from_config(config: dict) -> DriftModel:
         raise SchemaError(f"bad drift config: {exc}") from exc
 
 
-def pid_from_config(config: dict) -> PidConfig:
+def pid_from_config(config: dict):
+    from .experiment import PidConfig
     obj = config.get("pid")
     if obj is None:
         return None
@@ -135,3 +139,68 @@ def pid_from_config(config: dict) -> PidConfig:
         return PidConfig(**obj)
     except TypeError as exc:
         raise SchemaError(f"bad pid config: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
+# CSV text a column at a time: the samples and records writers and readers
+
+CSV_BLOCK_ROWS = 4096   # rows rendered per block, which bounds the memory
+
+
+def _csv_rows(n: int, pieces) -> str:
+    """The text of ``n`` CSV rows, each the concatenation of ``pieces``.
+
+    A piece is a str (the same text in every row), a ``(texts, codes)``
+    pair (row i holds ``texts[codes[i]]``; texts are ASCII without NUL) or
+    an (n,) array of nonnegative integers, written in decimal.  Each texts
+    list becomes a NUL-padded byte table; a block of rows is the tables'
+    gathered rows side by side, with the padding dropped."""
+    if not n:
+        return ""
+    columns = []
+    for piece in pieces:
+        if isinstance(piece, str):
+            piece = [piece], np.broadcast_to(np.intp(0), (n,))
+        if isinstance(piece, tuple):
+            texts, codes = piece
+            table = np.array(texts, dtype=bytes)
+            piece = table.view(np.uint8).reshape(len(texts), -1), codes
+        columns.append(piece)
+    blocks = []
+    for lo in range(0, n, CSV_BLOCK_ROWS):
+        hi = min(lo + CSV_BLOCK_ROWS, n)
+        rows = np.hstack([_digits(col[lo:hi]) if isinstance(col, np.ndarray)
+                          else col[0].take(col[1][lo:hi], axis=0)
+                          for col in columns])
+        blocks.append(rows[rows != 0].tobytes().decode())
+    return "".join(blocks)
+
+
+def _digits(values: np.ndarray) -> np.ndarray:
+    """(n, width) ASCII digits of nonnegative integers, NUL-padded left."""
+    top = int(values.max())
+    values = values.astype(np.min_scalar_type(top))  # unsigned: fast division
+    power = 10 ** np.arange(len(str(top)) - 1, -1, -1, dtype=values.dtype)
+    digits = (values // power[:, None] % 10 + ord("0")).astype(np.uint8)
+    digits[(values < power[:, None]) & (power[:, None] > 1)] = 0
+    return digits.T
+
+
+def _codes(texts) -> tuple:
+    """The distinct strings of ``texts`` in order of first appearance, and
+    the index of each text among them, as an int array."""
+    index = defaultdict(count().__next__)
+    codes = np.fromiter(map(index.__getitem__, texts), np.intp)
+    return list(index), codes
+
+
+def _unique_ints(values: np.ndarray) -> tuple:
+    """``np.unique(values, return_inverse=True)`` of a 1-d int array, by
+    counting instead of sorting when the values span fewer integers than
+    there are values (a sample's bitmasks, a constant phi)."""
+    if len(values) and int(values.max()) - int(values.min()) < len(values):
+        low = values.min()
+        present = np.bincount(values - low) > 0
+        return np.flatnonzero(present) + low, \
+            np.cumsum(present)[values - low] - 1
+    return np.unique(values, return_inverse=True)

@@ -305,7 +305,7 @@ def row_by_row_csv(records):
             rows = [("vac", rec.p_vac[i])]
             rows += [(str(j), rec.singles[j, i]) for j in range(rec.d)]
             rows += [(f"{j}:{k}", v[i])
-                     for (j, k), v in sorted(rec.twofolds.items())]
+                     for (j, k), v in zip(rec.pairs, rec.rates[rec.d + 1:])]
             for label, rate in rows:
                 writer.writerow([setting, "" if phi is None else f"{phi:.17g}",
                                  label, f"{rate * scale if finite else rate:.17g}",

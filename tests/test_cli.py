@@ -442,6 +442,89 @@ class TestBadInput:
         assert err.startswith("dgbs:") and "Traceback" not in err
 
 
+# Rows of a valid records file; line 1-2 of the file are comments, line 3
+# the header, so row i is on line 4 + i.
+RECORDS = ["blocked,,vac,900,1000", "blocked,,0,40,1000",
+           "blocked,,1,40,1000", "blocked,,0:1,20,1000",
+           "input1,0,vac,400,500", "input1,0,0,30,500", "input1,0,1,30,500",
+           "input1,0,0:1,10,500", "input1,1.5,vac,400,500",
+           "input1,1.5,0,30,500", "input1,1.5,1,30,500",
+           "input1,1.5,0:1,10,500"]
+# Rows of a valid samples file over 3 modes, with the same line numbers.
+SAMPLES = ["0,1,0", "1,discard,0", "2,3,0", "3,1,0"]
+RECORDS_HEADER = "setting,phi,modes,counts,pulses"
+SAMPLES_HEADER = "pulse,bitmask_hex,phi"
+
+
+class TestReaderErrors:
+    """Every error of the records and samples readers: exit 2 and exactly
+    one message line, whose line numbers count the leading comments."""
+
+    @pytest.mark.parametrize("edits, message", [
+        ({"header": "setting,phi,modes,counts"},
+         "records CSV must start with the standard header"),
+        ({2: "blocked,,1,40"}, "line 6: expected 5 columns"),
+        ({5: "input1,0,0,30,500,1"}, "line 9: expected 5 columns"),
+        ({1: "input3,,0,40,1000"}, "line 5: unknown setting 'input3'"),
+        ({5: "input1,abc,0,30,500"},
+         "input1: could not convert string to float: 'abc'"),
+        ({5: "input1,nan,0,30,500"}, "input1: bad phi 'nan'"),
+        ({0: "blocked,0,vac,900,1000"}, "blocked: bad phi '0'"),
+        ({3: "blocked,,0:1:1,20,1000"}, "blocked: bad modes label '0:1:1'"),
+        ({6: "input1,0,x,30,500"}, "input1: bad modes label 'x'"),
+        ({4: "input1,0,vac,400,many"},
+         "input1: could not convert string to float: 'many'"),
+        ({4: "input1,0,vac,400,600"}, "input1: rows must share one positive "
+         "pulses value, got [500.0, 600.0]"),
+        ({i: RECORDS[i][:-4] + "0" for i in range(4)},
+         "blocked: rows must share one positive pulses value, got [0.0]"),
+        ({9: "input1,1.5,0,lots,500"},
+         "input1: could not convert string to float: 'lots'"),
+        ({6: "input1,0,0,30,500"},
+         "input1: '0' row at phi 0.0 appears 2 times"),
+        ({11: None}, "input1: '0:1' row at phi 1.5 appears 0 times"),
+        ({3: "blocked,,7,20,1000"}, "blocked: 4 rows leave most of the "
+         "table of 8 modes x 1 phi values empty"),
+        ({0: "blocked,,vac,2000,1000"}, "blocked: rates outside [0,1]"),
+    ])
+    def test_records(self, edits, message, tmp_path, capsys):
+        path = tmp_path / "records.csv"
+        path.write_text(self.text(RECORDS_HEADER, RECORDS, edits))
+        code = main(["reconstruct", "--records", str(path),
+                     "--out", str(tmp_path / "out.json")])
+        assert (code, capsys.readouterr().err) == (2, f"dgbs: {message}\n")
+
+    @pytest.mark.parametrize("edits, message", [
+        ({"header": "pulse,mask,phi"},
+         "samples CSV must have header pulse,bitmask_hex,phi"),
+        ({2: "2,zz,0"},
+         "samples line 6: ['zz'] is not a bitmask over 3 modes"),
+        ({2: "2,0x1,0"},
+         "samples line 6: ['0x1'] is not a bitmask over 3 modes"),
+        ({3: "3,8,0"}, "samples line 7: ['8'] is not a bitmask over 3 modes"),
+        ({1: "1"}, "samples line 5: [] is not a bitmask over 3 modes"),
+        ({2: "2,,0"}, "samples line 6: [''] is not a bitmask over 3 modes"),
+        ({2: "# a comment between rows\n2,3,0", 3: "3,g,0"},
+         "samples line 8: ['g'] is not a bitmask over 3 modes"),
+    ])
+    def test_samples(self, edits, message, config_path, tmp_path, capsys):
+        path = tmp_path / "samples.csv"
+        path.write_text(self.text(SAMPLES_HEADER, SAMPLES, edits))
+        code = main(["compare", "--config", config_path, "--model-b", "full",
+                     "--samples", str(path),
+                     "--out", str(tmp_path / "out.json")])
+        assert (code, capsys.readouterr().err) == (2, f"dgbs: {message}\n")
+
+    @staticmethod
+    def text(header: str, rows: list, edits: dict) -> str:
+        """The file of ``rows`` after ``edits`` (row index or "header" ->
+        new text, None to drop the row), after two comment lines."""
+        lines = [edits.get("header", header),
+                 *(edits.get(i, row) for i, row in enumerate(rows))]
+        return "".join(f"{line}\n" for line in
+                       ["# one", "# two", *lines] if line is not None)
+
+
 class TestPatternSets:
     def test_pattern_sets_build_no_detection_pattern(self, config_path,
                                                      tmp_path, monkeypatch):

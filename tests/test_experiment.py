@@ -1,7 +1,11 @@
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import haar_unitary, lossy_transfer
@@ -53,12 +57,64 @@ class TestSampling:
         assert lines[0] == "pulse,bitmask_hex,phi"
         assert len(lines) == 11
 
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(pulses=st.integers(0, 300) | st.sampled_from(
+               [4095, 4096, 4097, 8193, 10001]),
+           d=st.integers(1, 62), seed=st.integers(0, 2 ** 32 - 1),
+           phis=st.sampled_from(["zero", "constant", "signed_zeros", "any"]))
+    @example(pulses=0, d=3, seed=0, phis="zero")       # empty table
+    @example(pulses=1, d=3, seed=0, phis="signed_zeros")
+    @example(pulses=11, d=4, seed=1, phis="signed_zeros")   # pulse 9 -> 10
+    @example(pulses=10001, d=6, seed=2, phis="any")   # 9999 -> 10000
+    @example(pulses=4097, d=62, seed=3, phis="any")   # one row past a block
+    @example(pulses=8192, d=2, seed=4, phis="zero")   # two whole blocks
+    def test_click_table_csv_matches_csv_writer(self, pulses, d, seed, phis):
+        rng = np.random.default_rng(seed)
+        masks = rng.integers(-1, 2 ** d, pulses)   # -1: a discard
+        special = [-0.0, 0.0, math.pi / 4, -1e-300, 1e300, math.inf, math.nan]
+        phi = {"zero": np.zeros(pulses),
+               "constant": np.full(pulses, rng.normal()),
+               "signed_zeros": rng.choice([-0.0, 0.0], pulses),
+               "any": np.where(rng.random(pulses) < 0.5,
+                               rng.choice(special, pulses),
+                               rng.normal(0, 10, pulses))}[phis]
+        table = ClickTable(masks, phi, d)
+        assert table.to_csv() == csv_writer_text(table)
+
+    def test_phase_coupled_click_table_csv(self):
+        # per-pulse phis of a drifting lock, both zeros among them, over
+        # more than one block of rows
+        cfg, t, _ = standard()
+        rng = np.random.default_rng(4)
+        phis = np.cumsum(rng.normal(0, 0.05, 5000))
+        phis[::7], phis[3::7] = -0.0, 0.0
+        table = sample_patterns_with_phase(cfg, t, ModelSpec(), phis, 3,
+                                           seed=5)
+        assert (table.bitmasks == -1).any()
+        text = table.to_csv()
+        assert text == csv_writer_text(table)
+        lines = text.splitlines()
+        assert lines[1].endswith(",-0") and lines[4].endswith(",0")
+
     def test_phase_coupled_sampling(self):
         cfg, t, _ = standard()
         phis = np.array([0.0, 0.0, math.pi / 4, math.pi / 4])
         table = sample_patterns_with_phase(cfg, t, ModelSpec(), phis, 2, seed=0)
         assert len(table) == 4
         assert_allclose(table.phi, phis)
+
+
+def csv_writer_text(table: ClickTable) -> str:
+    """A click table's CSV written one row at a time."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["pulse", "bitmask_hex", "phi"])
+    for i, (mask, phi) in enumerate(zip(table.bitmasks.tolist(),
+                                        table.phi.tolist())):
+        writer.writerow([i, format(mask, "x") if mask >= 0 else "discard",
+                         f"{phi:.17g}"])
+    return buf.getvalue()
 
 
 class TestSimulatedRecords:
@@ -70,9 +126,10 @@ class TestSimulatedRecords:
                                                      endpoint=False),
                                 pulses_per_setting=math.inf)
         inp1 = recs["input1"]
+        twofold = inp1.rates[inp1.d + 1 + inp1.pairs.index((0, 2))]
         for i, phv in enumerate(inp1.phi):
             _, want = predict_twofold(kern, 0, 2, phv)
-            got = (inp1.twofolds[(0, 2)] / inp1.p_vac)[i]
+            got = (twofold / inp1.p_vac)[i]
             assert got == pytest.approx(want, rel=1e-9)
 
     def test_noise_shrinks_with_pulses(self):
