@@ -172,12 +172,12 @@ def _read_samples(path: str, d: int, min_photons: int):
     and the set of their photon numbers; each distinct text is parsed once."""
     with open(path) as f:
         rows = csv.reader(line for line in f if not line.startswith("#"))
-        if next(rows, [])[:2] != ["pulse", "bitmask_hex"]:
-            raise SchemaError(
-                "samples CSV must have header pulse,bitmask_hex,phi")
         try:
+            if next(rows, [])[:2] != ["pulse", "bitmask_hex"]:
+                raise SchemaError(
+                    "samples CSV must have header pulse,bitmask_hex,phi")
             texts, which = _codes(map(itemgetter(1), filter(None, rows)))
-        except IndexError:   # a row with no mask field
+        except (IndexError, csv.Error):   # no mask field, or unreadable CSV
             raise _bad_sample(path, d) from None
     masks = np.full(len(texts), -1, dtype=np.int64)   # -1: discard
     for i, text in enumerate(texts):
@@ -197,14 +197,18 @@ def _is_mask(text: str, d: int) -> bool:
 
 
 def _bad_sample(path: str, d: int) -> SchemaError:
-    """The error of the first samples row whose mask is not a bitmask over
-    ``d`` modes, found by reading the file again row by row."""
+    """The error of the first samples row that csv cannot read or whose mask
+    is not a bitmask over ``d`` modes, found by reading the file again row
+    by row."""
     number = [0]
     with open(path) as f:
         rows = csv.reader(_data_lines(f, number))
-        next(rows)
-        row = next(row for row in rows if row and row[1:2] != ["discard"]
-                   and not _is_mask("".join(row[1:2]), d))
+        try:
+            next(rows)
+            row = next(row for row in rows if row and row[1:2] != ["discard"]
+                       and not _is_mask("".join(row[1:2]), d))
+        except csv.Error as exc:
+            return SchemaError(f"samples line {number[0]}: {exc}")
     return SchemaError(f"samples line {number[0]}: {row[1:2]} is not a "
                        f"bitmask over {d} modes")
 

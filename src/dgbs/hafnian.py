@@ -3,18 +3,21 @@
 The workhorse is a subset dynamic program that enumerates all matchings
 (optionally with fixed points weighted by the diagonal vector) in a fixed
 order, resolved by the number of matched pairs, which makes the truncated
-"k-order" sums a byproduct of the exact computation.  A reduced kernel keeps
-A's rows in their global order, so a DP row depends only on its subset of
-labels (global index, copy number): :func:`pattern_polynomials` runs one DP
-per group of patterns over the label subsets the recursion reaches from
-them, for a family of loop-weight vectors that share one A, and
-:func:`matching_polynomial` is the DP of one pattern covering its matrix.
+"k-order" sums a byproduct of the exact computation.  A DP row is a subset
+of a kernel's row positions, which are distinct even when a collision
+pattern repeats a mode, so every kernel of size n runs the same plan, built
+once per n.  :func:`pattern_polynomials` gathers the reduced kernels of a
+batch of patterns and the loop weights of a family of F vectors that share
+A, and runs the plan on chunks of them with (F, P) as trailing vector axes.
+Column p of a row reads only columns p and p - 1 of its children, so the
+pair counts 0..k that a k-order model needs cost k + 1 columns and keep
+their bits.  :func:`matching_polynomial` is the same evaluator on one
+kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import fsum
 
 import numpy as np
@@ -22,10 +25,10 @@ import numpy as np
 from .errors import ConfigurationError, EnumerationBudgetError
 
 SYMMETRY_TOL = 1e-10
-MAX_KERNEL_SIZE = 20  # 2N; one pattern's labels fit one int64 mask
-# working set of one DP group: Fibonacci(2N + 2) rows per pattern, each
-# 2N + 2 complex numbers (pair counts, temporaries, plan) per family member
-DP_CHUNK_BYTES = 2 << 20
+MAX_KERNEL_SIZE = 20  # 2N; a DP row is an int64 mask of the 2N positions
+# the rows of one chunk's DP: each holds its columns for every pattern and
+# family member of the chunk
+DP_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -95,41 +98,27 @@ def reduce_by_pattern(a, gamma, n: DetectionPattern) -> ReducedKernel:
     return ReducedKernel(a.full[np.ix_(idx, idx)], gamma.gamma[idx])
 
 
-def _labels(idx: np.ndarray) -> np.ndarray:
-    """Labels of (P, 2N) nondecreasing kernel indices, index * 32 + copy
-    number: distinct within a pattern, and sorted like its indices."""
-    pos = np.arange(idx.shape[1])
-    first = np.diff(idx, axis=1, prepend=-1) != 0
-    return idx * 32 + pos - np.maximum.accumulate(np.where(first, pos, 0), 1)
+_PLANS = {}   # kernel size n -> its plan, built on first use
 
 
-def _sorted_set(masks: np.ndarray) -> np.ndarray:
-    masks = np.sort(masks)  # np.unique's hash table is several times slower
-    return masks[np.r_[True, masks[1:] != masks[:-1]]]
-
-
-@lru_cache(maxsize=16)
-def _plan(key: bytes, shape: tuple) -> tuple:
-    """The shared DP of a pattern group, from its packed (P, 2N) labels.
-    A row is a subset of the labels, as an int64 mask whose bits follow
-    label order.  Returns each pattern's top-level row and, per subset size
-    s = 1..2N, (i, rest, js, pairs): the index of each row's lowest label i,
-    the row of rest = subset - {i} one level down, and for each j of rest in
-    increasing order (axis 0) the index of j and the row of rest - {j} two
+def _plan(n: int) -> tuple:
+    """The DP that every kernel of size n runs: a row is a subset of the n
+    row positions, as an int64 mask.  Returns the number of rows and, per
+    subset size s = 1..n, (i, rest, js, pairs): each row's lowest position
+    i, the row of rest = subset - {i} one level down, and for each j of
+    rest in increasing order (axis 0) j and the row of rest - {j} two
     levels down."""
-    labels = np.frombuffer(key, dtype=np.int64).reshape(shape)
-    n = shape[1]
-    bits = np.unique(labels)              # mask bit b stands for bits[b]
-    index = (bits >> 5).astype(np.int32)
-    masks = (1 << np.searchsorted(bits, labels)).sum(axis=1)
+    if n in _PLANS:
+        return _PLANS[n]
 
-    def low_index(low):                   # frexp(2^b) has exponent b + 1
-        return index[np.frexp(low)[1] - 1]
+    def low(bits):                        # frexp(2^b) has exponent b + 1
+        return (np.frexp(bits)[1] - 1).astype(np.int32)
 
     # top down: the subsets of each size that the recursion reaches
-    levels, children, reached = {0: np.zeros(1, np.int64)}, {}, {n: [masks]}
+    levels, children = {0: np.zeros(1, np.int64)}, {}
+    reached = {n: [np.array([(1 << n) - 1])]}
     for s in range(n, 0, -1):
-        level = levels[s] = _sorted_set(np.concatenate(reached.pop(s)))
+        level = levels[s] = np.unique(np.concatenate(reached.pop(s)))
         rest = todo = level ^ (level & -level)
         pairs = np.empty((s - 1, len(level)), dtype=np.int64)
         for k in range(s - 1):
@@ -138,64 +127,65 @@ def _plan(key: bytes, shape: tuple) -> tuple:
         children[s] = rest, pairs
         reached.setdefault(s - 1, []).append(rest)
         reached.setdefault(s - 2, []).append(pairs.ravel())
-    return np.searchsorted(levels[n], masks).astype(np.int32), [
-        (low_index(levels[s] ^ rest),
+    _PLANS[n] = plan = sum(map(len, levels.values())), [
+        (low(levels[s] ^ rest),
          np.searchsorted(levels[s - 1], rest).astype(np.int32),
-         low_index(rest ^ pairs),
+         low(rest ^ pairs),
          np.searchsorted(levels[max(s - 2, 0)], pairs).astype(np.int32))
         for s, (rest, pairs) in sorted(children.items())]
+    return plan
 
 
-def _evaluate(plan: tuple, m: np.ndarray, diags: np.ndarray) -> np.ndarray:
-    """Run one plan on matrix m and loop weights diags (F, len(m)), giving
-    (F, P, N + 1).  A row holds its pair counts 0..N for every family
-    member, and every entry is summed in the order of the one-subset
-    recursion, so its bits do not depend on the batch it is part of."""
-    tops, steps = plan
-    prev = np.zeros((1, len(steps) // 2 + 1, len(diags)), dtype=complex)
+def _evaluate(steps: list, m: np.ndarray, diag: np.ndarray,
+              columns: int) -> np.ndarray:
+    """Run a plan on kernels m (n, n, P) with loop weights diag (n, F, P),
+    giving pair counts 0..columns - 1 as (F, P, columns).  Every entry is
+    summed in the order of the one-kernel recursion, so its bits depend
+    neither on the batch it is part of nor on ``columns``."""
+    prev = np.zeros((1, columns) + diag.shape[1:], dtype=complex)
     prev[0, 0] = 1.0
-    prev2, diag = None, diags.T
+    prev2 = None
     for i, rest, js, pairs in steps:
-        # subset = {i} + rest with i its lowest label: i is a fixed point,
-        # or i is paired with each j in rest in increasing order
-        row = diag[i][:, None, :] * prev[rest]
+        # subset = {i} + rest with i its lowest position: i is a fixed
+        # point, or i is paired with each j in rest in increasing order
+        row = diag[i][:, None] * prev[rest]
         for j, pair in zip(js, pairs):
             row[:, 1:] += m[i, j][:, None, None] * prev2[pair, :-1]
         prev2, prev = prev, row
-    return prev[tops].transpose(2, 0, 1)
+    return prev[0].transpose(1, 2, 0)
 
 
-def _polynomials(m: np.ndarray, diags: np.ndarray, idx: np.ndarray):
-    """(F, P, N + 1) matching polynomials of the kernels m[idx_p][:, idx_p]
+def _polynomials(m: np.ndarray, diags: np.ndarray, idx: np.ndarray,
+                 columns: int = None) -> np.ndarray:
+    """(F, P, columns) matching polynomials of the kernels m[idx_p][:, idx_p]
     with loop weights diags[f, idx_p], for the P rows idx_p of ``idx``
-    (nondecreasing indices into m).  Consecutive patterns share one DP,
-    in groups that fit DP_CHUNK_BYTES with their family."""
+    (indices into m): pair counts 0..columns - 1, all N + 1 if ``columns``
+    is None.  Patterns and family members run the plan of their kernel size
+    together, in chunks whose rows fit DP_CHUNK_BYTES."""
     count, n = idx.shape
     if n > MAX_KERNEL_SIZE:
         raise EnumerationBudgetError(
             f"kernel size {n} exceeds matching-enumeration budget {MAX_KERNEL_SIZE}")
-    asym, mag = np.abs(m - m.T), np.abs(m)
-    labels = _labels(idx)
-    # Fibonacci(n + 2): the subsets the recursion reaches from n labels
-    rows_per_pattern = round(((1 + 5 ** 0.5) / 2) ** (n + 2) / 5 ** 0.5)
-    per_call = max(1, DP_CHUNK_BYTES // (16 * (n + 2) * rows_per_pattern))
-    out = np.empty((len(diags), count, n // 2 + 1), dtype=complex)
-    start = 0
-    while start < count:
-        # the next group: at most per_call // F patterns whose label union
-        # fits 63 mask bits (one pattern always fits, since 2N <= 20)
-        group = labels[start:start + max(1, per_call // max(1, len(diags)))]
-        first = np.sort(np.unique(group, return_index=True)[1])
-        stop = start + (len(group) if len(first) <= 63 else first[63] // n)
-        rows = idx[start:stop, :, None], idx[start:stop, None, :]
-        if n and (asym[rows].max(axis=(1, 2)) > SYMMETRY_TOL
-                  * np.maximum(1.0, mag[rows].max(axis=(1, 2)))).any():
+    columns = n // 2 + 1 if columns is None else min(columns, n // 2 + 1)
+    rows, steps = _plan(n)
+    asym = np.abs(m - m.T)
+    # only a kernel with an entry of m skewed beyond the tolerance can fail
+    skewed = n and asym.max() > SYMMETRY_TOL
+    width = max(1, DP_CHUNK_BYTES // (16 * columns * rows))
+    per_chunk = max(1, width // max(1, len(diags)))
+    fam = max(1, width // per_chunk)
+    out = np.empty((len(diags), count, columns), dtype=complex)
+    for start in range(0, count, per_chunk):
+        chunk = idx[start:start + per_chunk].T          # (n, P)
+        cells = chunk[:, None], chunk[None]
+        kernels = m[cells]
+        if skewed and (asym[cells].max(axis=(0, 1)) > SYMMETRY_TOL * np.maximum(
+                1.0, np.abs(kernels).max(axis=(0, 1)))).any():
             raise ConfigurationError("matrix is not symmetric")
-        plan = _plan(labels[start:stop].tobytes(), (stop - start, n))
-        fam = max(1, per_call // (stop - start))
         for f in range(0, len(diags), fam):
-            out[f:f + fam, start:stop] = _evaluate(plan, m, diags[f:f + fam])
-        start = stop
+            out[f:f + fam, start:start + per_chunk] = _evaluate(
+                steps, kernels, diags[f:f + fam, chunk].transpose(1, 0, 2),
+                columns)
     return out
 
 
@@ -206,8 +196,8 @@ def matching_polynomial(m: np.ndarray, diag: np.ndarray = None) -> np.ndarray:
     the 2N indices with exactly p matched pairs (the remaining 2N - 2p
     indices being fixed points), the product of the matched entries m[i, j]
     times the fixed-point weights diag[c].  Summation order is fixed by the
-    subset recursion; this is the shared DP of one pattern that covers each
-    index of m once.
+    subset recursion; this is the evaluator of pattern tables, run on the
+    one pattern that covers each index of m once.
     """
     m = np.asarray(m, dtype=complex)
     diag = np.zeros(len(m)) if diag is None else np.asarray(diag)
@@ -221,13 +211,15 @@ def matching_polynomial(m: np.ndarray, diag: np.ndarray = None) -> np.ndarray:
                         np.arange(len(m))[None])[0, 0]
 
 
-def pattern_polynomials(a, gammas, counts) -> np.ndarray:
+def pattern_polynomials(a, gammas, counts, *, columns: int = None
+                        ) -> np.ndarray:
     """(F, P, N + 1) matching polynomials of the kernels that the P rows of
     a (P, d) counts array of one total N reduce (A, gammas[f]) to, for a
     family of F loop-weight vectors ``gammas`` (F, 2d) that share A.
-    Memory grows with neither F nor P."""
+    ``columns`` keeps only pair counts 0..columns - 1, at lower cost and
+    with the same bits.  Memory grows with neither F nor P."""
     return _polynomials(a.full, np.asarray(gammas, dtype=complex),
-                        _pattern_index(a.d, counts))
+                        _pattern_index(a.d, counts), columns)
 
 
 def hafnian(m: np.ndarray) -> complex:

@@ -95,10 +95,12 @@ class PhaseFamily:
         state, gammas, log_p_vac = phase_scan(config, t, phis, classical)
         return cls(a_matrix(state), gammas, log_p_vac)
 
-    def pattern_terms(self, counts) -> np.ndarray:
+    def pattern_terms(self, counts, columns: int = None) -> np.ndarray:
         """:meth:`StateKernel.korder_terms` of the rows of a (P, d) counts
-        array of one total N at every phase, as (F, P, N + 1)."""
-        poly = pattern_polynomials(self.a, self.gammas, counts)
+        array of one total N at every phase, as (F, P, N + 1), or only
+        their first ``columns`` pair counts (with the same bits)."""
+        poly = pattern_polynomials(self.a, self.gammas, counts,
+                                   columns=columns)
         return poly / FACTORIALS[np.asarray(counts)].prod(axis=1)[:, None]
 
     def pattern_probabilities(self, counts,
@@ -114,13 +116,13 @@ class PhaseFamily:
         out = np.repeat(self.p_vac[:, None], len(counts), axis=1)
         for total in np.unique(totals[totals > 0]).tolist():
             rows = np.flatnonzero(totals == total)
-            terms = self.pattern_terms(counts[rows]).reshape(-1, total + 1)
-            if model.kind == "squeezer_only":
-                val = terms[:, total]
-            elif model.kind == "korder":
-                val = terms[:, :min(model.k, total) + 1].sum(axis=1)
-            else:
-                val = terms.sum(axis=1)
+            # korder(k) sums the pair counts 0..k, so it runs k + 1 columns
+            columns = min(model.k, total) + 1 if model.kind == "korder" \
+                else total + 1
+            terms = self.pattern_terms(counts[rows], columns).reshape(
+                -1, columns)
+            val = terms[:, total] if model.kind == "squeezer_only" \
+                else terms.sum(axis=1)
             bad = np.abs(val.imag) > 1e-9 * np.fmax(1.0, np.abs(val.real))
             if bad.any():
                 raise NumericalError(

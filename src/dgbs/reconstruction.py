@@ -141,7 +141,12 @@ def records_from_csv(text: str) -> dict:
     while text.startswith("#", start):
         start = text.find("\n", start) + 1 or len(text)
         comments += 1
-    rows = list(csv.reader(io.StringIO(text[start:])))
+    reader = csv.reader(io.StringIO(text[start:]))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:   # e.g. a field over csv's field size limit
+        raise SchemaError(f"line {comments + reader.line_num}: {exc}") from None
+    del reader   # its buffer, a copy of the text, would outlive the parse
     if not rows or rows[0] != CSV_HEADER:
         raise SchemaError("records CSV must start with the standard header")
     body = list(filter(None, rows[1:]))

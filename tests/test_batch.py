@@ -4,10 +4,11 @@ and a phase family to one state per phase.
 Every probability table goes through one batched call
 (``PhaseFamily.pattern_probabilities``, of which
 ``StateKernel.pattern_probabilities`` is the family of one), which groups
-patterns by photon total and runs one subset DP shared by each group of
-patterns, for every phase at once.  These properties pin the batch to the
-single-pattern results and the family to per-phase states, bit for bit, for
-any mix of totals, collisions, models and chunk sizes.
+patterns by photon total and runs the one subset DP plan of their kernel
+size on chunks of patterns, for every phase at once.  These properties pin
+the batch to the single-pattern results, the truncated k-order DP to the
+full one and the family to per-phase states, bit for bit, for any mix of
+totals, collisions, models and chunk sizes.
 """
 
 import csv
@@ -127,18 +128,62 @@ def test_dp_batch_matches_single_kernels(d, total, families, seed, picks,
     assert_rows_match_single_kernels(a, gammas, patterns, batch)
 
 
-def test_label_union_beyond_63_bits_splits_groups():
-    # d=8, N=4: four copies of each of the 16 indices are 64 labels, one
-    # more than a mask holds, so the eighth pattern starts a second group
+def test_repeated_modes_match_full_subset_recursion():
+    # d=8, N=4: each pattern repeats one mode four times, 64 distinct
+    # (mode, copy) rows over the batch; the plan of kernel size 8 serves all
     d = 8
     rng = np.random.default_rng(8)
     a, gammas = random_amatrix(rng, d), random_family(rng, 2, d)
     patterns = 4 * np.eye(d, dtype=int)
-    with mock.patch.object(hafnian, "_evaluate",
-                           wraps=hafnian._evaluate) as evaluate:
-        batch = hafnian.pattern_polynomials(a, gammas, patterns)
-    assert evaluate.call_count == 2
-    assert_rows_match_single_kernels(a, gammas, patterns, batch)
+    batch = hafnian.pattern_polynomials(a, gammas, patterns)
+    for f, gamma in enumerate(gammas):
+        for p, n in enumerate(patterns):
+            kern = reduce_by_pattern(a, GammaVector(gamma), DetectionPattern(n))
+            assert same_bits(batch[f, p],
+                             full_subset_dp(kern.a_n, kern.gamma_tilde))
+
+
+@PROPERTY
+@given(d=st.integers(3, 5), total=st.integers(1, 4), count=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1),
+       picks=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=30),
+       data=st.data())
+def test_korder_truncation_matches_full_columns(d, total, count, seed, picks,
+                                                data):
+    # picks choose a batch of one total, collisions and repeats included
+    k = data.draw(st.integers(0, total + 1), label="k")
+    cfg, t, rng = random_circuit(d, seed)
+    family = PhaseFamily.scan(cfg, t, rng.uniform(-10, 40, count))
+    sector = all_patterns(d, total, collision_free=False)
+    patterns = sector[[p % len(sector) for p in picks]]
+    full = family.pattern_terms(patterns)
+    assert same_bits(family.pattern_terms(patterns, k + 1),
+                     full[:, :, :k + 1])
+    # the k-order sum as it was taken from all N + 1 columns
+    val = full.reshape(-1, total + 1)[:, :min(k, total) + 1].sum(axis=1)
+    want = np.where(val.real < 0.0, 0.0, val.real).reshape(count, -1) \
+        * family.p_vac[:, None]
+    assert same_bits(family.pattern_probabilities(patterns,
+                                                  ModelSpec("korder", k)), want)
+
+
+def test_one_plan_per_kernel_size(monkeypatch):
+    monkeypatch.setattr(hafnian, "_PLANS", {})
+    kern = state_kernel(15, 0, ModelSpec())
+    patterns = all_patterns(15, 5, collision_free=True)
+    kern.pattern_probabilities(patterns)
+    plans = dict(hafnian._PLANS)
+    assert list(plans) == [10]
+    # a second model's table on the same patterns builds no plan
+    for model in (ModelSpec("korder", 2), ModelSpec("squeezer_only")):
+        kern.pattern_probabilities(patterns, model)
+        assert hafnian._PLANS.keys() == plans.keys()
+        assert all(hafnian._PLANS[n] is plan for n, plan in plans.items())
+    # mixed totals add one plan per new kernel size
+    kern.pattern_probabilities(np.concatenate(
+        [all_patterns(15, total, collision_free=False) for total in (1, 2, 3)]))
+    assert sorted(hafnian._PLANS) == [2, 4, 6, 10]
+    assert hafnian._PLANS[10] is plans[10]
 
 
 def test_non_symmetric_kernel_rejected():
@@ -179,16 +224,17 @@ def test_probabilities_match_one_at_a_time(d, seed, model, picks, chunk_bytes):
 @pytest.mark.parametrize("d, total", [(6, 4), (4, 5)])
 def test_sector_longer_than_one_chunk(d, total):
     # d=6, N=4: 126 patterns at kernel size 8; d=4, N=5: 56 patterns at
-    # kernel size 10; at an eighth of the default budget each sector is
-    # split into several DP groups
+    # kernel size 10; a budget of the DP rows of 20 patterns splits each
+    # sector into several chunks
     kern = state_kernel(d, 7, ModelSpec())
     patterns = all_patterns(d, total, collision_free=False)
+    rows, _ = hafnian._plan(2 * total)
     with mock.patch.object(hafnian, "DP_CHUNK_BYTES",
-                           hafnian.DP_CHUNK_BYTES // 8), \
+                           16 * (total + 1) * rows * 20), \
             mock.patch.object(hafnian, "_evaluate",
                               wraps=hafnian._evaluate) as evaluate:
         terms = kern.pattern_terms(patterns)
-    assert evaluate.call_count >= 3
+    assert evaluate.call_count == math.ceil(len(patterns) / 20)
     singles = [DetectionPattern(n) for n in patterns]
     for p, n in enumerate(singles):
         assert same_bits(terms[p], kern.korder_terms(n))

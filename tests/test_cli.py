@@ -486,6 +486,8 @@ class TestReaderErrors:
         ({3: "blocked,,7,20,1000"}, "blocked: 4 rows leave most of the "
          "table of 8 modes x 1 phi values empty"),
         ({0: "blocked,,vac,2000,1000"}, "blocked: rates outside [0,1]"),
+        ({9: f"input1,1.5,0,{'1' * 140000},500"},
+         "line 13: field larger than field limit (131072)"),
     ])
     def test_records(self, edits, message, tmp_path, capsys):
         path = tmp_path / "records.csv"
@@ -506,6 +508,8 @@ class TestReaderErrors:
         ({2: "2,,0"}, "samples line 6: [''] is not a bitmask over 3 modes"),
         ({2: "# a comment between rows\n2,3,0", 3: "3,g,0"},
          "samples line 8: ['g'] is not a bitmask over 3 modes"),
+        ({2: f"2,{'f' * 140000},0"},
+         "samples line 6: field larger than field limit (131072)"),
     ])
     def test_samples(self, edits, message, config_path, tmp_path, capsys):
         path = tmp_path / "samples.csv"
