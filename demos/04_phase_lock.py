@@ -14,7 +14,7 @@ from scipy.stats import unitary_group
 from dgbs import SourceConfig, TransferMatrix
 from dgbs.experiment import (DriftModel, PidConfig, auto_select_pairs,
                              build_error_signal, lock_kernel, pid_lock,
-                             tune_pid_gains, twofold_rates_from_state)
+                             tune_pid_gains)
 
 d = 6
 rng = np.random.default_rng(11)
@@ -25,7 +25,7 @@ kernel = lock_kernel(cfg, t)  # the circuit at coherent phase 0
 pairs = auto_select_pairs(kernel, n_pairs=5)
 print(f"error-signal pairs (mode j, mode k, sign): {pairs}")
 
-signal = build_error_signal(twofold_rates_from_state(kernel), pairs)
+signal = build_error_signal(kernel, pairs)  # exact fringes of those pairs
 drift = DriftModel()  # composite: slow sinusoid + random walk
 
 pid = tune_pid_gains(drift, signal, duration=20.0, seed=0)

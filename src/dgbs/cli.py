@@ -24,7 +24,7 @@ from .errors import (ConfigurationError, DgbsError, EnumerationBudgetError,
                      SchemaError)
 from .experiment import (auto_select_pairs, build_error_signal, lock_kernel,
                          pid_lock, sample_patterns, simulate_records,
-                         tune_pid_gains, twofold_rates_from_state)
+                         tune_pid_gains)
 from .fock import oracle_probability
 from .hafnian import DetectionPattern
 from .metrics import likelihood_ratio, tvd
@@ -167,11 +167,29 @@ def _data_lines(f, number: list):
             yield line
 
 
+def _uncommented(f):
+    """The lines of the open file ``f`` that are not ``#`` comments.  The
+    leading comments are skipped once; the lines are checked one at a time
+    only if a later line is a comment too, or if ``f`` cannot seek."""
+    if f.seekable():   # a pipe is read once, so it cannot be looked ahead
+        text = f.read()
+        start = skip = 0
+        while text.startswith("#", start):   # the leading comment lines
+            start = text.find("\n", start) + 1 or len(text)
+            skip += 1
+        f.seek(0)
+        for _ in range(skip):
+            next(f)
+        if text.find("\n#", start) < 0:
+            return f
+    return (line for line in f if not line.startswith("#"))
+
+
 def _read_samples(path: str, d: int, min_photons: int):
     """The (S, d) counts of the samples with at least ``min_photons`` clicks
     and the set of their photon numbers; each distinct text is parsed once."""
     with open(path) as f:
-        rows = csv.reader(line for line in f if not line.startswith("#"))
+        rows = csv.reader(_uncommented(f))
         try:
             if next(rows, [])[:2] != ["pulse", "bitmask_hex"]:
                 raise SchemaError(
@@ -261,10 +279,14 @@ def cmd_lock(args) -> int:
         raise SchemaError(f"--duration must be finite and cover at least one "
                           f"drift step of {drift.step_interval} s, got "
                           f"{args.duration}")
-    kernel = lock_kernel(source, transfer)
-    pairs = auto_select_pairs(kernel, n_pairs=int(config.get("lock_pairs", 5)))
-    signal = build_error_signal(twofold_rates_from_state(kernel), pairs)
+    n_pairs = config.get("lock_pairs", 5)
+    if type(n_pairs) is not int or n_pairs < 1:   # a bool is no int here
+        raise SchemaError(f"lock_pairs must be a positive integer, got "
+                          f"{n_pairs!r}")
     pid = pid_from_config(config)
+    kernel = lock_kernel(source, transfer)
+    pairs = auto_select_pairs(kernel, n_pairs=n_pairs)
+    signal = build_error_signal(kernel, pairs)
     if pid is None:
         pid = tune_pid_gains(drift, signal, seed=args.seed)
     result = pid_lock(drift, pid, signal, duration=args.duration, seed=args.seed)

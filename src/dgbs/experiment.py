@@ -5,7 +5,8 @@ amplitude estimation from singles rates."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -184,6 +185,15 @@ def _avoid_overlap(squeezer_ports, coherent_port):
 # ---------------------------------------------------------------------------
 # phase drift and PID locking
 
+def _require_finite(obj):
+    """Every float field of the dataclass ``obj`` must be a finite number."""
+    for f in fields(obj):
+        x = getattr(obj, f.name)
+        if f.type == "float" and (isinstance(x, bool) or not isinstance(
+                x, (int, float)) or not abs(x) <= sys.float_info.max):
+            raise ConfigurationError(f"{f.name} must be a finite number, got {x!r}")
+
+
 @dataclass(frozen=True)
 class DriftModel:
     """Phase drift: random walk, sinusoid, or their sum."""
@@ -197,8 +207,9 @@ class DriftModel:
     def __post_init__(self):
         if self.kind not in ("random_walk", "sinusoidal", "composite"):
             raise ConfigurationError(f"unknown drift kind {self.kind!r}")
-        if self.sigma < 0 or self.step_interval <= 0:
-            raise ConfigurationError("need sigma >= 0 and step_interval > 0")
+        _require_finite(self)
+        if self.sigma < 0 or self.period <= 0 or self.step_interval <= 0:
+            raise ConfigurationError("need sigma >= 0, period > 0 and step_interval > 0")
 
     def trace(self, duration: float, rng) -> np.ndarray:
         steps = duration / self.step_interval
@@ -227,8 +238,9 @@ class PidConfig:
     actuator_limit: float = 4 * math.pi
 
     def __post_init__(self):
-        if self.update_interval <= 0:
-            raise ConfigurationError("update interval must be positive")
+        _require_finite(self)
+        if self.update_interval <= 0 or self.actuator_limit <= 0:
+            raise ConfigurationError("update interval and actuator limit must be positive")
 
 
 @dataclass
@@ -240,24 +252,6 @@ class LockResult:
     diverged: bool
 
 
-def build_error_signal(twofold_rates, pairs):
-    """S(phi) = sum over (j, k, sign) of sign * p'_{j,k}(phi).
-
-    ``twofold_rates`` maps phi to a dict {(j, k): rate}.
-    """
-    if not pairs:
-        raise ConfigurationError("error signal needs at least one mode pair")
-
-    def signal(phi: float) -> float:
-        rates = twofold_rates(phi)
-        total = 0.0
-        for j, k, sign in pairs:
-            total += sign * rates[(j, k)]
-        return total
-
-    return signal
-
-
 def lock_kernel(config: SourceConfig, t: TransferMatrix) -> StateKernel:
     """The circuit's kernel at coherent phase 0, the origin of the phase
     that the lock measures and actuates."""
@@ -265,18 +259,21 @@ def lock_kernel(config: SourceConfig, t: TransferMatrix) -> StateKernel:
         build_input_state(replace(config, phi=0.0), t.d), t))
 
 
-def twofold_rates_from_state(kernel: StateKernel):
-    """phi -> {(j, k): p'_{j,k}} evaluated exactly from the phase-0 kernel
-    (:func:`lock_kernel`); each pair's phi-independent constants are
-    computed once."""
-    fringes = {(j, k): TwofoldFringe.of(kernel, j, k)
-               for j in range(kernel.d) for k in range(j + 1, kernel.d)}
+def build_error_signal(kernel: StateKernel, pairs):
+    """S(phi) = sum over (j, k, sign) of sign * p'_{j,k}(phi), exact from
+    the phase-0 kernel (:func:`lock_kernel`), for a scalar phi or a (G,)
+    array of them; each pair's :class:`TwofoldFringe` is computed once."""
+    if not pairs:
+        raise ConfigurationError("error signal needs at least one mode pair")
+    fringes = [TwofoldFringe.of(kernel, j, k) for j, k, _ in pairs]
+    stacked = TwofoldFringe(*(np.array(col)[:, None] for col in zip(*fringes)))
+    signs = np.array([sign for _, _, sign in pairs], dtype=float)[:, None]
 
-    def rates(phi: float) -> dict:
-        rotation = np.exp(2j * phi)
-        return {pair: f.rate_at(rotation) for pair, f in fringes.items()}
+    def signal(phi):   # accumulate sums in pair order; reduce may go pairwise
+        rates = stacked.rate_at(np.exp(2j * np.reshape(phi, -1)))
+        return np.add.accumulate(signs * rates)[-1].reshape(np.shape(phi))[()]
 
-    return rates
+    return signal
 
 
 def auto_select_pairs(kernel: StateKernel, setpoint: float = LOCK_SETPOINT,
@@ -305,59 +302,62 @@ def auto_select_pairs(kernel: StateKernel, setpoint: float = LOCK_SETPOINT,
             for _, j, k, slope in chosen]
 
 
-def pid_lock(drift: DriftModel, pid: PidConfig, error_signal,
-             duration: float, seed: int = 0) -> LockResult:
-    """Closed-loop simulation from the setpoint at the PID update interval.
-
-    The measured error is S(phi) - S(setpoint); the actuator adds a phase
-    correction updated every ``pid.update_interval`` seconds.
-    """
-    rng = np.random.default_rng(seed)
-    dt = pid.update_interval
-    drift_trace = drift.trace(duration, rng)
-    n = len(drift_trace)
+def _pid_loop(drift: DriftModel, pid: PidConfig, gains, error_signal,
+              duration: float, seed: int) -> tuple:
+    """:func:`pid_lock` for G gain sets, the (kp, ki, kd) rows of ``gains``:
+    the (G, n) phases, (G,) residual stds and diverged flags."""
+    drift_trace = drift.trace(duration, np.random.default_rng(seed))
+    dt, limit, n = pid.update_interval, pid.actuator_limit, len(drift_trace)
+    kp, ki, kd = gains
     target = error_signal(pid.setpoint)
-    v = 0.0
-    integral = 0.0
+    v, integral = np.zeros((2, len(kp)))
     prev_e = None
-    phi = np.zeros(n)
-    diverged = False
+    phi = np.empty((n, len(kp)))
+    diverged = np.zeros(len(kp), dtype=bool)
     for i in range(n):
         phi[i] = pid.setpoint + drift_trace[i] + v
         e = error_signal(phi[i]) - target
-        integral += e * dt
+        integral = integral + e * dt
         deriv = 0.0 if prev_e is None else (e - prev_e) / dt
         prev_e = e
-        v = v - (pid.kp * e + pid.ki * integral + pid.kd * deriv)
-        if abs(v) > pid.actuator_limit:
-            v = math.copysign(pid.actuator_limit, v)
-            diverged = True
-    settle = int(n * SETTLE_FRACTION)
-    residual = float(np.std(phi[settle:] - pid.setpoint))
-    if residual > math.pi:
-        diverged = True
-    times = np.arange(n) * dt
-    return LockResult(times, phi, pid.setpoint, residual, diverged)
+        v = v - (kp * e + ki * integral + kd * deriv)
+        diverged |= np.abs(v) > limit
+        v = np.minimum(np.maximum(v, -limit), limit)
+    phi = phi.T.copy()   # each residual is a std over one contiguous row
+    residual = np.std(phi[:, int(n * SETTLE_FRACTION):] - pid.setpoint, axis=1)
+    return phi, residual, diverged | (residual > math.pi)
+
+
+def pid_lock(drift: DriftModel, pid: PidConfig, error_signal,
+             duration: float, seed: int = 0) -> LockResult:
+    """Closed-loop simulation from the setpoint at the PID update interval:
+    the error is S(phi) - S(setpoint), and the actuator's phase correction
+    is clamped to ``pid.actuator_limit`` (a clamp marks the lock diverged)."""
+    phi, residual, diverged = _pid_loop(
+        drift, pid, np.array([[pid.kp], [pid.ki], [pid.kd]], dtype=float),
+        error_signal, duration, seed)
+    return LockResult(np.arange(phi.shape[1]) * pid.update_interval, phi[0],
+                      pid.setpoint, float(residual[0]), bool(diverged[0]))
 
 
 def tune_pid_gains(drift: DriftModel, error_signal, duration: float = 30.0,
                    seed: int = 0) -> PidConfig:
     """Grid search over ``KP_GRID`` x ``KI_GRID`` (both loop signs) at
-    ``LOCK_SETPOINT``, minimizing the locked residual std."""
+    ``LOCK_SETPOINT``, minimizing the locked residual std; the 16 cells
+    run as one batch of the PID loop, and the first of equal scores wins."""
     # normalize gains by the error-signal slope at the setpoint
     setpoint, eps = LOCK_SETPOINT, 1e-4
     slope = (error_signal(setpoint + eps) - error_signal(setpoint - eps)) / (2 * eps)
     if slope == 0:
         raise ConfigurationError("error signal has zero slope at the setpoint")
-    best = None
-    for kp in KP_GRID:
-        for ki in KI_GRID:
-            cfg = PidConfig(kp=kp / slope, ki=ki / slope, setpoint=setpoint)
-            res = pid_lock(drift, cfg, error_signal, duration, seed=seed)
-            score = math.inf if res.diverged else res.residual_std
-            if best is None or score < best[0]:
-                best = (score, cfg)
-    return best[1]
+    cells = [(kp, ki) for kp in KP_GRID for ki in KI_GRID]
+    kp, ki = np.array(cells).T / slope
+    _, residual, diverged = _pid_loop(
+        drift, PidConfig(setpoint=setpoint), (kp, ki, np.zeros_like(kp)),
+        error_signal, duration, seed)
+    score = np.where(diverged, math.inf, residual)
+    best = min(range(len(cells)), key=score.__getitem__)
+    return PidConfig(kp=kp[best], ki=ki[best], setpoint=setpoint)
 
 
 # ---------------------------------------------------------------------------

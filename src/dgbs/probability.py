@@ -229,8 +229,11 @@ class TwofoldFringe(NamedTuple):
         return cls(blocked, offset, b_m[j, k] * np.conj(gj) * np.conj(gk))
 
     def rate_at(self, rotation) -> float:
-        """p'_jk at the phase phi with ``rotation`` = e^{2 i phi}."""
-        return self.offset + 2 * (self.weight * rotation).real
+        """p'_jk at the phase phi with ``rotation`` = e^{2 i phi}.  The
+        real part of the product is written out: numpy's array complex
+        multiply may round it differently from the scalar one."""
+        w = self.weight
+        return self.offset + 2 * (w.real * rotation.real - w.imag * rotation.imag)
 
 
 def as_kernel(state_or_kernel) -> "StateKernel":

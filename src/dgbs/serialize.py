@@ -17,7 +17,7 @@ from itertools import count
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import ConfigurationError, SchemaError
 from .states import SourceConfig, TransferMatrix
 
 CONFIG_VERSION = 1
@@ -126,7 +126,7 @@ def drift_from_config(config: dict):
     obj = config.get("drift", {})
     try:
         return DriftModel(**obj)
-    except TypeError as exc:
+    except (TypeError, ConfigurationError) as exc:
         raise SchemaError(f"bad drift config: {exc}") from exc
 
 
@@ -137,7 +137,7 @@ def pid_from_config(config: dict):
         return None
     try:
         return PidConfig(**obj)
-    except TypeError as exc:
+    except (TypeError, ConfigurationError) as exc:
         raise SchemaError(f"bad pid config: {exc}") from exc
 
 

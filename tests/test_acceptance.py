@@ -16,8 +16,7 @@ from conftest import haar_unitary, lossy_transfer
 from dgbs.cli import main as cli_main
 from dgbs.experiment import (DriftModel, PidConfig, auto_select_pairs,
                              build_error_signal, lock_kernel, pid_lock,
-                             simulate_records, tune_pid_gains,
-                             twofold_rates_from_state)
+                             simulate_records, tune_pid_gains)
 from dgbs.fock import oracle_probability
 from dgbs.hafnian import (DetectionPattern, ReducedKernel, hafnian,
                           loop_hafnian, matching_polynomial)
@@ -255,7 +254,7 @@ def test_criterion_8_phase_lock():
     t = lossy_transfer(6, 0.5, seed=11)
     kern = lock_kernel(cfg, t)
     pairs = auto_select_pairs(kern, n_pairs=5)
-    signal = build_error_signal(twofold_rates_from_state(kern), pairs)
+    signal = build_error_signal(kern, pairs)
     drift = DriftModel()
     pid = tune_pid_gains(drift, signal, duration=20.0, seed=0)
     locked = pid_lock(drift, pid, signal, duration=60.0, seed=5)

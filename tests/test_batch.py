@@ -8,7 +8,9 @@ patterns by photon total and runs the one subset DP plan of their kernel
 size on chunks of patterns, for every phase at once.  These properties pin
 the batch to the single-pattern results, the truncated k-order DP to the
 full one and the family to per-phase states, bit for bit, for any mix of
-totals, collisions, models and chunk sizes.
+totals, collisions, models and chunk sizes.  The phase lock's PID loop runs
+a batch of gain sets at once; it is pinned to a copy of the scalar loop it
+replaced, one gain set at a time.
 """
 
 import csv
@@ -21,14 +23,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import lossy_transfer
 from dgbs.errors import ConfigurationError
-from dgbs.experiment import (auto_select_pairs, build_error_signal,
-                             lock_kernel, simulate_records,
-                             twofold_rates_from_state)
+from dgbs.experiment import (LOCK_SETPOINT, SETTLE_FRACTION, DriftModel,
+                             PidConfig, auto_select_pairs, build_error_signal,
+                             lock_kernel, pid_lock, simulate_records,
+                             tune_pid_gains)
 from dgbs.hafnian import (DetectionPattern, matching_polynomial,
                           reduce_by_pattern)
 from dgbs.probability import (ModelSpec, PhaseFamily, StateKernel,
@@ -39,6 +42,7 @@ from dgbs.states import (AMatrix, GammaVector, SourceConfig,
 
 # the module, not the function ``dgbs.hafnian`` that the package exports
 hafnian = importlib.import_module("dgbs.hafnian")
+experiment = importlib.import_module("dgbs.experiment")
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True,
                     database=None)
 MODELS = [ModelSpec(), ModelSpec("korder", 0), ModelSpec("korder", 1),
@@ -377,24 +381,167 @@ def test_simulate_records_match_state_per_phase(d, seed, nphi, noisy,
     assert got == records_to_csv(want) == row_by_row_csv(want)
 
 
+# ---------------------------------------------------------------------------
+# the phase lock: one PID loop over a batch of gain sets
+
 @PROPERTY
 @given(d=st.integers(3, 6), seed=st.integers(0, 2 ** 32 - 1),
-       n_pairs=st.integers(1, 6),
+       n_pairs=st.integers(1, 15),
        phis=st.lists(st.floats(-50, 50), min_size=1, max_size=8))
 def test_lock_signal_matches_predict_twofold(d, seed, n_pairs, phis):
     cfg, t, _ = random_circuit(d, seed)
     kern = lock_kernel(cfg, t)
     pairs = auto_select_pairs(kern, n_pairs=n_pairs)
-    rates = twofold_rates_from_state(kern)
-    signal = build_error_signal(rates, pairs)
+    signal = build_error_signal(kern, pairs)
     for phi in phis:
-        table = rates(phi)
-        for (j, k), rate in table.items():
-            assert rate == predict_twofold(kern, j, k, phi)[1]
+        for j in range(d):
+            for k in range(j + 1, d):
+                rate = build_error_signal(kern, [(j, k, 1)])(phi)
+                assert rate == predict_twofold(kern, j, k, phi)[1]
         want = 0.0
         for j, k, sign in pairs:
             want += sign * predict_twofold(kern, j, k, phi)[1]
         assert signal(phi) == want
+    # a (G,) array of phases, one per gain set, is G scalar signals
+    assert same_bits(signal(np.array(phis)), [signal(phi) for phi in phis])
+
+
+def reference_pid_lock(drift, pid, error_signal, duration, seed=0):
+    """The scalar PID loop that the batched loop replaced, one gain set at a
+    time: the reference for its bits."""
+    rng = np.random.default_rng(seed)
+    dt = pid.update_interval
+    drift_trace = drift.trace(duration, rng)
+    n = len(drift_trace)
+    target = error_signal(pid.setpoint)
+    v = 0.0
+    integral = 0.0
+    prev_e = None
+    phi = np.zeros(n)
+    diverged = False
+    for i in range(n):
+        phi[i] = pid.setpoint + drift_trace[i] + v
+        e = error_signal(phi[i]) - target
+        integral += e * dt
+        deriv = 0.0 if prev_e is None else (e - prev_e) / dt
+        prev_e = e
+        v = v - (pid.kp * e + pid.ki * integral + pid.kd * deriv)
+        if abs(v) > pid.actuator_limit:
+            v = math.copysign(pid.actuator_limit, v)
+            diverged = True
+    settle = int(n * SETTLE_FRACTION)
+    residual = float(np.std(phi[settle:] - pid.setpoint))
+    if residual > math.pi:
+        diverged = True
+    times = np.arange(n) * dt
+    return SimpleNamespace(times=times, phi=phi, residual_std=residual,
+                           diverged=diverged)
+
+
+def reference_tune(drift, error_signal, duration, seed):
+    """The grid scan of ``tune_pid_gains`` with the reference loop: the first
+    cell of strictly lowest score wins."""
+    setpoint, eps = LOCK_SETPOINT, 1e-4
+    slope = (error_signal(setpoint + eps)
+             - error_signal(setpoint - eps)) / (2 * eps)
+    best = None
+    for kp in experiment.KP_GRID:
+        for ki in experiment.KI_GRID:
+            cfg = PidConfig(kp=kp / slope, ki=ki / slope, setpoint=setpoint)
+            res = reference_pid_lock(drift, cfg, error_signal, duration, seed)
+            score = math.inf if res.diverged else res.residual_std
+            if best is None or score < best[0]:
+                best = (score, cfg)
+    return best[1]
+
+
+def lock_signal(d, seed, n_pairs):
+    cfg, t, _ = random_circuit(d, seed)
+    kern = lock_kernel(cfg, t)
+    signal = build_error_signal(kern, auto_select_pairs(kern, n_pairs=n_pairs))
+    eps = 1e-4
+    slope = (signal(LOCK_SETPOINT + eps)
+             - signal(LOCK_SETPOINT - eps)) / (2 * eps)
+    return signal, slope
+
+
+def assert_same_lock(phi, residual, diverged, ref):
+    assert same_bits(phi, ref.phi)
+    assert same_bits(residual, ref.residual_std)
+    assert diverged == ref.diverged
+
+
+GAIN = st.floats(-60, 60, allow_nan=False)   # in units of 1 / error slope
+
+
+@PROPERTY
+@given(d=st.integers(3, 5), seed=st.integers(0, 2 ** 32 - 1),
+       n_pairs=st.integers(1, 6),
+       kind=st.sampled_from(["random_walk", "sinusoidal", "composite"]),
+       step=st.sampled_from([0.1, 0.07]), steps=st.floats(0.6, 90),
+       update_interval=st.sampled_from([0.1, 0.03]),
+       limit=st.sampled_from([1e-3, 0.3, 4 * math.pi]),
+       gains=st.lists(st.tuples(GAIN, GAIN, GAIN), min_size=1, max_size=5))
+def test_pid_loop_matches_scalar_reference(d, seed, n_pairs, kind, step,
+                                           steps, update_interval, limit,
+                                           gains):
+    # durations that are no multiple of the step; gains and limits that
+    # clamp the actuator and drive some locks to divergence
+    signal, slope = lock_signal(d, seed, n_pairs)
+    assume(slope != 0)
+    drift = DriftModel(kind=kind, step_interval=step)
+    duration, seed = steps * step, seed % 1000
+    pids = [PidConfig(kp=a / slope, ki=b / slope, kd=c / (10 * slope),
+                      update_interval=update_interval, actuator_limit=limit)
+            for a, b, c in gains]
+    refs = [reference_pid_lock(drift, pid, signal, duration, seed)
+            for pid in pids]
+    for pid, ref in zip(pids, refs):   # G = 1
+        got = pid_lock(drift, pid, signal, duration, seed)
+        assert same_bits(got.times, ref.times)
+        assert_same_lock(got.phi, got.residual_std, got.diverged, ref)
+        assert type(got.residual_std) is float
+        assert type(got.diverged) is bool
+    batch = np.array([[pid.kp, pid.ki, pid.kd] for pid in pids]).T
+    phi, residual, diverged = experiment._pid_loop(
+        drift, pids[0], batch, signal, duration, seed)
+    for g, ref in enumerate(refs):
+        assert_same_lock(phi[g], residual[g], diverged[g], ref)
+
+
+def test_pid_loop_clamp_and_divergence_cases():
+    """The kinds of lock the property covers, one of each: a clean lock, a
+    clamped actuator and a residual beyond pi with no clamp."""
+    signal, slope = lock_signal(5, 3, 4)
+    cases = [(DriftModel(), PidConfig(kp=0.6 / slope, ki=0.5 / slope,
+                                      kd=0.05 / slope)),
+             (DriftModel(), PidConfig(kp=0.6 / slope, actuator_limit=1e-3)),
+             (DriftModel(amplitude=5.0), PidConfig())]
+    refs = [reference_pid_lock(drift, pid, signal, 12.34, 7)
+            for drift, pid in cases]
+    assert [ref.diverged for ref in refs] == [False, True, True]
+    assert refs[1].residual_std < math.pi < refs[2].residual_std
+    for (drift, pid), ref in zip(cases, refs):
+        got = pid_lock(drift, pid, signal, 12.34, 7)
+        assert_same_lock(got.phi, got.residual_std, got.diverged, ref)
+
+
+@pytest.mark.parametrize("grid, drift", [
+    (None, DriftModel()),
+    # no drift: every cell locks with residual 0, a 16-way tie
+    (None, DriftModel(kind="sinusoidal", amplitude=0.0)),
+    # gains far beyond the loop's stability: every cell diverges
+    (((-400.0, 300.0), (-900.0, 700.0, 800.0)), DriftModel()),
+])
+def test_tune_matches_reference_grid_scan(grid, drift, monkeypatch):
+    if grid is not None:
+        monkeypatch.setattr(experiment, "KP_GRID", grid[0])
+        monkeypatch.setattr(experiment, "KI_GRID", grid[1])
+    signal, _ = lock_signal(5, 11, 5)
+    want = reference_tune(drift, signal, 9.87, 2)
+    got = tune_pid_gains(drift, signal, duration=9.87, seed=2)
+    assert got == want
+    assert same_bits([got.kp, got.ki, got.kd], [want.kp, want.ki, want.kd])
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,56 @@ class TestCompare:
         obj = json.loads(out.read_text())
         assert obj["likelihood"]["samples"] >= 0
 
+    @pytest.mark.parametrize("where", ["none", "leading", "between"])
+    def test_samples_comment_lines_are_skipped(self, where, config_path,
+                                               tmp_path):
+        samples = tmp_path / "s.csv"
+        main(["sample", "--config", config_path, "--pulses", "300",
+              "--n-max", "2", "--out", str(samples)])
+        lines = samples.read_text().splitlines(keepends=True)
+        # a comment that csv would misread: its second field opens a quote
+        comment = '# note,"unclosed\n'
+        if where == "none":
+            lines = lines[1:]
+        elif where == "leading":
+            lines = [comment] + lines
+        else:
+            lines[5:5] = [comment, comment]
+            lines.append(comment)
+        edited = tmp_path / "edited.csv"
+        edited.write_text("".join(lines))
+        outs = []
+        for path in (samples, edited):
+            out = tmp_path / f"cmp-{path.stem}.json"
+            assert main(["compare", "--config", config_path, "--model",
+                         "full", "--model-b", "korder(0)", "--n-max", "2",
+                         "--samples", str(path), "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["likelihood"]["samples"] > 200
+
+
+    @pytest.mark.parametrize("text", [
+        "# a\n# b\npulse,bitmask_hex,phi\n0,3,0\n",
+        "# a\npulse,bitmask_hex,phi\n0,3,0\n# b\n1,1,0\n# c",
+        "pulse,bitmask_hex,phi\n0,3,0\n",
+        "# only a comment",
+        "",
+    ])
+    def test_uncommented_lines_of_files_and_pipes(self, text, tmp_path):
+        from dgbs.cli import _uncommented
+        want = [line for line in text.splitlines(keepends=True)
+                if not line.startswith("#")]
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        with open(path) as f:
+            assert list(_uncommented(f)) == want
+        read, write = os.pipe()
+        os.write(write, text.encode())
+        os.close(write)
+        with open(read) as f:
+            assert not f.seekable()
+            assert list(_uncommented(f)) == want
 
 class TestSample:
     def test_classical_model_samples_the_surrogate(self, config_path,
@@ -265,6 +315,45 @@ class TestBadInput:
         for duration in (0.0, -1.0, 0.04, math.nan, math.inf):
             with pytest.raises(ConfigurationError):
                 DriftModel().trace(duration, rng)
+
+    @pytest.mark.parametrize("settings, message", [
+        ({"lock_pairs": -1}, "lock_pairs must be a positive integer, got -1"),
+        ({"lock_pairs": 0}, "lock_pairs must be a positive integer, got 0"),
+        ({"lock_pairs": 2.7},
+         "lock_pairs must be a positive integer, got 2.7"),
+        ({"lock_pairs": True},
+         "lock_pairs must be a positive integer, got True"),
+        ({"lock_pairs": "abc"},
+         "lock_pairs must be a positive integer, got 'abc'"),
+        ({"pid": {"kp": "x"}},
+         "bad pid config: kp must be a finite number, got 'x'"),
+        ({"pid": {"kd": True}},
+         "bad pid config: kd must be a finite number, got True"),
+        pytest.param({"pid": {"setpoint": 10 ** 400}}, "bad pid config: "
+                     f"setpoint must be a finite number, got {10 ** 400}",
+                     id="int-beyond-float-range"),
+        ({"pid": {"actuator_limit": -1}}, "bad pid config: update interval "
+         "and actuator limit must be positive"),
+        ({"pid": {"update_interval": 0}}, "bad pid config: update interval "
+         "and actuator limit must be positive"),
+        ({"drift": {"period": 0}}, "bad drift config: need sigma >= 0, "
+         "period > 0 and step_interval > 0"),
+        ({"drift": {"sigma": -0.1}}, "bad drift config: need sigma >= 0, "
+         "period > 0 and step_interval > 0"),
+        ({"drift": {"amplitude": "big"}},
+         "bad drift config: amplitude must be a finite number, got 'big'"),
+        ({"drift": {"kind": "brownian"}},
+         "bad drift config: unknown drift kind 'brownian'"),
+    ])
+    def test_bad_lock_settings_exit_2(self, settings, message, tmp_path,
+                                      capsys):
+        path = tmp_path / "d6.json"
+        cfg = json.loads(open(write_config(
+            tmp_path, 6, 0, {"r": 0.4, "alpha_mag": 0.8})).read())
+        path.write_text(json.dumps({**cfg, **settings}))
+        code = main(["lock", "--config", str(path), "--duration", "3",
+                     "--out", str(tmp_path / "lock.json")])
+        assert (code, capsys.readouterr().err) == (2, f"dgbs: {message}\n")
 
     @pytest.mark.parametrize("kind", [
         "threefolds_not_json", "threefolds_no_total", "threefolds_bad_row",

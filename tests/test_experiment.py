@@ -15,7 +15,7 @@ from dgbs.experiment import (ClickTable, DriftModel, PidConfig,
                              lock_kernel, pid_lock,
                              sample_patterns, sample_patterns_with_phase,
                              simulate_records, transfer_from_singles,
-                             tune_pid_gains, twofold_rates_from_state)
+                             tune_pid_gains)
 from dgbs.hafnian import DetectionPattern
 from dgbs.probability import ModelSpec, StateKernel, predict_twofold
 from dgbs.states import SourceConfig, TransferMatrix, build_input_state, propagate
@@ -156,9 +156,9 @@ class TestSimulatedRecords:
 class TestPhaseLock:
     def setup_method(self):
         cfg, t, _ = standard(d=5, eta=0.6, seed=4)
-        kern = lock_kernel(cfg, t)
+        self.kern = kern = lock_kernel(cfg, t)
         pairs = auto_select_pairs(kern, n_pairs=4)
-        self.signal = build_error_signal(twofold_rates_from_state(kern), pairs)
+        self.signal = build_error_signal(kern, pairs)
         self.drift = DriftModel()
 
     def test_lock_beats_free_running(self):
@@ -185,7 +185,7 @@ class TestPhaseLock:
 
     def test_error_signal_needs_pairs(self):
         with pytest.raises(ConfigurationError):
-            build_error_signal(lambda phi: {}, [])
+            build_error_signal(self.kern, [])
 
 
 class TestTransferEstimation:
