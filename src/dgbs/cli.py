@@ -22,9 +22,9 @@ import numpy as np
 from . import __version__
 from .errors import (ConfigurationError, DgbsError, EnumerationBudgetError,
                      SchemaError)
-from .experiment import (auto_select_pairs, build_error_signal, lock_kernel,
-                         pid_lock, sample_patterns, simulate_records,
-                         tune_pid_gains)
+from .experiment import (MAX_DRIFT_STEPS, auto_select_pairs,
+                         build_error_signal, lock_kernel, pid_lock,
+                         sample_patterns, simulate_records, tune_pid_gains)
 from .fock import oracle_probability
 from .hafnian import DetectionPattern
 from .metrics import likelihood_ratio, tvd
@@ -279,6 +279,10 @@ def cmd_lock(args) -> int:
         raise SchemaError(f"--duration must be finite and cover at least one "
                           f"drift step of {drift.step_interval} s, got "
                           f"{args.duration}")
+    if args.duration / drift.step_interval > MAX_DRIFT_STEPS:
+        raise SchemaError(f"--duration {args.duration} is more than "
+                          f"{MAX_DRIFT_STEPS} drift steps of "
+                          f"{drift.step_interval} s")
     n_pairs = config.get("lock_pairs", 5)
     if type(n_pairs) is not int or n_pairs < 1:   # a bool is no int here
         raise SchemaError(f"lock_pairs must be a positive integer, got "

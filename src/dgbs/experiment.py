@@ -5,8 +5,7 @@ amplitude estimation from singles rates."""
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -15,14 +14,16 @@ from .probability import (ModelSpec, PhaseFamily, StateKernel,
                           TwofoldFringe, all_patterns, as_kernel)
 from .reconstruction import MeasurementRecord
 from .serialize import _csv_rows, _unique_ints
-from .states import (SourceConfig, TransferMatrix, build_input_state,
-                     propagate)
+from .states import (SourceConfig, TransferMatrix, _require_finite,
+                     build_input_state, propagate)
 
 PHI_BINS = 64                   # locked phases are quantized per 2 pi
 LOCK_SETPOINT = math.pi / 4     # default lock point of the coherent phase
 SETTLE_FRACTION = 0.2           # lock-trace head left out of the residual
 KP_GRID = (0.3, 0.6, 0.9, 1.2)  # tuned gains, in units of 1 / error slope
 KI_GRID = (0.0, 0.5, 2.0, 6.0)
+# a drift trace holds one float per step; lab runs use a few hundred
+MAX_DRIFT_STEPS = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
@@ -185,15 +186,6 @@ def _avoid_overlap(squeezer_ports, coherent_port):
 # ---------------------------------------------------------------------------
 # phase drift and PID locking
 
-def _require_finite(obj):
-    """Every float field of the dataclass ``obj`` must be a finite number."""
-    for f in fields(obj):
-        x = getattr(obj, f.name)
-        if f.type == "float" and (isinstance(x, bool) or not isinstance(
-                x, (int, float)) or not abs(x) <= sys.float_info.max):
-            raise ConfigurationError(f"{f.name} must be a finite number, got {x!r}")
-
-
 @dataclass(frozen=True)
 class DriftModel:
     """Phase drift: random walk, sinusoid, or their sum."""
@@ -213,6 +205,10 @@ class DriftModel:
 
     def trace(self, duration: float, rng) -> np.ndarray:
         steps = duration / self.step_interval
+        if steps > MAX_DRIFT_STEPS:
+            raise ConfigurationError(
+                f"duration {duration} is more than {MAX_DRIFT_STEPS} drift "
+                f"steps of {self.step_interval} s")
         n = int(round(steps)) if math.isfinite(steps) else 0
         if n < 1:
             raise ConfigurationError(

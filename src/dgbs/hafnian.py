@@ -9,10 +9,12 @@ pattern repeats a mode, so every kernel of size n runs the same plan, built
 once per n.  :func:`pattern_polynomials` gathers the reduced kernels of a
 batch of patterns and the loop weights of a family of F vectors that share
 A, and runs the plan on chunks of them with (F, P) as trailing vector axes.
-Column p of a row reads only columns p and p - 1 of its children, so the
-pair counts 0..k that a k-order model needs cost k + 1 columns and keep
-their bits.  :func:`matching_polynomial` is the same evaluator on one
-kernel.
+A subset of s positions holds at most s // 2 pairs, so the rows of level s
+carry only the pair counts 0..s // 2: a band of columns that widens by one
+every second level.  Column p of a row reads only columns p and p - 1 of
+its children, so the pair counts 0..k that a k-order model needs cap the
+band at k + 1 columns and keep their bits.  :func:`matching_polynomial` is
+the same evaluator on one kernel.
 """
 
 from __future__ import annotations
@@ -139,18 +141,31 @@ def _plan(n: int) -> tuple:
 def _evaluate(steps: list, m: np.ndarray, diag: np.ndarray,
               columns: int) -> np.ndarray:
     """Run a plan on kernels m (n, n, P) with loop weights diag (n, F, P),
-    giving pair counts 0..columns - 1 as (F, P, columns).  Every entry is
-    summed in the order of the one-kernel recursion, so its bits depend
-    neither on the batch it is part of nor on ``columns``."""
-    prev = np.zeros((1, columns) + diag.shape[1:], dtype=complex)
-    prev[0, 0] = 1.0
+    giving pair counts 0..columns - 1 as (F, P, columns), for columns at
+    most n // 2 + 1.  The rows of level s carry the pair counts
+    0..min(columns, s // 2 + 1) - 1 (a subset of s positions holds at most
+    s // 2 pairs), so the top level carries all ``columns``.  Every entry
+    is summed in the order of the one-kernel recursion, and only terms that
+    are zero for every kernel are left out, so its bits depend neither on
+    the batch it is part of nor on ``columns``.  (A recursion that also
+    adds those zeros can differ only in the sign of an entry that is itself
+    an exact zero.)"""
+    prev = np.ones((1, 1) + diag.shape[1:], dtype=complex)
     prev2 = None
-    for i, rest, js, pairs in steps:
+    for s, (i, rest, js, pairs) in enumerate(steps, 1):
         # subset = {i} + rest with i its lowest position: i is a fixed
         # point, or i is paired with each j in rest in increasing order
-        row = diag[i][:, None] * prev[rest]
+        width = min(columns, s // 2 + 1)
+        if width > prev.shape[1]:
+            # s even: no fixed point is left beside s // 2 pairs, so that
+            # column starts from -0, which adds nothing
+            row = np.empty((len(i), width) + prev.shape[2:], dtype=complex)
+            np.multiply(diag[i][:, None], prev[rest], out=row[:, :-1])
+            row[:, -1] = complex(-0.0, -0.0)
+        else:
+            row = diag[i][:, None] * prev[rest]
         for j, pair in zip(js, pairs):
-            row[:, 1:] += m[i, j][:, None, None] * prev2[pair, :-1]
+            row[:, 1:] += m[i, j][:, None, None] * prev2[pair, :width - 1]
         prev2, prev = prev, row
     return prev[0].transpose(1, 2, 0)
 

@@ -7,6 +7,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -21,7 +22,7 @@ def tvd(p: PatternDistribution, q: PatternDistribution) -> float:
     return float(np.abs(p.probabilities - q.probabilities).sum() / 2)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LikelihoodTrace:
     """Per-sample log-ratio increments and the cumulative likelihood ratio.
 
@@ -42,9 +43,10 @@ class LikelihoodTrace:
     def cumulative_log(self) -> np.ndarray:
         return np.cumsum(self.increments)
 
-    @property
+    @cached_property
     def log_ratio(self) -> float:
-        """log L summed over the unflagged samples, always finite."""
+        """log L summed over the unflagged samples, always finite; summed
+        once, on first read."""
         keep = np.ones(len(self.increments), dtype=bool)
         keep[[i for i, *_ in self.flagged]] = False
         return float(math.fsum(self.increments[keep]))

@@ -85,7 +85,7 @@ def source_from_config(config: dict) -> SourceConfig:
         kw["squeezer_ports"] = tuple(kw["squeezer_ports"])
     try:
         return SourceConfig(**kw)
-    except TypeError as exc:
+    except (TypeError, ConfigurationError) as exc:
         raise SchemaError(f"bad source config: {exc}") from exc
 
 

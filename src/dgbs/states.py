@@ -11,7 +11,8 @@ has the block form ``[[G, M], [conj(M), conj(G)]]`` with G Hermitian
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -168,6 +169,15 @@ class TransferMatrix:
         return self.embedded().T
 
 
+def _require_finite(obj):
+    """Every float field of the dataclass ``obj`` must be a finite number."""
+    for f in fields(obj):
+        x = getattr(obj, f.name)
+        if f.type == "float" and (isinstance(x, bool) or not isinstance(
+                x, (int, float)) or not abs(x) <= sys.float_info.max):
+            raise ConfigurationError(f"{f.name} must be a finite number, got {x!r}")
+
+
 @dataclass(frozen=True)
 class SourceConfig:
     """Two-mode squeezer plus single coherent beam feeding the circuit."""
@@ -183,6 +193,7 @@ class SourceConfig:
     eta_d: float = 1.0
 
     def __post_init__(self):
+        _require_finite(self)
         for name in ("eta_c", "eta_g", "eta_p", "eta_d"):
             v = getattr(self, name)
             if not 0 <= v <= 1:

@@ -316,6 +316,19 @@ class TestBadInput:
             with pytest.raises(ConfigurationError):
                 DriftModel().trace(duration, rng)
 
+    def test_drift_trace_is_bounded(self):
+        # 6e10 steps would ask for hundreds of GiB; the check comes first
+        from dgbs.errors import ConfigurationError
+        from dgbs.experiment import MAX_DRIFT_STEPS, DriftModel
+        rng = np.random.default_rng(0)
+        drift = DriftModel(step_interval=1.0)
+        assert len(drift.trace(MAX_DRIFT_STEPS, rng)) == MAX_DRIFT_STEPS
+        for duration in (MAX_DRIFT_STEPS + 1.0, math.inf):
+            with pytest.raises(ConfigurationError, match="drift steps"):
+                drift.trace(duration, rng)
+        with pytest.raises(ConfigurationError, match="drift steps"):
+            DriftModel(step_interval=1e-9).trace(60.0, rng)
+
     @pytest.mark.parametrize("settings, message", [
         ({"lock_pairs": -1}, "lock_pairs must be a positive integer, got -1"),
         ({"lock_pairs": 0}, "lock_pairs must be a positive integer, got 0"),
@@ -344,6 +357,8 @@ class TestBadInput:
          "bad drift config: amplitude must be a finite number, got 'big'"),
         ({"drift": {"kind": "brownian"}},
          "bad drift config: unknown drift kind 'brownian'"),
+        ({"drift": {"step_interval": 1e-9}},
+         "--duration 3.0 is more than 1000000 drift steps of 1e-09 s"),
     ])
     def test_bad_lock_settings_exit_2(self, settings, message, tmp_path,
                                       capsys):
@@ -354,6 +369,23 @@ class TestBadInput:
         code = main(["lock", "--config", str(path), "--duration", "3",
                      "--out", str(tmp_path / "lock.json")])
         assert (code, capsys.readouterr().err) == (2, f"dgbs: {message}\n")
+
+    @pytest.mark.parametrize("source, message", [
+        pytest.param({"r": 10 ** 400}, "r must be a finite number, got "
+                     f"{10 ** 400}", id="int-beyond-float-range"),
+        ({"alpha_mag": True}, "alpha_mag must be a finite number, got True"),
+        ({"phi": "0"}, "phi must be a finite number, got '0'"),
+        ({"eta_d": 1.5}, "eta_d=1.5 outside [0,1]"),
+        ({"r": -0.1}, "r and alpha_mag must be nonnegative"),
+        ({"coherent_port": 1}, "input ports overlap: (0, 1, 1)"),
+    ])
+    def test_bad_source_exits_2(self, source, message, tmp_path, capsys):
+        cfg = write_config(tmp_path, 6, 0, {"r": 0.4, "alpha_mag": 0.8,
+                                            **source})
+        code = main(["probs", "--config", cfg, "--n-max", "1",
+                     "--out", str(tmp_path / "probs.json")])
+        assert (code, capsys.readouterr().err) == (
+            2, f"dgbs: bad source config: {message}\n")
 
     @pytest.mark.parametrize("kind", [
         "threefolds_not_json", "threefolds_no_total", "threefolds_bad_row",

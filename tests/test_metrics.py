@@ -42,6 +42,14 @@ class TestLikelihoodTrace:
         assert tr.ratio == pytest.approx(1.0)
         assert_allclose(tr.cumulative_log, [0.1, -0.2, 0.0], atol=1e-15)
 
+    def test_log_ratio_summed_once(self, monkeypatch):
+        sums = []
+        monkeypatch.setattr(math, "fsum", lambda xs: sums.append(1) or 2.0)
+        tr = LikelihoodTrace(np.array([0.5, 1.5]))
+        assert (tr.log_ratio, tr.ratio, tr.log_ratio) == (2.0, math.exp(2.0),
+                                                          2.0)
+        assert len(sums) == 1
+
     def test_csv(self):
         tr = LikelihoodTrace(np.array([math.log(2.0)]))
         lines = tr.to_csv().splitlines()
