@@ -10,21 +10,17 @@ byte-identical.  Exit codes: 0 success, 1 runtime/numerical failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
-import re
 import sys
-from operator import itemgetter
-
-import numpy as np
 
 from . import __version__
 from .errors import (ConfigurationError, DgbsError, EnumerationBudgetError,
                      SchemaError)
-from .experiment import (MAX_DRIFT_STEPS, auto_select_pairs,
+from .experiment import (MAX_DRIFT_STEPS, TUNING_DURATION, auto_select_pairs,
                          build_error_signal, lock_kernel, pid_lock,
-                         sample_patterns, simulate_records, tune_pid_gains)
+                         sample_patterns, samples_from_csv, simulate_records,
+                         tune_pid_gains)
 from .fock import oracle_probability
 from .hafnian import DetectionPattern
 from .metrics import likelihood_ratio, tvd
@@ -32,10 +28,10 @@ from .probability import (ModelSpec, PatternDistribution, StateKernel,
                           all_patterns, distribution_from_kernel)
 from .reconstruction import (check_threefolds, reconstruct, records_from_csv,
                              records_to_csv)
-from .serialize import (_codes, canonical_json, config_hash,
-                        drift_from_config, load_config, phi_grid_from_config,
-                        pid_from_config, pulses_from_config,
-                        source_from_config, transfer_from_config)
+from .serialize import (canonical_json, config_hash, drift_from_config,
+                        load_config, phi_grid_from_config, pid_from_config,
+                        pulses_from_config, source_from_config,
+                        transfer_from_config)
 from .states import build_classical_input, build_input_state, propagate
 
 
@@ -45,6 +41,16 @@ def _write(text: str, out: str):
     else:
         with open(out, "w") as f:
             f.write(text)
+
+
+def _write_json(args, fields: dict, config: dict = None) -> int:
+    """Write ``fields`` as canonical JSON stamped with the command, the
+    version and the config hash, if there is a config; 0 for success."""
+    stamp = {"command": args.command, "version": __version__}
+    if config is not None:
+        stamp["config_hash"] = config_hash(config)
+    _write(canonical_json({**fields, **stamp}) + "\n", args.out)
+    return 0
 
 
 def _kernel_for_model(config: dict, model: ModelSpec) -> StateKernel:
@@ -105,16 +111,8 @@ def cmd_probs(args) -> int:
             "probabilities": [float(v) for v in raw],
             "normalized": [float(v) for v in (raw / s if s > 0 else raw)],
         }
-    payload = {
-        "command": "probs",
-        "version": __version__,
-        "config_hash": config_hash(config),
-        "model": model.label(),
-        "p_vac": kernel.p_vac,
-        "distributions": distributions,
-    }
-    _write(canonical_json(payload) + "\n", args.out)
-    return 0
+    return _write_json(args, {"model": model.label(), "p_vac": kernel.p_vac,
+                              "distributions": distributions}, config)
 
 
 def cmd_simulate(args) -> int:
@@ -140,95 +138,15 @@ def cmd_reconstruct(args) -> int:
     if args.threefolds:
         try:
             with open(args.threefolds) as f:
-                obj = json.load(f)
-            threefolds = PatternDistribution(
-                obj["d"], obj["total"], obj["collision_free"],
-                obj["patterns"], np.asarray(obj["probabilities"], dtype=float),
-                model=obj.get("model", "measured"))
+                threefolds = PatternDistribution.from_json(f.read())
             if records:   # else reconstruct names the missing settings
                 check_threefolds(threefolds, next(iter(records.values())).d)
         except (ValueError, KeyError, TypeError, DgbsError) as exc:
             raise SchemaError(
                 f"bad threefolds file {args.threefolds}: {exc!r}") from exc
     result = reconstruct(records, threefolds=threefolds, seed=args.seed)
-    payload = json.loads(result.to_json())
-    payload["command"] = "reconstruct"
-    payload["version"] = __version__
-    payload["seed"] = args.seed
-    _write(canonical_json(payload) + "\n", args.out)
-    return 0
-
-
-def _data_lines(f, number: list):
-    """The lines of ``f`` that are not ``#`` comments, one at a time; after
-    each one, ``number[0]`` holds its line number in the file."""
-    for number[0], line in enumerate(f, start=1):
-        if not line.startswith("#"):
-            yield line
-
-
-def _uncommented(f):
-    """The lines of the open file ``f`` that are not ``#`` comments.  The
-    leading comments are skipped once; the lines are checked one at a time
-    only if a later line is a comment too, or if ``f`` cannot seek."""
-    if f.seekable():   # a pipe is read once, so it cannot be looked ahead
-        text = f.read()
-        start = skip = 0
-        while text.startswith("#", start):   # the leading comment lines
-            start = text.find("\n", start) + 1 or len(text)
-            skip += 1
-        f.seek(0)
-        for _ in range(skip):
-            next(f)
-        if text.find("\n#", start) < 0:
-            return f
-    return (line for line in f if not line.startswith("#"))
-
-
-def _read_samples(path: str, d: int, min_photons: int):
-    """The (S, d) counts of the samples with at least ``min_photons`` clicks
-    and the set of their photon numbers; each distinct text is parsed once."""
-    with open(path) as f:
-        rows = csv.reader(_uncommented(f))
-        try:
-            if next(rows, [])[:2] != ["pulse", "bitmask_hex"]:
-                raise SchemaError(
-                    "samples CSV must have header pulse,bitmask_hex,phi")
-            texts, which = _codes(map(itemgetter(1), filter(None, rows)))
-        except (IndexError, csv.Error):   # no mask field, or unreadable CSV
-            raise _bad_sample(path, d) from None
-    masks = np.full(len(texts), -1, dtype=np.int64)   # -1: discard
-    for i, text in enumerate(texts):
-        if text != "discard":
-            if not _is_mask(text, d):
-                raise _bad_sample(path, d)
-            masks[i] = int(text, 16)
-    # the bits of each distinct mask, one byte per count
-    bits = (masks[:, None] >> np.arange(d) & 1).astype(np.int8)
-    keep = (masks >= 0) & (bits.sum(axis=1) >= min_photons)
-    kept = which[keep[which]]   # the codes of the kept samples, in order
-    return bits[kept], set(bits[keep].sum(axis=1).tolist())
-
-
-def _is_mask(text: str, d: int) -> bool:
-    return bool(re.fullmatch("[0-9a-fA-F]+", text)) and not int(text, 16) >> d
-
-
-def _bad_sample(path: str, d: int) -> SchemaError:
-    """The error of the first samples row that csv cannot read or whose mask
-    is not a bitmask over ``d`` modes, found by reading the file again row
-    by row."""
-    number = [0]
-    with open(path) as f:
-        rows = csv.reader(_data_lines(f, number))
-        try:
-            next(rows)
-            row = next(row for row in rows if row and row[1:2] != ["discard"]
-                       and not _is_mask("".join(row[1:2]), d))
-        except csv.Error as exc:
-            return SchemaError(f"samples line {number[0]}: {exc}")
-    return SchemaError(f"samples line {number[0]}: {row[1:2]} is not a "
-                       f"bitmask over {d} modes")
+    return _write_json(args, {**json.loads(result.to_json()),
+                              "seed": args.seed})
 
 
 def cmd_compare(args) -> int:
@@ -240,8 +158,9 @@ def cmd_compare(args) -> int:
     samples = None
     totals = set(range(1, args.n_max + 1))
     if args.samples:
-        samples, sample_totals = _read_samples(args.samples, kernel_a.d,
-                                               args.min_photons)
+        with open(args.samples) as f:
+            samples, sample_totals = samples_from_csv(f.read(), kernel_a.d,
+                                                      args.min_photons)
         totals |= sample_totals
     tables_a = _tables(kernel_a, model_a, totals)
     tables_b = _tables(kernel_b, model_b, totals)
@@ -249,9 +168,6 @@ def cmd_compare(args) -> int:
             for total in range(1, args.n_max + 1)
             if total in tables_a and total in tables_b}
     payload = {
-        "command": "compare",
-        "version": __version__,
-        "config_hash": config_hash(config),
         "model_a": model_a.label(),
         "model_b": model_b.label(),
         "tvd_by_total": tvds,
@@ -265,8 +181,7 @@ def cmd_compare(args) -> int:
         }
         if math.isfinite(trace.ratio):
             payload["likelihood"]["ratio"] = trace.ratio
-    _write(canonical_json(payload) + "\n", args.out)
-    return 0
+    return _write_json(args, payload, config)
 
 
 def cmd_lock(args) -> int:
@@ -288,6 +203,10 @@ def cmd_lock(args) -> int:
         raise SchemaError(f"lock_pairs must be a positive integer, got "
                           f"{n_pairs!r}")
     pid = pid_from_config(config)
+    if pid is None and TUNING_DURATION / drift.step_interval > MAX_DRIFT_STEPS:
+        raise SchemaError(f"the {TUNING_DURATION} s gain tuning run (a config "
+                          f"without pid) is more than {MAX_DRIFT_STEPS} drift "
+                          f"steps of {drift.step_interval} s")
     kernel = lock_kernel(source, transfer)
     pairs = auto_select_pairs(kernel, n_pairs=n_pairs)
     signal = build_error_signal(kernel, pairs)
@@ -295,10 +214,7 @@ def cmd_lock(args) -> int:
         pid = tune_pid_gains(drift, signal, seed=args.seed)
     result = pid_lock(drift, pid, signal, duration=args.duration, seed=args.seed)
     stride = max(1, len(result.phi) // 600)
-    payload = {
-        "command": "lock",
-        "version": __version__,
-        "config_hash": config_hash(config),
+    return _write_json(args, {
         "seed": args.seed,
         "duration": args.duration,
         "gains": {"kp": pid.kp, "ki": pid.ki, "kd": pid.kd},
@@ -308,9 +224,7 @@ def cmd_lock(args) -> int:
         "pairs": [[j, k, s] for j, k, s in pairs],
         "trace_times": [float(t) for t in result.times[::stride]],
         "trace_phi": [float(p) for p in result.phi[::stride]],
-    }
-    _write(canonical_json(payload) + "\n", args.out)
-    return 0
+    }, config)
 
 
 def cmd_oracle(args) -> int:
@@ -324,24 +238,17 @@ def cmd_oracle(args) -> int:
     engine = _kernel_for_model(config, ModelSpec()).pattern_probability(pattern)
     oracle = oracle_probability(source, transfer, pattern,
                                 cutoff=args.cutoff)
-    payload = {
-        "command": "oracle",
-        "version": __version__,
-        "config_hash": config_hash(config),
-        "pattern": list(pattern.counts),
-        "engine": engine,
-        "oracle": oracle,
-        "abs_diff": abs(engine - oracle),
-    }
-    _write(canonical_json(payload) + "\n", args.out)
-    return 0
+    return _write_json(args, {"pattern": list(pattern.counts),
+                              "engine": engine, "oracle": oracle,
+                              "abs_diff": abs(engine - oracle)}, config)
 
 
 def cmd_sample(args) -> int:
     config = load_config(args.config)
     model = _model_arg(args)
     table = sample_patterns(_kernel_for_model(config, model), model,
-                            args.pulses, args.n_max, args.seed)
+                            args.pulses, args.n_max, args.seed,
+                            phi=source_from_config(config).phi)
     header = f"# dgbs sample config_hash={config_hash(config)} seed={args.seed}\n"
     _write(header + table.to_csv(), args.out)
     return 0

@@ -1,19 +1,21 @@
-"""Synthetic-experiment generation: shot-noise sampling, three-setting
-measurement records, phase drift + PID locking, and transfer-matrix
-amplitude estimation from singles rates."""
+"""Synthetic-experiment generation: shot-noise sampling and the samples
+CSV, three-setting measurement records, phase drift + PID locking, and
+transfer-matrix amplitude estimation from singles rates."""
 
 from __future__ import annotations
 
 import math
+import string
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, SchemaError
 from .probability import (ModelSpec, PhaseFamily, StateKernel,
                           TwofoldFringe, all_patterns, as_kernel)
 from .reconstruction import MeasurementRecord
-from .serialize import _csv_rows, _unique_ints
+from .serialize import _codes, _csv_rows, _read_csv, _unique_ints
 from .states import (SourceConfig, TransferMatrix, _require_finite,
                      build_input_state, propagate)
 
@@ -24,6 +26,8 @@ KP_GRID = (0.3, 0.6, 0.9, 1.2)  # tuned gains, in units of 1 / error slope
 KI_GRID = (0.0, 0.5, 2.0, 6.0)
 # a drift trace holds one float per step; lab runs use a few hundred
 MAX_DRIFT_STEPS = 10 ** 6
+TUNING_DURATION = 30.0          # s of drift that tune_pid_gains locks over
+SAMPLES_CSV_HEADER = "pulse,bitmask_hex,phi"
 
 
 # ---------------------------------------------------------------------------
@@ -53,9 +57,45 @@ class ClickTable:
                  for m in masks.tolist()]
         bits, where = _unique_ints(self.phi.view(np.int64))
         phis = [f"{p:.17g}" for p in bits.view(float).tolist()]
-        return "pulse,bitmask_hex,phi\n" + _csv_rows(len(self), [
+        return SAMPLES_CSV_HEADER + "\n" + _csv_rows(len(self), [
             np.arange(len(self)), ",", (hexes, which), ",", (phis, where),
             "\n"])
+
+
+def samples_from_csv(text: str, d: int, min_photons: int = 0) -> tuple:
+    """The (S, d) counts of the samples of a :meth:`ClickTable.to_csv` text
+    with at least ``min_photons`` clicks, and the set of their photon
+    numbers.  Only the mask column is read, each distinct mask once."""
+    def parse(rows):   # None if a row has no mask field or a bad one
+        if next(rows, [])[:2] != SAMPLES_CSV_HEADER.split(",")[:2]:
+            raise SchemaError(f"samples CSV must have header "
+                              f"{SAMPLES_CSV_HEADER}")
+        try:
+            texts, which = _codes(map(itemgetter(1), filter(None, rows)))
+        except IndexError:
+            return None
+        masks = [_mask(text, d) for text in texts]
+        return None if None in masks else (np.array(masks, np.int64), which)
+
+    def fault(row):
+        if _mask("".join(row[1:2]), d) is None:
+            return f"{row[1:2]} is not a bitmask over {d} modes"
+
+    masks, which = _read_csv(text, parse, fault, "samples line")
+    # the bits of each distinct mask, one byte per count
+    bits = (masks[:, None] >> np.arange(d) & 1).astype(np.int8)
+    keep = (masks >= 0) & (bits.sum(axis=1) >= min_photons)
+    kept = which[keep[which]]   # the codes of the kept samples, in order
+    return bits[kept], set(bits[keep].sum(axis=1).tolist())
+
+
+def _mask(text: str, d: int) -> int:
+    """The bitmask over ``d`` modes of a samples mask field, -1 for a
+    discard, None unless it is "discard" or plain hex below 2 ** d."""
+    if text == "discard":
+        return -1
+    if text and not text.strip(string.hexdigits) and not int(text, 16) >> d:
+        return int(text, 16)
 
 
 def sample_patterns(state_or_kernel, model: ModelSpec, pulses: int,
@@ -336,7 +376,8 @@ def pid_lock(drift: DriftModel, pid: PidConfig, error_signal,
                       pid.setpoint, float(residual[0]), bool(diverged[0]))
 
 
-def tune_pid_gains(drift: DriftModel, error_signal, duration: float = 30.0,
+def tune_pid_gains(drift: DriftModel, error_signal,
+                   duration: float = TUNING_DURATION,
                    seed: int = 0) -> PidConfig:
     """Grid search over ``KP_GRID`` x ``KI_GRID`` (both loop signs) at
     ``LOCK_SETPOINT``, minimizing the locked residual std; the 16 cells

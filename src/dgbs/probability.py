@@ -319,6 +319,14 @@ class PatternDistribution:
             "probabilities": self.probabilities.tolist(),
         }, sort_keys=True)
 
+    @classmethod
+    def from_json(cls, text: str) -> PatternDistribution:
+        """Inverse of :meth:`to_json`, "measured" if no model is given."""
+        obj = json.loads(text)
+        return cls(obj["d"], obj["total"], obj["collision_free"],
+                   obj["patterns"], np.asarray(obj["probabilities"], float),
+                   obj.get("model", "measured"), obj.get("provenance", ""))
+
 
 def distribution_from_kernel(kernel: StateKernel, total: int,
                              collision_free: bool = True,

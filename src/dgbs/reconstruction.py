@@ -13,8 +13,6 @@ to a common scan-origin offset solved jointly from the fringe phases).
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -27,7 +25,7 @@ from .errors import ConfigurationError, DgbsError, SchemaError
 from .metrics import tvd
 from .probability import (ModelSpec, PatternDistribution, StateKernel,
                           all_patterns, distribution_from_kernel)
-from .serialize import _codes, _csv_rows, _unique_ints
+from .serialize import _codes, _csv_rows, _read_csv, _unique_ints
 from .states import AMatrix, GammaVector
 
 SETTINGS = ("blocked", "input1", "input2")
@@ -135,24 +133,20 @@ def records_from_csv(text: str) -> dict:
     """Inverse of :func:`records_to_csv`.  Rows may come in any order; phi
     columns keep their order of first appearance.  Each setting must give
     every (phi, modes) cell of its table once, all with one pulses value.
-    Leading ``#`` comment lines (``dgbs simulate`` writes one) are skipped
-    and counted in the line numbers of errors."""
-    start = comments = 0
-    while text.startswith("#", start):
-        start = text.find("\n", start) + 1 or len(text)
-        comments += 1
-    reader = csv.reader(io.StringIO(text[start:]))
-    try:
-        rows = list(reader)
-    except csv.Error as exc:   # e.g. a field over csv's field size limit
-        raise SchemaError(f"line {comments + reader.line_num}: {exc}") from None
-    del reader   # its buffer, a copy of the text, would outlive the parse
+    ``#`` lines (``dgbs simulate`` writes one) may stand anywhere; error
+    line numbers count them."""
+    return _read_csv(text, _records_of_rows, _row_fault)
+
+
+def _records_of_rows(reader) -> dict:
+    """The records of a records text's csv rows; None if a row is at fault."""
+    rows = list(reader)
     if not rows or rows[0] != CSV_HEADER:
         raise SchemaError("records CSV must start with the standard header")
     body = list(filter(None, rows[1:]))
     settings, which = _codes(map(itemgetter(0), body))
     if set(map(len, body)) - {5} or not set(settings) <= set(SETTINGS):
-        raise _bad_row(rows[1:], comments + 2)
+        return None
     try:
         counts = np.fromiter(map(float, map(itemgetter(3), body)), float,
                              len(body))
@@ -165,14 +159,12 @@ def records_from_csv(text: str) -> dict:
             for code, setting in enumerate(settings)}
 
 
-def _bad_row(rows: list, first_line: int) -> SchemaError:
-    """The error of the first row that has not 5 columns or names an
-    unknown setting; ``first_line`` is the line number of ``rows[0]``."""
-    for line, row in enumerate(rows, start=first_line):
-        if row and len(row) != 5:
-            return SchemaError(f"line {line}: expected 5 columns")
-        if row and row[0] not in SETTINGS:
-            return SchemaError(f"line {line}: unknown setting {row[0]!r}")
+def _row_fault(row: list) -> str:
+    """What is wrong with a records row's columns or setting, if anything."""
+    if len(row) != 5:
+        return "expected 5 columns"
+    if row[0] not in SETTINGS:
+        return f"unknown setting {row[0]!r}"
 
 
 def _first_seen(codes: np.ndarray) -> np.ndarray:
@@ -560,7 +552,8 @@ def reconstruct(records: dict, threefolds: PatternDistribution = None,
         # signed Im C_jk from the fringe offsets r_jk = Re[conj(mu_j) mu_k
         # C_jk] over Im(conj(mu_j) mu_k), degenerate (fallback optimizer)
         # for nearly phase-parallel mu; conj(mu_j) mu_k term by term, as a
-        # complex scalar product rounds (numpy's vector one fuses)
+        # complex scalar product rounds (numpy's vector one fuses).  A pair
+        # of a mode without a mu phase gets no sign: im_sign_unknown.
         p2 = input2.norm_singles()
         r = (fit2.offset - p2[j2] * p2[k2] - b_sq[j2, k2] - abs_sq[j2, k2]) / 2
         u, v = np.conj(mu[j2]), mu[k2]
@@ -571,13 +564,18 @@ def reconstruct(records: dict, threefolds: PatternDistribution = None,
         im_est = (cross_re * re_c[j2, k2] - r) \
             / np.where(degenerate, 1.0, cross_im)
         known_im = abs_im[j2, k2]
+        known = np.append(True, has0[1:])   # a mu phase, m_0 = 0 included
+        phased = known[j2] & known[k2]
         inconsistent = ~degenerate & (known_im > 0) & (
             np.abs(np.abs(im_est) - known_im) > 0.5 * known_im + 1e-8)
         signed = np.where(im_est != 0, np.copysign(known_im, im_est), 0.0)
-        im_c[j2[~degenerate], k2[~degenerate]] = signed[~degenerate]
-        im_c[k2[~degenerate], j2[~degenerate]] = -signed[~degenerate]
-        flags += _pair_flags(j2, k2, {"epsilon_degenerate": degenerate,
-                                      "im_inconsistent": inconsistent})
+        sign = phased & ~degenerate
+        im_c[j2[sign], k2[sign]] = signed[sign]
+        im_c[k2[sign], j2[sign]] = -signed[sign]
+        flags += _pair_flags(j2, k2, {
+            "epsilon_degenerate": phased & degenerate,
+            "im_inconsistent": phased & inconsistent,
+            "im_sign_unknown": ~phased & (known_im > 0)})
     else:
         flags += [("im_sign_unknown", j, k) for j in range(d)
                   for k in range(j + 1, d) if abs_im[j, k] > 0]

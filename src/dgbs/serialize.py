@@ -1,5 +1,6 @@
 """JSON interchange: complex matrices, run configs, and content hashes;
-and the column-at-a-time helpers of the samples and records CSV text.
+and the CSV paths of the samples and records files: the column-at-a-time
+writer helpers and the one input path of both readers.
 
 Complex matrices are stored as {"shape": [r, c], "data": [[re, im], ...]}
 in row-major order.  Configs are dicts with a mandatory integer "version";
@@ -9,11 +10,14 @@ configs hash equally byte for byte.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import math
 from collections import defaultdict
-from itertools import count
+from contextlib import suppress
+from itertools import chain, count, islice
 
 import numpy as np
 
@@ -83,10 +87,15 @@ def source_from_config(config: dict) -> SourceConfig:
     kw = dict(src)
     if "squeezer_ports" in kw:
         kw["squeezer_ports"] = tuple(kw["squeezer_ports"])
+    return _from_fields(SourceConfig, kw, "source")
+
+
+def _from_fields(cls, fields, name: str):
+    """``cls(**fields)``, or SchemaError "bad {name} config: ..."."""
     try:
-        return SourceConfig(**kw)
+        return cls(**fields)
     except (TypeError, ConfigurationError) as exc:
-        raise SchemaError(f"bad source config: {exc}") from exc
+        raise SchemaError(f"bad {name} config: {exc}") from exc
 
 
 def transfer_from_config(config: dict) -> TransferMatrix:
@@ -123,28 +132,62 @@ def pulses_from_config(config: dict) -> float:
 
 def drift_from_config(config: dict):
     from .experiment import DriftModel  # experiment imports this module
-    obj = config.get("drift", {})
-    try:
-        return DriftModel(**obj)
-    except (TypeError, ConfigurationError) as exc:
-        raise SchemaError(f"bad drift config: {exc}") from exc
+    return _from_fields(DriftModel, config.get("drift", {}), "drift")
 
 
 def pid_from_config(config: dict):
     from .experiment import PidConfig
     obj = config.get("pid")
-    if obj is None:
-        return None
-    try:
-        return PidConfig(**obj)
-    except (TypeError, ConfigurationError) as exc:
-        raise SchemaError(f"bad pid config: {exc}") from exc
+    return None if obj is None else _from_fields(PidConfig, obj, "pid")
 
 
 # ---------------------------------------------------------------------------
-# CSV text a column at a time: the samples and records writers and readers
+# CSV text a column at a time: the samples and records writers, and the one
+# input path of their readers
 
 CSV_BLOCK_ROWS = 4096   # rows rendered per block, which bounds the memory
+CSV_BLOCK_CHARS = 1 << 14   # text split into lines per block, bounds memory
+
+
+def _read_csv(text: str, parse, fault, where: str = "line"):
+    """``parse(rows)`` of the csv rows of ``text`` (all of a file or pipe),
+    header first, without its ``#`` lines, which may stand anywhere.  If
+    csv cannot read a line, or ``parse`` returns None, the rows are read
+    again, and the first line csv cannot read, or the first nonempty row
+    after the header for which ``fault(row)`` gives a message, raises
+    ``SchemaError("{where} N: ...")``, N its line in ``text``."""
+    with suppress(csv.Error):
+        result = parse(csv.reader(chain.from_iterable(_uncommented(text))))
+        if result is not None:
+            return result
+    rows = csv.reader(chain.from_iterable(_uncommented(text, True)))
+    try:
+        rows_after_header = islice(filter(None, rows), 1, None)
+        message = next(filter(None, map(fault, rows_after_header)))
+    except csv.Error as exc:
+        message = exc
+    raise SchemaError(f"{where} {rows.line_num}: {message}")
+
+
+def _uncommented(text: str, keep_lines: bool = False):
+    """The lines of ``text``, ends kept, in blocks, without its ``#`` lines,
+    or with each of them as "" (an empty row to csv, nothing within a quoted
+    field) if ``keep_lines``.  A block of about ``CSV_BLOCK_CHARS`` is split
+    by an ``io.StringIO``, which holds 4 bytes a character."""
+    start, comment = 0, -1
+    while start < len(text):
+        if comment < start:   # where the next comment line starts
+            comment = start if text.startswith("#", start) else \
+                text.find("\n#", start) + 1 or len(text)
+        if start == comment:
+            end = text.find("\n", start) + 1 or len(text)
+            if keep_lines:
+                yield [""]
+        else:
+            end = min(comment, text.find("\n", start + CSV_BLOCK_CHARS) + 1
+                      or len(text))
+            yield io.StringIO(text[start:end])
+        start = end
 
 
 def _csv_rows(n: int, pieces) -> str:

@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +38,36 @@ def config_path(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+@pytest.fixture
+def input_at(tmp_path):
+    """``input_at(name, text, via)``: a path from which a reader reads
+    ``text``, a file (``via="file"``) or a pipe that a thread fills
+    (``via="pipe"``), which can be read once only: a second open of it
+    reads nothing."""
+    pipe_ends = []
+
+    def put(name: str, text: str, via: str) -> str:
+        if via == "file":
+            (tmp_path / name).write_text(text)
+            return str(tmp_path / name)
+        read, write = os.pipe()
+        pipe_ends.append(read)
+
+        def fill():
+            with open(write, "w") as f:
+                f.write(text)
+
+        threading.Thread(target=fill, daemon=True).start()
+        return f"/dev/fd/{read}"
+
+    yield put
+    for fd in pipe_ends:
+        os.close(fd)
+
+
+VIAS = ("file", "pipe")
 
 
 class TestSerialize:
@@ -161,20 +193,24 @@ class TestCompare:
         "# only a comment",
         "",
     ])
-    def test_uncommented_lines_of_files_and_pipes(self, text, tmp_path):
-        from dgbs.cli import _uncommented
-        want = [line for line in text.splitlines(keepends=True)
-                if not line.startswith("#")]
-        path = tmp_path / "s.csv"
-        path.write_text(text)
-        with open(path) as f:
-            assert list(_uncommented(f)) == want
-        read, write = os.pipe()
-        os.write(write, text.encode())
-        os.close(write)
-        with open(read) as f:
-            assert not f.seekable()
-            assert list(_uncommented(f)) == want
+    def test_uncommented_lines_of_files_and_pipes(self, text, input_at,
+                                                  monkeypatch):
+        from dgbs import serialize
+        lines = text.splitlines(keepends=True)
+        want = [line for line in lines if not line.startswith("#")]
+        # with keep_lines, a comment is an empty line: csv counts it
+        kept = ["" if line.startswith("#") else line for line in lines]
+        for via in VIAS:
+            with open(input_at("s.csv", text, via)) as f:
+                read = f.read()
+            assert read == text
+            # blocks of one line each, of a few lines, and all in one
+            for block in (1, 12, serialize.CSV_BLOCK_CHARS):
+                monkeypatch.setattr(serialize, "CSV_BLOCK_CHARS", block)
+                for keep_lines, lines in ((False, want), (True, kept)):
+                    blocks = serialize._uncommented(read, keep_lines)
+                    assert list(chain.from_iterable(blocks)) == lines
+
 
 class TestSample:
     def test_classical_model_samples_the_surrogate(self, config_path,
@@ -195,6 +231,19 @@ class TestSample:
             outs[model] = out.read_text()
         assert outs["classical"] == header + table.to_csv()
         assert outs["classical"] != outs["full"]
+
+    def test_phi_column_is_the_coherent_phase(self, config_path, tmp_path):
+        cfg = json.loads(open(config_path).read())
+        cfg["source"]["phi"] = 0.4
+        path = tmp_path / "phi.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "s.csv"
+        assert main(["sample", "--config", str(path), "--pulses", "50",
+                     "--out", str(out)]) == 0
+        _, header, *rows = out.read_text().splitlines()
+        assert header == "pulse,bitmask_hex,phi" and len(rows) == 50
+        assert {row.rsplit(",", 1)[1] for row in rows} == \
+            {"0.40000000000000002"}
 
 
 class TestLockOracle:
@@ -359,6 +408,8 @@ class TestBadInput:
          "bad drift config: unknown drift kind 'brownian'"),
         ({"drift": {"step_interval": 1e-9}},
          "--duration 3.0 is more than 1000000 drift steps of 1e-09 s"),
+        ({"drift": {"step_interval": 1e-5}}, "the 30.0 s gain tuning run (a "
+         "config without pid) is more than 1000000 drift steps of 1e-05 s"),
     ])
     def test_bad_lock_settings_exit_2(self, settings, message, tmp_path,
                                       capsys):
@@ -392,7 +443,7 @@ class TestBadInput:
         "threefolds_other_d", "threefolds_other_d_no_fallback",
         "records_bad_counts", "samples_not_hex", "samples_mask_beyond_d"])
     def test_malformed_file_exits_2(self, kind, config_path, tmp_path,
-                                    capsys):
+                                    input_at, capsys):
         if kind.endswith("no_fallback"):
             # d = 4 with a second input port: every entry is determined,
             # so reconstruct itself never reads the threefolds
@@ -428,20 +479,22 @@ class TestBadInput:
             fields[3] = "many"
             lines[2] = ",".join(fields)
             records.write_text("\n".join(lines) + "\n")
-        else:
+        if kind.startswith("samples"):   # from a file and from a pipe
             mask = "zz" if kind == "samples_not_hex" else "ff"
-            bad.write_text(header + f"1,{mask},0\n")
-        if kind.startswith("samples"):
-            argv = ["compare", "--config", config_path, "--model-b", "full",
-                    "--samples", str(bad)]
+            runs = [["compare", "--config", config_path, "--model-b", "full",
+                     "--samples", input_at("bad", header + f"1,{mask},0\n",
+                                           via)]
+                    for via in VIAS]
         else:
-            argv = ["reconstruct", "--records", str(records)]
+            runs = [["reconstruct", "--records", str(records)]]
             if kind.startswith("threefolds"):
-                argv += ["--threefolds", str(bad)]
-        code = main(argv + ["--out", str(tmp_path / "out.json")])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("dgbs:") and "Traceback" not in err
+                runs[0] += ["--threefolds", str(bad)]
+        for argv in runs:
+            code = main(argv + ["--out", str(tmp_path / "out.json")])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err.startswith("dgbs:") and "Traceback" not in err
+            assert err.count("\n") == 1
 
     def test_threefolds_with_empty_records_exit_1(self, tmp_path, capsys):
         # with no records there is no d to check the threefolds against;
@@ -578,8 +631,9 @@ SAMPLES_HEADER = "pulse,bitmask_hex,phi"
 
 
 class TestReaderErrors:
-    """Every error of the records and samples readers: exit 2 and exactly
-    one message line, whose line numbers count the leading comments."""
+    """Every error of the records and samples readers, from a file and from
+    a pipe: exit 2 and exactly one message line, whose line numbers count
+    the comment lines."""
 
     @pytest.mark.parametrize("edits, message", [
         ({"header": "setting,phi,modes,counts"},
@@ -609,13 +663,17 @@ class TestReaderErrors:
         ({0: "blocked,,vac,2000,1000"}, "blocked: rates outside [0,1]"),
         ({9: f"input1,1.5,0,{'1' * 140000},500"},
          "line 13: field larger than field limit (131072)"),
+        ({2: "# a comment between rows\nblocked,,1,40,1000",
+          5: "input1,0,0,30,500,1"}, "line 10: expected 5 columns"),
     ])
-    def test_records(self, edits, message, tmp_path, capsys):
-        path = tmp_path / "records.csv"
-        path.write_text(self.text(RECORDS_HEADER, RECORDS, edits))
-        code = main(["reconstruct", "--records", str(path),
-                     "--out", str(tmp_path / "out.json")])
-        assert (code, capsys.readouterr().err) == (2, f"dgbs: {message}\n")
+    def test_records(self, edits, message, tmp_path, input_at, capsys):
+        for via in VIAS:
+            path = input_at("records.csv",
+                            self.text(RECORDS_HEADER, RECORDS, edits), via)
+            code = main(["reconstruct", "--records", path,
+                         "--out", str(tmp_path / "out.json")])
+            assert (via, code, capsys.readouterr().err) == \
+                (via, 2, f"dgbs: {message}\n")
 
     @pytest.mark.parametrize("edits, message", [
         ({"header": "pulse,mask,phi"},
@@ -632,13 +690,16 @@ class TestReaderErrors:
         ({2: f"2,{'f' * 140000},0"},
          "samples line 6: field larger than field limit (131072)"),
     ])
-    def test_samples(self, edits, message, config_path, tmp_path, capsys):
-        path = tmp_path / "samples.csv"
-        path.write_text(self.text(SAMPLES_HEADER, SAMPLES, edits))
-        code = main(["compare", "--config", config_path, "--model-b", "full",
-                     "--samples", str(path),
-                     "--out", str(tmp_path / "out.json")])
-        assert (code, capsys.readouterr().err) == (2, f"dgbs: {message}\n")
+    def test_samples(self, edits, message, config_path, tmp_path, input_at,
+                     capsys):
+        for via in VIAS:
+            path = input_at("samples.csv",
+                            self.text(SAMPLES_HEADER, SAMPLES, edits), via)
+            code = main(["compare", "--config", config_path, "--model-b",
+                         "full", "--samples", path,
+                         "--out", str(tmp_path / "out.json")])
+            assert (via, code, capsys.readouterr().err) == \
+                (via, 2, f"dgbs: {message}\n")
 
     @staticmethod
     def text(header: str, rows: list, edits: dict) -> str:

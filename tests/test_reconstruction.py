@@ -287,6 +287,32 @@ class TestRoundTrip:
         assert_allclose(res.b, b2, atol=1e-10)
         assert_allclose(res.c, c2, atol=1e-10)
 
+    def test_no_im_sign_without_a_mu_phase(self):
+        # a flat input-1 (0, 4) fringe leaves B_04 unknown, so mode 4 has
+        # no mu phase; phase 0 in its place gave Im C_24 the wrong sign
+        cfg = SourceConfig(r=0.4, alpha_mag=0.8)
+        t = lossy_transfer(6, 0.5, seed=7)
+        truth = StateKernel.from_state(propagate(build_input_state(cfg, 6), t))
+        recs = simulate_records(cfg, t, second_input_port=3)
+        rec = recs["input1"]
+        rates = rec.rates.copy()
+        row = rec.d + 1 + rec.pairs.index((0, 4))
+        rates[row] = rates[row].mean()
+        recs["input1"] = replace(rec, rates=rates)
+        res = reconstruct(recs)
+        _, c2, _, _ = gauge_fix(truth.a.b, truth.a.c, truth.gamma.gamma[:6])
+        assert c2[2, 4].imag > 1e-3
+        assert ("mu_phase_undetermined", 4) in res.flags
+        assert [f for f in res.flags if 4 in f[1:] and len(f) == 3] == [
+            ("im_sign_unknown", j, k)
+            for j, k in ((0, 4), (1, 4), (2, 4), (3, 4), (4, 5))]
+        assert res.c[2, 4].imag == 0 and (2, 4) in res.fallback_entries
+        # the pairs of modes with a mu phase keep their signed Im C
+        others = [(j, k) for j in range(6) for k in range(j + 1, 6)
+                  if 4 not in (j, k)]
+        assert_allclose([res.c[p].imag for p in others],
+                        [c2[p].imag for p in others], atol=1e-10)
+
     def test_threefold_distribution_matches(self):
         cfg = SourceConfig(r=0.35, alpha_mag=0.7)
         t = lossy_transfer(5, 0.5, seed=9)
