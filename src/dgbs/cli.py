@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import nullcontext
 
 from . import __version__
 from .errors import (ConfigurationError, DgbsError, EnumerationBudgetError,
@@ -35,22 +36,21 @@ from .serialize import (canonical_json, config_hash, drift_from_config,
 from .states import build_classical_input, build_input_state, propagate
 
 
-def _write(text: str, out: str):
-    if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as f:
-            f.write(text)
+def _write(args, *texts: str) -> int:
+    """Write ``texts`` to --out one after the other; 0 for success."""
+    out = nullcontext(sys.stdout) if args.out == "-" else open(args.out, "w")
+    with out as f:
+        f.writelines(texts)
+    return 0
 
 
-def _write_json(args, fields: dict, config: dict = None) -> int:
+def _write_json(args, fields: dict, config: dict) -> int:
     """Write ``fields`` as canonical JSON stamped with the command, the
-    version and the config hash, if there is a config; 0 for success."""
+    version and the config hash unless ``config`` is None; 0 for success."""
     stamp = {"command": args.command, "version": __version__}
     if config is not None:
         stamp["config_hash"] = config_hash(config)
-    _write(canonical_json({**fields, **stamp}) + "\n", args.out)
-    return 0
+    return _write(args, canonical_json({**fields, **stamp}), "\n")
 
 
 def _kernel_for_model(config: dict, model: ModelSpec) -> StateKernel:
@@ -127,8 +127,7 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
         include_collisions=bool(config.get("include_collisions", False)))
     header = f"# dgbs simulate config_hash={config_hash(config)} seed={args.seed}\n"
-    _write(header + records_to_csv(records), args.out)
-    return 0
+    return _write(args, header, records_to_csv(records))
 
 
 def cmd_reconstruct(args) -> int:
@@ -146,7 +145,7 @@ def cmd_reconstruct(args) -> int:
                 f"bad threefolds file {args.threefolds}: {exc!r}") from exc
     result = reconstruct(records, threefolds=threefolds, seed=args.seed)
     return _write_json(args, {**json.loads(result.to_json()),
-                              "seed": args.seed})
+                              "seed": args.seed}, None)
 
 
 def cmd_compare(args) -> int:
@@ -250,8 +249,7 @@ def cmd_sample(args) -> int:
                             args.pulses, args.n_max, args.seed,
                             phi=source_from_config(config).phi)
     header = f"# dgbs sample config_hash={config_hash(config)} seed={args.seed}\n"
-    _write(header + table.to_csv(), args.out)
-    return 0
+    return _write(args, header, table.to_csv())
 
 
 # ---------------------------------------------------------------------------

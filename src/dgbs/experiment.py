@@ -62,7 +62,7 @@ class ClickTable:
             "\n"])
 
 
-def samples_from_csv(text: str, d: int, min_photons: int = 0) -> tuple:
+def samples_from_csv(text: str, d: int, min_photons: int) -> tuple:
     """The (S, d) counts of the samples of a :meth:`ClickTable.to_csv` text
     with at least ``min_photons`` clicks, and the set of their photon
     numbers.  Only the mask column is read, each distinct mask once."""

@@ -135,7 +135,7 @@ def records_from_csv(text: str) -> dict:
     every (phi, modes) cell of its table once, all with one pulses value.
     ``#`` lines (``dgbs simulate`` writes one) may stand anywhere; error
     line numbers count them."""
-    return _read_csv(text, _records_of_rows, _row_fault)
+    return _read_csv(text, _records_of_rows, _row_fault, "line")
 
 
 def _records_of_rows(reader) -> dict:
@@ -395,6 +395,7 @@ class ReconstructionResult:
     b: np.ndarray
     c: np.ndarray
     gamma: np.ndarray
+    c_abs: np.ndarray   # |C| as measured, also where Im C is left unsigned
     mu: np.ndarray = None
     diag_known: np.ndarray = None
     uncertainties: dict = field(default_factory=dict)
@@ -586,7 +587,8 @@ def reconstruct(records: dict, threefolds: PatternDistribution = None,
     fallback = sorted({(f[1], f[2]) for f in flags if f[0] in FALLBACK_FLAGS})
     labels = ["%d:%d" % p for p in zip(j1.tolist(), k1.tolist())]
     result = ReconstructionResult(
-        d=d, b=b, c=c, gamma=gamma, mu=mu, diag_known=diag_known,
+        d=d, b=b, c=c, gamma=gamma, c_abs=np.diag(c_diag) + np.sqrt(abs_sq),
+        mu=mu, diag_known=diag_known,
         uncertainties={
             "c_diag": c_diag_sigma,
             "fringe_offset": dict(zip(labels, fit1.sigma_offset.tolist())),
@@ -606,8 +608,9 @@ def optimize_undetermined_phases(result: ReconstructionResult,
                                  seed: int = 0) -> ReconstructionResult:
     """Monte-Carlo phase completion: minimize the TVD between the measured
     threefold distribution and the kernel's prediction over the phases of
-    the flagged entries; 10 restarts, Gaussian initials around the direct
-    estimates where available, uniform [-pi, pi) otherwise."""
+    the flagged entries, at their magnitudes ``c_abs``; 10 restarts,
+    Gaussian initials around the direct estimates where available, uniform
+    [-pi, pi) otherwise."""
     entries = result.fallback_entries
     if not entries:
         return result
@@ -615,12 +618,11 @@ def optimize_undetermined_phases(result: ReconstructionResult,
     from scipy.optimize import minimize
     rng = np.random.default_rng(seed)
     base_c = result.c.copy()
-    mags_c = np.abs(result.c)
 
     def build(phases):
         c = base_c.copy()
         for (j, k), th in zip(entries, phases):
-            val = mags_c[j, k] * np.exp(1j * th)
+            val = result.c_abs[j, k] * np.exp(1j * th)
             c[j, k] = val
             c[k, j] = np.conj(val)
         return replace(result, c=c).to_kernel()
@@ -634,7 +636,7 @@ def optimize_undetermined_phases(result: ReconstructionResult,
             return 1.0
         return tvd(dist, threefolds)
 
-    direct = np.array([np.angle(base_c[j, k]) if mags_c[j, k] > 0 else np.nan
+    direct = np.array([np.angle(base_c[j, k]) if base_c[j, k] != 0 else np.nan
                        for j, k in entries])
     best = None
     values = []

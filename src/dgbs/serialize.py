@@ -149,7 +149,7 @@ CSV_BLOCK_ROWS = 4096   # rows rendered per block, which bounds the memory
 CSV_BLOCK_CHARS = 1 << 14   # text split into lines per block, bounds memory
 
 
-def _read_csv(text: str, parse, fault, where: str = "line"):
+def _read_csv(text: str, parse, fault, where: str):
     """``parse(rows)`` of the csv rows of ``text`` (all of a file or pipe),
     header first, without its ``#`` lines, which may stand anywhere.  If
     csv cannot read a line, or ``parse`` returns None, the rows are read
@@ -157,7 +157,8 @@ def _read_csv(text: str, parse, fault, where: str = "line"):
     after the header for which ``fault(row)`` gives a message, raises
     ``SchemaError("{where} N: ...")``, N its line in ``text``."""
     with suppress(csv.Error):
-        result = parse(csv.reader(chain.from_iterable(_uncommented(text))))
+        rows = csv.reader(chain.from_iterable(_uncommented(text, False)))
+        result = parse(rows)
         if result is not None:
             return result
     rows = csv.reader(chain.from_iterable(_uncommented(text, True)))
@@ -169,7 +170,7 @@ def _read_csv(text: str, parse, fault, where: str = "line"):
     raise SchemaError(f"{where} {rows.line_num}: {message}")
 
 
-def _uncommented(text: str, keep_lines: bool = False):
+def _uncommented(text: str, keep_lines: bool):
     """The lines of ``text``, ends kept, in blocks, without its ``#`` lines,
     or with each of them as "" (an empty row to csv, nothing within a quoted
     field) if ``keep_lines``.  A block of about ``CSV_BLOCK_CHARS`` is split

@@ -193,23 +193,19 @@ class TestCompare:
         "# only a comment",
         "",
     ])
-    def test_uncommented_lines_of_files_and_pipes(self, text, input_at,
-                                                  monkeypatch):
+    def test_uncommented_lines_of_files_and_pipes(self, text, monkeypatch):
+        # the text of a file or a pipe, read whole
         from dgbs import serialize
         lines = text.splitlines(keepends=True)
         want = [line for line in lines if not line.startswith("#")]
         # with keep_lines, a comment is an empty line: csv counts it
         kept = ["" if line.startswith("#") else line for line in lines]
-        for via in VIAS:
-            with open(input_at("s.csv", text, via)) as f:
-                read = f.read()
-            assert read == text
-            # blocks of one line each, of a few lines, and all in one
-            for block in (1, 12, serialize.CSV_BLOCK_CHARS):
-                monkeypatch.setattr(serialize, "CSV_BLOCK_CHARS", block)
-                for keep_lines, lines in ((False, want), (True, kept)):
-                    blocks = serialize._uncommented(read, keep_lines)
-                    assert list(chain.from_iterable(blocks)) == lines
+        # blocks of one line each, of a few lines, and all in one
+        for block in (1, 12, serialize.CSV_BLOCK_CHARS):
+            monkeypatch.setattr(serialize, "CSV_BLOCK_CHARS", block)
+            for keep_lines, lines in ((False, want), (True, kept)):
+                blocks = serialize._uncommented(text, keep_lines)
+                assert list(chain.from_iterable(blocks)) == lines
 
 
 class TestSample:

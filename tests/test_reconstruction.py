@@ -287,9 +287,10 @@ class TestRoundTrip:
         assert_allclose(res.b, b2, atol=1e-10)
         assert_allclose(res.c, c2, atol=1e-10)
 
-    def test_no_im_sign_without_a_mu_phase(self):
-        # a flat input-1 (0, 4) fringe leaves B_04 unknown, so mode 4 has
-        # no mu phase; phase 0 in its place gave Im C_24 the wrong sign
+    @staticmethod
+    def flat_04_records():
+        """Noiseless d = 6 records whose input-1 (0, 4) fringe is flat, the
+        true kernel, and its gauge-fixed B and C."""
         cfg = SourceConfig(r=0.4, alpha_mag=0.8)
         t = lossy_transfer(6, 0.5, seed=7)
         truth = StateKernel.from_state(propagate(build_input_state(cfg, 6), t))
@@ -299,8 +300,14 @@ class TestRoundTrip:
         row = rec.d + 1 + rec.pairs.index((0, 4))
         rates[row] = rates[row].mean()
         recs["input1"] = replace(rec, rates=rates)
+        b2, c2, _, _ = gauge_fix(truth.a.b, truth.a.c, truth.gamma.gamma[:6])
+        return recs, truth, b2, c2
+
+    def test_no_im_sign_without_a_mu_phase(self):
+        # a flat input-1 (0, 4) fringe leaves B_04 unknown, so mode 4 has
+        # no mu phase; phase 0 in its place gave Im C_24 the wrong sign
+        recs, _, _, c2 = self.flat_04_records()
         res = reconstruct(recs)
-        _, c2, _, _ = gauge_fix(truth.a.b, truth.a.c, truth.gamma.gamma[:6])
         assert c2[2, 4].imag > 1e-3
         assert ("mu_phase_undetermined", 4) in res.flags
         assert [f for f in res.flags if 4 in f[1:] and len(f) == 3] == [
@@ -312,6 +319,21 @@ class TestRoundTrip:
                   if 4 not in (j, k)]
         assert_allclose([res.c[p].imag for p in others],
                         [c2[p].imag for p in others], atol=1e-10)
+
+    def test_fallback_keeps_the_measured_magnitudes(self):
+        # the optimizer rotates |C|, not the |Re C| of an unsigned entry
+        recs, truth, b2, c2 = self.flat_04_records()
+        res = reconstruct(recs)
+        out = reconstruction.optimize_undetermined_phases(
+            res, distribution_from_kernel(truth, 3), restarts=1)
+        assert [e for e in out.optimizer_report["entries"] if 4 in e] == [
+            [0, 4], [1, 4], [2, 4], [3, 4], [4, 5]]
+        pairs = [(1, 4), (2, 4), (3, 4), (4, 5)]
+        assert_allclose([abs(out.c[p]) for p in pairs],
+                        [abs(c2[p]) for p in pairs], rtol=1e-10)
+        # the flat fringe reads B_04 = 0, so |C_04| takes |B_04|^2 too
+        assert_allclose(abs(out.c[0, 4]),
+                        np.hypot(abs(b2[0, 4]), abs(c2[0, 4])), rtol=1e-10)
 
     def test_threefold_distribution_matches(self):
         cfg = SourceConfig(r=0.35, alpha_mag=0.7)
