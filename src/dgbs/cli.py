@@ -31,7 +31,7 @@ from .reconstruction import (check_threefolds, reconstruct, records_from_csv,
                              records_to_csv)
 from .serialize import (canonical_json, config_hash, drift_from_config,
                         load_config, phi_grid_from_config, pid_from_config,
-                        pulses_from_config, source_from_config,
+                        pulses_from_config, read_text, source_from_config,
                         transfer_from_config)
 from .states import build_classical_input, build_input_state, propagate
 
@@ -131,8 +131,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    with open(args.records) as f:
-        records = records_from_csv(f.read())
+    records = records_from_csv(read_text(args.records))
     threefolds = None
     if args.threefolds:
         try:
@@ -157,9 +156,8 @@ def cmd_compare(args) -> int:
     samples = None
     totals = set(range(1, args.n_max + 1))
     if args.samples:
-        with open(args.samples) as f:
-            samples, sample_totals = samples_from_csv(f.read(), kernel_a.d,
-                                                      args.min_photons)
+        samples, sample_totals = samples_from_csv(read_text(args.samples),
+                                                  kernel_a.d, args.min_photons)
         totals |= sample_totals
     tables_a = _tables(kernel_a, model_a, totals)
     tables_b = _tables(kernel_b, model_b, totals)
@@ -329,7 +327,7 @@ def main(argv=None) -> int:
                 raise SchemaError(f"--{name.replace('_', '-')} must be "
                                   f"nonnegative, got {getattr(args, name)}")
         return args.func(args)
-    except (SchemaError, FileNotFoundError) as exc:
+    except (SchemaError, OSError) as exc:
         print(f"dgbs: {exc}", file=sys.stderr)
         return 2
     except DgbsError as exc:

@@ -8,6 +8,7 @@ used as the independent ground truth behind the loop-Hafnian engine.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -107,39 +108,81 @@ def apply_interferometer(psi: FockVector, u: np.ndarray) -> FockVector:
 
 
 def _interfere(psi: FockVector, u: np.ndarray, limit: tuple) -> FockVector:
-    """:func:`apply_interferometer` without the monomials whose exponent j
-    exceeds limit[j], j < len(limit): exponents only grow as it expands."""
+    """:func:`apply_interferometer` expanded only toward the target ``limit``
+    in the first m = len(limit) modes.
+
+    A monomial that has placed ``have`` photons in those modes, with
+    ``left`` creation operators of its ket still to apply, can reach the
+    target only while sum(limit) - have <= left and no exponent j < m
+    exceeds limit[j]; every other monomial is dropped as soon as it
+    appears.  Exponents and ``have`` only grow, so a dropped monomial never
+    feeds a kept one: each kept amplitude sums the same terms in the same
+    order as the full expansion, and keeps its bits.  With ``limit=()``
+    nothing is dropped.
+
+    A monomial is one int, digit j (radix 1 + the most photons of any ket)
+    the exponent of mode j; the target modes are the low digits.
+    """
     u = np.asarray(u, dtype=complex)
     d = psi.d
     if u.shape != (d, d):
         raise ConfigurationError(f"unitary shape {u.shape} != ({d},{d})")
     if np.abs(u @ u.conj().T - np.eye(d)).max() > 1e-10:
         raise ConfigurationError("interferometer matrix is not unitary")
+    m, want = len(limit), sum(limit)
+    radix = 1 + max(map(sum, psi.amplitudes), default=0)
+    stride = [radix ** j for j in range(d)]
+    low_span = radix ** m
+    cols = [[(j, complex(u[j, i])) for j in range(d) if u[j, i] != 0]
+            for i in range(d)]
+    # per column and per low part (mono % low_span, the target exponents):
+    # the photons still missing from the target, and the steps of a
+    # monomial that must place them all in target modes, or that may still
+    # take an ancilla step; both in the order of j
+    moves = [{} for _ in range(d)]
+    for low_digits in itertools.product(*(range(n + 1) for n in limit)):
+        low = sum(s * e for s, e in zip(stride, low_digits))
+        for i in range(d):
+            target = [(stride[j], c) for j, c in cols[i]
+                      if j < m and low_digits[j] < limit[j]]
+            ancilla = [(stride[j], c) for j, c in cols[i] if j >= m]
+            moves[i][low] = (want - sum(low_digits), target, target + ancilla)
     out = FockVector(d, psi.cutoff)
-    zero = (0,) * d
     for ket, amp in psi.amplitudes.items():
         # expand prod_i (sum_j u[j,i] a_j^dag)^{n_i} |0>, tracked as monomial
         # coefficients; |m> amplitude picks up sqrt(prod m_j!).
-        poly = {zero: amp / math.sqrt(math.prod(map(math.factorial, ket)))}
+        left = sum(ket)
+        if left < want:
+            continue
+        scale = math.sqrt(math.prod(map(math.factorial, ket)))
+        poly = {0: complex(amp / scale)}
         for i, n_i in enumerate(ket):
-            col = u[:, i]
+            table = moves[i]
             for _ in range(n_i):
                 nxt = {}
+                get = nxt.get
                 for mono, coeff in poly.items():
-                    for j in range(d):
-                        cj = col[j]
-                        if cj == 0 or j < len(limit) and mono[j] >= limit[j]:
-                            continue
-                        key = list(mono)
-                        key[j] += 1
-                        key = tuple(key)
-                        nxt[key] = nxt.get(key, 0.0) + coeff * cj
+                    missing, target, steps = table[mono % low_span]
+                    for step, cj in steps if missing < left else target:
+                        key = mono + step
+                        nxt[key] = get(key, 0.0) + coeff * cj
                 poly = nxt
+                left -= 1
         for mono, coeff in poly.items():
-            val = coeff * math.sqrt(math.prod(map(math.factorial, mono)))
-            out.amplitudes[mono] = out.amplitudes.get(mono, 0.0) + val
+            key = _digits(mono, radix, d)
+            val = coeff * math.sqrt(math.prod(map(math.factorial, key)))
+            out.amplitudes[key] = out.amplitudes.get(key, 0.0) + val
     out.amplitudes = {k: v for k, v in out.amplitudes.items() if v != 0}
     return out
+
+
+def _digits(mono: int, radix: int, d: int) -> tuple:
+    """The occupation tuple of a monomial encoded by :func:`_interfere`."""
+    key = []
+    for _ in range(d):
+        mono, e = divmod(mono, radix)
+        key.append(e)
+    return tuple(key)
 
 
 def dilate_lossy(t: TransferMatrix) -> np.ndarray:
@@ -165,6 +208,12 @@ def input_tail_mass(config: SourceConfig, cutoff: int) -> float:
     """Probability that the (pre-loss) input carries more than ``cutoff``
     photons in total: TMSV pair statistics convolved with the Poisson
     coherent intensity, both summed up to ``TAIL_TOP`` photons."""
+    return float(_input_photon_numbers(config)[cutoff + 1:].sum())
+
+
+def _input_photon_numbers(config: SourceConfig) -> np.ndarray:
+    """Distribution of the input's total photon number, entry n for n
+    photons (see :func:`input_tail_mass`)."""
     x = math.tanh(config.r) ** 2
     a2 = config.alpha_mag ** 2
     top, half = TAIL_TOP, TAIL_TOP // 2
@@ -174,7 +223,7 @@ def input_tail_mass(config: SourceConfig, cutoff: int) -> float:
     total = np.zeros(2 * half + top + 2)
     for n, p in enumerate(pdc):
         total[2 * n:2 * n + top + 1] += p * coh
-    return float(total[cutoff + 1:].sum())
+    return total
 
 
 def choose_cutoff(config: SourceConfig, t: TransferMatrix, pattern_total: int,
@@ -191,8 +240,9 @@ def choose_cutoff(config: SourceConfig, t: TransferMatrix, pattern_total: int,
     sv_min = float(np.linalg.svd(t.mode_map(), compute_uv=False).min())
     eta_min = config.eta_tot * sv_min ** 2
     quad = 2.0 * (pattern_total + 1) ** 2
+    numbers = _input_photon_numbers(config)
     for cutoff in range(pattern_total + 2, MAX_CUTOFF + 1):
-        tail = input_tail_mass(config, cutoff)
+        tail = float(numbers[cutoff + 1:].sum())
         extra = cutoff + 1 - pattern_total
         est = tail * max(3.0 * (1.0 - eta_min) ** extra, quad * tail)
         if est < tol:

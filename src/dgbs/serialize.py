@@ -41,10 +41,23 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         data = obj["data"]
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed matrix object: {exc}") from exc
+    if not isinstance(data, list):
+        raise SchemaError(f"matrix data must be a list, got {data!r}")
     if len(data) != r * c:
         raise SchemaError(f"matrix data length {len(data)} != {r}*{c}")
-    flat = np.array([complex(re, im) for re, im in data])
+    flat = np.array([_matrix_entry(k, pair) for k, pair in enumerate(data)])
     return flat.reshape(r, c)
+
+
+def _matrix_entry(k: int, pair) -> complex:
+    """Entry ``k`` of a matrix's data: a [re, im] pair of real numbers."""
+    if isinstance(pair, list) and len(pair) == 2 and not any(
+            isinstance(x, bool) or not isinstance(x, (int, float))
+            for x in pair):
+        with suppress(OverflowError):
+            return complex(*pair)
+    raise SchemaError(f"matrix data entry {k} must be a [re, im] pair of "
+                      f"real numbers, got {pair!r}")
 
 
 def canonical_json(obj) -> str:
@@ -64,13 +77,23 @@ def _finite(text: str) -> float:
     return value
 
 
-def load_config(path: str) -> dict:
-    """Read a versioned config; every number in it must be finite."""
+def read_text(path: str) -> str:
+    """The whole text of an input file or pipe.  Text that does not decode
+    is a ``SchemaError`` naming the path: the decode error names no file."""
     with open(path) as f:
         try:
-            config = json.load(f, parse_float=_finite, parse_constant=_finite)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"config is not valid JSON: {exc}") from exc
+            return f.read()
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"cannot read {path}: {exc}") from exc
+
+
+def load_config(path: str) -> dict:
+    """Read a versioned config; every number in it must be finite."""
+    try:
+        config = json.loads(read_text(path), parse_float=_finite,
+                            parse_constant=_finite)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise SchemaError("config must be a JSON object")
     version = config.get("version")

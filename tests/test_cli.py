@@ -75,6 +75,11 @@ class TestSerialize:
         m = np.array([[1 + 2j, 0.5], [0, -1j]])
         assert np.array_equal(matrix_from_json(matrix_to_json(m)), m)
 
+    def test_matrix_data_must_be_a_list(self):
+        from dgbs.errors import SchemaError
+        with pytest.raises(SchemaError, match="matrix data must be a list"):
+            matrix_from_json({"shape": [1, 1], "data": 5})
+
     def test_config_hash_stable_under_key_order(self):
         assert config_hash({"a": 1, "b": [2, 3]}) == \
             config_hash({"b": [2, 3], "a": 1})
@@ -111,6 +116,21 @@ class TestProbs:
 
     def test_missing_config_is_usage_error(self):
         assert main(["probs", "--config", "/nonexistent.json"]) == 2
+
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    def test_unreadable_config_is_usage_error(self, kind, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        if kind == "directory":
+            path.mkdir()
+            message = f"[Errno 21] Is a directory: '{path}'"
+        else:
+            path.write_bytes(b'{"version": 1, "note": "\xff"}')
+            message = f"cannot read {path}: "
+        code = main(["probs", "--config", str(path),
+                     "--out", str(tmp_path / "p.json")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith(f"dgbs: {message}")
+        assert err.count("\n") == 1 and ("0xff" in err or kind == "directory")
 
 
 class TestSimulateReconstruct:
@@ -417,6 +437,21 @@ class TestBadInput:
                      "--out", str(tmp_path / "lock.json")])
         assert (code, capsys.readouterr().err) == (2, f"dgbs: {message}\n")
 
+    @pytest.mark.parametrize("entry", [
+        None, "x", [], {}, True, 0.5, [True, False], [1.0], [0.5, "0"],
+        [0.5, 0.1, 0.2], [10 ** 400, 0]])
+    def test_bad_matrix_entry_exits_2(self, entry, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        cfg = json.loads(open(write_config(
+            tmp_path, 3, 0, {"r": 0.4, "alpha_mag": 0.8})).read())
+        cfg["transfer"]["t"]["data"][4] = entry
+        path.write_text(json.dumps(cfg))
+        code = main(["probs", "--config", str(path), "--n-max", "1",
+                     "--out", str(tmp_path / "probs.json")])
+        assert (code, capsys.readouterr().err) == (
+            2, "dgbs: matrix data entry 4 must be a [re, im] pair of real "
+            f"numbers, got {entry!r}\n")
+
     @pytest.mark.parametrize("source, message", [
         pytest.param({"r": 10 ** 400}, "r must be a finite number, got "
                      f"{10 ** 400}", id="int-beyond-float-range"),
@@ -696,6 +731,26 @@ class TestReaderErrors:
                          "--out", str(tmp_path / "out.json")])
             assert (via, code, capsys.readouterr().err) == \
                 (via, 2, f"dgbs: {message}\n")
+
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    @pytest.mark.parametrize("reader", ["records", "samples"])
+    def test_unreadable_input(self, reader, kind, config_path, tmp_path,
+                              capsys):
+        path = tmp_path / f"{reader}.csv"
+        if kind == "directory":
+            path.mkdir()
+            message = f"[Errno 21] Is a directory: '{path}'"
+        else:
+            header = RECORDS_HEADER if reader == "records" else SAMPLES_HEADER
+            path.write_bytes(f"# one\n{header}\n".encode() + b"\xff\n")
+            message = f"cannot read {path}: "
+        argv = (["reconstruct", "--records", str(path)] if reader == "records"
+                else ["compare", "--config", config_path, "--model-b", "full",
+                      "--samples", str(path)])
+        code = main(argv + ["--out", str(tmp_path / "out.json")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith(f"dgbs: {message}")
+        assert err.count("\n") == 1 and ("0xff" in err or kind == "directory")
 
     @staticmethod
     def text(header: str, rows: list, edits: dict) -> str:

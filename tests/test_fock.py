@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import haar_unitary, lossy_transfer
@@ -14,6 +16,20 @@ from dgbs.hafnian import DetectionPattern
 from dgbs.probability import StateKernel
 from dgbs.states import (SourceConfig, TransferMatrix, build_input_state,
                          propagate)
+
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True,
+                    database=None)
+
+
+def _bits(amplitudes):
+    """Keys in order with the exact bits of each amplitude."""
+    return [(k, complex(v).real.hex(), complex(v).imag.hex())
+            for k, v in amplitudes.items()]
+
+
+def _source_loss_folded(cfg, t):
+    """The transfer with the uniform source loss eta_tot folded in."""
+    return TransferMatrix(t.d, t.d, math.sqrt(cfg.eta_tot) * t.embedded())
 
 
 class TestFockVectors:
@@ -57,21 +73,39 @@ class TestInterferometer:
         assert abs(out.amplitudes.get((1, 1), 0.0)) < 1e-12
         assert abs(out.amplitudes[(2, 0)]) ** 2 == pytest.approx(0.5)
 
-    def test_projected_expansion_keeps_target_amplitudes(self):
-        # the oracle's expansion drops monomials that overshoot the pattern
-        # in the first modes; the amplitudes that reach it are unchanged
-        psi = expand_inputs(SourceConfig(r=0.4, alpha_mag=0.7), 6, cutoff=6,
-                            eps=0.05)
-        w = dilate_lossy(lossy_transfer(3, 0.5, seed=4))
+    @pytest.mark.parametrize("eta_c", [1.0, 0.6])
+    def test_projected_expansion_keeps_target_amplitudes(self, eta_c):
+        # the oracle expands only the monomials that can still reach the
+        # pattern; those that do keep their order and their bits
+        cfg = SourceConfig(r=0.4, alpha_mag=0.7, eta_c=eta_c)
+        psi = expand_inputs(cfg, 6, cutoff=6, eps=0.05)
+        t = _source_loss_folded(cfg, lossy_transfer(3, 0.5, seed=4))
+        w = dilate_lossy(t)
         full = apply_interferometer(psi, w)
-        target = (2, 0, 1)
-        kept = _interfere(psi, w, target)
-        assert all(all(k <= n for k, n in zip(ket, target))
-                   for ket in kept.amplitudes)
-        want = {k: v for k, v in full.amplitudes.items() if k[:3] == target}
-        assert {k: v for k, v in kept.amplitudes.items()
-                if k[:3] == target} == want
-        assert len(want) > 0
+        # (3, 2, 1) has more photons than all kets but those at the cutoff
+        for target in [(0, 0, 0), (2, 0, 1), (1, 1, 1), (3, 2, 1)]:
+            kept = _interfere(psi, w, target)
+            want = {k: v for k, v in full.amplitudes.items()
+                    if k[:3] == target}
+            assert len(want) > 0
+            assert _bits(kept.amplitudes) == _bits(want)
+
+    def test_ket_beyond_its_cutoff(self):
+        # nothing stops a ket from holding more photons than the cutoff, so
+        # the expansion must size its monomial digits from the kets
+        amps = {(2, 1): 0.8, (0, 1): 0.6}
+        bs = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+        out = apply_interferometer(FockVector(2, 1, dict(amps)), bs)
+        assert _bits(out.amplitudes) == _bits(
+            apply_interferometer(FockVector(2, 3, dict(amps)), bs).amplitudes)
+        assert sorted(out.amplitudes) == [(0, 1), (0, 3), (1, 0), (1, 2),
+                                          (2, 1), (3, 0)]
+        assert out.norm_sq() == pytest.approx(1.0, abs=1e-12)
+        assert abs(out.amplitudes[(3, 0)]) == pytest.approx(
+            0.8 * math.sqrt(3 / 8))
+        kept = _interfere(FockVector(2, 1, dict(amps)), bs, (1, 2))
+        assert _bits(kept.amplitudes) == _bits(
+            {(1, 2): out.amplitudes[(1, 2)]})
 
     def test_rejects_non_unitary(self):
         psi = vacuum_fock(2, 2)
@@ -132,3 +166,32 @@ class TestOracle:
         t = TransferMatrix.square(np.eye(3))
         with pytest.raises(CutoffError):
             choose_cutoff(SourceConfig(r=1.5, alpha_mag=3.0), t, 2)
+
+
+@PROPERTY
+@given(d=st.integers(2, 3), seed=st.integers(0, 2 ** 32 - 1),
+       eta=st.floats(0.2, 1.0), eta_c=st.sampled_from([1.0, 0.7]),
+       cutoff=st.integers(2, 6), data=st.data())
+def test_oracle_sums_the_full_expansion_bit_for_bit(d, seed, eta, eta_c,
+                                                     cutoff, data):
+    rng = np.random.default_rng(seed)
+    ports = data.draw(st.permutations(range(2 * d)), label="ports")[:3]
+    cfg = SourceConfig(r=float(rng.uniform(0.05, 0.6)),
+                       alpha_mag=float(rng.uniform(0.0, 1.0)),
+                       phi=float(rng.uniform(0.0, 2 * math.pi)),
+                       squeezer_ports=tuple(ports[:2]), coherent_port=ports[2],
+                       eta_c=eta_c)
+    t = lossy_transfer(d, eta, seed=seed % 1000)
+    pattern = tuple(data.draw(st.lists(st.integers(0, 3), min_size=d,
+                                       max_size=d), label="pattern"))
+    # the oracle's steps, with the full expansion in place of the pruned one
+    psi = expand_inputs(cfg, 2 * d, cutoff, eps=1.0)
+    full = apply_interferometer(psi, dilate_lossy(
+        _source_loss_folded(cfg, t) if cfg.eta_tot < 1 else t))
+    want = 0.0
+    for ket, amp in full.amplitudes.items():
+        if ket[:d] == pattern:
+            want += abs(amp) ** 2
+    got = oracle_probability(cfg, t, DetectionPattern(pattern), cutoff=cutoff,
+                             eps=1.0)
+    assert float(got).hex() == float(want).hex()
