@@ -10,8 +10,8 @@ import math
 import numpy as np
 from scipy.stats import unitary_group
 
-from dgbs import (DetectionPattern, ModelSpec, SourceConfig, StateKernel,
-                  TransferMatrix, build_classical_input, build_input_state,
+from dgbs import (ModelSpec, SourceConfig, StateKernel, TransferMatrix,
+                  build_classical_input, build_input_state,
                   distribution_from_kernel, predict_twofold, propagate, tvd)
 
 d = 5
@@ -27,17 +27,17 @@ state = propagate(build_input_state(cfg, d), t)
 kern = StateKernel.from_state(state)
 print(f"vacuum probability: {kern.p_vac:.6f}\n")
 
-# one threefold pattern under every model
-n = DetectionPattern((1, 1, 0, 1, 0))
-print(f"pattern {n.counts}:")
+# one threefold pattern, a row of photon counts, under every model
+n = (1, 1, 0, 1, 0)
+print(f"pattern {n}:")
 for label in ("full", "squeezer_only", "korder(0)", "korder(1)",
               "korder(2)", "korder(3)"):
-    p = kern.pattern_probability(n, ModelSpec.parse(label))
+    p = kern.pattern_probabilities([n], ModelSpec.parse(label))[0]
     print(f"  {label:>14}: {p:.3e}")
 
 # the k-order terms themselves: entry k is the contribution in which k
 # photons came from the squeezers
-terms = kern.korder_terms(n)
+terms = kern.pattern_terms([n])[0]
 print(f"\nterm magnitudes by squeezer-photon count: "
       f"{np.abs(terms.real) * kern.p_vac}")
 

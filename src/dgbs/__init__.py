@@ -7,12 +7,10 @@ __version__ = "0.1.0"
 from .errors import (ConfigurationError, CutoffError, DgbsError,
                      EnumerationBudgetError, NumericalError,
                      PhysicalityError, SchemaError)
-from .hafnian import (DetectionPattern, ReducedKernel, hafnian, loop_hafnian,
-                      matching_polynomial, reduce_by_pattern)
+from .hafnian import matching_polynomial
 from .metrics import LikelihoodTrace, likelihood_ratio, tvd
 from .probability import (ModelSpec, PatternDistribution, StateKernel,
                           all_patterns, distribution_from_kernel,
-                          enumerate_distribution, pattern_probability,
                           predict_single, predict_twofold)
 from .reconstruction import (FringeFits, MeasurementRecord,
                              ReconstructionResult, fit_fringe, gauge_fix,

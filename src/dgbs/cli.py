@@ -22,8 +22,7 @@ from .experiment import (MAX_DRIFT_STEPS, TUNING_DURATION, auto_select_pairs,
                          build_error_signal, lock_kernel, pid_lock,
                          sample_patterns, samples_from_csv, simulate_records,
                          tune_pid_gains)
-from .fock import oracle_probability
-from .hafnian import DetectionPattern
+from .fock import checked_pattern, oracle_probability
 from .metrics import likelihood_ratio, tvd
 from .probability import (ModelSpec, PatternDistribution, StateKernel,
                           all_patterns, distribution_from_kernel)
@@ -229,13 +228,15 @@ def cmd_oracle(args) -> int:
     source = source_from_config(config)
     transfer = transfer_from_config(config)
     try:
-        pattern = DetectionPattern(tuple(int(c) for c in args.pattern.split(",")))
+        pattern = checked_pattern(
+            transfer, [int(c) for c in args.pattern.split(",")], args.cutoff)
     except (ValueError, ConfigurationError) as exc:
         raise SchemaError(f"bad --pattern {args.pattern!r}: {exc}") from exc
-    engine = _kernel_for_model(config, ModelSpec()).pattern_probability(pattern)
+    engine = float(_kernel_for_model(config, ModelSpec())
+                   .pattern_probabilities([pattern])[0])
     oracle = oracle_probability(source, transfer, pattern,
                                 cutoff=args.cutoff)
-    return _write_json(args, {"pattern": list(pattern.counts),
+    return _write_json(args, {"pattern": list(pattern),
                               "engine": engine, "oracle": oracle,
                               "abs_diff": abs(engine - oracle)}, config)
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigurationError, SchemaError
 from .probability import (ModelSpec, PhaseFamily, StateKernel,
-                          TwofoldFringe, all_patterns, as_kernel)
+                          TwofoldFringe, all_patterns)
 from .reconstruction import MeasurementRecord
 from .serialize import _codes, _csv_rows, _read_csv, _unique_ints
 from .states import (SourceConfig, TransferMatrix, _require_finite,
@@ -98,11 +98,10 @@ def _mask(text: str, d: int) -> int:
         return int(text, 16)
 
 
-def sample_patterns(state_or_kernel, model: ModelSpec, pulses: int,
+def sample_patterns(kernel: StateKernel, model: ModelSpec, pulses: int,
                     n_max: int, seed: int, phi: float = 0.0) -> ClickTable:
     """Draw i.i.d. collision-free patterns with N <= n_max from the exact
     distribution; residual probability mass goes to a discard bucket."""
-    kernel = as_kernel(state_or_kernel)
     patterns, masks = _sampler_patterns(kernel.d, n_max)
     probs = _with_discard(kernel.pattern_probabilities(patterns, model))
     rng = np.random.default_rng(seed)

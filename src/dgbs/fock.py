@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, CutoffError
-from .hafnian import DetectionPattern
 from .states import SourceConfig, TransferMatrix
 
 UNITARY_TOL = 1e-12
@@ -252,21 +251,39 @@ def choose_cutoff(config: SourceConfig, t: TransferMatrix, pattern_total: int,
         "is too bright for the Fock oracle")
 
 
-def oracle_probability(config: SourceConfig, t: TransferMatrix,
-                       pattern: DetectionPattern, cutoff: int = None,
-                       eps: float = 0.05, tol: float = 1e-7) -> float:
-    """Pattern probability by brute-force Fock expansion; the independent
-    cross-check for the loop-Hafnian engine.
+def checked_pattern(t: TransferMatrix, counts, cutoff: int = None) -> tuple:
+    """``counts`` as a tuple of ints, one nonnegative count per output mode
+    of ``t``; an explicit ``cutoff`` must lie between its photon total and
+    ``MAX_CUTOFF``, or no ket could reach it or the expansion would not end
+    in time."""
+    pattern = tuple(int(c) for c in counts)
+    if len(pattern) != t.d:
+        raise ConfigurationError(
+            f"pattern has {len(pattern)} modes, the circuit has {t.d}")
+    if min(pattern, default=0) < 0:
+        raise ConfigurationError("photon counts must be nonnegative")
+    if cutoff is not None and not sum(pattern) <= cutoff <= MAX_CUTOFF:
+        raise ConfigurationError(
+            f"cutoff {cutoff} is outside [{sum(pattern)}, {MAX_CUTOFF}], "
+            "from the pattern's photon total to the oracle's largest")
+    return pattern
+
+
+def oracle_probability(config: SourceConfig, t: TransferMatrix, counts,
+                       cutoff: int = None, eps: float = 0.05,
+                       tol: float = 1e-7) -> float:
+    """Probability of the photon counts ``counts`` (one per output mode) by
+    brute-force Fock expansion; the independent cross-check for the
+    loop-Hafnian engine.
 
     Passive evolution is exact within each total-photon sector, so the
     result's error comes only from the input mass above the cutoff; by
     default the cutoff is chosen adaptively to keep that error under
     ``tol``.
     """
-    if pattern.d != t.d:
-        raise ConfigurationError("pattern dimension does not match circuit")
+    pattern = checked_pattern(t, counts, cutoff)
     if cutoff is None:
-        cutoff = choose_cutoff(config, t, pattern.total, tol=tol)
+        cutoff = choose_cutoff(config, t, sum(pattern), tol=tol)
     return _oracle_probability_at(config, t, pattern, cutoff, eps)
 
 
@@ -277,10 +294,9 @@ def _oracle_probability_at(config, t, pattern, cutoff, eps) -> float:
     if config.eta_tot < 1:
         t = TransferMatrix(d, d, math.sqrt(config.eta_tot) * t.embedded())
     w = dilate_lossy(t)
-    target = pattern.counts
-    psi = _interfere(psi, w, target)
+    psi = _interfere(psi, w, pattern)
     prob = 0.0
     for ket, amp in psi.amplitudes.items():
-        if ket[:d] == target:
+        if ket[:d] == pattern:
             prob += abs(amp) ** 2
     return prob

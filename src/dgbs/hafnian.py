@@ -1,4 +1,4 @@
-"""Exact Hafnian / loop-Hafnian kernels and pattern-indexed reduction.
+"""Exact matching polynomials of pattern-reduced kernels.
 
 The workhorse is a subset dynamic program that enumerates all matchings
 (optionally with fixed points weighted by the diagonal vector) in a fixed
@@ -19,9 +19,6 @@ the same evaluator on one kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import fsum
-
 import numpy as np
 
 from .errors import ConfigurationError, EnumerationBudgetError
@@ -31,52 +28,6 @@ MAX_KERNEL_SIZE = 20  # 2N; a DP row is an int64 mask of the 2N positions
 # the rows of one chunk's DP: each holds its columns for every pattern and
 # family member of the chunk
 DP_CHUNK_BYTES = 1 << 20
-
-
-@dataclass(frozen=True)
-class DetectionPattern:
-    """Photon counts per output mode: one validated pattern.  A set of
-    patterns is a read-only (P, d) integer counts array instead."""
-
-    counts: tuple
-
-    def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
-        if any(c < 0 for c in counts):
-            raise ConfigurationError("photon counts must be nonnegative")
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def d(self) -> int:
-        return len(self.counts)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-
-@dataclass(frozen=True)
-class ReducedKernel:
-    """Pattern-reduced kernel: 2N x 2N matrix A_n and loop weights gamma~."""
-
-    a_n: np.ndarray
-    gamma_tilde: np.ndarray
-
-    def __post_init__(self):
-        a_n = np.asarray(self.a_n, dtype=complex)
-        gt = np.asarray(self.gamma_tilde, dtype=complex)
-        if a_n.ndim != 2 or a_n.shape[0] != a_n.shape[1]:
-            raise ConfigurationError("kernel matrix must be square")
-        if a_n.shape[0] % 2:
-            raise ConfigurationError("kernel matrix must have even dimension")
-        if gt.shape != (a_n.shape[0],):
-            raise ConfigurationError("gamma~ length must match kernel size")
-        object.__setattr__(self, "a_n", a_n)
-        object.__setattr__(self, "gamma_tilde", gt)
-
-    @property
-    def n_photons(self) -> int:
-        return self.a_n.shape[0] // 2
 
 
 def _pattern_index(d: int, counts) -> np.ndarray:
@@ -92,12 +43,6 @@ def _pattern_index(d: int, counts) -> np.ndarray:
     modes = np.repeat(np.tile(np.arange(d), len(counts)), counts.ravel())
     modes = modes.reshape(len(counts), -1)
     return np.concatenate([modes, modes + d], axis=1)
-
-
-def reduce_by_pattern(a, gamma, n: DetectionPattern) -> ReducedKernel:
-    """Repeat row/column i and i+d of A (and entry i, i+d of gamma) n_i times."""
-    idx = _pattern_index(a.d, [n.counts])[0]
-    return ReducedKernel(a.full[np.ix_(idx, idx)], gamma.gamma[idx])
 
 
 _PLANS = {}   # kernel size n -> its plan, built on first use
@@ -210,9 +155,10 @@ def matching_polynomial(m: np.ndarray, diag: np.ndarray = None) -> np.ndarray:
     Entry p of the returned length-(N+1) array sums, over all matchings of
     the 2N indices with exactly p matched pairs (the remaining 2N - 2p
     indices being fixed points), the product of the matched entries m[i, j]
-    times the fixed-point weights diag[c].  Summation order is fixed by the
-    subset recursion; this is the evaluator of pattern tables, run on the
-    one pattern that covers each index of m once.
+    times the fixed-point weights diag[c]: entry N is the hafnian of m, and
+    the sum of the entries its loop hafnian.  Summation order is fixed by
+    the subset recursion; this is the evaluator of pattern tables, run on
+    the one pattern that covers each index of m once.
     """
     m = np.asarray(m, dtype=complex)
     diag = np.zeros(len(m)) if diag is None else np.asarray(diag)
@@ -235,17 +181,4 @@ def pattern_polynomials(a, gammas, counts, *, columns: int = None
     with the same bits.  Memory grows with neither F nor P."""
     return _polynomials(a.full, np.asarray(gammas, dtype=complex),
                         _pattern_index(a.d, counts), columns)
-
-
-def hafnian(m: np.ndarray) -> complex:
-    """Sum over all perfect matchings of products of matched entries."""
-    poly = matching_polynomial(m, None)
-    return complex(poly[-1])
-
-
-def loop_hafnian(k: ReducedKernel) -> complex:
-    """Matching sum including fixed points weighted by gamma~, summed over
-    pair counts with a compensated sum (real and imaginary separately)."""
-    poly = matching_polynomial(k.a_n, k.gamma_tilde)
-    return complex(fsum(poly.real), fsum(poly.imag))
 

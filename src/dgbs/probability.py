@@ -21,8 +21,7 @@ import numpy as np
 
 from .errors import (ConfigurationError, EnumerationBudgetError,
                      NumericalError)
-from .hafnian import (MAX_KERNEL_SIZE, DetectionPattern, ReducedKernel,
-                      pattern_polynomials, reduce_by_pattern)
+from .hafnian import MAX_KERNEL_SIZE, _pattern_index, pattern_polynomials
 from .states import (AMatrix, GammaVector, GaussianState, SourceConfig,
                      TransferMatrix, a_matrix, gamma_vector,
                      log_vacuum_probability, phase_scan)
@@ -96,9 +95,13 @@ class PhaseFamily:
         return cls(a_matrix(state), gammas, log_p_vac)
 
     def pattern_terms(self, counts, columns: int = None) -> np.ndarray:
-        """:meth:`StateKernel.korder_terms` of the rows of a (P, d) counts
-        array of one total N at every phase, as (F, P, N + 1), or only
-        their first ``columns`` pair counts (with the same bits)."""
+        """Unnormalized pr(n)/p_vac contributions of the rows of a (P, d)
+        counts array of one total N at every phase, resolved by pair count,
+        as (F, P, N + 1), or only their first ``columns`` pair counts (with
+        the same bits).  Entry p is the term in which p photons came from
+        the squeezers: cumulative sums give every k-order value at once,
+        and the top entry p = N, the loop-free hafnian, is the
+        squeezer-only value."""
         poly = pattern_polynomials(self.a, self.gammas, counts,
                                    columns=columns)
         return poly / FACTORIALS[np.asarray(counts)].prod(axis=1)[:, None]
@@ -131,6 +134,9 @@ class PhaseFamily:
             # Truncated models can dip slightly negative; clamp at zero.
             val = np.where(val.real < 0.0, 0.0, val.real).reshape(len(out), -1)
             out[:, rows] = val * self.p_vac[:, None]
+        if not np.isfinite(out).all():
+            raise NumericalError("probability came out non-finite; the state "
+                                 "is beyond floating-point range")
         return out
 
 
@@ -158,19 +164,8 @@ class StateKernel:
         """This kernel as a family of one."""
         return PhaseFamily(self.a, self.gamma.gamma[None], [self.log_p_vac])
 
-    def reduced(self, n: DetectionPattern) -> ReducedKernel:
-        return reduce_by_pattern(self.a, self.gamma, n)
-
-    def korder_terms(self, n: DetectionPattern) -> np.ndarray:
-        """Unnormalized pr(n)/p_vac contributions resolved by pair count:
-        entry p is the term in which p photons came from the squeezers.
-        Cumulative sums give every k-order value at once, and the top entry
-        p = N, the loop-free hafnian, is the squeezer-only value."""
-        return self.pattern_terms([n.counts])[0]
-
     def pattern_terms(self, counts) -> np.ndarray:
-        """:meth:`korder_terms` of the rows of a (P, d) counts array of one
-        total N, as (P, N + 1)."""
+        """:meth:`PhaseFamily.pattern_terms` of this kernel, as (P, N + 1)."""
         return self.family.pattern_terms(counts)[0]
 
     def pattern_probabilities(self, counts,
@@ -180,27 +175,33 @@ class StateKernel:
         total."""
         return self.family.pattern_probabilities(counts, model)[0]
 
-    def pattern_probability(self, n: DetectionPattern,
+    # reduced, korder_terms and pattern_probability take one counts row;
+    # they are kept only because the benchmark's tracer looks them up by
+    # name, and no command calls them
+    def reduced(self, counts) -> tuple:
+        """(A_n, gamma~): the kernel and loop weights one pattern keeps."""
+        idx = _pattern_index(self.d, [counts])[0]
+        return self.a.full[np.ix_(idx, idx)], self.gamma.gamma[idx]
+
+    def korder_terms(self, counts) -> np.ndarray:
+        return self.pattern_terms([counts])[0]
+
+    def pattern_probability(self, counts,
                             model: ModelSpec = ModelSpec()) -> float:
-        return float(self.pattern_probabilities([n.counts], model)[0])
+        return float(self.pattern_probabilities([counts], model)[0])
 
 
-def pattern_probability(state: GaussianState, n: DetectionPattern,
-                        model: ModelSpec = ModelSpec()) -> float:
-    return StateKernel.from_state(state).pattern_probability(n, model)
-
-
-def predict_single(state_or_kernel, j: int) -> tuple:
+def predict_single(kern: StateKernel, j: int) -> tuple:
     """(p_j, p'_j) = (C_jj, C_jj + |gamma_j|^2), as ratios to p_vac."""
-    kern = as_kernel(state_or_kernel)
     c_jj = kern.a.c[j, j].real
     return c_jj, c_jj + abs(kern.gamma.gamma[j]) ** 2
 
 
-def predict_twofold(state_or_kernel, j: int, k: int, phi: float = 0.0) -> tuple:
+def predict_twofold(kern: StateKernel, j: int, k: int,
+                    phi: float = 0.0) -> tuple:
     """(p_jk, p'_jk) as ratios to p_vac; phi is an extra phase added to the
     state's own displacement phase.  p'_jk(phi) = a + b cos(2 phi + c)."""
-    fringe = TwofoldFringe.of(as_kernel(state_or_kernel), j, k)
+    fringe = TwofoldFringe.of(kern, j, k)
     return fringe.blocked, fringe.rate_at(np.exp(2j * phi))
 
 
@@ -234,12 +235,6 @@ class TwofoldFringe(NamedTuple):
         multiply may round it differently from the scalar one."""
         w = self.weight
         return self.offset + 2 * (w.real * rotation.real - w.imag * rotation.imag)
-
-
-def as_kernel(state_or_kernel) -> "StateKernel":
-    if isinstance(state_or_kernel, StateKernel):
-        return state_or_kernel
-    return StateKernel.from_state(state_or_kernel)
 
 
 def all_patterns(d: int, total: int, collision_free: bool,
@@ -342,12 +337,3 @@ def distribution_from_kernel(kernel: StateKernel, total: int,
                                patterns, raw / s,
                                model=model.label(), provenance=provenance)
 
-
-def enumerate_distribution(state: GaussianState, total: int,
-                           collision_free: bool = True,
-                           model: ModelSpec = ModelSpec(),
-                           budget: int = DEFAULT_PATTERN_BUDGET) -> PatternDistribution:
-    """Normalized fixed-N distribution over all (collision-free) patterns."""
-    kernel = StateKernel.from_state(state)
-    return distribution_from_kernel(kernel, total, collision_free, model,
-                                    budget, provenance=state.content_hash())

@@ -56,6 +56,8 @@ class GaussianState:
             raise ConfigurationError(
                 f"expected sigma (2d,2d) and delta (2d,) for d={d}, "
                 f"got {sigma.shape} and {delta.shape}")
+        if not (np.isfinite(sigma).all() and np.isfinite(delta).all()):
+            raise NumericalError("covariance or displacement is not finite")
         g, m = sigma[:d, :d], sigma[:d, d:]
         if (np.abs(g - g.conj().T).max() > BLOCK_TOL
                 or np.abs(m - m.T).max() > BLOCK_TOL
@@ -68,6 +70,9 @@ class GaussianState:
         if eigs.min() <= 0:
             raise PhysicalityError(
                 f"Sigma_Q not positive definite (min eigenvalue {eigs.min():.3e})")
+        # Sigma_Q is Hermitian positive definite: its 2-norm condition
+        # number is the ratio of its extreme eigenvalues
+        object.__setattr__(self, "_q_cond", eigs[-1] / eigs[0])
         object.__setattr__(self, "sigma", _frozen(sigma))
         object.__setattr__(self, "delta", _frozen(delta))
 
@@ -97,10 +102,10 @@ class GaussianState:
     def sigma_q_solve(self) -> tuple:
         """(Sigma_Q, Sigma_Q^-1): one condition check and one Cholesky
         factorisation per state, shared by the kernel builders."""
+        if self._q_cond > COND_LIMIT:
+            raise NumericalError(f"Sigma_Q condition number {self._q_cond:.3e} "
+                                 f"exceeds {COND_LIMIT:.1e}")
         sq = q_covariance(self)
-        cond = np.linalg.cond(sq)
-        if cond > COND_LIMIT:
-            raise NumericalError(f"Sigma_Q condition number {cond:.3e} exceeds {COND_LIMIT:.1e}")
         low = cholesky((sq + sq.conj().T) / 2)
         # Sigma_Q^-1 = L^-H (L^-1 I), the order in which LAPACK potrs solves
         inv = np.linalg.solve(low.conj().T,

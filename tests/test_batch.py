@@ -14,7 +14,6 @@ replaced, one gain set at a time.
 """
 
 import csv
-import importlib
 import io
 import math
 from dataclasses import replace
@@ -27,22 +26,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import lossy_transfer
+from dgbs import experiment, hafnian
 from dgbs.errors import ConfigurationError
 from dgbs.experiment import (LOCK_SETPOINT, SETTLE_FRACTION, DriftModel,
                              PidConfig, auto_select_pairs, build_error_signal,
                              lock_kernel, pid_lock, simulate_records,
                              tune_pid_gains)
-from dgbs.hafnian import (DetectionPattern, matching_polynomial,
-                          reduce_by_pattern)
+from dgbs.hafnian import matching_polynomial
 from dgbs.probability import (ModelSpec, PhaseFamily, StateKernel,
                               all_patterns, predict_twofold)
 from dgbs.reconstruction import MeasurementRecord, records_to_csv
-from dgbs.states import (AMatrix, GammaVector, SourceConfig,
-                         build_classical_input, build_input_state, propagate)
+from dgbs.states import (AMatrix, SourceConfig, build_classical_input,
+                         build_input_state, propagate)
 
-# the module, not the function ``dgbs.hafnian`` that the package exports
-hafnian = importlib.import_module("dgbs.hafnian")
-experiment = importlib.import_module("dgbs.experiment")
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True,
                     database=None)
 MODELS = [ModelSpec(), ModelSpec("korder", 0), ModelSpec("korder", 1),
@@ -81,13 +77,20 @@ def random_family(rng, count, d):
     return rng.normal(size=(count, 2 * d)) + 1j * rng.normal(size=(count, 2 * d))
 
 
+def reduced(a, gamma, n):
+    """The kernel and loop weights that the counts row n reduces (A, gamma)
+    to: row/column i and i+d of A, and entries i and i+d of gamma, each
+    repeated n_i times."""
+    idx = hafnian._pattern_index(a.d, [n])[0]
+    return a.full[np.ix_(idx, idx)], gamma[idx]
+
+
 def assert_rows_match_single_kernels(a, gammas, patterns, batch):
     """Row (f, p) of the shared DP is the DP of pattern p's reduced kernel."""
     for f, gamma in enumerate(gammas):
         for p, n in enumerate(patterns):
-            kern = reduce_by_pattern(a, GammaVector(gamma), DetectionPattern(n))
             assert same_bits(batch[f, p],
-                             matching_polynomial(kern.a_n, kern.gamma_tilde))
+                             matching_polynomial(*reduced(a, gamma, n)))
 
 
 def full_subset_dp(m, diag):
@@ -166,9 +169,7 @@ def test_repeated_modes_match_full_subset_recursion():
     batch = hafnian.pattern_polynomials(a, gammas, patterns)
     for f, gamma in enumerate(gammas):
         for p, n in enumerate(patterns):
-            kern = reduce_by_pattern(a, GammaVector(gamma), DetectionPattern(n))
-            assert same_bits(batch[f, p],
-                             full_subset_dp(kern.a_n, kern.gamma_tilde))
+            assert same_bits(batch[f, p], full_subset_dp(*reduced(a, gamma, n)))
 
 
 @PROPERTY
@@ -244,8 +245,7 @@ def test_probabilities_match_one_at_a_time(d, seed, model, picks, chunk_bytes):
         patterns.append(sector[k % len(sector)])
     with mock.patch.object(hafnian, "DP_CHUNK_BYTES", chunk_bytes):
         batch = kern.pattern_probabilities(patterns, model)
-    single = [kern.pattern_probability(DetectionPattern(n), model)
-              for n in patterns]
+    single = [kern.pattern_probabilities([n], model)[0] for n in patterns]
     assert same_bits(batch, single)
 
 
@@ -263,12 +263,12 @@ def test_sector_longer_than_one_chunk(d, total):
                               wraps=hafnian._evaluate) as evaluate:
         terms = kern.pattern_terms(patterns)
     assert evaluate.call_count == math.ceil(len(patterns) / 20)
-    singles = [DetectionPattern(n) for n in patterns]
-    for p, n in enumerate(singles):
-        assert same_bits(terms[p], kern.korder_terms(n))
+    for p, n in enumerate(patterns):
+        assert same_bits(terms[p], kern.pattern_terms([n])[0])
     for model in MODELS[:5]:
         assert same_bits(kern.pattern_probabilities(patterns, model),
-                         [kern.pattern_probability(n, model) for n in singles])
+                         [kern.pattern_probabilities([n], model)[0]
+                          for n in patterns])
 
 
 def test_batch_edges():
@@ -322,7 +322,7 @@ def per_phase_records(config, t, second_input_port, phi_grid, pulses, seed,
     modes = [(j,) for j in range(d)] + [
         (j, k) for j in range(d)
         for k in range(j if include_collisions else j + 1, d)]
-    patterns = [DetectionPattern(np.bincount(m, minlength=d)) for m in modes]
+    patterns = [np.bincount(m, minlength=d) for m in modes]
     rng = np.random.default_rng(seed)
     noisy = np.isfinite(pulses)
 
@@ -331,7 +331,7 @@ def per_phase_records(config, t, second_input_port, phi_grid, pulses, seed,
 
     def rates(cfg):
         kern = StateKernel.from_state(propagate(build_input_state(cfg, d), t))
-        return kern.p_vac, np.array([kern.pattern_probability(n)
+        return kern.p_vac, np.array([kern.pattern_probabilities([n])[0]
                                      for n in patterns])
 
     p_vac, r = rates(replace(config, alpha_mag=0.0))
@@ -591,10 +591,11 @@ def test_matching_polynomial_permutation_invariant(n, seed, data):
 def test_cumulative_korder_reaches_full_at_n(d, seed, total, k, pick):
     kern = state_kernel(d, seed, ModelSpec())
     sector = all_patterns(d, total, collision_free=False)
-    n = DetectionPattern(sector[pick % len(sector)])
-    terms = kern.korder_terms(n)
+    n = [sector[pick % len(sector)]]
+    terms = kern.pattern_terms(n)[0]
     assert np.cumsum(terms)[-1] == pytest.approx(terms.sum(), rel=1e-12,
                                                  abs=1e-300)
-    full = kern.pattern_probability(n)
-    assert kern.pattern_probability(n, ModelSpec("korder", total)) == full
-    assert kern.pattern_probability(n, ModelSpec("korder", total + k)) == full
+    full = kern.pattern_probabilities(n)[0]
+    assert kern.pattern_probabilities(n, ModelSpec("korder", total))[0] == full
+    assert kern.pattern_probabilities(n, ModelSpec("korder", total + k))[0] \
+        == full

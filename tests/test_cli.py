@@ -11,15 +11,15 @@ import numpy as np
 import pytest
 
 from conftest import haar_unitary
+from dgbs import fock
 from dgbs.cli import main
-from dgbs.experiment import sample_patterns, simulate_records
-from dgbs.hafnian import DetectionPattern
+from dgbs.experiment import sample_patterns
 from dgbs.probability import (ModelSpec, PatternDistribution, StateKernel,
-                              all_patterns, distribution_from_kernel)
+                              all_patterns)
 from dgbs.serialize import (canonical_json, config_hash, load_config,
                             matrix_from_json, matrix_to_json,
                             source_from_config, transfer_from_config)
-from dgbs.states import build_classical_input, build_input_state, propagate
+from dgbs.states import build_classical_input, propagate
 
 
 @pytest.fixture
@@ -235,7 +235,8 @@ class TestSample:
         transfer = transfer_from_config(config)
         state = propagate(build_classical_input(source_from_config(config),
                                                 transfer.d), transfer)
-        table = sample_patterns(state, ModelSpec("classical"), 2000, 2, 7)
+        table = sample_patterns(StateKernel.from_state(state),
+                                ModelSpec("classical"), 2000, 2, 7)
         header = (f"# dgbs sample config_hash={config_hash(config)} "
                   "seed=7\n")
         outs = {}
@@ -277,6 +278,53 @@ class TestLockOracle:
                      "--pattern", "1,1,0", "--out", str(out)]) == 0
         obj = json.loads(out.read_text())
         assert obj["abs_diff"] < 1e-6
+
+    @pytest.mark.parametrize("extra", [
+        ["--pattern", "2,1,1", "--cutoff", "3"],
+        ["--pattern", "2,1,1", "--cutoff=-1"],
+        ["--pattern", "1,1,0", "--cutoff", str(fock.MAX_CUTOFF + 1)],
+        ["--pattern", "1,0"],
+        ["--pattern", "1,0,0,1"],
+        ["--pattern", "1,-1,0"],
+    ])
+    def test_bad_oracle_input_exits_2(self, extra, config_path, capsys,
+                                      monkeypatch):
+        # a cutoff below the pattern's photon total, a negative one or one
+        # past MAX_CUTOFF, and a pattern of the wrong length or with a
+        # negative count are refused before any expansion starts
+        def no_expansion(*args, **kwargs):
+            raise AssertionError("a Fock expansion started")
+
+        monkeypatch.setattr(fock, "expand_inputs", no_expansion)
+        code = main(["oracle", "--config", config_path, *extra])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("dgbs: bad --pattern")
+        assert captured.err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFinite:
+    """A source beyond floating-point range is a numerical error (exit 1,
+    one line), never a traceback or a non-finite number."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("r", 400), ("alpha_mag", 1e154), ("alpha_mag", 1e308)])
+    @pytest.mark.parametrize("command", [["probs", "--n-max", "2"],
+                                         ["sample", "--pulses", "100"]])
+    def test_out_of_range_source_exits_1(self, field, value, command,
+                                         config_path, tmp_path, capsys):
+        config = json.loads(Path(config_path).read_text())
+        config["source"][field] = value
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        code = main([*command, "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("dgbs: ") and err.count("\n") == 1
+        assert "finite" in err
+        assert not out.exists()
 
 
 def write_config(tmp_path, d, seed, source, name="cfg.json"):
@@ -762,37 +810,34 @@ class TestReaderErrors:
                        ["# one", "# two", *lines] if line is not None)
 
 
-class TestPatternSets:
-    def test_pattern_sets_build_no_detection_pattern(self, config_path,
-                                                     tmp_path, monkeypatch):
-        # tables, the sampler, the records and compare --samples carry
-        # their pattern sets as counts arrays, never as DetectionPatterns
-        samples = tmp_path / "s.csv"
-        assert main(["sample", "--config", config_path, "--n-max", "3",
-                     "--pulses", "2000", "--out", str(samples)]) == 0
-        config = load_config(config_path)
-        source, transfer = source_from_config(config), \
-            transfer_from_config(config)
-        kernel = StateKernel.from_state(
-            propagate(build_input_state(source, transfer.d), transfer))
-        built = []
-        post_init = DetectionPattern.__post_init__
-
-        def counted(self):
-            built.append(self)
-            post_init(self)
-
-        monkeypatch.setattr(DetectionPattern, "__post_init__", counted)
-        distribution_from_kernel(kernel, 2, collision_free=False)
-        sample_patterns(kernel, ModelSpec(), 1000, 3, seed=0)
-        simulate_records(source, transfer, phi_grid=np.linspace(0, 6, 8),
-                         include_collisions=True)
-        assert main(["compare", "--config", config_path, "--model-b",
-                     "korder(1)", "--samples", str(samples),
-                     "--out", str(tmp_path / "cmp.json")]) == 0
-        assert built == []
-        DetectionPattern((1, 0, 1))   # the count sees a pattern built here
-        assert len(built) == 1
+class TestTracedRun:
+    def test_tracer_runs_probs_oracle_and_sample(self, config_path, tmp_path):
+        # the benchmark's tracer wraps functions and methods that it looks
+        # up by name and reads some of their arguments, so a deleted name
+        # or an argument it cannot read breaks a traced run
+        import dgbs
+        src = str(Path(dgbs.__file__).resolve().parents[1])
+        bench = str(Path(__file__).resolve().parents[1] / "perfbench")
+        runs = [["probs", "--n-max", "3", "--collisions"],
+                ["oracle", "--pattern", "1,1,0"],
+                ["sample", "--pulses", "500", "--n-max", "3"]]
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {bench!r})\n"
+            "from tracer import Tracer\n"
+            "tracer = Tracer()\n"
+            "tracer.install()\n"
+            "import dgbs.cli\n"
+            f"for argv in {runs!r}:\n"
+            f"    argv += ['--config', {config_path!r}, '--out', 'out']\n"
+            "    assert dgbs.cli.main(argv) == 0, argv\n"
+            "    tracer.end_command()\n"
+            "print(len(tracer.layer_metrics()))\n")
+        out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                             env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert int(out.stdout) > 0
 
 
 class TestStartup:

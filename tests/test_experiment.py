@@ -16,7 +16,6 @@ from dgbs.experiment import (ClickTable, DriftModel, PidConfig,
                              sample_patterns, sample_patterns_with_phase,
                              simulate_records, transfer_from_singles,
                              tune_pid_gains)
-from dgbs.hafnian import DetectionPattern
 from dgbs.probability import ModelSpec, StateKernel, predict_twofold
 from dgbs.states import SourceConfig, TransferMatrix, build_input_state, propagate
 
@@ -29,30 +28,29 @@ def standard(d=4, eta=0.5, seed=0, **kw):
 
 class TestSampling:
     def test_frequencies_match_probabilities(self):
-        _, _, st = standard()
-        kern = StateKernel.from_state(st)
-        table = sample_patterns(st, ModelSpec(), pulses=200_000, n_max=2, seed=3)
-        n = DetectionPattern((1, 0, 1, 0))
-        want = kern.pattern_probability(n)
+        kern = StateKernel.from_state(standard()[2])
+        table = sample_patterns(kern, ModelSpec(), pulses=200_000, n_max=2,
+                                seed=3)
+        want = kern.pattern_probabilities([(1, 0, 1, 0)])[0]
         got = np.mean(table.bitmasks == 0b0101)
         sigma = math.sqrt(want * (1 - want) / len(table))
         assert abs(got - want) < 5 * sigma
 
     def test_seeded_reproducibility(self):
-        _, _, st = standard()
-        a = sample_patterns(st, ModelSpec(), 5000, 3, seed=11)
-        b = sample_patterns(st, ModelSpec(), 5000, 3, seed=11)
+        kern = StateKernel.from_state(standard()[2])
+        a = sample_patterns(kern, ModelSpec(), 5000, 3, seed=11)
+        b = sample_patterns(kern, ModelSpec(), 5000, 3, seed=11)
         assert np.array_equal(a.bitmasks, b.bitmasks)
 
     def test_discard_bucket(self):
-        _, _, st = standard()
-        table = sample_patterns(st, ModelSpec(), 50_000, n_max=1, seed=0)
+        kern = StateKernel.from_state(standard()[2])
+        table = sample_patterns(kern, ModelSpec(), 50_000, n_max=1, seed=0)
         assert (table.bitmasks == -1).any()
         assert table.patterns().sum(axis=1).max() <= 1
 
     def test_click_table_csv(self):
-        _, _, st = standard()
-        table = sample_patterns(st, ModelSpec(), 10, 2, seed=0)
+        kern = StateKernel.from_state(standard()[2])
+        table = sample_patterns(kern, ModelSpec(), 10, 2, seed=0)
         lines = table.to_csv().splitlines()
         assert lines[0] == "pulse,bitmask_hex,phi"
         assert len(lines) == 11

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import haar_unitary, lossy_transfer
+from dgbs import fock
 from dgbs.errors import ConfigurationError, CutoffError
-from dgbs.fock import (FockVector, _interfere, apply_interferometer,
+from dgbs.fock import (MAX_CUTOFF, FockVector, _interfere, apply_interferometer,
                        choose_cutoff, coherent_fock, dilate_lossy,
                        expand_inputs, input_tail_mass, oracle_probability,
                        tmsv_fock, vacuum_fock)
-from dgbs.hafnian import DetectionPattern
 from dgbs.probability import StateKernel
 from dgbs.states import (SourceConfig, TransferMatrix, build_input_state,
                          propagate)
@@ -133,9 +133,8 @@ class TestOracle:
         cfg = SourceConfig(r=0.4, alpha_mag=0.7, phi=0.9)
         t = lossy_transfer(3, 0.5, seed=4)
         kern = StateKernel.from_state(propagate(build_input_state(cfg, 3), t))
-        for pat in [(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 0, 1)]:
-            n = DetectionPattern(pat)
-            want = kern.pattern_probability(n)
+        for n in [(0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 0, 1)]:
+            want = kern.pattern_probabilities([n])[0]
             got = oracle_probability(cfg, t, n)
             assert got == pytest.approx(want, abs=1e-6)
 
@@ -143,15 +142,35 @@ class TestOracle:
         cfg = SourceConfig(r=0.3, alpha_mag=0.5, eta_c=0.6, eta_d=0.8)
         t = TransferMatrix.square(haar_unitary(3, seed=6))
         kern = StateKernel.from_state(propagate(build_input_state(cfg, 3), t))
-        n = DetectionPattern((1, 1, 0))
+        n = (1, 1, 0)
         assert oracle_probability(cfg, t, n) == pytest.approx(
-            kern.pattern_probability(n), abs=1e-6)
+            kern.pattern_probabilities([n])[0], abs=1e-6)
 
     def test_pattern_dimension_checked(self):
         cfg = SourceConfig(r=0.2)
         t = TransferMatrix.square(np.eye(3))
         with pytest.raises(ConfigurationError):
-            oracle_probability(cfg, t, DetectionPattern((1, 0)))
+            oracle_probability(cfg, t, (1, 0))
+
+    @pytest.mark.parametrize("cutoff", [3, -1, MAX_CUTOFF + 1])
+    def test_cutoff_outside_its_range_rejected(self, cutoff, monkeypatch):
+        # below the pattern's total no ket reaches it, and past MAX_CUTOFF
+        # the expansion would not end in time: the check comes first, so
+        # no expansion starts
+        def no_expansion(*args, **kwargs):
+            raise AssertionError("a Fock expansion started")
+
+        monkeypatch.setattr(fock, "expand_inputs", no_expansion)
+        t = TransferMatrix.square(np.eye(3))
+        with pytest.raises(ConfigurationError, match="cutoff"):
+            oracle_probability(SourceConfig(r=0.2), t, (2, 1, 1),
+                               cutoff=cutoff)
+
+    def test_cutoff_at_the_pattern_total_accepted(self):
+        t = TransferMatrix.square(np.eye(3))
+        cfg = SourceConfig(alpha_mag=0.3)
+        assert oracle_probability(cfg, t, (0, 0, 1), cutoff=1, eps=1.0) == \
+            pytest.approx(0.09 * math.exp(-0.09), rel=1e-12)
 
     def test_tail_mass_decreases(self):
         cfg = SourceConfig(r=0.5, alpha_mag=1.0)
@@ -194,6 +213,11 @@ def test_oracle_sums_the_full_expansion_bit_for_bit(d, seed, eta, eta_c,
     for ket, amp in full.amplitudes.items():
         if ket[:d] == pattern:
             want += abs(amp) ** 2
-    got = oracle_probability(cfg, t, DetectionPattern(pattern), cutoff=cutoff,
-                             eps=1.0)
+    if sum(pattern) > cutoff:
+        # no ket reaches the pattern, and the oracle refuses such a cutoff
+        assert want == 0.0
+        with pytest.raises(ConfigurationError, match="cutoff"):
+            oracle_probability(cfg, t, pattern, cutoff=cutoff, eps=1.0)
+        return
+    got = oracle_probability(cfg, t, pattern, cutoff=cutoff, eps=1.0)
     assert float(got).hex() == float(want).hex()

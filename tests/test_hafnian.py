@@ -3,9 +3,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dgbs.errors import ConfigurationError, EnumerationBudgetError
-from dgbs.hafnian import (DetectionPattern, ReducedKernel, hafnian,
-                          loop_hafnian, matching_polynomial, reduce_by_pattern)
+from dgbs.fock import oracle_probability
+from dgbs.hafnian import _pattern_index, matching_polynomial
 from dgbs.probability import ModelSpec
+from dgbs.states import SourceConfig, TransferMatrix
 
 
 def brute_matchings(m, diag):
@@ -48,24 +49,17 @@ def test_matching_polynomial_against_enumerator(n, rng):
 
 
 def test_hafnian_known_values():
+    # the hafnian is the top entry, every index matched:
     # haf of [[0,a],[a,0]] is a; 4x4 closed form a01*a23 + a02*a13 + a03*a12
     a = np.array([[0, 3.0], [3.0, 0]])
-    assert hafnian(a) == pytest.approx(3.0)
+    assert matching_polynomial(a)[-1] == pytest.approx(3.0)
     m = random_symmetric(4, np.random.default_rng(0))
     want = m[0, 1] * m[2, 3] + m[0, 2] * m[1, 3] + m[0, 3] * m[1, 2]
-    assert hafnian(m) == pytest.approx(want)
+    assert matching_polynomial(m)[-1] == pytest.approx(want)
 
 
 def test_hafnian_empty():
-    assert hafnian(np.zeros((0, 0))) == 1.0
-
-
-def test_loop_hafnian_matches_polynomial_sum(rng):
-    m = random_symmetric(6, rng)
-    diag = rng.normal(size=6) + 1j * rng.normal(size=6)
-    kern = ReducedKernel(m, diag)
-    assert loop_hafnian(kern) == pytest.approx(
-        complex(matching_polynomial(m, diag).sum()))
+    assert matching_polynomial(np.zeros((0, 0)))[-1] == 1.0
 
 
 def test_korder_rejects_negative():
@@ -87,13 +81,14 @@ def test_kernel_validation():
 
 
 def test_detection_pattern_basics():
-    n = DetectionPattern((1, 0, 2))
-    assert n.d == 3 and n.total == 3
-    with pytest.raises(ConfigurationError):
-        DetectionPattern((1, -1))
+    # a pattern is a row of photon counts; the oracle, which takes one
+    # pattern at a time, rejects a negative count itself
+    t = TransferMatrix.square(np.eye(3))
+    with pytest.raises(ConfigurationError, match="nonnegative"):
+        oracle_probability(SourceConfig(r=0.2), t, (1, -1, 0))
 
 
-def test_reduce_by_pattern_repeats(rng):
+def test_pattern_index_repeats(rng):
     from dgbs.states import AMatrix, GammaVector
     d = 3
     b = random_symmetric(d, rng)
@@ -101,11 +96,12 @@ def test_reduce_by_pattern_repeats(rng):
     c = (h + h.conj().T) / 2
     a = AMatrix(d, b, c)
     g = GammaVector.from_halves(rng.normal(size=d) + 1j * rng.normal(size=d))
-    kern = reduce_by_pattern(a, g, DetectionPattern((2, 0, 1)))
-    assert kern.a_n.shape == (6, 6)
-    assert kern.n_photons == 3
+    idx = _pattern_index(d, [(2, 0, 1)])[0]
+    a_n, gamma_tilde = a.full[np.ix_(idx, idx)], g.gamma[idx]
+    assert a_n.shape == (6, 6)
+    assert len(idx) // 2 == 3
     # first two rows are the duplicated mode-0 row
-    assert_allclose(kern.a_n[0], kern.a_n[1])
-    assert kern.gamma_tilde[0] == g.gamma[0]
-    assert kern.gamma_tilde[2] == g.gamma[2]
-    assert kern.gamma_tilde[3] == np.conj(g.gamma[0])
+    assert_allclose(a_n[0], a_n[1])
+    assert gamma_tilde[0] == g.gamma[0]
+    assert gamma_tilde[2] == g.gamma[2]
+    assert gamma_tilde[3] == np.conj(g.gamma[0])

@@ -10,10 +10,8 @@ from numpy.testing import assert_allclose
 from conftest import lossy_transfer
 from dgbs.errors import (ConfigurationError, EnumerationBudgetError,
                          NumericalError)
-from dgbs.hafnian import DetectionPattern
 from dgbs.probability import (ModelSpec, PatternDistribution, StateKernel,
                               all_patterns, distribution_from_kernel,
-                              enumerate_distribution, pattern_probability,
                               predict_single, predict_twofold)
 from dgbs.states import (GammaVector, SourceConfig, TransferMatrix,
                          build_classical_input, build_input_state, propagate)
@@ -22,6 +20,11 @@ from dgbs.states import (GammaVector, SourceConfig, TransferMatrix,
 def kernel_for(cfg, d, eta=0.6, seed=0):
     return StateKernel.from_state(
         propagate(build_input_state(cfg, d), lossy_transfer(d, eta, seed)))
+
+
+def probability(kern, n, model=ModelSpec()):
+    """pr(n) of the one counts row n, through the batched evaluator."""
+    return kern.pattern_probabilities([n], model)[0]
 
 
 class TestModelSpec:
@@ -44,30 +47,30 @@ class TestModelSpec:
 
 class TestClosedForms:
     def test_coherent_is_poisson(self):
-        st = build_input_state(SourceConfig(alpha_mag=0.9), 3)
+        kern = StateKernel.from_state(
+            build_input_state(SourceConfig(alpha_mag=0.9), 3))
         mean = 0.81
         for n in range(4):
             want = math.exp(-mean) * mean ** n / math.factorial(n)
-            got = pattern_probability(st, DetectionPattern((0, 0, n)))
+            got = probability(kern, (0, 0, n))
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_tmsv_pair_statistics(self):
         r = 0.5
-        st = build_input_state(SourceConfig(r=r), 3)
+        kern = StateKernel.from_state(build_input_state(SourceConfig(r=r), 3))
         x = math.tanh(r) ** 2
         for n in range(3):
             want = (1 - x) * x ** n
-            got = pattern_probability(st, DetectionPattern((n, n, 0)))
+            got = probability(kern, (n, n, 0))
             assert got == pytest.approx(want, rel=1e-12)
-        assert pattern_probability(st, DetectionPattern((1, 0, 0))) == \
+        assert probability(kern, (1, 0, 0)) == \
             pytest.approx(0.0, abs=1e-14)
 
     def test_predict_single_matches_engine(self):
         kern = kernel_for(SourceConfig(r=0.4, alpha_mag=0.6, phi=0.2), 4)
         for j in range(4):
             _, p1 = predict_single(kern, j)
-            want = kern.pattern_probability(
-                DetectionPattern(np.eye(4, dtype=int)[j])) / kern.p_vac
+            want = probability(kern, np.eye(4, dtype=int)[j]) / kern.p_vac
             assert p1 == pytest.approx(want, rel=1e-12)
 
     def test_predict_twofold_matches_engine(self):
@@ -76,8 +79,7 @@ class TestClosedForms:
             kern = kernel_for(SourceConfig(r=0.4, alpha_mag=0.6, phi=phi), 4)
             base = kernel_for(cfg, 4)
             _, want = predict_twofold(base, 0, 2, phi)
-            got = kern.pattern_probability(
-                DetectionPattern((1, 0, 1, 0))) / kern.p_vac
+            got = probability(kern, (1, 0, 1, 0)) / kern.p_vac
             assert got == pytest.approx(want, rel=1e-10)
 
     def test_predict_twofold_rejects_equal_modes(self):
@@ -89,28 +91,28 @@ class TestClosedForms:
 class TestModels:
     def test_korder_at_n_is_exact(self):
         kern = kernel_for(SourceConfig(r=0.4, alpha_mag=0.8, phi=0.5), 4)
-        n = DetectionPattern((1, 1, 1, 0))
-        full = kern.pattern_probability(n)
-        assert kern.pattern_probability(n, ModelSpec("korder", 3)) == \
+        n = (1, 1, 1, 0)
+        full = probability(kern, n)
+        assert probability(kern, n, ModelSpec("korder", 3)) == \
             pytest.approx(full, rel=1e-12)
 
     def test_korder_zero_is_displacement_term(self):
         kern = kernel_for(SourceConfig(r=0.4, alpha_mag=0.8, phi=0.5), 4)
-        n = DetectionPattern((1, 0, 1, 1))
-        got = kern.pattern_probability(n, ModelSpec("korder", 0))
+        n = (1, 0, 1, 1)
+        got = probability(kern, n, ModelSpec("korder", 0))
         g = kern.gamma.gamma
         want = abs(g[0] * g[2] * g[3]) ** 2 * kern.p_vac
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_korder_prefix(self):
         kern = kernel_for(SourceConfig(r=0.4, alpha_mag=0.8, phi=0.5), 4)
-        n = DetectionPattern((1, 1, 1, 0))
-        terms = kern.korder_terms(n)
+        n = (1, 1, 1, 0)
+        terms = kern.pattern_terms([n])[0]
         for k in range(4):
             want = max(terms[:min(k, 3) + 1].sum().real, 0.0) * kern.p_vac
-            assert kern.pattern_probability(n, ModelSpec("korder", k)) == want
-        full = kern.pattern_probability(n)
-        assert kern.pattern_probability(n, ModelSpec("korder", 99)) == full
+            assert probability(kern, n, ModelSpec("korder", k)) == want
+        full = probability(kern, n)
+        assert probability(kern, n, ModelSpec("korder", 99)) == full
 
     def test_non_real_probability_is_numerical_error(self):
         kern = kernel_for(SourceConfig(r=0.4, alpha_mag=0.8), 3)
@@ -118,7 +120,7 @@ class TestModels:
         bad = StateKernel(kern.a, GammaVector(np.full(6, 1 + 1j)),
                           kern.log_p_vac)
         with pytest.raises(NumericalError):
-            bad.pattern_probability(DetectionPattern((1, 0, 0)))
+            probability(bad, (1, 0, 0))
 
     def test_squeezer_only_matches_blocked_state(self):
         d = 4
@@ -127,15 +129,15 @@ class TestModels:
             build_input_state(SourceConfig(r=0.4, alpha_mag=0.8), d), t))
         blocked = StateKernel.from_state(propagate(
             build_input_state(SourceConfig(r=0.4, alpha_mag=0.0), d), t))
-        for n in (DetectionPattern((1, 1, 0, 0)), DetectionPattern((2, 1, 1, 0))):
-            got = with_disp.pattern_probability(n, ModelSpec("squeezer_only"))
-            want = (blocked.pattern_probability(n) / blocked.p_vac
+        for n in ((1, 1, 0, 0), (2, 1, 1, 0)):
+            got = probability(with_disp, n, ModelSpec("squeezer_only"))
+            want = (probability(blocked, n) / blocked.p_vac
                     * with_disp.p_vac)
             assert got == pytest.approx(want, rel=1e-10)
 
     def test_vacuum_pattern(self):
         kern = kernel_for(SourceConfig(r=0.3, alpha_mag=0.4), 3)
-        assert kern.pattern_probability(DetectionPattern((0, 0, 0))) == \
+        assert probability(kern, (0, 0, 0)) == \
             pytest.approx(kern.p_vac)
 
 
@@ -180,7 +182,7 @@ class TestDistribution:
     def test_normalized(self):
         st = propagate(build_input_state(SourceConfig(r=0.4, alpha_mag=0.7), 4),
                        lossy_transfer(4, 0.5, seed=2))
-        dist = enumerate_distribution(st, 2)
+        dist = distribution_from_kernel(StateKernel.from_state(st), 2)
         assert dist.probabilities.sum() == pytest.approx(1.0)
         assert len(dist) == math.comb(4, 2)
         assert dist.model == "full"
@@ -188,7 +190,7 @@ class TestDistribution:
     def test_json(self):
         st = propagate(build_input_state(SourceConfig(r=0.3, alpha_mag=0.5), 3),
                        lossy_transfer(3, 0.5, seed=2))
-        dist = enumerate_distribution(st, 1)
+        dist = distribution_from_kernel(StateKernel.from_state(st), 1)
         assert '"collision_free": true' in dist.to_json().replace(
             '"collision_free":true', '"collision_free": true')
 

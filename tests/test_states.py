@@ -7,7 +7,7 @@ from hypothesis import strategies
 from numpy.testing import assert_allclose
 
 from conftest import haar_unitary, lossy_transfer
-from dgbs.errors import ConfigurationError, PhysicalityError
+from dgbs.errors import ConfigurationError, NumericalError, PhysicalityError
 from dgbs.states import (AMatrix, GammaVector, GaussianState, SourceConfig,
                          TransferMatrix, a_matrix, build_classical_input,
                          build_input_state, closest_classical_state,
@@ -32,6 +32,24 @@ class TestGaussianState:
         delta = np.array([1.0, 2.0], dtype=complex)
         with pytest.raises(PhysicalityError):
             GaussianState(1, np.eye(2) / 2, delta)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("where", ["sigma", "delta"])
+    def test_non_finite_entries_rejected(self, where, value):
+        sigma, delta = np.eye(2, dtype=complex) / 2, np.zeros(2, dtype=complex)
+        if where == "sigma":
+            sigma[0, 0] = sigma[1, 1] = value
+        else:
+            delta[:] = value
+        with pytest.raises(NumericalError, match="not finite"):
+            GaussianState(1, sigma, delta)
+
+    def test_squeezing_beyond_float_range_rejected(self):
+        # sinh(400)^2 overflows: the covariance holds inf, which used to
+        # stop eigvalsh with a LinAlgError
+        with np.errstate(all="ignore"), \
+                pytest.raises(NumericalError, match="not finite"):
+            build_input_state(SourceConfig(r=400), 3)
 
     def test_content_hash_stable(self):
         a = vacuum_state(2).content_hash()
@@ -143,6 +161,20 @@ class TestKernel:
         assert len(calls) == 1
         assert kern.log_p_vac == log_vacuum_probability(st)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("low, refused", [(1e-13, True), (1e-11, False)])
+    def test_condition_limit(self, low, refused):
+        # Sigma_Q = [[g, m], [m, g]] has the eigenvalues g - m = low and
+        # g + m = 1, so its condition number is 1 / low; COND_LIMIT is 1e12
+        from dgbs.probability import StateKernel
+        g, m = (1 + low) / 2, (1 - low) / 2
+        sigma = np.array([[g, m], [m, g]], dtype=complex) - np.eye(2) / 2
+        st = GaussianState(1, sigma, np.zeros(2))
+        if refused:
+            with pytest.raises(NumericalError, match="condition number"):
+                StateKernel.from_state(st)
+        else:
+            assert StateKernel.from_state(st).d == 1
 
     @settings(max_examples=40, deadline=None, derandomize=True,
               database=None)
