@@ -181,4 +181,3 @@ def pattern_polynomials(a, gammas, counts, *, columns: int = None
     with the same bits.  Memory grows with neither F nor P."""
     return _polynomials(a.full, np.asarray(gammas, dtype=complex),
                         _pattern_index(a.d, counts), columns)
-

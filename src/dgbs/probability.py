@@ -336,4 +336,3 @@ def distribution_from_kernel(kernel: StateKernel, total: int,
     return PatternDistribution(kernel.d, total, collision_free,
                                patterns, raw / s,
                                model=model.label(), provenance=provenance)
-
