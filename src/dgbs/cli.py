@@ -28,10 +28,10 @@ from .probability import (ModelSpec, PatternDistribution, StateKernel,
                           all_patterns, distribution_from_kernel)
 from .reconstruction import (check_threefolds, reconstruct, records_from_csv,
                              records_to_csv)
-from .serialize import (canonical_json, config_hash, drift_from_config,
-                        load_config, phi_grid_from_config, pid_from_config,
-                        pulses_from_config, read_text, source_from_config,
-                        transfer_from_config)
+from .serialize import (canonical_json, check_ports, circuit_from_config,
+                        config_hash, drift_from_config, load_config,
+                        phi_grid_from_config, pid_from_config,
+                        pulses_from_config, read_text, source_from_config)
 from .states import build_classical_input, build_input_state, propagate
 
 
@@ -53,8 +53,7 @@ def _write_json(args, fields: dict, config: dict) -> int:
 
 
 def _kernel_for_model(config: dict, model: ModelSpec) -> StateKernel:
-    source = source_from_config(config)
-    transfer = transfer_from_config(config)
+    source, transfer = circuit_from_config(config)
     build = build_classical_input if model.kind == "classical" \
         else build_input_state
     return StateKernel.from_state(propagate(build(source, transfer.d), transfer))
@@ -116,11 +115,13 @@ def cmd_probs(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = load_config(args.config)
-    source = source_from_config(config)
-    transfer = transfer_from_config(config)
+    source, transfer = circuit_from_config(config)
+    second = config.get("second_input_port")
+    if second is not None:
+        check_ports([second], transfer.d)
     records = simulate_records(
         source, transfer,
-        second_input_port=config.get("second_input_port"),
+        second_input_port=second,
         phi_grid=phi_grid_from_config(config),
         pulses_per_setting=pulses_from_config(config),
         seed=args.seed,
@@ -182,8 +183,7 @@ def cmd_compare(args) -> int:
 
 def cmd_lock(args) -> int:
     config = load_config(args.config)
-    source = source_from_config(config)
-    transfer = transfer_from_config(config)
+    source, transfer = circuit_from_config(config)
     drift = drift_from_config(config)
     if not (math.isfinite(args.duration)
             and args.duration >= drift.step_interval):
@@ -225,8 +225,7 @@ def cmd_lock(args) -> int:
 
 def cmd_oracle(args) -> int:
     config = load_config(args.config)
-    source = source_from_config(config)
-    transfer = transfer_from_config(config)
+    source, transfer = circuit_from_config(config)
     try:
         pattern = checked_pattern(
             transfer, [int(c) for c in args.pattern.split(",")], args.cutoff)

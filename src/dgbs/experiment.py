@@ -7,7 +7,6 @@ from __future__ import annotations
 import math
 import string
 from dataclasses import dataclass, replace
-from operator import itemgetter
 
 import numpy as np
 
@@ -15,7 +14,7 @@ from .errors import ConfigurationError, SchemaError
 from .probability import (ModelSpec, PhaseFamily, StateKernel,
                           TwofoldFringe, all_patterns)
 from .reconstruction import MeasurementRecord
-from .serialize import _codes, _csv_rows, _read_csv, _unique_ints
+from .serialize import _csv_rows, _read_csv, _unique_ints
 from .states import (SourceConfig, TransferMatrix, _require_finite,
                      build_input_state, propagate)
 
@@ -66,14 +65,11 @@ def samples_from_csv(text: str, d: int, min_photons: int) -> tuple:
     """The (S, d) counts of the samples of a :meth:`ClickTable.to_csv` text
     with at least ``min_photons`` clicks, and the set of their photon
     numbers.  Only the mask column is read, each distinct mask once."""
-    def parse(rows):   # None if a row has no mask field or a bad one
-        if next(rows, [])[:2] != SAMPLES_CSV_HEADER.split(",")[:2]:
+    def parse(header, columns, widths):   # None if a mask is missing or bad
+        if header[:2] != SAMPLES_CSV_HEADER.split(",")[:2]:
             raise SchemaError(f"samples CSV must have header "
                               f"{SAMPLES_CSV_HEADER}")
-        try:
-            texts, which = _codes(map(itemgetter(1), filter(None, rows)))
-        except IndexError:
-            return None
+        (texts, which), = columns   # a missing mask is "", no bitmask
         masks = [_mask(text, d) for text in texts]
         return None if None in masks else (np.array(masks, np.int64), which)
 
@@ -81,7 +77,7 @@ def samples_from_csv(text: str, d: int, min_photons: int) -> tuple:
         if _mask("".join(row[1:2]), d) is None:
             return f"{row[1:2]} is not a bitmask over {d} modes"
 
-    masks, which = _read_csv(text, parse, fault, "samples line")
+    masks, which = _read_csv(text, (1,), parse, fault, "samples line")
     # the bits of each distinct mask, one byte per count
     bits = (masks[:, None] >> np.arange(d) & 1).astype(np.int8)
     keep = (masks >= 0) & (bits.sum(axis=1) >= min_photons)

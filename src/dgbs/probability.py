@@ -227,7 +227,12 @@ class TwofoldFringe(NamedTuple):
         p1k = p_k + abs(gk) ** 2
         offset = (p1j * p1k + abs(b_m[j, k]) ** 2 + abs(c_m[j, k]) ** 2
                   + 2 * (c_m[j, k] * np.conj(gj) * gk).real)
-        return cls(blocked, offset, b_m[j, k] * np.conj(gj) * np.conj(gk))
+        weight = b_m[j, k] * np.conj(gj) * np.conj(gk)
+        if not math.isfinite(blocked + offset + 2 * abs(weight)):
+            raise NumericalError(f"twofold fringe of modes {j},{k} came out "
+                                 "non-finite; the state is beyond "
+                                 "floating-point range")
+        return cls(blocked, offset, weight)
 
     def rate_at(self, rotation) -> float:
         """p'_jk at the phase phi with ``rotation`` = e^{2 i phi}.  The

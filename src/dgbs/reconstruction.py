@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -25,7 +25,7 @@ from .errors import ConfigurationError, DgbsError, SchemaError
 from .metrics import tvd
 from .probability import (ModelSpec, PatternDistribution, StateKernel,
                           all_patterns, distribution_from_kernel)
-from .serialize import _codes, _csv_rows, _read_csv, _unique_ints
+from .serialize import _csv_rows, _read_csv, _unique_ints
 from .states import AMatrix, GammaVector
 
 SETTINGS = ("blocked", "input1", "input2")
@@ -135,27 +135,24 @@ def records_from_csv(text: str) -> dict:
     every (phi, modes) cell of its table once, all with one pulses value.
     ``#`` lines (``dgbs simulate`` writes one) may stand anywhere; error
     line numbers count them."""
-    return _read_csv(text, _records_of_rows, _row_fault, "line")
+    return _read_csv(text, range(5), _records_of_columns, _row_fault, "line")
 
 
-def _records_of_rows(reader) -> dict:
-    """The records of a records text's csv rows; None if a row is at fault."""
-    rows = list(reader)
-    if not rows or rows[0] != CSV_HEADER:
+def _records_of_columns(header: list, columns: list, widths: set) -> dict:
+    """The records of a records text's header, coded columns and row
+    lengths; None if a row is at fault."""
+    if header != CSV_HEADER:
         raise SchemaError("records CSV must start with the standard header")
-    body = list(filter(None, rows[1:]))
-    settings, which = _codes(map(itemgetter(0), body))
-    if set(map(len, body)) - {5} or not set(settings) <= set(SETTINGS):
+    (settings, which), phis, labels, (counts, count_codes), pulses = columns
+    if widths - {5} or not set(settings) <= set(SETTINGS):
         return None
-    try:
-        counts = np.fromiter(map(float, map(itemgetter(3), body)), float,
-                             len(body))
-    except ValueError:   # each setting parses its own, and names the first
-        counts = list(map(itemgetter(3), body))
-    phis, labels, pulses = (_codes(map(itemgetter(k), body))
-                            for k in (1, 2, 4))
+    # each distinct count parsed once; if one is no number, each setting
+    # parses its own, and names the first
+    with suppress(ValueError):
+        counts = np.fromiter(map(float, counts), float, len(counts))
     return {setting: _table_record(setting, np.flatnonzero(which == code),
-                                   phis, labels, counts, pulses)
+                                   phis, labels, (counts, count_codes),
+                                   pulses)
             for code, setting in enumerate(settings)}
 
 
@@ -174,21 +171,22 @@ def _first_seen(codes: np.ndarray) -> np.ndarray:
 
 
 def _table_record(setting: str, rows: np.ndarray, phi_column: tuple,
-                  mode_column: tuple, counts, pulse_column: tuple
-                  ) -> MeasurementRecord:
-    """One setting's record from its ``rows`` of the CSV.  The phi, modes
-    and pulses columns are (distinct texts, code per CSV row) pairs; counts
-    are floats (texts, if one of them is no number).  Each distinct text
-    is parsed once."""
+                  mode_column: tuple, count_column: tuple,
+                  pulse_column: tuple) -> MeasurementRecord:
+    """One setting's record from its ``rows`` of the CSV.  The columns are
+    (distinct texts, code per CSV row) pairs; the distinct counts are
+    floats unless one of them is no number.  Each distinct text is parsed
+    once."""
     scanned = setting != "blocked"
-    (phi_texts, phi_codes), (labels, label_codes), (pulse_texts, pulse_codes) \
-        = [(texts, codes[rows])
-           for texts, codes in (phi_column, mode_column, pulse_column)]
+    (phi_texts, phi_codes), (labels, label_codes), (counts, count_codes), \
+        (pulse_texts, pulse_codes) = [
+            (texts, codes[rows]) for texts, codes in
+            (phi_column, mode_column, count_column, pulse_column)]
     phis, column_of, modes = {}, {}, {}
     try:
         pulse_set = {float(pulse_texts[c]) for c in np.unique(pulse_codes)}
-        counts = counts[rows] if isinstance(counts, np.ndarray) else \
-            np.array([float(counts[i]) for i in rows.tolist()])
+        counts = counts[count_codes] if isinstance(counts, np.ndarray) else \
+            np.array([float(counts[c]) for c in count_codes.tolist()])
         for c in _first_seen(phi_codes).tolist():
             text = phi_texts[c]
             phi = float(text) if scanned else None

@@ -18,6 +18,7 @@ import math
 from collections import defaultdict
 from contextlib import suppress
 from itertools import chain, count, islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -132,6 +133,22 @@ def transfer_from_config(config: dict) -> TransferMatrix:
     return TransferMatrix(m, d, t, None if ports is None else tuple(ports))
 
 
+def circuit_from_config(config: dict) -> tuple:
+    """The config's source and transfer matrix; each input port of the
+    source must be a mode of the circuit."""
+    source, transfer = source_from_config(config), transfer_from_config(config)
+    check_ports((*source.squeezer_ports, source.coherent_port), transfer.d)
+    return source, transfer
+
+
+def check_ports(ports, d: int) -> None:
+    """SchemaError unless each of ``ports`` is a mode of a d-mode circuit."""
+    for port in ports:
+        if type(port) is not int or not 0 <= port < d:
+            raise SchemaError(f"bad source config: input port {port!r} is "
+                              f"not a mode of the {d}-mode circuit")
+
+
 def phi_grid_from_config(config: dict):
     """The config's phi grid, or None (the simulation default) if unset."""
     grid = config.get("phi_grid")
@@ -172,16 +189,20 @@ CSV_BLOCK_ROWS = 4096   # rows rendered per block, which bounds the memory
 CSV_BLOCK_CHARS = 1 << 14   # text split into lines per block, bounds memory
 
 
-def _read_csv(text: str, parse, fault, where: str):
-    """``parse(rows)`` of the csv rows of ``text`` (all of a file or pipe),
-    header first, without its ``#`` lines, which may stand anywhere.  If
-    csv cannot read a line, or ``parse`` returns None, the rows are read
-    again, and the first line csv cannot read, or the first nonempty row
-    after the header for which ``fault(row)`` gives a message, raises
+def _read_csv(text: str, columns, parse, fault, where: str):
+    """``parse(header, coded, widths)`` of the csv rows of ``text`` (all of
+    a file or pipe) without its ``#`` lines, which may stand anywhere.
+    ``header`` is the first row.  ``coded`` holds, for each index k in
+    ``columns``, field k of each nonempty row after the header ("" where a
+    row is too short) as a pair: the distinct texts in order of first
+    appearance, and each row's index among them, as an int array.
+    ``widths`` is the set of those rows' lengths.  If csv cannot read a
+    line, or ``parse`` returns None, the rows are read again, and the first
+    line csv cannot read, or the first nonempty row after the header for
+    which ``fault(row)`` gives a message, raises
     ``SchemaError("{where} N: ...")``, N its line in ``text``."""
     with suppress(csv.Error):
-        rows = csv.reader(chain.from_iterable(_uncommented(text, False)))
-        result = parse(rows)
+        result = parse(*_coded_columns(text, columns))
         if result is not None:
             return result
     rows = csv.reader(chain.from_iterable(_uncommented(text, True)))
@@ -191,6 +212,69 @@ def _read_csv(text: str, parse, fault, where: str):
     except csv.Error as exc:
         message = exc
     raise SchemaError(f"{where} {rows.line_num}: {message}")
+
+
+def _coded_columns(text: str, columns) -> tuple:
+    """The header, coded ``columns`` and row lengths of :func:`_read_csv`.
+    Each block of :func:`_uncommented` is split at commas and line ends,
+    and each column's fields coded, while that reads the rows as csv does.
+    From the first block that csv may read otherwise, csv reads the rest:
+    a block with a quote, CR or NUL, a blank line, a row not as long as the
+    header, or a field that csv rejects as longer than
+    ``csv.field_size_limit()``; and all of the text if the header has too
+    few fields for ``columns``."""
+    indexes = [defaultdict(count().__next__) for _ in columns]
+    codes = [[np.zeros(0, np.intp)] for _ in columns]
+    header, widths = None, set()
+
+    def add(rows: int, fields) -> None:
+        """Code ``fields(k)``, the ``rows`` fields of each column k."""
+        for index, column, k in zip(indexes, codes, columns):
+            column.append(np.fromiter(map(index.__getitem__, fields(k)),
+                                      np.intp, rows))
+
+    blocks = _uncommented(text, False)
+    for block in blocks:
+        fields, width = _split(block.getvalue(), header)
+        if fields is None or width <= max(columns):   # csv reads the rest
+            rows = csv.reader(chain.from_iterable(chain([block], blocks)))
+            header = next(rows, []) if header is None else header
+            while batch := list(islice(rows, CSV_BLOCK_ROWS)):
+                batch = list(filter(None, batch))
+                widths.update(map(len, batch))
+                if min(widths, default=0) <= max(columns):   # pad short rows
+                    batch = [row + [""] * max(columns) for row in batch]
+                add(len(batch), lambda k: map(itemgetter(k), batch))
+            break
+        if header is None:
+            header, fields = fields[:width], fields[width:]
+        rows = len(fields) // width
+        if rows:
+            widths.add(width)
+        add(rows, lambda k: fields[k:-1:width])
+    return header or [], [(list(index), np.concatenate(column))
+                          for index, column in zip(indexes, codes)], widths
+
+
+# every byte but the comma and the line end, deleted to leave a block's shape
+_FIELD_BYTES = bytes(sorted(set(range(256)) - set(b",\n")))
+
+
+def _split(block: str, header) -> tuple:
+    """The fields of the lines of ``block``, line after line, then one "",
+    and the number of fields in each line: as many as in ``header``, or if
+    it is None in the first line.  (None, 0) unless csv would read each
+    line as that many fields split at its commas."""
+    block += "" if block.endswith("\n") else "\n"
+    width = block.count(",", 0, block.find("\n")) + 1 if header is None \
+        else len(header)
+    if width < 2 or len(block) > csv.field_size_limit() or \
+            '"' in block or "\r" in block or "\0" in block:
+        return None, 0
+    shape = block.encode(errors="surrogatepass").translate(None, _FIELD_BYTES)
+    if shape != (b"," * (width - 1) + b"\n") * (len(shape) // width):
+        return None, 0
+    return block.replace("\n", ",").split(","), width
 
 
 def _uncommented(text: str, keep_lines: bool):
@@ -251,14 +335,6 @@ def _digits(values: np.ndarray) -> np.ndarray:
     digits = (values // power[:, None] % 10 + ord("0")).astype(np.uint8)
     digits[(values < power[:, None]) & (power[:, None] > 1)] = 0
     return digits.T
-
-
-def _codes(texts) -> tuple:
-    """The distinct strings of ``texts`` in order of first appearance, and
-    the index of each text among them, as an int array."""
-    index = defaultdict(count().__next__)
-    codes = np.fromiter(map(index.__getitem__, texts), np.intp)
-    return list(index), codes
 
 
 def _unique_ints(values: np.ndarray) -> tuple:

@@ -1,3 +1,5 @@
+import csv
+import importlib.util
 import json
 import math
 import os
@@ -9,13 +11,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import haar_unitary
-from dgbs import fock
+from dgbs import fock, serialize
 from dgbs.cli import main
-from dgbs.experiment import sample_patterns
+from dgbs.experiment import sample_patterns, samples_from_csv
 from dgbs.probability import (ModelSpec, PatternDistribution, StateKernel,
                               all_patterns)
+from dgbs.reconstruction import records_from_csv
 from dgbs.serialize import (canonical_json, config_hash, load_config,
                             matrix_from_json, matrix_to_json,
                             source_from_config, transfer_from_config)
@@ -24,6 +29,11 @@ from dgbs.states import build_classical_input, propagate
 
 @pytest.fixture
 def config_path(tmp_path):
+    return d3_config(tmp_path)
+
+
+def d3_config(directory) -> str:
+    """The path of the README d=3 config, written into ``directory``."""
     u = haar_unitary(3, seed=42)
     cfg = {
         "version": 1,
@@ -35,7 +45,7 @@ def config_path(tmp_path):
         "pulses_per_setting": "inf",
         "include_collisions": True,
     }
-    path = tmp_path / "config.json"
+    path = directory / "config.json"
     path.write_text(json.dumps(cfg))
     return str(path)
 
@@ -228,6 +238,160 @@ class TestCompare:
                 assert list(chain.from_iterable(blocks)) == lines
 
 
+def _edited(text: str, edit: str) -> str:
+    """``text`` with its CSV lines (not its ``#`` lines) written another way
+    that csv reads to the same rows."""
+    lines = text.splitlines()
+    if edit == "crlf":
+        return "".join(f"{line}\r\n" for line in lines)
+    if edit == "quoted":
+        lines = [line if line.startswith("#") else
+                 ",".join(f'"{field}"' for field in line.split(","))
+                 for line in lines]
+    elif edit == "blank_lines":
+        lines = [f"{line}\n" if not line.startswith("#") else line
+                 for line in lines]
+    elif edit == "quote_in_comment":
+        lines[-1:-1] = ['# a "quoted, note']
+    return "".join(f"{line}\n" for line in lines)
+
+
+def _workload_output(directory, workload: str, command: str) -> str:
+    """The output text of ``command`` in the seed-0 run of a benchmark
+    workload, made by :func:`main` in ``directory`` from its config."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parents[1] / "perfbench"
+        / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    configs, commands = workloads.build(workload, 0)
+    for name, config in configs.items():
+        (directory / name).write_text(json.dumps(config))
+    cmd, = [cmd for cmd in commands if cmd["name"] == command]
+    assert main([str(directory / arg) if arg in configs or arg == cmd["out"]
+                 else arg for arg in cmd["argv"]]) == 0
+    return (directory / cmd["out"]).read_text()
+
+
+class TestCsvTokenisers:
+    """The records and samples readers split plain text themselves and
+    leave text that csv may read otherwise to csv: both must give the same
+    result, bit for bit."""
+
+    EDITS = ("crlf", "quoted", "blank_lines", "quote_in_comment")
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        """The records and samples texts of the d=3 config, of the seed-0
+        fringes-d15 run and of the seed-0 tables-d15 run."""
+        d3 = tmp_path_factory.mktemp("d3")
+        config = d3_config(d3)
+        for argv in (["simulate", "--out", str(d3 / "records.csv")],
+                     ["sample", "--pulses", "2000", "--n-max", "3",
+                      "--out", str(d3 / "samples.csv")]):
+            assert main([*argv, "--config", config]) == 0
+        fringes, tables = (
+            _workload_output(tmp_path_factory.mktemp(workload), workload,
+                             command)
+            for workload, command in (("fringes-d15", "simulate"),
+                                      ("tables-d15", "sample")))
+        return {"records": [(d3 / "records.csv").read_text(), fringes],
+                "samples": [((d3 / "samples.csv").read_text(), 3),
+                            (tables, 15)]}
+
+    @staticmethod
+    def read_with_spy(monkeypatch, read, text):
+        """``read(text)``, and whether csv.reader read any of it."""
+        calls = []
+        reader = csv.reader
+        monkeypatch.setattr(csv, "reader",
+                            lambda lines: calls.append(1) or reader(lines))
+        result = read(text)
+        monkeypatch.setattr(csv, "reader", reader)
+        return result, bool(calls)
+
+    @pytest.mark.parametrize("edit", EDITS)
+    def test_records(self, edit, inputs, monkeypatch):
+        for text in inputs["records"]:
+            want, by_csv = self.read_with_spy(monkeypatch, records_from_csv,
+                                              text)
+            assert not by_csv
+            got, by_csv = self.read_with_spy(monkeypatch, records_from_csv,
+                                             _edited(text, edit))
+            # a # line is dropped before csv or the splitting sees it
+            assert by_csv == (edit != "quote_in_comment")
+            assert list(got) == list(want)
+            for name, rec in want.items():
+                assert got[name].rates.tobytes() == rec.rates.tobytes()
+                assert (got[name].d, got[name].pulses, got[name].pairs) == \
+                    (rec.d, rec.pulses, rec.pairs)
+                assert (got[name].phi is None and rec.phi is None) or \
+                    got[name].phi.tobytes() == rec.phi.tobytes()
+
+    @pytest.mark.parametrize("edit", EDITS)
+    def test_samples(self, edit, inputs, monkeypatch):
+        for text, d in inputs["samples"]:
+            def read(text):
+                return samples_from_csv(text, d, 0)
+            (counts, totals), by_csv = self.read_with_spy(monkeypatch, read,
+                                                          text)
+            assert not by_csv and len(counts) > 1000
+            (got, got_totals), by_csv = self.read_with_spy(
+                monkeypatch, read, _edited(text, edit))
+            assert by_csv == (edit != "quote_in_comment")
+            assert (got.shape, got.dtype, got.tobytes(), got_totals) == \
+                (counts.shape, counts.dtype, counts.tobytes(), totals)
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(text=st.one_of(
+               # any text, and rows of one width, which plain splitting reads
+               st.text(st.sampled_from(
+                   list('ab1,,,\n\n#" \r\0\u00e9\u2028\x0b')), max_size=40),
+               st.integers(1, 4).flatmap(lambda width: st.lists(st.lists(
+                   st.text(st.sampled_from(list("ab1 #\u00e9")), max_size=3),
+                   min_size=width, max_size=width), max_size=8)).map(
+                   lambda rows: "".join(f"{','.join(row)}\n" for row in rows))),
+           columns=st.sampled_from([(0,), (1,), (0, 1, 2), (2, 0)]),
+           block=st.sampled_from([1, 3, 8, serialize.CSV_BLOCK_CHARS]))
+    # a header too short for the columns, in one block and in two
+    @example(text="a,b\nc,d\ne,f\n", columns=(0, 1, 2),
+             block=serialize.CSV_BLOCK_CHARS)
+    @example(text="a,b\nc,d\ne,f\n", columns=(2, 0), block=3)
+    def test_columns_as_csv_reads_them(self, text, columns, block):
+        # whatever the text, the header, coded columns and row lengths are
+        # those of the rows csv reads, or csv's error
+        def coded(read_columns):
+            try:
+                header, columns_read, widths = read_columns()
+            except csv.Error as exc:
+                return str(exc)
+            return header, [(texts, np.asarray(codes).tolist())
+                            for texts, codes in columns_read], widths
+
+        def by_csv():
+            rows = list(csv.reader(chain.from_iterable(
+                serialize._uncommented(text, False))))
+            body = list(filter(None, rows[1:]))
+            padded = [row + [""] * max(columns) for row in body]
+            coded_columns = []
+            for k in columns:   # codes in order of first appearance
+                index = {}
+                codes = [index.setdefault(row[k], len(index))
+                         for row in padded]
+                coded_columns.append((list(index), codes))
+            return rows[0] if rows else [], coded_columns, \
+                set(map(len, body))
+
+        default = serialize.CSV_BLOCK_CHARS
+        serialize.CSV_BLOCK_CHARS = block
+        try:
+            assert coded(lambda: serialize._coded_columns(text, columns)) \
+                == coded(by_csv)
+        finally:
+            serialize.CSV_BLOCK_CHARS = default
+
+
 class TestSample:
     def test_classical_model_samples_the_surrogate(self, config_path,
                                                    tmp_path):
@@ -311,7 +475,8 @@ class TestNonFinite:
     @pytest.mark.parametrize("field, value", [
         ("r", 400), ("alpha_mag", 1e154), ("alpha_mag", 1e308)])
     @pytest.mark.parametrize("command", [["probs", "--n-max", "2"],
-                                         ["sample", "--pulses", "100"]])
+                                         ["sample", "--pulses", "100"],
+                                         ["lock", "--duration", "10"]])
     def test_out_of_range_source_exits_1(self, field, value, command,
                                          config_path, tmp_path, capsys):
         config = json.loads(Path(config_path).read_text())
@@ -323,7 +488,7 @@ class TestNonFinite:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("dgbs: ") and err.count("\n") == 1
-        assert "finite" in err
+        assert "finite" in err and "kp" not in err
         assert not out.exists()
 
 
@@ -517,6 +682,44 @@ class TestBadInput:
         assert (code, capsys.readouterr().err) == (
             2, f"dgbs: bad source config: {message}\n")
 
+    @pytest.mark.parametrize("ports, message", [
+        ({"coherent_port": 5}, "input port 5 is not a mode of the 3-mode "
+         "circuit"),
+        ({"squeezer_ports": [-1, 0], "coherent_port": 1},
+         "input port -1 is not a mode of the 3-mode circuit"),
+        ({"coherent_port": 1.5}, "input port 1.5 is not a mode of the "
+         "3-mode circuit"),
+    ])
+    @pytest.mark.parametrize("command", [
+        ["probs", "--n-max", "1"], ["oracle", "--pattern", "1,0,0"],
+        ["sample", "--pulses", "10"], ["lock", "--duration", "10"],
+        ["simulate"]])
+    def test_source_port_outside_the_circuit_exits_2(
+            self, ports, message, command, config_path, tmp_path, capsys):
+        # the README d=3 config (the lab-d6 d3.json of seed 0): its ports
+        # are checked when the config is read, not when a state is built
+        config = json.loads(Path(config_path).read_text())
+        config["source"].update(ports)
+        path = tmp_path / "ports.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        code = main([*command, "--config", str(path), "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (
+            2, f"dgbs: bad source config: {message}\n")
+        assert not out.exists()
+
+    def test_second_input_port_outside_the_circuit_exits_2(
+            self, config_path, tmp_path, capsys):
+        config = json.loads(Path(config_path).read_text())
+        config["second_input_port"] = 3
+        path = tmp_path / "second.json"
+        path.write_text(json.dumps(config))
+        code = main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+        assert (code, capsys.readouterr().err) == (
+            2, "dgbs: bad source config: input port 3 is not a mode of the "
+               "3-mode circuit\n")
+
     @pytest.mark.parametrize("kind", [
         "threefolds_not_json", "threefolds_no_total", "threefolds_bad_row",
         "threefolds_other_d", "threefolds_other_d_no_fallback",
@@ -709,6 +912,17 @@ RECORDS_HEADER = "setting,phi,modes,counts,pulses"
 SAMPLES_HEADER = "pulse,bitmask_hex,phi"
 
 
+def _csv_rejects_nul() -> bool:
+    try:
+        next(csv.reader(["\0\n"]))
+    except csv.Error:
+        return True
+    return False
+
+
+CSV_REJECTS_NUL = _csv_rejects_nul()
+
+
 class TestReaderErrors:
     """Every error of the records and samples readers, from a file and from
     a pipe: exit 2 and exactly one message line, whose line numbers count
@@ -744,6 +958,9 @@ class TestReaderErrors:
          "line 13: field larger than field limit (131072)"),
         ({2: "# a comment between rows\nblocked,,1,40,1000",
           5: "input1,0,0,30,500,1"}, "line 10: expected 5 columns"),
+        # a blank line before the header is a header error
+        ({"header": "\n" + RECORDS_HEADER},
+         "records CSV must start with the standard header"),
     ])
     def test_records(self, edits, message, tmp_path, input_at, capsys):
         for via in VIAS:
@@ -768,6 +985,16 @@ class TestReaderErrors:
          "samples line 8: ['g'] is not a bitmask over 3 modes"),
         ({2: f"2,{'f' * 140000},0"},
          "samples line 6: field larger than field limit (131072)"),
+        # a blank line before the header is a header error
+        ({"header": "\n" + SAMPLES_HEADER},
+         "samples CSV must have header pulse,bitmask_hex,phi"),
+        # a fourth field is read past, the bad mask after it named
+        ({1: "1,discard,0,extra", 3: "3,8,0"},
+         "samples line 7: ['8'] is not a bitmask over 3 modes"),
+        # csv rejects a NUL before Python 3.11 and reads it since
+        ({2: "2,3,0\0", 3: "3,8,0"}, "samples line 6: line contains NUL"
+         if CSV_REJECTS_NUL else
+         "samples line 7: ['8'] is not a bitmask over 3 modes"),
     ])
     def test_samples(self, edits, message, config_path, tmp_path, input_at,
                      capsys):
