@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from contextlib import nullcontext
 
 from . import __version__
@@ -319,8 +320,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; its warnings are shown only if it exits 0, so that
+    a failing command prints one ``dgbs:`` line and nothing else."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    with warnings.catch_warnings(record=True) as caught:
+        code = _run(args)
+    if code == 0:
+        for w in caught:
+            warnings.showwarning(w.message, w.category, w.filename,
+                                 w.lineno, w.file, w.line)
+    return code
+
+
+def _run(args) -> int:
+    """The exit code of the parsed command ``args``."""
     try:
         for name in ("n_max", "pulses"):
             if getattr(args, name, 0) < 0:

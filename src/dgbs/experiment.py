@@ -4,9 +4,12 @@ transfer-matrix amplitude estimation from singles rates."""
 
 from __future__ import annotations
 
+import cmath
 import math
 import string
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -33,32 +36,58 @@ SAMPLES_CSV_HEADER = "pulse,bitmask_hex,phi"
 # pattern sampling
 
 class ClickTable:
-    """Column-oriented store of per-pulse detection outcomes."""
+    """Per-pulse detection outcomes as codes: pulse i saw the bitmask
+    ``outcomes[outcome_codes[i]]`` (-1 a discard) at the coherent phase
+    ``phis[phi_codes[i]]``."""
 
     def __init__(self, bitmasks: np.ndarray, phi: np.ndarray, d: int):
-        self.bitmasks = np.asarray(bitmasks, dtype=np.int64)
-        self.phi = np.asarray(phi, dtype=float)
+        """The table of per-pulse ``bitmasks`` and ``phi``, each coded by
+        its distinct values (phi by its bits: -0.0 and 0.0 stay apart)."""
+        self.outcomes, self.outcome_codes = _unique_ints(
+            np.asarray(bitmasks, dtype=np.int64))
+        bits, self.phi_codes = _unique_ints(
+            np.asarray(phi, dtype=float).view(np.int64))
+        self.phis = bits.view(float)
         self.d = d
 
+    @classmethod
+    def of_draws(cls, outcomes: np.ndarray, draws: np.ndarray, phi: float,
+                 d: int) -> "ClickTable":
+        """The pulses of a sampler that drew ``outcomes[draws[i]]`` for
+        pulse i, every pulse at the one coherent phase ``phi``."""
+        table = cls.__new__(cls)
+        table.outcomes, table.outcome_codes = outcomes, draws
+        table.phis = np.array([phi], dtype=float)
+        table.phi_codes = np.broadcast_to(np.intp(0), draws.shape)
+        table.d = d
+        return table
+
     def __len__(self):
-        return len(self.bitmasks)
+        return len(self.outcome_codes)
+
+    @property
+    def bitmasks(self) -> np.ndarray:
+        return self.outcomes[self.outcome_codes]
+
+    @property
+    def phi(self) -> np.ndarray:
+        return self.phis[self.phi_codes]
 
     def patterns(self) -> np.ndarray:
         """(P, d) counts of the pulses, discards skipped."""
-        masks = self.bitmasks[self.bitmasks >= 0]
+        masks = self.bitmasks
+        masks = masks[masks >= 0]
         return (masks[:, None] >> np.arange(self.d)) & 1
 
     def to_csv(self) -> str:
-        """pulse, bitmask_hex, phi; each distinct mask and phi formatted
-        once (phi by its bits, so that -0.0 and 0.0 stay apart)."""
-        masks, which = _unique_ints(self.bitmasks)
+        """pulse, bitmask_hex, phi; each entry of the outcome and phi
+        tables formatted once."""
         hexes = [format(m, "x") if m >= 0 else "discard"
-                 for m in masks.tolist()]
-        bits, where = _unique_ints(self.phi.view(np.int64))
-        phis = [f"{p:.17g}" for p in bits.view(float).tolist()]
+                 for m in self.outcomes.tolist()]
+        phis = [f"{p:.17g}" for p in self.phis.tolist()]
         return SAMPLES_CSV_HEADER + "\n" + _csv_rows(len(self), [
-            np.arange(len(self)), ",", (hexes, which), ",", (phis, where),
-            "\n"])
+            np.arange(len(self)), ",", (hexes, self.outcome_codes), ",",
+            (phis, self.phi_codes), "\n"])
 
 
 def samples_from_csv(text: str, d: int, min_photons: int) -> tuple:
@@ -101,8 +130,8 @@ def sample_patterns(kernel: StateKernel, model: ModelSpec, pulses: int,
     patterns, masks = _sampler_patterns(kernel.d, n_max)
     probs = _with_discard(kernel.pattern_probabilities(patterns, model))
     rng = np.random.default_rng(seed)
-    idx = rng.choice(len(probs), size=pulses, p=probs)
-    return ClickTable(masks[idx], np.full(pulses, phi), kernel.d)
+    draws = rng.choice(len(probs), size=pulses, p=probs)
+    return ClickTable.of_draws(masks, draws, phi, kernel.d)
 
 
 def _sampler_patterns(d: int, n_max: int) -> tuple:
@@ -299,8 +328,17 @@ def build_error_signal(kernel: StateKernel, pairs):
     fringes = [TwofoldFringe.of(kernel, j, k) for j, k, _ in pairs]
     stacked = TwofoldFringe(*(np.array(col)[:, None] for col in zip(*fringes)))
     signs = np.array([sign for _, _, sign in pairs], dtype=float)[:, None]
+    # the scalar path runs the array path's operations, in its order, on
+    # Python floats: a call on one phase then pays no numpy overhead
+    terms = [(float(sign), float(f.offset), float(f.weight.real),
+              float(f.weight.imag)) for f, (_, _, sign) in zip(fringes, pairs)]
 
-    def signal(phi):   # accumulate sums in pair order; reduce may go pairwise
+    def signal(phi):   # sums in pair order, which np.add.reduce may not keep
+        if isinstance(phi, float):   # one phase: the scalar path
+            rotation = cmath.exp(2j * phi)
+            c, s = rotation.real, rotation.imag
+            return reduce(add, [sign * (offset + 2 * (w_re * c - w_im * s))
+                                for sign, offset, w_re, w_im in terms])
         rates = stacked.rate_at(np.exp(2j * np.reshape(phi, -1)))
         return np.add.accumulate(signs * rates)[-1].reshape(np.shape(phi))[()]
 
@@ -335,25 +373,35 @@ def auto_select_pairs(kernel: StateKernel, setpoint: float = LOCK_SETPOINT,
 
 def _pid_loop(drift: DriftModel, pid: PidConfig, gains, error_signal,
               duration: float, seed: int) -> tuple:
-    """:func:`pid_lock` for G gain sets, the (kp, ki, kd) rows of ``gains``:
-    the (G, n) phases, (G,) residual stds and diverged flags."""
+    """:func:`pid_lock` for the gain sets (kp, ki, kd) = ``gains``: three
+    floats for one set, or three (G,) arrays for G sets; the (G, n) phases,
+    (G,) residual stds and diverged flags.  One set runs on Python floats,
+    where numpy's per-call overhead would cost more than the arithmetic;
+    a batch runs each step as a few array operations."""
     drift_trace = drift.trace(duration, np.random.default_rng(seed))
     dt, limit, n = pid.update_interval, pid.actuator_limit, len(drift_trace)
     kp, ki, kd = gains
+    if np.ndim(kp):
+        def clamp(v):
+            return np.minimum(np.maximum(v, -limit), limit)
+    else:
+        def clamp(v):   # NaN stays NaN, as in np.minimum and np.maximum
+            return max(min(v, limit), -limit)
     target = error_signal(pid.setpoint)
-    v, integral = np.zeros((2, len(kp)))
+    v = integral = 0.0   # becomes a (G,) array after the first step of a batch
     prev_e = None
-    phi = np.empty((n, len(kp)))
-    diverged = np.zeros(len(kp), dtype=bool)
-    for i in range(n):
-        phi[i] = pid.setpoint + drift_trace[i] + v
-        e = error_signal(phi[i]) - target
+    phi = np.empty((n, np.size(kp)))
+    diverged = False
+    for i, drift_i in enumerate(drift_trace.tolist()):
+        phi_i = pid.setpoint + drift_i + v
+        phi[i] = phi_i
+        e = error_signal(phi_i) - target
         integral = integral + e * dt
         deriv = 0.0 if prev_e is None else (e - prev_e) / dt
         prev_e = e
         v = v - (kp * e + ki * integral + kd * deriv)
-        diverged |= np.abs(v) > limit
-        v = np.minimum(np.maximum(v, -limit), limit)
+        diverged = diverged | (abs(v) > limit)
+        v = clamp(v)
     phi = phi.T.copy()   # each residual is a std over one contiguous row
     residual = np.std(phi[:, int(n * SETTLE_FRACTION):] - pid.setpoint, axis=1)
     return phi, residual, diverged | (residual > math.pi)
@@ -365,7 +413,7 @@ def pid_lock(drift: DriftModel, pid: PidConfig, error_signal,
     the error is S(phi) - S(setpoint), and the actuator's phase correction
     is clamped to ``pid.actuator_limit`` (a clamp marks the lock diverged)."""
     phi, residual, diverged = _pid_loop(
-        drift, pid, np.array([[pid.kp], [pid.ki], [pid.kd]], dtype=float),
+        drift, pid, (float(pid.kp), float(pid.ki), float(pid.kd)),
         error_signal, duration, seed)
     return LockResult(np.arange(phi.shape[1]) * pid.update_interval, phi[0],
                       pid.setpoint, float(residual[0]), bool(diverged[0]))

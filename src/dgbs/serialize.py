@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 import math
+import sys
 from collections import defaultdict
 from contextlib import suppress
 from itertools import chain, count, islice
@@ -110,8 +111,19 @@ def source_from_config(config: dict) -> SourceConfig:
         raise SchemaError("config needs a 'source' object")
     kw = dict(src)
     if "squeezer_ports" in kw:
-        kw["squeezer_ports"] = tuple(kw["squeezer_ports"])
+        kw["squeezer_ports"] = _ports(kw["squeezer_ports"], "source",
+                                      "squeezer_ports", 2)
     return _from_fields(SourceConfig, kw, "source")
+
+
+def _ports(ports, name: str, key: str, length: int = None) -> tuple:
+    """The ports list ``key`` of the ``name`` config as a tuple, of
+    ``length`` entries if given, or SchemaError "bad {name} config: ..."."""
+    if not isinstance(ports, list) or length not in (None, len(ports)):
+        size = "" if length is None else f" {length}"
+        raise SchemaError(f"bad {name} config: {key} must be a list of"
+                          f"{size} ports, got {ports!r}")
+    return tuple(ports)
 
 
 def _from_fields(cls, fields, name: str):
@@ -127,10 +139,17 @@ def transfer_from_config(config: dict) -> TransferMatrix:
     if not isinstance(tr, dict):
         raise SchemaError("config needs a 'transfer' object")
     t = matrix_from_json(tr.get("t", {}))
-    m = int(tr.get("m", t.shape[0]))
-    d = int(tr.get("d", t.shape[1]))
+    m, d = tr.get("m", t.shape[0]), tr.get("d", t.shape[1])
+    for key, value in (("m", m), ("d", d)):
+        if type(value) is not int:   # a bool is no int here
+            raise SchemaError(f"bad transfer config: {key} must be an "
+                              f"integer, got {value!r}")
     ports = tr.get("input_ports")
-    return TransferMatrix(m, d, t, None if ports is None else tuple(ports))
+    if ports is not None:
+        ports = _ports(ports, "transfer", "input_ports")
+        check_ports(ports, d, "transfer")
+    return _from_fields(TransferMatrix, {"m": m, "d": d, "t": t,
+                                         "input_ports": ports}, "transfer")
 
 
 def circuit_from_config(config: dict) -> tuple:
@@ -141,11 +160,11 @@ def circuit_from_config(config: dict) -> tuple:
     return source, transfer
 
 
-def check_ports(ports, d: int) -> None:
+def check_ports(ports, d: int, name: str = "source") -> None:
     """SchemaError unless each of ``ports`` is a mode of a d-mode circuit."""
     for port in ports:
         if type(port) is not int or not 0 <= port < d:
-            raise SchemaError(f"bad source config: input port {port!r} is "
+            raise SchemaError(f"bad {name} config: input port {port!r} is "
                               f"not a mode of the {d}-mode circuit")
 
 
@@ -164,9 +183,15 @@ def phi_grid_from_config(config: dict):
 
 
 def pulses_from_config(config: dict) -> float:
+    """The config's pulses per setting: a positive number, or "inf" (the
+    default) for noiseless rates."""
     pulses = config.get("pulses_per_setting", "inf")
     if pulses == "inf":
         return math.inf
+    if isinstance(pulses, bool) or not isinstance(pulses, (int, float)) \
+            or not 0 < pulses <= sys.float_info.max:
+        raise SchemaError(f'pulses_per_setting must be a positive number or '
+                          f'"inf", got {pulses!r}')
     return float(pulses)
 
 

@@ -467,10 +467,11 @@ class TestLockOracle:
         assert captured.err.count("\n") == 1
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestNonFinite:
     """A source beyond floating-point range is a numerical error (exit 1,
-    one line), never a traceback or a non-finite number."""
+    one line), never a traceback, a non-finite number or a numpy warning.
+    Each case runs in a fresh interpreter, so that its stderr is all that
+    the command printed."""
 
     @pytest.mark.parametrize("field, value", [
         ("r", 400), ("alpha_mag", 1e154), ("alpha_mag", 1e308)])
@@ -478,17 +479,24 @@ class TestNonFinite:
                                          ["sample", "--pulses", "100"],
                                          ["lock", "--duration", "10"]])
     def test_out_of_range_source_exits_1(self, field, value, command,
-                                         config_path, tmp_path, capsys):
+                                         config_path, tmp_path):
         config = json.loads(Path(config_path).read_text())
         config["source"][field] = value
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(config))
         out = tmp_path / "out"
-        code = main([*command, "--config", str(path), "--out", str(out)])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith("dgbs: ") and err.count("\n") == 1
-        assert "finite" in err and "kp" not in err
+        import dgbs
+        src = str(Path(dgbs.__file__).resolve().parents[1])
+        # -W default: a warnings filter in the environment cannot hide one
+        run = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "dgbs.cli", *command,
+             "--config", str(path), "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True, timeout=120)
+        assert run.returncode == 1, run.stderr
+        assert run.stderr.startswith("dgbs: ")
+        assert run.stderr.count("\n") == 1, run.stderr
+        assert "finite" in run.stderr and "kp" not in run.stderr
         assert not out.exists()
 
 
@@ -681,6 +689,50 @@ class TestBadInput:
                      "--out", str(tmp_path / "probs.json")])
         assert (code, capsys.readouterr().err) == (
             2, f"dgbs: bad source config: {message}\n")
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("source", "squeezer_ports", 5,
+         "bad source config: squeezer_ports must be a list of 2 ports, "
+         "got 5"),
+        ("source", "squeezer_ports", [0, 1, 3],
+         "bad source config: squeezer_ports must be a list of 2 ports, "
+         "got [0, 1, 3]"),
+        ("transfer", "input_ports", 7,
+         "bad transfer config: input_ports must be a list of ports, got 7"),
+        ("transfer", "input_ports", ["a", 1, 2],
+         "bad transfer config: input port 'a' is not a mode of the 3-mode "
+         "circuit"),
+        ("transfer", "m", "x",
+         "bad transfer config: m must be an integer, got 'x'"),
+        ("transfer", "m", 5, "bad transfer config: transfer matrix shape "
+         "(3, 3) != (5,3)"),
+        ("transfer", "d", [3],
+         "bad transfer config: d must be an integer, got [3]"),
+        (None, "pulses_per_setting", "x",
+         "pulses_per_setting must be a positive number or \"inf\", got 'x'"),
+        (None, "pulses_per_setting", 0,
+         "pulses_per_setting must be a positive number or \"inf\", got 0"),
+        (None, "pulses_per_setting", True, "pulses_per_setting must be a "
+         "positive number or \"inf\", got True"),
+    ])
+    def test_config_field_of_wrong_type_exits_2(
+            self, section, key, value, message, config_path, tmp_path,
+            capsys):
+        # the README d=3 config (the lab-d6 d3.json of seed 0); only
+        # simulate reads pulses_per_setting
+        config = json.loads(Path(config_path).read_text())
+        (config if section is None else config[section])[key] = value
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        commands = [["simulate"]] if section is None else [
+            ["probs", "--n-max", "1"], ["simulate"],
+            ["lock", "--duration", "3"]]
+        for command in commands:
+            code = main([*command, "--config", str(path), "--out", str(out)])
+            assert (code, capsys.readouterr().err) == (
+                2, f"dgbs: {message}\n"), command
+            assert not out.exists()
 
     @pytest.mark.parametrize("ports, message", [
         ({"coherent_port": 5}, "input port 5 is not a mode of the 3-mode "
@@ -1038,16 +1090,19 @@ class TestReaderErrors:
 
 
 class TestTracedRun:
-    def test_tracer_runs_probs_oracle_and_sample(self, config_path, tmp_path):
+    def test_tracer_runs_probs_oracle_sample_and_lock(self, config_path,
+                                                      tmp_path):
         # the benchmark's tracer wraps functions and methods that it looks
-        # up by name and reads some of their arguments, so a deleted name
-        # or an argument it cannot read breaks a traced run
+        # up by name and reads some of their arguments and results (the
+        # lock's error signal and its times), so a deleted name or a value
+        # it cannot read breaks a traced run
         import dgbs
         src = str(Path(dgbs.__file__).resolve().parents[1])
         bench = str(Path(__file__).resolve().parents[1] / "perfbench")
         runs = [["probs", "--n-max", "3", "--collisions"],
                 ["oracle", "--pattern", "1,1,0"],
-                ["sample", "--pulses", "500", "--n-max", "3"]]
+                ["sample", "--pulses", "500", "--n-max", "3"],
+                ["lock", "--duration", "3"]]
         code = (
             "import sys\n"
             f"sys.path.insert(0, {bench!r})\n"
@@ -1059,12 +1114,18 @@ class TestTracedRun:
             f"    argv += ['--config', {config_path!r}, '--out', 'out']\n"
             "    assert dgbs.cli.main(argv) == 0, argv\n"
             "    tracer.end_command()\n"
-            "print(len(tracer.layer_metrics()))\n")
+            "metrics = tracer.layer_metrics()\n"
+            "print(len(metrics), metrics['experiment.pid_lock.steps'],\n"
+            "      metrics['experiment.error_signal_evals'])\n")
         out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
                              env={**os.environ, "PYTHONPATH": src},
                              capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
-        assert int(out.stdout) > 0
+        count, steps, evals = map(int, out.stdout.split())
+        assert count > 0
+        # 30 steps of the 3 s lock; the 30 s tuning run's 300 steps, its
+        # slope's 2 evaluations and each run's setpoint signal
+        assert (steps, evals) == (30, 300 + 2 + 1 + 30 + 1)
 
 
 class TestStartup:

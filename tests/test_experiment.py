@@ -55,6 +55,18 @@ class TestSampling:
         assert lines[0] == "pulse,bitmask_hex,phi"
         assert len(lines) == 11
 
+    def test_sampler_table_csv(self):
+        # a table built from the sampler's draws and its one phi writes the
+        # bytes of the same pulses given one by one
+        kern = StateKernel.from_state(standard()[2])
+        table = sample_patterns(kern, ModelSpec(), 5000, n_max=1, seed=2,
+                                phi=-0.0)
+        assert (table.bitmasks == -1).any()
+        text = table.to_csv()
+        assert text.splitlines()[1].endswith(",-0")
+        assert text == csv_writer_text(table)
+        assert text == ClickTable(table.bitmasks, table.phi, kern.d).to_csv()
+
     @settings(max_examples=40, deadline=None, derandomize=True,
               database=None)
     @given(pulses=st.integers(0, 300) | st.sampled_from(
