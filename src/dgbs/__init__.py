@@ -18,7 +18,7 @@ from .reconstruction import (FringeFits, MeasurementRecord,
 from .states import (AMatrix, ClassicalStateParams, GammaVector,
                      GaussianState, SourceConfig, TransferMatrix, a_matrix,
                      build_classical_input, build_input_state,
-                     closest_classical_state, gamma_vector, propagate,
-                     state_from_a, vacuum_probability, vacuum_state)
+                     closest_classical_state, propagate, state_from_a,
+                     vacuum_state)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -23,8 +23,7 @@ from .errors import (ConfigurationError, EnumerationBudgetError,
                      NumericalError)
 from .hafnian import MAX_KERNEL_SIZE, _pattern_index, pattern_polynomials
 from .states import (AMatrix, GammaVector, GaussianState, SourceConfig,
-                     TransferMatrix, a_matrix, gamma_vector,
-                     log_vacuum_probability, phase_scan)
+                     TransferMatrix, a_matrix, phase_scan)
 
 DEFAULT_PATTERN_BUDGET = 200_000
 
@@ -152,8 +151,8 @@ class StateKernel:
 
     @classmethod
     def from_state(cls, state: GaussianState) -> "StateKernel":
-        return cls(a_matrix(state), gamma_vector(state),
-                   log_vacuum_probability(state))
+        gamma, log_p_vac = state.gamma_and_log_p_vac(state.delta)
+        return cls(a_matrix(state), GammaVector(gamma), log_p_vac)
 
     @property
     def d(self) -> int:

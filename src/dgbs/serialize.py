@@ -27,6 +27,7 @@ from .errors import ConfigurationError, SchemaError
 from .states import SourceConfig, TransferMatrix
 
 CONFIG_VERSION = 1
+MAX_PHI_POINTS = 100_000   # lab phase scans take about 100
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
@@ -105,7 +106,9 @@ def load_config(path: str) -> dict:
     return config
 
 
-def source_from_config(config: dict) -> SourceConfig:
+def source_from_config(config: dict, d: int = None) -> SourceConfig:
+    """The config's source; given ``d``, each of its input ports must be a
+    mode of a d-mode circuit, checked before the source is built."""
     src = config.get("source")
     if not isinstance(src, dict):
         raise SchemaError("config needs a 'source' object")
@@ -113,6 +116,9 @@ def source_from_config(config: dict) -> SourceConfig:
     if "squeezer_ports" in kw:
         kw["squeezer_ports"] = _ports(kw["squeezer_ports"], "source",
                                       "squeezer_ports", 2)
+    if d is not None:
+        check_ports((*kw.get("squeezer_ports", SourceConfig.squeezer_ports),
+                     kw.get("coherent_port", SourceConfig.coherent_port)), d)
     return _from_fields(SourceConfig, kw, "source")
 
 
@@ -155,9 +161,8 @@ def transfer_from_config(config: dict) -> TransferMatrix:
 def circuit_from_config(config: dict) -> tuple:
     """The config's source and transfer matrix; each input port of the
     source must be a mode of the circuit."""
-    source, transfer = source_from_config(config), transfer_from_config(config)
-    check_ports((*source.squeezer_ports, source.coherent_port), transfer.d)
-    return source, transfer
+    transfer = transfer_from_config(config)
+    return source_from_config(config, transfer.d), transfer
 
 
 def check_ports(ports, d: int, name: str = "source") -> None:
@@ -168,18 +173,38 @@ def check_ports(ports, d: int, name: str = "source") -> None:
                               f"not a mode of the {d}-mode circuit")
 
 
+def _real(x) -> bool:
+    """Whether ``x`` is a finite real number (a bool is none)."""
+    return not isinstance(x, bool) and isinstance(x, (int, float)) \
+        and abs(x) <= sys.float_info.max
+
+
 def phi_grid_from_config(config: dict):
-    """The config's phi grid, or None (the simulation default) if unset."""
+    """The config's phi grid, or None (the simulation default) if unset: a
+    non-empty list of phases, or {"start", "stop", "num"} for ``num``
+    evenly spaced phases from start, stop excluded."""
     grid = config.get("phi_grid")
     if grid is None:
         return None
     if isinstance(grid, list):
-        return np.asarray(grid, dtype=float)
-    try:
-        return np.linspace(float(grid["start"]), float(grid["stop"]),
-                           int(grid["num"]), endpoint=False)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad phi_grid: {exc}") from exc
+        if not grid:
+            raise SchemaError("bad phi_grid: the list is empty")
+        for k, phi in enumerate(grid):
+            if not _real(phi):
+                raise SchemaError(f"bad phi_grid: entry {k} must be a real "
+                                  f"number, got {phi!r}")
+        return np.array(grid, dtype=float)
+    if not (isinstance(grid, dict) and {"start", "stop", "num"} <= grid.keys()):
+        raise SchemaError('bad phi_grid: expected a list or an object with '
+                          f'"start", "stop" and "num", got {grid!r}')
+    start, stop, num = grid["start"], grid["stop"], grid["num"]
+    if not (_real(start) and _real(stop)):
+        raise SchemaError(f"bad phi_grid: start and stop must be real "
+                          f"numbers, got {start!r} and {stop!r}")
+    if type(num) is not int or not 1 <= num <= MAX_PHI_POINTS:
+        raise SchemaError(f"bad phi_grid: num must be an integer from 1 to "
+                          f"{MAX_PHI_POINTS}, got {num!r}")
+    return np.linspace(start, stop, num, endpoint=False)
 
 
 def pulses_from_config(config: dict) -> float:
@@ -188,8 +213,7 @@ def pulses_from_config(config: dict) -> float:
     pulses = config.get("pulses_per_setting", "inf")
     if pulses == "inf":
         return math.inf
-    if isinstance(pulses, bool) or not isinstance(pulses, (int, float)) \
-            or not 0 < pulses <= sys.float_info.max:
+    if not _real(pulses) or pulses <= 0:
         raise SchemaError(f'pulses_per_setting must be a positive number or '
                           f'"inf", got {pulses!r}')
     return float(pulses)

@@ -16,7 +16,6 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
-from numpy.linalg import cholesky
 
 from .errors import ConfigurationError, NumericalError, PhysicalityError
 
@@ -66,13 +65,13 @@ class GaussianState:
             raise PhysicalityError("covariance lacks [[G,M],[M*,G*]] structure")
         if np.abs(delta[d:] - delta[:d].conj()).max() > BLOCK_TOL:
             raise PhysicalityError("displacement is not conjugate-paired")
-        eigs = np.linalg.eigvalsh(sigma + np.eye(2 * d) / 2)
-        if eigs.min() <= 0:
+        # Sigma_Q = Sigma + I/2 = V diag(w) V^H, the state's one
+        # factorisation: its check, inverse and log det all read (w, V)
+        w, v = np.linalg.eigh(sigma + np.eye(2 * d) / 2)
+        if w[0] <= 0:
             raise PhysicalityError(
-                f"Sigma_Q not positive definite (min eigenvalue {eigs.min():.3e})")
-        # Sigma_Q is Hermitian positive definite: its 2-norm condition
-        # number is the ratio of its extreme eigenvalues
-        object.__setattr__(self, "_q_cond", eigs[-1] / eigs[0])
+                f"Sigma_Q not positive definite (min eigenvalue {w[0]:.3e})")
+        object.__setattr__(self, "_q_eigh", (w, v))
         object.__setattr__(self, "sigma", _frozen(sigma))
         object.__setattr__(self, "delta", _frozen(delta))
 
@@ -99,26 +98,23 @@ class GaussianState:
         return h.hexdigest()[:16]
 
     @cached_property
-    def sigma_q_solve(self) -> tuple:
-        """(Sigma_Q, Sigma_Q^-1): one condition check and one Cholesky
-        factorisation per state, shared by the kernel builders."""
-        if self._q_cond > COND_LIMIT:
-            raise NumericalError(f"Sigma_Q condition number {self._q_cond:.3e} "
+    def sigma_q_inverse(self) -> np.ndarray:
+        """Sigma_Q^-1 = (V / w) V^H, refused when Sigma_Q's condition number
+        (max w / min w, as Sigma_Q is Hermitian positive definite) exceeds
+        ``COND_LIMIT``."""
+        w, v = self._q_eigh
+        if w[-1] / w[0] > COND_LIMIT:
+            raise NumericalError(f"Sigma_Q condition number {w[-1] / w[0]:.3e} "
                                  f"exceeds {COND_LIMIT:.1e}")
-        sq = q_covariance(self)
-        low = cholesky((sq + sq.conj().T) / 2)
-        # Sigma_Q^-1 = L^-H (L^-1 I), the order in which LAPACK potrs solves
-        inv = np.linalg.solve(low.conj().T,
-                              np.linalg.solve(low, np.eye(2 * self.d)))
-        return _frozen(sq), _frozen(inv)
+        return _frozen((v / w) @ v.conj().T)
 
-    @cached_property
-    def sigma_q_logdet(self) -> float:
-        """log det Sigma_Q, shared by every displacement of this covariance."""
-        sign, logdet = np.linalg.slogdet(self.sigma_q_solve[0])
-        if sign.real <= 0:
-            raise NumericalError("det Sigma_Q not positive")
-        return logdet
+    def gamma_and_log_p_vac(self, delta: np.ndarray) -> tuple:
+        """(gamma, log p_vac) of this covariance displaced by ``delta``:
+        gamma = delta^dag Sigma_Q^-1 and log p_vac = -gamma delta / 2 -
+        log det Sigma_Q / 2, with log det Sigma_Q = sum log w."""
+        gamma = delta.conj() @ self.sigma_q_inverse
+        logdet = np.log(self._q_eigh[0]).sum()
+        return gamma, -(gamma @ delta).real / 2 - logdet / 2
 
 
 def vacuum_state(d: int) -> GaussianState:
@@ -297,9 +293,10 @@ def phase_scan(config: SourceConfig, t: TransferMatrix, phis,
     of the coherent phase over ``phis``.
 
     A phase scan only rotates the displacement, so one state (at the
-    config's phase) is built and validated, and its Sigma_Q solve serves
-    every phase.  Row f of the (F, 2d) ``gammas`` and of ``log_p_vacs`` is
-    gamma and log p_vac at ``phis[f]``, computed with the matvecs of
+    config's phase) is built and validated, and its Sigma_Q^-1 and log det
+    serve every phase.  Row f of the (F, 2d) ``gammas`` and of
+    ``log_p_vacs`` is gamma and log p_vac at ``phis[f]``, computed with
+    :meth:`GaussianState.gamma_and_log_p_vac` and the matvecs of
     ``propagate(build_input_state(replace(config, phi=phis[f]), d), t)``
     (:func:`build_classical_input` if ``classical``), so the bits agree.
     """
@@ -308,7 +305,6 @@ def phase_scan(config: SourceConfig, t: TransferMatrix, phis,
         (_classical_input if classical else _quantum_input)(config, d)
     maps = [*maps, t]
     state = _assemble(config, d, sigma, amplitude, maps)
-    _, inv = state.sigma_q_solve
     doubled = [_doubled_map(m) for m in maps]
     gammas = np.empty((len(phis), 2 * d), dtype=complex)
     log_p_vacs = np.empty(len(phis))
@@ -318,9 +314,7 @@ def phase_scan(config: SourceConfig, t: TransferMatrix, phis,
             delta = s @ delta
         if np.abs(delta[d:] - delta[:d].conj()).max() > BLOCK_TOL:
             raise PhysicalityError("displacement is not conjugate-paired")
-        gamma = delta.conj() @ inv
-        gammas[f] = gamma
-        log_p_vacs[f] = _log_vacuum(state, gamma, delta)
+        gammas[f], log_p_vacs[f] = state.gamma_and_log_p_vac(delta)
     return state, gammas, log_p_vacs
 
 
@@ -345,11 +339,6 @@ def propagate(state: GaussianState, t: TransferMatrix) -> GaussianState:
     sigma += (np.eye(2 * d) - s_full @ s_full.conj().T) / 2
     delta = s_full @ state.delta
     return GaussianState(d, sigma, delta)
-
-
-def q_covariance(state: GaussianState) -> np.ndarray:
-    """Covariance of the state's Q-function, Sigma_Q = Sigma + I/2."""
-    return state.sigma + np.eye(2 * state.d) / 2
 
 
 @dataclass(frozen=True)
@@ -379,8 +368,7 @@ class AMatrix:
 
 
 def a_matrix(state: GaussianState) -> AMatrix:
-    _, inv = state.sigma_q_solve
-    a = block_swap(state.d) @ (np.eye(2 * state.d) - inv)
+    a = block_swap(state.d) @ (np.eye(2 * state.d) - state.sigma_q_inverse)
     d = state.d
     b = (a[:d, :d] + a[d:, d:].conj()) / 2
     b = (b + b.T) / 2
@@ -409,28 +397,6 @@ class GammaVector:
         return cls(np.concatenate([first, first.conj()]))
 
 
-def gamma_vector(state: GaussianState) -> GammaVector:
-    _, inv = state.sigma_q_solve
-    return GammaVector(state.delta.conj() @ inv)
-
-
-def vacuum_probability(state: GaussianState) -> float:
-    """p_vac = exp(-delta^dag Sigma_Q^-1 delta / 2) / sqrt(det Sigma_Q)."""
-    return float(np.exp(log_vacuum_probability(state)))
-
-
-def log_vacuum_probability(state: GaussianState) -> float:
-    _, inv = state.sigma_q_solve
-    return _log_vacuum(state, state.delta.conj() @ inv, state.delta)
-
-
-def _log_vacuum(state: GaussianState, gamma, delta) -> float:
-    """log p_vac = -delta^dag Sigma_Q^-1 delta / 2 - log det Sigma_Q / 2,
-    from gamma = delta^dag Sigma_Q^-1 and the state's Sigma_Q."""
-    quad = (gamma @ delta).real
-    return -quad / 2 - state.sigma_q_logdet / 2
-
-
 def state_from_a(a: AMatrix, gamma: GammaVector) -> GaussianState:
     """Materialize the state with kernel (A, gamma): Sigma_Q = (I - X A)^-1."""
     d = a.d
@@ -440,10 +406,6 @@ def state_from_a(a: AMatrix, gamma: GammaVector) -> GaussianState:
     except np.linalg.LinAlgError as exc:
         raise PhysicalityError("I - X A is singular") from exc
     sq = (sq + sq.conj().T) / 2
-    eigs = np.linalg.eigvalsh(sq)
-    if eigs.min() <= 0:
-        raise PhysicalityError(
-            f"kernel does not describe a physical state (min Sigma_Q eig {eigs.min():.3e})")
     delta = (gamma.gamma @ sq).conj()
     return GaussianState(d, sq - np.eye(2 * d) / 2, delta)
 

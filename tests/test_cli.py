@@ -714,6 +714,12 @@ class TestBadInput:
          "pulses_per_setting must be a positive number or \"inf\", got 0"),
         (None, "pulses_per_setting", True, "pulses_per_setting must be a "
          "positive number or \"inf\", got True"),
+        ("source", "squeezer_ports", [[0], 1],
+         "bad source config: input port [0] is not a mode of the 3-mode "
+         "circuit"),
+        ("source", "coherent_port", [2],
+         "bad source config: input port [2] is not a mode of the 3-mode "
+         "circuit"),
     ])
     def test_config_field_of_wrong_type_exits_2(
             self, section, key, value, message, config_path, tmp_path,
@@ -733,6 +739,51 @@ class TestBadInput:
             assert (code, capsys.readouterr().err) == (
                 2, f"dgbs: {message}\n"), command
             assert not out.exists()
+
+    @pytest.mark.parametrize("grid, message", [
+        (["a"], "entry 0 must be a real number, got 'a'"),
+        ([[1, 2]], "entry 0 must be a real number, got [1, 2]"),
+        ([0.5, True], "entry 1 must be a real number, got True"),
+        ([], "the list is empty"),
+        ("x", 'expected a list or an object with "start", "stop" and "num", '
+         "got 'x'"),
+        ({"start": 0, "num": 4}, 'expected a list or an object with '
+         '"start", "stop" and "num", got {\'start\': 0, \'num\': 4}'),
+        ({"start": "0", "stop": 1, "num": 4}, "start and stop must be real "
+         "numbers, got '0' and 1"),
+        ({"start": 0, "stop": 1, "num": 0},
+         "num must be an integer from 1 to 100000, got 0"),
+        ({"start": 0, "stop": 1, "num": 4.0},
+         "num must be an integer from 1 to 100000, got 4.0"),
+        ({"start": 0, "stop": 1, "num": 1e9},
+         "num must be an integer from 1 to 100000, got 1000000000.0"),
+        ({"start": 0, "stop": 1, "num": 100_001},
+         "num must be an integer from 1 to 100000, got 100001"),
+    ])
+    def test_bad_phi_grid_exits_2(self, grid, message, config_path, tmp_path,
+                                  monkeypatch, capsys):
+        # a grid past the bound is refused before numpy allocates it
+        def refuse(*args, **kw):
+            raise AssertionError("a bad phi_grid reached np.linspace")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        config = json.loads(Path(config_path).read_text())
+        config["phi_grid"] = grid
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", str(path), "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (
+            2, f"dgbs: bad phi_grid: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid, size", [
+        ([0.5], 1), ([0, 1.5, 3], 3), ({"start": 0, "stop": 1, "num": 1}, 1),
+        ({"start": 0.0, "stop": 2.0, "num": serialize.MAX_PHI_POINTS},
+         serialize.MAX_PHI_POINTS)])
+    def test_phi_grid_bounds_accepted(self, grid, size):
+        phis = serialize.phi_grid_from_config({"phi_grid": grid})
+        assert phis.shape == (size,) and phis.dtype == float
 
     @pytest.mark.parametrize("ports, message", [
         ({"coherent_port": 5}, "input port 5 is not a mode of the 3-mode "

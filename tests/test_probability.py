@@ -202,11 +202,12 @@ class TestDistribution:
 
     def test_kernel_without_pvac_matches_normalized(self):
         # the p_vac prefactor cancels in normalized fixed-N distributions
-        from dgbs.states import a_matrix, gamma_vector
+        from dgbs.states import GammaVector, a_matrix
         st = propagate(build_input_state(SourceConfig(r=0.4, alpha_mag=0.7), 4),
                        lossy_transfer(4, 0.5, seed=5))
         full = StateKernel.from_state(st)
-        bare = StateKernel(a_matrix(st), gamma_vector(st), 0.0)
+        bare = StateKernel(a_matrix(st), GammaVector(
+            st.gamma_and_log_p_vac(st.delta)[0]), 0.0)
         da = distribution_from_kernel(full, 3)
         db = distribution_from_kernel(bare, 3)
         assert_allclose(da.probabilities, db.probabilities, atol=1e-13)

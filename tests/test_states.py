@@ -11,8 +11,11 @@ from dgbs.errors import ConfigurationError, NumericalError, PhysicalityError
 from dgbs.states import (AMatrix, GammaVector, GaussianState, SourceConfig,
                          TransferMatrix, a_matrix, build_classical_input,
                          build_input_state, closest_classical_state,
-                         gamma_vector, log_vacuum_probability, propagate,
-                         state_from_a, vacuum_probability, vacuum_state)
+                         propagate, state_from_a, vacuum_state)
+
+
+def p_vac(state: GaussianState) -> float:
+    return math.exp(state.gamma_and_log_p_vac(state.delta)[1])
 
 
 class TestGaussianState:
@@ -20,7 +23,7 @@ class TestGaussianState:
         v = vacuum_state(2)
         assert_allclose(v.sigma, np.eye(4) / 2)
         assert_allclose(v.mean_photons, 0.0, atol=1e-15)
-        assert vacuum_probability(v) == pytest.approx(1.0)
+        assert p_vac(v) == pytest.approx(1.0)
 
     def test_block_structure_enforced(self):
         sigma = np.eye(4) / 2
@@ -67,11 +70,11 @@ class TestSources:
     def test_coherent_vacuum_probability(self):
         cfg = SourceConfig(r=0.0, alpha_mag=0.8, phi=1.1)
         st = build_input_state(cfg, 3)
-        assert vacuum_probability(st) == pytest.approx(math.exp(-0.64))
+        assert p_vac(st) == pytest.approx(math.exp(-0.64))
 
     def test_tmsv_vacuum_probability(self):
         st = build_input_state(SourceConfig(r=0.7), 3)
-        assert vacuum_probability(st) == pytest.approx(1 / math.cosh(0.7) ** 2)
+        assert p_vac(st) == pytest.approx(1 / math.cosh(0.7) ** 2)
 
     def test_source_loss_scales_moments(self):
         cfg = SourceConfig(r=0.4, alpha_mag=0.5, eta_c=0.36)
@@ -138,29 +141,45 @@ class TestKernel:
 
     def test_gamma_coherent(self):
         st = build_input_state(SourceConfig(alpha_mag=0.5, phi=0.3), 3)
-        g = gamma_vector(st)
+        g = GammaVector(st.gamma_and_log_p_vac(st.delta)[0])
         alpha = 0.5 * np.exp(0.3j)
         assert g.gamma[2] == pytest.approx(np.conj(alpha))
         assert g.gamma[5] == pytest.approx(alpha)
 
     def test_one_factorisation_per_state(self, monkeypatch):
-        import dgbs.states
-        from dgbs.probability import StateKernel
-        calls = []
-        real = dgbs.states.cholesky
+        # the eigendecomposition of Sigma_Q that validates a state is its
+        # only factorisation: building a kernel or a phase scan adds none
+        from dgbs.probability import PhaseFamily, StateKernel
+        calls, states = [], []
 
-        def counting(*args, **kw):
-            calls.append(1)
-            return real(*args, **kw)
+        def counting(name):
+            real = getattr(np.linalg, name)
 
-        monkeypatch.setattr(dgbs.states, "cholesky", counting)
+            def count(*args, **kw):
+                calls.append(name)
+                return real(*args, **kw)
+            return count
+
+        for name in ("eigh", "eigvalsh", "cholesky", "slogdet", "solve"):
+            monkeypatch.setattr(np.linalg, name, counting(name))
+        post_init = GaussianState.__post_init__
+
+        def validate(state):
+            states.append(state)
+            post_init(state)
+
+        monkeypatch.setattr(GaussianState, "__post_init__", validate)
         cfg = SourceConfig(r=0.4, alpha_mag=0.7, phi=0.9)
-        st = propagate(build_input_state(cfg, 4), lossy_transfer(4, 0.6, seed=3))
+        t = lossy_transfer(4, 0.6, seed=3)
+        st = propagate(build_input_state(cfg, 4), t)
+        assert calls == ["eigh"] * len(states) and len(states) == 2
         calls.clear()
         kern = StateKernel.from_state(st)
-        assert len(calls) == 1
-        assert kern.log_p_vac == log_vacuum_probability(st)
-        assert len(calls) == 1
+        assert kern.log_p_vac == st.gamma_and_log_p_vac(st.delta)[1]
+        assert calls == []
+        states.clear()
+        PhaseFamily.scan(cfg, t, np.linspace(0, 6, 7))
+        assert calls == ["eigh"] * len(states) and len(states) == 2
 
     @pytest.mark.parametrize("low, refused", [(1e-13, True), (1e-11, False)])
     def test_condition_limit(self, low, refused):
@@ -191,17 +210,24 @@ class TestKernel:
         source = GaussianState(d, np.block([[g, m], [m.conj(), g]]),
                               np.concatenate([alpha, alpha.conj()]))
         state = propagate(source, lossy_transfer(d, rng.uniform(0.05, 1), seed))
-        sq, inv = state.sigma_q_solve
-        ref = cho_solve(cho_factor((sq + sq.conj().T) / 2),
-                        np.eye(2 * d, dtype=complex))
+        sq, inv = state.sigma + np.eye(2 * d) / 2, state.sigma_q_inverse
+        factor = cho_factor((sq + sq.conj().T) / 2)
+        ref = cho_solve(factor, np.eye(2 * d, dtype=complex))
         assert np.abs(inv - ref).max() <= 1e-13 * np.abs(ref).max()
         assert np.abs(sq @ inv - np.eye(2 * d)).max() <= 1e-12
+        # log det Sigma_Q = 2 sum log diag L from the Cholesky factor L
+        logdet = 2 * np.log(np.diag(factor[0]).real).sum()
+        delta = state.delta
+        ref_log_p_vac = -(delta.conj() @ ref @ delta).real / 2 - logdet / 2
+        _, log_p_vac = state.gamma_and_log_p_vac(delta)
+        assert abs(log_p_vac - ref_log_p_vac) <= 1e-13
 
     def test_state_round_trip(self):
         t = lossy_transfer(4, 0.6, seed=3)
         cfg = SourceConfig(r=0.4, alpha_mag=0.7, phi=0.9)
         st = propagate(build_input_state(cfg, 4), t)
-        back = state_from_a(a_matrix(st), gamma_vector(st))
+        back = state_from_a(a_matrix(st), GammaVector(
+            st.gamma_and_log_p_vac(st.delta)[0]))
         assert_allclose(back.sigma, st.sigma, atol=1e-10)
         assert_allclose(back.delta, st.delta, atol=1e-10)
 
@@ -247,6 +273,7 @@ class TestClassical:
 
 
 def test_log_vacuum_probability_consistency():
+    # a two-mode squeezed vacuum and a coherent beam on separate modes:
+    # p_vac = exp(-|alpha|^2) / cosh(r)^2
     st = build_input_state(SourceConfig(r=0.3, alpha_mag=0.4), 3)
-    assert math.exp(log_vacuum_probability(st)) == pytest.approx(
-        vacuum_probability(st))
+    assert p_vac(st) == pytest.approx(math.exp(-0.16) / math.cosh(0.3) ** 2)
