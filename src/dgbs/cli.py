@@ -16,6 +16,8 @@ import sys
 import warnings
 from contextlib import nullcontext
 
+import numpy as np
+
 from . import __version__
 from .errors import (ConfigurationError, DgbsError, EnumerationBudgetError,
                      SchemaError)
@@ -90,6 +92,16 @@ def _tables(kernel: StateKernel, model: ModelSpec, totals) -> dict:
     return tables
 
 
+def _labels(patterns: np.ndarray) -> list:
+    """Each row of the (P, d) counts as its digits, "0102" for (0, 1, 0,
+    2); built a column at a time as bytes when every count is one digit."""
+    if patterns.max(initial=0) < 10:
+        digits = (patterns + ord("0")).astype(np.uint8)
+        labels = digits.view(f"S{patterns.shape[1]}").ravel()
+        return labels.astype(str).tolist()
+    return ["".join(map(str, n)) for n in patterns.tolist()]
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -106,9 +118,9 @@ def cmd_probs(args) -> int:
         raw = kernel.pattern_probabilities(patterns, model)
         s = raw.sum()
         distributions[str(total)] = {
-            "patterns": ["".join(map(str, n)) for n in patterns.tolist()],
-            "probabilities": [float(v) for v in raw],
-            "normalized": [float(v) for v in (raw / s if s > 0 else raw)],
+            "patterns": _labels(patterns),
+            "probabilities": raw.tolist(),
+            "normalized": (raw / s if s > 0 else raw).tolist(),
         }
     return _write_json(args, {"model": model.label(), "p_vac": kernel.p_vac,
                               "distributions": distributions}, config)
@@ -157,9 +169,9 @@ def cmd_compare(args) -> int:
     samples = None
     totals = set(range(1, args.n_max + 1))
     if args.samples:
-        samples, sample_totals = samples_from_csv(read_text(args.samples),
-                                                  kernel_a.d, args.min_photons)
-        totals |= sample_totals
+        samples, codes = samples_from_csv(read_text(args.samples),
+                                          kernel_a.d, args.min_photons)
+        totals |= set(samples.sum(axis=1).tolist())
     tables_a = _tables(kernel_a, model_a, totals)
     tables_b = _tables(kernel_b, model_b, totals)
     tvds = {str(total): tvd(tables_a[total], tables_b[total])
@@ -171,7 +183,7 @@ def cmd_compare(args) -> int:
         "tvd_by_total": tvds,
     }
     if samples is not None:
-        trace = likelihood_ratio(samples, tables_a, tables_b)
+        trace = likelihood_ratio(samples, tables_a, tables_b, codes)
         payload["likelihood"] = {
             "samples": trace.sample_count,
             "log_ratio": trace.log_ratio,

@@ -13,7 +13,7 @@ from operator import add
 
 import numpy as np
 
-from .errors import ConfigurationError, SchemaError
+from .errors import ConfigurationError, NumericalError, SchemaError
 from .probability import (ModelSpec, PhaseFamily, StateKernel,
                           TwofoldFringe, all_patterns)
 from .reconstruction import MeasurementRecord
@@ -91,9 +91,11 @@ class ClickTable:
 
 
 def samples_from_csv(text: str, d: int, min_photons: int) -> tuple:
-    """The (S, d) counts of the samples of a :meth:`ClickTable.to_csv` text
-    with at least ``min_photons`` clicks, and the set of their photon
-    numbers.  Only the mask column is read, each distinct mask once."""
+    """The samples of a :meth:`ClickTable.to_csv` text with at least
+    ``min_photons`` clicks, discards left out, as codes: the (K, d) counts
+    of the K distinct patterns, and for each kept sample in file order its
+    row among them.  Only the mask column is read, each distinct mask
+    once, and the (S, d) counts are never built."""
     def parse(header, columns, widths):   # None if a mask is missing or bad
         if header[:2] != SAMPLES_CSV_HEADER.split(",")[:2]:
             raise SchemaError(f"samples CSV must have header "
@@ -107,11 +109,14 @@ def samples_from_csv(text: str, d: int, min_photons: int) -> tuple:
             return f"{row[1:2]} is not a bitmask over {d} modes"
 
     masks, which = _read_csv(text, (1,), parse, fault, "samples line")
-    # the bits of each distinct mask, one byte per count
-    bits = (masks[:, None] >> np.arange(d) & 1).astype(np.int8)
-    keep = (masks >= 0) & (bits.sum(axis=1) >= min_photons)
-    kept = which[keep[which]]   # the codes of the kept samples, in order
-    return bits[kept], set(bits[keep].sum(axis=1).tolist())
+    # two texts of one mask ("0f", "F") are one outcome
+    outcomes, which_outcome = _unique_ints(masks)
+    # the bits of each outcome, one byte per count
+    bits = (outcomes[:, None] >> np.arange(d) & 1).astype(np.int8)
+    keep = (outcomes >= 0) & (bits.sum(axis=1) >= min_photons)
+    # each sample's row among the kept outcomes, -1 if it is left out
+    rows = np.where(keep, np.cumsum(keep) - 1, -1)[which_outcome][which]
+    return bits[keep], rows[rows >= 0]
 
 
 def _mask(text: str, d: int) -> int:
@@ -335,7 +340,11 @@ def build_error_signal(kernel: StateKernel, pairs):
 
     def signal(phi):   # sums in pair order, which np.add.reduce may not keep
         if isinstance(phi, float):   # one phase: the scalar path
-            rotation = cmath.exp(2j * phi)
+            try:
+                rotation = cmath.exp(2j * phi)
+            except ValueError:   # 2 phi is beyond floating-point range
+                raise NumericalError(f"the lock phase {phi} is beyond the "
+                                     f"range of the error signal") from None
             c, s = rotation.real, rotation.imag
             return reduce(add, [sign * (offset + 2 * (w_re * c - w_im * s))
                                 for sign, offset, w_re, w_im in terms])
@@ -415,8 +424,13 @@ def pid_lock(drift: DriftModel, pid: PidConfig, error_signal,
     phi, residual, diverged = _pid_loop(
         drift, pid, (float(pid.kp), float(pid.ki), float(pid.kd)),
         error_signal, duration, seed)
-    return LockResult(np.arange(phi.shape[1]) * pid.update_interval, phi[0],
-                      pid.setpoint, float(residual[0]), bool(diverged[0]))
+    times = np.arange(phi.shape[1]) * pid.update_interval
+    if not (math.isfinite(times[-1]) and math.isfinite(residual[0])
+            and np.isfinite(phi[0]).all()):
+        raise NumericalError("the lock trace goes beyond floating-point "
+                             "range: check the drift and pid settings")
+    return LockResult(times, phi[0], pid.setpoint, float(residual[0]),
+                      bool(diverged[0]))
 
 
 def tune_pid_gains(drift: DriftModel, error_signal,

@@ -68,8 +68,12 @@ class LikelihoodTrace:
         return buf.getvalue()
 
 
-def likelihood_ratio(samples, dists_a: dict, dists_b: dict) -> LikelihoodTrace:
-    """Streaming likelihood ratio over the (S, d) counts of the samples.
+def likelihood_ratio(samples, dists_a: dict, dists_b: dict,
+                     codes=None) -> LikelihoodTrace:
+    """Streaming likelihood ratio over the samples: their (S, d) counts,
+    or, given ``codes``, the (K, d) counts of their distinct patterns, the
+    i-th sample being pattern ``codes[i]`` (as :func:`samples_from_csv`
+    returns them).  Each distinct pattern's increment is computed once.
 
     ``dists_a`` and ``dists_b`` map a photon number N to each model's
     fixed-N :class:`PatternDistribution`, so a sample's probability is its
@@ -81,26 +85,50 @@ def likelihood_ratio(samples, dists_a: dict, dists_b: dict) -> LikelihoodTrace:
     flagged: its increment is -inf/+inf (0 if both models give zero) and it
     is reported in ``flagged`` rather than silently dropped.
     """
-    tables_a = {n: dist.as_dict() for n, dist in dists_a.items()}
-    tables_b = {n: dist.as_dict() for n, dist in dists_b.items()}
-    # each distinct pattern's increment is computed once
-    distinct, codes = _unique_rows(np.asarray(samples))
-    values, zero = np.zeros(len(distinct)), {}
-    for k, counts in enumerate(map(tuple, distinct.tolist())):
-        total = sum(counts)
-        pa = tables_a.get(total, {}).get(counts, 0.0)
-        pb = tables_b.get(total, {}).get(counts, 0.0)
-        if pa <= 0 or pb <= 0:
-            zero[k] = counts, pa, pb
-            values[k] = (-np.inf if pa <= 0 < pb
-                         else np.inf if pb <= 0 < pa else 0.0)
-        else:
-            values[k] = np.log(pa) - np.log(pb)
-    hit = np.flatnonzero(np.isin(codes, list(zero)))
-    flagged = [(i, *zero[k])
+    if codes is None:   # plain counts: code each distinct row once, here
+        samples, codes = _unique_rows(np.asarray(samples))
+    patterns, codes = np.asarray(samples), np.asarray(codes)
+    if patterns.ndim != 2:   # no samples at all
+        patterns = patterns.reshape(0, 0)
+    totals = patterns.sum(axis=1)
+    pa = _sector_probabilities(patterns, totals, dists_a)
+    pb = _sector_probabilities(patterns, totals, dists_b)
+    zero = (pa <= 0) | (pb <= 0)
+    values = np.zeros(len(patterns))
+    values[~zero] = np.log(pa[~zero]) - np.log(pb[~zero])
+    values[zero & (pb > 0)] = -np.inf
+    values[zero & (pa > 0)] = np.inf
+    zero_rows = np.flatnonzero(zero)
+    causes = dict(zip(zero_rows.tolist(), zip(
+        map(tuple, patterns[zero_rows].tolist()), pa[zero_rows].tolist(),
+        pb[zero_rows].tolist())))
+    hit = np.flatnonzero(zero[codes])
+    flagged = [(i, *causes[k])
                for i, k in zip(hit.tolist(), codes[hit].tolist())]
     return LikelihoodTrace(values[codes], flagged, model_a=_model_label(dists_a),
                            model_b=_model_label(dists_b))
+
+
+def _sector_probabilities(patterns: np.ndarray, totals: np.ndarray,
+                          dists: dict) -> np.ndarray:
+    """Each pattern's probability in the table of its photon number in
+    ``dists``, 0 where the sector or the pattern is missing.  A sector's
+    table rows and patterns are coded together, so that one pass finds
+    each pattern's row in the table."""
+    probs = np.zeros(len(patterns))
+    for total, dist in dists.items():
+        rows = np.flatnonzero(totals == total)
+        table = dist.patterns
+        if not len(rows) or table.shape[1] != patterns.shape[1]:
+            continue
+        _, codes = _unique_rows(np.concatenate(
+            [table, patterns[rows].astype(table.dtype)]))
+        # the table row of each distinct row, -1 if it is not in the table
+        table_row = np.full(len(codes), -1)
+        table_row[codes[:len(table)]] = np.arange(len(table))
+        found = table_row[codes[len(table):]]
+        probs[rows] = np.append(dist.probabilities, 0.0)[found]
+    return probs
 
 
 def _unique_rows(a: np.ndarray) -> tuple:

@@ -303,10 +303,6 @@ class PatternDistribution:
     def __len__(self):
         return len(self.patterns)
 
-    def as_dict(self) -> dict:
-        return dict(zip(map(tuple, self.patterns.tolist()),
-                        self.probabilities.tolist()))
-
     def to_json(self) -> str:
         return json.dumps({
             "d": self.d,

@@ -11,6 +11,7 @@ configs hash equally byte for byte.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -133,7 +134,15 @@ def _ports(ports, name: str, key: str, length: int = None) -> tuple:
 
 
 def _from_fields(cls, fields, name: str):
-    """``cls(**fields)``, or SchemaError "bad {name} config: ..."."""
+    """``cls(**fields)``, each integer in a float field read as a float
+    (numpy takes an int past int64 as an object), or SchemaError "bad
+    {name} config: ...".  An integer beyond float range is left for
+    ``cls`` to refuse."""
+    if isinstance(fields, dict):
+        reals = {f.name for f in dataclasses.fields(cls) if f.type == "float"}
+        fields = {key: float(value) if key in reals and type(value) is int
+                  and abs(value) <= sys.float_info.max else value
+                  for key, value in fields.items()}
     try:
         return cls(**fields)
     except (TypeError, ConfigurationError) as exc:
@@ -216,6 +225,11 @@ def pulses_from_config(config: dict) -> float:
     if not _real(pulses) or pulses <= 0:
         raise SchemaError(f'pulses_per_setting must be a positive number or '
                           f'"inf", got {pulses!r}')
+    most = np.iinfo(np.int64).max   # the largest count numpy's binomial takes
+    if int(float(pulses)) > most:   # float(pulses) is the count drawn
+        raise SchemaError(f"pulses_per_setting must be at most {most}, the "
+                          f"largest count of the binomial draw, got "
+                          f"{pulses!r}")
     return float(pulses)
 
 

@@ -124,6 +124,22 @@ class TestProbs:
         assert set(obj["distributions"]) == {"1", "2"}
         assert len(obj["config_hash"]) == 16
 
+    @pytest.mark.parametrize("n_max, collisions", [(10, True), (3, False)])
+    def test_pattern_labels_are_the_joined_counts(self, n_max, collisions,
+                                                  config_path, tmp_path):
+        # one-digit counts are rendered a column at a time, and a table
+        # with a count of 10 or more ("0010" for (0, 0, 10)) by joining
+        out = tmp_path / "p.json"
+        assert main(["probs", "--config", config_path, "--n-max", str(n_max),
+                     *(["--collisions"] if collisions else []),
+                     "--out", str(out)]) == 0
+        tables = json.loads(out.read_text())["distributions"]
+        for total in range(1, n_max + 1):
+            patterns = all_patterns(3, total, collision_free=not collisions)
+            assert tables[str(total)]["patterns"] == [
+                "".join(map(str, n)) for n in patterns.tolist()]
+        assert "0010" in tables[str(n_max)]["patterns"] or not collisions
+
     def test_missing_config_is_usage_error(self):
         assert main(["probs", "--config", "/nonexistent.json"]) == 2
 
@@ -331,8 +347,10 @@ class TestCsvTokenisers:
     @pytest.mark.parametrize("edit", EDITS)
     def test_samples(self, edit, inputs, monkeypatch):
         for text, d in inputs["samples"]:
-            def read(text):
-                return samples_from_csv(text, d, 0)
+            def read(text):   # the (S, d) counts and their photon numbers
+                patterns, codes = samples_from_csv(text, d, 0)
+                counts = patterns[codes]
+                return counts, set(counts.sum(axis=1).tolist())
             (counts, totals), by_csv = self.read_with_spy(monkeypatch, read,
                                                           text)
             assert not by_csv and len(counts) > 1000
@@ -657,6 +675,91 @@ class TestBadInput:
         code = main(["lock", "--config", str(path), "--duration", "3",
                      "--out", str(tmp_path / "lock.json")])
         assert (code, capsys.readouterr().err) == (2, f"dgbs: {message}\n")
+
+    @staticmethod
+    def run_with(config_path, tmp_path, capsys, settings: dict, command):
+        """The exit code and stderr of ``command`` on the README d=3
+        config with ``settings`` merged into its sections; ``--out`` must
+        not exist after a failure."""
+        config = json.loads(Path(config_path).read_text())
+        for section, fields in settings.items():
+            if isinstance(fields, dict):
+                config.setdefault(section, {}).update(fields)
+            else:
+                config[section] = fields
+        path = tmp_path / "settings.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        code = main([*command, "--config", str(path), "--out", str(out)])
+        assert code == 0 or not out.exists()
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("settings, command, outcome", [
+        pytest.param({"source": {"r": 2 ** 70}}, ["probs", "--n-max", "1"],
+                     (1, "dgbs: covariance or displacement is not finite\n"),
+                     id="source-r"),
+        pytest.param({"pid": {"setpoint": 2 ** 70}},
+                     ["lock", "--duration", "3"], (0, ""), id="pid-setpoint"),
+        pytest.param({"pid": {"update_interval": 2 ** 70}},
+                     ["lock", "--duration", "3"], (0, ""),
+                     id="pid-update-interval"),
+    ])
+    def test_int_past_int64_in_a_float_field(self, settings, command,
+                                             outcome, config_path, tmp_path,
+                                             capsys):
+        # numpy made such an int an object array: a traceback, exit 1
+        assert self.run_with(config_path, tmp_path, capsys, settings,
+                             command) == outcome
+        source = serialize.source_from_config(
+            {"source": {"r": 2 ** 70, "alpha_mag": 1, "coherent_port": 2}})
+        assert (source.r, source.alpha_mag, source.coherent_port) == \
+            (2.0 ** 70, 1.0, 2)
+        assert (type(source.r), type(source.coherent_port)) == (float, int)
+        pid = serialize.pid_from_config({"pid": {"setpoint": 2 ** 70}})
+        assert type(pid.setpoint) is float
+
+    @pytest.mark.parametrize("pulses", [
+        2 ** 63, 2 ** 63 - 1, 2 ** 70, 2.0 ** 63, 1e308])
+    def test_pulses_past_the_binomial_count_exit_2(self, pulses, config_path,
+                                                   tmp_path, capsys):
+        # int64 max becomes the float 2 ** 63, past what numpy can draw
+        assert self.run_with(config_path, tmp_path, capsys,
+                             {"pulses_per_setting": pulses},
+                             ["simulate"]) == (
+            2, "dgbs: pulses_per_setting must be at most "
+               f"9223372036854775807, the largest count of the binomial "
+               f"draw, got {pulses!r}\n")
+
+    def test_largest_pulses_per_setting_is_drawn(self, config_path,
+                                                 tmp_path, capsys):
+        assert self.run_with(config_path, tmp_path, capsys,
+                             {"pulses_per_setting": 2.0 ** 63 - 1024},
+                             ["simulate"]) == (0, "")
+
+    @pytest.mark.parametrize("settings, message", [
+        pytest.param({"drift": {"sigma": 1e308}}, "the lock trace goes "
+                     "beyond floating-point range: check the drift and pid "
+                     "settings", id="drift-sigma"),
+        pytest.param({"pid": {"update_interval": 1e308}}, "the lock trace "
+                     "goes beyond floating-point range: check the drift and "
+                     "pid settings", id="pid-update-interval"),
+        pytest.param({"drift": {"amplitude": 1e308}}, "the lock phase "
+                     "9.048270524660196e+307 is beyond the range of the "
+                     "error signal", id="drift-amplitude"),
+        pytest.param({"drift": {"amplitude": -1e308}}, "the lock phase "
+                     "-9.048270524660196e+307 is beyond the range of the "
+                     "error signal", id="drift-amplitude-negative"),
+        pytest.param({"pid": {"setpoint": 1e308}}, "the lock phase 1e+308 is "
+                     "beyond the range of the error signal",
+                     id="pid-setpoint"),
+    ])
+    def test_lock_beyond_float_range_exits_1(self, settings, message,
+                                             config_path, tmp_path, capsys):
+        # before, a non-finite number reached the JSON writer, or cmath
+        # raised "math domain error"
+        assert self.run_with(config_path, tmp_path, capsys, settings,
+                             ["lock", "--duration", "3"]) == (
+            1, f"dgbs: {message}\n")
 
     @pytest.mark.parametrize("entry", [
         None, "x", [], {}, True, 0.5, [True, False], [1.0], [0.5, "0"],
