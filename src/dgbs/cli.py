@@ -15,6 +15,7 @@ import math
 import sys
 import warnings
 from contextlib import nullcontext
+from itertools import chain
 
 import numpy as np
 
@@ -38,8 +39,9 @@ from .serialize import (canonical_json, check_ports, circuit_from_config,
 from .states import build_classical_input, build_input_state, propagate
 
 
-def _write(args, *texts: str) -> int:
-    """Write ``texts`` to --out one after the other; 0 for success."""
+def _write(args, texts) -> int:
+    """Write the iterable ``texts`` to --out one after the other, each as
+    it comes; 0 for success."""
     out = nullcontext(sys.stdout) if args.out == "-" else open(args.out, "w")
     with out as f:
         f.writelines(texts)
@@ -52,7 +54,7 @@ def _write_json(args, fields: dict, config: dict) -> int:
     stamp = {"command": args.command, "version": __version__}
     if config is not None:
         stamp["config_hash"] = config_hash(config)
-    return _write(args, canonical_json({**fields, **stamp}), "\n")
+    return _write(args, [canonical_json({**fields, **stamp}), "\n"])
 
 
 def _kernel_for_model(config: dict, model: ModelSpec) -> StateKernel:
@@ -140,7 +142,7 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
         include_collisions=bool(config.get("include_collisions", False)))
     header = f"# dgbs simulate config_hash={config_hash(config)} seed={args.seed}\n"
-    return _write(args, header, records_to_csv(records))
+    return _write(args, chain([header], records_to_csv(records)))
 
 
 def cmd_reconstruct(args) -> int:
@@ -260,7 +262,7 @@ def cmd_sample(args) -> int:
                             args.pulses, args.n_max, args.seed,
                             phi=source_from_config(config).phi)
     header = f"# dgbs sample config_hash={config_hash(config)} seed={args.seed}\n"
-    return _write(args, header, table.to_csv())
+    return _write(args, chain([header], table.to_csv()))
 
 
 # ---------------------------------------------------------------------------

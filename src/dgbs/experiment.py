@@ -1,6 +1,5 @@
 """Synthetic-experiment generation: shot-noise sampling and the samples
-CSV, three-setting measurement records, phase drift + PID locking, and
-transfer-matrix amplitude estimation from singles rates."""
+CSV, three-setting measurement records, and phase drift + PID locking."""
 
 from __future__ import annotations
 
@@ -21,8 +20,10 @@ from .serialize import _csv_rows, _read_csv, _unique_ints
 from .states import (SourceConfig, TransferMatrix, _require_finite,
                      build_input_state, propagate)
 
-PHI_BINS = 64                   # locked phases are quantized per 2 pi
 LOCK_SETPOINT = math.pi / 4     # default lock point of the coherent phase
+# the finest phase step (rad) the lock must resolve; a setpoint whose float
+# spacing is coarser cannot carry the drift (1e6 has spacing 1.2e-10)
+PHASE_RESOLUTION = 1e-9
 SETTLE_FRACTION = 0.2           # lock-trace head left out of the residual
 KP_GRID = (0.3, 0.6, 0.9, 1.2)  # tuned gains, in units of 1 / error slope
 KI_GRID = (0.0, 0.5, 2.0, 6.0)
@@ -79,14 +80,15 @@ class ClickTable:
         masks = masks[masks >= 0]
         return (masks[:, None] >> np.arange(self.d)) & 1
 
-    def to_csv(self) -> str:
-        """pulse, bitmask_hex, phi; each entry of the outcome and phi
-        tables formatted once."""
+    def to_csv(self):
+        """pulse, bitmask_hex, phi: the text in blocks, header first; each
+        entry of the outcome and phi tables formatted once."""
         hexes = [format(m, "x") if m >= 0 else "discard"
                  for m in self.outcomes.tolist()]
         phis = [f"{p:.17g}" for p in self.phis.tolist()]
-        return SAMPLES_CSV_HEADER + "\n" + _csv_rows(len(self), [
-            np.arange(len(self)), ",", (hexes, self.outcome_codes), ",",
+        yield SAMPLES_CSV_HEADER + "\n"
+        yield from _csv_rows(len(self), [
+            range(len(self)), ",", (hexes, self.outcome_codes), ",",
             (phis, self.phi_codes), "\n"])
 
 
@@ -152,31 +154,6 @@ def _with_discard(probs):
     """The patterns' probabilities, then the discard bucket's, normalised."""
     probs = np.clip(np.append(probs, max(0.0, 1.0 - probs.sum())), 0, None)
     return probs / probs.sum()
-
-
-def sample_patterns_with_phase(config: SourceConfig, t: TransferMatrix,
-                               model: ModelSpec, phi_per_pulse, n_max: int,
-                               seed: int) -> ClickTable:
-    """Like :func:`sample_patterns` on the circuit ``t`` fed by ``config``,
-    with the instantaneous (locked) phase of each pulse as the coherent
-    phase.  Phases are quantized to ``PHI_BINS`` bins per 2 pi, and the
-    occupied bins are evaluated as one phase family."""
-    phi_per_pulse = np.asarray(phi_per_pulse, dtype=float)
-    pulses = len(phi_per_pulse)
-    width = 2 * math.pi / PHI_BINS
-    bins = np.round(phi_per_pulse / width).astype(int)
-    occupied = np.unique(bins)
-    family = PhaseFamily.scan(config, t, occupied * width,
-                              classical=model.kind == "classical")
-    patterns, table = _sampler_patterns(t.d, n_max)
-    probs = family.pattern_probabilities(patterns, model)
-    rng = np.random.default_rng(seed)
-    masks = np.empty(pulses, dtype=np.int64)
-    for f, b in enumerate(occupied):
-        sel = np.nonzero(bins == b)[0]
-        p = _with_discard(probs[f])
-        masks[sel] = table[rng.choice(len(p), size=len(sel), p=p)]
-    return ClickTable(masks, phi_per_pulse, t.d)
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +374,11 @@ def _pid_loop(drift: DriftModel, pid: PidConfig, gains, error_signal,
         def clamp(v):   # NaN stays NaN, as in np.minimum and np.maximum
             return max(min(v, limit), -limit)
     target = error_signal(pid.setpoint)
+    if math.ulp(pid.setpoint) > PHASE_RESOLUTION:
+        raise NumericalError(
+            f"the lock setpoint {pid.setpoint} is too large to resolve the "
+            f"drift: its float spacing {math.ulp(pid.setpoint):.3g} rad is "
+            f"coarser than the phase resolution {PHASE_RESOLUTION} rad")
     v = integral = 0.0   # becomes a (G,) array after the first step of a batch
     prev_e = None
     phi = np.empty((n, np.size(kp)))
@@ -452,17 +434,3 @@ def tune_pid_gains(drift: DriftModel, error_signal,
     score = np.where(diverged, math.inf, residual)
     best = min(range(len(cells)), key=score.__getitem__)
     return PidConfig(kp=kp[best], ki=ki[best], setpoint=setpoint)
-
-
-# ---------------------------------------------------------------------------
-# transfer-matrix amplitude estimation
-
-def transfer_from_singles(rates: np.ndarray, eta_tot: float) -> np.ndarray:
-    """|T_ij|^2 = eta_tot * R_ij / sum_j R_ij, row by row."""
-    rates = np.asarray(rates, dtype=float)
-    if rates.ndim != 2 or (rates < 0).any():
-        raise ConfigurationError("rates must be a nonnegative m x d matrix")
-    row_sums = rates.sum(axis=1)
-    if (row_sums <= 0).any():
-        raise ConfigurationError("every input row needs a positive total rate")
-    return eta_tot * rates / row_sums[:, None]

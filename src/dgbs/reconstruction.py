@@ -104,11 +104,12 @@ class MeasurementRecord:
         return (self.singles / self.p_vac).mean(axis=1)
 
 
-def records_to_csv(records) -> str:
+def records_to_csv(records):
     """Serialize records (dict setting -> MeasurementRecord) to the CSV
     format setting, phi, modes, counts, pulses: one row per table cell,
-    phi column by phi column.  No field needs csv quoting."""
-    blocks = [",".join(CSV_HEADER) + "\n"]
+    phi column by phi column, yielded in blocks, header first.  No field
+    needs csv quoting."""
+    yield ",".join(CSV_HEADER) + "\n"
     for rec in (records[s] for s in SETTINGS if s in records):
         phis = [""] if rec.phi is None else \
             [f"{p:.17g}" for p in rec.phi.tolist()]
@@ -122,11 +123,10 @@ def records_to_csv(records) -> str:
         bits, which = _unique_ints(counts.T.ravel().view(np.int64))
         texts = [f"{c:.17g}" for c in bits.view(float).tolist()]
         n_phi, n_obs = len(phis), len(labels)
-        blocks.append(_csv_rows(n_phi * n_obs, [
+        yield from _csv_rows(n_phi * n_obs, [
             f"{rec.setting},", (phis, np.repeat(np.arange(n_phi), n_obs)),
             ",", (labels, np.tile(np.arange(n_obs), n_phi)), ",",
-            (texts, which), f",{pulses}\n"]))
-    return "".join(blocks)
+            (texts, which), f",{pulses}\n"])
 
 
 def records_from_csv(text: str) -> dict:

@@ -361,16 +361,18 @@ def _uncommented(text: str, keep_lines: bool):
         start = end
 
 
-def _csv_rows(n: int, pieces) -> str:
-    """The text of ``n`` CSV rows, each the concatenation of ``pieces``.
+def _csv_rows(n: int, pieces):
+    """The text of ``n`` CSV rows, each the concatenation of ``pieces``,
+    yielded a block of ``CSV_BLOCK_ROWS`` rows at a time.
 
     A piece is a str (the same text in every row), a ``(texts, codes)``
     pair (row i holds ``texts[codes[i]]``; texts are ASCII without NUL) or
-    an (n,) array of nonnegative integers, written in decimal.  Each texts
-    list becomes a NUL-padded byte table; a block of rows is the tables'
-    gathered rows side by side, with the padding dropped."""
+    a range of n nonnegative integers, written in decimal and built a
+    block at a time.  Each texts list becomes a NUL-padded byte table; a
+    block of rows is the tables' gathered rows side by side, with the
+    padding dropped."""
     if not n:
-        return ""
+        return
     columns = []
     for piece in pieces:
         if isinstance(piece, str):
@@ -380,14 +382,13 @@ def _csv_rows(n: int, pieces) -> str:
             table = np.array(texts, dtype=bytes)
             piece = table.view(np.uint8).reshape(len(texts), -1), codes
         columns.append(piece)
-    blocks = []
     for lo in range(0, n, CSV_BLOCK_ROWS):
         hi = min(lo + CSV_BLOCK_ROWS, n)
-        rows = np.hstack([_digits(col[lo:hi]) if isinstance(col, np.ndarray)
+        rows = np.hstack([_digits(col.start + col.step * np.arange(lo, hi))
+                          if isinstance(col, range)
                           else col[0].take(col[1][lo:hi], axis=0)
                           for col in columns])
-        blocks.append(rows[rows != 0].tobytes().decode())
-    return "".join(blocks)
+        yield rows[rows != 0].tobytes().decode()
 
 
 def _digits(values: np.ndarray) -> np.ndarray:

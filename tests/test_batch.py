@@ -400,9 +400,9 @@ def test_simulate_records_match_state_per_phase(d, seed, nphi, noisy,
     args = (cfg, t, d - 1 if second else None, phi_grid,
             1e5 if noisy else math.inf, seed % 1000, collisions)
     with mock.patch.object(hafnian, "DP_CHUNK_BYTES", chunk_bytes):
-        got = records_to_csv(simulate_records(*args))
+        got = "".join(records_to_csv(simulate_records(*args)))
     want = per_phase_records(*args)
-    assert got == records_to_csv(want) == row_by_row_csv(want)
+    assert got == "".join(records_to_csv(want)) == row_by_row_csv(want)
 
 
 # ---------------------------------------------------------------------------

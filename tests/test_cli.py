@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from itertools import chain
 from pathlib import Path
 
@@ -428,7 +429,7 @@ class TestSample:
                          "--pulses", "2000", "--n-max", "2", "--seed", "7",
                          "--out", str(out)]) == 0
             outs[model] = out.read_text()
-        assert outs["classical"] == header + table.to_csv()
+        assert outs["classical"] == header + "".join(table.to_csv())
         assert outs["classical"] != outs["full"]
 
     def test_phi_column_is_the_coherent_phase(self, config_path, tmp_path):
@@ -443,6 +444,22 @@ class TestSample:
         assert header == "pulse,bitmask_hex,phi" and len(rows) == 50
         assert {row.rsplit(",", 1)[1] for row in rows} == \
             {"0.40000000000000002"}
+
+    def test_sample_peak_memory_per_pulse(self, tmp_path):
+        # the CSV goes to --out a block at a time, so the peak is the
+        # draw: rng.choice's uniforms and indices, 16 bytes a pulse
+        path = write_config(tmp_path, 6, 0, {"r": 0.4, "alpha_mag": 0.8})
+        argv = ["sample", "--config", path, "--n-max", "4",
+                "--out", str(tmp_path / "samples.csv")]
+        assert main([*argv, "--pulses", "100"]) == 0   # imports and caches
+        pulses = 200_000
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--pulses", str(pulses)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / pulses < 24   # bytes; 38 when the text was joined
 
 
 class TestLockOracle:
@@ -556,6 +573,58 @@ class TestExitCodes:
         assert main(["probs", "--config", config_path, "--model", "korder",
                      "--k", "1", "--n-max", "1", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["model"] == "korder(1)"
+
+
+class TestOutPath:
+    COMMANDS = {
+        "probs": ["probs", "--n-max", "1"],
+        "simulate": ["simulate"],
+        "reconstruct": ["reconstruct"],
+        "compare": ["compare", "--model-b", "classical", "--n-max", "1"],
+        "sample": ["sample", "--pulses", "10", "--n-max", "1"],
+        "lock": ["lock", "--duration", "3"],
+        "oracle": ["oracle", "--pattern", "1,0,0"],
+    }
+
+    @staticmethod
+    def argv(command, config_path, tmp_path) -> list:
+        """The argv of a small run of ``command``; reconstruct reads the
+        records that simulate writes."""
+        if command != "reconstruct":
+            return [*TestOutPath.COMMANDS[command], "--config", config_path]
+        records = tmp_path / "records.csv"
+        assert main(["simulate", "--config", config_path,
+                     "--out", str(records)]) == 0
+        return ["reconstruct", "--records", str(records)]
+
+    @pytest.mark.parametrize("where", ["directory", "missing-directory"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_unwritable_out_exits_2(self, command, where, config_path,
+                                    tmp_path, capsys):
+        out = tmp_path if where == "directory" else tmp_path / "no" / "x"
+        argv = self.argv(command, config_path, tmp_path)
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dgbs: ") and err.count("\n") == 1
+        assert str(out) in err and "Traceback" not in err
+        assert not (tmp_path / "no").exists()
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_checks_run_before_out_is_opened(self, command, config_path,
+                                             tmp_path, capsys):
+        # a bad input names itself, not the --out that cannot be opened
+        argv = self.argv(command, config_path, tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"version": 0}')
+        where = argv.index("--records" if command == "reconstruct"
+                           else "--config")
+        argv[where + 1] = str(bad)
+        capsys.readouterr()
+        assert main([*argv, "--out", str(tmp_path / "no" / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dgbs: ") and err.count("\n") == 1
+        assert "No such file" not in err and "Traceback" not in err
 
 
 class TestCompareTables:
@@ -699,7 +768,11 @@ class TestBadInput:
                      (1, "dgbs: covariance or displacement is not finite\n"),
                      id="source-r"),
         pytest.param({"pid": {"setpoint": 2 ** 70}},
-                     ["lock", "--duration", "3"], (0, ""), id="pid-setpoint"),
+                     ["lock", "--duration", "3"],
+                     (1, "dgbs: the lock setpoint 1.1805916207174113e+21 is "
+                         "too large to resolve the drift: its float spacing "
+                         "2.62e+05 rad is coarser than the phase resolution "
+                         "1e-09 rad\n"), id="pid-setpoint"),
         pytest.param({"pid": {"update_interval": 2 ** 70}},
                      ["lock", "--duration", "3"], (0, ""),
                      id="pid-update-interval"),
@@ -717,6 +790,31 @@ class TestBadInput:
         assert (type(source.r), type(source.coherent_port)) == (float, int)
         pid = serialize.pid_from_config({"pid": {"setpoint": 2 ** 70}})
         assert type(pid.setpoint) is float
+
+    @pytest.mark.parametrize("setpoint, spacing", [
+        pytest.param(1e17, "16", id="1e17"),
+        pytest.param(2 ** 70, "2.62e+05", id="2**70"),
+    ])
+    def test_setpoint_too_coarse_to_resolve_the_drift_exits_1(
+            self, setpoint, spacing, config_path, tmp_path, capsys):
+        # setpoint + drift + correction rounded back to the setpoint, so the
+        # lock reported a residual of 0 and no divergence
+        assert self.run_with(config_path, tmp_path, capsys,
+                             {"pid": {"setpoint": setpoint}},
+                             ["lock", "--duration", "3"]) == (
+            1, f"dgbs: the lock setpoint {float(setpoint)!r} is too large "
+               f"to resolve the drift: its float spacing {spacing} rad is "
+               "coarser than the phase resolution 1e-09 rad\n")
+
+    @pytest.mark.parametrize("setpoint", [1e6, -1e6, 2 ** 20, 3.0])
+    def test_setpoint_within_the_phase_resolution_locks(
+            self, setpoint, config_path, tmp_path, capsys):
+        assert self.run_with(config_path, tmp_path, capsys,
+                             {"pid": {"setpoint": setpoint}},
+                             ["lock", "--duration", "3"]) == (0, "")
+        lock = json.loads((tmp_path / "out").read_text())
+        assert lock["setpoint"] == setpoint
+        assert lock["residual_std"] > 0
 
     @pytest.mark.parametrize("pulses", [
         2 ** 63, 2 ** 63 - 1, 2 ** 70, 2.0 ** 63, 1e308])

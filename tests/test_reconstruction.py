@@ -195,7 +195,7 @@ class TestRecordsIO:
                                 phi_grid=PHI_GRID[:60],
                                 pulses_per_setting=math.inf,
                                 include_collisions=True)
-        back = records_from_csv(records_to_csv(recs))
+        back = records_from_csv("".join(records_to_csv(recs)))
         for name, rec in recs.items():
             assert_allclose(back[name].singles, rec.singles, atol=1e-14)
             assert back[name].pairs == rec.pairs
@@ -212,7 +212,7 @@ class TestRecordsIO:
                                 lossy_transfer(3, 0.5, seed=1),
                                 phi_grid=PHI_GRID[:8],
                                 pulses_per_setting=math.inf)
-        text = records_to_csv(recs)
+        text = "".join(records_to_csv(recs))
         back = records_from_csv("# one\n# two\n" + text)
         for name, rec in recs.items():
             assert back[name].rates.tobytes() == rec.rates.tobytes()
@@ -241,7 +241,7 @@ class TestRecordsIO:
             phi_grid=np.linspace(0, 2 * math.pi, 12, endpoint=False),
             pulses_per_setting=1e6 if noisy else math.inf,
             seed=seed % 1000, include_collisions=collisions)
-        text = records_to_csv(recs)
+        text = "".join(records_to_csv(recs))
         assert text == csv_writer_text(recs)
         back = records_from_csv(text)
         assert back.keys() == recs.keys()
