@@ -18,7 +18,6 @@ from .reconstruction import (FringeFits, MeasurementRecord,
 from .states import (AMatrix, ClassicalStateParams, GammaVector,
                      GaussianState, SourceConfig, TransferMatrix, a_matrix,
                      build_classical_input, build_input_state,
-                     closest_classical_state, propagate, state_from_a,
-                     vacuum_state)
+                     closest_classical_state, propagate, state_from_a)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

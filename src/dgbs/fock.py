@@ -38,14 +38,6 @@ class FockVector:
     def truncation_loss(self) -> float:
         return max(0.0, 1.0 - self.norm_sq())
 
-    def tensor(self, other: "FockVector") -> "FockVector":
-        out = FockVector(self.d + other.d, max(self.cutoff, other.cutoff))
-        for ka, va in self.amplitudes.items():
-            for kb, vb in other.amplitudes.items():
-                if sum(ka) + sum(kb) <= out.cutoff:
-                    out.amplitudes[ka + kb] = va * vb
-        return out
-
 
 def coherent_fock(alpha: complex, cutoff: int) -> FockVector:
     v = FockVector(1, cutoff)
@@ -63,12 +55,6 @@ def tmsv_fock(r: float, cutoff: int) -> FockVector:
     amp = 1.0 / math.cosh(r)
     for n in range(cutoff // 2 + 1):
         v.amplitudes[(n, n)] = amp * t ** n
-    return v
-
-
-def vacuum_fock(d: int, cutoff: int) -> FockVector:
-    v = FockVector(d, cutoff)
-    v.amplitudes[(0,) * d] = 1.0
     return v
 
 
@@ -212,13 +198,21 @@ def input_tail_mass(config: SourceConfig, cutoff: int) -> float:
 
 def _input_photon_numbers(config: SourceConfig) -> np.ndarray:
     """Distribution of the input's total photon number, entry n for n
-    photons (see :func:`input_tail_mass`)."""
+    photons (see :func:`input_tail_mass`).  A coherent intensity whose
+    powers overflow a float, above about 369 photons, is refused with
+    CutoffError: no cutoff up to ``MAX_CUTOFF`` could serve it."""
     x = math.tanh(config.r) ** 2
-    a2 = config.alpha_mag ** 2
     top, half = TAIL_TOP, TAIL_TOP // 2
     pdc = (1 - x) * x ** np.arange(half + 1)
-    coh = np.exp(-a2) * np.array([a2 ** n / math.factorial(n)
-                                  for n in range(top + 1)])
+    try:
+        a2 = config.alpha_mag ** 2
+        coh = np.exp(-a2) * np.array([a2 ** n / math.factorial(n)
+                                      for n in range(top + 1)])
+    except OverflowError:
+        raise CutoffError(
+            f"no cutoff <= {MAX_CUTOFF} serves the coherent amplitude "
+            f"{config.alpha_mag:.6g}; the input is too bright for the Fock "
+            "oracle") from None
     total = np.zeros(2 * half + top + 2)
     for n, p in enumerate(pdc):
         total[2 * n:2 * n + top + 1] += p * coh

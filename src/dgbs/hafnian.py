@@ -1,20 +1,25 @@
-"""Exact matching polynomials of pattern-reduced kernels.
+"""Exact matching polynomials and loop hafnians of pattern-reduced kernels.
 
 The workhorse is a subset dynamic program that enumerates all matchings
 (optionally with fixed points weighted by the diagonal vector) in a fixed
-order, resolved by the number of matched pairs, which makes the truncated
-"k-order" sums a byproduct of the exact computation.  A DP row is a subset
-of a kernel's row positions, which are distinct even when a collision
-pattern repeats a mode, so every kernel of size n runs the same plan, built
-once per n.  :func:`pattern_polynomials` gathers the reduced kernels of a
-batch of patterns and the loop weights of a family of F vectors that share
-A, and runs the plan on chunks of them with (F, P) as trailing vector axes.
-A subset of s positions holds at most s // 2 pairs, so the rows of level s
+order.  A DP row is a subset of a kernel's row positions, which are distinct
+even when a collision pattern repeats a mode, so every kernel of size n runs
+the same plan, built once per n.  :func:`pattern_polynomials` gathers the
+reduced kernels of a batch of patterns and the loop weights of a family of F
+vectors that share A, and runs the plan on chunks of them with (F, P) as
+trailing vector axes.
+
+The plan adds each pair term in one of two ways.  Summed, a row holds one
+column, the loop hafnian of its subset (Bjorklund, Gupt and Quesada, ACM JEA
+2019): this is all that the full, classical and squeezer-only models need.
+Resolved, a row keeps its terms apart by the number of matched pairs, which
+makes the truncated "k-order" sums a byproduct of the exact computation.  A
+subset of s positions holds at most s // 2 pairs, so the rows of level s
 carry only the pair counts 0..s // 2: a band of columns that widens by one
-every second level.  Column p of a row reads only columns p and p - 1 of
-its children, so the pair counts 0..k that a k-order model needs cap the
-band at k + 1 columns and keep their bits.  :func:`matching_polynomial` is
-the same evaluator on one kernel.
+every second level.  Column p of a row reads only columns p and p - 1 of its
+children, so the pair counts 0..k that a k-order model needs cap the band at
+k + 1 columns and keep their bits.  :func:`matching_polynomial` is the
+resolved evaluator on one kernel.
 """
 
 from __future__ import annotations
@@ -25,8 +30,9 @@ from .errors import ConfigurationError, EnumerationBudgetError
 
 SYMMETRY_TOL = 1e-10
 MAX_KERNEL_SIZE = 20  # 2N; a DP row is an int64 mask of the 2N positions
-# the rows of one chunk's DP: each holds its columns for every pattern and
-# family member of the chunk
+# the rows of one chunk's DP, each holding its columns for every pattern and
+# family member of the chunk, and the chunk's gathered loop weights and
+# kernels
 DP_CHUNK_BYTES = 1 << 20
 
 
@@ -84,17 +90,20 @@ def _plan(n: int) -> tuple:
 
 
 def _evaluate(steps: list, m: np.ndarray, diag: np.ndarray,
-              columns: int) -> np.ndarray:
+              columns: int, summed: bool = False) -> np.ndarray:
     """Run a plan on kernels m (n, n, P) with loop weights diag (n, F, P),
     giving pair counts 0..columns - 1 as (F, P, columns), for columns at
     most n // 2 + 1.  The rows of level s carry the pair counts
     0..min(columns, s // 2 + 1) - 1 (a subset of s positions holds at most
-    s // 2 pairs), so the top level carries all ``columns``.  Every entry
-    is summed in the order of the one-kernel recursion, and only terms that
-    are zero for every kernel are left out, so its bits depend neither on
-    the batch it is part of nor on ``columns``.  (A recursion that also
-    adds those zeros can differ only in the sign of an entry that is itself
-    an exact zero.)"""
+    s // 2 pairs), so the top level carries all ``columns``.  If ``summed``
+    (with ``columns`` 1), a pair term goes into the row's one column
+    instead of the next, and each row holds the loop hafnian of its subset.
+    Every entry is summed in the order of the one-kernel recursion, and only
+    terms that are zero for every kernel are left out, so its bits depend
+    neither on the batch it is part of nor on ``columns``.  (A recursion
+    that also adds those zeros can differ only in the sign of an entry that
+    is itself an exact zero.)"""
+    shift = 0 if summed else 1    # the column offset of a pair term
     prev = np.ones((1, 1) + diag.shape[1:], dtype=complex)
     prev2 = None
     for s, (i, rest, js, pairs) in enumerate(steps, 1):
@@ -110,30 +119,37 @@ def _evaluate(steps: list, m: np.ndarray, diag: np.ndarray,
         else:
             row = diag[i][:, None] * prev[rest]
         for j, pair in zip(js, pairs):
-            row[:, 1:] += m[i, j][:, None, None] * prev2[pair, :width - 1]
+            row[:, shift:] += m[i, j][:, None, None] * prev2[pair, :width - shift]
         prev2, prev = prev, row
     return prev[0].transpose(1, 2, 0)
 
 
 def _polynomials(m: np.ndarray, diags: np.ndarray, idx: np.ndarray,
-                 columns: int = None) -> np.ndarray:
+                 columns: int = None, summed: bool = False) -> np.ndarray:
     """(F, P, columns) matching polynomials of the kernels m[idx_p][:, idx_p]
     with loop weights diags[f, idx_p], for the P rows idx_p of ``idx``
     (indices into m): pair counts 0..columns - 1, all N + 1 if ``columns``
-    is None.  Patterns and family members run the plan of their kernel size
-    together, in chunks whose rows fit DP_CHUNK_BYTES."""
+    is None, or if ``summed`` their sum, the loop hafnian, as one column.
+    Patterns and family members run the plan of their kernel size together,
+    in chunks whose DP rows, loop weights and kernels fit DP_CHUNK_BYTES."""
     count, n = idx.shape
     if n > MAX_KERNEL_SIZE:
         raise EnumerationBudgetError(
             f"kernel size {n} exceeds matching-enumeration budget {MAX_KERNEL_SIZE}")
-    columns = n // 2 + 1 if columns is None else min(columns, n // 2 + 1)
+    if summed:
+        columns = 1
+    else:
+        columns = n // 2 + 1 if columns is None else min(columns, n // 2 + 1)
     rows, steps = _plan(n)
     asym = np.abs(m - m.T)
     # only a kernel with an entry of m skewed beyond the tolerance can fail
     skewed = n and asym.max() > SYMMETRY_TOL
-    width = max(1, DP_CHUNK_BYTES // (16 * columns * rows))
-    per_chunk = max(1, width // max(1, len(diags)))
-    fam = max(1, width // per_chunk)
+    # a pattern takes, for each family member, the DP rows and n loop
+    # weights, and once its n x n kernel
+    member = 16 * (columns * rows + n)
+    per_chunk = max(1, DP_CHUNK_BYTES // (
+        member * max(1, len(diags)) + 16 * n * n))
+    fam = max(1, DP_CHUNK_BYTES // (member * per_chunk))
     out = np.empty((len(diags), count, columns), dtype=complex)
     for start in range(0, count, per_chunk):
         chunk = idx[start:start + per_chunk].T          # (n, P)
@@ -145,7 +161,7 @@ def _polynomials(m: np.ndarray, diags: np.ndarray, idx: np.ndarray,
         for f in range(0, len(diags), fam):
             out[f:f + fam, start:start + per_chunk] = _evaluate(
                 steps, kernels, diags[f:f + fam, chunk].transpose(1, 0, 2),
-                columns)
+                columns, summed)
     return out
 
 
@@ -172,12 +188,14 @@ def matching_polynomial(m: np.ndarray, diag: np.ndarray = None) -> np.ndarray:
                         np.arange(len(m))[None])[0, 0]
 
 
-def pattern_polynomials(a, gammas, counts, *, columns: int = None
-                        ) -> np.ndarray:
+def pattern_polynomials(a, gammas, counts, *, columns: int = None,
+                        summed: bool = False) -> np.ndarray:
     """(F, P, N + 1) matching polynomials of the kernels that the P rows of
     a (P, d) counts array of one total N reduce (A, gammas[f]) to, for a
     family of F loop-weight vectors ``gammas`` (F, 2d) that share A.
     ``columns`` keeps only pair counts 0..columns - 1, at lower cost and
-    with the same bits.  Memory grows with neither F nor P."""
+    with the same bits.  ``summed`` gives instead their sum, the loop
+    hafnian, as (F, P, 1), from one column per DP row.  Memory grows with
+    neither F nor P."""
     return _polynomials(a.full, np.asarray(gammas, dtype=complex),
-                        _pattern_index(a.d, counts), columns)
+                        _pattern_index(a.d, counts), columns, summed)

@@ -4,8 +4,11 @@ pr(n) = p_vac / prod(n_i!) * lhaf(A~_n), evaluated under four model kinds:
 the full quantum model, the k-order truncation, the squeezer-only model
 (the loop-free hafnian, times the displaced state's p_vac) and the classical
 surrogate (same formula, evaluated on the closest-classical input state built
-by the caller).  All four read the pair-count terms of one matching
-polynomial.
+by the caller).  The full and classical models read the loop hafnian of one
+summed subset DP, and the squeezer-only model the same DP with zero loop
+weights.  Only a k-order truncation with k below the photon total reads the
+pair-count terms of the matching polynomial; korder(k) with k >= N is the
+full model.
 """
 
 from __future__ import annotations
@@ -118,13 +121,21 @@ class PhaseFamily:
         out = np.repeat(self.p_vac[:, None], len(counts), axis=1)
         for total in np.unique(totals[totals > 0]).tolist():
             rows = np.flatnonzero(totals == total)
-            # korder(k) sums the pair counts 0..k, so it runs k + 1 columns
-            columns = min(model.k, total) + 1 if model.kind == "korder" \
-                else total + 1
-            terms = self.pattern_terms(counts[rows], columns).reshape(
-                -1, columns)
-            val = terms[:, total] if model.kind == "squeezer_only" \
-                else terms.sum(axis=1)
+            if model.kind == "korder" and model.k < total:
+                # korder(k) sums the pair counts 0..k, so it runs k + 1
+                # columns
+                val = self.pattern_terms(counts[rows], model.k + 1).reshape(
+                    -1, model.k + 1).sum(axis=1)
+            else:
+                # the loop hafnian; with no loop weights, the hafnian is
+                # the same at every phase
+                gammas = np.zeros((1, 2 * self.a.d)) \
+                    if model.kind == "squeezer_only" else self.gammas
+                lhaf = pattern_polynomials(self.a, gammas, counts[rows],
+                                           summed=True)[..., 0]
+                val = np.broadcast_to(
+                    lhaf / FACTORIALS[counts[rows]].prod(axis=1),
+                    (len(out), len(rows))).ravel()
             bad = np.abs(val.imag) > 1e-9 * np.fmax(1.0, np.abs(val.real))
             if bad.any():
                 raise NumericalError(

@@ -213,7 +213,9 @@ def phi_grid_from_config(config: dict):
     if type(num) is not int or not 1 <= num <= MAX_PHI_POINTS:
         raise SchemaError(f"bad phi_grid: num must be an integer from 1 to "
                           f"{MAX_PHI_POINTS}, got {num!r}")
-    return np.linspace(start, stop, num, endpoint=False)
+    # read as floats, as _from_fields does: numpy takes an int past int64
+    # as an object
+    return np.linspace(float(start), float(stop), num, endpoint=False)
 
 
 def pulses_from_config(config: dict) -> float:

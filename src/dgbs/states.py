@@ -10,7 +10,6 @@ has the block form ``[[G, M], [conj(M), conj(G)]]`` with G Hermitian
 
 from __future__ import annotations
 
-import hashlib
 import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -75,28 +74,6 @@ class GaussianState:
         object.__setattr__(self, "sigma", _frozen(sigma))
         object.__setattr__(self, "delta", _frozen(delta))
 
-    @property
-    def gamma_block(self) -> np.ndarray:
-        """Hermitian block G (annihilation-annihilation correlations)."""
-        return self.sigma[:self.d, :self.d]
-
-    @property
-    def m_block(self) -> np.ndarray:
-        """Symmetric block M (annihilation-annihilation pairing)."""
-        return self.sigma[:self.d, self.d:]
-
-    @property
-    def mean_photons(self) -> np.ndarray:
-        """Per-mode mean photon number <a_j^dag a_j>."""
-        occ = np.diag(self.gamma_block).real - 0.5
-        return occ + np.abs(self.delta[:self.d]) ** 2
-
-    def content_hash(self) -> str:
-        h = hashlib.sha256()
-        h.update(np.round(self.sigma, 12).tobytes())
-        h.update(np.round(self.delta, 12).tobytes())
-        return h.hexdigest()[:16]
-
     @cached_property
     def sigma_q_inverse(self) -> np.ndarray:
         """Sigma_Q^-1 = (V / w) V^H, refused when Sigma_Q's condition number
@@ -115,11 +92,6 @@ class GaussianState:
         gamma = delta.conj() @ self.sigma_q_inverse
         logdet = np.log(self._q_eigh[0]).sum()
         return gamma, -(gamma @ delta).real / 2 - logdet / 2
-
-
-def vacuum_state(d: int) -> GaussianState:
-    return GaussianState(d, np.eye(2 * d, dtype=complex) / 2,
-                         np.zeros(2 * d, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -218,22 +190,6 @@ class SourceConfig:
     def n_pdc(self) -> float:
         """Mean detected squeezer photons per pulse and per mode."""
         return self.eta_tot * np.sinh(self.r) ** 2
-
-    @classmethod
-    def from_detected_means(cls, n_pdc: float, n_alpha: float,
-                            eta_tot: float = None, **kw) -> "SourceConfig":
-        """Build a config from detected mean photon numbers.
-
-        ``r = arcsinh(sqrt(n_pdc / eta_tot))`` with ``n_pdc`` the mean per
-        squeezer mode.
-        """
-        if eta_tot is None:
-            probe = cls(**kw)
-            eta_tot = probe.eta_tot
-        if eta_tot <= 0:
-            raise ConfigurationError("eta_tot must be positive")
-        r = float(np.arcsinh(np.sqrt(n_pdc / eta_tot)))
-        return cls(r=r, alpha_mag=float(np.sqrt(n_alpha)), **kw)
 
 
 def build_input_state(config: SourceConfig, total_modes: int) -> GaussianState:

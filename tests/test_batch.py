@@ -111,6 +111,29 @@ def full_subset_dp(m, diag):
     return coeff[-1]
 
 
+def summed_subset_dp(m, diag):
+    """Reference for the summed mode: :func:`full_subset_dp` with each pair
+    term added into a subset's one column, the loop hafnian of the subset."""
+    n = len(m)
+    coeff = np.zeros((1 << n, 1), dtype=complex)
+    coeff[0, 0] = 1.0
+    for mask in range(1, 1 << n):
+        i = (mask & -mask).bit_length() - 1
+        rest = mask & (mask - 1)
+        row = diag[i] * coeff[rest]
+        for j in range(i + 1, n):
+            if rest >> j & 1:
+                row += m[i, j] * coeff[rest ^ (1 << j)]
+        coeff[mask] = row
+    return coeff[-1]
+
+
+def loop_hafnian(m, diag):
+    """The summed DP on one kernel, as a length-1 array."""
+    return hafnian._polynomials(np.asarray(m, dtype=complex), diag[None],
+                                np.arange(len(m))[None], summed=True)[0, 0]
+
+
 def structured_kernel(rng, n, kind):
     """A random kernel, or one whose exact zeros reach the edges of the
     DP's pair-count band: real entries (every imaginary part is zero), no
@@ -139,6 +162,20 @@ def test_dp_matches_full_subset_recursion(n, seed):
             # itself an exact zero, the sign of that zero follows those
             # terms, so -0.0 and 0.0 are taken as one value here (x + 0.0
             # maps -0.0 to 0.0 and keeps every other bit).
+            assert same_bits(got + 0.0, want + 0.0), kind
+
+
+@PROPERTY
+@given(n=st.sampled_from([0, 2, 4, 6, 8, 10]), seed=st.integers(0, 2 ** 32 - 1))
+def test_summed_dp_matches_summed_subset_recursion(n, seed):
+    for kind in ("complex", "real", "zero_diagonal", "block_zero"):
+        m, diag = structured_kernel(np.random.default_rng(seed), n, kind)
+        got, want = loop_hafnian(m, diag), summed_subset_dp(m, diag)
+        if kind == "complex":
+            assert same_bits(got, want)
+        else:
+            # as in test_dp_matches_full_subset_recursion, -0.0 and 0.0
+            # are taken as one value
             assert same_bits(got + 0.0, want + 0.0), kind
 
 
@@ -188,10 +225,14 @@ def test_korder_truncation_matches_full_columns(d, total, count, seed, picks,
     full = family.pattern_terms(patterns)
     assert same_bits(family.pattern_terms(patterns, k + 1),
                      full[:, :, :k + 1])
-    # the k-order sum as it was taken from all N + 1 columns
-    val = full.reshape(-1, total + 1)[:, :min(k, total) + 1].sum(axis=1)
-    want = np.where(val.real < 0.0, 0.0, val.real).reshape(count, -1) \
-        * family.p_vac[:, None]
+    if k < total:
+        # the k-order sum as it was taken from all N + 1 columns
+        val = full.reshape(-1, total + 1)[:, :k + 1].sum(axis=1)
+        want = np.where(val.real < 0.0, 0.0, val.real).reshape(count, -1) \
+            * family.p_vac[:, None]
+    else:
+        # korder(k) with k >= N is the full model, evaluated the same way
+        want = family.pattern_probabilities(patterns)
     assert same_bits(family.pattern_probabilities(patterns,
                                                   ModelSpec("korder", k)), want)
 
@@ -252,13 +293,14 @@ def test_probabilities_match_one_at_a_time(d, seed, model, picks, chunk_bytes):
 @pytest.mark.parametrize("d, total", [(6, 4), (4, 5)])
 def test_sector_longer_than_one_chunk(d, total):
     # d=6, N=4: 126 patterns at kernel size 8; d=4, N=5: 56 patterns at
-    # kernel size 10; a budget of the DP rows of 20 patterns splits each
-    # sector into several chunks
+    # kernel size 10; a budget of the DP rows, loop weights and kernels of
+    # 20 patterns splits each sector into several chunks
     kern = state_kernel(d, 7, ModelSpec())
     patterns = all_patterns(d, total, collision_free=False)
     rows, _ = hafnian._plan(2 * total)
+    n = 2 * total
     with mock.patch.object(hafnian, "DP_CHUNK_BYTES",
-                           16 * (total + 1) * rows * 20), \
+                           16 * ((total + 1) * rows + n + n * n) * 20), \
             mock.patch.object(hafnian, "_evaluate",
                               wraps=hafnian._evaluate) as evaluate:
         terms = kern.pattern_terms(patterns)
@@ -599,3 +641,28 @@ def test_cumulative_korder_reaches_full_at_n(d, seed, total, k, pick):
     assert kern.pattern_probabilities(n, ModelSpec("korder", total))[0] == full
     assert kern.pattern_probabilities(n, ModelSpec("korder", total + k))[0] \
         == full
+
+
+@PROPERTY
+@given(d=st.integers(3, 5), seed=st.integers(0, 2 ** 32 - 1),
+       total=st.integers(1, 5), count=st.integers(1, 3),
+       picks=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=20))
+def test_summed_models_match_pair_count_terms(d, seed, total, count, picks):
+    # picks choose a batch of one total, collisions and repeats included
+    cfg, t, rng = random_circuit(d, seed)
+    family = PhaseFamily.scan(cfg, t, rng.uniform(-10, 40, count))
+    sector = all_patterns(d, total, collision_free=False)
+    patterns = sector[[p % len(sector) for p in picks]]
+    terms = family.pattern_terms(patterns)
+    # the loop hafnian sums the same terms in another order: the full model
+    # agrees with the sum of the pair-count terms to rounding
+    val = terms.sum(axis=2).real
+    want = np.where(val < 0.0, 0.0, val) * family.p_vac[:, None]
+    full = family.pattern_probabilities(patterns)
+    scale = np.abs(terms).sum(axis=2) * family.p_vac[:, None]
+    assert np.all(np.abs(full - want) <= 1e-13 * scale)
+    # squeezer-only: zero loop weights give today's top column, bit for bit
+    top = terms[..., total].real
+    want = np.where(top < 0.0, 0.0, top) * family.p_vac[:, None]
+    assert same_bits(family.pattern_probabilities(
+        patterns, ModelSpec("squeezer_only")), want)

@@ -986,6 +986,48 @@ class TestBadInput:
         phis = serialize.phi_grid_from_config({"phi_grid": grid})
         assert phis.shape == (size,) and phis.dtype == float
 
+    @pytest.mark.parametrize("grid", [
+        pytest.param({"start": 0.0, "stop": 2 ** 70, "num": 4}, id="stop"),
+        pytest.param({"start": 2 ** 70, "stop": 1.0, "num": 4}, id="start"),
+        pytest.param({"start": -2 ** 70, "stop": 1.0, "num": 4},
+                     id="start-negative"),
+    ])
+    def test_phi_grid_int_past_int64_is_read_as_float(
+            self, grid, config_path, tmp_path, capsys):
+        # numpy made such an int an object array: a traceback from
+        # np.linspace, exit 1
+        assert self.run_with(config_path, tmp_path, capsys,
+                             {"phi_grid": grid}, ["simulate"]) == (0, "")
+        phis = serialize.phi_grid_from_config({"phi_grid": grid})
+        want = np.linspace(float(grid["start"]), float(grid["stop"]), 4,
+                           endpoint=False)
+        assert phis.dtype == float and phis.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("key", ["start", "stop"])
+    def test_phi_grid_int_beyond_float_range_exits_2(
+            self, key, config_path, tmp_path, capsys):
+        grid = {"start": 0.0, "stop": 1.0, "num": 4, key: 10 ** 400}
+        code, err = self.run_with(config_path, tmp_path, capsys,
+                                  {"phi_grid": grid}, ["simulate"])
+        assert code == 2
+        assert err.startswith("dgbs: bad phi_grid: start and stop must be "
+                              "real numbers, got ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("alpha_mag, shown", [
+        pytest.param(100, "100", id="100"),
+        pytest.param(2 ** 70, "1.18059e+21", id="2**70"),
+    ])
+    def test_oracle_too_bright_exits_1(self, alpha_mag, shown, config_path,
+                                       tmp_path, capsys):
+        # the input's photon-number tail overflowed a float: a traceback
+        # with OverflowError, exit 1
+        assert self.run_with(config_path, tmp_path, capsys,
+                             {"source": {"alpha_mag": alpha_mag}},
+                             ["oracle", "--pattern", "1,0,0"]) == (
+            1, f"dgbs: no cutoff <= 18 serves the coherent amplitude "
+               f"{shown}; the input is too bright for the Fock oracle\n")
+
     @pytest.mark.parametrize("ports, message", [
         ({"coherent_port": 5}, "input port 5 is not a mode of the 3-mode "
          "circuit"),

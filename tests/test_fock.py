@@ -12,7 +12,7 @@ from dgbs.errors import ConfigurationError, CutoffError
 from dgbs.fock import (MAX_CUTOFF, FockVector, _interfere, apply_interferometer,
                        choose_cutoff, coherent_fock, dilate_lossy,
                        expand_inputs, input_tail_mass, oracle_probability,
-                       tmsv_fock, vacuum_fock)
+                       tmsv_fock)
 from dgbs.probability import StateKernel
 from dgbs.states import (SourceConfig, TransferMatrix, build_input_state,
                          propagate)
@@ -45,12 +45,6 @@ class TestFockVectors:
         assert v.amplitudes[(2, 2)] == pytest.approx(t ** 2 / math.cosh(0.4))
         assert (1, 2) not in v.amplitudes
 
-    def test_tensor(self):
-        v = coherent_fock(0.5, 4).tensor(vacuum_fock(1, 4))
-        assert v.d == 2
-        assert v.amplitudes[(1, 0)] == pytest.approx(
-            coherent_fock(0.5, 4).amplitudes[(1,)])
-
     def test_expand_inputs_cutoff_guard(self):
         cfg = SourceConfig(r=1.2, alpha_mag=2.0)
         with pytest.raises(CutoffError):
@@ -59,7 +53,9 @@ class TestFockVectors:
 
 class TestInterferometer:
     def test_preserves_norm_and_photon_number(self):
-        psi = tmsv_fock(0.4, 6).tensor(vacuum_fock(1, 6))
+        # the TMSV on modes 0 and 1, vacuum on mode 2
+        psi = FockVector(3, 6, {(na, nb, 0): amp for (na, nb), amp
+                                in tmsv_fock(0.4, 6).amplitudes.items()})
         u = haar_unitary(3, seed=2)
         out = apply_interferometer(psi, u)
         assert out.norm_sq() == pytest.approx(psi.norm_sq(), abs=1e-12)
@@ -110,7 +106,7 @@ class TestInterferometer:
             {(1, 2): out.amplitudes[(1, 2)]})
 
     def test_rejects_non_unitary(self):
-        psi = vacuum_fock(2, 2)
+        psi = FockVector(2, 2, {(0, 0): 1.0})
         with pytest.raises(ConfigurationError):
             apply_interferometer(psi, np.eye(2) * 0.5)
 

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from dgbs.errors import ConfigurationError, EnumerationBudgetError
 from dgbs.fock import oracle_probability
-from dgbs.hafnian import _pattern_index, matching_polynomial
+from dgbs.hafnian import _pattern_index, _polynomials, matching_polynomial
 from dgbs.probability import ModelSpec
 from dgbs.states import SourceConfig, TransferMatrix
 
@@ -46,6 +46,9 @@ def test_matching_polynomial_against_enumerator(n, rng):
         got = matching_polynomial(m, diag)
         want = brute_matchings(m, diag)
         assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+        # the summed DP gives their sum, the loop hafnian
+        lhaf = _polynomials(m, diag[None], np.arange(n)[None], summed=True)
+        assert_allclose(lhaf[0, 0, 0], want.sum(), rtol=1e-10, atol=1e-12)
 
 
 def test_hafnian_known_values():

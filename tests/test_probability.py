@@ -108,10 +108,12 @@ class TestModels:
         kern = kernel_for(SourceConfig(r=0.4, alpha_mag=0.8, phi=0.5), 4)
         n = (1, 1, 1, 0)
         terms = kern.pattern_terms([n])[0]
-        for k in range(4):
-            want = max(terms[:min(k, 3) + 1].sum().real, 0.0) * kern.p_vac
+        for k in range(3):
+            want = max(terms[:k + 1].sum().real, 0.0) * kern.p_vac
             assert probability(kern, n, ModelSpec("korder", k)) == want
+        # korder(k) with k >= N is the full model, evaluated the same way
         full = probability(kern, n)
+        assert probability(kern, n, ModelSpec("korder", 3)) == full
         assert probability(kern, n, ModelSpec("korder", 99)) == full
 
     def test_non_real_probability_is_numerical_error(self):
