@@ -25,7 +25,7 @@ cfg = SourceConfig(r=0.6, alpha_mag=1.8)
 
 truth = StateKernel.from_state(propagate(build_input_state(cfg, d), t))
 b_true, c_true, g_true, _ = gauge_fix(truth.a.b, truth.a.c,
-                                      truth.gamma.gamma[:d])
+                                      truth.gamma[:d])
 
 phi_grid = np.linspace(0, 10 * math.pi, 100, endpoint=False)
 for pulses in (1e5, 1e7, math.inf):

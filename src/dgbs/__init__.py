@@ -15,8 +15,8 @@ from .probability import (ModelSpec, PatternDistribution, StateKernel,
 from .reconstruction import (FringeFits, MeasurementRecord,
                              ReconstructionResult, fit_fringe, gauge_fix,
                              reconstruct, records_from_csv, records_to_csv)
-from .states import (AMatrix, ClassicalStateParams, GammaVector,
-                     GaussianState, SourceConfig, TransferMatrix, a_matrix,
+from .states import (AMatrix, ClassicalStateParams, GaussianState,
+                     SourceConfig, TransferMatrix, a_matrix,
                      build_classical_input, build_input_state,
                      closest_classical_state, propagate, state_from_a)
 

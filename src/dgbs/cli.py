@@ -22,10 +22,10 @@ import numpy as np
 from . import __version__
 from .errors import (ConfigurationError, DgbsError, EnumerationBudgetError,
                      SchemaError)
-from .experiment import (MAX_DRIFT_STEPS, TUNING_DURATION, auto_select_pairs,
-                         build_error_signal, lock_kernel, pid_lock,
-                         sample_patterns, samples_from_csv, simulate_records,
-                         tune_pid_gains)
+from .experiment import (MAX_DRIFT_STEPS, MAX_PULSES, TUNING_DURATION,
+                         auto_select_pairs, build_error_signal, lock_kernel,
+                         pid_lock, sample_patterns, samples_from_csv,
+                         simulate_records, tune_pid_gains)
 from .fock import checked_pattern, oracle_probability
 from .metrics import likelihood_ratio, tvd
 from .probability import (ModelSpec, PatternDistribution, StateKernel,
@@ -112,11 +112,11 @@ def cmd_probs(args) -> int:
     model = _model_arg(args)
     kernel = _kernel_for_model(config, model)
     distributions = {}
-    for total in range(1, args.n_max + 1):
+    # no collision-free pattern has more photons than modes
+    n_max = args.n_max if args.collisions else min(args.n_max, kernel.d)
+    for total in range(1, n_max + 1):
         patterns = all_patterns(kernel.d, total,
                                 collision_free=not args.collisions)
-        if not len(patterns):
-            continue
         raw = kernel.pattern_probabilities(patterns, model)
         s = raw.sum()
         distributions[str(total)] = {
@@ -169,7 +169,8 @@ def cmd_compare(args) -> int:
     kernel_a = _kernel_for_model(config, model_a)
     kernel_b = _kernel_for_model(config, model_b)
     samples = None
-    totals = set(range(1, args.n_max + 1))
+    n_max = min(args.n_max, kernel_a.d)   # the collision-free sectors
+    totals = set(range(1, n_max + 1))
     if args.samples:
         samples, codes = samples_from_csv(read_text(args.samples),
                                           kernel_a.d, args.min_photons)
@@ -177,7 +178,7 @@ def cmd_compare(args) -> int:
     tables_a = _tables(kernel_a, model_a, totals)
     tables_b = _tables(kernel_b, model_b, totals)
     tvds = {str(total): tvd(tables_a[total], tables_b[total])
-            for total in range(1, args.n_max + 1)
+            for total in range(1, n_max + 1)
             if total in tables_a and total in tables_b}
     payload = {
         "model_a": model_a.label(),
@@ -354,6 +355,9 @@ def _run(args) -> int:
             if getattr(args, name, 0) < 0:
                 raise SchemaError(f"--{name.replace('_', '-')} must be "
                                   f"nonnegative, got {getattr(args, name)}")
+        if getattr(args, "pulses", 0) > MAX_PULSES:
+            raise SchemaError(f"--pulses must be at most {MAX_PULSES}, got "
+                              f"{args.pulses}")
         return args.func(args)
     except (SchemaError, OSError) as exc:
         print(f"dgbs: {exc}", file=sys.stderr)

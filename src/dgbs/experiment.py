@@ -16,7 +16,7 @@ from .errors import ConfigurationError, NumericalError, SchemaError
 from .probability import (ModelSpec, PhaseFamily, StateKernel,
                           TwofoldFringe, all_patterns)
 from .reconstruction import MeasurementRecord
-from .serialize import _csv_rows, _read_csv, _unique_ints
+from .serialize import _csv_rows, _read_csv
 from .states import (SourceConfig, TransferMatrix, _require_finite,
                      build_input_state, propagate)
 
@@ -30,6 +30,9 @@ KI_GRID = (0.0, 0.5, 2.0, 6.0)
 # a drift trace holds one float per step; lab runs use a few hundred
 MAX_DRIFT_STEPS = 10 ** 6
 TUNING_DURATION = 30.0          # s of drift that tune_pid_gains locks over
+# a draw holds about 16 B per pulse (its codes and numpy's uniforms), so
+# 1.6 GB at this bound
+MAX_PULSES = 10 ** 8
 SAMPLES_CSV_HEADER = "pulse,bitmask_hex,phi"
 
 
@@ -38,30 +41,14 @@ SAMPLES_CSV_HEADER = "pulse,bitmask_hex,phi"
 
 class ClickTable:
     """Per-pulse detection outcomes as codes: pulse i saw the bitmask
-    ``outcomes[outcome_codes[i]]`` (-1 a discard) at the coherent phase
-    ``phis[phi_codes[i]]``."""
+    ``outcomes[outcome_codes[i]]`` (-1 a discard), every pulse at the one
+    coherent phase ``phi``."""
 
-    def __init__(self, bitmasks: np.ndarray, phi: np.ndarray, d: int):
-        """The table of per-pulse ``bitmasks`` and ``phi``, each coded by
-        its distinct values (phi by its bits: -0.0 and 0.0 stay apart)."""
-        self.outcomes, self.outcome_codes = _unique_ints(
-            np.asarray(bitmasks, dtype=np.int64))
-        bits, self.phi_codes = _unique_ints(
-            np.asarray(phi, dtype=float).view(np.int64))
-        self.phis = bits.view(float)
+    def __init__(self, outcomes: np.ndarray, outcome_codes: np.ndarray,
+                 phi: float, d: int):
+        self.outcomes, self.outcome_codes = outcomes, outcome_codes
+        self.phi = float(phi)
         self.d = d
-
-    @classmethod
-    def of_draws(cls, outcomes: np.ndarray, draws: np.ndarray, phi: float,
-                 d: int) -> "ClickTable":
-        """The pulses of a sampler that drew ``outcomes[draws[i]]`` for
-        pulse i, every pulse at the one coherent phase ``phi``."""
-        table = cls.__new__(cls)
-        table.outcomes, table.outcome_codes = outcomes, draws
-        table.phis = np.array([phi], dtype=float)
-        table.phi_codes = np.broadcast_to(np.intp(0), draws.shape)
-        table.d = d
-        return table
 
     def __len__(self):
         return len(self.outcome_codes)
@@ -69,10 +56,6 @@ class ClickTable:
     @property
     def bitmasks(self) -> np.ndarray:
         return self.outcomes[self.outcome_codes]
-
-    @property
-    def phi(self) -> np.ndarray:
-        return self.phis[self.phi_codes]
 
     def patterns(self) -> np.ndarray:
         """(P, d) counts of the pulses, discards skipped."""
@@ -82,14 +65,13 @@ class ClickTable:
 
     def to_csv(self):
         """pulse, bitmask_hex, phi: the text in blocks, header first; each
-        entry of the outcome and phi tables formatted once."""
+        outcome formatted once."""
         hexes = [format(m, "x") if m >= 0 else "discard"
                  for m in self.outcomes.tolist()]
-        phis = [f"{p:.17g}" for p in self.phis.tolist()]
         yield SAMPLES_CSV_HEADER + "\n"
         yield from _csv_rows(len(self), [
-            range(len(self)), ",", (hexes, self.outcome_codes), ",",
-            (phis, self.phi_codes), "\n"])
+            range(len(self)), ",", (hexes, self.outcome_codes),
+            f",{self.phi:.17g}\n"])
 
 
 def samples_from_csv(text: str, d: int, min_photons: int) -> tuple:
@@ -112,7 +94,7 @@ def samples_from_csv(text: str, d: int, min_photons: int) -> tuple:
 
     masks, which = _read_csv(text, (1,), parse, fault, "samples line")
     # two texts of one mask ("0f", "F") are one outcome
-    outcomes, which_outcome = _unique_ints(masks)
+    outcomes, which_outcome = np.unique(masks, return_inverse=True)
     # the bits of each outcome, one byte per count
     bits = (outcomes[:, None] >> np.arange(d) & 1).astype(np.int8)
     keep = (outcomes >= 0) & (bits.sum(axis=1) >= min_photons)
@@ -138,15 +120,15 @@ def sample_patterns(kernel: StateKernel, model: ModelSpec, pulses: int,
     probs = _with_discard(kernel.pattern_probabilities(patterns, model))
     rng = np.random.default_rng(seed)
     draws = rng.choice(len(probs), size=pulses, p=probs)
-    return ClickTable.of_draws(masks, draws, phi, kernel.d)
+    return ClickTable(masks, draws, phi, kernel.d)
 
 
 def _sampler_patterns(d: int, n_max: int) -> tuple:
     """The collision-free patterns with N <= n_max, the sampler's outcomes,
     as (P, d) counts, and their bitmasks followed by -1 for the discard
-    bucket."""
+    bucket.  No collision-free pattern has N > d."""
     patterns = np.concatenate([all_patterns(d, total, collision_free=True)
-                               for total in range(n_max + 1)])
+                               for total in range(min(n_max, d) + 1)])
     return patterns, np.append(patterns @ (1 << np.arange(d)), -1)
 
 
@@ -336,7 +318,7 @@ def auto_select_pairs(kernel: StateKernel, setpoint: float = LOCK_SETPOINT,
     """Pick the highest-visibility twofold fringes of the phase-0 kernel
     (:func:`lock_kernel`); signs are chosen so all slopes at the lock point
     add constructively (anti-correlated fringes are weighted by -1)."""
-    b, g = kernel.a.b, kernel.gamma.gamma
+    b, g = kernel.a.b, kernel.gamma
     candidates = []
     for j in range(kernel.d):
         for k in range(j + 1, kernel.d):

@@ -118,8 +118,10 @@ def _evaluate(steps: list, m: np.ndarray, diag: np.ndarray,
             row[:, -1] = complex(-0.0, -0.0)
         else:
             row = diag[i][:, None] * prev[rest]
-        for j, pair in zip(js, pairs):
-            row[:, shift:] += m[i, j][:, None, None] * prev2[pair, :width - shift]
+        if width > shift:   # else no column takes a pair term (korder(0))
+            for j, pair in zip(js, pairs):
+                row[:, shift:] += (m[i, j][:, None, None]
+                                   * prev2[pair, :width - shift])
         prev2, prev = prev, row
     return prev[0].transpose(1, 2, 0)
 

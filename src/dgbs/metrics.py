@@ -3,8 +3,6 @@ likelihood ratio L = prod_i pr(n_i | A) / pr(n_i | B)."""
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -32,16 +30,10 @@ class LikelihoodTrace:
 
     increments: np.ndarray
     flagged: list = field(default_factory=list)
-    model_a: str = ""
-    model_b: str = ""
 
     @property
     def sample_count(self) -> int:
         return len(self.increments)
-
-    @property
-    def cumulative_log(self) -> np.ndarray:
-        return np.cumsum(self.increments)
 
     @cached_property
     def log_ratio(self) -> float:
@@ -56,16 +48,6 @@ class LikelihoodTrace:
         """exp(log_ratio); inf once log L exceeds the float range."""
         with np.errstate(over="ignore"):
             return float(np.exp(self.log_ratio))
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["sample", "log_increment", "cumulative_log_L", "L"])
-        cum = 0.0
-        for i, inc in enumerate(self.increments):
-            cum += inc
-            writer.writerow([i + 1, f"{inc:.17g}", f"{cum:.17g}", f"{np.exp(cum):.17g}"])
-        return buf.getvalue()
 
 
 def likelihood_ratio(samples, dists_a: dict, dists_b: dict,
@@ -105,8 +87,7 @@ def likelihood_ratio(samples, dists_a: dict, dists_b: dict,
     hit = np.flatnonzero(zero[codes])
     flagged = [(i, *causes[k])
                for i, k in zip(hit.tolist(), codes[hit].tolist())]
-    return LikelihoodTrace(values[codes], flagged, model_a=_model_label(dists_a),
-                           model_b=_model_label(dists_b))
+    return LikelihoodTrace(values[codes], flagged)
 
 
 def _sector_probabilities(patterns: np.ndarray, totals: np.ndarray,
@@ -141,7 +122,3 @@ def _unique_rows(a: np.ndarray) -> tuple:
     keys, codes = np.unique(a.view(np.dtype((np.void, a.strides[0]))).ravel(),
                             return_inverse=True)
     return keys.view(a.dtype).reshape(len(keys), -1), codes
-
-
-def _model_label(dists: dict) -> str:
-    return next(iter(dists.values())).model if dists else ""

@@ -25,8 +25,8 @@ import numpy as np
 from .errors import (ConfigurationError, EnumerationBudgetError,
                      NumericalError)
 from .hafnian import MAX_KERNEL_SIZE, _pattern_index, pattern_polynomials
-from .states import (AMatrix, GammaVector, GaussianState, SourceConfig,
-                     TransferMatrix, a_matrix, phase_scan)
+from .states import (AMatrix, GaussianState, SourceConfig, TransferMatrix,
+                     _frozen, a_matrix, phase_scan)
 
 DEFAULT_PATTERN_BUDGET = 200_000
 
@@ -154,16 +154,17 @@ class StateKernel:
     """Cached (A, gamma, p_vac) triple of a state; its probabilities are
     those of the family of one (:attr:`family`)."""
 
-    def __init__(self, a: AMatrix, gamma: GammaVector, log_p_vac: float):
+    def __init__(self, a: AMatrix, gamma: np.ndarray, log_p_vac: float):
         self.a = a
-        self.gamma = gamma
+        # the (2d,) loop weights gamma = delta^dag Sigma_Q^-1, read-only
+        self.gamma = _frozen(np.asarray(gamma, dtype=complex))
         self.log_p_vac = float(log_p_vac)
         self.p_vac = math.exp(self.log_p_vac)
 
     @classmethod
     def from_state(cls, state: GaussianState) -> "StateKernel":
         gamma, log_p_vac = state.gamma_and_log_p_vac(state.delta)
-        return cls(a_matrix(state), GammaVector(gamma), log_p_vac)
+        return cls(a_matrix(state), gamma, log_p_vac)
 
     @property
     def d(self) -> int:
@@ -172,7 +173,7 @@ class StateKernel:
     @cached_property
     def family(self) -> PhaseFamily:
         """This kernel as a family of one."""
-        return PhaseFamily(self.a, self.gamma.gamma[None], [self.log_p_vac])
+        return PhaseFamily(self.a, self.gamma[None], [self.log_p_vac])
 
     def pattern_terms(self, counts) -> np.ndarray:
         """:meth:`PhaseFamily.pattern_terms` of this kernel, as (P, N + 1)."""
@@ -191,7 +192,7 @@ class StateKernel:
     def reduced(self, counts) -> tuple:
         """(A_n, gamma~): the kernel and loop weights one pattern keeps."""
         idx = _pattern_index(self.d, [counts])[0]
-        return self.a.full[np.ix_(idx, idx)], self.gamma.gamma[idx]
+        return self.a.full[np.ix_(idx, idx)], self.gamma[idx]
 
     def korder_terms(self, counts) -> np.ndarray:
         return self.pattern_terms([counts])[0]
@@ -204,7 +205,7 @@ class StateKernel:
 def predict_single(kern: StateKernel, j: int) -> tuple:
     """(p_j, p'_j) = (C_jj, C_jj + |gamma_j|^2), as ratios to p_vac."""
     c_jj = kern.a.c[j, j].real
-    return c_jj, c_jj + abs(kern.gamma.gamma[j]) ** 2
+    return c_jj, c_jj + abs(kern.gamma[j]) ** 2
 
 
 def predict_twofold(kern: StateKernel, j: int, k: int,
@@ -229,7 +230,7 @@ class TwofoldFringe(NamedTuple):
         if j == k:
             raise ConfigurationError(
                 "twofold prediction needs two distinct modes")
-        b_m, c_m, g = kern.a.b, kern.a.c, kern.gamma.gamma
+        b_m, c_m, g = kern.a.b, kern.a.c, kern.gamma
         p_j, p_k = c_m[j, j].real, c_m[k, k].real
         blocked = p_j * p_k + abs(b_m[j, k]) ** 2 + abs(c_m[j, k]) ** 2
         gj, gk = g[j], g[k]

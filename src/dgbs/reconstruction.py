@@ -25,8 +25,8 @@ from .errors import ConfigurationError, DgbsError, SchemaError
 from .metrics import tvd
 from .probability import (ModelSpec, PatternDistribution, StateKernel,
                           all_patterns, distribution_from_kernel)
-from .serialize import _csv_rows, _read_csv, _unique_ints
-from .states import AMatrix, GammaVector
+from .serialize import _csv_rows, _read_csv
+from .states import AMatrix
 
 SETTINGS = ("blocked", "input1", "input2")
 TWO_PI = 2 * math.pi
@@ -120,7 +120,8 @@ def records_to_csv(records):
         else:
             pulses, counts = "inf", rec.rates
         # each distinct count (by its bits, so -0.0 stays) formatted once
-        bits, which = _unique_ints(counts.T.ravel().view(np.int64))
+        bits, which = np.unique(counts.T.ravel().view(np.int64),
+                                return_inverse=True)
         texts = [f"{c:.17g}" for c in bits.view(float).tolist()]
         n_phi, n_obs = len(phis), len(labels)
         yield from _csv_rows(n_phi * n_obs, [
@@ -409,9 +410,9 @@ class ReconstructionResult:
     def to_kernel(self) -> StateKernel:
         """Probability kernel up to the (unknown) p_vac prefactor; valid for
         normalized fixed-N distributions."""
+        gamma = self.gamma.astype(complex)
         return StateKernel(self.to_a_matrix(),
-                           GammaVector.from_halves(self.gamma.astype(complex)),
-                           0.0)
+                           np.concatenate([gamma, gamma.conj()]), 0.0)
 
     def to_json(self) -> str:
         def cplx(m):

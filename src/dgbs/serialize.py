@@ -402,14 +402,3 @@ def _digits(values: np.ndarray) -> np.ndarray:
     digits[(values < power[:, None]) & (power[:, None] > 1)] = 0
     return digits.T
 
-
-def _unique_ints(values: np.ndarray) -> tuple:
-    """``np.unique(values, return_inverse=True)`` of a 1-d int array, by
-    counting instead of sorting when the values span fewer integers than
-    there are values (a sample's bitmasks, a constant phi)."""
-    if len(values) and int(values.max()) - int(values.min()) < len(values):
-        low = values.min()
-        present = np.bincount(values - low) > 0
-        return np.flatnonzero(present) + low, \
-            np.cumsum(present)[values - low] - 1
-    return np.unique(values, return_inverse=True)

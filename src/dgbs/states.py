@@ -182,11 +182,6 @@ class SourceConfig:
         return self.eta_c * self.eta_g ** 2 * self.eta_p * self.eta_d
 
     @property
-    def n_alpha(self) -> float:
-        """Coherent intensity |alpha|^2 before losses."""
-        return self.alpha_mag ** 2
-
-    @property
     def n_pdc(self) -> float:
         """Mean detected squeezer photons per pulse and per mode."""
         return self.eta_tot * np.sinh(self.r) ** 2
@@ -333,28 +328,9 @@ def a_matrix(state: GaussianState) -> AMatrix:
     return AMatrix(d, b, c)
 
 
-@dataclass(frozen=True)
-class GammaVector:
-    """Loop weights gamma = delta^dag Sigma_Q^-1 (length 2d row vector)."""
-
-    gamma: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "gamma",
-                           _frozen(np.asarray(self.gamma, dtype=complex)))
-
-    @property
-    def d(self) -> int:
-        return self.gamma.shape[0] // 2
-
-    @classmethod
-    def from_halves(cls, first: np.ndarray) -> "GammaVector":
-        first = np.asarray(first, dtype=complex)
-        return cls(np.concatenate([first, first.conj()]))
-
-
-def state_from_a(a: AMatrix, gamma: GammaVector) -> GaussianState:
-    """Materialize the state with kernel (A, gamma): Sigma_Q = (I - X A)^-1."""
+def state_from_a(a: AMatrix, gamma: np.ndarray) -> GaussianState:
+    """Materialize the state with kernel (A, gamma), gamma the (2d,) loop
+    weights: Sigma_Q = (I - X A)^-1."""
     d = a.d
     ixa = np.eye(2 * d) - block_swap(d) @ a.full
     try:
@@ -362,7 +338,7 @@ def state_from_a(a: AMatrix, gamma: GammaVector) -> GaussianState:
     except np.linalg.LinAlgError as exc:
         raise PhysicalityError("I - X A is singular") from exc
     sq = (sq + sq.conj().T) / 2
-    delta = (gamma.gamma @ sq).conj()
+    delta = (np.asarray(gamma, dtype=complex) @ sq).conj()
     return GaussianState(d, sq - np.eye(2 * d) / 2, delta)
 
 

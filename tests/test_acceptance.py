@@ -125,7 +125,7 @@ def test_criterion_3_korder_endpoints():
         errs = [np.abs(kern.pattern_probabilities(
             pats, ModelSpec("korder", k)) - full).max()
             for k in range(total + 1)]
-        g = kern.gamma.gamma
+        g = kern.gamma
         disp = np.array([abs(np.prod([g[i] for i, c in enumerate(p)
                                       for _ in range(c)])) ** 2
                          for p in pats]) * kern.p_vac
@@ -153,7 +153,7 @@ def test_criterion_4_noiseless_round_trip():
                                 include_collisions=True)
         res = reconstruct(recs)
         b2, c2, gmag, _ = gauge_fix(truth.a.b, truth.a.c,
-                                    truth.gamma.gamma[:d])
+                                    truth.gamma[:d])
         worst_entry = max(worst_entry,
                           np.abs(res.b - b2).max(),
                           np.abs(res.c - c2).max(),

@@ -351,7 +351,7 @@ def test_family_matches_state_per_phase(d, seed, count, model, chunk_bytes):
     for f, phi in enumerate(phis):
         kern = StateKernel.from_state(
             propagate(build(replace(cfg, phi=phi), d), t))
-        assert same_bits(family.gammas[f], kern.gamma.gamma)
+        assert same_bits(family.gammas[f], kern.gamma)
         assert family.log_p_vac[f] == kern.log_p_vac
         assert same_bits(probs[f], kern.pattern_probabilities(patterns, model))
 

@@ -1,10 +1,13 @@
+import contextlib
 import csv
 import importlib.util
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 from itertools import chain
@@ -16,9 +19,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import haar_unitary
-from dgbs import fock, serialize
+from dgbs import cli, experiment, fock, serialize
 from dgbs.cli import main
-from dgbs.experiment import sample_patterns, samples_from_csv
+from dgbs.experiment import MAX_PULSES, sample_patterns, samples_from_csv
 from dgbs.probability import (ModelSpec, PatternDistribution, StateKernel,
                               all_patterns)
 from dgbs.reconstruction import records_from_csv
@@ -575,6 +578,136 @@ class TestExitCodes:
         assert json.loads(out.read_text())["model"] == "korder(1)"
 
 
+FUZZ_VALUES = (0, -1, 1e308, -1e308, 2 ** 70, -2 ** 70, 10 ** 400, "x", [],
+               {}, None, True)
+# each command with the inputs it reads: small sizes, so that no mutation
+# that passes validation can start a large computation
+FUZZ_COMMANDS = {
+    "probs": ["probs", "--config", "config.json", "--n-max", "2"],
+    "sample": ["sample", "--config", "config.json", "--pulses", "50",
+               "--n-max", "2"],
+    "compare": ["compare", "--config", "config.json", "--model-b",
+                "korder(0)", "--n-max", "2", "--samples", "samples.csv"],
+    "lock": ["lock", "--config", "config.json", "--duration", "1"],
+    "simulate": ["simulate", "--config", "config.json"],
+    "reconstruct": ["reconstruct", "--records", "records.csv"],
+    "oracle": ["oracle", "--config", "config.json", "--pattern", "1,0,1"],
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """The README d=3 config, extended with drift, pid, a small phi grid,
+    finite pulses per setting and a second input port, and a records CSV
+    and a samples CSV written from it, as {file name: bytes}."""
+    base = tmp_path_factory.mktemp("fuzz")
+    config = json.loads(Path(d3_config(base)).read_text())
+    config.update({
+        "drift": {"kind": "composite", "sigma": 0.015, "amplitude": 1.8,
+                  "period": 15.0, "step_interval": 0.1},
+        "pid": {"kp": 0.5, "ki": 0.1, "kd": 0.0, "setpoint": 0.7,
+                "update_interval": 0.1, "actuator_limit": 12.0},
+        "phi_grid": {"start": 0.0, "stop": 6.0, "num": 6},
+        "pulses_per_setting": 1e6, "second_input_port": 2})
+    (base / "config.json").write_text(json.dumps(config))
+    for command, name in (("simulate", "records.csv"),
+                          ("sample", "samples.csv")):
+        assert main([*_fuzz_argv(command, base),
+                     "--out", str(base / name)]) == 0
+    return {name: (base / name).read_bytes()
+            for name in ("config.json", "records.csv", "samples.csv")}
+
+
+def _fuzz_argv(command: str, directory: Path) -> list:
+    """The arguments of ``command``, its input files in ``directory``."""
+    return [str(directory / a) if a.endswith((".json", ".csv")) else a
+            for a in FUZZ_COMMANDS[command]]
+
+
+def _config_leaves(node, path=()):
+    """The paths of the scalar leaves of a JSON value, the matrix shape
+    left out."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path]
+    return [leaf for key, value in items if key != "shape"
+            for leaf in _config_leaves(value, (*path, key))]
+
+
+@st.composite
+def _mutations(draw, inputs):
+    """(command, file name, mutation): a command and one change to one
+    file that it reads, a config leaf set to one of ``FUZZ_VALUES`` or
+    the file's bytes truncated, given a flipped or a non-UTF-8 byte, or
+    replaced by a directory."""
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    argv = FUZZ_COMMANDS[command]
+    name = draw(st.sampled_from(
+        [a for a in argv if a.endswith((".json", ".csv"))]))
+    kinds = ["truncate", "flip", "non_utf8", "directory"]
+    if name == "config.json":   # most draws set a leaf: they reach further
+        kinds = ["leaf"] * 8 + kinds
+    kind = draw(st.sampled_from(kinds))
+    if kind == "leaf":
+        leaves = _config_leaves(json.loads(inputs[name]))
+        return command, name, (kind, draw(st.sampled_from(leaves)),
+                               draw(st.sampled_from(FUZZ_VALUES)))
+    if kind == "directory":
+        return command, name, (kind,)
+    at = draw(st.integers(0, len(inputs[name]) - 1))
+    return command, name, (kind, at, draw(st.integers(0, 7)))
+
+
+def _mutated(data: bytes, mutation) -> bytes:
+    kind, *rest = mutation
+    if kind == "leaf":
+        path, value = rest
+        config = json.loads(data)
+        node = config
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return json.dumps(config).encode()
+    at, bit = rest
+    if kind == "truncate":
+        return data[:at]
+    if kind == "flip":
+        return data[:at] + bytes([data[at] ^ 1 << bit]) + data[at + 1:]
+    return data[:at] + b"\xff" + data[at + 1:]
+
+
+class TestExitCodeProperty:
+    # 200 examples take about 1 s
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def test_every_mutation_exits_0_1_or_2(self, fuzz_inputs, data):
+        # the exit-code contract: 0 ok, 1 domain error, 2 usage error, never
+        # a traceback, and one "dgbs:" line on a nonzero exit
+        command, name, mutation = data.draw(_mutations(fuzz_inputs))
+        with tempfile.TemporaryDirectory() as tmp:
+            work = Path(tmp)
+            for file, content in fuzz_inputs.items():
+                if file != name:
+                    (work / file).write_bytes(content)
+                elif mutation[0] == "directory":
+                    (work / file).mkdir()
+                else:
+                    (work / file).write_bytes(_mutated(content, mutation))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([*_fuzz_argv(command, work),
+                             "--out", str(work / "out")])
+        err = err.getvalue()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code:
+            assert err.startswith("dgbs:") and err.count("\n") == 1, err
+
+
 class TestOutPath:
     COMMANDS = {
         "probs": ["probs", "--n-max", "1"],
@@ -977,6 +1110,60 @@ class TestBadInput:
         assert (code, capsys.readouterr().err) == (
             2, f"dgbs: bad phi_grid: {message}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("pulses", [MAX_PULSES + 1, 10 ** 13, 10 ** 20])
+    def test_pulses_past_the_bound_exit_2(self, pulses, config_path,
+                                          tmp_path, monkeypatch, capsys):
+        # a draw of about 16 B per pulse is refused before it is made and
+        # before --out is opened (10**13 pulses asked numpy for 72.8 TiB)
+        def refuse(*args, **kw):
+            raise AssertionError("a refused --pulses reached the sampler")
+
+        monkeypatch.setattr(cli, "sample_patterns", refuse)
+        out = tmp_path / "samples.csv"
+        code = main(["sample", "--config", config_path, "--pulses",
+                     str(pulses), "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (
+            2, f"dgbs: --pulses must be at most {MAX_PULSES}, got {pulses}\n")
+        assert not out.exists()
+
+    def test_largest_pulses_reach_the_sampler(self, config_path, tmp_path,
+                                              monkeypatch):
+        asked = []
+
+        def small_draw(kernel, model, pulses, *args, **kw):
+            asked.append(pulses)
+            return sample_patterns(kernel, model, 10, *args, **kw)
+
+        monkeypatch.setattr(cli, "sample_patterns", small_draw)
+        assert main(["sample", "--config", config_path, "--pulses",
+                     str(MAX_PULSES), "--out", str(tmp_path / "s.csv")]) == 0
+        assert asked == [MAX_PULSES]
+
+    @pytest.mark.parametrize("argv", [
+        ["probs"], ["sample", "--pulses", "50"],
+        ["compare", "--model-b", "korder(0)"]], ids=lambda argv: argv[0])
+    def test_n_max_past_d_stops_at_d(self, argv, config_path, tmp_path,
+                                     monkeypatch):
+        # no collision-free pattern has more photons than the 3 modes, so
+        # --n-max 10**9 writes the bytes of --n-max 3, and no loop runs over
+        # the empty sectors (at about 17 us each, 10**9 took hours; compare
+        # built a set of them first)
+        def short_range(*args):
+            steps = range(*args)
+            if len(steps) > 1000:
+                raise AssertionError(f"{steps} reached a loop")
+            return steps
+
+        for module in (cli, experiment):
+            monkeypatch.setattr(module, "range", short_range, raising=False)
+        outs = []
+        for n_max in ("3", str(10 ** 9)):
+            out = tmp_path / f"out-{n_max}"
+            assert main([*argv, "--config", config_path, "--n-max", n_max,
+                         "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("grid, size", [
         ([0.5], 1), ([0, 1.5, 3], 3), ({"start": 0, "stop": 1, "num": 1}, 1),

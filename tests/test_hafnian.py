@@ -92,19 +92,20 @@ def test_detection_pattern_basics():
 
 
 def test_pattern_index_repeats(rng):
-    from dgbs.states import AMatrix, GammaVector
+    from dgbs.states import AMatrix
     d = 3
     b = random_symmetric(d, rng)
     h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     c = (h + h.conj().T) / 2
     a = AMatrix(d, b, c)
-    g = GammaVector.from_halves(rng.normal(size=d) + 1j * rng.normal(size=d))
+    half = rng.normal(size=d) + 1j * rng.normal(size=d)
+    g = np.concatenate([half, half.conj()])
     idx = _pattern_index(d, [(2, 0, 1)])[0]
-    a_n, gamma_tilde = a.full[np.ix_(idx, idx)], g.gamma[idx]
+    a_n, gamma_tilde = a.full[np.ix_(idx, idx)], g[idx]
     assert a_n.shape == (6, 6)
     assert len(idx) // 2 == 3
     # first two rows are the duplicated mode-0 row
     assert_allclose(a_n[0], a_n[1])
-    assert gamma_tilde[0] == g.gamma[0]
-    assert gamma_tilde[2] == g.gamma[2]
-    assert gamma_tilde[3] == np.conj(g.gamma[0])
+    assert gamma_tilde[0] == g[0]
+    assert gamma_tilde[2] == g[2]
+    assert gamma_tilde[3] == np.conj(g[0])

@@ -13,8 +13,8 @@ from dgbs.errors import (ConfigurationError, EnumerationBudgetError,
 from dgbs.probability import (ModelSpec, PatternDistribution, StateKernel,
                               all_patterns, distribution_from_kernel,
                               predict_single, predict_twofold)
-from dgbs.states import (GammaVector, SourceConfig, TransferMatrix,
-                         build_classical_input, build_input_state, propagate)
+from dgbs.states import (SourceConfig, TransferMatrix, build_classical_input,
+                         build_input_state, propagate)
 
 
 def kernel_for(cfg, d, eta=0.6, seed=0):
@@ -100,7 +100,7 @@ class TestModels:
         kern = kernel_for(SourceConfig(r=0.4, alpha_mag=0.8, phi=0.5), 4)
         n = (1, 0, 1, 1)
         got = probability(kern, n, ModelSpec("korder", 0))
-        g = kern.gamma.gamma
+        g = kern.gamma
         want = abs(g[0] * g[2] * g[3]) ** 2 * kern.p_vac
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -119,8 +119,7 @@ class TestModels:
     def test_non_real_probability_is_numerical_error(self):
         kern = kernel_for(SourceConfig(r=0.4, alpha_mag=0.8), 3)
         # halves not conjugate: gamma_0 * gamma_{0+d} = (1+1j)^2 = 2j
-        bad = StateKernel(kern.a, GammaVector(np.full(6, 1 + 1j)),
-                          kern.log_p_vac)
+        bad = StateKernel(kern.a, np.full(6, 1 + 1j), kern.log_p_vac)
         with pytest.raises(NumericalError):
             probability(bad, (1, 0, 0))
 
@@ -204,12 +203,12 @@ class TestDistribution:
 
     def test_kernel_without_pvac_matches_normalized(self):
         # the p_vac prefactor cancels in normalized fixed-N distributions
-        from dgbs.states import GammaVector, a_matrix
+        from dgbs.states import a_matrix
         st = propagate(build_input_state(SourceConfig(r=0.4, alpha_mag=0.7), 4),
                        lossy_transfer(4, 0.5, seed=5))
         full = StateKernel.from_state(st)
-        bare = StateKernel(a_matrix(st), GammaVector(
-            st.gamma_and_log_p_vac(st.delta)[0]), 0.0)
+        bare = StateKernel(a_matrix(st),
+                           st.gamma_and_log_p_vac(st.delta)[0], 0.0)
         da = distribution_from_kernel(full, 3)
         db = distribution_from_kernel(bare, 3)
         assert_allclose(da.probabilities, db.probabilities, atol=1e-13)

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from conftest import haar_unitary, lossy_transfer
 from dgbs.errors import ConfigurationError, NumericalError, PhysicalityError
-from dgbs.states import (AMatrix, GammaVector, GaussianState, SourceConfig,
+from dgbs.states import (AMatrix, GaussianState, SourceConfig,
                          TransferMatrix, a_matrix, build_classical_input,
                          build_input_state, closest_classical_state,
                          propagate, state_from_a)
@@ -143,10 +143,10 @@ class TestKernel:
 
     def test_gamma_coherent(self):
         st = build_input_state(SourceConfig(alpha_mag=0.5, phi=0.3), 3)
-        g = GammaVector(st.gamma_and_log_p_vac(st.delta)[0])
+        g = st.gamma_and_log_p_vac(st.delta)[0]
         alpha = 0.5 * np.exp(0.3j)
-        assert g.gamma[2] == pytest.approx(np.conj(alpha))
-        assert g.gamma[5] == pytest.approx(alpha)
+        assert g[2] == pytest.approx(np.conj(alpha))
+        assert g[5] == pytest.approx(alpha)
 
     def test_one_factorisation_per_state(self, monkeypatch):
         # the eigendecomposition of Sigma_Q that validates a state is its
@@ -228,8 +228,7 @@ class TestKernel:
         t = lossy_transfer(4, 0.6, seed=3)
         cfg = SourceConfig(r=0.4, alpha_mag=0.7, phi=0.9)
         st = propagate(build_input_state(cfg, 4), t)
-        back = state_from_a(a_matrix(st), GammaVector(
-            st.gamma_and_log_p_vac(st.delta)[0]))
+        back = state_from_a(a_matrix(st), st.gamma_and_log_p_vac(st.delta)[0])
         assert_allclose(back.sigma, st.sigma, atol=1e-10)
         assert_allclose(back.delta, st.delta, atol=1e-10)
 
@@ -242,11 +241,7 @@ class TestKernel:
     def test_unphysical_kernel_rejected(self):
         a = AMatrix(1, np.array([[1.5]]), np.zeros((1, 1)))
         with pytest.raises(PhysicalityError):
-            state_from_a(a, GammaVector(np.zeros(2)))
-
-    def test_gamma_from_halves(self):
-        g = GammaVector.from_halves(np.array([1 + 2j]))
-        assert g.gamma[1] == 1 - 2j
+            state_from_a(a, np.zeros(2))
 
 
 class TestClassical:
