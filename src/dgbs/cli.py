@@ -27,9 +27,11 @@ from .experiment import (MAX_DRIFT_STEPS, MAX_PULSES, TUNING_DURATION,
                          pid_lock, sample_patterns, samples_from_csv,
                          simulate_records, tune_pid_gains)
 from .fock import checked_pattern, oracle_probability
+from .hafnian import MAX_KERNEL_SIZE
 from .metrics import likelihood_ratio, tvd
-from .probability import (ModelSpec, PatternDistribution, StateKernel,
-                          all_patterns, distribution_from_kernel)
+from .probability import (PATTERN_BUDGET, ModelSpec, PatternDistribution,
+                          StateKernel, all_patterns, distribution_from_kernel,
+                          pattern_count)
 from .reconstruction import (check_threefolds, reconstruct, records_from_csv,
                              records_to_csv)
 from .serialize import (canonical_json, check_ports, circuit_from_config,
@@ -71,15 +73,19 @@ def _parse_model(text: str) -> ModelSpec:
         raise SchemaError(f"bad model {text!r}: {exc}") from exc
 
 
-def _model_arg(args) -> ModelSpec:
-    if args.model.strip() == "korder":
-        if args.k is None:
-            raise SchemaError("--model korder needs --k")
-        return _parse_model(f"korder({args.k})")
-    model = _parse_model(args.model)
-    if args.k is not None and model.kind == "korder" and model.k != args.k:
-        raise SchemaError("--k conflicts with the k embedded in --model")
-    return model
+def _largest_sector(args, d: int, collision_free: bool = True) -> int:
+    """--n-max, or d if smaller for collision-free patterns; SchemaError if
+    a sector up to it is past the kernel-size cap or the pattern budget."""
+    n_max = min(args.n_max, d) if collision_free else args.n_max
+    if 2 * n_max > MAX_KERNEL_SIZE:
+        raise SchemaError(f"--n-max {args.n_max} needs kernel size "
+                          f"{2 * n_max}, past the cap {MAX_KERNEL_SIZE}")
+    count, total = max((pattern_count(d, n, collision_free), n)
+                       for n in range(n_max + 1))
+    if count > PATTERN_BUDGET:
+        raise SchemaError(f"--n-max {args.n_max} needs {count} patterns of "
+                          f"{total} photons, past the budget {PATTERN_BUDGET}")
+    return n_max
 
 
 def _tables(kernel: StateKernel, model: ModelSpec, totals) -> dict:
@@ -109,11 +115,10 @@ def _labels(patterns: np.ndarray) -> list:
 
 def cmd_probs(args) -> int:
     config = load_config(args.config)
-    model = _model_arg(args)
+    model = _parse_model(args.model)
     kernel = _kernel_for_model(config, model)
     distributions = {}
-    # no collision-free pattern has more photons than modes
-    n_max = args.n_max if args.collisions else min(args.n_max, kernel.d)
+    n_max = _largest_sector(args, kernel.d, not args.collisions)
     for total in range(1, n_max + 1):
         patterns = all_patterns(kernel.d, total,
                                 collision_free=not args.collisions)
@@ -164,12 +169,12 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_compare(args) -> int:
     config = load_config(args.config)
-    model_a = _model_arg(args)
+    model_a = _parse_model(args.model)
     model_b = _parse_model(args.model_b)
     kernel_a = _kernel_for_model(config, model_a)
     kernel_b = _kernel_for_model(config, model_b)
     samples = None
-    n_max = min(args.n_max, kernel_a.d)   # the collision-free sectors
+    n_max = _largest_sector(args, kernel_a.d)
     totals = set(range(1, n_max + 1))
     if args.samples:
         samples, codes = samples_from_csv(read_text(args.samples),
@@ -258,9 +263,10 @@ def cmd_oracle(args) -> int:
 
 def cmd_sample(args) -> int:
     config = load_config(args.config)
-    model = _model_arg(args)
-    table = sample_patterns(_kernel_for_model(config, model), model,
-                            args.pulses, args.n_max, args.seed,
+    model = _parse_model(args.model)
+    kernel = _kernel_for_model(config, model)
+    table = sample_patterns(kernel, model, args.pulses,
+                            _largest_sector(args, kernel.d), args.seed,
                             phi=source_from_config(config).phi)
     header = f"# dgbs sample config_hash={config_hash(config)} seed={args.seed}\n"
     return _write(args, chain([header], table.to_csv()))
@@ -281,8 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
         if model:
             p.add_argument("--model", default="full",
                            help="full | korder(k) | squeezer_only | classical")
-            p.add_argument("--k", type=int, default=None,
-                           help="truncation order for --model korder")
 
     p = sub.add_parser("probs", help="fixed-N pattern probability tables")
     common(p, model=True)

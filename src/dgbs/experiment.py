@@ -313,10 +313,9 @@ def build_error_signal(kernel: StateKernel, pairs):
     return signal
 
 
-def auto_select_pairs(kernel: StateKernel, setpoint: float = LOCK_SETPOINT,
-                      n_pairs: int = 5):
+def auto_select_pairs(kernel: StateKernel, n_pairs: int = 5):
     """Pick the highest-visibility twofold fringes of the phase-0 kernel
-    (:func:`lock_kernel`); signs are chosen so all slopes at the lock point
+    (:func:`lock_kernel`), signed so that all slopes at ``LOCK_SETPOINT``
     add constructively (anti-correlated fringes are weighted by -1)."""
     b, g = kernel.a.b, kernel.gamma
     candidates = []
@@ -327,7 +326,7 @@ def auto_select_pairs(kernel: StateKernel, setpoint: float = LOCK_SETPOINT,
             if amp == 0:
                 continue
             phase = float(np.angle(fringe.weight))
-            slope = -2 * amp * math.sin(2 * setpoint + phase)
+            slope = -2 * amp * math.sin(2 * LOCK_SETPOINT + phase)
             vis = amp / max(fringe.blocked + amp, 1e-30)
             candidates.append((vis, j, k, slope))
     candidates.sort(reverse=True)

@@ -18,7 +18,7 @@ from .errors import ConfigurationError, CutoffError
 from .states import SourceConfig, TransferMatrix
 
 UNITARY_TOL = 1e-12
-DEFAULT_TRUNCATION_EPS = 1e-6
+CUTOFF_TOL = 1e-7   # the probability error an adaptive cutoff stays under
 TAIL_TOP = 120      # photons summed per source in the input tail mass
 MAX_CUTOFF = 18     # largest total-photon cutoff the oracle expands
 
@@ -28,7 +28,6 @@ class FockVector:
     """Sparse pure state: occupation tuple -> complex amplitude."""
 
     d: int
-    cutoff: int
     amplitudes: dict = field(default_factory=dict)
 
     def norm_sq(self) -> float:
@@ -40,7 +39,7 @@ class FockVector:
 
 
 def coherent_fock(alpha: complex, cutoff: int) -> FockVector:
-    v = FockVector(1, cutoff)
+    v = FockVector(1)
     amp = math.exp(-abs(alpha) ** 2 / 2)
     term = complex(amp)
     for n in range(cutoff + 1):
@@ -50,7 +49,7 @@ def coherent_fock(alpha: complex, cutoff: int) -> FockVector:
 
 
 def tmsv_fock(r: float, cutoff: int) -> FockVector:
-    v = FockVector(2, cutoff)
+    v = FockVector(2)
     t = math.tanh(r)
     amp = 1.0 / math.cosh(r)
     for n in range(cutoff // 2 + 1):
@@ -59,7 +58,7 @@ def tmsv_fock(r: float, cutoff: int) -> FockVector:
 
 
 def expand_inputs(config: SourceConfig, total_modes: int, cutoff: int,
-                  eps: float = DEFAULT_TRUNCATION_EPS) -> FockVector:
+                  eps: float) -> FockVector:
     """TMSV (sum tanh^n r / cosh r |n,n>) and coherent state placed on their
     ports, vacuum elsewhere; total-photon cutoff."""
     ports = (*config.squeezer_ports, config.coherent_port)
@@ -67,7 +66,7 @@ def expand_inputs(config: SourceConfig, total_modes: int, cutoff: int,
         raise ConfigurationError("input port exceeds total modes")
     tm = tmsv_fock(config.r, cutoff)
     coh = coherent_fock(config.alpha_mag * np.exp(1j * config.phi), cutoff)
-    out = FockVector(total_modes, cutoff)
+    out = FockVector(total_modes)
     p, q, c = config.squeezer_ports[0], config.squeezer_ports[1], config.coherent_port
     for (na, nb), va in tm.amplitudes.items():
         for (nc,), vc in coh.amplitudes.items():
@@ -132,7 +131,7 @@ def _interfere(psi: FockVector, u: np.ndarray, limit: tuple) -> FockVector:
                       if j < m and low_digits[j] < limit[j]]
             ancilla = [(stride[j], c) for j, c in cols[i] if j >= m]
             moves[i][low] = (want - sum(low_digits), target, target + ancilla)
-    out = FockVector(d, psi.cutoff)
+    out = FockVector(d)
     for ket, amp in psi.amplitudes.items():
         # expand prod_i (sum_j u[j,i] a_j^dag)^{n_i} |0>, tracked as monomial
         # coefficients; |m> amplitude picks up sqrt(prod m_j!).
@@ -189,16 +188,11 @@ def dilate_lossy(t: TransferMatrix) -> np.ndarray:
     return w
 
 
-def input_tail_mass(config: SourceConfig, cutoff: int) -> float:
-    """Probability that the (pre-loss) input carries more than ``cutoff``
-    photons in total: TMSV pair statistics convolved with the Poisson
-    coherent intensity, both summed up to ``TAIL_TOP`` photons."""
-    return float(_input_photon_numbers(config)[cutoff + 1:].sum())
-
-
 def _input_photon_numbers(config: SourceConfig) -> np.ndarray:
-    """Distribution of the input's total photon number, entry n for n
-    photons (see :func:`input_tail_mass`).  A coherent intensity whose
+    """Distribution of the (pre-loss) input's total photon number, entry n
+    for n photons: TMSV pair statistics convolved with the Poisson coherent
+    intensity, both summed up to ``TAIL_TOP`` photons; the sum past entry c
+    is the input's tail mass above c photons.  A coherent intensity whose
     powers overflow a float, above about 369 photons, is refused with
     CutoffError: no cutoff up to ``MAX_CUTOFF`` could serve it."""
     x = math.tanh(config.r) ** 2
@@ -219,10 +213,10 @@ def _input_photon_numbers(config: SourceConfig) -> np.ndarray:
     return total
 
 
-def choose_cutoff(config: SourceConfig, t: TransferMatrix, pattern_total: int,
-                  tol: float = 1e-7) -> int:
+def choose_cutoff(config: SourceConfig, t: TransferMatrix,
+                  pattern_total: int) -> int:
     """Smallest total-photon cutoff, at most ``MAX_CUTOFF``, whose estimated
-    probability error stays under ``tol``.
+    probability error stays under ``CUTOFF_TOL``.
 
     Two error channels: in a lossy circuit, above-cutoff input components
     can reach the pattern by shedding their extra photons, bounded by the
@@ -238,11 +232,11 @@ def choose_cutoff(config: SourceConfig, t: TransferMatrix, pattern_total: int,
         tail = float(numbers[cutoff + 1:].sum())
         extra = cutoff + 1 - pattern_total
         est = tail * max(3.0 * (1.0 - eta_min) ** extra, quad * tail)
-        if est < tol:
+        if est < CUTOFF_TOL:
             return cutoff
     raise CutoffError(
-        f"no cutoff <= {MAX_CUTOFF} reaches tolerance {tol:.1e}; the input "
-        "is too bright for the Fock oracle")
+        f"no cutoff <= {MAX_CUTOFF} reaches tolerance {CUTOFF_TOL:.1e}; "
+        "the input is too bright for the Fock oracle")
 
 
 def checked_pattern(t: TransferMatrix, counts, cutoff: int = None) -> tuple:
@@ -264,8 +258,7 @@ def checked_pattern(t: TransferMatrix, counts, cutoff: int = None) -> tuple:
 
 
 def oracle_probability(config: SourceConfig, t: TransferMatrix, counts,
-                       cutoff: int = None, eps: float = 0.05,
-                       tol: float = 1e-7) -> float:
+                       cutoff: int = None, eps: float = 0.05) -> float:
     """Probability of the photon counts ``counts`` (one per output mode) by
     brute-force Fock expansion; the independent cross-check for the
     loop-Hafnian engine.
@@ -273,11 +266,11 @@ def oracle_probability(config: SourceConfig, t: TransferMatrix, counts,
     Passive evolution is exact within each total-photon sector, so the
     result's error comes only from the input mass above the cutoff; by
     default the cutoff is chosen adaptively to keep that error under
-    ``tol``.
+    ``CUTOFF_TOL``.
     """
     pattern = checked_pattern(t, counts, cutoff)
     if cutoff is None:
-        cutoff = choose_cutoff(config, t, sum(pattern), tol=tol)
+        cutoff = choose_cutoff(config, t, sum(pattern))
     return _oracle_probability_at(config, t, pattern, cutoff, eps)
 
 

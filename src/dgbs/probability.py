@@ -28,7 +28,7 @@ from .hafnian import MAX_KERNEL_SIZE, _pattern_index, pattern_polynomials
 from .states import (AMatrix, GaussianState, SourceConfig, TransferMatrix,
                      _frozen, a_matrix, phase_scan)
 
-DEFAULT_PATTERN_BUDGET = 200_000
+PATTERN_BUDGET = 200_000   # the most patterns of one photon total
 
 MODEL_KINDS = ("full", "korder", "squeezer_only", "classical")
 
@@ -65,9 +65,7 @@ class ModelSpec:
         text = text.strip()
         if text.startswith("korder"):
             inner = text[len("korder"):].strip("()")
-            return cls("korder", int(inner))
-        if text.startswith("k") and text[1:].isdigit():
-            return cls("korder", int(text[1:]))
+            return cls("korder", int(inner) if inner else None)
         return cls(text)
 
 
@@ -88,12 +86,12 @@ class PhaseFamily:
         self.p_vac = np.array([math.exp(v) for v in self.log_p_vac])
 
     @classmethod
-    def scan(cls, config: SourceConfig, t: TransferMatrix, phis,
-             classical: bool = False) -> "PhaseFamily":
+    def scan(cls, config: SourceConfig, t: TransferMatrix,
+             phis) -> "PhaseFamily":
         """The family of ``propagate(build_input_state(replace(config,
-        phi=phi), t.d), t)`` over ``phis`` (the classical surrogate input
-        if ``classical``), from one state and one Sigma_Q solve."""
-        state, gammas, log_p_vac = phase_scan(config, t, phis, classical)
+        phi=phi), t.d), t)`` over ``phis``, from one state and one Sigma_Q
+        solve."""
+        state, gammas, log_p_vac = phase_scan(config, t, phis)
         return cls(a_matrix(state), gammas, log_p_vac)
 
     def pattern_terms(self, counts, columns: int = None) -> np.ndarray:
@@ -253,16 +251,19 @@ class TwofoldFringe(NamedTuple):
         return self.offset + 2 * (w.real * rotation.real - w.imag * rotation.imag)
 
 
-def all_patterns(d: int, total: int, collision_free: bool,
-                 budget: int = DEFAULT_PATTERN_BUDGET) -> np.ndarray:
+def pattern_count(d: int, total: int, collision_free: bool) -> int:
+    """The number of d-mode patterns with the given photon total."""
+    return math.comb(d if collision_free else total + d - 1, total)
+
+
+def all_patterns(d: int, total: int, collision_free: bool) -> np.ndarray:
     """The patterns with the given photon total as a read-only (P, d)
     counts array: collision-free rows in descending, the others in
     ascending lexicographic order."""
-    count = math.comb(d, total) if collision_free else \
-        math.comb(total + d - 1, d - 1)
-    if count > budget:
+    count = pattern_count(d, total, collision_free)
+    if count > PATTERN_BUDGET:
         raise EnumerationBudgetError(
-            f"{count} patterns exceed enumeration budget {budget}")
+            f"{count} patterns exceed enumeration budget {PATTERN_BUDGET}")
     # multisets in reverse lexicographic order list the count vectors in
     # lexicographic order
     combos = combinations(range(d), total) if collision_free else \
@@ -335,16 +336,14 @@ class PatternDistribution:
                    obj.get("model", "measured"), obj.get("provenance", ""))
 
 
-def distribution_from_kernel(kernel: StateKernel, total: int,
-                             collision_free: bool = True,
-                             model: ModelSpec = ModelSpec(),
-                             budget: int = DEFAULT_PATTERN_BUDGET,
-                             provenance: str = "") -> PatternDistribution:
-    patterns = all_patterns(kernel.d, total, collision_free, budget)
+def distribution_from_kernel(
+        kernel: StateKernel, total: int, collision_free: bool = True,
+        model: ModelSpec = ModelSpec()) -> PatternDistribution:
+    patterns = all_patterns(kernel.d, total, collision_free)
     raw = kernel.pattern_probabilities(patterns, model)
     s = raw.sum()
     if s <= 0:
         raise ConfigurationError("distribution has zero total mass; cannot normalize")
     return PatternDistribution(kernel.d, total, collision_free,
                                patterns, raw / s,
-                               model=model.label(), provenance=provenance)
+                               model=model.label())

@@ -25,7 +25,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import ConfigurationError, SchemaError
-from .states import SourceConfig, TransferMatrix
+from .states import SourceConfig, TransferMatrix, _real
 
 CONFIG_VERSION = 1
 MAX_PHI_POINTS = 100_000   # lab phase scans take about 100
@@ -180,12 +180,6 @@ def check_ports(ports, d: int, name: str = "source") -> None:
         if type(port) is not int or not 0 <= port < d:
             raise SchemaError(f"bad {name} config: input port {port!r} is "
                               f"not a mode of the {d}-mode circuit")
-
-
-def _real(x) -> bool:
-    """Whether ``x`` is a finite real number (a bool is none)."""
-    return not isinstance(x, bool) and isinstance(x, (int, float)) \
-        and abs(x) <= sys.float_info.max
 
 
 def phi_grid_from_config(config: dict):

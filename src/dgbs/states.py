@@ -23,7 +23,8 @@ COND_LIMIT = 1e12
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+    """A read-only C-ordered copy of ``a``; ``a`` stays writeable."""
+    a = np.array(a, order="C")
     a.setflags(write=False)
     return a
 
@@ -142,12 +143,17 @@ class TransferMatrix:
         return self.embedded().T
 
 
+def _real(x) -> bool:
+    """Whether ``x`` is a finite real number (a bool is none)."""
+    return not isinstance(x, bool) and isinstance(x, (int, float)) \
+        and abs(x) <= sys.float_info.max
+
+
 def _require_finite(obj):
     """Every float field of the dataclass ``obj`` must be a finite number."""
     for f in fields(obj):
         x = getattr(obj, f.name)
-        if f.type == "float" and (isinstance(x, bool) or not isinstance(
-                x, (int, float)) or not abs(x) <= sys.float_info.max):
+        if f.type == "float" and not _real(x):
             raise ConfigurationError(f"{f.name} must be a finite number, got {x!r}")
 
 
@@ -238,8 +244,7 @@ def _assemble(config: SourceConfig, d: int, sigma, amplitude,
     return state
 
 
-def phase_scan(config: SourceConfig, t: TransferMatrix, phis,
-               classical: bool = False) -> tuple:
+def phase_scan(config: SourceConfig, t: TransferMatrix, phis) -> tuple:
     """(state, gammas, log_p_vacs) of the source through ``t`` over a scan
     of the coherent phase over ``phis``.
 
@@ -248,12 +253,10 @@ def phase_scan(config: SourceConfig, t: TransferMatrix, phis,
     serve every phase.  Row f of the (F, 2d) ``gammas`` and of
     ``log_p_vacs`` is gamma and log p_vac at ``phis[f]``, computed with
     :meth:`GaussianState.gamma_and_log_p_vac` and the matvecs of
-    ``propagate(build_input_state(replace(config, phi=phis[f]), d), t)``
-    (:func:`build_classical_input` if ``classical``), so the bits agree.
+    ``propagate(build_input_state(replace(config, phi=phis[f]), d), t)``.
     """
     d = t.d
-    sigma, amplitude, maps = \
-        (_classical_input if classical else _quantum_input)(config, d)
+    sigma, amplitude, maps = _quantum_input(config, d)
     maps = [*maps, t]
     state = _assemble(config, d, sigma, amplitude, maps)
     doubled = [_doubled_map(m) for m in maps]
@@ -375,7 +378,7 @@ def closest_classical_state(r: float, eta: float) -> ClassicalStateParams:
                                 float(n_th), float(s))
 
 
-def build_classical_input(config: SourceConfig, total_modes: int) -> GaussianState:
+def build_classical_input(config: SourceConfig, d: int) -> GaussianState:
     """Classical surrogate input: two closest-classical squeezed thermal
     states (opposite squeezing phases) combined on a balanced beam splitter
     at the squeezer ports, plus the coherent beam.
@@ -384,12 +387,6 @@ def build_classical_input(config: SourceConfig, total_modes: int) -> GaussianSta
     coherent amplitude is attenuated by sqrt(eta_tot) to match; feed the
     result through a lossless circuit.
     """
-    return _assemble(config, total_modes,
-                     *_classical_input(config, total_modes))
-
-
-def _classical_input(config: SourceConfig, d: int) -> tuple:
-    """(sigma, coherent amplitude, maps) of :func:`build_classical_input`."""
     params = closest_classical_state(config.r, config.eta_tot)
     v_plus, v_minus = params.quad_variances()
     g = (v_plus + v_minus) / 4          # <a a^dag + a^dag a>/2
@@ -405,5 +402,5 @@ def _classical_input(config: SourceConfig, d: int) -> tuple:
     inv_sqrt2 = 1 / np.sqrt(2)
     bs[p, p] = bs[p, q] = bs[q, p] = inv_sqrt2
     bs[q, q] = -inv_sqrt2
-    return (sigma, np.sqrt(config.eta_tot) * config.alpha_mag,
-            [TransferMatrix.square(bs)])
+    amplitude = np.sqrt(config.eta_tot) * config.alpha_mag
+    return _assemble(config, d, sigma, amplitude, [TransferMatrix.square(bs)])

@@ -341,16 +341,14 @@ def random_circuit(d, seed):
 def test_family_matches_state_per_phase(d, seed, count, model, chunk_bytes):
     cfg, t, rng = random_circuit(d, seed)
     phis = rng.uniform(-10, 40, count)
-    classical = model.kind == "classical"
-    build = build_classical_input if classical else build_input_state
     patterns = np.concatenate([all_patterns(d, total, collision_free=False)
                                for total in range(4)])
     with mock.patch.object(hafnian, "DP_CHUNK_BYTES", chunk_bytes):
-        family = PhaseFamily.scan(cfg, t, phis, classical=classical)
+        family = PhaseFamily.scan(cfg, t, phis)
         probs = family.pattern_probabilities(patterns, model)
     for f, phi in enumerate(phis):
         kern = StateKernel.from_state(
-            propagate(build(replace(cfg, phi=phi), d), t))
+            propagate(build_input_state(replace(cfg, phi=phi), d), t))
         assert same_bits(family.gammas[f], kern.gamma)
         assert family.log_p_vac[f] == kern.log_p_vac
         assert same_bits(probs[f], kern.pattern_probabilities(patterns, model))

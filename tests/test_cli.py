@@ -22,8 +22,8 @@ from conftest import haar_unitary
 from dgbs import cli, experiment, fock, serialize
 from dgbs.cli import main
 from dgbs.experiment import MAX_PULSES, sample_patterns, samples_from_csv
-from dgbs.probability import (ModelSpec, PatternDistribution, StateKernel,
-                              all_patterns)
+from dgbs.probability import (ModelSpec, PatternDistribution, PhaseFamily,
+                              StateKernel, all_patterns)
 from dgbs.reconstruction import records_from_csv
 from dgbs.serialize import (canonical_json, config_hash, load_config,
                             matrix_from_json, matrix_to_json,
@@ -550,6 +550,8 @@ def write_config(tmp_path, d, seed, source, name="cfg.json"):
 class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["probs", "--model", "korder"],
+        ["probs", "--model", "korder()"],
+        ["probs", "--model", "k2"],
         ["probs", "--model", "korder(x)"],
         ["compare", "--model-b", "korder(x)"],
         ["oracle", "--pattern", "a,b"],
@@ -570,12 +572,16 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("dgbs:")
         assert "Traceback" not in err
+        if argv[-1] in ("korder", "korder()"):
+            assert "korder model needs k" in err
 
-    def test_bare_korder_takes_k(self, config_path, tmp_path):
-        out = tmp_path / "p.json"
-        assert main(["probs", "--config", config_path, "--model", "korder",
-                     "--k", "1", "--n-max", "1", "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["model"] == "korder(1)"
+    def test_korder_has_one_spelling(self, config_path, capsys):
+        # korder(k) is the only way to give k; there is no --k flag
+        with pytest.raises(SystemExit) as exc:
+            main(["probs", "--config", config_path, "--model", "korder",
+                  "--k", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --k 2" in capsys.readouterr().err
 
 
 FUZZ_VALUES = (0, -1, 1e308, -1e308, 2 ** 70, -2 ** 70, 10 ** 400, "x", [],
@@ -1164,6 +1170,48 @@ class TestBadInput:
                          "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    CAP = "--n-max 11 needs kernel size 22, past the cap 20"
+
+    @pytest.mark.parametrize("argv, d, message", [
+        pytest.param(["probs", "--collisions", "--n-max", "11"], 3, CAP,
+                     id="probs-collisions"),
+        pytest.param(["probs", "--n-max", "11"], 12, CAP, id="probs"),
+        pytest.param(["sample", "--n-max", "11"], 12, CAP, id="sample"),
+        pytest.param(["compare", "--model-b", "full", "--n-max", "11"], 12,
+                     CAP, id="compare"),
+        pytest.param(["probs", "--n-max", "10"], 21,
+                     "--n-max 10 needs 352716 patterns of 10 photons, past "
+                     "the budget 200000", id="probs-budget"),
+        pytest.param(["probs", "--collisions", "--n-max", "8"], 15,
+                     "--n-max 8 needs 319770 patterns of 8 photons, past "
+                     "the budget 200000", id="probs-collisions-budget"),
+    ])
+    def test_n_max_past_the_kernel_cap_or_budget_exits_2(
+            self, argv, d, message, tmp_path, monkeypatch, capsys):
+        # refused before any table is built and before --out is opened; a
+        # d=15 probs at --n-max 11 used to evaluate ten sectors (13.5 s)
+        # and then exit 1, and compare left sector 11 out without a word
+        def refuse(*args, **kw):
+            raise AssertionError("a refused --n-max reached the evaluator")
+
+        monkeypatch.setattr(PhaseFamily, "pattern_probabilities", refuse)
+        config = write_config(tmp_path, d, 42, {
+            "r": 0.35, "alpha_mag": 0.6, "phi": 0.0,
+            "squeezer_ports": [0, 1], "coherent_port": 2})
+        out = tmp_path / "out"
+        code = main([*argv, "--config", config, "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (2, f"dgbs: {message}\n")
+        assert not out.exists()
+
+    def test_n_max_at_the_kernel_cap_runs(self, config_path, tmp_path):
+        # kernel size 20, the cap, and at most 66 patterns per sector
+        out = tmp_path / "probs.json"
+        assert main(["probs", "--config", config_path, "--collisions",
+                     "--n-max", "10", "--out", str(out)]) == 0
+        tables = json.loads(out.read_text())["distributions"]
+        assert sorted(map(int, tables)) == list(range(1, 11))
+        assert len(tables["10"]["patterns"]) == 66
 
     @pytest.mark.parametrize("grid, size", [
         ([0.5], 1), ([0, 1.5, 3], 3), ({"start": 0, "stop": 1, "num": 1}, 1),

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from conftest import haar_unitary, lossy_transfer
 from dgbs.errors import ConfigurationError, NumericalError, PhysicalityError
+from dgbs.probability import StateKernel
 from dgbs.states import (AMatrix, GaussianState, SourceConfig,
                          TransferMatrix, a_matrix, build_classical_input,
                          build_input_state, closest_classical_state,
@@ -140,6 +141,25 @@ class TestKernel:
         want[0, 1] = want[1, 0] = th
         assert_allclose(a.b, want, atol=1e-12)
         assert_allclose(a.c, 0.0, atol=1e-12)
+
+    def test_constructors_copy_what_they_freeze(self):
+        # each stores a read-only copy, so the caller's own contiguous
+        # complex arrays, which np.ascontiguousarray hands back as they
+        # are, stay writeable
+        st = build_input_state(SourceConfig(r=0.3, alpha_mag=0.5), 3)
+        sigma, delta = np.array(st.sigma), np.array(st.delta)
+        t = 0.8 * np.eye(3, dtype=complex)
+        b, c = np.array(a_matrix(st).b), np.array(a_matrix(st).c)
+        gamma = np.array(st.gamma_and_log_p_vac(st.delta)[0])
+        state = GaussianState(3, sigma, delta)
+        transfer = TransferMatrix.square(t)
+        a = AMatrix(3, b, c)
+        kern = StateKernel(a, gamma, 0.0)
+        for given in (sigma, delta, t, b, c, gamma):
+            assert given.flags.writeable
+        for stored in (state.sigma, state.delta, transfer.t, a.b, a.c,
+                       kern.gamma):
+            assert not stored.flags.writeable
 
     def test_gamma_coherent(self):
         st = build_input_state(SourceConfig(alpha_mag=0.5, phi=0.3), 3)
