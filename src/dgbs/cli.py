@@ -280,9 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Displaced Gaussian boson sampling toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model=False):
+    def common(p, model=False, seed=False):
         p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--seed", type=int, default=0)
+        if seed:   # only the commands that draw random numbers
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="-", help="output path (default stdout)")
         if model:
             p.add_argument("--model", default="full",
@@ -296,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_probs)
 
     p = sub.add_parser("simulate", help="generate three-setting records CSV")
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("reconstruct", help="invert records to (B, C, gamma)")
@@ -317,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("lock", help="simulate phase drift and PID locking")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--duration", type=float, default=60.0)
     p.set_defaults(func=cmd_lock)
 
@@ -330,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("sample", help="draw detection patterns")
-    common(p, model=True)
+    common(p, model=True, seed=True)
     p.add_argument("--pulses", type=int, default=10000)
     p.add_argument("--n-max", type=int, default=4)
     p.set_defaults(func=cmd_sample)

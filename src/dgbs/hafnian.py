@@ -99,10 +99,13 @@ def _evaluate(steps: list, m: np.ndarray, diag: np.ndarray,
     (with ``columns`` 1), a pair term goes into the row's one column
     instead of the next, and each row holds the loop hafnian of its subset.
     Every entry is summed in the order of the one-kernel recursion, and only
-    terms that are zero for every kernel are left out, so its bits depend
-    neither on the batch it is part of nor on ``columns``.  (A recursion
-    that also adds those zeros can differ only in the sign of an entry that
-    is itself an exact zero.)"""
+    terms that are zero for every kernel are left out.  The products are
+    np.multiply calls: numpy may run ``x * y`` of two large temporaries in
+    place as ``y * x``, which for complex values can differ in the last
+    bit.  So an entry's bits depend neither on the batch it is part of, at
+    any chunk size, nor on ``columns``.  (A recursion that also adds those
+    zeros can differ only in the sign of an entry that is itself an exact
+    zero.)"""
     shift = 0 if summed else 1    # the column offset of a pair term
     prev = np.ones((1, 1) + diag.shape[1:], dtype=complex)
     prev2 = None
@@ -117,11 +120,11 @@ def _evaluate(steps: list, m: np.ndarray, diag: np.ndarray,
             np.multiply(diag[i][:, None], prev[rest], out=row[:, :-1])
             row[:, -1] = complex(-0.0, -0.0)
         else:
-            row = diag[i][:, None] * prev[rest]
+            row = np.multiply(diag[i][:, None], prev[rest])
         if width > shift:   # else no column takes a pair term (korder(0))
             for j, pair in zip(js, pairs):
-                row[:, shift:] += (m[i, j][:, None, None]
-                                   * prev2[pair, :width - shift])
+                row[:, shift:] += np.multiply(m[i, j][:, None, None],
+                                              prev2[pair, :width - shift])
         prev2, prev = prev, row
     return prev[0].transpose(1, 2, 0)
 

@@ -22,9 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, DgbsError, SchemaError
-from .metrics import tvd
-from .probability import (ModelSpec, PatternDistribution, StateKernel,
-                          all_patterns, distribution_from_kernel)
+from .probability import PatternDistribution, StateKernel, all_patterns
 from .serialize import _csv_rows, _read_csv
 from .states import AMatrix
 
@@ -35,6 +33,9 @@ GAMMA_FLOOR = 1e-6  # B_jk undetermined if its fringe denominator <= this^2
 B_FLOOR = 1e-9      # a pair with |B_jk| <= this gives no mu phase
 EPS_FLOOR = 1e-6    # Im(conj(mu_j) mu_k) below this * |mu_j mu_k|: no Im sign
 PHASE_INIT_SIGMA = 0.3  # spread of the optimizer's starts around direct phases
+LM_STEPS = 100      # the most Levenberg-Marquardt trial steps of one start
+LM_TOL = 1e-12      # a start converges on a step this small in every phase
+LM_MAX_DAMPING = 1e10  # or relative misfit, or once no step this damped helps
 # pair flags whose entries the threefold optimizer completes
 FALLBACK_FLAGS = ("b_undetermined", "invalid_argument", "epsilon_degenerate",
                   "im_inconsistent", "im_sign_unknown")
@@ -605,63 +606,115 @@ def optimize_undetermined_phases(result: ReconstructionResult,
                                  threefolds: PatternDistribution,
                                  restarts: int = 10,
                                  seed: int = 0) -> ReconstructionResult:
-    """Monte-Carlo phase completion: minimize the TVD between the measured
-    threefold distribution and the kernel's prediction over the phases of
-    the flagged entries, at their magnitudes ``c_abs``; 10 restarts,
-    Gaussian initials around the direct estimates where available, uniform
-    [-pi, pi) otherwise."""
+    """Phase completion: fit the phases of the flagged entries, at their
+    magnitudes ``c_abs``, to the measured threefolds by Levenberg-Marquardt
+    on the squared residuals of the normalised table (Marquardt, SIAM J.
+    Appl. Math. 11, 1963), with the exact Jacobian of
+    :func:`_normalised_jacobian`.  Of ``restarts`` starts, Gaussian around
+    the direct estimates where available and uniform in [-pi, pi)
+    otherwise, the fit with the smallest TVD wins.  A table that raises a
+    DgbsError or has no mass rejects its step, or ends its start if the
+    Jacobian needs it; a start without a table scores TVD 1."""
     entries = result.fallback_entries
     if not entries:
         return result
-    # imported here: only a run that completes phases pays for scipy
-    from scipy.optimize import minimize
     rng = np.random.default_rng(seed)
-    base_c = result.c.copy()
+    target = threefolds.probabilities
 
-    def build(phases):
-        c = base_c.copy()
-        for (j, k), th in zip(entries, phases):
-            val = result.c_abs[j, k] * np.exp(1j * th)
-            c[j, k] = val
-            c[k, j] = np.conj(val)
-        return replace(result, c=c).to_kernel()
-
-    def objective(phases):
+    def table(phases):
+        """The raw threefold table at ``phases``, or None."""
         try:
-            dist = distribution_from_kernel(build(phases), threefolds.total,
-                                            threefolds.collision_free,
-                                            ModelSpec("full"))
+            raw = _completed(result, phases).pattern_probabilities(
+                threefolds.patterns)
         except DgbsError:
-            return 1.0
-        return tvd(dist, threefolds)
+            return None
+        return raw if raw.sum() > 0 else None
 
-    direct = np.array([np.angle(base_c[j, k]) if base_c[j, k] != 0 else np.nan
-                       for j, k in entries])
-    best = None
-    values = []
-    for run in range(restarts):
+    def misfit(raw):
+        return float(np.square(raw / raw.sum() - target).sum())
+
+    def fit(x):
+        """The phases, TVD and convergence of one fit started at ``x``."""
+        raw = table(x)
+        if raw is None:
+            return x, 1.0, False
+        cost, lam, converged, jtj = misfit(raw), 1e-3, False, None
+        for _ in range(LM_STEPS):
+            if jtj is None:
+                jac = _normalised_jacobian(table, x, raw)
+                if jac is None:
+                    break
+                jtj, grad = jac @ jac.T, jac @ (raw / raw.sum() - target)
+                if not grad.any():
+                    converged = True
+                    break
+                # Marquardt's scaling, floored for an entry without effect
+                scale = np.diag(np.maximum(np.diag(jtj),
+                                           1e-12 * np.diag(jtj).max()))
+            step = np.linalg.solve(jtj + lam * scale, -grad)
+            trial = table(x + step)
+            new = np.inf if trial is None else misfit(trial)
+            if new < cost:
+                converged = new >= (1 - LM_TOL) * cost or \
+                    np.abs(step).max() <= LM_TOL
+                x, raw, cost, lam, jtj = x + step, trial, new, lam / 10, None
+            else:
+                lam *= 10
+                converged = lam > LM_MAX_DAMPING
+            if converged:
+                break
+        return x, float(np.abs(raw / raw.sum() - target).sum() / 2), converged
+
+    direct = np.array([np.angle(result.c[j, k]) if result.c[j, k] != 0
+                       else np.nan for j, k in entries])
+    fits = []
+    for _ in range(restarts):
         init = np.where(np.isnan(direct),
                         rng.uniform(-math.pi, math.pi, size=len(entries)),
                         direct + rng.normal(0, PHASE_INIT_SIGMA,
                                             size=len(entries)))
-        res = minimize(objective, init, method="Nelder-Mead",
-                       options={"maxiter": 400 * max(1, len(entries)),
-                                "xatol": 1e-6, "fatol": 1e-12})
-        values.append(res.fun)
-        if best is None or res.fun < best.fun:
-            best = res
-    kernel = build(best.x)
+        fits.append(fit(init))
+    phases, best_tvd, converged = min(fits, key=lambda f: f[1])
+    kernel = _completed(result, phases)
     report = {
         "entries": [list(e) for e in entries],
-        "best_tvd": float(best.fun),
-        "tvd_spread": float(np.std(values)),
-        "phases": [float(x) for x in _wrap(best.x)],
-        "converged": bool(best.success),
+        "best_tvd": best_tvd,
+        "tvd_spread": float(np.std([f[1] for f in fits])),
+        "phases": [float(x) for x in _wrap(phases)],
+        "converged": bool(converged),
         "restarts": restarts,
     }
     return replace(result, c=kernel.a.c, optimizer_report=report,
                    flags=result.flags + [("optimized", j, k)
                                          for j, k in entries])
+
+
+def _completed(result: ReconstructionResult, phases) -> StateKernel:
+    """The kernel of ``result`` with its fallback entries C_jk at their
+    measured magnitudes and the given phases."""
+    c = result.c.copy()
+    for (j, k), th in zip(result.fallback_entries, phases):
+        val = result.c_abs[j, k] * np.exp(1j * th)
+        c[j, k] = val
+        c[k, j] = np.conj(val)
+    return replace(result, c=c).to_kernel()
+
+
+def _normalised_jacobian(table, x, raw):
+    """The (E, P) Jacobian of raw / raw.sum() in the E phases at ``x``
+    (``raw`` is ``table(x)``), or None if ``table`` gives None at a phase
+    it needs.  A matching uses each kernel entry at most once, unless a
+    pattern holds two photons in both of its modes, as no threefold does.
+    So each raw entry is a + b cos(theta) + c sin(theta) in each phase,
+    half its difference at theta +- pi/2 is its exact derivative, and the
+    quotient rule does the rest."""
+    turns = np.eye(len(x)) * (math.pi / 2)
+    sides = [table(x + t) for t in (*turns, *-turns)]
+    if any(side is None for side in sides):
+        return None
+    slope = (np.array(sides[:len(x)]) - sides[len(x):]) / 2
+    total = raw.sum()
+    return (slope - slope.sum(axis=1, keepdims=True) * (raw / total)) / total
 
 
 # ---------------------------------------------------------------------------

@@ -290,6 +290,27 @@ def test_probabilities_match_one_at_a_time(d, seed, model, picks, chunk_bytes):
     assert same_bits(batch, single)
 
 
+@pytest.mark.parametrize("model", [ModelSpec(), ModelSpec("korder", 2)])
+def test_chunk_budget_moves_no_bit(model):
+    # numpy may run x * y of two large temporaries in place as y * x, and
+    # its complex multiply is not bitwise commutative; the DP multiplies
+    # with np.multiply, so the d=15 tables of the benchmark's seed-0 state
+    # keep their bytes from 1 MiB chunks to 16 MiB ones (under the full
+    # model at N = 5, 258 patterns a chunk and then all 3,003 in one)
+    cfg = SourceConfig(r=math.asinh(math.sqrt(0.2)),
+                       alpha_mag=math.sqrt(2.2), eta_c=0.1)
+    kern = StateKernel.from_state(propagate(
+        build_input_state(cfg, 15), lossy_transfer(15, 1.0, seed=300)))
+    for total in (4, 5):
+        patterns = all_patterns(15, total, collision_free=True)
+        tables = []
+        for budget in (1 << 20, 1 << 24):
+            with mock.patch.object(hafnian, "DP_CHUNK_BYTES", budget):
+                tables.append(
+                    kern.pattern_probabilities(patterns, model).tobytes())
+        assert tables[0] == tables[1]
+
+
 @pytest.mark.parametrize("d, total", [(6, 4), (4, 5)])
 def test_sector_longer_than_one_chunk(d, total):
     # d=6, N=4: 126 patterns at kernel size 8; d=4, N=5: 56 patterns at

@@ -23,12 +23,13 @@ from dgbs import cli, experiment, fock, serialize
 from dgbs.cli import main
 from dgbs.experiment import MAX_PULSES, sample_patterns, samples_from_csv
 from dgbs.probability import (ModelSpec, PatternDistribution, PhaseFamily,
-                              StateKernel, all_patterns)
+                              StateKernel, all_patterns,
+                              distribution_from_kernel)
 from dgbs.reconstruction import records_from_csv
 from dgbs.serialize import (canonical_json, config_hash, load_config,
                             matrix_from_json, matrix_to_json,
                             source_from_config, transfer_from_config)
-from dgbs.states import build_classical_input, propagate
+from dgbs.states import build_classical_input, build_input_state, propagate
 
 
 @pytest.fixture
@@ -582,6 +583,20 @@ class TestExitCodes:
                   "--k", "2"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --k 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["probs"],
+        ["compare", "--model-b", "full"],
+        ["oracle", "--pattern", "1,0,1"],
+    ])
+    def test_seed_only_where_something_is_drawn(self, argv, config_path,
+                                                capsys):
+        # probs, compare and oracle draw no random numbers
+        with pytest.raises(SystemExit) as exc:
+            main(argv[:1] + ["--config", config_path, "--seed", "3"]
+                 + argv[1:])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
 FUZZ_VALUES = (0, -1, 1e308, -1e308, 2 ** 70, -2 ** 70, 10 ** 400, "x", [],
@@ -1659,16 +1674,38 @@ class TestTracedRun:
 
 class TestStartup:
     def test_cli_runs_without_scipy(self, config_path, tmp_path):
-        # a fresh interpreter: the modules of this test process do not count
+        # a fresh interpreter in which scipy cannot be imported runs probs,
+        # and simulate and reconstruct through the threefold phase fallback
+        # (a d=4 circuit without a second input leaves every Im C sign
+        # unknown); the modules of this test process do not count
         import dgbs
         src = str(Path(dgbs.__file__).resolve().parents[1])
+        cfg = json.loads(Path(config_path).read_text())
+        cfg["source"].update(r=0.35, alpha_mag=0.7)
+        cfg["transfer"] = {"t": matrix_to_json(
+            math.sqrt(0.5) * haar_unitary(4, seed=3))}
+        (tmp_path / "d4.json").write_text(json.dumps(cfg))
+        config = load_config(str(tmp_path / "d4.json"))
+        truth = StateKernel.from_state(propagate(build_input_state(
+            source_from_config(config), 4), transfer_from_config(config)))
+        (tmp_path / "three.json").write_text(
+            distribution_from_kernel(truth, 3).to_json())
+        runs = [["probs", "--config", config_path, "--out", "p.json"],
+                ["simulate", "--config", "d4.json", "--out", "records.csv"],
+                ["reconstruct", "--records", "records.csv",
+                 "--threefolds", "three.json", "--out", "state.json"]]
         code = (
             "import sys\n"
+            "class NoScipy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.partition('.')[0] == 'scipy':\n"
+            "            raise ImportError('scipy is not installed')\n"
+            "sys.meta_path.insert(0, NoScipy())\n"
             "import dgbs, dgbs.cli\n"
-            f"assert dgbs.cli.main(['probs', '--config', {config_path!r},"
-            f" '--out', {str(tmp_path / 'p.json')!r}]) == 0\n"
+            f"for argv in {runs!r}:\n"
+            "    assert dgbs.cli.main(argv) == 0, argv\n"
             "print(sorted(m for m in sys.modules"
-            " if m == 'scipy' or m.startswith('scipy.')))\n")
+            " if m.partition('.')[0] == 'scipy'))\n")
         out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
                              env={**os.environ, "PYTHONPATH": src},
                              capture_output=True, text=True, timeout=120)
@@ -1676,3 +1713,6 @@ class TestStartup:
         assert out.stdout.strip() == "[]"
         assert json.loads((tmp_path / "p.json").read_text())["command"] \
             == "probs"
+        report = json.loads(
+            (tmp_path / "state.json").read_text())["optimizer_report"]
+        assert report["best_tvd"] < 1e-6

@@ -397,12 +397,12 @@ class TestRoundTrip:
                 raise error("evaluation failed")
             return evaluate
 
-        monkeypatch.setattr(reconstruction, "distribution_from_kernel",
+        monkeypatch.setattr(StateKernel, "pattern_probabilities",
                             failing(NumericalError))
         out = reconstruction.optimize_undetermined_phases(res, three,
                                                           restarts=1)
         assert out.optimizer_report["best_tvd"] == 1.0
-        monkeypatch.setattr(reconstruction, "distribution_from_kernel",
+        monkeypatch.setattr(StateKernel, "pattern_probabilities",
                             failing(TypeError))
         with pytest.raises(TypeError, match="evaluation failed"):
             reconstruction.optimize_undetermined_phases(res, three,
@@ -435,6 +435,67 @@ class TestRoundTrip:
         obj = json.loads(res.to_json())
         assert obj["d"] == 4
         assert len(obj["b"]) == 4
+
+
+def unsigned_reconstruction(d, seed):
+    """The noiseless reconstruction of a d-mode circuit without a second
+    input, which leaves its Im C signs to the phase fallback, and the
+    circuit's collision-free threefold table."""
+    cfg = SourceConfig(r=0.35, alpha_mag=0.7)
+    t = lossy_transfer(d, 0.5, seed=seed)
+    truth = StateKernel.from_state(propagate(build_input_state(cfg, d), t))
+    res = reconstruct(simulate_records(cfg, t, second_input_port=None,
+                                       phi_grid=PHI_GRID[:60],
+                                       pulses_per_setting=math.inf,
+                                       include_collisions=True))
+    assert res.fallback_entries
+    return res, distribution_from_kernel(truth, 3)
+
+
+class TestPhaseFit:
+    """The structure that the fallback's Levenberg-Marquardt fit relies on:
+    each raw threefold probability is a + b cos + c sin in each phase."""
+
+    @pytest.mark.parametrize("d, seed", [(4, 3), (4, 8), (5, 11)])
+    @pytest.mark.parametrize("collision_free", [True, False])
+    def test_threefolds_are_trigonometric_in_each_phase(self, d, seed,
+                                                        collision_free):
+        res, _ = unsigned_reconstruction(d, seed)
+        patterns = all_patterns(d, 3, collision_free)
+        rng = np.random.default_rng(seed)
+        phases = rng.uniform(-math.pi, math.pi, len(res.fallback_entries))
+        entry = rng.integers(len(phases))
+        thetas = rng.uniform(-math.pi, math.pi, 5)
+        raw = []
+        for theta in thetas:
+            phases[entry] = theta
+            raw.append(reconstruction._completed(res, phases)
+                       .pattern_probabilities(patterns))
+        raw = np.array(raw)
+        assert (raw > 0).all()   # no value was clamped
+        design = np.stack([np.ones(5), np.cos(thetas), np.sin(thetas)], 1)
+        coef = np.linalg.lstsq(design, raw, rcond=None)[0]
+        assert np.abs(design @ coef - raw).max() <= 1e-12 * raw.max()
+
+    @pytest.mark.parametrize("d, seed", [(4, 3), (5, 11)])
+    def test_jacobian_matches_central_difference(self, d, seed):
+        res, three = unsigned_reconstruction(d, seed)
+
+        def table(phases):
+            return reconstruction._completed(res, phases) \
+                .pattern_probabilities(three.patterns)
+
+        def normalised(phases):
+            raw = table(phases)
+            return raw / raw.sum()
+
+        x = np.random.default_rng(seed).uniform(
+            -math.pi, math.pi, len(res.fallback_entries))
+        jac = reconstruction._normalised_jacobian(table, x, table(x))
+        h = 1e-5
+        central = np.array([(normalised(x + h * e) - normalised(x - h * e))
+                            / (2 * h) for e in np.eye(len(x))])
+        assert np.abs(jac - central).max() <= 1e-6 * np.abs(jac).max()
 
 
 FLAG_STAGES = (("gamma_clamped",), ("b_undetermined",), ("b_clamped",),
