@@ -37,7 +37,7 @@ from .reconstruction import (check_threefolds, reconstruct, records_from_csv,
 from .serialize import (canonical_json, check_ports, circuit_from_config,
                         config_hash, drift_from_config, load_config,
                         phi_grid_from_config, pid_from_config,
-                        pulses_from_config, read_text, source_from_config)
+                        pulses_from_config, read_text)
 from .states import build_classical_input, build_input_state, propagate
 
 
@@ -59,8 +59,9 @@ def _write_json(args, fields: dict, config: dict) -> int:
     return _write(args, [canonical_json({**fields, **stamp}), "\n"])
 
 
-def _kernel_for_model(config: dict, model: ModelSpec) -> StateKernel:
-    source, transfer = circuit_from_config(config)
+def _kernel_for_model(source, transfer, model: ModelSpec) -> StateKernel:
+    """The kernel of the circuit ``source``, ``transfer`` under ``model``:
+    the classical input for the classical model, else the quantum one."""
     build = build_classical_input if model.kind == "classical" \
         else build_input_state
     return StateKernel.from_state(propagate(build(source, transfer.d), transfer))
@@ -116,7 +117,7 @@ def _labels(patterns: np.ndarray) -> list:
 def cmd_probs(args) -> int:
     config = load_config(args.config)
     model = _parse_model(args.model)
-    kernel = _kernel_for_model(config, model)
+    kernel = _kernel_for_model(*circuit_from_config(config), model)
     distributions = {}
     n_max = _largest_sector(args, kernel.d, not args.collisions)
     for total in range(1, n_max + 1):
@@ -171,8 +172,9 @@ def cmd_compare(args) -> int:
     config = load_config(args.config)
     model_a = _parse_model(args.model)
     model_b = _parse_model(args.model_b)
-    kernel_a = _kernel_for_model(config, model_a)
-    kernel_b = _kernel_for_model(config, model_b)
+    source, transfer = circuit_from_config(config)
+    kernel_a = _kernel_for_model(source, transfer, model_a)
+    kernel_b = _kernel_for_model(source, transfer, model_b)
     samples = None
     n_max = _largest_sector(args, kernel_a.d)
     totals = set(range(1, n_max + 1))
@@ -252,7 +254,7 @@ def cmd_oracle(args) -> int:
             transfer, [int(c) for c in args.pattern.split(",")], args.cutoff)
     except (ValueError, ConfigurationError) as exc:
         raise SchemaError(f"bad --pattern {args.pattern!r}: {exc}") from exc
-    engine = float(_kernel_for_model(config, ModelSpec())
+    engine = float(_kernel_for_model(source, transfer, ModelSpec())
                    .pattern_probabilities([pattern])[0])
     oracle = oracle_probability(source, transfer, pattern,
                                 cutoff=args.cutoff)
@@ -264,10 +266,11 @@ def cmd_oracle(args) -> int:
 def cmd_sample(args) -> int:
     config = load_config(args.config)
     model = _parse_model(args.model)
-    kernel = _kernel_for_model(config, model)
+    source, transfer = circuit_from_config(config)
+    kernel = _kernel_for_model(source, transfer, model)
     table = sample_patterns(kernel, model, args.pulses,
                             _largest_sector(args, kernel.d), args.seed,
-                            phi=source_from_config(config).phi)
+                            phi=source.phi)
     header = f"# dgbs sample config_hash={config_hash(config)} seed={args.seed}\n"
     return _write(args, chain([header], table.to_csv()))
 

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigurationError, CutoffError
 from .states import SourceConfig, TransferMatrix
 
-UNITARY_TOL = 1e-12
+UNITARY_TOL = 1e-10   # largest |U U^dag - 1| entry of a unitary
 CUTOFF_TOL = 1e-7   # the probability error an adaptive cutoff stays under
 TAIL_TOP = 120      # photons summed per source in the input tail mass
 MAX_CUTOFF = 18     # largest total-photon cutoff the oracle expands
@@ -95,14 +95,23 @@ def _interfere(psi: FockVector, u: np.ndarray, limit: tuple) -> FockVector:
     """:func:`apply_interferometer` expanded only toward the target ``limit``
     in the first m = len(limit) modes.
 
-    A monomial that has placed ``have`` photons in those modes, with
-    ``left`` creation operators of its ket still to apply, can reach the
-    target only while sum(limit) - have <= left and no exponent j < m
-    exceeds limit[j]; every other monomial is dropped as soon as it
-    appears.  Exponents and ``have`` only grow, so a dropped monomial never
-    feeds a kept one: each kept amplitude sums the same terms in the same
-    order as the full expansion, and keeps its bits.  With ``limit=()``
-    nothing is dropped.
+    A ket is a sequence of creation operators, applied in one order of the
+    modes: those in which the kets hold photons, by their largest exponent
+    and then by index (for the oracle's inputs the squeezer ports come
+    first and the coherent port last).  These sequences form a trie, which
+    the expansion walks depth first: a prefix that several kets share is
+    expanded once, from coefficient 1, and each ket reads its monomials at
+    its own node and scales them by amp / sqrt(prod n_i!) only there.
+
+    A monomial that has placed ``have`` photons in the target modes can
+    reach the target only while no exponent j < m exceeds limit[j] and
+    sum(limit) - have <= left, the most creation operators that a ket
+    below its node has still to apply; every other monomial is dropped as
+    soon as it appears.  ``left`` falls by at least one per operator, and
+    exponents and ``have`` only grow, so a dropped monomial never feeds a
+    kept one: each kept amplitude sums the same terms in the same order as
+    the full expansion, and keeps its bits.  With ``limit=()`` nothing is
+    dropped.
 
     A monomial is one int, digit j (radix 1 + the most photons of any ket)
     the exponent of mode j; the target modes are the low digits.
@@ -111,12 +120,13 @@ def _interfere(psi: FockVector, u: np.ndarray, limit: tuple) -> FockVector:
     d = psi.d
     if u.shape != (d, d):
         raise ConfigurationError(f"unitary shape {u.shape} != ({d},{d})")
-    if np.abs(u @ u.conj().T - np.eye(d)).max() > 1e-10:
+    if np.abs(u @ u.conj().T - np.eye(d)).max() > UNITARY_TOL:
         raise ConfigurationError("interferometer matrix is not unitary")
     m, want = len(limit), sum(limit)
     radix = 1 + max(map(sum, psi.amplitudes), default=0)
     stride = [radix ** j for j in range(d)]
     low_span = radix ** m
+    goal = sum(s * e for s, e in zip(stride, limit))
     cols = [[(j, complex(u[j, i])) for j in range(d) if u[j, i] != 0]
             for i in range(d)]
     # per column and per low part (mono % low_span, the target exponents):
@@ -131,42 +141,75 @@ def _interfere(psi: FockVector, u: np.ndarray, limit: tuple) -> FockVector:
                       if j < m and low_digits[j] < limit[j]]
             ancilla = [(stride[j], c) for j, c in cols[i] if j >= m]
             moves[i][low] = (want - sum(low_digits), target, target + ancilla)
-    out = FockVector(d)
-    for ket, amp in psi.amplitudes.items():
-        # expand prod_i (sum_j u[j,i] a_j^dag)^{n_i} |0>, tracked as monomial
-        # coefficients; |m> amplitude picks up sqrt(prod m_j!).
-        left = sum(ket)
-        if left < want:
-            continue
-        scale = math.sqrt(math.prod(map(math.factorial, ket)))
-        poly = {0: complex(amp / scale)}
-        for i, n_i in enumerate(ket):
-            table = moves[i]
-            for _ in range(n_i):
-                nxt = {}
-                get = nxt.get
-                for mono, coeff in poly.items():
-                    missing, target, steps = table[mono % low_span]
-                    for step, cj in steps if missing < left else target:
-                        key = mono + step
-                        nxt[key] = get(key, 0.0) + coeff * cj
-                poly = nxt
-                left -= 1
-        for mono, coeff in poly.items():
-            key = _digits(mono, radix, d)
-            val = coeff * math.sqrt(math.prod(map(math.factorial, key)))
-            out.amplitudes[key] = out.amplitudes.get(key, 0.0) + val
-    out.amplitudes = {k: v for k, v in out.amplitudes.items() if v != 0}
-    return out
+    kets = [ket for ket in psi.amplitudes if sum(ket) >= want]
+    if not kets:
+        return FockVector(d)
+    top = [max(exponents) for exponents in zip(*kets)]
+    order = sorted((i for i in range(d) if top[i]), key=top.__getitem__)
+    nodes = _ket_nodes({0: 1.0}, 0,
+                       sorted(kets, key=lambda ket: [ket[i] for i in order]),
+                       order, moves, low_span)
+    # each ket's target monomials at its node, with their coefficients
+    reached = {ket: [(mono, coeff) for mono, coeff in poly.items()
+                     if mono % low_span == goal] for ket, poly in nodes}
+    # each target monomial's occupations, sqrt(prod m_j!) and amplitude,
+    # summed over the kets in their order in psi
+    found = {}
+    for ket in kets:
+        factor = complex(psi.amplitudes[ket] / math.sqrt(
+            math.prod(map(math.factorial, ket))))
+        for mono, coeff in reached[ket]:
+            entry = found.get(mono)
+            if entry is None:
+                key = tuple([mono // s % radix for s in stride])
+                entry = found[mono] = [
+                    key, math.sqrt(math.prod(map(math.factorial, key))), 0.0]
+            entry[2] += coeff * factor * entry[1]
+    return FockVector(d, {key: amp for key, _, amp in found.values()
+                          if amp != 0})
 
 
-def _digits(mono: int, radix: int, d: int) -> tuple:
-    """The occupation tuple of a monomial encoded by :func:`_interfere`."""
-    key = []
-    for _ in range(d):
-        mono, e = divmod(mono, radix)
-        key.append(e)
-    return tuple(key)
+def _ket_nodes(poly: dict, depth: int, group: list, modes: list,
+               moves: list, low_span: int):
+    """Each ket of ``group`` with the polynomial at its node of the trie.
+
+    ``poly`` is the polynomial of the prefix of ``depth`` creation
+    operators that the kets of ``group`` share; they agree in every mode
+    but ``modes``, whose operators are still to apply in that order, and
+    are sorted by their exponents there."""
+    if not modes:   # one ket, all of whose operators are applied
+        yield group[0], poly
+        return
+    i = modes[0]
+    start = 0
+    for n in itertools.count():
+        stop = start
+        while stop < len(group) and group[stop][i] == n:
+            stop += 1
+        if stop > start:
+            yield from _ket_nodes(poly, depth + n, group[start:stop],
+                                  modes[1:], moves, low_span)
+        if stop == len(group):
+            return
+        left = max(map(sum, group[stop:])) - depth - n
+        poly = _apply_creation(poly, moves[i], low_span, left)
+        start = stop
+
+
+def _apply_creation(poly: dict, table: dict, low_span: int,
+                    left: int) -> dict:
+    """The monomials of ``poly`` times one creation operator, whose steps
+    ``table`` holds per low part, keeping those that can still reach the
+    target with ``left`` operators to apply, this one included."""
+    nxt = {}
+    get = nxt.get
+    for mono, coeff in poly.items():
+        missing, target, steps = table[mono % low_span]
+        for step, cj in (steps if missing < left else
+                         target if missing == left else ()):
+            key = mono + step
+            nxt[key] = get(key, 0.0) + coeff * cj
+    return nxt
 
 
 def dilate_lossy(t: TransferMatrix) -> np.ndarray:
@@ -183,7 +226,7 @@ def dilate_lossy(t: TransferMatrix) -> np.ndarray:
     w[:d, d:] = u @ np.diag(c) @ u.conj().T
     w[d:, :d] = vh.conj().T @ np.diag(c) @ vh
     w[d:, d:] = -vh.conj().T @ np.diag(sv) @ u.conj().T
-    if np.abs(w @ w.conj().T - np.eye(2 * d)).max() > UNITARY_TOL * 100:
+    if np.abs(w @ w.conj().T - np.eye(2 * d)).max() > UNITARY_TOL:
         raise ConfigurationError("dilation failed to produce a unitary")
     return w
 

@@ -36,6 +36,7 @@ PHASE_INIT_SIGMA = 0.3  # spread of the optimizer's starts around direct phases
 LM_STEPS = 100      # the most Levenberg-Marquardt trial steps of one start
 LM_TOL = 1e-12      # a start converges on a step this small in every phase
 LM_MAX_DAMPING = 1e10  # or relative misfit, or once no step this damped helps
+FREE_PHASE_TOL = 1e-8  # Jacobian singular values below this * the largest: 0
 # pair flags whose entries the threefold optimizer completes
 FALLBACK_FLAGS = ("b_undetermined", "invalid_argument", "epsilon_degenerate",
                   "im_inconsistent", "im_sign_unknown")
@@ -614,7 +615,14 @@ def optimize_undetermined_phases(result: ReconstructionResult,
     the direct estimates where available and uniform in [-pi, pi)
     otherwise, the fit with the smallest TVD wins.  A table that raises a
     DgbsError or has no mass rejects its step, or ends its start if the
-    Jacobian needs it; a start without a table scores TVD 1."""
+    Jacobian needs it; a start without a table scores TVD 1.
+
+    The report's ``free_phases`` counts the directions in which the
+    threefolds do not fix the phases near the winner: E less the rank of
+    the normalised Jacobian there, whose singular values below
+    ``FREE_PHASE_TOL`` times the largest count as zero; None if that
+    Jacobian cannot be computed.  Each of its rows sums to 0, so at least
+    E - P + 1 phases are free for P patterns."""
     entries = result.fallback_entries
     if not entries:
         return result
@@ -676,6 +684,13 @@ def optimize_undetermined_phases(result: ReconstructionResult,
         fits.append(fit(init))
     phases, best_tvd, converged = min(fits, key=lambda f: f[1])
     kernel = _completed(result, phases)
+    raw = table(phases)
+    jac = None if raw is None else _normalised_jacobian(table, phases, raw)
+    free = None
+    if jac is not None:
+        sv = np.linalg.svd(jac, compute_uv=False)
+        free = len(entries) - int(np.count_nonzero(
+            sv > FREE_PHASE_TOL * sv.max()))
     report = {
         "entries": [list(e) for e in entries],
         "best_tvd": best_tvd,
@@ -683,6 +698,7 @@ def optimize_undetermined_phases(result: ReconstructionResult,
         "phases": [float(x) for x in _wrap(phases)],
         "converged": bool(converged),
         "restarts": restarts,
+        "free_phases": free,
     }
     return replace(result, c=kernel.a.c, optimizer_report=report,
                    flags=result.flags + [("optimized", j, k)

@@ -482,6 +482,24 @@ class TestLockOracle:
         obj = json.loads(out.read_text())
         assert obj["abs_diff"] < 1e-6
 
+    @pytest.mark.parametrize("argv", [
+        ["probs"], ["compare", "--model-b", "classical"],
+        ["oracle", "--pattern", "1,1,0"], ["sample", "--pulses", "100"]])
+    def test_each_command_parses_the_circuit_once(self, argv, config_path,
+                                                  tmp_path, monkeypatch):
+        # the kernels and the oracle take the source and transfer that the
+        # command parsed
+        calls = []
+
+        def counted(config):
+            calls.append(config)
+            return serialize.circuit_from_config(config)
+
+        monkeypatch.setattr(cli, "circuit_from_config", counted)
+        assert main([*argv, "--config", config_path,
+                     "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("extra", [
         ["--pattern", "2,1,1", "--cutoff", "3"],
         ["--pattern", "2,1,1", "--cutoff=-1"],
@@ -1716,3 +1734,7 @@ class TestStartup:
         report = json.loads(
             (tmp_path / "state.json").read_text())["optimizer_report"]
         assert report["best_tvd"] < 1e-6
+        # 4 threefold patterns fix at most 3 of the 6 phases, as each
+        # normalised row of their Jacobian sums to 0
+        assert len(report["entries"]) == 6
+        assert report["free_phases"] >= 3

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -25,6 +26,50 @@ def _bits(amplitudes):
     """Keys in order with the exact bits of each amplitude."""
     return [(k, complex(v).real.hex(), complex(v).imag.hex())
             for k, v in amplitudes.items()]
+
+
+def _per_ket_interfere(psi, u, limit):
+    """The reference for ``fock._interfere``: each ket expanded on its own,
+    from its amp / sqrt(prod n_i!), one creation operator at a time in the
+    order of the modes, with the same pruning toward ``limit``."""
+    d = psi.d
+    m, want = len(limit), sum(limit)
+    radix = 1 + max(map(sum, psi.amplitudes), default=0)
+    stride = [radix ** j for j in range(d)]
+    low_span = radix ** m
+    cols = [[(j, complex(u[j, i])) for j in range(d) if u[j, i] != 0]
+            for i in range(d)]
+    moves = [{} for _ in range(d)]
+    for low_digits in itertools.product(*(range(n + 1) for n in limit)):
+        low = sum(s * e for s, e in zip(stride, low_digits))
+        for i in range(d):
+            target = [(stride[j], c) for j, c in cols[i]
+                      if j < m and low_digits[j] < limit[j]]
+            ancilla = [(stride[j], c) for j, c in cols[i] if j >= m]
+            moves[i][low] = (want - sum(low_digits), target, target + ancilla)
+    out = {}
+    for ket, amp in psi.amplitudes.items():
+        left = sum(ket)
+        if left < want:
+            continue
+        scale = math.sqrt(math.prod(map(math.factorial, ket)))
+        poly = {0: complex(amp / scale)}
+        for i, n_i in enumerate(ket):
+            table = moves[i]
+            for _ in range(n_i):
+                nxt = {}
+                for mono, coeff in poly.items():
+                    missing, target, steps = table[mono % low_span]
+                    for step, cj in steps if missing < left else target:
+                        nxt[mono + step] = nxt.get(mono + step, 0.0) \
+                            + coeff * cj
+                poly = nxt
+                left -= 1
+        for mono, coeff in poly.items():
+            key = tuple(mono // s % radix for s in stride)
+            val = coeff * math.sqrt(math.prod(map(math.factorial, key)))
+            out[key] = out.get(key, 0.0) + val
+    return {k: v for k, v in out.items() if v != 0}
 
 
 def _source_loss_folded(cfg, t):
@@ -215,3 +260,38 @@ def test_oracle_sums_the_full_expansion_bit_for_bit(d, seed, eta, eta_c,
         return
     got = oracle_probability(cfg, t, pattern, cutoff=cutoff, eps=1.0)
     assert float(got).hex() == float(want).hex()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(2, 3), seed=st.integers(0, 2 ** 32 - 1),
+       cutoff=st.integers(2, 8), data=st.data())
+def test_shared_prefixes_keep_the_per_ket_amplitudes(d, seed, cutoff, data):
+    # the trie expands a prefix that several kets share once and scales
+    # each ket's monomials at its node: against the expansion of each ket
+    # on its own, every target amplitude moves by rounding only.  Any
+    # arrangement of the ports may come up, the coherent port before the
+    # squeezer ports included, and the circuit's loss differs per mode.
+    rng = np.random.default_rng(seed)
+    ports = data.draw(st.permutations(range(2 * d)), label="ports")[:3]
+    cfg = SourceConfig(r=float(rng.uniform(0.05, 0.8)),
+                       alpha_mag=float(rng.uniform(0.0, 1.2)),
+                       phi=float(rng.uniform(0.0, 2 * math.pi)),
+                       squeezer_ports=tuple(ports[:2]), coherent_port=ports[2])
+    etas = rng.uniform(0.2, 1.0, d)
+    t = TransferMatrix.square(haar_unitary(d, seed % 1000) @ np.diag(
+        np.sqrt(etas)) @ haar_unitary(d, seed % 1000 + 1))
+    pattern = tuple(data.draw(st.lists(st.integers(0, 3), min_size=d,
+                                       max_size=d), label="pattern"))
+    psi = expand_inputs(cfg, 2 * d, cutoff, eps=1.0)
+    w = dilate_lossy(t)
+    want = _per_ket_interfere(psi, w, pattern)
+    got = _interfere(psi, w, pattern).amplitudes
+    assert list(got) == list(want)
+    # terms that cancel can leave an amplitude far below them (1e-6 against
+    # rounding of 5e-20), so rounding is bounded relative to the sum of the
+    # terms' magnitudes: the same expansion of |amp| through |w|
+    magnitudes = _per_ket_interfere(
+        FockVector(2 * d, {k: abs(v) for k, v in psi.amplitudes.items()}),
+        np.abs(w), pattern)
+    for key, amp in want.items():
+        assert abs(got[key] - amp) <= 1e-14 * abs(magnitudes[key]), key

@@ -328,6 +328,8 @@ class TestRoundTrip:
             res, distribution_from_kernel(truth, 3), restarts=1)
         assert [e for e in out.optimizer_report["entries"] if 4 in e] == [
             [0, 4], [1, 4], [2, 4], [3, 4], [4, 5]]
+        # 20 threefold patterns fix all five phases
+        assert out.optimizer_report["free_phases"] == 0
         pairs = [(1, 4), (2, 4), (3, 4), (4, 5)]
         assert_allclose([abs(out.c[p]) for p in pairs],
                         [abs(c2[p]) for p in pairs], rtol=1e-10)
