@@ -277,76 +277,76 @@ def cmd_sample(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def _common(model=False, seed=False) -> list:
+    """The options of a command that reads a config: --config, --seed if
+    it draws random numbers, --out and --model."""
+    return [("--config", dict(required=True, help="JSON config path")),
+            *([("--seed", dict(type=int, default=0))] if seed else []),
+            ("--out", dict(default="-", help="output path (default stdout)")),
+            *([("--model", dict(default="full", help="full | korder(k) | "
+                                "squeezer_only | classical"))]
+              if model else [])]
+
+
+# name: (help, function, [(option, add_argument keywords)]) of each command
+COMMANDS = {
+    "probs": ("fixed-N pattern probability tables", cmd_probs, [
+        *_common(model=True),
+        ("--n-max", dict(type=int, default=3)),
+        ("--collisions", dict(action="store_true", help="enumerate patterns "
+                              "with collisions too"))]),
+    "simulate": ("generate three-setting records CSV", cmd_simulate,
+                 _common(seed=True)),
+    "reconstruct": ("invert records to (B, C, gamma)", cmd_reconstruct, [
+        ("--records", dict(required=True, help="records CSV path")),
+        ("--threefolds", dict(default=None, help="measured threefold "
+                              "distribution JSON for the phase-completion "
+                              "optimizer")),
+        ("--seed", dict(type=int, default=0)),
+        ("--out", dict(default="-"))]),
+    "compare": ("TVD / likelihood ratio between models", cmd_compare, [
+        *_common(model=True),
+        ("--model-b", dict(required=True)),
+        ("--n-max", dict(type=int, default=3)),
+        ("--samples", dict(default=None, help="samples CSV for L")),
+        ("--min-photons", dict(type=int, default=0))]),
+    "lock": ("simulate phase drift and PID locking", cmd_lock, [
+        *_common(seed=True),
+        ("--duration", dict(type=float, default=60.0))]),
+    "oracle": ("cross-check one pattern against the Fock-space oracle",
+               cmd_oracle, [*_common(), ("--pattern", dict(
+                   required=True, help="comma-separated counts, e.g. 1,0,1")),
+                   ("--cutoff", dict(type=int, default=None))]),
+    "sample": ("draw detection patterns", cmd_sample, [
+        *_common(model=True, seed=True),
+        ("--pulses", dict(type=int, default=10000)),
+        ("--n-max", dict(type=int, default=4))]),
+}
+
+
+def build_parser(command: str = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone, which parses
+    the command lines that start with ``command`` as the full one does."""
     parser = argparse.ArgumentParser(
-        prog="dgbs",
-        description="Displaced Gaussian boson sampling toolkit")
+        prog="dgbs", description="Displaced Gaussian boson sampling toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, model=False, seed=False):
-        p.add_argument("--config", required=True, help="JSON config path")
-        if seed:   # only the commands that draw random numbers
-            p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default="-", help="output path (default stdout)")
-        if model:
-            p.add_argument("--model", default="full",
-                           help="full | korder(k) | squeezer_only | classical")
-
-    p = sub.add_parser("probs", help="fixed-N pattern probability tables")
-    common(p, model=True)
-    p.add_argument("--n-max", type=int, default=3)
-    p.add_argument("--collisions", action="store_true",
-                   help="enumerate patterns with collisions too")
-    p.set_defaults(func=cmd_probs)
-
-    p = sub.add_parser("simulate", help="generate three-setting records CSV")
-    common(p, seed=True)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("reconstruct", help="invert records to (B, C, gamma)")
-    p.add_argument("--records", required=True, help="records CSV path")
-    p.add_argument("--threefolds", default=None,
-                   help="measured threefold distribution JSON for the "
-                        "phase-completion optimizer")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_reconstruct)
-
-    p = sub.add_parser("compare", help="TVD / likelihood ratio between models")
-    common(p, model=True)
-    p.add_argument("--model-b", required=True)
-    p.add_argument("--n-max", type=int, default=3)
-    p.add_argument("--samples", default=None, help="samples CSV for L")
-    p.add_argument("--min-photons", type=int, default=0)
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("lock", help="simulate phase drift and PID locking")
-    common(p, seed=True)
-    p.add_argument("--duration", type=float, default=60.0)
-    p.set_defaults(func=cmd_lock)
-
-    p = sub.add_parser("oracle", help="cross-check one pattern against the "
-                                      "Fock-space oracle")
-    common(p)
-    p.add_argument("--pattern", required=True,
-                   help="comma-separated counts, e.g. 1,0,1")
-    p.add_argument("--cutoff", type=int, default=None)
-    p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("sample", help="draw detection patterns")
-    common(p, model=True, seed=True)
-    p.add_argument("--pulses", type=int, default=10000)
-    p.add_argument("--n-max", type=int, default=4)
-    p.set_defaults(func=cmd_sample)
-
+    if command is not None:   # the usage line of a root-level error
+        sub.metavar = "{" + ",".join(COMMANDS) + "}"
+    for name in COMMANDS if command is None else [command]:
+        help_text, func, options = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for option, keywords in options:
+            p.add_argument(option, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     """Run one command; its warnings are shown only if it exits 0, so that
     a failing command prints one ``dgbs:`` line and nothing else."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     with warnings.catch_warnings(record=True) as caught:
         code = _run(args)
     if code == 0:

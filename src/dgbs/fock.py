@@ -18,6 +18,7 @@ from .errors import ConfigurationError, CutoffError
 from .states import SourceConfig, TransferMatrix
 
 UNITARY_TOL = 1e-10   # largest |U U^dag - 1| entry of a unitary
+ZERO_TOL = 4 * np.finfo(float).eps   # rounding of a dilation entry, per mode
 CUTOFF_TOL = 1e-7   # the probability error an adaptive cutoff stays under
 TAIL_TOP = 120      # photons summed per source in the input tail mass
 MAX_CUTOFF = 18     # largest total-photon cutoff the oracle expands
@@ -226,6 +227,11 @@ def dilate_lossy(t: TransferMatrix) -> np.ndarray:
     w[:d, d:] = u @ np.diag(c) @ u.conj().T
     w[d:, :d] = vh.conj().T @ np.diag(c) @ vh
     w[d:, d:] = -vh.conj().T @ np.diag(sv) @ u.conj().T
+    # each entry sums d products of numbers of modulus at most 1, so it is
+    # rounded by a few d eps; those that are 0 in exact arithmetic (under
+    # uniform loss, off the diagonals of the ancilla blocks) would be left
+    # as rounding noise that _interfere multiplies by
+    w[np.abs(w) < ZERO_TOL * d] = 0
     if np.abs(w @ w.conj().T - np.eye(2 * d)).max() > UNITARY_TOL:
         raise ConfigurationError("dilation failed to produce a unitary")
     return w

@@ -366,12 +366,18 @@ def _wrap(x):
     return (np.asarray(x) + math.pi) % TWO_PI - math.pi
 
 
+def _pair_label(pair) -> str:
+    """The label "j:k" of a pair of modes; the sort key of the fitted pairs
+    and of every stage of pair flags, so "0:10" comes before "0:2"."""
+    return "%d:%d" % pair
+
+
 def _pair_fits(rec: MeasurementRecord, diagonal: bool) -> tuple:
     """(j, k, rate rows, fits) of the twofold fringes of a scanned setting:
-    the pairs in label-text order ("0:10" before "0:2"), diagonal pairs
-    only if ``diagonal``, and one :func:`fit_fringe` of their rows."""
+    the pairs in label order, diagonal pairs only if ``diagonal``, and one
+    :func:`fit_fringe` of their rows."""
     pairs = sorted((p for p in rec.pairs if diagonal or p[0] != p[1]),
-                   key=lambda p: "%d:%d" % p)
+                   key=_pair_label)
     rows = [rec.d + 1 + rec.pairs.index(p) for p in pairs]
     j, k = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     rates = rec.rates[rows]
@@ -579,14 +585,15 @@ def reconstruct(records: dict, threefolds: PatternDistribution = None,
             "im_inconsistent": phased & inconsistent,
             "im_sign_unknown": ~phased & (known_im > 0)})
     else:
-        flags += [("im_sign_unknown", j, k) for j in range(d)
-                  for k in range(j + 1, d) if abs_im[j, k] > 0]
+        flags += [("im_sign_unknown", j, k) for j, k in sorted(
+            ((j, k) for j in range(d) for k in range(j + 1, d)
+             if abs_im[j, k] > 0), key=_pair_label)]
 
     c = np.diag(c_diag).astype(complex) + re_c * (1 - np.eye(d)) + 1j * im_c
     c = (c + c.conj().T) / 2
 
     fallback = sorted({(f[1], f[2]) for f in flags if f[0] in FALLBACK_FLAGS})
-    labels = ["%d:%d" % p for p in zip(j1.tolist(), k1.tolist())]
+    labels = list(map(_pair_label, zip(j1.tolist(), k1.tolist())))
     result = ReconstructionResult(
         d=d, b=b, c=c, gamma=gamma, c_abs=np.diag(c_diag) + np.sqrt(abs_sq),
         mu=mu, diag_known=diag_known,
@@ -701,8 +708,8 @@ def optimize_undetermined_phases(result: ReconstructionResult,
         "free_phases": free,
     }
     return replace(result, c=kernel.a.c, optimizer_report=report,
-                   flags=result.flags + [("optimized", j, k)
-                                         for j, k in entries])
+                   flags=result.flags + [("optimized", j, k) for j, k
+                                         in sorted(entries, key=_pair_label)])
 
 
 def _completed(result: ReconstructionResult, phases) -> StateKernel:

@@ -49,6 +49,12 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise SchemaError(f"matrix data must be a list, got {data!r}")
     if len(data) != r * c:
         raise SchemaError(f"matrix data length {len(data)} != {r}*{c}")
+    # every entry a [re, im] pair of int or float: one numpy pass; else the
+    # entries one at a time, which name the first bad one
+    if set(map(type, data)) <= {list} and set(map(len, data)) <= {2} and \
+            set(map(type, chain.from_iterable(data))) <= {int, float}:
+        with suppress(OverflowError):   # an int beyond float range
+            return np.array(data, dtype=float).view(complex).reshape(r, c)
     flat = np.array([_matrix_entry(k, pair) for k, pair in enumerate(data)])
     return flat.reshape(r, c)
 

@@ -277,15 +277,20 @@ def _edited(text: str, edit: str) -> str:
     return "".join(f"{line}\n" for line in lines)
 
 
-def _workload_output(directory, workload: str, command: str) -> str:
-    """The output text of ``command`` in the seed-0 run of a benchmark
-    workload, made by :func:`main` in ``directory`` from its config."""
+def _benchmark_workloads():
+    """The benchmark's workload builder, ``perfbench/workloads.py``."""
     spec = importlib.util.spec_from_file_location(
         "workloads", Path(__file__).resolve().parents[1] / "perfbench"
         / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    configs, commands = workloads.build(workload, 0)
+    return workloads
+
+
+def _workload_output(directory, workload: str, command: str) -> str:
+    """The output text of ``command`` in the seed-0 run of a benchmark
+    workload, made by :func:`main` in ``directory`` from its config."""
+    configs, commands = _benchmark_workloads().build(workload, 0)
     for name, config in configs.items():
         (directory / name).write_text(json.dumps(config))
     cmd, = [cmd for cmd in commands if cmd["name"] == command]
@@ -615,6 +620,47 @@ class TestExitCodes:
                  + argv[1:])
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
+class TestOneCommandParser:
+    """main builds only the parser of the command that starts its argv:
+    that parser must parse, print and exit as the full one does."""
+
+    @staticmethod
+    def parse(parser, argv) -> tuple:
+        """(namespace, stdout, stderr, exit code) of parsing ``argv``."""
+        out, err = io.StringIO(), io.StringIO()
+        args, code = None, None
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                args = vars(parser.parse_args(argv))
+            except SystemExit as exc:
+                code = exc.code
+        return args, out.getvalue(), err.getvalue(), code
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_parses_as_the_full_parser(self, command, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")   # the width of help and usage
+        workloads = _benchmark_workloads()
+        lines = [cmd["argv"] for workload in ("tables-d15", "fringes-d15",
+                                              "lab-d6")
+                 for cmd in workloads.build(workload, 0)[1]
+                 if cmd["name"] == command]
+        assert lines, command
+        int_option = next(option for option, keywords
+                          in cli.COMMANDS[command][2]
+                          if keywords.get("type") is int)
+        argvs = [*lines,
+                 [command, "-h"],
+                 [command],                          # a required option
+                 [*lines[0], "--no-such-option"],
+                 [*lines[0], int_option, "x"],
+                 [*lines[0], "positional"],
+                 [*lines[0], "--out"]]               # no value
+        for argv in argvs:
+            one = self.parse(cli.build_parser(command), argv)
+            assert one == self.parse(cli.build_parser(), argv), argv
+            assert (one[3] is None) == (argv in lines), argv
 
 
 FUZZ_VALUES = (0, -1, 1e308, -1e308, 2 ** 70, -2 ** 70, 10 ** 400, "x", [],

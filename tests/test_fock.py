@@ -166,6 +166,15 @@ class TestDilation:
         w = dilate_lossy(t)
         assert_allclose(np.abs(w[:2, 2:]), 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("d, seed", [(3, 4), (3, 7), (4, 2), (6, 1)])
+    def test_uniform_loss_leaves_exact_zeros(self, d, seed):
+        # under uniform loss the ancilla blocks are multiples of the
+        # identity: their off-diagonal entries must be exactly 0, not
+        # rounding noise that the expansion multiplies by
+        w = dilate_lossy(lossy_transfer(d, 0.5, seed=seed))
+        off = ~np.eye(d, dtype=bool)
+        assert not w[:d, d:][off].any() and not w[d:, :d][off].any()
+
 
 class TestOracle:
     def test_matches_engine_lossy(self):

@@ -509,14 +509,11 @@ FLAG_STAGES = (("gamma_clamped",), ("b_undetermined",), ("b_clamped",),
 
 def flag_order(flag):
     """(stage, place in the stage, kind's place within one pair) of a flag.
-    Fitted pairs come in label-text order ("4:10" before "4:5"); modes, the
-    im_sign_unknown upper triangle and the optimized entries in mode order."""
+    Modes come in their order, pairs in label-text order ("4:10" before
+    "4:5")."""
     kind, *modes = flag
     stage = next(s for s, kinds in enumerate(FLAG_STAGES) if kind in kinds)
-    if len(modes) == 1 or kind in ("im_sign_unknown", "optimized"):
-        place = tuple(modes)
-    else:
-        place = "%d:%d" % tuple(modes)
+    place = modes[0] if len(modes) == 1 else "%d:%d" % tuple(modes)
     return stage, place, FLAG_STAGES[stage].index(kind)
 
 
@@ -585,6 +582,25 @@ class TestFlags:
                           threefolds=threefolds if with_threefolds else None)
         assert expected in res.flags
         assert res.flags == sorted(res.flags, key=flag_order)
+
+    def test_pairs_of_every_stage_in_label_order(self, noiseless):
+        # "5:10" before "5:6" in the optimized flags, as in the fitted
+        # stages, and "0:10" before "0:2" in the im_sign_unknown flags of a
+        # run without input2; the fallback entries keep mode order
+        recs, threefolds = noiseless
+        rec = recs["input2"]
+        rates = rec.rates.copy()
+        for pair in ((5, 6), (5, 10)):
+            rates[rec.d + 1 + rec.pairs.index(pair)] = raised(
+                rates[rec.d + 1 + rec.pairs.index(pair)])
+        res = reconstruct({**recs, "input2": replace(rec, rates=rates)},
+                          threefolds=threefolds)
+        assert res.fallback_entries == [(5, 6), (5, 10)]
+        assert res.flags[-2:] == [("optimized", 5, 10), ("optimized", 5, 6)]
+        flags = reconstruct({name: rec for name, rec in recs.items()
+                             if name != "input2"}).flags
+        assert flags.index(("im_sign_unknown", 0, 10)) \
+            < flags.index(("im_sign_unknown", 0, 2))
 
 
 class TestGauge:
