@@ -10,7 +10,6 @@ byte-identical.  Exit codes: 0 success, 1 runtime/numerical failure,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import warnings
@@ -164,8 +163,7 @@ def cmd_reconstruct(args) -> int:
             raise SchemaError(
                 f"bad threefolds file {args.threefolds}: {exc!r}") from exc
     result = reconstruct(records, threefolds=threefolds, seed=args.seed)
-    return _write_json(args, {**json.loads(result.to_json()),
-                              "seed": args.seed}, None)
+    return _write_json(args, {**result.payload(), "seed": args.seed}, None)
 
 
 def cmd_compare(args) -> int:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DgbsError, SchemaError
 from .probability import PatternDistribution, StateKernel, all_patterns
-from .serialize import _csv_rows, _read_csv
+from .serialize import _csv_rows, _g17_table, _read_csv
 from .states import AMatrix
 
 SETTINGS = ("blocked", "input1", "input2")
@@ -121,15 +121,14 @@ def records_to_csv(records):
             pulses, counts = str(rec.pulses), rec.rates * rec.pulses
         else:
             pulses, counts = "inf", rec.rates
-        # each distinct count (by its bits, so -0.0 stays) formatted once
+        # each distinct count (by its bits, so -0.0 stays) written once
         bits, which = np.unique(counts.T.ravel().view(np.int64),
                                 return_inverse=True)
-        texts = [f"{c:.17g}" for c in bits.view(float).tolist()]
         n_phi, n_obs = len(phis), len(labels)
         yield from _csv_rows(n_phi * n_obs, [
             f"{rec.setting},", (phis, np.repeat(np.arange(n_phi), n_obs)),
             ",", (labels, np.tile(np.arange(n_obs), n_phi)), ",",
-            (texts, which), f",{pulses}\n"])
+            (_g17_table(bits.view(float)), which), f",{pulses}\n"])
 
 
 def records_from_csv(text: str) -> dict:
@@ -331,7 +330,13 @@ def fit_fringe(phi_grid, values, uncertainties) -> FringeFits:
         wt[unweighted] = 1.0
         xtw = x.T * wt[:, None, :]
         gram = xtw @ x
-        if (np.linalg.cond(gram) > 1e10).any():
+        if not np.isfinite(gram).all():
+            raise ConfigurationError("fringe weights 1/sigma^2 overflow: an "
+                                     "uncertainty is below about 1e-154")
+        # gram is symmetric positive semidefinite: its condition number is
+        # the ratio of its extreme eigenvalues
+        w = np.linalg.eigvalsh(gram)
+        if (w[:, -1] > 1e10 * w[:, 0]).any():
             raise ConfigurationError("degenerate phi grid: fringe design is rank-deficient")
         beta = np.linalg.solve(gram, xtw @ yw[:, :, None])
         cov = np.linalg.inv(gram)
@@ -422,27 +427,29 @@ class ReconstructionResult:
         return StateKernel(self.to_a_matrix(),
                            np.concatenate([gamma, gamma.conj()]), 0.0)
 
-    def to_json(self) -> str:
+    def payload(self) -> dict:
+        """The result as JSON values: each complex entry a [re, im] pair."""
         def cplx(m):
             m = np.asarray(m)
-            return [[[float(v.real), float(v.imag)] for v in row] for row in m] \
-                if m.ndim == 2 else [[float(v.real), float(v.imag)] for v in m]
+            return np.stack([m.real, m.imag], axis=-1).tolist()
 
-        payload = {
+        return {
             "d": self.d,
             "b": cplx(self.b),
             "c": cplx(self.c),
-            "gamma": [float(g) for g in self.gamma],
+            "gamma": np.asarray(self.gamma, dtype=float).tolist(),
             "mu": None if self.mu is None else cplx(self.mu),
             "diag_known": None if self.diag_known is None
-            else [bool(x) for x in self.diag_known],
+            else np.asarray(self.diag_known, dtype=bool).tolist(),
             "uncertainties": {k: np.asarray(v).tolist()
                               for k, v in self.uncertainties.items()},
             "flags": [list(f) for f in self.flags],
             "fallback_entries": [list(f) for f in self.fallback_entries],
             "optimizer_report": self.optimizer_report,
         }
-        return json.dumps(payload, sort_keys=True)
+
+    def to_json(self) -> str:
+        return json.dumps(self.payload(), sort_keys=True)
 
 
 def check_threefolds(threefolds: PatternDistribution, d: int):

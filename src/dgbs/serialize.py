@@ -368,18 +368,19 @@ def _csv_rows(n: int, pieces):
     yielded a block of ``CSV_BLOCK_ROWS`` rows at a time.
 
     A piece is a str (the same text in every row), a ``(texts, codes)``
-    pair (row i holds ``texts[codes[i]]``; texts are ASCII without NUL) or
-    a range of n nonnegative integers, written in decimal and built a
-    block at a time.  Each texts list becomes a NUL-padded byte table; a
-    block of rows is the tables' gathered rows side by side, with the
-    padding dropped."""
+    pair (row i holds ``texts[codes[i]]``; texts are ASCII without NUL,
+    a list of str or a NUL-padded (k, width) uint8 table of them) or a
+    range of n nonnegative integers, written in decimal and built a block
+    at a time.  Each texts list becomes a NUL-padded byte table; a block
+    of rows is the tables' gathered rows side by side, with the padding
+    dropped."""
     if not n:
         return
     columns = []
     for piece in pieces:
         if isinstance(piece, str):
             piece = [piece], np.broadcast_to(np.intp(0), (n,))
-        if isinstance(piece, tuple):
+        if isinstance(piece, tuple) and isinstance(piece[0], list):
             texts, codes = piece
             table = np.array(texts, dtype=bytes)
             piece = table.view(np.uint8).reshape(len(texts), -1), codes
@@ -391,6 +392,26 @@ def _csv_rows(n: int, pieces):
                           else col[0].take(col[1][lo:hi], axis=0)
                           for col in columns])
         yield rows[rows != 0].tobytes().decode()
+
+
+def _g17_table(values: np.ndarray) -> np.ndarray:
+    """The ``.17g`` texts of the floats ``values`` as a NUL-padded (n,
+    width) uint8 table.  A whole value with a clear sign bit below 2**53
+    is written as its integer digits, as ``.17g`` writes it (an exponent
+    comes only from 1e17), without formatting; -0.0, fractions, larger
+    values and non-finite ones are formatted one by one."""
+    whole = ~np.signbit(values) & (values < 2.0 ** 53) \
+        & (values == np.floor(values))
+    texts = np.array([f"{v:.17g}" for v in values[~whole].tolist()],
+                     dtype=bytes)
+    digits = _digits(values[whole].astype(np.int64)) if whole.any() \
+        else np.zeros((0, 1), np.uint8)
+    table = np.zeros((len(values), max(texts.itemsize, digits.shape[1])),
+                     np.uint8)
+    table[~whole, :texts.itemsize] = \
+        texts.view(np.uint8).reshape(len(texts), texts.itemsize)
+    table[whole, :digits.shape[1]] = digits
+    return table
 
 
 def _digits(values: np.ndarray) -> np.ndarray:

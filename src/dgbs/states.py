@@ -87,12 +87,15 @@ class GaussianState:
         return _frozen((v / w) @ v.conj().T)
 
     def gamma_and_log_p_vac(self, delta: np.ndarray) -> tuple:
-        """(gamma, log p_vac) of this covariance displaced by ``delta``:
-        gamma = delta^dag Sigma_Q^-1 and log p_vac = -gamma delta / 2 -
-        log det Sigma_Q / 2, with log det Sigma_Q = sum log w."""
-        gamma = delta.conj() @ self.sigma_q_inverse
+        """(gamma, log p_vac) of this covariance displaced by ``delta``, a
+        (2d,) displacement or a (..., 2d) stack of them: gamma = delta^dag
+        Sigma_Q^-1 and log p_vac = -gamma delta / 2 - log det Sigma_Q / 2,
+        with log det Sigma_Q = sum log w.  A stack runs numpy's product of
+        one vector per item, so each row has the bits of its own call."""
+        gamma = (delta.conj()[..., None, :] @ self.sigma_q_inverse)[..., 0, :]
         logdet = np.log(self._q_eigh[0]).sum()
-        return gamma, -(gamma @ delta).real / 2 - logdet / 2
+        product = (gamma[..., None, :] @ delta[..., :, None])[..., 0, 0]
+        return gamma, -product.real / 2 - logdet / 2
 
 
 @dataclass(frozen=True)
@@ -226,10 +229,12 @@ def _quantum_input(config: SourceConfig, d: int) -> tuple:
 
 
 def _coherent_delta(d: int, port: int, amplitude, phi) -> np.ndarray:
-    delta = np.zeros(2 * d, dtype=complex)
+    """The (2d,) displacement of a coherent beam of ``amplitude`` at
+    ``port`` and phase ``phi``, or the (F, 2d) stack over an (F,) array."""
     alpha = amplitude * np.exp(1j * phi)
-    delta[port] = alpha
-    delta[port + d] = np.conj(alpha)
+    delta = np.zeros((*np.shape(alpha), 2 * d), dtype=complex)
+    delta[..., port] = alpha
+    delta[..., port + d] = np.conj(alpha)
     return delta
 
 
@@ -250,26 +255,24 @@ def phase_scan(config: SourceConfig, t: TransferMatrix, phis) -> tuple:
 
     A phase scan only rotates the displacement, so one state (at the
     config's phase) is built and validated, and its Sigma_Q^-1 and log det
-    serve every phase.  Row f of the (F, 2d) ``gammas`` and of
-    ``log_p_vacs`` is gamma and log p_vac at ``phis[f]``, computed with
-    :meth:`GaussianState.gamma_and_log_p_vac` and the matvecs of
+    serve every phase.  The (F, 2d) displacements are pushed through each
+    doubled map by one stacked matvec, which runs numpy's matvec item by
+    item (a ``D @ S.T`` gemm would round apart), and
+    :meth:`GaussianState.gamma_and_log_p_vac` takes the stack.  So row f
+    of ``gammas`` and of ``log_p_vacs`` has the bits of
     ``propagate(build_input_state(replace(config, phi=phis[f]), d), t)``.
     """
     d = t.d
     sigma, amplitude, maps = _quantum_input(config, d)
     maps = [*maps, t]
     state = _assemble(config, d, sigma, amplitude, maps)
-    doubled = [_doubled_map(m) for m in maps]
-    gammas = np.empty((len(phis), 2 * d), dtype=complex)
-    log_p_vacs = np.empty(len(phis))
-    for f, phi in enumerate(phis):
-        delta = _coherent_delta(d, config.coherent_port, amplitude, phi)
-        for s in doubled:
-            delta = s @ delta
-        if np.abs(delta[d:] - delta[:d].conj()).max() > BLOCK_TOL:
-            raise PhysicalityError("displacement is not conjugate-paired")
-        gammas[f], log_p_vacs[f] = state.gamma_and_log_p_vac(delta)
-    return state, gammas, log_p_vacs
+    deltas = _coherent_delta(d, config.coherent_port, amplitude,
+                             np.asarray(phis, dtype=float))
+    for m in maps:
+        deltas = np.matmul(_doubled_map(m), deltas[:, :, None])[:, :, 0]
+    if (np.abs(deltas[:, d:] - deltas[:, :d].conj()) > BLOCK_TOL).any():
+        raise PhysicalityError("displacement is not conjugate-paired")
+    return state, *state.gamma_and_log_p_vac(deltas)
 
 
 def _doubled_map(t: TransferMatrix) -> np.ndarray:

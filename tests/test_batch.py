@@ -22,7 +22,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import lossy_transfer
@@ -37,7 +37,7 @@ from dgbs.probability import (ModelSpec, PhaseFamily, StateKernel,
                               all_patterns, predict_twofold)
 from dgbs.reconstruction import MeasurementRecord, records_to_csv
 from dgbs.states import (AMatrix, SourceConfig, build_classical_input,
-                         build_input_state, propagate)
+                         build_input_state, phase_scan, propagate)
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True,
                     database=None)
@@ -375,6 +375,25 @@ def test_family_matches_state_per_phase(d, seed, count, model, chunk_bytes):
         assert same_bits(probs[f], kern.pattern_probabilities(patterns, model))
 
 
+@pytest.mark.parametrize("port", [2, 3])
+def test_scan_matches_state_per_phase_at_workload_size(port):
+    # the fringes workload's scan, larger stacks than the property draws
+    # (numpy could pick other kernels there): d = 15, 100 phases over 10
+    # pi, each of its two coherent ports, and a lossy source, so that the
+    # displacements pass two doubled maps
+    d = 15
+    cfg = SourceConfig(r=0.55, alpha_mag=1.7, coherent_port=port, eta_c=0.8)
+    t = lossy_transfer(d, 0.3, 100)
+    phis = np.linspace(0, 10 * math.pi, 100, endpoint=False)
+    _, gammas, log_p_vacs = phase_scan(cfg, t, phis)
+    assert gammas.shape == (100, 2 * d) and log_p_vacs.shape == (100,)
+    for f, phi in enumerate(phis):
+        kern = StateKernel.from_state(
+            propagate(build_input_state(replace(cfg, phi=phi), d), t))
+        assert same_bits(gammas[f], kern.gamma)
+        assert log_p_vacs[f] == kern.log_p_vac
+
+
 def per_phase_records(config, t, second_input_port, phi_grid, pulses, seed,
                       include_collisions):
     """simulate_records computed with one state and one kernel per phase
@@ -464,6 +483,47 @@ def test_simulate_records_match_state_per_phase(d, seed, nphi, noisy,
         got = "".join(records_to_csv(simulate_records(*args)))
     want = per_phase_records(*args)
     assert got == "".join(records_to_csv(want)) == row_by_row_csv(want)
+
+
+COUNT_PULSES = [1.0, 1e5, 2.0 ** 53 - 1, 2.0 ** 53, 1e16, 1e17, 1e20,
+                math.inf]
+COUNT_RATES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 5e-324, 2.2250738585072014e-308,
+                     1 - 2 ** -53]),
+    st.floats(0, 1))
+
+
+def count_rate(kind: str, x: float, pulses: float) -> float:
+    """The rate ``x``, or for a finite ``pulses`` one whose count (the
+    rate times ``pulses``) is near the whole count under x * pulses, that
+    count over ``pulses`` ("whole") or half a count above it ("half")."""
+    if kind == "rate" or not math.isfinite(pulses):
+        return x
+    count = math.floor(x * pulses) + (0.5 if kind == "half" else 0)
+    return min(count / pulses, 1.0)
+
+
+@PROPERTY
+@given(pulses=st.sampled_from(COUNT_PULSES),
+       draws=st.lists(st.tuples(st.sampled_from(["rate", "whole", "half"]),
+                                COUNT_RATES), min_size=1, max_size=40))
+@example(pulses=2.0 ** 53 - 1, draws=[("rate", 1.0), ("rate", -0.0),
+                                      ("whole", 0.5), ("half", 0.5)])
+@example(pulses=2.0 ** 53, draws=[("rate", 1.0), ("whole", 1 - 2 ** -53)])
+@example(pulses=1e17, draws=[("rate", 1.0), ("whole", 0.1), ("half", 0.1),
+                             ("rate", 5e-324)])
+@example(pulses=math.inf, draws=[("rate", 0.0), ("rate", -0.0),
+                                 ("rate", 1.0), ("rate", 0.5)])
+def test_counts_written_as_by_format(pulses, draws):
+    # whole counts are written as digits without formatting: the texts are
+    # those of .17g for every count, -0.0, 2**53 and exponent forms too
+    rates = np.array([count_rate(kind, x, pulses) for kind, x in draws])
+    d = len(rates) - 1
+    records = {
+        "blocked": MeasurementRecord("blocked", d, pulses, rates[:, None]),
+        "input1": MeasurementRecord("input1", d, pulses, rates[::-1, None],
+                                    phi=[0.5])}
+    assert "".join(records_to_csv(records)) == row_by_row_csv(records)
 
 
 # ---------------------------------------------------------------------------

@@ -1523,6 +1523,27 @@ class TestBadInput:
         if phi:
             assert f"at phi {float(phi)}" in err
 
+    def test_subnormal_count_exits_1(self, config_path, tmp_path, capsys):
+        # one pulse per setting and a subnormal twofold count: its Poisson
+        # sigma squared underflows, so its fringe weight 1/sigma^2 overflows
+        records = tmp_path / "recs.csv"
+        assert main(["simulate", "--config", config_path,
+                     "--out", str(records)]) == 0
+        comment, header, *rows = records.read_text().splitlines()
+        rows = [",".join([*row.split(",")[:3], "0", "1"]) for row in rows]
+        rows = [row.replace(",0,1", ",1,1") if ",vac," in row else row
+                for row in rows]
+        i = next(i for i, row in enumerate(rows)
+                 if row.startswith("input1,") and ",0:1," in row)
+        rows[i] = rows[i].replace(",0,1", ",1e-320,1")
+        records.write_text("\n".join([comment, header, *rows]) + "\n")
+        code = main(["reconstruct", "--records", str(records),
+                     "--out", str(tmp_path / "out.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("dgbs: fringe weights 1/sigma^2 overflow") \
+            and "Traceback" not in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("kind", [
         "missing_cell", "duplicate_cell", "label_x:y", "label_foo",
         "pair_beyond_d", "missing_single", "single_far_beyond_d",

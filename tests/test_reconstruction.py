@@ -173,6 +173,33 @@ class TestFringeFit:
         with pytest.raises(ConfigurationError):
             fit_fringe(phi, np.ones((1, phi.size)), np.zeros((1, phi.size)))
 
+    @pytest.mark.parametrize("sig", [0.0, 0.01])
+    def test_degenerate_grid_rejected(self, sig):
+        # six points spanning 2 pi at which sin 2phi is 0 (up to rounding):
+        # the design's sin column carries nothing, so its Gram matrix is
+        # singular whatever the weights
+        phi = np.array([0, 0, 0.5, 1, 1.5, 2]) * math.pi
+        y, sigmas = np.ones((2, phi.size)), np.full((2, phi.size), sig)
+        with pytest.raises(ConfigurationError, match="degenerate phi grid"):
+            fit_fringe(phi, y, sigmas)
+        # the same count of points spread over the window fits
+        spread = np.linspace(0, 2 * math.pi, 6)
+        fit, _ = fit_rows(fit_fringe(spread, 1 + 0.3 * np.cos(2 * spread)
+                                     * y, sigmas))
+        assert fit.amplitude == pytest.approx(0.3, abs=1e-12)
+
+    def test_overflowing_weights_rejected(self):
+        # a sigma whose 1/sigma^2 overflows (a subnormal rate's Poisson
+        # sigma) leaves no finite Gram matrix to take eigenvalues of; at
+        # phi = 0 its sin 2phi is 0, and inf * 0 puts a NaN in it too
+        phi = np.linspace(0, 2 * math.pi, 8)
+        for at in (0, 3):
+            sig = np.full((1, phi.size), 1e-3)
+            sig[0, at] = 1e-160
+            with pytest.raises(ConfigurationError, match="overflow"), \
+                    np.errstate(over="ignore", invalid="ignore"):
+                fit_fringe(phi, np.ones((1, phi.size)), sig)
+
     def test_windows_average_best(self):
         # seven windows, the third corrupted by large noise: the best five
         # leave it out
