@@ -30,9 +30,12 @@ KI_GRID = (0.0, 0.5, 2.0, 6.0)
 # a drift trace holds one float per step; lab runs use a few hundred
 MAX_DRIFT_STEPS = 10 ** 6
 TUNING_DURATION = 30.0          # s of drift that tune_pid_gains locks over
-# a draw holds about 16 B per pulse (its codes and numpy's uniforms), so
-# 1.6 GB at this bound
+# a draw holds its codes, 1 B a pulse up to d = 7 and 2 B up to d = 15,
+# and one block of uniforms: a tracemalloc peak of 1.5 MB at 1e6 pulses of
+# d = 6, so about 0.1 GB at this bound
 MAX_PULSES = 10 ** 8
+GUIDE_CELLS = 1 << 12   # cells of the draw's guide table over [0, 1)
+DRAW_BLOCK = 1 << 14    # uniforms drawn per rng.random call
 SAMPLES_CSV_HEADER = "pulse,bitmask_hex,phi"
 
 
@@ -118,9 +121,35 @@ def sample_patterns(kernel: StateKernel, model: ModelSpec, pulses: int,
     distribution; residual probability mass goes to a discard bucket."""
     patterns, masks = _sampler_patterns(kernel.d, n_max)
     probs = _with_discard(kernel.pattern_probabilities(patterns, model))
-    rng = np.random.default_rng(seed)
-    draws = rng.choice(len(probs), size=pulses, p=probs)
-    return ClickTable(masks, draws, phi, kernel.d)
+    return ClickTable(masks, _draw(np.random.default_rng(seed), probs, pulses),
+                      phi, kernel.d)
+
+
+def _draw(rng, probs: np.ndarray, pulses: int) -> np.ndarray:
+    """``rng.choice(len(probs), pulses, p=probs)``, the same draws from the
+    same uniforms, as codes of ``np.min_scalar_type(len(probs))``.  Each
+    uniform u picks ``cdf.searchsorted(u, side="right")``; a guide table
+    over ``GUIDE_CELLS`` equal cells of [0, 1) gives it directly for a u in
+    a cell that holds no cdf value (Chen and Asau, 1974), and only the
+    other uniforms are searched.  The uniforms come ``DRAW_BLOCK`` at a
+    time, the draws of one ``rng.random`` call split into blocks."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    edges = np.arange(GUIDE_CELLS + 1) / GUIDE_CELLS
+    # the outcome at a cell's start holds across a cell with no cdf value
+    # inside; len(probs) marks a cell whose uniforms are searched
+    start = cdf.searchsorted(edges[:-1], side="right")
+    inside = cdf.searchsorted(edges[1:], side="left") - start
+    dtype = np.min_scalar_type(len(probs))
+    guide = np.where(inside == 0, start, len(probs)).astype(dtype)
+    codes = np.empty(pulses, dtype)
+    for lo in range(0, pulses, DRAW_BLOCK):
+        uniforms = rng.random(min(DRAW_BLOCK, pulses - lo))
+        block = guide.take((uniforms * GUIDE_CELLS).astype(np.intp))
+        searched = np.flatnonzero(block == len(probs))
+        block[searched] = cdf.searchsorted(uniforms[searched], side="right")
+        codes[lo:lo + len(block)] = block
+    return codes
 
 
 def _sampler_patterns(d: int, n_max: int) -> tuple:

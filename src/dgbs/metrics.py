@@ -38,8 +38,11 @@ class LikelihoodTrace:
     @cached_property
     def log_ratio(self) -> float:
         """log L summed over the unflagged samples, always finite; summed
-        once, on first read."""
-        keep = np.ones(len(self.increments), dtype=bool)
+        once, on first read.  Zero increments (log p - log p of a pattern
+        as likely under both models, the vacuum's among them: always +0.0)
+        are left out of the correctly rounded sum, which they cannot
+        change."""
+        keep = self.increments != 0
         keep[[i for i, *_ in self.flagged]] = False
         return float(math.fsum(self.increments[keep]))
 

@@ -19,6 +19,7 @@ import math
 import sys
 from collections import defaultdict
 from contextlib import suppress
+from functools import cache
 from itertools import chain, count, islice
 from operator import itemgetter
 
@@ -370,56 +371,121 @@ def _csv_rows(n: int, pieces):
     A piece is a str (the same text in every row), a ``(texts, codes)``
     pair (row i holds ``texts[codes[i]]``; texts are ASCII without NUL,
     a list of str or a NUL-padded (k, width) uint8 table of them) or a
-    range of n nonnegative integers, written in decimal and built a block
-    at a time.  Each texts list becomes a NUL-padded byte table; a block
-    of rows is the tables' gathered rows side by side, with the padding
-    dropped."""
+    range of n nonnegative integers, written in decimal.  A block is one
+    fixed-width record per row with one field per piece, each field filled
+    by one whole-field copy: a str as a scalar (once, for every block), a
+    texts list or table as an ``S{width}`` array gathered by the block's
+    codes, a range as the words of :func:`_decimal_words`.  One
+    ``bytes.translate`` then drops the NUL padding of the block."""
     if not n:
         return
-    columns = []
+    fields = []   # (field format, piece), a texts list made an S{w} array
     for piece in pieces:
         if isinstance(piece, str):
-            piece = [piece], np.broadcast_to(np.intp(0), (n,))
-        if isinstance(piece, tuple) and isinstance(piece[0], list):
+            piece = piece.encode()
+            fields.append((f"S{len(piece)}", piece))
+        elif isinstance(piece, range):
+            fields.append(((np.uint32, _word_count(max(piece[0], piece[-1]))),
+                           piece))
+        else:
             texts, codes = piece
-            table = np.array(texts, dtype=bytes)
-            piece = table.view(np.uint8).reshape(len(texts), -1), codes
-        columns.append(piece)
+            if isinstance(texts, list):
+                texts = np.array(texts, dtype=bytes)
+            else:   # one S{width} text per row of the uint8 table
+                texts = np.ascontiguousarray(texts).view(
+                    f"S{texts.shape[1]}")[:, 0]
+            fields.append((texts.dtype, (texts, codes)))
+    record = np.dtype([(f"f{k}", fmt) for k, (fmt, _) in enumerate(fields)])
+    buffer = np.empty(min(n, CSV_BLOCK_ROWS), record)
+    for k, (_, piece) in enumerate(fields):
+        if isinstance(piece, bytes):   # the same in every block
+            buffer[f"f{k}"] = piece
     for lo in range(0, n, CSV_BLOCK_ROWS):
         hi = min(lo + CSV_BLOCK_ROWS, n)
-        rows = np.hstack([_digits(col.start + col.step * np.arange(lo, hi))
-                          if isinstance(col, range)
-                          else col[0].take(col[1][lo:hi], axis=0)
-                          for col in columns])
-        yield rows[rows != 0].tobytes().decode()
+        rows = buffer[:hi - lo]
+        for k, (_, piece) in enumerate(fields):
+            if isinstance(piece, tuple):
+                rows[f"f{k}"] = piece[0].take(piece[1][lo:hi])
+            elif isinstance(piece, range):
+                block = piece[lo:hi]
+                _decimal_words(np.arange(block.start, block.stop, block.step),
+                               rows[f"f{k}"])
+        yield rows.tobytes().translate(None, b"\0").decode()
 
 
 def _g17_table(values: np.ndarray) -> np.ndarray:
     """The ``.17g`` texts of the floats ``values`` as a NUL-padded (n,
     width) uint8 table.  A whole value with a clear sign bit below 2**53
     is written as its integer digits, as ``.17g`` writes it (an exponent
-    comes only from 1e17), without formatting; -0.0, fractions, larger
-    values and non-finite ones are formatted one by one."""
+    comes only from 1e17), by :func:`_decimal_words`; -0.0, fractions,
+    larger values and non-finite ones are formatted one by one."""
     whole = ~np.signbit(values) & (values < 2.0 ** 53) \
         & (values == np.floor(values))
     texts = np.array([f"{v:.17g}" for v in values[~whole].tolist()],
                      dtype=bytes)
-    digits = _digits(values[whole].astype(np.int64)) if whole.any() \
-        else np.zeros((0, 1), np.uint8)
-    table = np.zeros((len(values), max(texts.itemsize, digits.shape[1])),
+    ints = values[whole].astype(np.int64)
+    words = np.empty((len(ints), _word_count(int(ints.max(initial=0)))),
+                     np.uint32)
+    _decimal_words(ints, words)
+    table = np.zeros((len(values), max(texts.itemsize, 4 * words.shape[1])),
                      np.uint8)
     table[~whole, :texts.itemsize] = \
         texts.view(np.uint8).reshape(len(texts), texts.itemsize)
-    table[whole, :digits.shape[1]] = digits
+    table[whole, :4 * words.shape[1]] = words.view(np.uint8)
     return table
 
 
-def _digits(values: np.ndarray) -> np.ndarray:
-    """(n, width) ASCII digits of nonnegative integers, NUL-padded left."""
-    top = int(values.max())
-    values = values.astype(np.min_scalar_type(top))  # unsigned: fast division
-    power = 10 ** np.arange(len(str(top)) - 1, -1, -1, dtype=values.dtype)
-    digits = (values // power[:, None] % 10 + ord("0")).astype(np.uint8)
-    digits[(values < power[:, None]) & (power[:, None] > 1)] = 0
-    return digits.T
+def _word_count(top: int) -> int:
+    """The number of 4-digit groups in the decimal digits of ``top``."""
+    return (len(str(top)) + 3) // 4
 
+
+def _decimal_words(values: np.ndarray, out: np.ndarray) -> None:
+    """Write the nonnegative integers ``values`` in decimal into ``out``,
+    (n, G) uint32 words of 4 ASCII bytes each, most significant word
+    first, with NUL bytes for leading zeros; every value is below
+    10 ** (4 G).  Word j from the right holds digit group j of each value
+    (``values // 10 ** (4 j) % 10 ** 4``) from :func:`_word_table`: padded
+    below the value's leading group, unpadded in it, NUL above it.  Where
+    all of ``values`` have their leading group in one place, a word is one
+    table lookup; elsewhere the table's part is chosen value by value."""
+    if not len(values):
+        return
+    groups = out.shape[1]
+    # unsigned and no wider than the values need: its division is fast
+    values = values.astype(np.min_scalar_type(
+        min(10 ** (4 * groups), 2 ** 64) - 1), copy=False)
+    least, most = int(values.min()), int(values.max())
+    table, quotient = _word_table(), values
+    for j in range(groups):
+        low, high = 10 ** (4 * j), 10 ** (4 * j + 4)
+        # one division and no remainder, which numpy computes far slower
+        rest = quotient // 10_000
+        group, quotient = quotient - rest * 10_000, rest
+        if least >= high:   # a padded group of every value
+            part = table[:10_000]
+        elif most < high and (least >= low or not j):   # every leading group
+            part = table[10_000:]
+        else:
+            part, group = table, np.where(values < high, group + 10_000, group)
+            if j:
+                group[values < low] = 20_000
+        out[:, groups - 1 - j] = part.take(group)
+
+
+@cache
+def _word_table() -> np.ndarray:
+    """The words of :func:`_decimal_words` as one uint32 array: the 4
+    ASCII digits of each of 0..9999, then each of them with its leading
+    zeros NUL (0 keeps its last digit), then a NUL word.  Built on first
+    use, so that no import pays for it, from uint8 columns: wider
+    temporaries (int64 digits of 10,000 groups) raised the peak RSS."""
+    digits = np.stack([np.tile(np.repeat(np.arange(48, 58, dtype=np.uint8),
+                                         10 ** (3 - k)), 10 ** k)
+                       for k in range(4)], axis=1)
+    # a digit is a leading zero if it and all before it are "0"
+    lead = np.where(np.logical_or.accumulate(digits != ord("0"), axis=1),
+                    digits, 0)
+    lead[0, 3] = ord("0")
+    return np.concatenate([digits, lead, np.zeros((1, 4), np.uint8)]) \
+        .view(np.uint32).ravel()

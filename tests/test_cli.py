@@ -455,8 +455,9 @@ class TestSample:
             {"0.40000000000000002"}
 
     def test_sample_peak_memory_per_pulse(self, tmp_path):
-        # the CSV goes to --out a block at a time, so the peak is the
-        # draw: rng.choice's uniforms and indices, 16 bytes a pulse
+        # the CSV goes to --out a block at a time, and the draw holds
+        # 1-byte codes and one block of uniforms (16 bytes a pulse when
+        # all the uniforms and int64 codes were held)
         path = write_config(tmp_path, 6, 0, {"r": 0.4, "alpha_mag": 0.8})
         argv = ["sample", "--config", path, "--n-max", "4",
                 "--out", str(tmp_path / "samples.csv")]
@@ -1199,8 +1200,9 @@ class TestBadInput:
     @pytest.mark.parametrize("pulses", [MAX_PULSES + 1, 10 ** 13, 10 ** 20])
     def test_pulses_past_the_bound_exit_2(self, pulses, config_path,
                                           tmp_path, monkeypatch, capsys):
-        # a draw of about 16 B per pulse is refused before it is made and
-        # before --out is opened (10**13 pulses asked numpy for 72.8 TiB)
+        # a draw past the bound is refused before it is made and before
+        # --out is opened (10**13 pulses asked numpy for 72.8 TiB when a
+        # draw held 16 B per pulse)
         def refuse(*args, **kw):
             raise AssertionError("a refused --pulses reached the sampler")
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,11 +10,14 @@ from hypothesis import strategies as st
 
 from conftest import lossy_transfer
 from dgbs.errors import ConfigurationError
-from dgbs.experiment import (ClickTable, DriftModel, PidConfig,
-                             auto_select_pairs, build_error_signal,
-                             lock_kernel, pid_lock, sample_patterns,
-                             simulate_records, tune_pid_gains)
+from dgbs.experiment import (DRAW_BLOCK, GUIDE_CELLS, ClickTable,
+                             DriftModel, PidConfig, _draw, _sampler_patterns,
+                             _with_discard, auto_select_pairs,
+                             build_error_signal, lock_kernel, pid_lock,
+                             sample_patterns, simulate_records,
+                             tune_pid_gains)
 from dgbs.probability import ModelSpec, StateKernel, predict_twofold
+from dgbs.serialize import CSV_BLOCK_ROWS, _csv_rows
 from dgbs.states import SourceConfig, TransferMatrix, build_input_state, propagate
 
 
@@ -96,6 +100,86 @@ def csv_writer_text(table: ClickTable) -> str:
         writer.writerow([i, format(mask, "x") if mask >= 0 else "discard",
                          f"{table.phi:.17g}"])
     return buf.getvalue()
+
+
+def sampler_probabilities(d=6, n_max=4):
+    """The sampler's outcome probabilities for the d-mode standard circuit,
+    discard bucket last."""
+    kern = StateKernel.from_state(standard(d)[2])
+    patterns, _ = _sampler_patterns(d, n_max)
+    return _with_discard(kern.pattern_probabilities(patterns, ModelSpec()))
+
+
+EDGE = 1 / GUIDE_CELLS
+DRAW_CASES = {
+    "sampler-d6": sampler_probabilities(),
+    "zeros": np.array([0.0, 0.3, 0.0, 0.0, 0.1, 0.6, 0.0]),
+    "one-outcome": np.array([1.0]),
+    "all-discard": _with_discard(np.zeros(7)),
+    # cdf values on cell edges, the first on the start of cell 1
+    "cell-edges": np.array([EDGE, 0.5 - EDGE, 0.0, 0.25, 3 * EDGE,
+                            0.25 - 3 * EDGE]),
+    "every-edge": np.full(GUIDE_CELLS, EDGE),
+    # many cdf values within one cell: its uniforms are searched
+    "crowded-cell": np.append(np.full(300, 1e-7), 1 - 3e-5),
+}
+
+
+class TestDraw:
+    # _draw makes rng.choice's draws, codes in the smallest unsigned dtype
+    @pytest.mark.parametrize("case", DRAW_CASES)
+    @pytest.mark.parametrize("pulses", [0, 1, DRAW_BLOCK - 1, DRAW_BLOCK,
+                                        DRAW_BLOCK + 1, 3 * DRAW_BLOCK + 7])
+    def test_draw_matches_rng_choice(self, case, pulses):
+        probs = DRAW_CASES[case]
+        for seed in (0, 1, 2 ** 32 - 1):
+            want = np.random.default_rng(seed).choice(len(probs), pulses,
+                                                      p=probs)
+            got = _draw(np.random.default_rng(seed), probs, pulses)
+            assert got.dtype == np.min_scalar_type(len(probs))
+            assert np.array_equal(got, want)
+
+    def test_draw_leaves_the_generator_as_rng_choice(self):
+        a, b = np.random.default_rng(5), np.random.default_rng(5)
+        probs = DRAW_CASES["sampler-d6"]
+        a.choice(len(probs), 2 * DRAW_BLOCK + 3, p=probs)
+        _draw(b, probs, 2 * DRAW_BLOCK + 3)
+        assert a.random() == b.random()
+
+    def test_sampler_codes_are_compact(self):
+        kern = StateKernel.from_state(standard(6)[2])
+        table = sample_patterns(kern, ModelSpec(), 100, 4, seed=0)
+        assert table.outcome_codes.dtype == np.uint8
+
+    def test_sample_peak_memory(self):
+        # the draw holds its 1-byte codes and one block's uniforms; int64
+        # codes and all the uniforms at once held 16 B a pulse
+        kern = StateKernel.from_state(standard(6)[2])
+        sample_patterns(kern, ModelSpec(), 100, 4, seed=0)   # plans cached
+        pulses = 10 ** 6
+        tracemalloc.start()
+        try:
+            table = sample_patterns(kern, ModelSpec(), pulses, 4, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == pulses
+        assert peak < 3 * pulses   # bytes; 1.5 MB measured
+
+
+@pytest.mark.parametrize("numbers", [
+    range(9_990, 10_010), range(99_999_990, 100_000_010),
+    range(10 ** 12 - 10, 10 ** 12 + 10), range(0, 3), range(7, 8),
+    range(7, 10 ** 9, 999_983), range(10 ** 16, 10 ** 16 - 50, -7),
+    # 10,000 and 10**8 on a block's first row
+    range(10_000 - CSV_BLOCK_ROWS, 10_000 + CSV_BLOCK_ROWS),
+    range(10 ** 8 - 2 * CSV_BLOCK_ROWS, 10 ** 8 + CSV_BLOCK_ROWS + 5)],
+    ids=lambda numbers: f"{numbers.start}-{numbers.stop}")
+def test_range_pieces_written_as_str(numbers):
+    # two range pieces of different widths in each row, as str writes them
+    other = range(len(numbers) - 1, -1, -1)
+    text = "".join(_csv_rows(len(numbers), [numbers, ",", other, "\n"]))
+    assert text == "".join(f"{a},{b}\n" for a, b in zip(numbers, other))
 
 
 class TestSimulatedRecords:

@@ -57,6 +57,20 @@ class TestLikelihoodTrace:
                                                           2.0)
         assert len(sums) == 1
 
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(values=st.lists(st.floats(-1e6, 1e6) | st.just(0.0), max_size=40),
+           flags=st.lists(st.sampled_from([-math.inf, math.inf, 0.0]),
+                          max_size=5))
+    def test_zero_increments_change_no_bit(self, values, flags):
+        # zeros are left out of the sum: the result is fsum over all the
+        # unflagged increments, bit for bit
+        increments = np.array(values + flags, dtype=float)
+        flagged = [(i, (0,), 0.0, 0.0)
+                   for i in range(len(values), len(increments))]
+        trace = LikelihoodTrace(increments, flagged)
+        assert repr(trace.log_ratio) == repr(math.fsum(values))
+
 
 class TestLikelihoodRatio:
     def kernel(self, alpha, seed=7):
