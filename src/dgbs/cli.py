@@ -40,12 +40,13 @@ from .serialize import (canonical_json, check_ports, circuit_from_config,
 from .states import build_classical_input, build_input_state, propagate
 
 
-def _write(args, texts) -> int:
-    """Write the iterable ``texts`` to --out one after the other, each as
-    it comes; 0 for success."""
-    out = nullcontext(sys.stdout) if args.out == "-" else open(args.out, "w")
+def _write(args, blocks) -> int:
+    """Write the iterable of bytes ``blocks`` to --out one after the
+    other, each as it comes; 0 for success."""
+    out = nullcontext(sys.stdout.buffer) if args.out == "-" \
+        else open(args.out, "wb")
     with out as f:
-        f.writelines(texts)
+        f.writelines(blocks)
     return 0
 
 
@@ -55,7 +56,7 @@ def _write_json(args, fields: dict, config: dict) -> int:
     stamp = {"command": args.command, "version": __version__}
     if config is not None:
         stamp["config_hash"] = config_hash(config)
-    return _write(args, [canonical_json({**fields, **stamp}), "\n"])
+    return _write(args, [canonical_json({**fields, **stamp}).encode(), b"\n"])
 
 
 def _kernel_for_model(source, transfer, model: ModelSpec) -> StateKernel:
@@ -139,24 +140,28 @@ def cmd_simulate(args) -> int:
     second = config.get("second_input_port")
     if second is not None:
         check_ports([second], transfer.d)
+    collisions = config.get("include_collisions", False)
+    if type(collisions) is not bool:
+        raise SchemaError(f"include_collisions must be true or false, got "
+                          f"{collisions!r}")
     records = simulate_records(
         source, transfer,
         second_input_port=second,
         phi_grid=phi_grid_from_config(config),
         pulses_per_setting=pulses_from_config(config),
         seed=args.seed,
-        include_collisions=bool(config.get("include_collisions", False)))
+        include_collisions=collisions)
     header = f"# dgbs simulate config_hash={config_hash(config)} seed={args.seed}\n"
-    return _write(args, chain([header], records_to_csv(records)))
+    return _write(args, chain([header.encode()], records_to_csv(records)))
 
 
 def cmd_reconstruct(args) -> int:
     records = records_from_csv(read_text(args.records))
     threefolds = None
     if args.threefolds:
+        text = read_text(args.threefolds)
         try:
-            with open(args.threefolds) as f:
-                threefolds = PatternDistribution.from_json(f.read())
+            threefolds = PatternDistribution.from_json(text)
             if records:   # else reconstruct names the missing settings
                 check_threefolds(threefolds, next(iter(records.values())).d)
         except (ValueError, KeyError, TypeError, DgbsError) as exc:
@@ -270,7 +275,7 @@ def cmd_sample(args) -> int:
                             _largest_sector(args, kernel.d), args.seed,
                             phi=source.phi)
     header = f"# dgbs sample config_hash={config_hash(config)} seed={args.seed}\n"
-    return _write(args, chain([header], table.to_csv()))
+    return _write(args, chain([header.encode()], table.to_csv()))
 
 
 # ---------------------------------------------------------------------------

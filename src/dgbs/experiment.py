@@ -67,11 +67,11 @@ class ClickTable:
         return (masks[:, None] >> np.arange(self.d)) & 1
 
     def to_csv(self):
-        """pulse, bitmask_hex, phi: the text in blocks, header first; each
+        """pulse, bitmask_hex, phi: the bytes in blocks, header first; each
         outcome formatted once."""
         hexes = [format(m, "x") if m >= 0 else "discard"
                  for m in self.outcomes.tolist()]
-        yield SAMPLES_CSV_HEADER + "\n"
+        yield f"{SAMPLES_CSV_HEADER}\n".encode()
         yield from _csv_rows(len(self), [
             range(len(self)), ",", (hexes, self.outcome_codes),
             f",{self.phi:.17g}\n"])
@@ -172,12 +172,13 @@ def _with_discard(probs):
 
 def _setting_patterns(d: int, include_collisions: bool) -> tuple:
     """The singles and twofold patterns every setting records, as (P, d)
-    counts, and the mode pairs (j, k) of the twofolds."""
+    counts, and the mode pairs (j, k) of the twofolds, in sorted order."""
     pairs = [(j, k) for j in range(d)
              for k in range(j if include_collisions else j + 1, d)]
-    eye = np.eye(d, dtype=np.int64)
-    j, k = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    return np.vstack([eye, eye[j] + eye[k]]), pairs
+    twofolds = all_patterns(d, 2, not include_collisions)
+    if include_collisions:   # all_patterns lists these pairs in reverse
+        twofolds = twofolds[::-1]
+    return np.vstack([all_patterns(d, 1, True), twofolds]), pairs
 
 
 def _binomial_rates(rng, rate, pulses):
@@ -194,7 +195,8 @@ def simulate_records(config: SourceConfig, t: TransferMatrix,
     With finite ``pulses_per_setting`` every observable receives independent
     binomial counting noise (pulses are split evenly over the phi grid for
     scanned settings); ``math.inf`` yields exact noiseless rates.  Each
-    scanned setting is one :class:`PhaseFamily`.
+    setting is one :class:`PhaseFamily`, the blocked one at the source's
+    phi alone.
     """
     if phi_grid is None:   # five 2-pi windows
         phi_grid = np.linspace(0, 10 * math.pi, 100, endpoint=False)
@@ -205,10 +207,13 @@ def simulate_records(config: SourceConfig, t: TransferMatrix,
     patterns, pairs = _setting_patterns(d, include_collisions)
     records = {}
 
-    blocked_cfg = replace(config, alpha_mag=0.0)
-    kernel = StateKernel.from_state(propagate(build_input_state(blocked_cfg, d), t))
-    rates = np.append(kernel.p_vac,
-                      kernel.pattern_probabilities(patterns))[:, None]
+    def setting_rates(cfg, phis) -> np.ndarray:
+        """The (1 + P, F) vacuum and pattern rates of ``cfg`` at ``phis``."""
+        family = PhaseFamily.scan(cfg, t, phis)
+        return np.vstack([family.p_vac,
+                          family.pattern_probabilities(patterns).T])
+
+    rates = setting_rates(replace(config, alpha_mag=0.0), [config.phi])
     if noisy:
         # the vacuum rate is drawn after the other observables
         rates[1:] = _binomial_rates(rng, rates[1:], pulses_per_setting)
@@ -223,9 +228,7 @@ def simulate_records(config: SourceConfig, t: TransferMatrix,
     for name, port in settings:
         cfg = replace(config, coherent_port=port,
                       squeezer_ports=_avoid_overlap(config.squeezer_ports, port))
-        family = PhaseFamily.scan(cfg, t, phi_grid)
-        rates = np.vstack([family.p_vac,
-                           family.pattern_probabilities(patterns).T])
+        rates = setting_rates(cfg, phi_grid)
         if noisy:
             rates = _binomial_rates(rng, rates, pulses_per_bin)
         records[name] = MeasurementRecord(
@@ -287,13 +290,12 @@ class PidConfig:
     ki: float = 0.0
     kd: float = 0.0
     setpoint: float = LOCK_SETPOINT
-    update_interval: float = 0.1
     actuator_limit: float = 4 * math.pi
 
     def __post_init__(self):
         _require_finite(self)
-        if self.update_interval <= 0 or self.actuator_limit <= 0:
-            raise ConfigurationError("update interval and actuator limit must be positive")
+        if self.actuator_limit <= 0:
+            raise ConfigurationError("actuator limit must be positive")
 
 
 @dataclass
@@ -375,7 +377,7 @@ def _pid_loop(drift: DriftModel, pid: PidConfig, gains, error_signal,
     where numpy's per-call overhead would cost more than the arithmetic;
     a batch runs each step as a few array operations."""
     drift_trace = drift.trace(duration, np.random.default_rng(seed))
-    dt, limit, n = pid.update_interval, pid.actuator_limit, len(drift_trace)
+    dt, limit, n = drift.step_interval, pid.actuator_limit, len(drift_trace)
     kp, ki, kd = gains
     if np.ndim(kp):
         def clamp(v):
@@ -410,13 +412,14 @@ def _pid_loop(drift: DriftModel, pid: PidConfig, gains, error_signal,
 
 def pid_lock(drift: DriftModel, pid: PidConfig, error_signal,
              duration: float, seed: int = 0) -> LockResult:
-    """Closed-loop simulation from the setpoint at the PID update interval:
-    the error is S(phi) - S(setpoint), and the actuator's phase correction
-    is clamped to ``pid.actuator_limit`` (a clamp marks the lock diverged)."""
+    """Closed-loop simulation from the setpoint, one PID update per drift
+    step: the error is S(phi) - S(setpoint), and the actuator's phase
+    correction is clamped to ``pid.actuator_limit`` (a clamp marks the lock
+    diverged)."""
     phi, residual, diverged = _pid_loop(
         drift, pid, (float(pid.kp), float(pid.ki), float(pid.kd)),
         error_signal, duration, seed)
-    times = np.arange(phi.shape[1]) * pid.update_interval
+    times = np.arange(phi.shape[1]) * drift.step_interval
     if not (math.isfinite(times[-1]) and math.isfinite(residual[0])
             and np.isfinite(phi[0]).all()):
         raise NumericalError("the lock trace goes beyond floating-point "

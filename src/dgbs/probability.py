@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, combinations_with_replacement
@@ -62,10 +63,15 @@ class ModelSpec:
 
     @classmethod
     def parse(cls, text: str) -> "ModelSpec":
+        """The model a --model text names: a kind, or ``korder(k)`` with k
+        in ASCII digits (a bare ``korder`` or ``korder()`` gives no k)."""
         text = text.strip()
         if text.startswith("korder"):
-            inner = text[len("korder"):].strip("()")
-            return cls("korder", int(inner) if inner else None)
+            match = re.fullmatch(r"korder(?:\(([0-9]*)\))?", text)
+            if match is None:
+                raise ConfigurationError(
+                    "expected korder(k) with k in ASCII digits")
+            return cls("korder", int(match[1]) if match[1] else None)
         return cls(text)
 
 
@@ -302,8 +308,10 @@ class PatternDistribution:
         probs = np.asarray(self.probabilities, dtype=float)
         if len(patterns) != probs.shape[0]:
             raise ConfigurationError("pattern/probability length mismatch")
-        if probs.size and (probs.min() < -1e-12 or abs(probs.sum() - 1) > 1e-9):
-            raise ConfigurationError("probabilities must be nonnegative and sum to 1")
+        if not np.isfinite(probs).all() or probs.size and (
+                probs.min() < -1e-12 or abs(probs.sum() - 1) > 1e-9):
+            raise ConfigurationError(
+                "probabilities must be finite, nonnegative and sum to 1")
         probs = np.clip(probs, 0.0, None)
         s = probs.sum()
         if s > 0:

@@ -13,7 +13,6 @@ to a common scan-origin offset solved jointly from the fringe phases).
 
 from __future__ import annotations
 
-import json
 import math
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
@@ -109,9 +108,9 @@ class MeasurementRecord:
 def records_to_csv(records):
     """Serialize records (dict setting -> MeasurementRecord) to the CSV
     format setting, phi, modes, counts, pulses: one row per table cell,
-    phi column by phi column, yielded in blocks, header first.  No field
-    needs csv quoting."""
-    yield ",".join(CSV_HEADER) + "\n"
+    phi column by phi column, as bytes yielded in blocks, header first.
+    No field needs csv quoting."""
+    yield f"{','.join(CSV_HEADER)}\n".encode()
     for rec in (records[s] for s in SETTINGS if s in records):
         phis = [""] if rec.phi is None else \
             [f"{p:.17g}" for p in rec.phi.tolist()]
@@ -447,9 +446,6 @@ class ReconstructionResult:
             "fallback_entries": [list(f) for f in self.fallback_entries],
             "optimizer_report": self.optimizer_report,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.payload(), sort_keys=True)
 
 
 def check_threefolds(threefolds: PatternDistribution, d: int):

@@ -143,13 +143,16 @@ def _ports(ports, name: str, key: str, length: int = None) -> tuple:
 def _from_fields(cls, fields, name: str):
     """``cls(**fields)``, each integer in a float field read as a float
     (numpy takes an int past int64 as an object), or SchemaError "bad
-    {name} config: ...".  An integer beyond float range is left for
-    ``cls`` to refuse."""
+    {name} config: ...", a key with no field first.  An integer beyond
+    float range is left for ``cls`` to refuse."""
     if isinstance(fields, dict):
-        reals = {f.name for f in dataclasses.fields(cls) if f.type == "float"}
-        fields = {key: float(value) if key in reals and type(value) is int
-                  and abs(value) <= sys.float_info.max else value
-                  for key, value in fields.items()}
+        types = {f.name: f.type for f in dataclasses.fields(cls)}
+        for key in fields:
+            if key not in types:
+                raise SchemaError(f"bad {name} config: unknown field {key!r}")
+        fields = {key: float(value) if types[key] == "float"
+                  and type(value) is int and abs(value) <= sys.float_info.max
+                  else value for key, value in fields.items()}
     try:
         return cls(**fields)
     except (TypeError, ConfigurationError) as exc:
@@ -365,21 +368,21 @@ def _uncommented(text: str, keep_lines: bool):
 
 
 def _csv_rows(n: int, pieces):
-    """The text of ``n`` CSV rows, each the concatenation of ``pieces``,
+    """The bytes of ``n`` CSV rows, each the concatenation of ``pieces``,
     yielded a block of ``CSV_BLOCK_ROWS`` rows at a time.
 
     A piece is a str (the same text in every row), a ``(texts, codes)``
-    pair (row i holds ``texts[codes[i]]``; texts are ASCII without NUL,
-    a list of str or a NUL-padded (k, width) uint8 table of them) or a
+    pair (row i holds ``texts[codes[i]]``; ``np.asarray(texts,
+    dtype=bytes)`` gives the texts as ASCII, whose NULs are padding) or a
     range of n nonnegative integers, written in decimal.  A block is one
     fixed-width record per row with one field per piece, each field filled
-    by one whole-field copy: a str as a scalar (once, for every block), a
-    texts list or table as an ``S{width}`` array gathered by the block's
-    codes, a range as the words of :func:`_decimal_words`.  One
-    ``bytes.translate`` then drops the NUL padding of the block."""
+    by one whole-field copy: a str as a scalar (once, for every block),
+    texts as their ``S{width}`` array gathered by the block's codes, a
+    range as the words of :func:`_decimal_words`.  One ``bytes.translate``
+    then drops the NUL padding of the block."""
     if not n:
         return
-    fields = []   # (field format, piece), a texts list made an S{w} array
+    fields = []   # (field format, piece), texts made an S{width} array
     for piece in pieces:
         if isinstance(piece, str):
             piece = piece.encode()
@@ -389,11 +392,7 @@ def _csv_rows(n: int, pieces):
                            piece))
         else:
             texts, codes = piece
-            if isinstance(texts, list):
-                texts = np.array(texts, dtype=bytes)
-            else:   # one S{width} text per row of the uint8 table
-                texts = np.ascontiguousarray(texts).view(
-                    f"S{texts.shape[1]}")[:, 0]
+            texts = np.asarray(texts, dtype=bytes)
             fields.append((texts.dtype, (texts, codes)))
     record = np.dtype([(f"f{k}", fmt) for k, (fmt, _) in enumerate(fields)])
     buffer = np.empty(min(n, CSV_BLOCK_ROWS), record)
@@ -410,15 +409,16 @@ def _csv_rows(n: int, pieces):
                 block = piece[lo:hi]
                 _decimal_words(np.arange(block.start, block.stop, block.step),
                                rows[f"f{k}"])
-        yield rows.tobytes().translate(None, b"\0").decode()
+        yield rows.tobytes().translate(None, b"\0")
 
 
 def _g17_table(values: np.ndarray) -> np.ndarray:
-    """The ``.17g`` texts of the floats ``values`` as a NUL-padded (n,
-    width) uint8 table.  A whole value with a clear sign bit below 2**53
+    """The ``.17g`` texts of the floats ``values`` as a NUL-padded
+    ``S{width}`` array.  A whole value with a clear sign bit below 2**53
     is written as its integer digits, as ``.17g`` writes it (an exponent
-    comes only from 1e17), by :func:`_decimal_words`; -0.0, fractions,
-    larger values and non-finite ones are formatted one by one."""
+    comes only from 1e17), by :func:`_decimal_words`, whose leading NULs
+    the copy keeps; -0.0, fractions, larger values and non-finite ones
+    are formatted one by one."""
     whole = ~np.signbit(values) & (values < 2.0 ** 53) \
         & (values == np.floor(values))
     texts = np.array([f"{v:.17g}" for v in values[~whole].tolist()],
@@ -427,11 +427,10 @@ def _g17_table(values: np.ndarray) -> np.ndarray:
     words = np.empty((len(ints), _word_count(int(ints.max(initial=0)))),
                      np.uint32)
     _decimal_words(ints, words)
-    table = np.zeros((len(values), max(texts.itemsize, 4 * words.shape[1])),
-                     np.uint8)
-    table[~whole, :texts.itemsize] = \
-        texts.view(np.uint8).reshape(len(texts), texts.itemsize)
-    table[whole, :4 * words.shape[1]] = words.view(np.uint8)
+    width = 4 * words.shape[1]
+    table = np.empty(len(values), f"S{max(texts.itemsize, width)}")
+    table[~whole] = texts
+    table[whole] = words.view(f"S{width}").ravel()
     return table
 
 

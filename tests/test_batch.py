@@ -444,7 +444,7 @@ def per_phase_records(config, t, second_input_port, phi_grid, pulses, seed,
 
 
 def row_by_row_csv(records):
-    """The records CSV written one row at a time."""
+    """The bytes of the records CSV written one row at a time."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["setting", "phi", "modes", "counts", "pulses"])
@@ -464,7 +464,7 @@ def row_by_row_csv(records):
                 writer.writerow([setting, "" if phi is None else f"{phi:.17g}",
                                  label, f"{rate * scale if finite else rate:.17g}",
                                  rec.pulses if finite else "inf"])
-    return buf.getvalue()
+    return buf.getvalue().encode()
 
 
 @PROPERTY
@@ -480,9 +480,9 @@ def test_simulate_records_match_state_per_phase(d, seed, nphi, noisy,
     args = (cfg, t, d - 1 if second else None, phi_grid,
             1e5 if noisy else math.inf, seed % 1000, collisions)
     with mock.patch.object(hafnian, "DP_CHUNK_BYTES", chunk_bytes):
-        got = "".join(records_to_csv(simulate_records(*args)))
+        got = b"".join(records_to_csv(simulate_records(*args)))
     want = per_phase_records(*args)
-    assert got == "".join(records_to_csv(want)) == row_by_row_csv(want)
+    assert got == b"".join(records_to_csv(want)) == row_by_row_csv(want)
 
 
 COUNT_PULSES = [1.0, 1e5, 2.0 ** 53 - 1, 2.0 ** 53, 1e16, 1e17, 1e20,
@@ -523,7 +523,7 @@ def test_counts_written_as_by_format(pulses, draws):
         "blocked": MeasurementRecord("blocked", d, pulses, rates[:, None]),
         "input1": MeasurementRecord("input1", d, pulses, rates[::-1, None],
                                     phi=[0.5])}
-    assert "".join(records_to_csv(records)) == row_by_row_csv(records)
+    assert b"".join(records_to_csv(records)) == row_by_row_csv(records)
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +555,7 @@ def reference_pid_lock(drift, pid, error_signal, duration, seed=0):
     """The scalar PID loop that the batched loop replaced, one gain set at a
     time: the reference for its bits."""
     rng = np.random.default_rng(seed)
-    dt = pid.update_interval
+    dt = drift.step_interval
     drift_trace = drift.trace(duration, rng)
     n = len(drift_trace)
     target = error_signal(pid.setpoint)
@@ -624,12 +624,10 @@ GAIN = st.floats(-60, 60, allow_nan=False)   # in units of 1 / error slope
        n_pairs=st.integers(1, 6),
        kind=st.sampled_from(["random_walk", "sinusoidal", "composite"]),
        step=st.sampled_from([0.1, 0.07]), steps=st.floats(0.6, 90),
-       update_interval=st.sampled_from([0.1, 0.03]),
        limit=st.sampled_from([1e-3, 0.3, 4 * math.pi]),
        gains=st.lists(st.tuples(GAIN, GAIN, GAIN), min_size=1, max_size=5))
 def test_pid_loop_matches_scalar_reference(d, seed, n_pairs, kind, step,
-                                           steps, update_interval, limit,
-                                           gains):
+                                           steps, limit, gains):
     # durations that are no multiple of the step; gains and limits that
     # clamp the actuator and drive some locks to divergence
     signal, slope = lock_signal(d, seed, n_pairs)
@@ -637,8 +635,7 @@ def test_pid_loop_matches_scalar_reference(d, seed, n_pairs, kind, step,
     drift = DriftModel(kind=kind, step_interval=step)
     duration, seed = steps * step, seed % 1000
     pids = [PidConfig(kp=a / slope, ki=b / slope, kd=c / (10 * slope),
-                      update_interval=update_interval, actuator_limit=limit)
-            for a, b, c in gains]
+                      actuator_limit=limit) for a, b, c in gains]
     refs = [reference_pid_lock(drift, pid, signal, duration, seed)
             for pid in pids]
     for pid, ref in zip(pids, refs):   # G = 1

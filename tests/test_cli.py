@@ -437,8 +437,8 @@ class TestSample:
             assert main(["sample", "--config", config_path, "--model", model,
                          "--pulses", "2000", "--n-max", "2", "--seed", "7",
                          "--out", str(out)]) == 0
-            outs[model] = out.read_text()
-        assert outs["classical"] == header + "".join(table.to_csv())
+            outs[model] = out.read_bytes()
+        assert outs["classical"] == header.encode() + b"".join(table.to_csv())
         assert outs["classical"] != outs["full"]
 
     def test_phi_column_is_the_coherent_phase(self, config_path, tmp_path):
@@ -692,7 +692,7 @@ def fuzz_inputs(tmp_path_factory):
         "drift": {"kind": "composite", "sigma": 0.015, "amplitude": 1.8,
                   "period": 15.0, "step_interval": 0.1},
         "pid": {"kp": 0.5, "ki": 0.1, "kd": 0.0, "setpoint": 0.7,
-                "update_interval": 0.1, "actuator_limit": 12.0},
+                "actuator_limit": 12.0},
         "phi_grid": {"start": 0.0, "stop": 6.0, "num": 6},
         "pulses_per_setting": 1e6, "second_input_port": 2})
     (base / "config.json").write_text(json.dumps(config))
@@ -845,6 +845,16 @@ class TestOutPath:
         assert err.startswith("dgbs: ") and err.count("\n") == 1
         assert "No such file" not in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_stdout_gets_the_bytes_of_the_file(self, command, config_path,
+                                               tmp_path, capsysbinary):
+        argv = self.argv(command, config_path, tmp_path)
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 0
+        capsysbinary.readouterr()
+        assert main([*argv, "--out", "-"]) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes() != b""
+
 
 class TestCompareTables:
     def test_each_table_built_once(self, config_path, tmp_path, monkeypatch):
@@ -937,10 +947,13 @@ class TestBadInput:
         pytest.param({"pid": {"setpoint": 10 ** 400}}, "bad pid config: "
                      f"setpoint must be a finite number, got {10 ** 400}",
                      id="int-beyond-float-range"),
-        ({"pid": {"actuator_limit": -1}}, "bad pid config: update interval "
-         "and actuator limit must be positive"),
-        ({"pid": {"update_interval": 0}}, "bad pid config: update interval "
-         "and actuator limit must be positive"),
+        pytest.param({"pid": {"actuator_limit": -1}},
+                     "bad pid config: actuator limit must be positive",
+                     id="pid-actuator-limit"),
+        # the loop updates once per drift step, drift step_interval
+        pytest.param({"pid": {"update_interval": 0.1}}, "bad pid config: "
+                     "unknown field 'update_interval'",
+                     id="pid-update-interval"),
         ({"drift": {"period": 0}}, "bad drift config: need sigma >= 0, "
          "period > 0 and step_interval > 0"),
         ({"drift": {"sigma": -0.1}}, "bad drift config: need sigma >= 0, "
@@ -992,9 +1005,11 @@ class TestBadInput:
                          "too large to resolve the drift: its float spacing "
                          "2.62e+05 rad is coarser than the phase resolution "
                          "1e-09 rad\n"), id="pid-setpoint"),
-        pytest.param({"pid": {"update_interval": 2 ** 70}},
-                     ["lock", "--duration", "3"], (0, ""),
-                     id="pid-update-interval"),
+        pytest.param({"drift": {"step_interval": 2 ** 70}},
+                     ["lock", "--duration", "3"],
+                     (2, "dgbs: --duration must be finite and cover at least "
+                         "one drift step of 1.1805916207174113e+21 s, got "
+                         "3.0\n"), id="drift-step-interval"),
     ])
     def test_int_past_int64_in_a_float_field(self, settings, command,
                                              outcome, config_path, tmp_path,
@@ -1057,9 +1072,6 @@ class TestBadInput:
         pytest.param({"drift": {"sigma": 1e308}}, "the lock trace goes "
                      "beyond floating-point range: check the drift and pid "
                      "settings", id="drift-sigma"),
-        pytest.param({"pid": {"update_interval": 1e308}}, "the lock trace "
-                     "goes beyond floating-point range: check the drift and "
-                     "pid settings", id="pid-update-interval"),
         pytest.param({"drift": {"amplitude": 1e308}}, "the lock phase "
                      "9.048270524660196e+307 is beyond the range of the "
                      "error signal", id="drift-amplitude"),
@@ -1579,6 +1591,61 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("dgbs:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_threefolds_exit_2(self, value, config_path,
+                                          tmp_path, capsys):
+        # a NaN passed the range and sum checks and ended in a traceback
+        records, threefolds = tmp_path / "recs.csv", tmp_path / "three.json"
+        assert main(["simulate", "--config", config_path,
+                     "--out", str(records)]) == 0
+        threefolds.write_text('{"d": 3, "total": 3, "collision_free": true, '
+                              '"patterns": [[1, 1, 1]], '
+                              f'"probabilities": [{value}]}}')
+        code = main(["reconstruct", "--records", str(records),
+                     "--threefolds", str(threefolds),
+                     "--out", str(tmp_path / "out.json")])
+        assert (code, capsys.readouterr().err) == (
+            2, f"dgbs: bad threefolds file {threefolds}: ConfigurationError("
+               "'probabilities must be finite, nonnegative and sum to 1')\n")
+
+    def test_threefolds_not_utf8_exits_2(self, config_path, tmp_path,
+                                         capsys):
+        records, threefolds = tmp_path / "recs.csv", tmp_path / "three.json"
+        assert main(["simulate", "--config", config_path,
+                     "--out", str(records)]) == 0
+        threefolds.write_bytes(b'{"d": 3, "model": "\xff"}')
+        code = main(["reconstruct", "--records", str(records),
+                     "--threefolds", str(threefolds),
+                     "--out", str(tmp_path / "out.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"dgbs: cannot read {threefolds}: ")
+        assert err.count("\n") == 1 and "0xff" in err
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, []])
+    def test_include_collisions_must_be_a_boolean(self, value, config_path,
+                                                  tmp_path, capsys):
+        # bool(value) read "false" as true
+        assert self.run_with(config_path, tmp_path, capsys,
+                             {"include_collisions": value},
+                             ["simulate"]) == (
+            2, f"dgbs: include_collisions must be true or false, got "
+               f"{value!r}\n")
+
+    @pytest.mark.parametrize("model", [
+        "korder2", "korder)2(", "korder((2))", "korder(2", "korder2)",
+        "korder(\u0662)", "korder(+2)", "korder( 2)", "korder(2_0)",
+        "korder(-1)"])
+    def test_korder_needs_ascii_digits_in_parentheses(self, model,
+                                                      config_path, tmp_path,
+                                                      capsys):
+        # each was read as korder(2), korder(20) or a negative order
+        code = main(["probs", "--config", config_path, "--model", model,
+                     "--out", str(tmp_path / "out.json")])
+        assert (code, capsys.readouterr().err) == (
+            2, f"dgbs: bad model {model!r}: expected korder(k) with k in "
+               "ASCII digits\n")
 
 
 # Rows of a valid records file; line 1-2 of the file are comments, line 3

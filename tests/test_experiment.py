@@ -52,8 +52,8 @@ class TestSampling:
     def test_click_table_csv(self):
         kern = StateKernel.from_state(standard()[2])
         table = sample_patterns(kern, ModelSpec(), 10, 2, seed=0)
-        lines = "".join(table.to_csv()).splitlines()
-        assert lines[0] == "pulse,bitmask_hex,phi"
+        lines = b"".join(table.to_csv()).splitlines()
+        assert lines[0] == b"pulse,bitmask_hex,phi"
         assert len(lines) == 11
 
     def test_sampler_table_csv(self):
@@ -63,10 +63,10 @@ class TestSampling:
         table = sample_patterns(kern, ModelSpec(), 5000, n_max=1, seed=2,
                                 phi=-0.0)
         assert (table.bitmasks == -1).any()
-        text = "".join(table.to_csv())
-        assert text.splitlines()[1].endswith(",-0")
+        text = b"".join(table.to_csv())
+        assert text.splitlines()[1].endswith(b",-0")
         assert text == csv_writer_text(table)
-        assert text == "".join(ClickTable(
+        assert text == b"".join(ClickTable(
             *np.unique(table.bitmasks, return_inverse=True), table.phi,
             kern.d).to_csv())
 
@@ -88,18 +88,18 @@ class TestSampling:
         rng = np.random.default_rng(seed)
         masks = rng.integers(-1, 2 ** d, pulses)   # -1: a discard
         table = ClickTable(*np.unique(masks, return_inverse=True), phi, d)
-        assert "".join(table.to_csv()) == csv_writer_text(table)
+        assert b"".join(table.to_csv()) == csv_writer_text(table)
 
 
-def csv_writer_text(table: ClickTable) -> str:
-    """A click table's CSV written one row at a time."""
+def csv_writer_text(table: ClickTable) -> bytes:
+    """The bytes of a click table's CSV written one row at a time."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["pulse", "bitmask_hex", "phi"])
     for i, mask in enumerate(table.bitmasks.tolist()):
         writer.writerow([i, format(mask, "x") if mask >= 0 else "discard",
                          f"{table.phi:.17g}"])
-    return buf.getvalue()
+    return buf.getvalue().encode()
 
 
 def sampler_probabilities(d=6, n_max=4):
@@ -178,8 +178,9 @@ class TestDraw:
 def test_range_pieces_written_as_str(numbers):
     # two range pieces of different widths in each row, as str writes them
     other = range(len(numbers) - 1, -1, -1)
-    text = "".join(_csv_rows(len(numbers), [numbers, ",", other, "\n"]))
-    assert text == "".join(f"{a},{b}\n" for a, b in zip(numbers, other))
+    text = b"".join(_csv_rows(len(numbers), [numbers, ",", other, "\n"]))
+    assert text == "".join(f"{a},{b}\n"
+                           for a, b in zip(numbers, other)).encode()
 
 
 class TestSimulatedRecords:

@@ -222,7 +222,7 @@ class TestRecordsIO:
                                 phi_grid=PHI_GRID[:60],
                                 pulses_per_setting=math.inf,
                                 include_collisions=True)
-        back = records_from_csv("".join(records_to_csv(recs)))
+        back = records_from_csv(b"".join(records_to_csv(recs)).decode())
         for name, rec in recs.items():
             assert_allclose(back[name].singles, rec.singles, atol=1e-14)
             assert back[name].pairs == rec.pairs
@@ -239,7 +239,7 @@ class TestRecordsIO:
                                 lossy_transfer(3, 0.5, seed=1),
                                 phi_grid=PHI_GRID[:8],
                                 pulses_per_setting=math.inf)
-        text = "".join(records_to_csv(recs))
+        text = b"".join(records_to_csv(recs)).decode()
         back = records_from_csv("# one\n# two\n" + text)
         for name, rec in recs.items():
             assert back[name].rates.tobytes() == rec.rates.tobytes()
@@ -268,7 +268,7 @@ class TestRecordsIO:
             phi_grid=np.linspace(0, 2 * math.pi, 12, endpoint=False),
             pulses_per_setting=1e6 if noisy else math.inf,
             seed=seed % 1000, include_collisions=collisions)
-        text = "".join(records_to_csv(recs))
+        text = b"".join(records_to_csv(recs)).decode()
         assert text == csv_writer_text(recs)
         back = records_from_csv(text)
         assert back.keys() == recs.keys()
@@ -289,7 +289,7 @@ class TestRecordsIO:
         shuffled = records_from_csv("\n".join([header, *rows]) + "\n")
         for name, rec in recs.items():
             assert shuffled[name].rates.tobytes() == rec.rates.tobytes()
-        assert reconstruct(back).to_json() == reconstruct(recs).to_json()
+        assert reconstruct(back).payload() == reconstruct(recs).payload()
 
     def test_rates_validated(self):
         with pytest.raises(ConfigurationError):
@@ -454,6 +454,7 @@ class TestRoundTrip:
 
     def test_result_json_round_trips(self):
         import json
+        from dgbs.serialize import canonical_json
         cfg = SourceConfig(r=0.3, alpha_mag=0.6)
         t = lossy_transfer(4, 0.5, seed=2)
         recs = simulate_records(cfg, t, second_input_port=3,
@@ -461,7 +462,7 @@ class TestRoundTrip:
                                 pulses_per_setting=math.inf,
                                 include_collisions=True)
         res = reconstruct(recs)
-        obj = json.loads(res.to_json())
+        obj = json.loads(canonical_json(res.payload()))
         assert obj["d"] == 4
         assert len(obj["b"]) == 4
 
