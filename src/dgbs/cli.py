@@ -33,10 +33,10 @@ from .probability import (PATTERN_BUDGET, ModelSpec, PatternDistribution,
                           pattern_count)
 from .reconstruction import (check_threefolds, reconstruct, records_from_csv,
                              records_to_csv)
-from .serialize import (canonical_json, check_ports, circuit_from_config,
-                        config_hash, drift_from_config, load_config,
-                        phi_grid_from_config, pid_from_config,
-                        pulses_from_config, read_text)
+from .serialize import (canonical_json, circuit_from_config, config_hash,
+                        drift_from_config, load_config, phi_grid_from_config,
+                        pid_from_config, pulses_from_config, read_text,
+                        source_from_config)
 from .states import build_classical_input, build_input_state, propagate
 
 
@@ -138,8 +138,9 @@ def cmd_simulate(args) -> int:
     config = load_config(args.config)
     source, transfer = circuit_from_config(config)
     second = config.get("second_input_port")
-    if second is not None:
-        check_ports([second], transfer.d)
+    if second is not None:   # the coherent port of a second source
+        source_from_config({"source": {**config["source"],
+                                       "coherent_port": second}}, transfer.d)
     collisions = config.get("include_collisions", False)
     if type(collisions) is not bool:
         raise SchemaError(f"include_collisions must be true or false, got "

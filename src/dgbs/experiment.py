@@ -226,21 +226,12 @@ def simulate_records(config: SourceConfig, t: TransferMatrix,
         settings.append(("input2", second_input_port))
     pulses_per_bin = pulses_per_setting / len(phi_grid) if noisy else math.inf
     for name, port in settings:
-        cfg = replace(config, coherent_port=port,
-                      squeezer_ports=_avoid_overlap(config.squeezer_ports, port))
-        rates = setting_rates(cfg, phi_grid)
+        rates = setting_rates(replace(config, coherent_port=port), phi_grid)
         if noisy:
             rates = _binomial_rates(rng, rates, pulses_per_bin)
         records[name] = MeasurementRecord(
             name, d, pulses_per_bin, rates, pairs, phi=phi_grid)
     return records
-
-
-def _avoid_overlap(squeezer_ports, coherent_port):
-    if coherent_port not in squeezer_ports:
-        return squeezer_ports
-    raise ConfigurationError(
-        f"second coherent input port {coherent_port} collides with the squeezer ports")
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, CutoffError
-from .states import SourceConfig, TransferMatrix
+from .states import SourceConfig, TransferMatrix, check_ports
 
 UNITARY_TOL = 1e-10   # largest |U U^dag - 1| entry of a unitary
 ZERO_TOL = 4 * np.finfo(float).eps   # rounding of a dilation entry, per mode
@@ -62,13 +62,11 @@ def expand_inputs(config: SourceConfig, total_modes: int, cutoff: int,
                   eps: float) -> FockVector:
     """TMSV (sum tanh^n r / cosh r |n,n>) and coherent state placed on their
     ports, vacuum elsewhere; total-photon cutoff."""
-    ports = (*config.squeezer_ports, config.coherent_port)
-    if max(ports) >= total_modes:
-        raise ConfigurationError("input port exceeds total modes")
+    check_ports(config.ports, total_modes)
     tm = tmsv_fock(config.r, cutoff)
     coh = coherent_fock(config.alpha_mag * np.exp(1j * config.phi), cutoff)
     out = FockVector(total_modes)
-    p, q, c = config.squeezer_ports[0], config.squeezer_ports[1], config.coherent_port
+    p, q, c = config.ports
     for (na, nb), va in tm.amplitudes.items():
         for (nc,), vc in coh.amplitudes.items():
             if na + nb + nc > cutoff:
@@ -320,10 +318,6 @@ def oracle_probability(config: SourceConfig, t: TransferMatrix, counts,
     pattern = checked_pattern(t, counts, cutoff)
     if cutoff is None:
         cutoff = choose_cutoff(config, t, sum(pattern))
-    return _oracle_probability_at(config, t, pattern, cutoff, eps)
-
-
-def _oracle_probability_at(config, t, pattern, cutoff, eps) -> float:
     d = t.d
     psi = expand_inputs(config, 2 * d, cutoff, eps=eps)
     # uniform source loss eta_tot folds into the transfer before dilation

@@ -65,7 +65,6 @@ class ModelSpec:
     def parse(cls, text: str) -> "ModelSpec":
         """The model a --model text names: a kind, or ``korder(k)`` with k
         in ASCII digits (a bare ``korder`` or ``korder()`` gives no k)."""
-        text = text.strip()
         if text.startswith("korder"):
             match = re.fullmatch(r"korder(?:\(([0-9]*)\))?", text)
             if match is None:

@@ -588,9 +588,7 @@ def reconstruct(records: dict, threefolds: PatternDistribution = None,
             "im_inconsistent": phased & inconsistent,
             "im_sign_unknown": ~phased & (known_im > 0)})
     else:
-        flags += [("im_sign_unknown", j, k) for j, k in sorted(
-            ((j, k) for j in range(d) for k in range(j + 1, d)
-             if abs_im[j, k] > 0), key=_pair_label)]
+        flags += _pair_flags(j, k, {"im_sign_unknown": abs_im[j, k] > 0})
 
     c = np.diag(c_diag).astype(complex) + re_c * (1 - np.eye(d)) + 1j * im_c
     c = (c + c.conj().T) / 2

@@ -18,7 +18,7 @@ import json
 import math
 import sys
 from collections import defaultdict
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from functools import cache
 from itertools import chain, count, islice
 from operator import itemgetter
@@ -26,7 +26,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import ConfigurationError, SchemaError
-from .states import SourceConfig, TransferMatrix, _real
+from .states import SourceConfig, TransferMatrix, _real, check_ports
 
 CONFIG_VERSION = 1
 MAX_PHI_POINTS = 100_000   # lab phase scans take about 100
@@ -125,8 +125,10 @@ def source_from_config(config: dict, d: int = None) -> SourceConfig:
         kw["squeezer_ports"] = _ports(kw["squeezer_ports"], "source",
                                       "squeezer_ports", 2)
     if d is not None:
-        check_ports((*kw.get("squeezer_ports", SourceConfig.squeezer_ports),
-                     kw.get("coherent_port", SourceConfig.coherent_port)), d)
+        ports = (*kw.get("squeezer_ports", SourceConfig.squeezer_ports),
+                 kw.get("coherent_port", SourceConfig.coherent_port))
+        with _schema("source"):
+            check_ports(ports, d)
     return _from_fields(SourceConfig, kw, "source")
 
 
@@ -153,8 +155,16 @@ def _from_fields(cls, fields, name: str):
         fields = {key: float(value) if types[key] == "float"
                   and type(value) is int and abs(value) <= sys.float_info.max
                   else value for key, value in fields.items()}
-    try:
+    with _schema(name):
         return cls(**fields)
+
+
+@contextmanager
+def _schema(name: str):
+    """Raise a TypeError or ConfigurationError of the block as SchemaError
+    "bad {name} config: ..."."""
+    try:
+        yield
     except (TypeError, ConfigurationError) as exc:
         raise SchemaError(f"bad {name} config: {exc}") from exc
 
@@ -172,7 +182,6 @@ def transfer_from_config(config: dict) -> TransferMatrix:
     ports = tr.get("input_ports")
     if ports is not None:
         ports = _ports(ports, "transfer", "input_ports")
-        check_ports(ports, d, "transfer")
     return _from_fields(TransferMatrix, {"m": m, "d": d, "t": t,
                                          "input_ports": ports}, "transfer")
 
@@ -182,14 +191,6 @@ def circuit_from_config(config: dict) -> tuple:
     source must be a mode of the circuit."""
     transfer = transfer_from_config(config)
     return source_from_config(config, transfer.d), transfer
-
-
-def check_ports(ports, d: int, name: str = "source") -> None:
-    """SchemaError unless each of ``ports`` is a mode of a d-mode circuit."""
-    for port in ports:
-        if type(port) is not int or not 0 <= port < d:
-            raise SchemaError(f"bad {name} config: input port {port!r} is "
-                              f"not a mode of the {d}-mode circuit")
 
 
 def phi_grid_from_config(config: dict):

@@ -98,6 +98,15 @@ class GaussianState:
         return gamma, -product.real / 2 - logdet / 2
 
 
+def check_ports(ports, d: int) -> None:
+    """ConfigurationError unless each of ``ports`` is a mode of a d-mode
+    circuit: an int (a bool is none) from 0 to d - 1."""
+    for port in ports:
+        if type(port) is not int or not 0 <= port < d:
+            raise ConfigurationError(f"input port {port!r} is not a mode of "
+                                     f"the {d}-mode circuit")
+
+
 @dataclass(frozen=True)
 class TransferMatrix:
     """Sub-unitary m x d map of input-port to output-port amplitudes.
@@ -116,13 +125,10 @@ class TransferMatrix:
         if t.shape != (self.m, self.d):
             raise ConfigurationError(f"transfer matrix shape {t.shape} != ({self.m},{self.d})")
         ports = self.input_ports
-        if ports is None:
-            ports = tuple(range(self.m))
-        ports = tuple(int(p) for p in ports)
+        ports = tuple(range(self.m)) if ports is None else tuple(ports)
+        check_ports(ports, self.d)
         if len(ports) != self.m or len(set(ports)) != self.m:
             raise ConfigurationError("input ports must be m distinct indices")
-        if any(p < 0 or p >= self.d for p in ports):
-            raise ConfigurationError("input port index out of range")
         smax = np.linalg.svd(t, compute_uv=False).max() if t.size else 0.0
         if smax > 1 + 1e-12:
             raise PhysicalityError(f"transfer matrix is not sub-unitary (s_max={smax:.6g})")
@@ -182,9 +188,13 @@ class SourceConfig:
                 raise ConfigurationError(f"{name}={v} outside [0,1]")
         if self.r < 0 or self.alpha_mag < 0:
             raise ConfigurationError("r and alpha_mag must be nonnegative")
-        ports = (*self.squeezer_ports, self.coherent_port)
-        if len(set(ports)) != 3:
-            raise ConfigurationError(f"input ports overlap: {ports}")
+        if len(set(self.ports)) != 3:
+            raise ConfigurationError(f"input ports overlap: {self.ports}")
+
+    @property
+    def ports(self) -> tuple:
+        """The two squeezer ports, then the coherent port."""
+        return (*self.squeezer_ports, self.coherent_port)
 
     @property
     def eta_tot(self) -> float:
@@ -210,9 +220,7 @@ def build_input_state(config: SourceConfig, total_modes: int) -> GaussianState:
 
 def _quantum_input(config: SourceConfig, d: int) -> tuple:
     """(sigma, coherent amplitude, maps) of :func:`build_input_state`."""
-    ports = (*config.squeezer_ports, config.coherent_port)
-    if max(ports) >= d:
-        raise ConfigurationError(f"input port {max(ports)} >= total modes {d}")
+    check_ports(config.ports, d)
     sigma = np.eye(2 * d, dtype=complex) / 2
     p, q = config.squeezer_ports
     sh, ch = np.sinh(config.r), np.cosh(config.r)
@@ -390,6 +398,7 @@ def build_classical_input(config: SourceConfig, d: int) -> GaussianState:
     coherent amplitude is attenuated by sqrt(eta_tot) to match; feed the
     result through a lossless circuit.
     """
+    check_ports(config.ports, d)
     params = closest_classical_state(config.r, config.eta_tot)
     v_plus, v_minus = params.quad_variances()
     g = (v_plus + v_minus) / 4          # <a a^dag + a^dag a>/2

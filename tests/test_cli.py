@@ -1394,6 +1394,19 @@ class TestBadInput:
             2, "dgbs: bad source config: input port 3 is not a mode of the "
                "3-mode circuit\n")
 
+    def test_second_input_port_on_a_squeezer_port_exits_2(
+            self, config_path, tmp_path, capsys):
+        # the second source's ports overlap: a domain error, exit 1, before
+        config = json.loads(Path(config_path).read_text())
+        config["second_input_port"] = 0
+        path = tmp_path / "second.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", str(path), "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (
+            2, "dgbs: bad source config: input ports overlap: (0, 1, 0)\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind", [
         "threefolds_not_json", "threefolds_no_total", "threefolds_bad_row",
         "threefolds_other_d", "threefolds_other_d_no_fallback",
@@ -1636,7 +1649,7 @@ class TestBadInput:
     @pytest.mark.parametrize("model", [
         "korder2", "korder)2(", "korder((2))", "korder(2", "korder2)",
         "korder(\u0662)", "korder(+2)", "korder( 2)", "korder(2_0)",
-        "korder(-1)"])
+        "korder(-1)", "korder(2) "])
     def test_korder_needs_ascii_digits_in_parentheses(self, model,
                                                       config_path, tmp_path,
                                                       capsys):
@@ -1646,6 +1659,15 @@ class TestBadInput:
         assert (code, capsys.readouterr().err) == (
             2, f"dgbs: bad model {model!r}: expected korder(k) with k in "
                "ASCII digits\n")
+
+    @pytest.mark.parametrize("model", [" full", "full ", " korder(2) "])
+    def test_model_with_surrounding_space_exits_2(self, model, config_path,
+                                                  tmp_path, capsys):
+        # the text was stripped, so each ran as full or korder(2)
+        code = main(["probs", "--config", config_path, "--model", model,
+                     "--out", str(tmp_path / "out.json")])
+        assert (code, capsys.readouterr().err) == (
+            2, f"dgbs: bad model {model!r}: unknown model kind {model!r}\n")
 
 
 # Rows of a valid records file; line 1-2 of the file are comments, line 3

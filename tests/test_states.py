@@ -8,7 +8,8 @@ from numpy.testing import assert_allclose
 
 from conftest import haar_unitary, lossy_transfer
 from dgbs.errors import ConfigurationError, NumericalError, PhysicalityError
-from dgbs.probability import StateKernel
+from dgbs.fock import expand_inputs
+from dgbs.probability import PhaseFamily, StateKernel
 from dgbs.states import (AMatrix, GaussianState, SourceConfig,
                          TransferMatrix, a_matrix, build_classical_input,
                          build_input_state, closest_classical_state,
@@ -94,6 +95,34 @@ class TestSources:
     def test_port_overlap_rejected(self):
         with pytest.raises(ConfigurationError):
             SourceConfig(squeezer_ports=(0, 1), coherent_port=1)
+
+
+@pytest.mark.parametrize("bad", [-1, "d", 1.5, True])
+@pytest.mark.parametrize("builder", [
+    "build_input_state", "build_classical_input", "PhaseFamily.scan",
+    "TransferMatrix", "expand_inputs"])
+def test_a_port_outside_the_circuit_is_refused(builder, bad):
+    # each was a silently wrong state (-1 is mode d - 1, True is mode 1,
+    # and TransferMatrix read 1.5 as 1) or an IndexError; the oracle's
+    # expansion spans 2d modes
+    d = 6 if builder == "expand_inputs" else 3
+    port = d if bad == "d" else bad
+    # no squeezer on mode 1, which True equals
+    cfg = SourceConfig(r=0.3, alpha_mag=0.5, squeezer_ports=(0, 2),
+                       coherent_port=port)
+    calls = {
+        "build_input_state": lambda: build_input_state(cfg, d),
+        "build_classical_input": lambda: build_classical_input(cfg, d),
+        "PhaseFamily.scan": lambda: PhaseFamily.scan(
+            cfg, lossy_transfer(d, 0.5, seed=0), [0.0, 1.0]),
+        "TransferMatrix": lambda: TransferMatrix(
+            2, d, np.eye(2, d) / 2, input_ports=(0, port)),
+        "expand_inputs": lambda: expand_inputs(cfg, d, 2, eps=1.0),
+    }
+    with pytest.raises(ConfigurationError) as exc:
+        calls[builder]()
+    assert str(exc.value) == \
+        f"input port {port!r} is not a mode of the {d}-mode circuit"
 
 
 class TestTransfer:
