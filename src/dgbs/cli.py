@@ -21,10 +21,10 @@ import numpy as np
 from . import __version__
 from .errors import (ConfigurationError, DgbsError, EnumerationBudgetError,
                      SchemaError)
-from .experiment import (MAX_DRIFT_STEPS, MAX_PULSES, TUNING_DURATION,
-                         auto_select_pairs, build_error_signal, lock_kernel,
-                         pid_lock, sample_patterns, samples_from_csv,
-                         simulate_records, tune_pid_gains)
+from .experiment import (MAX_PULSES, TUNING_DURATION, auto_select_pairs,
+                         build_error_signal, lock_kernel, pid_lock,
+                         sample_patterns, samples_from_csv, simulate_records,
+                         tune_pid_gains)
 from .fock import checked_pattern, oracle_probability
 from .hafnian import MAX_KERNEL_SIZE
 from .metrics import likelihood_ratio, tvd
@@ -212,24 +212,18 @@ def cmd_lock(args) -> int:
     config = load_config(args.config)
     source, transfer = circuit_from_config(config)
     drift = drift_from_config(config)
-    if not (math.isfinite(args.duration)
-            and args.duration >= drift.step_interval):
-        raise SchemaError(f"--duration must be finite and cover at least one "
-                          f"drift step of {drift.step_interval} s, got "
-                          f"{args.duration}")
-    if args.duration / drift.step_interval > MAX_DRIFT_STEPS:
-        raise SchemaError(f"--duration {args.duration} is more than "
-                          f"{MAX_DRIFT_STEPS} drift steps of "
-                          f"{drift.step_interval} s")
     n_pairs = config.get("lock_pairs", 5)
     if type(n_pairs) is not int or n_pairs < 1:   # a bool is no int here
         raise SchemaError(f"lock_pairs must be a positive integer, got "
                           f"{n_pairs!r}")
     pid = pid_from_config(config)
-    if pid is None and TUNING_DURATION / drift.step_interval > MAX_DRIFT_STEPS:
-        raise SchemaError(f"the {TUNING_DURATION} s gain tuning run (a config "
-                          f"without pid) is more than {MAX_DRIFT_STEPS} drift "
-                          f"steps of {drift.step_interval} s")
+    try:   # the lock run, and the gain tuning run that a config without pid adds
+        drift.steps(args.duration, f"--duration {args.duration}")
+        if pid is None:
+            drift.steps(TUNING_DURATION, f"the {TUNING_DURATION} s gain "
+                        f"tuning run (a config without pid)")
+    except ConfigurationError as exc:
+        raise SchemaError(str(exc)) from exc
     kernel = lock_kernel(source, transfer)
     pairs = auto_select_pairs(kernel, n_pairs=n_pairs)
     signal = build_error_signal(kernel, pairs)

@@ -254,17 +254,24 @@ class DriftModel:
         if self.sigma < 0 or self.period <= 0 or self.step_interval <= 0:
             raise ConfigurationError("need sigma >= 0, period > 0 and step_interval > 0")
 
-    def trace(self, duration: float, rng) -> np.ndarray:
+    def steps(self, duration: float, run: str = None) -> int:
+        """The number of drift steps in ``duration`` s.  ConfigurationError
+        unless it covers at least one step_interval and at most
+        MAX_DRIFT_STEPS of them, so a nan or inf fails; ``run`` names the
+        duration in the message ("duration {duration}" if None)."""
+        run = f"duration {duration}" if run is None else run
         steps = duration / self.step_interval
         if steps > MAX_DRIFT_STEPS:
             raise ConfigurationError(
-                f"duration {duration} is more than {MAX_DRIFT_STEPS} drift "
-                f"steps of {self.step_interval} s")
-        n = int(round(steps)) if math.isfinite(steps) else 0
-        if n < 1:
-            raise ConfigurationError(
-                f"duration {duration} covers no drift step of "
+                f"{run} is more than {MAX_DRIFT_STEPS} drift steps of "
                 f"{self.step_interval} s")
+        if not steps >= 1:
+            raise ConfigurationError(
+                f"{run} covers no drift step of {self.step_interval} s")
+        return int(round(steps))
+
+    def trace(self, duration: float, rng) -> np.ndarray:
+        n = self.steps(duration)
         t = np.arange(n) * self.step_interval
         out = np.zeros(n)
         if self.kind in ("random_walk", "composite"):

@@ -146,9 +146,6 @@ def _polynomials(m: np.ndarray, diags: np.ndarray, idx: np.ndarray,
     else:
         columns = n // 2 + 1 if columns is None else min(columns, n // 2 + 1)
     rows, steps = _plan(n)
-    asym = np.abs(m - m.T)
-    # only a kernel with an entry of m skewed beyond the tolerance can fail
-    skewed = n and asym.max() > SYMMETRY_TOL
     # a pattern takes, for each family member, the DP rows and n loop
     # weights, and once its n x n kernel
     member = 16 * (columns * rows + n)
@@ -158,11 +155,7 @@ def _polynomials(m: np.ndarray, diags: np.ndarray, idx: np.ndarray,
     out = np.empty((len(diags), count, columns), dtype=complex)
     for start in range(0, count, per_chunk):
         chunk = idx[start:start + per_chunk].T          # (n, P)
-        cells = chunk[:, None], chunk[None]
-        kernels = m[cells]
-        if skewed and (asym[cells].max(axis=(0, 1)) > SYMMETRY_TOL * np.maximum(
-                1.0, np.abs(kernels).max(axis=(0, 1)))).any():
-            raise ConfigurationError("matrix is not symmetric")
+        kernels = m[chunk[:, None], chunk[None]]
         for f in range(0, len(diags), fam):
             out[f:f + fam, start:start + per_chunk] = _evaluate(
                 steps, kernels, diags[f:f + fam, chunk].transpose(1, 0, 2),
@@ -189,6 +182,9 @@ def matching_polynomial(m: np.ndarray, diag: np.ndarray = None) -> np.ndarray:
         raise ConfigurationError("Hafnian requires even dimension")
     if diag.shape != (len(m),):
         raise ConfigurationError("diagonal weights must match the kernels")
+    if m.size and np.abs(m - m.T).max() > SYMMETRY_TOL * max(
+            1.0, np.abs(m).max()):
+        raise ConfigurationError("matrix is not symmetric")
     return _polynomials(m, diag.astype(complex)[None],
                         np.arange(len(m))[None])[0, 0]
 

@@ -188,6 +188,9 @@ class SourceConfig:
                 raise ConfigurationError(f"{name}={v} outside [0,1]")
         if self.r < 0 or self.alpha_mag < 0:
             raise ConfigurationError("r and alpha_mag must be nonnegative")
+        if len(self.squeezer_ports) != 2:
+            raise ConfigurationError(f"need 2 squeezer ports, got "
+                                     f"{self.squeezer_ports}")
         if len(set(self.ports)) != 3:
             raise ConfigurationError(f"input ports overlap: {self.ports}")
 

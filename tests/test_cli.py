@@ -966,14 +966,23 @@ class TestBadInput:
          "--duration 3.0 is more than 1000000 drift steps of 1e-09 s"),
         ({"drift": {"step_interval": 1e-5}}, "the 30.0 s gain tuning run (a "
          "config without pid) is more than 1000000 drift steps of 1e-05 s"),
+        # a --duration of 200 s covers the step, the 30 s tuning run does not
+        pytest.param({"drift": {"step_interval": 100}, "--duration": "200"},
+                     "the 30.0 s gain tuning run (a config without pid) "
+                     "covers no drift step of 100.0 s", id="tuning-step-100"),
+        pytest.param({"drift": {"step_interval": 40}, "--duration": "200"},
+                     "the 30.0 s gain tuning run (a config without pid) "
+                     "covers no drift step of 40.0 s", id="tuning-step-40"),
     ])
     def test_bad_lock_settings_exit_2(self, settings, message, tmp_path,
                                       capsys):
         path = tmp_path / "d6.json"
         cfg = json.loads(open(write_config(
             tmp_path, 6, 0, {"r": 0.4, "alpha_mag": 0.8})).read())
+        settings = dict(settings)
+        duration = settings.pop("--duration", "3")
         path.write_text(json.dumps({**cfg, **settings}))
-        code = main(["lock", "--config", str(path), "--duration", "3",
+        code = main(["lock", "--config", str(path), "--duration", duration,
                      "--out", str(tmp_path / "lock.json")])
         assert (code, capsys.readouterr().err) == (2, f"dgbs: {message}\n")
 
@@ -1007,9 +1016,9 @@ class TestBadInput:
                          "1e-09 rad\n"), id="pid-setpoint"),
         pytest.param({"drift": {"step_interval": 2 ** 70}},
                      ["lock", "--duration", "3"],
-                     (2, "dgbs: --duration must be finite and cover at least "
-                         "one drift step of 1.1805916207174113e+21 s, got "
-                         "3.0\n"), id="drift-step-interval"),
+                     (2, "dgbs: --duration 3.0 covers no drift step of "
+                         "1.1805916207174113e+21 s\n"),
+                     id="drift-step-interval"),
     ])
     def test_int_past_int64_in_a_float_field(self, settings, command,
                                              outcome, config_path, tmp_path,

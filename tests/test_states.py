@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -95,6 +96,13 @@ class TestSources:
     def test_port_overlap_rejected(self):
         with pytest.raises(ConfigurationError):
             SourceConfig(squeezer_ports=(0, 1), coherent_port=1)
+
+    @pytest.mark.parametrize("ports, coherent", [((0, 1, 2), 3), ((0,), 2)])
+    def test_squeezer_port_count_named(self, ports, coherent):
+        # the overlap test read three or one squeezer port as an overlap
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"need 2 squeezer ports, got {ports}")):
+            SourceConfig(squeezer_ports=ports, coherent_port=coherent)
 
 
 @pytest.mark.parametrize("bad", [-1, "d", 1.5, True])
