@@ -21,10 +21,10 @@ import numpy as np
 from . import __version__
 from .errors import (ConfigurationError, DgbsError, EnumerationBudgetError,
                      SchemaError)
-from .experiment import (MAX_PULSES, TUNING_DURATION, auto_select_pairs,
-                         build_error_signal, lock_kernel, pid_lock,
-                         sample_patterns, samples_from_csv, simulate_records,
-                         tune_pid_gains)
+from .experiment import (MAX_PULSES, TUNING_DURATION, TUNING_STEPS,
+                         auto_select_pairs, build_error_signal, lock_kernel,
+                         pid_lock, sample_patterns, samples_from_csv,
+                         simulate_records, tune_pid_gains)
 from .fock import checked_pattern, oracle_probability
 from .hafnian import MAX_KERNEL_SIZE
 from .metrics import likelihood_ratio, tvd
@@ -221,7 +221,7 @@ def cmd_lock(args) -> int:
         drift.steps(args.duration, f"--duration {args.duration}")
         if pid is None:
             drift.steps(TUNING_DURATION, f"the {TUNING_DURATION} s gain "
-                        f"tuning run (a config without pid)")
+                        f"tuning run (a config without pid)", TUNING_STEPS)
     except ConfigurationError as exc:
         raise SchemaError(str(exc)) from exc
     kernel = lock_kernel(source, transfer)

@@ -30,6 +30,8 @@ KI_GRID = (0.0, 0.5, 2.0, 6.0)
 # a drift trace holds one float per step; lab runs use a few hundred
 MAX_DRIFT_STEPS = 10 ** 6
 TUNING_DURATION = 30.0          # s of drift that tune_pid_gains locks over
+# the fewest drift steps that tell gains apart (none acts before the third)
+TUNING_STEPS = 3
 # a draw holds its codes, 1 B a pulse up to d = 7 and 2 B up to d = 15,
 # and one block of uniforms: a tracemalloc peak of 1.5 MB at 1e6 pulses of
 # d = 6, so about 0.1 GB at this bound
@@ -170,17 +172,6 @@ def _with_discard(probs):
 # ---------------------------------------------------------------------------
 # three-setting measurement records
 
-def _setting_patterns(d: int, include_collisions: bool) -> tuple:
-    """The singles and twofold patterns every setting records, as (P, d)
-    counts, and the mode pairs (j, k) of the twofolds, in sorted order."""
-    pairs = [(j, k) for j in range(d)
-             for k in range(j if include_collisions else j + 1, d)]
-    twofolds = all_patterns(d, 2, not include_collisions)
-    if include_collisions:   # all_patterns lists these pairs in reverse
-        twofolds = twofolds[::-1]
-    return np.vstack([all_patterns(d, 1, True), twofolds]), pairs
-
-
 def _binomial_rates(rng, rate, pulses):
     return rng.binomial(int(pulses), np.clip(rate, 0, 1)) / pulses
 
@@ -204,7 +195,11 @@ def simulate_records(config: SourceConfig, t: TransferMatrix,
     rng = np.random.default_rng(seed)
     noisy = np.isfinite(pulses_per_setting)
     d = t.d
-    patterns, pairs = _setting_patterns(d, include_collisions)
+    # every setting records the singles, then the twofold of each pair (j, k)
+    pairs = [(j, k) for j in range(d)
+             for k in range(j if include_collisions else j + 1, d)]
+    eye = np.eye(d, dtype=np.int64)
+    patterns = np.vstack([eye, *(eye[j] + eye[k] for j, k in pairs)])
     records = {}
 
     def setting_rates(cfg, phis) -> np.ndarray:
@@ -254,11 +249,11 @@ class DriftModel:
         if self.sigma < 0 or self.period <= 0 or self.step_interval <= 0:
             raise ConfigurationError("need sigma >= 0, period > 0 and step_interval > 0")
 
-    def steps(self, duration: float, run: str = None) -> int:
+    def steps(self, duration: float, run: str = None, least: int = 1) -> int:
         """The number of drift steps in ``duration`` s.  ConfigurationError
-        unless it covers at least one step_interval and at most
-        MAX_DRIFT_STEPS of them, so a nan or inf fails; ``run`` names the
-        duration in the message ("duration {duration}" if None)."""
+        unless it covers at least one step_interval, ``least`` steps and at
+        most MAX_DRIFT_STEPS of them, so a nan or inf fails; ``run`` names
+        the duration in the message ("duration {duration}" if None)."""
         run = f"duration {duration}" if run is None else run
         steps = duration / self.step_interval
         if steps > MAX_DRIFT_STEPS:
@@ -268,6 +263,9 @@ class DriftModel:
         if not steps >= 1:
             raise ConfigurationError(
                 f"{run} covers no drift step of {self.step_interval} s")
+        if round(steps) < least:
+            raise ConfigurationError(f"{run} covers fewer than {least} drift "
+                                     f"steps of {self.step_interval} s")
         return int(round(steps))
 
     def trace(self, duration: float, rng) -> np.ndarray:
@@ -431,7 +429,9 @@ def tune_pid_gains(drift: DriftModel, error_signal,
                    seed: int = 0) -> PidConfig:
     """Grid search over ``KP_GRID`` x ``KI_GRID`` (both loop signs) at
     ``LOCK_SETPOINT``, minimizing the locked residual std; the 16 cells
-    run as one batch of the PID loop, and the first of equal scores wins."""
+    run as one batch of the PID loop, and the first of equal scores wins.
+    ConfigurationError unless ``duration`` covers ``TUNING_STEPS`` steps."""
+    drift.steps(duration, f"the {duration} s gain tuning run", TUNING_STEPS)
     # normalize gains by the error-signal slope at the setpoint
     setpoint, eps = LOCK_SETPOINT, 1e-4
     slope = (error_signal(setpoint + eps) - error_signal(setpoint - eps)) / (2 * eps)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, CutoffError
-from .states import SourceConfig, TransferMatrix, check_ports
+from .states import SourceConfig, TransferMatrix, check_counts, check_ports
 
 UNITARY_TOL = 1e-10   # largest |U U^dag - 1| entry of a unitary
 ZERO_TOL = 4 * np.finfo(float).eps   # rounding of a dilation entry, per mode
@@ -291,12 +291,7 @@ def checked_pattern(t: TransferMatrix, counts, cutoff: int = None) -> tuple:
     of ``t``; an explicit ``cutoff`` must lie between its photon total and
     ``MAX_CUTOFF``, or no ket could reach it or the expansion would not end
     in time."""
-    pattern = tuple(int(c) for c in counts)
-    if len(pattern) != t.d:
-        raise ConfigurationError(
-            f"pattern has {len(pattern)} modes, the circuit has {t.d}")
-    if min(pattern, default=0) < 0:
-        raise ConfigurationError("photon counts must be nonnegative")
+    pattern = tuple(check_counts([counts], t.d)[0].tolist())
     if cutoff is not None and not sum(pattern) <= cutoff <= MAX_CUTOFF:
         raise ConfigurationError(
             f"cutoff {cutoff} is outside [{sum(pattern)}, {MAX_CUTOFF}], "

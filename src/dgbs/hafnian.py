@@ -27,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError, EnumerationBudgetError
+from .states import check_counts
 
 SYMMETRY_TOL = 1e-10
 MAX_KERNEL_SIZE = 20  # 2N; a DP row is an int64 mask of the 2N positions
@@ -40,10 +41,7 @@ def _pattern_index(d: int, counts) -> np.ndarray:
     """The rows/columns of A (and entries of gamma) that a (P, d) counts
     array of one total N keeps: i and i+d, each repeated n_i times, as
     (P, 2N)."""
-    counts = np.asarray(counts, dtype=np.intp)
-    if counts.ndim != 2 or counts.shape[1] != d:
-        raise ConfigurationError(
-            f"patterns have shape {counts.shape}, kernel has {d} modes")
+    counts = check_counts(counts, d)
     if (counts.sum(axis=1) != counts[0].sum()).any():
         raise ConfigurationError("a pattern batch must share one photon total")
     modes = np.repeat(np.tile(np.arange(d), len(counts)), counts.ravel())

@@ -27,7 +27,7 @@ from .errors import (ConfigurationError, EnumerationBudgetError,
                      NumericalError)
 from .hafnian import MAX_KERNEL_SIZE, _pattern_index, pattern_polynomials
 from .states import (AMatrix, GaussianState, SourceConfig, TransferMatrix,
-                     _frozen, a_matrix, phase_scan)
+                     _frozen, a_matrix, check_counts, phase_scan)
 
 PATTERN_BUDGET = 200_000   # the most patterns of one photon total
 
@@ -109,17 +109,14 @@ class PhaseFamily:
         squeezer-only value."""
         poly = pattern_polynomials(self.a, self.gammas, counts,
                                    columns=columns)
-        return poly / FACTORIALS[np.asarray(counts)].prod(axis=1)[:, None]
+        return poly / FACTORIALS[np.asarray(counts, int)].prod(axis=1)[:, None]
 
     def pattern_probabilities(self, counts,
                               model: ModelSpec = ModelSpec()) -> np.ndarray:
         """pr(n) under ``model`` for each row of a (P, d) counts array at
         each phase, as (F, P); the rows may mix totals and are evaluated one
         batch per total."""
-        counts = np.asarray(counts)
-        if counts.ndim != 2 or counts.shape[1] != self.a.d:
-            raise ConfigurationError(
-                f"patterns have shape {counts.shape}, state has {self.a.d} modes")
+        counts = check_counts(counts, self.a.d)
         totals = counts.sum(axis=1)
         out = np.repeat(self.p_vac[:, None], len(counts), axis=1)
         for total in np.unique(totals[totals > 0]).tolist():
@@ -295,15 +292,12 @@ class PatternDistribution:
     provenance: str = ""
 
     def __post_init__(self):
-        patterns = np.array(self.patterns, dtype=np.int64)
-        if patterns.ndim != 2 or patterns.shape[1] != self.d:
-            raise ConfigurationError(
-                f"patterns must be rows of {self.d} photon counts")
-        if (patterns < 0).any() or (patterns.sum(axis=1) != self.total).any() \
+        patterns = check_counts(self.patterns, self.d)
+        if (patterns.sum(axis=1) != self.total).any() \
                 or (self.collision_free and (patterns > 1).any()):
             raise ConfigurationError(
-                f"patterns must be nonnegative, sum to {self.total} and be "
-                f"collision-free if collision_free is {self.collision_free}")
+                f"patterns must sum to {self.total} and be collision-free if "
+                f"collision_free is {self.collision_free}")
         probs = np.asarray(self.probabilities, dtype=float)
         if len(patterns) != probs.shape[0]:
             raise ConfigurationError("pattern/probability length mismatch")
@@ -316,7 +310,6 @@ class PatternDistribution:
         if s > 0:
             probs = probs / s
         probs.setflags(write=False)
-        patterns.setflags(write=False)
         object.__setattr__(self, "probabilities", probs)
         object.__setattr__(self, "patterns", patterns)
 

@@ -29,6 +29,10 @@ from .errors import ConfigurationError, SchemaError
 from .states import SourceConfig, TransferMatrix, _real, check_ports
 
 CONFIG_VERSION = 1
+# the top-level keys of a config, each read by some command
+CONFIG_KEYS = ("version", "source", "transfer", "phi_grid",
+               "pulses_per_setting", "second_input_port",
+               "include_collisions", "drift", "pid", "lock_pairs")
 MAX_PHI_POINTS = 100_000   # lab phase scans take about 100
 
 
@@ -99,7 +103,7 @@ def read_text(path: str) -> str:
 
 
 def load_config(path: str) -> dict:
-    """Read a versioned config; every number in it must be finite."""
+    """Read a versioned config: keys from CONFIG_KEYS, every number finite."""
     try:
         config = json.loads(read_text(path), parse_float=_finite,
                             parse_constant=_finite)
@@ -111,6 +115,9 @@ def load_config(path: str) -> dict:
     if version != CONFIG_VERSION:
         raise SchemaError(
             f"unsupported config version {version!r}; expected {CONFIG_VERSION}")
+    for key in config:
+        if key not in CONFIG_KEYS:
+            raise SchemaError(f"unknown config key {key!r}")
     return config
 
 

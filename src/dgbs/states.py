@@ -107,6 +107,19 @@ def check_ports(ports, d: int) -> None:
                                      f"the {d}-mode circuit")
 
 
+def check_counts(counts, d: int) -> np.ndarray:
+    """A read-only int64 copy of ``counts``, P patterns of photon counts over
+    d modes as (P, d); ConfigurationError unless each count is a nonnegative
+    whole number (a float such as 1.0 is one, a bool array is none)."""
+    a = np.asarray(counts)
+    # a nan is not its own floor, and from 2**63 on no count is an int64
+    if a.ndim != 2 or a.shape[1] != d or a.dtype.kind not in "iuf" or (
+            (a < 0) | (a >= 2.0 ** 63) | (a != np.floor(a))).any():
+        raise ConfigurationError(f"patterns must be rows of {d} nonnegative "
+                                 f"integers, got {a.dtype} array {a.shape}")
+    return _frozen(a.astype(np.int64, copy=False))
+
+
 @dataclass(frozen=True)
 class TransferMatrix:
     """Sub-unitary m x d map of input-port to output-port amplitudes.

@@ -342,6 +342,19 @@ def test_batch_edges():
         kern.pattern_terms([(1, 0, 0), (1, 1, 0)])
     with pytest.raises(ConfigurationError):
         kern.pattern_probabilities([(1, 0)])
+    # a count is a nonnegative whole number, checked in every row (a row of
+    # total 0 too); a float equal to one counts as it, a bool does not
+    for bad in ([(-1, 1, 0)], [(-1, 2, 0)], [(1.5, 0, 0)], [(np.nan, 0, 0)],
+                [(True, False, False)]):
+        with pytest.raises(ConfigurationError, match="nonnegative integers"):
+            kern.pattern_probabilities(bad)
+        with pytest.raises(ConfigurationError, match="nonnegative integers"):
+            kern.pattern_terms(bad)
+    whole = [(2, 0, 0), (1, 1, 0), (0, 0, 0)]
+    assert same_bits(kern.pattern_probabilities(np.array(whole, float)),
+                     kern.pattern_probabilities(whole))
+    assert same_bits(kern.pattern_terms([(2.0, 0, 0)]),
+                     kern.pattern_terms([(2, 0, 0)]))
 
 
 # ---------------------------------------------------------------------------

@@ -973,6 +973,16 @@ class TestBadInput:
         pytest.param({"drift": {"step_interval": 40}, "--duration": "200"},
                      "the 30.0 s gain tuning run (a config without pid) "
                      "covers no drift step of 40.0 s", id="tuning-step-40"),
+        # one or two steps: the first has no error, so every gain cell
+        # would tie and the first would win
+        pytest.param({"drift": {"step_interval": 15}, "--duration": "200"},
+                     "the 30.0 s gain tuning run (a config without pid) "
+                     "covers fewer than 3 drift steps of 15.0 s",
+                     id="tuning-step-15"),
+        pytest.param({"drift": {"step_interval": 30}, "--duration": "200"},
+                     "the 30.0 s gain tuning run (a config without pid) "
+                     "covers fewer than 3 drift steps of 30.0 s",
+                     id="tuning-step-30"),
     ])
     def test_bad_lock_settings_exit_2(self, settings, message, tmp_path,
                                       capsys):
@@ -1161,6 +1171,9 @@ class TestBadInput:
         ("source", "coherent_port", [2],
          "bad source config: input port [2] is not a mode of the 3-mode "
          "circuit"),
+        # a misspelt key is refused, not read as absent
+        (None, "pulses_per_settings", 1000,
+         "unknown config key 'pulses_per_settings'"),
     ])
     def test_config_field_of_wrong_type_exits_2(
             self, section, key, value, message, config_path, tmp_path,
@@ -1419,6 +1432,7 @@ class TestBadInput:
     @pytest.mark.parametrize("kind", [
         "threefolds_not_json", "threefolds_no_total", "threefolds_bad_row",
         "threefolds_other_d", "threefolds_other_d_no_fallback",
+        "threefolds_fractional_row",
         "records_bad_counts", "samples_not_hex", "samples_mask_beyond_d"])
     def test_malformed_file_exits_2(self, kind, config_path, tmp_path,
                                     input_at, capsys):
@@ -1446,6 +1460,11 @@ class TestBadInput:
             bad.write_text(json.dumps({"d": 3, "total": 3,
                                        "collision_free": False,
                                        "patterns": [[2, 0, 0]],
+                                       "probabilities": [1.0]}))
+        elif kind == "threefolds_fractional_row":   # not truncated to 1,1,1
+            bad.write_text(json.dumps({"d": 3, "total": 3,
+                                       "collision_free": True,
+                                       "patterns": [[1.9, 1, 1]],
                                        "probabilities": [1.0]}))
         elif kind.startswith("threefolds_other_d"):   # valid, but for d = 9
             pats = all_patterns(9, 3, collision_free=True)

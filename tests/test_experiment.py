@@ -228,6 +228,9 @@ class TestPhaseLock:
         self.drift = DriftModel()
 
     def test_lock_beats_free_running(self):
+        # a tuning run needs 3 drift steps: no gain acts before the third
+        with pytest.raises(ConfigurationError, match="fewer than 3"):
+            tune_pid_gains(self.drift, self.signal, duration=0.2)
         pid = tune_pid_gains(self.drift, self.signal, duration=20.0)
         locked = pid_lock(self.drift, pid, self.signal, duration=40.0, seed=1)
         free = pid_lock(self.drift, PidConfig(), self.signal,

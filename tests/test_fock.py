@@ -199,6 +199,11 @@ class TestOracle:
         t = TransferMatrix.square(np.eye(3))
         with pytest.raises(ConfigurationError):
             oracle_probability(cfg, t, (1, 0))
+        # a fraction is refused, not truncated; a whole float is its count
+        with pytest.raises(ConfigurationError, match="nonnegative integers"):
+            oracle_probability(cfg, t, (1.5, 0, 0))
+        assert oracle_probability(cfg, t, (1.0, 1.0, 0.0)) == \
+            oracle_probability(cfg, t, (1, 1, 0))
 
     @pytest.mark.parametrize("cutoff", [3, -1, MAX_CUTOFF + 1])
     def test_cutoff_outside_its_range_rejected(self, cutoff, monkeypatch):

@@ -199,6 +199,12 @@ class TestDistribution:
             PatternDistribution(2, 1, True,
                                 ((1, 0), (0, 1)),
                                 np.array([0.2, 0.2]))
+        # fractional counts that sum to the total are refused, not truncated
+        with pytest.raises(ConfigurationError, match="nonnegative integers"):
+            PatternDistribution(3, 2, False, [[1.7, 0.3, 1]], [1.0])
+        dist = PatternDistribution(3, 2, False, [[1.0, 0, 1]], [1.0])
+        assert dist.patterns.dtype == np.int64
+        assert dist.patterns.tolist() == [[1, 0, 1]]
 
     def test_kernel_without_pvac_matches_normalized(self):
         # the p_vac prefactor cancels in normalized fixed-N distributions
