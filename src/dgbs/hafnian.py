@@ -42,10 +42,11 @@ def _pattern_index(d: int, counts) -> np.ndarray:
     array of one total N keeps: i and i+d, each repeated n_i times, as
     (P, 2N)."""
     counts = check_counts(counts, d)
-    if (counts.sum(axis=1) != counts[0].sum()).any():
+    total = int(counts[0].sum()) if len(counts) else 0
+    if (counts.sum(axis=1) != total).any():
         raise ConfigurationError("a pattern batch must share one photon total")
     modes = np.repeat(np.tile(np.arange(d), len(counts)), counts.ravel())
-    modes = modes.reshape(len(counts), -1)
+    modes = modes.reshape(len(counts), total)
     return np.concatenate([modes, modes + d], axis=1)
 
 

@@ -14,7 +14,6 @@ to a common scan-origin offset solved jointly from the fringe phases).
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -136,24 +135,22 @@ def records_from_csv(text: str) -> dict:
     every (phi, modes) cell of its table once, all with one pulses value.
     ``#`` lines (``dgbs simulate`` writes one) may stand anywhere; error
     line numbers count them."""
-    return _read_csv(text, range(5), _records_of_columns, _row_fault, "line")
+    return _read_csv(text, range(5), _records_of_columns, _row_fault, "line",
+                     numbers=(3,))
 
 
 def _records_of_columns(header: list, columns: list, widths: set) -> dict:
-    """The records of a records text's header, coded columns and row
-    lengths; None if a row is at fault."""
+    """The records of a records text's header, columns and row lengths;
+    None if a row is at fault.  The counts are a float per row, or coded
+    if one of them is no number: each setting then parses its own, and
+    names the first."""
     if header != CSV_HEADER:
         raise SchemaError("records CSV must start with the standard header")
-    (settings, which), phis, labels, (counts, count_codes), pulses = columns
+    (settings, which), phis, labels, counts, pulses = columns
     if widths - {5} or not set(settings) <= set(SETTINGS):
         return None
-    # each distinct count parsed once; if one is no number, each setting
-    # parses its own, and names the first
-    with suppress(ValueError):
-        counts = np.fromiter(map(float, counts), float, len(counts))
     return {setting: _table_record(setting, np.flatnonzero(which == code),
-                                   phis, labels, (counts, count_codes),
-                                   pulses)
+                                   phis, labels, counts, pulses)
             for code, setting in enumerate(settings)}
 
 
@@ -172,22 +169,27 @@ def _first_seen(codes: np.ndarray) -> np.ndarray:
 
 
 def _table_record(setting: str, rows: np.ndarray, phi_column: tuple,
-                  mode_column: tuple, count_column: tuple,
+                  mode_column: tuple, count_column: np.ndarray | tuple,
                   pulse_column: tuple) -> MeasurementRecord:
     """One setting's record from its ``rows`` of the CSV.  The columns are
-    (distinct texts, code per CSV row) pairs; the distinct counts are
-    floats unless one of them is no number.  Each distinct text is parsed
-    once."""
+    (distinct texts, code per CSV row) pairs, but the counts are a float
+    per CSV row unless one of them is no number; then each row's count is
+    parsed, to name the first that is none.  Each other distinct text is
+    parsed once."""
     scanned = setting != "blocked"
-    (phi_texts, phi_codes), (labels, label_codes), (counts, count_codes), \
+    (phi_texts, phi_codes), (labels, label_codes), \
         (pulse_texts, pulse_codes) = [
             (texts, codes[rows]) for texts, codes in
-            (phi_column, mode_column, count_column, pulse_column)]
+            (phi_column, mode_column, pulse_column)]
     phis, column_of, modes = {}, {}, {}
     try:
-        pulse_set = {float(pulse_texts[c]) for c in np.unique(pulse_codes)}
-        counts = counts[count_codes] if isinstance(counts, np.ndarray) else \
-            np.array([float(counts[c]) for c in count_codes.tolist()])
+        pulse_set = {float(pulse_texts[c])
+                     for c in np.flatnonzero(np.bincount(pulse_codes))}
+        if isinstance(count_column, np.ndarray):
+            counts = count_column[rows]
+        else:
+            texts, codes = count_column
+            counts = np.array([float(texts[c]) for c in codes[rows].tolist()])
         for c in _first_seen(phi_codes).tolist():
             text = phi_texts[c]
             phi = float(text) if scanned else None

@@ -266,20 +266,21 @@ CSV_BLOCK_ROWS = 4096   # rows rendered per block, which bounds the memory
 CSV_BLOCK_CHARS = 1 << 14   # text split into lines per block, bounds memory
 
 
-def _read_csv(text: str, columns, parse, fault, where: str):
+def _read_csv(text: str, columns, parse, fault, where: str, numbers=()):
     """``parse(header, coded, widths)`` of the csv rows of ``text`` (all of
     a file or pipe) without its ``#`` lines, which may stand anywhere.
     ``header`` is the first row.  ``coded`` holds, for each index k in
     ``columns``, field k of each nonempty row after the header ("" where a
-    row is too short) as a pair: the distinct texts in order of first
-    appearance, and each row's index among them, as an int array.
+    row is too short): for k in ``numbers``, if each of them is a number,
+    as one float array; else as a pair: the distinct texts in order of
+    first appearance, and each row's index among them, as an int array.
     ``widths`` is the set of those rows' lengths.  If csv cannot read a
     line, or ``parse`` returns None, the rows are read again, and the first
     line csv cannot read, or the first nonempty row after the header for
     which ``fault(row)`` gives a message, raises
     ``SchemaError("{where} N: ...")``, N its line in ``text``."""
     with suppress(csv.Error):
-        result = parse(*_coded_columns(text, columns))
+        result = parse(*_coded_columns(text, columns, numbers))
         if result is not None:
             return result
     rows = csv.reader(chain.from_iterable(_uncommented(text, True)))
@@ -291,46 +292,68 @@ def _read_csv(text: str, columns, parse, fault, where: str):
     raise SchemaError(f"{where} {rows.line_num}: {message}")
 
 
-def _coded_columns(text: str, columns) -> tuple:
-    """The header, coded ``columns`` and row lengths of :func:`_read_csv`.
-    Each block of :func:`_uncommented` is split at commas and line ends,
-    and each column's fields coded, while that reads the rows as csv does.
+def _coded_columns(text: str, columns, numbers=()) -> tuple:
+    """The header, coded ``columns`` and row lengths of :func:`_read_csv`,
+    the columns in ``numbers`` parsed with ``float``.  Each block of
+    :func:`_blocks` is split at commas and line ends, and each
+    column's fields coded or parsed, while that reads the rows as csv does.
     From the first block that csv may read otherwise, csv reads the rest:
     a block with a quote, CR or NUL, a blank line, a row not as long as the
     header, or a field that csv rejects as longer than
     ``csv.field_size_limit()``; and all of the text if the header has too
-    few fields for ``columns``."""
+    few fields for ``columns``.  If a field of a column in ``numbers`` is
+    no number, the text is read again with that column coded."""
     indexes = [defaultdict(count().__next__) for _ in columns]
-    codes = [[np.zeros(0, np.intp)] for _ in columns]
-    header, widths = None, set()
+    codes = [[np.zeros(0, float if k in numbers else np.intp)]
+             for k in columns]
+    header, widths, text_column = None, set(), None
 
-    def add(rows: int, fields) -> None:
-        """Code ``fields(k)``, the ``rows`` fields of each column k."""
+    def add(rows: int, fields):
+        """Code ``fields(k)``, the ``rows`` fields of each column k, or
+        parse them if k is in ``numbers``.  The first k in ``numbers`` with
+        a field that is no number, or None."""
         for index, column, k in zip(indexes, codes, columns):
-            column.append(np.fromiter(map(index.__getitem__, fields(k)),
-                                      np.intp, rows))
+            if k not in numbers:
+                column.append(np.fromiter(map(index.__getitem__, fields(k)),
+                                          np.intp, rows))
+                continue
+            try:
+                column.append(np.fromiter(map(float, fields(k)), float, rows))
+            except ValueError:
+                return k
+        return None
 
-    blocks = _uncommented(text, False)
+    blocks = filter(None, _blocks(text))
     for block in blocks:
-        fields, width = _split(block.getvalue(), header)
+        fields, width = _split(block, header)
         if fields is None or width <= max(columns):   # csv reads the rest
-            rows = csv.reader(chain.from_iterable(chain([block], blocks)))
+            rows = csv.reader(chain.from_iterable(
+                map(io.StringIO, chain([block], blocks))))
             header = next(rows, []) if header is None else header
-            while batch := list(islice(rows, CSV_BLOCK_ROWS)):
+            while text_column is None and (
+                    batch := list(islice(rows, CSV_BLOCK_ROWS))):
                 batch = list(filter(None, batch))
                 widths.update(map(len, batch))
                 if min(widths, default=0) <= max(columns):   # pad short rows
                     batch = [row + [""] * max(columns) for row in batch]
-                add(len(batch), lambda k: map(itemgetter(k), batch))
+                text_column = add(len(batch),
+                                  lambda k: map(itemgetter(k), batch))
             break
         if header is None:
             header, fields = fields[:width], fields[width:]
         rows = len(fields) // width
         if rows:
             widths.add(width)
-        add(rows, lambda k: fields[k:-1:width])
-    return header or [], [(list(index), np.concatenate(column))
-                          for index, column in zip(indexes, codes)], widths
+        text_column = add(rows, lambda k: fields[k:-1:width])
+        if text_column is not None:
+            break
+    if text_column is not None:   # read again, that column coded
+        return _coded_columns(text, columns, tuple(
+            k for k in numbers if k != text_column))
+    return header or [], [np.concatenate(column) if k in numbers else
+                          (list(index), np.concatenate(column))
+                          for index, column, k in zip(indexes, codes, columns)
+                          ], widths
 
 
 # every byte but the comma and the line end, deleted to leave a block's shape
@@ -357,8 +380,19 @@ def _split(block: str, header) -> tuple:
 def _uncommented(text: str, keep_lines: bool):
     """The lines of ``text``, ends kept, in blocks, without its ``#`` lines,
     or with each of them as "" (an empty row to csv, nothing within a quoted
-    field) if ``keep_lines``.  A block of about ``CSV_BLOCK_CHARS`` is split
-    by an ``io.StringIO``, which holds 4 bytes a character."""
+    field) if ``keep_lines``.  Each block of :func:`_blocks` is split by an
+    ``io.StringIO``, which holds 4 bytes a character."""
+    for block in _blocks(text):
+        if block is not None:
+            yield io.StringIO(block)
+        elif keep_lines:
+            yield [""]
+
+
+def _blocks(text: str):
+    """The lines of ``text``, ends kept, in blocks of about
+    ``CSV_BLOCK_CHARS``, and None for each ``#`` line.  No copy of the
+    whole text is held."""
     start, comment = 0, -1
     while start < len(text):
         if comment < start:   # where the next comment line starts
@@ -366,12 +400,11 @@ def _uncommented(text: str, keep_lines: bool):
                 text.find("\n#", start) + 1 or len(text)
         if start == comment:
             end = text.find("\n", start) + 1 or len(text)
-            if keep_lines:
-                yield [""]
+            yield None
         else:
             end = min(comment, text.find("\n", start + CSV_BLOCK_CHARS) + 1
                       or len(text))
-            yield io.StringIO(text[start:end])
+            yield text[start:end]
         start = end
 
 

@@ -110,14 +110,26 @@ def check_ports(ports, d: int) -> None:
 def check_counts(counts, d: int) -> np.ndarray:
     """A read-only int64 copy of ``counts``, P patterns of photon counts over
     d modes as (P, d); ConfigurationError unless each count is a nonnegative
-    whole number (a float such as 1.0 is one, a bool array is none)."""
-    a = np.asarray(counts)
-    # a nan is not its own floor, and from 2**63 on no count is an int64
-    if a.ndim != 2 or a.shape[1] != d or a.dtype.kind not in "iuf" or (
-            (a < 0) | (a >= 2.0 ** 63) | (a != np.floor(a))).any():
-        raise ConfigurationError(f"patterns must be rows of {d} nonnegative "
-                                 f"integers, got {a.dtype} array {a.shape}")
-    return _frozen(a.astype(np.int64, copy=False))
+    whole number (a float such as 1.0 is one, a bool is none).  The rows of
+    an array are checked as a whole; those of a sequence one count at a
+    time for a bool, which numpy would read as an int."""
+    try:
+        a = np.asarray(counts)
+    except ValueError:   # numpy's rows of unequal lengths
+        got = "rows of unequal lengths"
+    else:
+        # a nan is not its own floor, and from 2**63 on no count is an int64
+        if a.ndim == 2 and a.shape[1] == d and a.dtype.kind in "iuf" and not (
+                (a < 0) | (a >= 2.0 ** 63) | (a != np.floor(a))).any():
+            if isinstance(counts, np.ndarray) or not any(
+                    isinstance(c, (bool, np.bool_))
+                    for row in counts for c in row):
+                return _frozen(a.astype(np.int64, copy=False))
+            got = "a bool among its counts"
+        else:
+            got = f"{a.dtype} array {a.shape}"
+    raise ConfigurationError(f"patterns must be rows of {d} nonnegative "
+                             f"integers, got {got}")
 
 
 @dataclass(frozen=True)

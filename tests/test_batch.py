@@ -337,15 +337,23 @@ def test_sector_longer_than_one_chunk(d, total):
 def test_batch_edges():
     kern = state_kernel(3, 0, ModelSpec())
     assert kern.pattern_probabilities(np.empty((0, 3), int)).shape == (0,)
+    # an empty batch has no total to share: no terms, as in kern.family
+    assert kern.pattern_terms(np.empty((0, 3), int)).shape == (0, 1)
+    assert kern.family.pattern_terms(np.empty((0, 3), int)).shape == \
+        (len(kern.family.gammas), 0, 1)
     assert kern.pattern_probabilities([(0, 0, 0)])[0] == kern.p_vac
     with pytest.raises(ConfigurationError):
         kern.pattern_terms([(1, 0, 0), (1, 1, 0)])
     with pytest.raises(ConfigurationError):
         kern.pattern_probabilities([(1, 0)])
     # a count is a nonnegative whole number, checked in every row (a row of
-    # total 0 too); a float equal to one counts as it, a bool does not
+    # total 0 too); a float equal to one counts as it, a bool does not, in
+    # a bool array or among whole counts; rows of unequal lengths are
+    # refused with the same message
     for bad in ([(-1, 1, 0)], [(-1, 2, 0)], [(1.5, 0, 0)], [(np.nan, 0, 0)],
-                [(True, False, False)]):
+                [(True, False, False)], [(1, True, 1)],
+                [(1, 0, 0), np.array([False, True, False])],
+                [(1, 0), (1,)], [(1, 0, 0), (1, 0)]):
         with pytest.raises(ConfigurationError, match="nonnegative integers"):
             kern.pattern_probabilities(bad)
         with pytest.raises(ConfigurationError, match="nonnegative integers"):

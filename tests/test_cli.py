@@ -379,31 +379,65 @@ class TestCsvTokenisers:
                st.integers(1, 4).flatmap(lambda width: st.lists(st.lists(
                    st.text(st.sampled_from(list("ab1 #\u00e9")), max_size=3),
                    min_size=width, max_size=width), max_size=8)).map(
+                   lambda rows: "".join(f"{','.join(row)}\n" for row in rows)),
+               # rows of numbers, now and then one that is none
+               st.integers(1, 4).flatmap(lambda width: st.lists(st.lists(
+                   st.one_of(st.floats().map(repr), st.integers().map(str),
+                             st.sampled_from(["-0.0", " 1", "1_0", "inf",
+                                              "1e5", "", "x"])),
+                   min_size=width, max_size=width), max_size=8)).map(
                    lambda rows: "".join(f"{','.join(row)}\n" for row in rows))),
            columns=st.sampled_from([(0,), (1,), (0, 1, 2), (2, 0)]),
-           block=st.sampled_from([1, 3, 8, serialize.CSV_BLOCK_CHARS]))
+           block=st.sampled_from([1, 3, 8, serialize.CSV_BLOCK_CHARS]),
+           numeric=st.sets(st.sampled_from([0, 1, 2])))
     # a header too short for the columns, in one block and in two
     @example(text="a,b\nc,d\ne,f\n", columns=(0, 1, 2),
-             block=serialize.CSV_BLOCK_CHARS)
-    @example(text="a,b\nc,d\ne,f\n", columns=(2, 0), block=3)
-    def test_columns_as_csv_reads_them(self, text, columns, block):
+             block=serialize.CSV_BLOCK_CHARS, numeric=set())
+    @example(text="a,b\nc,d\ne,f\n", columns=(2, 0), block=3, numeric=set())
+    # the last column of two, its fields all distinct; and the first and
+    # last columns of many rows, the last row's last field empty, in one
+    # block and in several
+    @example(text="pulse,mask\n0,a\n1,b\n2,a\n", columns=(1,),
+             block=serialize.CSV_BLOCK_CHARS, numeric=set())
+    @example(text="h,k\n" + "x,y\n" * 70 + "x,\n", columns=(2, 0),
+             block=serialize.CSV_BLOCK_CHARS, numeric=set())
+    @example(text="h,k,l\n" + "x,1,y\nz,2,y\n" * 70 + "w,3,\n",
+             columns=(2, 0, 1), block=40, numeric={1})
+    @example(text="h,k,l\n" + "1,x,2\n3,y,2\n" * 70, columns=(2, 0, 1),
+             block=40, numeric={0, 2})
+    # a header alone, with and without its line end
+    @example(text="a,b,c\n", columns=(0, 1, 2),
+             block=serialize.CSV_BLOCK_CHARS, numeric={1})
+    @example(text="a,b,c", columns=(2, 0), block=serialize.CSV_BLOCK_CHARS,
+             numeric={0})
+    def test_columns_as_csv_reads_them(self, text, columns, block, numeric):
         # whatever the text, the header, coded columns and row lengths are
-        # those of the rows csv reads, or csv's error
+        # those of the rows csv reads, or csv's error.  A column in
+        # ``numbers`` is the floats of csv's fields if each is a number;
+        # else it is coded as the others are
+        numbers = tuple(k for k in columns if k in numeric)
+
         def coded(read_columns):
             try:
                 header, columns_read, widths = read_columns()
             except csv.Error as exc:
                 return str(exc)
-            return header, [(texts, np.asarray(codes).tolist())
-                            for texts, codes in columns_read], widths
+            return header, [column.tobytes() if isinstance(column, np.ndarray)
+                            else (column[0], np.asarray(column[1]).tolist())
+                            for column in columns_read], widths
 
-        def by_csv():
+        def by_csv(numbers):
             rows = list(csv.reader(chain.from_iterable(
                 serialize._uncommented(text, False))))
             body = list(filter(None, rows[1:]))
             padded = [row + [""] * max(columns) for row in body]
             coded_columns = []
             for k in columns:   # codes in order of first appearance
+                if k in numbers:
+                    with contextlib.suppress(ValueError):
+                        coded_columns.append(np.array(
+                            [float(row[k]) for row in padded], float))
+                        continue
                 index = {}
                 codes = [index.setdefault(row[k], len(index))
                          for row in padded]
@@ -415,9 +449,24 @@ class TestCsvTokenisers:
         serialize.CSV_BLOCK_CHARS = block
         try:
             assert coded(lambda: serialize._coded_columns(text, columns)) \
-                == coded(by_csv)
+                == coded(lambda: by_csv(()))
+            assert coded(lambda: serialize._coded_columns(text, columns,
+                                                          numbers)) \
+                == coded(lambda: by_csv(numbers))
         finally:
             serialize.CSV_BLOCK_CHARS = default
+
+    def test_count_that_is_no_number_names_its_setting(self):
+        # a count that float cannot parse leaves the counts coded as text,
+        # and the setting it is in names it
+        text = "setting,phi,modes,counts,pulses\n" + "".join(
+            f"blocked,,{label},{count},1e8\n" for label, count in
+            (("vac", "9e7"), ("0", "1e6"), ("1", "many"), ("2", "2e6")))
+        from dgbs.errors import SchemaError
+        with pytest.raises(SchemaError) as info:
+            records_from_csv(text)
+        assert str(info.value) == \
+            "blocked: could not convert string to float: 'many'"
 
 
 class TestSample:
@@ -1432,7 +1481,7 @@ class TestBadInput:
     @pytest.mark.parametrize("kind", [
         "threefolds_not_json", "threefolds_no_total", "threefolds_bad_row",
         "threefolds_other_d", "threefolds_other_d_no_fallback",
-        "threefolds_fractional_row",
+        "threefolds_fractional_row", "threefolds_bool_in_row",
         "records_bad_counts", "samples_not_hex", "samples_mask_beyond_d"])
     def test_malformed_file_exits_2(self, kind, config_path, tmp_path,
                                     input_at, capsys):
@@ -1465,6 +1514,11 @@ class TestBadInput:
             bad.write_text(json.dumps({"d": 3, "total": 3,
                                        "collision_free": True,
                                        "patterns": [[1.9, 1, 1]],
+                                       "probabilities": [1.0]}))
+        elif kind == "threefolds_bool_in_row":   # true is no count, not 1
+            bad.write_text(json.dumps({"d": 3, "total": 3,
+                                       "collision_free": True,
+                                       "patterns": [[1, True, 1]],
                                        "probabilities": [1.0]}))
         elif kind.startswith("threefolds_other_d"):   # valid, but for d = 9
             pats = all_patterns(9, 3, collision_free=True)

@@ -202,6 +202,9 @@ class TestOracle:
         # a fraction is refused, not truncated; a whole float is its count
         with pytest.raises(ConfigurationError, match="nonnegative integers"):
             oracle_probability(cfg, t, (1.5, 0, 0))
+        # a bool is no count, even among whole numbers
+        with pytest.raises(ConfigurationError, match="nonnegative integers"):
+            oracle_probability(cfg, t, (1, True, 0))
         assert oracle_probability(cfg, t, (1.0, 1.0, 0.0)) == \
             oracle_probability(cfg, t, (1, 1, 0))
 
