@@ -7,8 +7,6 @@ import cmath
 import math
 import string
 from dataclasses import dataclass, replace
-from functools import reduce
-from operator import add
 
 import numpy as np
 
@@ -313,29 +311,26 @@ def lock_kernel(config: SourceConfig, t: TransferMatrix) -> StateKernel:
 def build_error_signal(kernel: StateKernel, pairs):
     """S(phi) = sum over (j, k, sign) of sign * p'_{j,k}(phi), exact from
     the phase-0 kernel (:func:`lock_kernel`), for a scalar phi or a (G,)
-    array of them; each pair's :class:`TwofoldFringe` is computed once."""
+    array of them: the signed sum of the pairs' fringes, summed once in pair
+    order, is one :class:`TwofoldFringe`, O + 2 Re(W e^{2 i phi})."""
     if not pairs:
         raise ConfigurationError("error signal needs at least one mode pair")
-    fringes = [TwofoldFringe.of(kernel, j, k) for j, k, _ in pairs]
-    stacked = TwofoldFringe(*(np.array(col)[:, None] for col in zip(*fringes)))
-    signs = np.array([sign for _, _, sign in pairs], dtype=float)[:, None]
-    # the scalar path runs the array path's operations, in its order, on
-    # Python floats: a call on one phase then pays no numpy overhead
-    terms = [(float(sign), float(f.offset), float(f.weight.real),
-              float(f.weight.imag)) for f, (_, _, sign) in zip(fringes, pairs)]
+    # Python numbers: a call on one phase then pays no numpy overhead
+    offset, weight = 0.0, 0j
+    for j, k, sign in pairs:
+        fringe = TwofoldFringe.of(kernel, j, k)
+        offset += sign * float(fringe.offset)
+        weight += sign * complex(fringe.weight)
+    total = TwofoldFringe(math.nan, offset, weight)   # no p_jk is read
 
-    def signal(phi):   # sums in pair order, which np.add.reduce may not keep
-        if isinstance(phi, float):   # one phase: the scalar path
+    def signal(phi):
+        if isinstance(phi, float):   # one phase
             try:
-                rotation = cmath.exp(2j * phi)
+                return total.rate_at(cmath.exp(2j * phi))
             except ValueError:   # 2 phi is beyond floating-point range
                 raise NumericalError(f"the lock phase {phi} is beyond the "
                                      f"range of the error signal") from None
-            c, s = rotation.real, rotation.imag
-            return reduce(add, [sign * (offset + 2 * (w_re * c - w_im * s))
-                                for sign, offset, w_re, w_im in terms])
-        rates = stacked.rate_at(np.exp(2j * np.reshape(phi, -1)))
-        return np.add.accumulate(signs * rates)[-1].reshape(np.shape(phi))[()]
+        return total.rate_at(np.exp(2j * np.asarray(phi)))[()]
 
     return signal
 
@@ -432,9 +427,12 @@ def tune_pid_gains(drift: DriftModel, error_signal,
     run as one batch of the PID loop, and the first of equal scores wins.
     ConfigurationError unless ``duration`` covers ``TUNING_STEPS`` steps."""
     drift.steps(duration, f"the {duration} s gain tuning run", TUNING_STEPS)
-    # normalize gains by the error-signal slope at the setpoint
-    setpoint, eps = LOCK_SETPOINT, 1e-4
-    slope = (error_signal(setpoint + eps) - error_signal(setpoint - eps)) / (2 * eps)
+    # normalize gains by the error-signal slope at the setpoint: for a
+    # fringe in 2 phi, S(phi + pi/4) - S(phi - pi/4) = -4 Im(W e^{2 i phi})
+    # is dS/dphi exactly
+    setpoint = LOCK_SETPOINT
+    slope = (error_signal(setpoint + math.pi / 4)
+             - error_signal(setpoint - math.pi / 4))
     if slope == 0:
         raise ConfigurationError("error signal has zero slope at the setpoint")
     cells = [(kp, ki) for kp in KP_GRID for ki in KI_GRID]

@@ -283,7 +283,7 @@ def _read_csv(text: str, columns, parse, fault, where: str, numbers=()):
         result = parse(*_coded_columns(text, columns, numbers))
         if result is not None:
             return result
-    rows = csv.reader(chain.from_iterable(_uncommented(text, True)))
+    rows = csv.reader(chain.from_iterable(_uncommented(text)))
     try:
         rows_after_header = islice(filter(None, rows), 1, None)
         message = next(filter(None, map(fault, rows_after_header)))
@@ -377,16 +377,13 @@ def _split(block: str, header) -> tuple:
     return block.replace("\n", ",").split(","), width
 
 
-def _uncommented(text: str, keep_lines: bool):
-    """The lines of ``text``, ends kept, in blocks, without its ``#`` lines,
-    or with each of them as "" (an empty row to csv, nothing within a quoted
-    field) if ``keep_lines``.  Each block of :func:`_blocks` is split by an
-    ``io.StringIO``, which holds 4 bytes a character."""
+def _uncommented(text: str):
+    """The lines of ``text``, ends kept, in blocks, with each ``#`` line as
+    "" (an empty row to csv, nothing within a quoted field).  Each block of
+    :func:`_blocks` is split by an ``io.StringIO``, which holds 4 bytes a
+    character."""
     for block in _blocks(text):
-        if block is not None:
-            yield io.StringIO(block)
-        elif keep_lines:
-            yield [""]
+        yield [""] if block is None else io.StringIO(block)
 
 
 def _blocks(text: str):

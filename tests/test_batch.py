@@ -13,6 +13,7 @@ a batch of gain sets at once; it is pinned to a copy of the scalar loop it
 replaced, one gain set at a time.
 """
 
+import cmath
 import csv
 import io
 import math
@@ -34,7 +35,7 @@ from dgbs.experiment import (LOCK_SETPOINT, SETTLE_FRACTION, DriftModel,
                              tune_pid_gains)
 from dgbs.hafnian import matching_polynomial
 from dgbs.probability import (ModelSpec, PhaseFamily, StateKernel,
-                              all_patterns, predict_twofold)
+                              TwofoldFringe, all_patterns, predict_twofold)
 from dgbs.reconstruction import MeasurementRecord, records_to_csv
 from dgbs.states import (AMatrix, SourceConfig, build_classical_input,
                          build_input_state, phase_scan, propagate)
@@ -559,15 +560,24 @@ def test_lock_signal_matches_predict_twofold(d, seed, n_pairs, phis):
     kern = lock_kernel(cfg, t)
     pairs = auto_select_pairs(kern, n_pairs=n_pairs)
     signal = build_error_signal(kern, pairs)
+    # the pairs' signed sum is one fringe: its constants summed in pair order
+    offset, weight = 0.0, 0j
+    for j, k, sign in pairs:
+        fringe = TwofoldFringe.of(kern, j, k)
+        offset += sign * float(fringe.offset)
+        weight += sign * complex(fringe.weight)
     for phi in phis:
         for j in range(d):
             for k in range(j + 1, d):
                 rate = build_error_signal(kern, [(j, k, 1)])(phi)
                 assert rate == predict_twofold(kern, j, k, phi)[1]
-        want = 0.0
-        for j, k, sign in pairs:
-            want += sign * predict_twofold(kern, j, k, phi)[1]
-        assert signal(phi) == want
+        rotation = cmath.exp(2j * phi)
+        assert signal(phi) == offset + 2 * (weight.real * rotation.real
+                                            - weight.imag * rotation.imag)
+        # and the pair-by-pair sum of rates, to rounding
+        rates = [sign * predict_twofold(kern, j, k, phi)[1]
+                 for j, k, sign in pairs]
+        assert abs(signal(phi) - sum(rates)) <= 1e-12 * sum(map(abs, rates))
     # a (G,) array of phases, one per gain set, is G scalar signals
     assert same_bits(signal(np.array(phis)), [signal(phi) for phi in phis])
 
@@ -607,9 +617,9 @@ def reference_pid_lock(drift, pid, error_signal, duration, seed=0):
 def reference_tune(drift, error_signal, duration, seed):
     """The grid scan of ``tune_pid_gains`` with the reference loop: the first
     cell of strictly lowest score wins."""
-    setpoint, eps = LOCK_SETPOINT, 1e-4
-    slope = (error_signal(setpoint + eps)
-             - error_signal(setpoint - eps)) / (2 * eps)
+    setpoint = LOCK_SETPOINT
+    slope = (error_signal(setpoint + math.pi / 4)
+             - error_signal(setpoint - math.pi / 4))
     best = None
     for kp in experiment.KP_GRID:
         for ki in experiment.KI_GRID:
@@ -625,9 +635,8 @@ def lock_signal(d, seed, n_pairs):
     cfg, t, _ = random_circuit(d, seed)
     kern = lock_kernel(cfg, t)
     signal = build_error_signal(kern, auto_select_pairs(kern, n_pairs=n_pairs))
-    eps = 1e-4
-    slope = (signal(LOCK_SETPOINT + eps)
-             - signal(LOCK_SETPOINT - eps)) / (2 * eps)
+    slope = (signal(LOCK_SETPOINT + math.pi / 4)
+             - signal(LOCK_SETPOINT - math.pi / 4))
     return signal, slope
 
 

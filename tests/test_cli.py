@@ -249,14 +249,16 @@ class TestCompare:
         from dgbs import serialize
         lines = text.splitlines(keepends=True)
         want = [line for line in lines if not line.startswith("#")]
-        # with keep_lines, a comment is an empty line: csv counts it
+        # a comment is an empty line: csv counts it
         kept = ["" if line.startswith("#") else line for line in lines]
         # blocks of one line each, of a few lines, and all in one
         for block in (1, 12, serialize.CSV_BLOCK_CHARS):
             monkeypatch.setattr(serialize, "CSV_BLOCK_CHARS", block)
-            for keep_lines, lines in ((False, want), (True, kept)):
-                blocks = serialize._uncommented(text, keep_lines)
-                assert list(chain.from_iterable(blocks)) == lines
+            blocks = serialize._uncommented(text)
+            assert list(chain.from_iterable(blocks)) == kept
+            # without the comment lines: the blocks that are text
+            blocks = map(io.StringIO, filter(None, serialize._blocks(text)))
+            assert list(chain.from_iterable(blocks)) == want
 
 
 def _edited(text: str, edit: str) -> str:
@@ -427,8 +429,8 @@ class TestCsvTokenisers:
                             for column in columns_read], widths
 
         def by_csv(numbers):
-            rows = list(csv.reader(chain.from_iterable(
-                serialize._uncommented(text, False))))
+            rows = list(csv.reader(chain.from_iterable(map(
+                io.StringIO, filter(None, serialize._blocks(text))))))
             body = list(filter(None, rows[1:]))
             padded = [row + [""] * max(columns) for row in body]
             coded_columns = []

@@ -1,3 +1,4 @@
+import cmath
 import csv
 import io
 import math
@@ -10,13 +11,14 @@ from hypothesis import strategies as st
 
 from conftest import lossy_transfer
 from dgbs.errors import ConfigurationError
-from dgbs.experiment import (DRAW_BLOCK, GUIDE_CELLS, ClickTable,
-                             DriftModel, PidConfig, _draw, _sampler_patterns,
-                             _with_discard, auto_select_pairs,
-                             build_error_signal, lock_kernel, pid_lock,
-                             sample_patterns, simulate_records,
-                             tune_pid_gains)
-from dgbs.probability import ModelSpec, StateKernel, predict_twofold
+from dgbs.experiment import (DRAW_BLOCK, GUIDE_CELLS, KI_GRID, KP_GRID,
+                             LOCK_SETPOINT, ClickTable, DriftModel, PidConfig,
+                             _draw, _sampler_patterns, _with_discard,
+                             auto_select_pairs, build_error_signal,
+                             lock_kernel, pid_lock, sample_patterns,
+                             simulate_records, tune_pid_gains)
+from dgbs.probability import (ModelSpec, StateKernel, TwofoldFringe,
+                              predict_twofold)
 from dgbs.serialize import CSV_BLOCK_ROWS, _csv_rows
 from dgbs.states import SourceConfig, TransferMatrix, build_input_state, propagate
 
@@ -237,6 +239,22 @@ class TestPhaseLock:
                         duration=40.0, seed=1)
         assert not locked.diverged
         assert locked.residual_std < 0.1 * free.residual_std
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_tuned_gains_use_the_exact_slope(self, seed):
+        # the tuned kp and ki are grid values over dS/dphi at the setpoint,
+        # -4 Im(W e^{2 i phi}) of the pairs' one summed fringe
+        cfg, t, _ = standard(d=6, eta=0.6, seed=seed)
+        kern = lock_kernel(cfg, t)
+        pairs = auto_select_pairs(kern)
+        weight = sum(sign * TwofoldFringe.of(kern, j, k).weight
+                     for j, k, sign in pairs)
+        slope = -4 * (weight * cmath.exp(2j * LOCK_SETPOINT)).imag
+        pid = tune_pid_gains(self.drift, build_error_signal(kern, pairs),
+                             duration=3.0, seed=seed)
+        assert min(abs(pid.kp * slope / kp - 1) for kp in KP_GRID) < 1e-12
+        assert min(abs(pid.ki * slope - ki) for ki in KI_GRID) \
+            < 1e-12 * max(KI_GRID)
 
     def test_drift_kinds(self):
         rng = np.random.default_rng(0)

@@ -314,6 +314,27 @@ class TestRoundTrip:
         assert_allclose(res.b, b2, atol=1e-10)
         assert_allclose(res.c, c2, atol=1e-10)
 
+    def test_state_at_coherent_phase_zero(self):
+        # the phi grid's origin is coherent phase 0: the reconstruction is
+        # the state there, whatever the config's phi
+        cfg = SourceConfig(r=0.4, alpha_mag=0.8, phi=0.7)
+        t = lossy_transfer(6, 0.5, seed=7)
+        res = reconstruct(simulate_records(cfg, t, second_input_port=3,
+                                           include_collisions=True))
+        assert res.flags == []
+
+        def fixed_truth(phi):
+            kern = StateKernel.from_state(propagate(
+                build_input_state(replace(cfg, phi=phi), 6), t))
+            return gauge_fix(kern.a.b, kern.a.c, kern.gamma[:6])
+
+        b0, c0, g0, _ = fixed_truth(0.0)
+        assert_allclose(res.gamma, g0, atol=1e-10)
+        assert_allclose(res.b, b0, atol=1e-10)
+        assert_allclose(res.c, c0, atol=1e-10)
+        # B of the gauge-fixed state moves with the coherent phase
+        assert np.abs(res.b - fixed_truth(cfg.phi)[0]).max() > 0.1
+
     @staticmethod
     def flat_04_records():
         """Noiseless d = 6 records whose input-1 (0, 4) fringe is flat, the
