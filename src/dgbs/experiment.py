@@ -183,9 +183,12 @@ def simulate_records(config: SourceConfig, t: TransferMatrix,
 
     With finite ``pulses_per_setting`` every observable receives independent
     binomial counting noise (pulses are split evenly over the phi grid for
-    scanned settings); ``math.inf`` yields exact noiseless rates.  Each
-    setting is one :class:`PhaseFamily`, the blocked one at the source's
-    phi alone.
+    scanned settings); ``math.inf`` yields exact noiseless rates.  The
+    settings are one :class:`PhaseFamily` of one Sigma_Q factorisation: the
+    blocked member (no coherent beam, at the source's phi), then the phi
+    grid with the beam at the source's coherent port and, with
+    ``second_input_port``, the grid again at that port.  Its singles and
+    twofolds are :meth:`PhaseFamily.low_order_rates`.
     """
     if phi_grid is None:   # five 2-pi windows
         phi_grid = np.linspace(0, 10 * math.pi, 100, endpoint=False)
@@ -196,34 +199,32 @@ def simulate_records(config: SourceConfig, t: TransferMatrix,
     # every setting records the singles, then the twofold of each pair (j, k)
     pairs = [(j, k) for j in range(d)
              for k in range(j if include_collisions else j + 1, d)]
-    eye = np.eye(d, dtype=np.int64)
-    patterns = np.vstack([eye, *(eye[j] + eye[k] for j, k in pairs)])
-    records = {}
-
-    def setting_rates(cfg, phis) -> np.ndarray:
-        """The (1 + P, F) vacuum and pattern rates of ``cfg`` at ``phis``."""
-        family = PhaseFamily.scan(cfg, t, phis)
-        return np.vstack([family.p_vac,
-                          family.pattern_probabilities(patterns).T])
-
-    rates = setting_rates(replace(config, alpha_mag=0.0), [config.phi])
-    if noisy:
-        # the vacuum rate is drawn after the other observables
-        rates[1:] = _binomial_rates(rng, rates[1:], pulses_per_setting)
-        rates[0] = _binomial_rates(rng, rates[0], pulses_per_setting)
-    records["blocked"] = MeasurementRecord(
-        "blocked", d, pulses_per_setting, rates, pairs)
-
     settings = [("input1", config.coherent_port)]
     if second_input_port is not None:
         settings.append(("input2", second_input_port))
-    pulses_per_bin = pulses_per_setting / len(phi_grid) if noisy else math.inf
-    for name, port in settings:
-        rates = setting_rates(replace(config, coherent_port=port), phi_grid)
+    n = len(phi_grid)
+    family = PhaseFamily.scan(
+        config, t, [config.phi, *np.tile(phi_grid, len(settings))],
+        ports=[config.coherent_port, *(port for _, port in settings
+                                       for _ in range(n))],
+        amplitudes=[0.0, *[config.alpha_mag] * (n * len(settings))])
+    # (1 + d + len(pairs), 1 + n * len(settings)): one column per member
+    rates = family.low_order_rates(pairs).T
+
+    blocked = rates[:, :1]
+    if noisy:
+        # the vacuum rate is drawn after the other observables
+        blocked[1:] = _binomial_rates(rng, blocked[1:], pulses_per_setting)
+        blocked[0] = _binomial_rates(rng, blocked[0], pulses_per_setting)
+    records = {"blocked": MeasurementRecord(
+        "blocked", d, pulses_per_setting, blocked, pairs)}
+    pulses_per_bin = pulses_per_setting / n if noisy else math.inf
+    for i, (name, _) in enumerate(settings):
+        table = rates[:, 1 + i * n:1 + (i + 1) * n]
         if noisy:
-            rates = _binomial_rates(rng, rates, pulses_per_bin)
+            table = _binomial_rates(rng, table, pulses_per_bin)
         records[name] = MeasurementRecord(
-            name, d, pulses_per_bin, rates, pairs, phi=phi_grid)
+            name, d, pulses_per_bin, table, pairs, phi=phi_grid)
     return records
 
 

@@ -75,12 +75,14 @@ class ModelSpec:
 
 
 class PhaseFamily:
-    """Kernels of one circuit over a scan of the coherent-beam phase.
+    """Kernels of one circuit over a scan of the coherent beam.
 
-    A phase scan only rotates the displacement: Sigma_Q, its one solve and
-    A are shared, and only gamma and p_vac depend on phi.  Row f of
-    ``gammas`` (F, 2d) and of ``log_p_vac`` (F,) belongs to the f-th phase.
-    Every method evaluates all F kernels at once, one DP per photon total;
+    A scan of the beam's phase (and port and amplitude) only moves the
+    displacement: Sigma_Q, its one solve and A are shared, and only gamma
+    and p_vac depend on the member.  Row f of ``gammas`` (F, 2d) and of
+    ``log_p_vac`` (F,) belongs to the f-th member.  The pattern methods
+    evaluate all F kernels at once, one DP per photon total, and
+    :meth:`low_order_rates` the closed forms of the singles and twofolds;
     :class:`StateKernel` is the family of one.
     """
 
@@ -91,13 +93,56 @@ class PhaseFamily:
         self.p_vac = np.array([math.exp(v) for v in self.log_p_vac])
 
     @classmethod
-    def scan(cls, config: SourceConfig, t: TransferMatrix,
-             phis) -> "PhaseFamily":
+    def scan(cls, config: SourceConfig, t: TransferMatrix, phis,
+             ports=None, amplitudes=None) -> "PhaseFamily":
         """The family of ``propagate(build_input_state(replace(config,
-        phi=phi), t.d), t)`` over ``phis``, from one state and one Sigma_Q
-        solve."""
-        state, gammas, log_p_vac = phase_scan(config, t, phis)
+        phi=phi, coherent_port=port, alpha_mag=amplitude), t.d), t)`` over
+        the members of :func:`phase_scan`, from one state and one Sigma_Q
+        solve: the coherent beam's port and amplitude may change from
+        member to member (by default the config's)."""
+        state, gammas, log_p_vac = phase_scan(config, t, phis, ports,
+                                              amplitudes)
         return cls(a_matrix(state), gammas, log_p_vac)
+
+    def low_order_rates(self, pairs) -> np.ndarray:
+        """The vacuum, single and twofold probabilities of every member,
+        as (F, 1 + d + len(pairs)): column 0 is p_vac, column 1 + j the
+        single of mode j, then one column per (j, k) of ``pairs`` (j <= k;
+        j == k is the photon-number-resolved pr(2_j)), with
+        :meth:`pattern_probabilities`' values, clamping and errors.
+
+        They are the closed forms of the loop hafnians of kernel size 2
+        and 4, with g_j = gammas[:, j] and p'_j = C_jj + |g_j|^2: the
+        single is p_vac p'_j, and a pair's twofold is p_vac times
+        p'_j p'_k + |B_jk|^2 + |C_jk|^2 + 2 Re(C_jk conj(g_j) g_k)
+        + 2 Re(B_jk conj(g_j) conj(g_k)), halved when j == k (its 2!).
+        Every complex product is written out in real arithmetic, and no
+        sum is a reduction, so a member's row has the same bits in a
+        family of any size."""
+        d = self.a.d
+        j, k = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
+        if not ((0 <= j) & (j <= k) & (k < d)).all():
+            raise ConfigurationError(
+                f"pairs must be (j, k) with 0 <= j <= k < {d}")
+        gr, gi = self.gammas[:, :d].real, self.gammas[:, :d].imag
+        single = self.a.c.diagonal().real + (gr * gr + gi * gi)
+        rj, ij, rk, ik = gr[:, j], gi[:, j], gr[:, k], gi[:, k]
+        c_jk, b_jk = self.a.c[j, k], self.a.b[j, k]
+        cr, ci, br, bi = c_jk.real, c_jk.imag, b_jk.real, b_jk.imag
+        pair = single[:, j] * single[:, k]
+        pair += (br * br + bi * bi) + (cr * cr + ci * ci)
+        # the two Re terms, expanded over the real and imaginary parts of
+        # g_j and g_k
+        pair += rj * (rk * (2 * (cr + br)) + ik * (2 * (bi - ci)))
+        pair += ij * (ik * (2 * (cr - br)) + rk * (2 * (bi + ci)))
+        p_vac = self.p_vac[:, None]
+        out = np.hstack([p_vac, p_vac * single,
+                         p_vac * (pair * np.where(j == k, 0.5, 1.0))])
+        if not np.isfinite(out).all():
+            raise NumericalError("probability came out non-finite; the state "
+                                 "is beyond floating-point range")
+        out[out < 0.0] = 0.0
+        return out
 
     def pattern_terms(self, counts, columns: int = None) -> np.ndarray:
         """Unnormalized pr(n)/p_vac contributions of the rows of a (P, d)

@@ -11,7 +11,7 @@ has the block form ``[[G, M], [conj(M), conj(G)]]`` with G Hermitian
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -264,14 +264,16 @@ def _quantum_input(config: SourceConfig, d: int) -> tuple:
     return sigma, config.alpha_mag, maps
 
 
-def _coherent_delta(d: int, port: int, amplitude, phi) -> np.ndarray:
+def _coherent_delta(d: int, port, amplitude, phi) -> np.ndarray:
     """The (2d,) displacement of a coherent beam of ``amplitude`` at
-    ``port`` and phase ``phi``, or the (F, 2d) stack over an (F,) array."""
+    ``port`` and phase ``phi``, or the (F, 2d) stack over (F,) arrays of
+    them (a scalar serves every member)."""
     alpha = amplitude * np.exp(1j * phi)
-    delta = np.zeros((*np.shape(alpha), 2 * d), dtype=complex)
-    delta[..., port] = alpha
-    delta[..., port + d] = np.conj(alpha)
-    return delta
+    delta = np.zeros((np.size(alpha), 2 * d), dtype=complex)
+    rows = np.arange(len(delta))
+    delta[rows, port] = alpha
+    delta[rows, port + d] = np.conj(alpha)
+    return delta.reshape(*np.shape(alpha), 2 * d)
 
 
 def _assemble(config: SourceConfig, d: int, sigma, amplitude,
@@ -285,25 +287,45 @@ def _assemble(config: SourceConfig, d: int, sigma, amplitude,
     return state
 
 
-def phase_scan(config: SourceConfig, t: TransferMatrix, phis) -> tuple:
-    """(state, gammas, log_p_vacs) of the source through ``t`` over a scan
-    of the coherent phase over ``phis``.
+def phase_scan(config: SourceConfig, t: TransferMatrix, phis,
+               ports=None, amplitudes=None) -> tuple:
+    """(state, gammas, log_p_vacs) of the source through ``t`` over F
+    members: member f has its coherent beam at phase ``phis[f]``, port
+    ``ports[f]`` (a sequence of ints) and amplitude ``amplitudes[f]``, by
+    default the config's ``coherent_port`` and ``alpha_mag``.
 
-    A phase scan only rotates the displacement, so one state (at the
-    config's phase) is built and validated, and its Sigma_Q^-1 and log det
-    serve every phase.  The (F, 2d) displacements are pushed through each
-    doubled map by one stacked matvec, which runs numpy's matvec item by
-    item (a ``D @ S.T`` gemm would round apart), and
+    The port, amplitude and phase of the coherent beam only move the
+    displacement, so one state (the config's own) is built and validated,
+    and its Sigma_Q^-1 and log det serve every member; each distinct
+    (port, amplitude) is checked as a source config of its own.  The
+    (F, 2d) displacements are pushed through each doubled map by one
+    stacked matvec, which runs numpy's matvec item by item (a
+    ``D @ S.T`` gemm would round apart), and
     :meth:`GaussianState.gamma_and_log_p_vac` takes the stack.  So row f
     of ``gammas`` and of ``log_p_vacs`` has the bits of
-    ``propagate(build_input_state(replace(config, phi=phis[f]), d), t)``.
+    ``propagate(build_input_state(replace(config, phi=phis[f],
+    coherent_port=ports[f], alpha_mag=amplitudes[f]), d), t)``.
     """
     d = t.d
+    phis = np.asarray(phis, dtype=float)
+    if ports is None:
+        ports = [config.coherent_port] * len(phis)
+    if amplitudes is None:
+        amplitudes = [config.alpha_mag] * len(phis)
+    ports, amplitudes = list(ports), np.asarray(amplitudes, dtype=float)
+    if len(ports) != len(phis) or amplitudes.shape != phis.shape:
+        raise ConfigurationError(
+            f"a scan needs one port and one amplitude per phase, got "
+            f"{len(ports)} ports and {amplitudes.shape} amplitudes for "
+            f"{phis.shape} phases")
+    for port, amplitude in dict.fromkeys(zip(ports, amplitudes.tolist())):
+        check_ports(replace(config, coherent_port=port,
+                            alpha_mag=amplitude).ports, d)
     sigma, amplitude, maps = _quantum_input(config, d)
     maps = [*maps, t]
     state = _assemble(config, d, sigma, amplitude, maps)
-    deltas = _coherent_delta(d, config.coherent_port, amplitude,
-                             np.asarray(phis, dtype=float))
+    deltas = _coherent_delta(d, np.array(ports, dtype=np.intp), amplitudes,
+                             phis)
     for m in maps:
         deltas = np.matmul(_doubled_map(m), deltas[:, :, None])[:, :, 0]
     if (np.abs(deltas[:, d:] - deltas[:, :d].conj()) > BLOCK_TOL).any():

@@ -1,16 +1,18 @@
 """Batched pattern evaluation is bit-identical to one pattern at a time,
 and a phase family to one state per phase.
 
-Every probability table goes through one batched call
+Every pattern table goes through one batched call
 (``PhaseFamily.pattern_probabilities``, of which
 ``StateKernel.pattern_probabilities`` is the family of one), which groups
 patterns by photon total and runs the one subset DP plan of their kernel
 size on chunks of patterns, for every phase at once.  These properties pin
 the batch to the single-pattern results, the truncated k-order DP to the
 full one and the family to per-phase states, bit for bit, for any mix of
-totals, collisions, models and chunk sizes.  The phase lock's PID loop runs
-a batch of gain sets at once; it is pinned to a copy of the scalar loop it
-replaced, one gain set at a time.
+totals, collisions, models and chunk sizes.  The closed-form singles and
+twofolds that simulated records read are held to the DP within 1e-12, and
+the records to one family of one per phase bit for bit.  The phase lock's
+PID loop runs a batch of gain sets at once; it is pinned to a copy of the
+scalar loop it replaced, one gain set at a time.
 """
 
 import cmath
@@ -28,7 +30,7 @@ from hypothesis import strategies as st
 
 from conftest import lossy_transfer
 from dgbs import experiment, hafnian
-from dgbs.errors import ConfigurationError
+from dgbs.errors import ConfigurationError, NumericalError
 from dgbs.experiment import (LOCK_SETPOINT, SETTLE_FRACTION, DriftModel,
                              PidConfig, auto_select_pairs, build_error_signal,
                              lock_kernel, pid_lock, simulate_records,
@@ -416,15 +418,121 @@ def test_scan_matches_state_per_phase_at_workload_size(port):
         assert log_p_vacs[f] == kern.log_p_vac
 
 
+def mixed_members(d, count, rng):
+    """(phis, ports, amplitudes) of ``count`` scan members whose coherent
+    beam enters any port but the squeezers' (0 and 1), at one of two
+    amplitudes or none, the first member at none."""
+    ports = rng.integers(2, d, count).tolist()
+    amplitudes = rng.choice([0.0, *rng.uniform(0.1, 1.2, 2)], count)
+    amplitudes[0] = 0.0
+    return rng.uniform(-10, 40, count), ports, amplitudes
+
+
+@PROPERTY
+@given(d=st.integers(3, 6), seed=st.integers(0, 2 ** 32 - 1),
+       count=st.integers(1, 9))
+def test_mixed_scan_matches_separate_scans(d, seed, count):
+    # one scan over mixed ports and amplitudes, as simulate_records runs
+    # its three settings: each member's row has the bits of the scan of
+    # its own (port, amplitude) and of the state built for it
+    cfg, t, rng = random_circuit(d, seed)
+    phis, ports, amplitudes = mixed_members(d, count, rng)
+    _, gammas, log_p_vacs = phase_scan(cfg, t, phis, ports, amplitudes)
+    members = list(zip(ports, amplitudes.tolist()))
+    for port, amplitude in set(members):
+        own = replace(cfg, coherent_port=port, alpha_mag=amplitude)
+        rows = [f for f, m in enumerate(members) if m == (port, amplitude)]
+        _, g, log_p = phase_scan(own, t, phis[rows])
+        assert same_bits(gammas[rows], g) and same_bits(log_p_vacs[rows], log_p)
+        for f in rows:
+            kern = StateKernel.from_state(propagate(
+                build_input_state(replace(own, phi=phis[f]), d), t))
+            assert same_bits(gammas[f], kern.gamma)
+            assert log_p_vacs[f] == kern.log_p_vac
+
+
+def test_scan_members_are_checked_as_sources():
+    # a member's port is checked as the coherent port of a source of its
+    # own: on the circuit, and off the squeezers
+    cfg, t, _ = random_circuit(4, 0)
+    for port, message in [(4, "not a mode"), (1, "ports overlap")]:
+        with pytest.raises(ConfigurationError, match=message):
+            phase_scan(cfg, t, [0.0, 1.0], [2, port], [1.0, 1.0])
+    with pytest.raises(ConfigurationError, match="nonnegative"):
+        phase_scan(cfg, t, [0.0, 1.0], [2, 3], [1.0, -1.0])
+    with pytest.raises(ConfigurationError, match="one port and one amplitude"):
+        phase_scan(cfg, t, [0.0, 1.0], [2], [1.0, 1.0])
+
+
+def twofold_patterns(pairs, d):
+    """The singles, then the twofold pattern of each pair, as (d + P, d)."""
+    eye = np.eye(d, dtype=np.int64)
+    return np.vstack([eye, *(eye[j] + eye[k] for j, k in pairs)])
+
+
+def assert_low_order_rates_match_the_dp(family, pairs):
+    got = family.low_order_rates(pairs)
+    want = np.hstack([family.p_vac[:, None], family.pattern_probabilities(
+        twofold_patterns(pairs, family.a.d))])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    # a member's row has its bits in a family of any size
+    for f in range(len(got)):
+        one = PhaseFamily(family.a, family.gammas[f:f + 1],
+                          family.log_p_vac[f:f + 1])
+        assert same_bits(one.low_order_rates(pairs), got[f:f + 1])
+
+
+@PROPERTY
+@given(d=st.integers(3, 7), seed=st.integers(0, 2 ** 32 - 1),
+       count=st.integers(1, 6))
+def test_low_order_rates_match_the_dp(d, seed, count):
+    # the closed forms of the singles and twofolds, collisions included,
+    # against the loop-hafnian DP, on lossy circuits with mixed ports and
+    # an amplitude-0 member
+    cfg, t, rng = random_circuit(d, seed)
+    family = PhaseFamily.scan(cfg, t, *mixed_members(d, count, rng))
+    pairs = [(j, k) for j in range(d) for k in range(j, d)]
+    assert_low_order_rates_match_the_dp(family, pairs)
+
+
+@pytest.mark.parametrize("port", [2, 3])
+def test_low_order_rates_match_the_dp_at_workload_size(port):
+    d = 15
+    cfg = SourceConfig(r=0.55, alpha_mag=1.7, coherent_port=port, eta_c=0.8)
+    family = PhaseFamily.scan(cfg, lossy_transfer(d, 0.3, 100),
+                              np.linspace(0, 10 * math.pi, 20, endpoint=False))
+    assert_low_order_rates_match_the_dp(
+        family, [(j, k) for j in range(d) for k in range(j + 1, d)])
+
+
+def test_low_order_rates_edges():
+    # a negative rate is clamped to 0 and a non-finite one raises, as in
+    # pattern_probabilities; the pairs are sorted modes of the circuit
+    a = AMatrix(2, np.zeros((2, 2)), np.diag([-0.5, 0.25]))
+    family = PhaseFamily(a, np.zeros((1, 4)), [0.0])
+    pairs = [(0, 0), (0, 1), (1, 1)]
+    got = family.low_order_rates(pairs)
+    assert got.tolist() == [[1.0, 0.0, 0.25, 0.25, 0.0, 0.0625]]
+    assert same_bits(got[:, 1:], family.pattern_probabilities(
+        twofold_patterns(pairs, 2)))
+    assert family.low_order_rates([]).tolist() == [[1.0, 0.0, 0.25]]
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError, match="non-finite"):
+        PhaseFamily(a, np.full((1, 4), 1e200), [0.0]).low_order_rates(pairs)
+    for bad in ([(1, 0)], [(0, 2)], [(-1, 0)]):
+        with pytest.raises(ConfigurationError, match="pairs must be"):
+            family.low_order_rates(bad)
+
+
 def per_phase_records(config, t, second_input_port, phi_grid, pulses, seed,
                       include_collisions):
-    """simulate_records computed with one state and one kernel per phase
-    and one pattern at a time."""
+    """simulate_records computed with one state and one family of one per
+    phase, through the same closed forms (``low_order_rates``, held to the
+    DP by test_low_order_rates_match_the_dp), and one observable at a time
+    for the draws."""
     d = t.d
-    modes = [(j,) for j in range(d)] + [
-        (j, k) for j in range(d)
-        for k in range(j if include_collisions else j + 1, d)]
-    patterns = [np.bincount(m, minlength=d) for m in modes]
+    pairs = [(j, k) for j in range(d)
+             for k in range(j if include_collisions else j + 1, d)]
     rng = np.random.default_rng(seed)
     noisy = np.isfinite(pulses)
 
@@ -433,8 +541,8 @@ def per_phase_records(config, t, second_input_port, phi_grid, pulses, seed,
 
     def rates(cfg):
         kern = StateKernel.from_state(propagate(build_input_state(cfg, d), t))
-        return kern.p_vac, np.array([kern.pattern_probabilities([n])[0]
-                                     for n in patterns])
+        row = kern.family.low_order_rates(pairs)[0]
+        return row[0], row[1:]
 
     p_vac, r = rates(replace(config, alpha_mag=0.0))
     singles, twofolds = r[:d], r[d:].tolist()
@@ -444,7 +552,7 @@ def per_phase_records(config, t, second_input_port, phi_grid, pulses, seed,
         p_vac = float(binomial(p_vac, pulses))
     table = np.array([p_vac, *singles, *twofolds])[:, None]
     records = {"blocked": MeasurementRecord("blocked", d, pulses, table,
-                                            modes[d:])}
+                                            pairs)}
     ports = [("input1", config.coherent_port)]
     if second_input_port is not None:
         ports.append(("input2", second_input_port))
@@ -460,7 +568,7 @@ def per_phase_records(config, t, second_input_port, phi_grid, pulses, seed,
             singles = binomial(singles, per_bin)
             two = [binomial(v, per_bin) for v in two]
         table = np.vstack([p_vac, singles, *two])
-        records[name] = MeasurementRecord(name, d, per_bin, table, modes[d:],
+        records[name] = MeasurementRecord(name, d, per_bin, table, pairs,
                                           phi=phi_grid)
     return records
 
@@ -492,17 +600,17 @@ def row_by_row_csv(records):
 @PROPERTY
 @given(d=st.integers(3, 5), seed=st.integers(0, 2 ** 32 - 1),
        nphi=st.integers(1, 6), noisy=st.booleans(), collisions=st.booleans(),
-       second=st.booleans(),
-       chunk_bytes=st.sampled_from([1, hafnian.DP_CHUNK_BYTES]))
+       second=st.booleans())
 def test_simulate_records_match_state_per_phase(d, seed, nphi, noisy,
-                                                collisions, second,
-                                                chunk_bytes):
+                                                collisions, second):
+    # simulate_records scans its three settings as one family; this pins
+    # the family's rows, the table assembly, the draw order and the CSV
+    # bytes to one state per phase
     cfg, t, rng = random_circuit(d, seed)
     phi_grid = np.sort(rng.uniform(0, 4 * math.pi, nphi))
     args = (cfg, t, d - 1 if second else None, phi_grid,
             1e5 if noisy else math.inf, seed % 1000, collisions)
-    with mock.patch.object(hafnian, "DP_CHUNK_BYTES", chunk_bytes):
-        got = b"".join(records_to_csv(simulate_records(*args)))
+    got = b"".join(records_to_csv(simulate_records(*args)))
     want = per_phase_records(*args)
     assert got == b"".join(records_to_csv(want)) == row_by_row_csv(want)
 

@@ -208,6 +208,7 @@ class TestKernel:
     def test_one_factorisation_per_state(self, monkeypatch):
         # the eigendecomposition of Sigma_Q that validates a state is its
         # only factorisation: building a kernel or a phase scan adds none
+        from dgbs.experiment import simulate_records
         from dgbs.probability import PhaseFamily, StateKernel
         calls, states = [], []
 
@@ -238,6 +239,12 @@ class TestKernel:
         assert calls == []
         states.clear()
         PhaseFamily.scan(cfg, t, np.linspace(0, 6, 7))
+        assert calls == ["eigh"] * len(states) and len(states) == 2
+        # simulate_records scans its three settings as one family
+        calls.clear()
+        states.clear()
+        simulate_records(cfg, t, second_input_port=3,
+                         phi_grid=np.linspace(0, 6, 7))
         assert calls == ["eigh"] * len(states) and len(states) == 2
 
     @pytest.mark.parametrize("low, refused", [(1e-13, True), (1e-11, False)])
