@@ -293,7 +293,7 @@ class PidConfig:
             raise ConfigurationError("actuator limit must be positive")
 
 
-@dataclass
+@dataclass(eq=False)
 class LockResult:
     times: np.ndarray
     phi: np.ndarray

@@ -5,9 +5,9 @@ The workhorse is a subset dynamic program that enumerates all matchings
 order.  A DP row is a subset of a kernel's row positions, which are distinct
 even when a collision pattern repeats a mode, so every kernel of size n runs
 the same plan, built once per n.  :func:`pattern_polynomials` gathers the
-reduced kernels of a batch of patterns and the loop weights of a family of F
-vectors that share A, and runs the plan on chunks of them with (F, P) as
-trailing vector axes.
+reduced kernels and loop weights of a batch of patterns of one state and
+runs the plan on chunks of them, with the patterns as a trailing vector
+axis.
 
 The plan adds each pair term in one of two ways.  Summed, a row holds one
 column, the loop hafnian of its subset (Bjorklund, Gupt and Quesada, ACM JEA
@@ -31,9 +31,8 @@ from .states import check_counts
 
 SYMMETRY_TOL = 1e-10
 MAX_KERNEL_SIZE = 20  # 2N; a DP row is an int64 mask of the 2N positions
-# the rows of one chunk's DP, each holding its columns for every pattern and
-# family member of the chunk, and the chunk's gathered loop weights and
-# kernels
+# the rows of one chunk's DP, each holding its columns for every pattern of
+# the chunk, and the chunk's gathered loop weights and kernels
 DP_CHUNK_BYTES = 1 << 20
 
 
@@ -90,9 +89,9 @@ def _plan(n: int) -> tuple:
 
 def _evaluate(steps: list, m: np.ndarray, diag: np.ndarray,
               columns: int, summed: bool = False) -> np.ndarray:
-    """Run a plan on kernels m (n, n, P) with loop weights diag (n, F, P),
-    giving pair counts 0..columns - 1 as (F, P, columns), for columns at
-    most n // 2 + 1.  The rows of level s carry the pair counts
+    """Run a plan on kernels m (n, n, P) with loop weights diag (n, P),
+    giving pair counts 0..columns - 1 as (P, columns), for columns at most
+    n // 2 + 1.  The rows of level s carry the pair counts
     0..min(columns, s // 2 + 1) - 1 (a subset of s positions holds at most
     s // 2 pairs), so the top level carries all ``columns``.  If ``summed``
     (with ``columns`` 1), a pair term goes into the row's one column
@@ -106,7 +105,7 @@ def _evaluate(steps: list, m: np.ndarray, diag: np.ndarray,
     zeros can differ only in the sign of an entry that is itself an exact
     zero.)"""
     shift = 0 if summed else 1    # the column offset of a pair term
-    prev = np.ones((1, 1) + diag.shape[1:], dtype=complex)
+    prev = np.ones((1, 1, diag.shape[1]), dtype=complex)
     prev2 = None
     for s, (i, rest, js, pairs) in enumerate(steps, 1):
         # subset = {i} + rest with i its lowest position: i is a fixed
@@ -115,27 +114,27 @@ def _evaluate(steps: list, m: np.ndarray, diag: np.ndarray,
         if width > prev.shape[1]:
             # s even: no fixed point is left beside s // 2 pairs, so that
             # column starts from -0, which adds nothing
-            row = np.empty((len(i), width) + prev.shape[2:], dtype=complex)
+            row = np.empty((len(i), width, prev.shape[2]), dtype=complex)
             np.multiply(diag[i][:, None], prev[rest], out=row[:, :-1])
             row[:, -1] = complex(-0.0, -0.0)
         else:
             row = np.multiply(diag[i][:, None], prev[rest])
         if width > shift:   # else no column takes a pair term (korder(0))
             for j, pair in zip(js, pairs):
-                row[:, shift:] += np.multiply(m[i, j][:, None, None],
+                row[:, shift:] += np.multiply(m[i, j][:, None],
                                               prev2[pair, :width - shift])
         prev2, prev = prev, row
-    return prev[0].transpose(1, 2, 0)
+    return prev[0].T
 
 
-def _polynomials(m: np.ndarray, diags: np.ndarray, idx: np.ndarray,
+def _polynomials(m: np.ndarray, diag: np.ndarray, idx: np.ndarray,
                  columns: int = None, summed: bool = False) -> np.ndarray:
-    """(F, P, columns) matching polynomials of the kernels m[idx_p][:, idx_p]
-    with loop weights diags[f, idx_p], for the P rows idx_p of ``idx``
-    (indices into m): pair counts 0..columns - 1, all N + 1 if ``columns``
-    is None, or if ``summed`` their sum, the loop hafnian, as one column.
-    Patterns and family members run the plan of their kernel size together,
-    in chunks whose DP rows, loop weights and kernels fit DP_CHUNK_BYTES."""
+    """(P, columns) matching polynomials of the kernels m[idx_p][:, idx_p]
+    with loop weights diag[idx_p], for the P rows idx_p of ``idx`` (indices
+    into m): pair counts 0..columns - 1, all N + 1 if ``columns`` is None,
+    or if ``summed`` their sum, the loop hafnian, as one column.  The
+    patterns run the plan of their kernel size together, in chunks whose DP
+    rows, loop weights and kernels fit DP_CHUNK_BYTES."""
     count, n = idx.shape
     if n > MAX_KERNEL_SIZE:
         raise EnumerationBudgetError(
@@ -145,20 +144,14 @@ def _polynomials(m: np.ndarray, diags: np.ndarray, idx: np.ndarray,
     else:
         columns = n // 2 + 1 if columns is None else min(columns, n // 2 + 1)
     rows, steps = _plan(n)
-    # a pattern takes, for each family member, the DP rows and n loop
-    # weights, and once its n x n kernel
-    member = 16 * (columns * rows + n)
-    per_chunk = max(1, DP_CHUNK_BYTES // (
-        member * max(1, len(diags)) + 16 * n * n))
-    fam = max(1, DP_CHUNK_BYTES // (member * per_chunk))
-    out = np.empty((len(diags), count, columns), dtype=complex)
+    # a pattern takes its DP rows, its n loop weights and its n x n kernel
+    per_chunk = max(1, DP_CHUNK_BYTES // (16 * (columns * rows + n + n * n)))
+    out = np.empty((count, columns), dtype=complex)
     for start in range(0, count, per_chunk):
         chunk = idx[start:start + per_chunk].T          # (n, P)
-        kernels = m[chunk[:, None], chunk[None]]
-        for f in range(0, len(diags), fam):
-            out[f:f + fam, start:start + per_chunk] = _evaluate(
-                steps, kernels, diags[f:f + fam, chunk].transpose(1, 0, 2),
-                columns, summed)
+        out[start:start + per_chunk] = _evaluate(
+            steps, m[chunk[:, None], chunk[None]], diag[chunk], columns,
+            summed)
     return out
 
 
@@ -184,18 +177,16 @@ def matching_polynomial(m: np.ndarray, diag: np.ndarray = None) -> np.ndarray:
     if m.size and np.abs(m - m.T).max() > SYMMETRY_TOL * max(
             1.0, np.abs(m).max()):
         raise ConfigurationError("matrix is not symmetric")
-    return _polynomials(m, diag.astype(complex)[None],
-                        np.arange(len(m))[None])[0, 0]
+    return _polynomials(m, diag.astype(complex), np.arange(len(m))[None])[0]
 
 
-def pattern_polynomials(a, gammas, counts, *, columns: int = None,
+def pattern_polynomials(a, gamma, counts, *, columns: int = None,
                         summed: bool = False) -> np.ndarray:
-    """(F, P, N + 1) matching polynomials of the kernels that the P rows of
-    a (P, d) counts array of one total N reduce (A, gammas[f]) to, for a
-    family of F loop-weight vectors ``gammas`` (F, 2d) that share A.
-    ``columns`` keeps only pair counts 0..columns - 1, at lower cost and
-    with the same bits.  ``summed`` gives instead their sum, the loop
-    hafnian, as (F, P, 1), from one column per DP row.  Memory grows with
-    neither F nor P."""
-    return _polynomials(a.full, np.asarray(gammas, dtype=complex),
+    """(P, N + 1) matching polynomials of the kernels that the P rows of a
+    (P, d) counts array of one total N reduce (A, gamma) to, for the (2d,)
+    loop weights ``gamma``.  ``columns`` keeps only pair counts
+    0..columns - 1, at lower cost and with the same bits.  ``summed`` gives
+    instead their sum, the loop hafnian, as (P, 1), from one column per DP
+    row.  Memory does not grow with P."""
+    return _polynomials(a.full, np.asarray(gamma, dtype=complex),
                         _pattern_index(a.d, counts), columns, summed)

@@ -20,7 +20,7 @@ def tvd(p: PatternDistribution, q: PatternDistribution) -> float:
     return float(np.abs(p.probabilities - q.probabilities).sum() / 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LikelihoodTrace:
     """Per-sample log-ratio increments and the cumulative likelihood ratio.
 

@@ -17,7 +17,6 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, combinations, combinations_with_replacement
 from typing import NamedTuple
 
@@ -80,10 +79,10 @@ class PhaseFamily:
     A scan of the beam's phase (and port and amplitude) only moves the
     displacement: Sigma_Q, its one solve and A are shared, and only gamma
     and p_vac depend on the member.  Row f of ``gammas`` (F, 2d) and of
-    ``log_p_vac`` (F,) belongs to the f-th member.  The pattern methods
-    evaluate all F kernels at once, one DP per photon total, and
-    :meth:`low_order_rates` the closed forms of the singles and twofolds;
-    :class:`StateKernel` is the family of one.
+    ``log_p_vac`` (F,) belongs to the f-th member, whose
+    :class:`StateKernel` is ``StateKernel(a, gammas[f], log_p_vac[f])``.
+    :meth:`low_order_rates` gives the closed forms of the singles and
+    twofolds of every member at once.
     """
 
     def __init__(self, a: AMatrix, gammas, log_p_vac):
@@ -108,8 +107,8 @@ class PhaseFamily:
         """The vacuum, single and twofold probabilities of every member,
         as (F, 1 + d + len(pairs)): column 0 is p_vac, column 1 + j the
         single of mode j, then one column per (j, k) of ``pairs`` (j <= k;
-        j == k is the photon-number-resolved pr(2_j)), with
-        :meth:`pattern_probabilities`' values, clamping and errors.
+        j == k is the photon-number-resolved pr(2_j)), with the values,
+        clamping and errors of :meth:`StateKernel.pattern_probabilities`.
 
         They are the closed forms of the loop hafnians of kernel size 2
         and 4, with g_j = gammas[:, j] and p'_j = C_jj + |g_j|^2: the
@@ -144,60 +143,10 @@ class PhaseFamily:
         out[out < 0.0] = 0.0
         return out
 
-    def pattern_terms(self, counts, columns: int = None) -> np.ndarray:
-        """Unnormalized pr(n)/p_vac contributions of the rows of a (P, d)
-        counts array of one total N at every phase, resolved by pair count,
-        as (F, P, N + 1), or only their first ``columns`` pair counts (with
-        the same bits).  Entry p is the term in which p photons came from
-        the squeezers: cumulative sums give every k-order value at once,
-        and the top entry p = N, the loop-free hafnian, is the
-        squeezer-only value."""
-        poly = pattern_polynomials(self.a, self.gammas, counts,
-                                   columns=columns)
-        return poly / FACTORIALS[np.asarray(counts, int)].prod(axis=1)[:, None]
-
-    def pattern_probabilities(self, counts,
-                              model: ModelSpec = ModelSpec()) -> np.ndarray:
-        """pr(n) under ``model`` for each row of a (P, d) counts array at
-        each phase, as (F, P); the rows may mix totals and are evaluated one
-        batch per total."""
-        counts = check_counts(counts, self.a.d)
-        totals = counts.sum(axis=1)
-        out = np.repeat(self.p_vac[:, None], len(counts), axis=1)
-        for total in np.unique(totals[totals > 0]).tolist():
-            rows = np.flatnonzero(totals == total)
-            if model.kind == "korder" and model.k < total:
-                # korder(k) sums the pair counts 0..k, so it runs k + 1
-                # columns
-                val = self.pattern_terms(counts[rows], model.k + 1).reshape(
-                    -1, model.k + 1).sum(axis=1)
-            else:
-                # the loop hafnian; with no loop weights, the hafnian is
-                # the same at every phase
-                gammas = np.zeros((1, 2 * self.a.d)) \
-                    if model.kind == "squeezer_only" else self.gammas
-                lhaf = pattern_polynomials(self.a, gammas, counts[rows],
-                                           summed=True)[..., 0]
-                val = np.broadcast_to(
-                    lhaf / FACTORIALS[counts[rows]].prod(axis=1),
-                    (len(out), len(rows))).ravel()
-            bad = np.abs(val.imag) > 1e-9 * np.fmax(1.0, np.abs(val.real))
-            if bad.any():
-                raise NumericalError(
-                    f"probability came out non-real ({complex(val[bad][0])!r}); "
-                    "kernel inconsistent")
-            # Truncated models can dip slightly negative; clamp at zero.
-            val = np.where(val.real < 0.0, 0.0, val.real).reshape(len(out), -1)
-            out[:, rows] = val * self.p_vac[:, None]
-        if not np.isfinite(out).all():
-            raise NumericalError("probability came out non-finite; the state "
-                                 "is beyond floating-point range")
-        return out
-
 
 class StateKernel:
-    """Cached (A, gamma, p_vac) triple of a state; its probabilities are
-    those of the family of one (:attr:`family`)."""
+    """Cached (A, gamma, p_vac) triple of a state, and the evaluator of its
+    pattern tables."""
 
     def __init__(self, a: AMatrix, gamma: np.ndarray, log_p_vac: float):
         self.a = a
@@ -215,21 +164,50 @@ class StateKernel:
     def d(self) -> int:
         return self.a.d
 
-    @cached_property
-    def family(self) -> PhaseFamily:
-        """This kernel as a family of one."""
-        return PhaseFamily(self.a, self.gamma[None], [self.log_p_vac])
-
-    def pattern_terms(self, counts) -> np.ndarray:
-        """:meth:`PhaseFamily.pattern_terms` of this kernel, as (P, N + 1)."""
-        return self.family.pattern_terms(counts)[0]
+    def pattern_terms(self, counts, columns: int = None) -> np.ndarray:
+        """Unnormalized pr(n)/p_vac contributions of the rows of a (P, d)
+        counts array of one total N, resolved by pair count, as (P, N + 1),
+        or only their first ``columns`` pair counts (with the same bits).
+        Entry p is the term in which p photons came from the squeezers:
+        cumulative sums give every k-order value at once, and the top entry
+        p = N, the loop-free hafnian, is the squeezer-only value."""
+        poly = pattern_polynomials(self.a, self.gamma, counts,
+                                   columns=columns)
+        return poly / FACTORIALS[np.asarray(counts, int)].prod(axis=1)[:, None]
 
     def pattern_probabilities(self, counts,
                               model: ModelSpec = ModelSpec()) -> np.ndarray:
         """pr(n) under ``model`` for each row of a (P, d) counts array, in
         order; the rows may mix totals and are evaluated one batch per
         total."""
-        return self.family.pattern_probabilities(counts, model)[0]
+        counts = check_counts(counts, self.d)
+        totals = counts.sum(axis=1)
+        out = np.full(len(counts), self.p_vac)
+        for total in np.unique(totals[totals > 0]).tolist():
+            rows = np.flatnonzero(totals == total)
+            if model.kind == "korder" and model.k < total:
+                # korder(k) sums the pair counts 0..k, so it runs k + 1
+                # columns
+                val = self.pattern_terms(counts[rows], model.k + 1).sum(axis=1)
+            else:
+                # the loop hafnian; the squeezer-only model has no loop
+                # weights
+                gamma = np.zeros(2 * self.d) \
+                    if model.kind == "squeezer_only" else self.gamma
+                lhaf = pattern_polynomials(self.a, gamma, counts[rows],
+                                           summed=True)[:, 0]
+                val = lhaf / FACTORIALS[counts[rows]].prod(axis=1)
+            bad = np.abs(val.imag) > 1e-9 * np.fmax(1.0, np.abs(val.real))
+            if bad.any():
+                raise NumericalError(
+                    f"probability came out non-real ({complex(val[bad][0])!r}); "
+                    "kernel inconsistent")
+            # Truncated models can dip slightly negative; clamp at zero.
+            out[rows] = np.where(val.real < 0.0, 0.0, val.real) * self.p_vac
+        if not np.isfinite(out).all():
+            raise NumericalError("probability came out non-finite; the state "
+                                 "is beyond floating-point range")
+        return out
 
     # reduced, korder_terms and pattern_probability take one counts row;
     # they are kept only because the benchmark's tracer looks them up by
@@ -323,7 +301,7 @@ def all_patterns(d: int, total: int, collision_free: bool) -> np.ndarray:
     return counts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PatternDistribution:
     """Normalized probability table over fixed-N detection patterns, the
     rows of the read-only (P, d) counts array ``patterns``."""

@@ -46,7 +46,7 @@ FALLBACK_FLAGS = ("b_undetermined", "invalid_argument", "epsilon_degenerate",
 CSV_HEADER = ["setting", "phi", "modes", "counts", "pulses"]
 
 
-@dataclass
+@dataclass(eq=False)
 class MeasurementRecord:
     """Rate table of one measurement setting.
 
@@ -402,7 +402,7 @@ def _pair_flags(j, k, masks: dict) -> list:
 # ---------------------------------------------------------------------------
 # assembled result and pipeline
 
-@dataclass
+@dataclass(eq=False)
 class ReconstructionResult:
     d: int
     b: np.ndarray

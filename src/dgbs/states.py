@@ -37,7 +37,7 @@ def block_swap(d: int) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianState:
     """Covariance ``sigma`` and displacement ``delta`` of a d-mode state."""
 
@@ -132,7 +132,7 @@ def check_counts(counts, d: int) -> np.ndarray:
                              f"integers, got {got}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransferMatrix:
     """Sub-unitary m x d map of input-port to output-port amplitudes.
 
@@ -356,7 +356,7 @@ def propagate(state: GaussianState, t: TransferMatrix) -> GaussianState:
     return GaussianState(d, sigma, delta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AMatrix:
     """Kernel matrix A = X (I - Sigma_Q^-1), stored via its B and C blocks."""
 

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,16 @@ def haar_unitary(d: int, seed: int) -> np.ndarray:
 
 def lossy_transfer(d: int, eta: float, seed: int) -> TransferMatrix:
     return TransferMatrix.square(math.sqrt(eta) * haar_unitary(d, seed))
+
+
+def benchmark_workloads():
+    """The benchmark's workload builder, ``perfbench/workloads.py``."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parents[1] / "perfbench"
+        / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 @pytest.fixture

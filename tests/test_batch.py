@@ -1,15 +1,14 @@
 """Batched pattern evaluation is bit-identical to one pattern at a time,
-and a phase family to one state per phase.
+and a phase family's members to one state per phase.
 
-Every pattern table goes through one batched call
-(``PhaseFamily.pattern_probabilities``, of which
-``StateKernel.pattern_probabilities`` is the family of one), which groups
-patterns by photon total and runs the one subset DP plan of their kernel
-size on chunks of patterns, for every phase at once.  These properties pin
-the batch to the single-pattern results, the truncated k-order DP to the
-full one and the family to per-phase states, bit for bit, for any mix of
-totals, collisions, models and chunk sizes.  The closed-form singles and
-twofolds that simulated records read are held to the DP within 1e-12, and
+Every pattern table goes through one batched call of one kernel
+(``StateKernel.pattern_probabilities``), which groups patterns by photon
+total and runs the one subset DP plan of their kernel size on chunks of
+patterns.  These properties pin the batch to the single-pattern results,
+the truncated k-order DP to the full one and a family's members, as
+kernels, to per-phase states, bit for bit, for any mix of totals,
+collisions, models and chunk sizes.  The closed-form singles and twofolds
+that simulated records read are held to each member's DP within 1e-12, and
 the records to one family of one per phase bit for bit.  The phase lock's
 PID loop runs a batch of gain sets at once; it is pinned to a copy of the
 scalar loop it replaced, one gain set at a time.
@@ -76,8 +75,14 @@ def random_amatrix(rng, d):
     return AMatrix(d, b, (h + h.conj().T) / 2)
 
 
-def random_family(rng, count, d):
-    return rng.normal(size=(count, 2 * d)) + 1j * rng.normal(size=(count, 2 * d))
+def random_gamma(rng, d):
+    return rng.normal(size=2 * d) + 1j * rng.normal(size=2 * d)
+
+
+def members(family):
+    """The kernel of each member of a phase family."""
+    return [StateKernel(family.a, gamma, log_p_vac)
+            for gamma, log_p_vac in zip(family.gammas, family.log_p_vac)]
 
 
 def reduced(a, gamma, n):
@@ -88,12 +93,10 @@ def reduced(a, gamma, n):
     return a.full[np.ix_(idx, idx)], gamma[idx]
 
 
-def assert_rows_match_single_kernels(a, gammas, patterns, batch):
-    """Row (f, p) of the shared DP is the DP of pattern p's reduced kernel."""
-    for f, gamma in enumerate(gammas):
-        for p, n in enumerate(patterns):
-            assert same_bits(batch[f, p],
-                             matching_polynomial(*reduced(a, gamma, n)))
+def assert_rows_match_single_kernels(a, gamma, patterns, batch):
+    """Row p of the shared DP is the DP of pattern p's reduced kernel."""
+    for p, n in enumerate(patterns):
+        assert same_bits(batch[p], matching_polynomial(*reduced(a, gamma, n)))
 
 
 def full_subset_dp(m, diag):
@@ -133,8 +136,8 @@ def summed_subset_dp(m, diag):
 
 def loop_hafnian(m, diag):
     """The summed DP on one kernel, as a length-1 array."""
-    return hafnian._polynomials(np.asarray(m, dtype=complex), diag[None],
-                                np.arange(len(m))[None], summed=True)[0, 0]
+    return hafnian._polynomials(np.asarray(m, dtype=complex), diag,
+                                np.arange(len(m))[None], summed=True)[0]
 
 
 def structured_kernel(rng, n, kind):
@@ -183,20 +186,19 @@ def test_summed_dp_matches_summed_subset_recursion(n, seed):
 
 
 @PROPERTY
-@given(d=st.integers(2, 6), total=st.integers(1, 4), families=st.integers(1, 4),
+@given(d=st.integers(2, 6), total=st.integers(1, 4),
        seed=st.integers(0, 2 ** 32 - 1),
        picks=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=30),
        chunk_bytes=st.sampled_from([1, 3000, hafnian.DP_CHUNK_BYTES]))
-def test_dp_batch_matches_single_kernels(d, total, families, seed, picks,
-                                         chunk_bytes):
+def test_dp_batch_matches_single_kernels(d, total, seed, picks, chunk_bytes):
     # picks choose a batch of one total, collisions and repeats included
     rng = np.random.default_rng(seed)
-    a, gammas = random_amatrix(rng, d), random_family(rng, families, d)
+    a, gamma = random_amatrix(rng, d), random_gamma(rng, d)
     sector = all_patterns(d, total, collision_free=False)
     patterns = sector[[k % len(sector) for k in picks]]
     with mock.patch.object(hafnian, "DP_CHUNK_BYTES", chunk_bytes):
-        batch = hafnian.pattern_polynomials(a, gammas, patterns)
-    assert_rows_match_single_kernels(a, gammas, patterns, batch)
+        batch = hafnian.pattern_polynomials(a, gamma, patterns)
+    assert_rows_match_single_kernels(a, gamma, patterns, batch)
 
 
 def test_repeated_modes_match_full_subset_recursion():
@@ -204,12 +206,11 @@ def test_repeated_modes_match_full_subset_recursion():
     # (mode, copy) rows over the batch; the plan of kernel size 8 serves all
     d = 8
     rng = np.random.default_rng(8)
-    a, gammas = random_amatrix(rng, d), random_family(rng, 2, d)
+    a, gamma = random_amatrix(rng, d), random_gamma(rng, d)
     patterns = 4 * np.eye(d, dtype=int)
-    batch = hafnian.pattern_polynomials(a, gammas, patterns)
-    for f, gamma in enumerate(gammas):
-        for p, n in enumerate(patterns):
-            assert same_bits(batch[f, p], full_subset_dp(*reduced(a, gamma, n)))
+    batch = hafnian.pattern_polynomials(a, gamma, patterns)
+    for p, n in enumerate(patterns):
+        assert same_bits(batch[p], full_subset_dp(*reduced(a, gamma, n)))
 
 
 @PROPERTY
@@ -225,19 +226,19 @@ def test_korder_truncation_matches_full_columns(d, total, count, seed, picks,
     family = PhaseFamily.scan(cfg, t, rng.uniform(-10, 40, count))
     sector = all_patterns(d, total, collision_free=False)
     patterns = sector[[p % len(sector) for p in picks]]
-    full = family.pattern_terms(patterns)
-    assert same_bits(family.pattern_terms(patterns, k + 1),
-                     full[:, :, :k + 1])
-    if k < total:
-        # the k-order sum as it was taken from all N + 1 columns
-        val = full.reshape(-1, total + 1)[:, :k + 1].sum(axis=1)
-        want = np.where(val.real < 0.0, 0.0, val.real).reshape(count, -1) \
-            * family.p_vac[:, None]
-    else:
-        # korder(k) with k >= N is the full model, evaluated the same way
-        want = family.pattern_probabilities(patterns)
-    assert same_bits(family.pattern_probabilities(patterns,
-                                                  ModelSpec("korder", k)), want)
+    for kern in members(family):
+        full = kern.pattern_terms(patterns)
+        assert same_bits(kern.pattern_terms(patterns, k + 1), full[:, :k + 1])
+        if k < total:
+            # the k-order sum as it was taken from all N + 1 columns
+            val = full[:, :k + 1].sum(axis=1)
+            want = np.where(val.real < 0.0, 0.0, val.real) * kern.p_vac
+        else:
+            # korder(k) with k >= N is the full model, evaluated the same way
+            want = kern.pattern_probabilities(patterns)
+        assert same_bits(kern.pattern_probabilities(patterns,
+                                                    ModelSpec("korder", k)),
+                         want)
 
 
 def test_one_plan_per_kernel_size(monkeypatch):
@@ -262,7 +263,7 @@ def test_one_plan_per_kernel_size(monkeypatch):
 def test_non_symmetric_kernel_rejected():
     rng = np.random.default_rng(3)
     a = random_amatrix(rng, 3)
-    diag = random_family(rng, 1, 3)[0]
+    diag = random_gamma(rng, 3)
     # the tolerance is relative to the largest entry, if that is above 1
     for full in (a.full, a.full * 1e4):
         tol = hafnian.SYMMETRY_TOL * max(1.0, np.abs(full).max())
@@ -340,10 +341,8 @@ def test_sector_longer_than_one_chunk(d, total):
 def test_batch_edges():
     kern = state_kernel(3, 0, ModelSpec())
     assert kern.pattern_probabilities(np.empty((0, 3), int)).shape == (0,)
-    # an empty batch has no total to share: no terms, as in kern.family
+    # an empty batch has no total to share: no terms
     assert kern.pattern_terms(np.empty((0, 3), int)).shape == (0, 1)
-    assert kern.family.pattern_terms(np.empty((0, 3), int)).shape == \
-        (len(kern.family.gammas), 0, 1)
     assert kern.pattern_probabilities([(0, 0, 0)])[0] == kern.p_vac
     with pytest.raises(ConfigurationError):
         kern.pattern_terms([(1, 0, 0), (1, 1, 0)])
@@ -390,7 +389,8 @@ def test_family_matches_state_per_phase(d, seed, count, model, chunk_bytes):
                                for total in range(4)])
     with mock.patch.object(hafnian, "DP_CHUNK_BYTES", chunk_bytes):
         family = PhaseFamily.scan(cfg, t, phis)
-        probs = family.pattern_probabilities(patterns, model)
+        probs = [member.pattern_probabilities(patterns, model)
+                 for member in members(family)]
     for f, phi in enumerate(phis):
         kern = StateKernel.from_state(
             propagate(build_input_state(replace(cfg, phi=phi), d), t))
@@ -472,8 +472,10 @@ def twofold_patterns(pairs, d):
 
 def assert_low_order_rates_match_the_dp(family, pairs):
     got = family.low_order_rates(pairs)
-    want = np.hstack([family.p_vac[:, None], family.pattern_probabilities(
-        twofold_patterns(pairs, family.a.d))])
+    patterns = twofold_patterns(pairs, family.a.d)
+    want = np.hstack([family.p_vac[:, None],
+                      [kern.pattern_probabilities(patterns)
+                       for kern in members(family)]])
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
     # a member's row has its bits in a family of any size
     for f in range(len(got)):
@@ -513,7 +515,7 @@ def test_low_order_rates_edges():
     pairs = [(0, 0), (0, 1), (1, 1)]
     got = family.low_order_rates(pairs)
     assert got.tolist() == [[1.0, 0.0, 0.25, 0.25, 0.0, 0.0625]]
-    assert same_bits(got[:, 1:], family.pattern_probabilities(
+    assert same_bits(got[0, 1:], members(family)[0].pattern_probabilities(
         twofold_patterns(pairs, 2)))
     assert family.low_order_rates([]).tolist() == [[1.0, 0.0, 0.25]]
     with np.errstate(over="ignore", invalid="ignore"), \
@@ -541,7 +543,8 @@ def per_phase_records(config, t, second_input_port, phi_grid, pulses, seed,
 
     def rates(cfg):
         kern = StateKernel.from_state(propagate(build_input_state(cfg, d), t))
-        row = kern.family.low_order_rates(pairs)[0]
+        row = PhaseFamily(kern.a, kern.gamma[None],
+                          [kern.log_p_vac]).low_order_rates(pairs)[0]
         return row[0], row[1:]
 
     p_vac, r = rates(replace(config, alpha_mag=0.0))
@@ -868,16 +871,17 @@ def test_summed_models_match_pair_count_terms(d, seed, total, count, picks):
     family = PhaseFamily.scan(cfg, t, rng.uniform(-10, 40, count))
     sector = all_patterns(d, total, collision_free=False)
     patterns = sector[[p % len(sector) for p in picks]]
-    terms = family.pattern_terms(patterns)
-    # the loop hafnian sums the same terms in another order: the full model
-    # agrees with the sum of the pair-count terms to rounding
-    val = terms.sum(axis=2).real
-    want = np.where(val < 0.0, 0.0, val) * family.p_vac[:, None]
-    full = family.pattern_probabilities(patterns)
-    scale = np.abs(terms).sum(axis=2) * family.p_vac[:, None]
-    assert np.all(np.abs(full - want) <= 1e-13 * scale)
-    # squeezer-only: zero loop weights give today's top column, bit for bit
-    top = terms[..., total].real
-    want = np.where(top < 0.0, 0.0, top) * family.p_vac[:, None]
-    assert same_bits(family.pattern_probabilities(
-        patterns, ModelSpec("squeezer_only")), want)
+    for kern in members(family):
+        terms = kern.pattern_terms(patterns)
+        # the loop hafnian sums the same terms in another order: the full
+        # model agrees with the sum of the pair-count terms to rounding
+        val = terms.sum(axis=1).real
+        want = np.where(val < 0.0, 0.0, val) * kern.p_vac
+        full = kern.pattern_probabilities(patterns)
+        scale = np.abs(terms).sum(axis=1) * kern.p_vac
+        assert np.all(np.abs(full - want) <= 1e-13 * scale)
+        # squeezer-only: zero loop weights give the top column, bit for bit
+        top = terms[:, total].real
+        want = np.where(top < 0.0, 0.0, top) * kern.p_vac
+        assert same_bits(kern.pattern_probabilities(
+            patterns, ModelSpec("squeezer_only")), want)

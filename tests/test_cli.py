@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import importlib.util
 import io
 import json
 import math
@@ -18,13 +17,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import haar_unitary
+from conftest import benchmark_workloads, haar_unitary
 from dgbs import cli, experiment, fock, serialize
 from dgbs.cli import main
 from dgbs.experiment import MAX_PULSES, sample_patterns, samples_from_csv
-from dgbs.probability import (ModelSpec, PatternDistribution, PhaseFamily,
-                              StateKernel, all_patterns,
-                              distribution_from_kernel)
+from dgbs.probability import (ModelSpec, PatternDistribution, StateKernel,
+                              all_patterns, distribution_from_kernel)
 from dgbs.reconstruction import records_from_csv
 from dgbs.serialize import (canonical_json, config_hash, load_config,
                             matrix_from_json, matrix_to_json,
@@ -279,20 +277,10 @@ def _edited(text: str, edit: str) -> str:
     return "".join(f"{line}\n" for line in lines)
 
 
-def _benchmark_workloads():
-    """The benchmark's workload builder, ``perfbench/workloads.py``."""
-    spec = importlib.util.spec_from_file_location(
-        "workloads", Path(__file__).resolve().parents[1] / "perfbench"
-        / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads
-
-
 def _workload_output(directory, workload: str, command: str) -> str:
     """The output text of ``command`` in the seed-0 run of a benchmark
     workload, made by :func:`main` in ``directory`` from its config."""
-    configs, commands = _benchmark_workloads().build(workload, 0)
+    configs, commands = benchmark_workloads().build(workload, 0)
     for name, config in configs.items():
         (directory / name).write_text(json.dumps(config))
     cmd, = [cmd for cmd in commands if cmd["name"] == command]
@@ -693,7 +681,7 @@ class TestOneCommandParser:
     @pytest.mark.parametrize("command", list(cli.COMMANDS))
     def test_parses_as_the_full_parser(self, command, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")   # the width of help and usage
-        workloads = _benchmark_workloads()
+        workloads = benchmark_workloads()
         lines = [cmd["argv"] for workload in ("tables-d15", "fringes-d15",
                                               "lab-d6")
                  for cmd in workloads.build(workload, 0)[1]
@@ -1361,7 +1349,7 @@ class TestBadInput:
         def refuse(*args, **kw):
             raise AssertionError("a refused --n-max reached the evaluator")
 
-        monkeypatch.setattr(PhaseFamily, "pattern_probabilities", refuse)
+        monkeypatch.setattr(StateKernel, "pattern_probabilities", refuse)
         config = write_config(tmp_path, d, 42, {
             "r": 0.35, "alpha_mag": 0.6, "phi": 0.0,
             "squeezer_ports": [0, 1], "coherent_port": 2})

@@ -7,14 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import lossy_transfer
+from conftest import benchmark_workloads, lossy_transfer
 from dgbs.errors import (ConfigurationError, EnumerationBudgetError,
                          NumericalError)
 from dgbs.probability import (ModelSpec, PatternDistribution, StateKernel,
                               all_patterns, distribution_from_kernel,
                               predict_single, predict_twofold)
-from dgbs.states import (SourceConfig, TransferMatrix, build_classical_input,
-                         build_input_state, propagate)
+from dgbs.serialize import circuit_from_config
+from dgbs.states import (GaussianState, SourceConfig, TransferMatrix,
+                         block_swap, build_classical_input, build_input_state,
+                         propagate)
 
 
 def kernel_for(cfg, d, eta=0.6, seed=0):
@@ -243,3 +245,59 @@ def test_output_phase_gauge_leaves_probabilities_unchanged(d, seed, model,
                  .pattern_probabilities(patterns, model)
                  for circuit in (t, rotated))
     assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def photon_number_series(kern: StateKernel, n_max: int) -> np.ndarray:
+    """P(N) for N = 0..n_max, independent of the pattern tables, from one
+    eigendecomposition A X = R diag(lam) R^-1 (X the block swap): with
+    a_i = (gamma^T X R)_i (R^-1 gamma)_i and
+    c_n = (sum_i a_i lam_i^(n-1) + sum_i lam_i^n / n) / 2, the generating
+    function sum_N P_N z^N = p_vac exp(sum_n c_n z^n) gives the recursion
+    N P_N = sum_k k c_k P_(N-k) from P_0 = p_vac."""
+    x = block_swap(kern.d)
+    lam, r = np.linalg.eig(kern.a.full @ x)
+    a = (kern.gamma @ x @ r) * np.linalg.solve(r, kern.gamma)
+    c = [0.0] + [(np.sum(a * lam ** (n - 1)) + np.sum(lam ** n) / n) / 2
+                 for n in range(1, n_max + 1)]
+    p = [kern.p_vac]
+    for n in range(1, n_max + 1):
+        p.append(sum(k * c[k] * p[n - k] for k in range(1, n + 1)) / n)
+    return np.array(p)
+
+
+def assert_sector_sums_match_the_series(kern: StateKernel, n_max: int):
+    # every pattern of each photon total, collisions included
+    sums = [kern.pattern_probabilities(
+        all_patterns(kern.d, total, collision_free=False)).sum()
+        for total in range(n_max + 1)]
+    series = photon_number_series(kern, n_max)
+    assert np.all(np.abs(sums - series) <= 1e-13 * np.abs(series))
+
+
+@pytest.mark.parametrize("build", [build_input_state, build_classical_input])
+@pytest.mark.parametrize("workload", ["tables-d15", "fringes-d15", "lab-d6"])
+def test_sector_sums_match_the_photon_number_series(workload, build):
+    # the full and classical kernels of each seed-0 workload circuit,
+    # N <= 4 at d = 15 and N <= 6 at d = 6 (and the oracle's d = 3)
+    configs, _ = benchmark_workloads().build(workload, 0)
+    for config in configs.values():
+        source, t = circuit_from_config(config)
+        kern = StateKernel.from_state(propagate(build(source, t.d), t))
+        assert_sector_sums_match_the_series(kern, 4 if t.d == 15 else 6)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1),
+       classical=st.booleans())
+def test_sector_sums_match_the_series_on_random_states(d, seed, classical):
+    # the first d modes of a lossy 4-mode circuit's output, N <= 5
+    rng = np.random.default_rng(seed)
+    cfg = SourceConfig(r=rng.uniform(0, 0.8), alpha_mag=rng.uniform(0, 1.2),
+                       phi=rng.uniform(0, 6.3))
+    build = build_classical_input if classical else build_input_state
+    state = propagate(build(cfg, 4), lossy_transfer(4, rng.uniform(0.3, 1),
+                                                    seed))
+    keep = np.r_[0:d, 4:4 + d]
+    kern = StateKernel.from_state(GaussianState(
+        d, state.sigma[np.ix_(keep, keep)], state.delta[keep]))
+    assert_sector_sums_match_the_series(kern, 5)

@@ -338,3 +338,29 @@ def test_log_vacuum_probability_consistency():
     # p_vac = exp(-|alpha|^2) / cosh(r)^2
     st = build_input_state(SourceConfig(r=0.3, alpha_mag=0.4), 3)
     assert p_vac(st) == pytest.approx(math.exp(-0.16) / math.cosh(0.3) ** 2)
+
+
+def test_array_holding_records_compare_by_identity():
+    # numpy's elementwise == made state == state raise ValueError (and so
+    # `state in list`), and the generated __hash__ raised TypeError; the
+    # classes that hold arrays compare and hash by identity, the scalar
+    # configs by value
+    from dgbs.experiment import LockResult
+    from dgbs.metrics import LikelihoodTrace
+    from dgbs.probability import distribution_from_kernel
+    from dgbs.reconstruction import MeasurementRecord, ReconstructionResult
+    cfg = SourceConfig(r=0.3, alpha_mag=0.5)
+    state, twin = build_input_state(cfg, 3), build_input_state(cfg, 3)
+    assert state != twin and not state == twin
+    assert state in [twin, state] and twin not in [state]
+    zeros = np.zeros((2, 2))
+    instances = [
+        state, lossy_transfer(3, 0.5, seed=0), a_matrix(state),
+        distribution_from_kernel(StateKernel.from_state(state), 1),
+        LikelihoodTrace(np.zeros(2)),
+        MeasurementRecord("blocked", 2, math.inf, np.zeros((3, 1))),
+        ReconstructionResult(2, zeros, zeros, np.zeros(2), zeros),
+        LockResult(np.zeros(1), np.zeros(1), 0.0, 0.0, False)]
+    assert len({hash(x) for x in instances}) == len(instances)
+    assert SourceConfig(r=0.3) == SourceConfig(r=0.3)
+    assert hash(SourceConfig(r=0.3)) == hash(SourceConfig(r=0.3))
