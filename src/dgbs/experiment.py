@@ -11,12 +11,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError, SchemaError
-from .probability import (ModelSpec, PhaseFamily, StateKernel,
-                          TwofoldFringe, all_patterns)
+from .probability import (ModelSpec, StateKernel, TwofoldFringe,
+                          all_patterns, low_order_rates)
 from .reconstruction import MeasurementRecord
 from .serialize import _csv_rows, _read_csv
 from .states import (SourceConfig, TransferMatrix, _require_finite,
-                     build_input_state, propagate)
+                     build_input_state, phase_scan, propagate)
 
 LOCK_SETPOINT = math.pi / 4     # default lock point of the coherent phase
 # the finest phase step (rad) the lock must resolve; a setpoint whose float
@@ -184,11 +184,11 @@ def simulate_records(config: SourceConfig, t: TransferMatrix,
     With finite ``pulses_per_setting`` every observable receives independent
     binomial counting noise (pulses are split evenly over the phi grid for
     scanned settings); ``math.inf`` yields exact noiseless rates.  The
-    settings are one :class:`PhaseFamily` of one Sigma_Q factorisation: the
+    settings are one :func:`phase_scan` of one Sigma_Q factorisation: the
     blocked member (no coherent beam, at the source's phi), then the phi
     grid with the beam at the source's coherent port and, with
-    ``second_input_port``, the grid again at that port.  Its singles and
-    twofolds are :meth:`PhaseFamily.low_order_rates`.
+    ``second_input_port``, the grid again at that port.  The singles and
+    twofolds of its members are :func:`low_order_rates`.
     """
     if phi_grid is None:   # five 2-pi windows
         phi_grid = np.linspace(0, 10 * math.pi, 100, endpoint=False)
@@ -203,13 +203,13 @@ def simulate_records(config: SourceConfig, t: TransferMatrix,
     if second_input_port is not None:
         settings.append(("input2", second_input_port))
     n = len(phi_grid)
-    family = PhaseFamily.scan(
+    a, gammas, log_p_vacs = phase_scan(
         config, t, [config.phi, *np.tile(phi_grid, len(settings))],
         ports=[config.coherent_port, *(port for _, port in settings
                                        for _ in range(n))],
         amplitudes=[0.0, *[config.alpha_mag] * (n * len(settings))])
     # (1 + d + len(pairs), 1 + n * len(settings)): one column per member
-    rates = family.low_order_rates(pairs).T
+    rates = low_order_rates(a, gammas, log_p_vacs, pairs).T
 
     blocked = rates[:, :1]
     if noisy:

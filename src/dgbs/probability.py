@@ -8,7 +8,9 @@ by the caller).  The full and classical models read the loop hafnian of one
 summed subset DP, and the squeezer-only model the same DP with zero loop
 weights.  Only a k-order truncation with k below the photon total reads the
 pair-count terms of the matching polynomial; korder(k) with k >= N is the
-full model.
+full model.  The singles and twofolds have closed forms besides:
+:func:`low_order_rates` for the members of a :func:`phase_scan` (simulated
+records) and :class:`TwofoldFringe` (the phase lock).
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ import numpy as np
 from .errors import (ConfigurationError, EnumerationBudgetError,
                      NumericalError)
 from .hafnian import MAX_KERNEL_SIZE, _pattern_index, pattern_polynomials
-from .states import (AMatrix, GaussianState, SourceConfig, TransferMatrix,
-                     _frozen, a_matrix, check_counts, phase_scan)
+from .states import (AMatrix, GaussianState, _frozen, a_matrix,
+                     check_counts)
 
 PATTERN_BUDGET = 200_000   # the most patterns of one photon total
 
@@ -73,75 +75,53 @@ class ModelSpec:
         return cls(text)
 
 
-class PhaseFamily:
-    """Kernels of one circuit over a scan of the coherent beam.
+def low_order_rates(a: AMatrix, gammas, log_p_vac, pairs) -> np.ndarray:
+    """The vacuum, single and twofold probabilities of the F kernels
+    ``StateKernel(a, gammas[f], log_p_vac[f])``, as (F, 1 + d + len(pairs)):
+    column 0 is p_vac, column 1 + j the single of mode j, then one column
+    per (j, k) of ``pairs`` (j <= k; j == k is the photon-number-resolved
+    pr(2_j)), with the values, clamping and errors of
+    :meth:`StateKernel.pattern_probabilities`.
 
-    A scan of the beam's phase (and port and amplitude) only moves the
-    displacement: Sigma_Q, its one solve and A are shared, and only gamma
-    and p_vac depend on the member.  Row f of ``gammas`` (F, 2d) and of
-    ``log_p_vac`` (F,) belongs to the f-th member, whose
-    :class:`StateKernel` is ``StateKernel(a, gammas[f], log_p_vac[f])``.
-    :meth:`low_order_rates` gives the closed forms of the singles and
-    twofolds of every member at once.
-    """
+    They are the closed forms of the loop hafnians of kernel size 2 and 4,
+    with g_j = gammas[:, j] and p'_j = C_jj + |g_j|^2: the single is
+    p_vac p'_j, and a pair's twofold is p_vac times
+    p'_j p'_k + |B_jk|^2 + |C_jk|^2 + 2 Re(C_jk conj(g_j) g_k)
+    + 2 Re(B_jk conj(g_j) conj(g_k)), halved when j == k (its 2!).  Every
+    complex product is written out in real arithmetic, and no sum is a
+    reduction, so the bits of a row do not depend on F."""
+    d = a.d
+    j, k = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
+    if not ((0 <= j) & (j <= k) & (k < d)).all():
+        raise ConfigurationError(
+            f"pairs must be (j, k) with 0 <= j <= k < {d}")
+    gammas = np.asarray(gammas, dtype=complex)
+    gr, gi = gammas[:, :d].real, gammas[:, :d].imag
+    single = a.c.diagonal().real + (gr * gr + gi * gi)
+    rj, ij, rk, ik = gr[:, j], gi[:, j], gr[:, k], gi[:, k]
+    c_jk, b_jk = a.c[j, k], a.b[j, k]
+    cr, ci, br, bi = c_jk.real, c_jk.imag, b_jk.real, b_jk.imag
+    pair = single[:, j] * single[:, k]
+    pair += (br * br + bi * bi) + (cr * cr + ci * ci)
+    # the two Re terms, expanded over the real and imaginary parts of
+    # g_j and g_k
+    pair += rj * (rk * (2 * (cr + br)) + ik * (2 * (bi - ci)))
+    pair += ij * (ik * (2 * (cr - br)) + rk * (2 * (bi + ci)))
+    # p_vac as StateKernel computes it, one math.exp per row
+    p_vac = np.array([math.exp(v)
+                      for v in np.asarray(log_p_vac, dtype=float)])[:, None]
+    return _clamped(np.hstack([p_vac, p_vac * single,
+                               p_vac * (pair * np.where(j == k, 0.5, 1.0))]))
 
-    def __init__(self, a: AMatrix, gammas, log_p_vac):
-        self.a = a
-        self.gammas = np.asarray(gammas, dtype=complex)
-        self.log_p_vac = np.asarray(log_p_vac, dtype=float)
-        self.p_vac = np.array([math.exp(v) for v in self.log_p_vac])
 
-    @classmethod
-    def scan(cls, config: SourceConfig, t: TransferMatrix, phis,
-             ports=None, amplitudes=None) -> "PhaseFamily":
-        """The family of ``propagate(build_input_state(replace(config,
-        phi=phi, coherent_port=port, alpha_mag=amplitude), t.d), t)`` over
-        the members of :func:`phase_scan`, from one state and one Sigma_Q
-        solve: the coherent beam's port and amplitude may change from
-        member to member (by default the config's)."""
-        state, gammas, log_p_vac = phase_scan(config, t, phis, ports,
-                                              amplitudes)
-        return cls(a_matrix(state), gammas, log_p_vac)
-
-    def low_order_rates(self, pairs) -> np.ndarray:
-        """The vacuum, single and twofold probabilities of every member,
-        as (F, 1 + d + len(pairs)): column 0 is p_vac, column 1 + j the
-        single of mode j, then one column per (j, k) of ``pairs`` (j <= k;
-        j == k is the photon-number-resolved pr(2_j)), with the values,
-        clamping and errors of :meth:`StateKernel.pattern_probabilities`.
-
-        They are the closed forms of the loop hafnians of kernel size 2
-        and 4, with g_j = gammas[:, j] and p'_j = C_jj + |g_j|^2: the
-        single is p_vac p'_j, and a pair's twofold is p_vac times
-        p'_j p'_k + |B_jk|^2 + |C_jk|^2 + 2 Re(C_jk conj(g_j) g_k)
-        + 2 Re(B_jk conj(g_j) conj(g_k)), halved when j == k (its 2!).
-        Every complex product is written out in real arithmetic, and no
-        sum is a reduction, so a member's row has the same bits in a
-        family of any size."""
-        d = self.a.d
-        j, k = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
-        if not ((0 <= j) & (j <= k) & (k < d)).all():
-            raise ConfigurationError(
-                f"pairs must be (j, k) with 0 <= j <= k < {d}")
-        gr, gi = self.gammas[:, :d].real, self.gammas[:, :d].imag
-        single = self.a.c.diagonal().real + (gr * gr + gi * gi)
-        rj, ij, rk, ik = gr[:, j], gi[:, j], gr[:, k], gi[:, k]
-        c_jk, b_jk = self.a.c[j, k], self.a.b[j, k]
-        cr, ci, br, bi = c_jk.real, c_jk.imag, b_jk.real, b_jk.imag
-        pair = single[:, j] * single[:, k]
-        pair += (br * br + bi * bi) + (cr * cr + ci * ci)
-        # the two Re terms, expanded over the real and imaginary parts of
-        # g_j and g_k
-        pair += rj * (rk * (2 * (cr + br)) + ik * (2 * (bi - ci)))
-        pair += ij * (ik * (2 * (cr - br)) + rk * (2 * (bi + ci)))
-        p_vac = self.p_vac[:, None]
-        out = np.hstack([p_vac, p_vac * single,
-                         p_vac * (pair * np.where(j == k, 0.5, 1.0))])
-        if not np.isfinite(out).all():
-            raise NumericalError("probability came out non-finite; the state "
-                                 "is beyond floating-point range")
-        out[out < 0.0] = 0.0
-        return out
+def _clamped(out: np.ndarray) -> np.ndarray:
+    """Probabilities ``out``, negatives (a truncated model's, or rounding's)
+    set to 0 in place; NumericalError if any is non-finite."""
+    if not np.isfinite(out).all():
+        raise NumericalError("probability came out non-finite; the state "
+                             "is beyond floating-point range")
+    out[out < 0.0] = 0.0
+    return out
 
 
 class StateKernel:
@@ -202,12 +182,8 @@ class StateKernel:
                 raise NumericalError(
                     f"probability came out non-real ({complex(val[bad][0])!r}); "
                     "kernel inconsistent")
-            # Truncated models can dip slightly negative; clamp at zero.
-            out[rows] = np.where(val.real < 0.0, 0.0, val.real) * self.p_vac
-        if not np.isfinite(out).all():
-            raise NumericalError("probability came out non-finite; the state "
-                                 "is beyond floating-point range")
-        return out
+            out[rows] = val.real * self.p_vac
+        return _clamped(out)
 
     # reduced, korder_terms and pattern_probability take one counts row;
     # they are kept only because the benchmark's tracer looks them up by
@@ -239,6 +215,9 @@ def predict_twofold(kern: StateKernel, j: int, k: int,
     return fringe.blocked, fringe.rate_at(np.exp(2j * phi))
 
 
+# A second closed form of the twofolds, kept apart from low_order_rates:
+# the noisy records pin every bit of low_order_rates, which one shared
+# offset/weight formula would move, and with them every binomial draw.
 class TwofoldFringe(NamedTuple):
     """The phi-independent parts of one pair's :func:`predict_twofold`:
     p_jk, and p'_jk(phi) = offset + 2 Re(weight e^{2 i phi}) with

@@ -289,14 +289,15 @@ def _assemble(config: SourceConfig, d: int, sigma, amplitude,
 
 def phase_scan(config: SourceConfig, t: TransferMatrix, phis,
                ports=None, amplitudes=None) -> tuple:
-    """(state, gammas, log_p_vacs) of the source through ``t`` over F
+    """(A, gammas, log_p_vacs) of the source through ``t`` over F
     members: member f has its coherent beam at phase ``phis[f]``, port
     ``ports[f]`` (a sequence of ints) and amplitude ``amplitudes[f]``, by
-    default the config's ``coherent_port`` and ``alpha_mag``.
+    default the config's ``coherent_port`` and ``alpha_mag``, and its
+    kernel is ``StateKernel(A, gammas[f], log_p_vacs[f])``.
 
     The port, amplitude and phase of the coherent beam only move the
     displacement, so one state (the config's own) is built and validated,
-    and its Sigma_Q^-1 and log det serve every member; each distinct
+    and its A, Sigma_Q^-1 and log det serve every member; each distinct
     (port, amplitude) is checked as a source config of its own.  The
     (F, 2d) displacements are pushed through each doubled map by one
     stacked matvec, which runs numpy's matvec item by item (a
@@ -330,7 +331,7 @@ def phase_scan(config: SourceConfig, t: TransferMatrix, phis,
         deltas = np.matmul(_doubled_map(m), deltas[:, :, None])[:, :, 0]
     if (np.abs(deltas[:, d:] - deltas[:, :d].conj()) > BLOCK_TOL).any():
         raise PhysicalityError("displacement is not conjugate-paired")
-    return state, *state.gamma_and_log_p_vac(deltas)
+    return a_matrix(state), *state.gamma_and_log_p_vac(deltas)
 
 
 def _doubled_map(t: TransferMatrix) -> np.ndarray:

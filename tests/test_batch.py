@@ -1,17 +1,18 @@
 """Batched pattern evaluation is bit-identical to one pattern at a time,
-and a phase family's members to one state per phase.
+and a phase scan's members to one state per phase.
 
 Every pattern table goes through one batched call of one kernel
 (``StateKernel.pattern_probabilities``), which groups patterns by photon
 total and runs the one subset DP plan of their kernel size on chunks of
 patterns.  These properties pin the batch to the single-pattern results,
-the truncated k-order DP to the full one and a family's members, as
+the truncated k-order DP to the full one and a scan's members, as
 kernels, to per-phase states, bit for bit, for any mix of totals,
 collisions, models and chunk sizes.  The closed-form singles and twofolds
-that simulated records read are held to each member's DP within 1e-12, and
-the records to one family of one per phase bit for bit.  The phase lock's
-PID loop runs a batch of gain sets at once; it is pinned to a copy of the
-scalar loop it replaced, one gain set at a time.
+that simulated records read, and the phase lock's closed-form twofolds, are
+held to each member's DP within 1e-12, and the records to one state per
+phase bit for bit.  The lock's PID loop runs a batch of gain sets at once;
+it is pinned to a copy of the scalar loop it replaced, one gain set at a
+time.
 """
 
 import cmath
@@ -35,8 +36,8 @@ from dgbs.experiment import (LOCK_SETPOINT, SETTLE_FRACTION, DriftModel,
                              lock_kernel, pid_lock, simulate_records,
                              tune_pid_gains)
 from dgbs.hafnian import matching_polynomial
-from dgbs.probability import (ModelSpec, PhaseFamily, StateKernel,
-                              TwofoldFringe, all_patterns, predict_twofold)
+from dgbs.probability import (ModelSpec, StateKernel, TwofoldFringe,
+                              all_patterns, low_order_rates, predict_twofold)
 from dgbs.reconstruction import MeasurementRecord, records_to_csv
 from dgbs.states import (AMatrix, SourceConfig, build_classical_input,
                          build_input_state, phase_scan, propagate)
@@ -79,10 +80,10 @@ def random_gamma(rng, d):
     return rng.normal(size=2 * d) + 1j * rng.normal(size=2 * d)
 
 
-def members(family):
-    """The kernel of each member of a phase family."""
-    return [StateKernel(family.a, gamma, log_p_vac)
-            for gamma, log_p_vac in zip(family.gammas, family.log_p_vac)]
+def members(a, gammas, log_p_vacs):
+    """The kernel of each member of a phase scan."""
+    return [StateKernel(a, gamma, log_p_vac)
+            for gamma, log_p_vac in zip(gammas, log_p_vacs)]
 
 
 def reduced(a, gamma, n):
@@ -223,10 +224,10 @@ def test_korder_truncation_matches_full_columns(d, total, count, seed, picks,
     # picks choose a batch of one total, collisions and repeats included
     k = data.draw(st.integers(0, total + 1), label="k")
     cfg, t, rng = random_circuit(d, seed)
-    family = PhaseFamily.scan(cfg, t, rng.uniform(-10, 40, count))
+    scan = phase_scan(cfg, t, rng.uniform(-10, 40, count))
     sector = all_patterns(d, total, collision_free=False)
     patterns = sector[[p % len(sector) for p in picks]]
-    for kern in members(family):
+    for kern in members(*scan):
         full = kern.pattern_terms(patterns)
         assert same_bits(kern.pattern_terms(patterns, k + 1), full[:, :k + 1])
         if k < total:
@@ -368,7 +369,7 @@ def test_batch_edges():
 
 
 # ---------------------------------------------------------------------------
-# phase families
+# phase scans
 
 def random_circuit(d, seed):
     rng = np.random.default_rng(seed)
@@ -388,14 +389,14 @@ def test_family_matches_state_per_phase(d, seed, count, model, chunk_bytes):
     patterns = np.concatenate([all_patterns(d, total, collision_free=False)
                                for total in range(4)])
     with mock.patch.object(hafnian, "DP_CHUNK_BYTES", chunk_bytes):
-        family = PhaseFamily.scan(cfg, t, phis)
+        a, gammas, log_p_vacs = phase_scan(cfg, t, phis)
         probs = [member.pattern_probabilities(patterns, model)
-                 for member in members(family)]
+                 for member in members(a, gammas, log_p_vacs)]
     for f, phi in enumerate(phis):
         kern = StateKernel.from_state(
             propagate(build_input_state(replace(cfg, phi=phi), d), t))
-        assert same_bits(family.gammas[f], kern.gamma)
-        assert family.log_p_vac[f] == kern.log_p_vac
+        assert same_bits(gammas[f], kern.gamma)
+        assert log_p_vacs[f] == kern.log_p_vac
         assert same_bits(probs[f], kern.pattern_probabilities(patterns, model))
 
 
@@ -470,18 +471,17 @@ def twofold_patterns(pairs, d):
     return np.vstack([eye, *(eye[j] + eye[k] for j, k in pairs)])
 
 
-def assert_low_order_rates_match_the_dp(family, pairs):
-    got = family.low_order_rates(pairs)
-    patterns = twofold_patterns(pairs, family.a.d)
-    want = np.hstack([family.p_vac[:, None],
-                      [kern.pattern_probabilities(patterns)
-                       for kern in members(family)]])
+def assert_low_order_rates_match_the_dp(a, gammas, log_p_vacs, pairs):
+    got = low_order_rates(a, gammas, log_p_vacs, pairs)
+    patterns = twofold_patterns(pairs, a.d)
+    kerns = members(a, gammas, log_p_vacs)
+    want = np.hstack([[[kern.p_vac] for kern in kerns],
+                      [kern.pattern_probabilities(patterns) for kern in kerns]])
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-    # a member's row has its bits in a family of any size
+    # a member's row has its bits in a scan of any size
     for f in range(len(got)):
-        one = PhaseFamily(family.a, family.gammas[f:f + 1],
-                          family.log_p_vac[f:f + 1])
-        assert same_bits(one.low_order_rates(pairs), got[f:f + 1])
+        one = low_order_rates(a, gammas[f:f + 1], log_p_vacs[f:f + 1], pairs)
+        assert same_bits(one, got[f:f + 1])
 
 
 @PROPERTY
@@ -492,44 +492,44 @@ def test_low_order_rates_match_the_dp(d, seed, count):
     # against the loop-hafnian DP, on lossy circuits with mixed ports and
     # an amplitude-0 member
     cfg, t, rng = random_circuit(d, seed)
-    family = PhaseFamily.scan(cfg, t, *mixed_members(d, count, rng))
+    scan = phase_scan(cfg, t, *mixed_members(d, count, rng))
     pairs = [(j, k) for j in range(d) for k in range(j, d)]
-    assert_low_order_rates_match_the_dp(family, pairs)
+    assert_low_order_rates_match_the_dp(*scan, pairs)
 
 
 @pytest.mark.parametrize("port", [2, 3])
 def test_low_order_rates_match_the_dp_at_workload_size(port):
     d = 15
     cfg = SourceConfig(r=0.55, alpha_mag=1.7, coherent_port=port, eta_c=0.8)
-    family = PhaseFamily.scan(cfg, lossy_transfer(d, 0.3, 100),
-                              np.linspace(0, 10 * math.pi, 20, endpoint=False))
+    scan = phase_scan(cfg, lossy_transfer(d, 0.3, 100),
+                      np.linspace(0, 10 * math.pi, 20, endpoint=False))
     assert_low_order_rates_match_the_dp(
-        family, [(j, k) for j in range(d) for k in range(j + 1, d)])
+        *scan, [(j, k) for j in range(d) for k in range(j + 1, d)])
 
 
 def test_low_order_rates_edges():
     # a negative rate is clamped to 0 and a non-finite one raises, as in
     # pattern_probabilities; the pairs are sorted modes of the circuit
     a = AMatrix(2, np.zeros((2, 2)), np.diag([-0.5, 0.25]))
-    family = PhaseFamily(a, np.zeros((1, 4)), [0.0])
+    scan = (a, np.zeros((1, 4)), [0.0])
     pairs = [(0, 0), (0, 1), (1, 1)]
-    got = family.low_order_rates(pairs)
+    got = low_order_rates(*scan, pairs)
     assert got.tolist() == [[1.0, 0.0, 0.25, 0.25, 0.0, 0.0625]]
-    assert same_bits(got[0, 1:], members(family)[0].pattern_probabilities(
+    assert same_bits(got[0, 1:], members(*scan)[0].pattern_probabilities(
         twofold_patterns(pairs, 2)))
-    assert family.low_order_rates([]).tolist() == [[1.0, 0.0, 0.25]]
+    assert low_order_rates(*scan, []).tolist() == [[1.0, 0.0, 0.25]]
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericalError, match="non-finite"):
-        PhaseFamily(a, np.full((1, 4), 1e200), [0.0]).low_order_rates(pairs)
+        low_order_rates(a, np.full((1, 4), 1e200), [0.0], pairs)
     for bad in ([(1, 0)], [(0, 2)], [(-1, 0)]):
         with pytest.raises(ConfigurationError, match="pairs must be"):
-            family.low_order_rates(bad)
+            low_order_rates(*scan, bad)
 
 
 def per_phase_records(config, t, second_input_port, phi_grid, pulses, seed,
                       include_collisions):
-    """simulate_records computed with one state and one family of one per
-    phase, through the same closed forms (``low_order_rates``, held to the
+    """simulate_records computed with one state per phase, through the
+    same closed forms (``low_order_rates``, held to the
     DP by test_low_order_rates_match_the_dp), and one observable at a time
     for the draws."""
     d = t.d
@@ -543,8 +543,8 @@ def per_phase_records(config, t, second_input_port, phi_grid, pulses, seed,
 
     def rates(cfg):
         kern = StateKernel.from_state(propagate(build_input_state(cfg, d), t))
-        row = PhaseFamily(kern.a, kern.gamma[None],
-                          [kern.log_p_vac]).low_order_rates(pairs)[0]
+        row = low_order_rates(kern.a, kern.gamma[None], [kern.log_p_vac],
+                              pairs)[0]
         return row[0], row[1:]
 
     p_vac, r = rates(replace(config, alpha_mag=0.0))
@@ -606,8 +606,8 @@ def row_by_row_csv(records):
        second=st.booleans())
 def test_simulate_records_match_state_per_phase(d, seed, nphi, noisy,
                                                 collisions, second):
-    # simulate_records scans its three settings as one family; this pins
-    # the family's rows, the table assembly, the draw order and the CSV
+    # simulate_records scans its three settings as one scan; this pins
+    # the scan's rows, the table assembly, the draw order and the CSV
     # bytes to one state per phase
     cfg, t, rng = random_circuit(d, seed)
     phi_grid = np.sort(rng.uniform(0, 4 * math.pi, nphi))
@@ -691,6 +691,33 @@ def test_lock_signal_matches_predict_twofold(d, seed, n_pairs, phis):
         assert abs(signal(phi) - sum(rates)) <= 1e-12 * sum(map(abs, rates))
     # a (G,) array of phases, one per gain set, is G scalar signals
     assert same_bits(signal(np.array(phis)), [signal(phi) for phi in phis])
+
+
+@PROPERTY
+@given(d=st.integers(3, 7), seed=st.integers(0, 2 ** 32 - 1),
+       phis=st.lists(st.floats(-50, 50), min_size=1, max_size=4))
+def test_twofold_fringe_matches_the_dp(d, seed, phis):
+    # the lock's closed form against the loop-hafnian DP: each pair's
+    # fringe of the phase-0 kernel, at phi, is the twofold of the state at
+    # phi over its p_vac, and its blocked rate that of the state with no
+    # coherent beam
+    cfg, t, _ = random_circuit(d, seed)
+    kern = lock_kernel(cfg, t)
+    pairs = [(j, k) for j in range(d) for k in range(j + 1, d)]
+    fringes = [TwofoldFringe.of(kern, j, k) for j, k in pairs]
+    patterns = twofold_patterns(pairs, d)[d:]
+    blocked, *at_phi = members(*phase_scan(
+        cfg, t, [0.0, *phis], amplitudes=[0.0, *[cfg.alpha_mag] * len(phis)]))
+
+    def twofolds(member):
+        return member.pattern_probabilities(patterns) / member.p_vac
+
+    np.testing.assert_allclose([f.blocked for f in fringes],
+                               twofolds(blocked), rtol=1e-12, atol=0)
+    for phi, member in zip(phis, at_phi):
+        rotation = cmath.exp(2j * phi)
+        np.testing.assert_allclose([f.rate_at(rotation) for f in fringes],
+                                   twofolds(member), rtol=1e-12, atol=0)
 
 
 def reference_pid_lock(drift, pid, error_signal, duration, seed=0):
@@ -868,10 +895,10 @@ def test_cumulative_korder_reaches_full_at_n(d, seed, total, k, pick):
 def test_summed_models_match_pair_count_terms(d, seed, total, count, picks):
     # picks choose a batch of one total, collisions and repeats included
     cfg, t, rng = random_circuit(d, seed)
-    family = PhaseFamily.scan(cfg, t, rng.uniform(-10, 40, count))
+    scan = phase_scan(cfg, t, rng.uniform(-10, 40, count))
     sector = all_patterns(d, total, collision_free=False)
     patterns = sector[[p % len(sector) for p in picks]]
-    for kern in members(family):
+    for kern in members(*scan):
         terms = kern.pattern_terms(patterns)
         # the loop hafnian sums the same terms in another order: the full
         # model agrees with the sum of the pair-count terms to rounding

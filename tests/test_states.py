@@ -10,11 +10,11 @@ from numpy.testing import assert_allclose
 from conftest import haar_unitary, lossy_transfer
 from dgbs.errors import ConfigurationError, NumericalError, PhysicalityError
 from dgbs.fock import expand_inputs
-from dgbs.probability import PhaseFamily, StateKernel
+from dgbs.probability import StateKernel
 from dgbs.states import (AMatrix, GaussianState, SourceConfig,
                          TransferMatrix, a_matrix, build_classical_input,
                          build_input_state, closest_classical_state,
-                         propagate, state_from_a)
+                         phase_scan, propagate, state_from_a)
 
 
 def p_vac(state: GaussianState) -> float:
@@ -107,7 +107,7 @@ class TestSources:
 
 @pytest.mark.parametrize("bad", [-1, "d", 1.5, True])
 @pytest.mark.parametrize("builder", [
-    "build_input_state", "build_classical_input", "PhaseFamily.scan",
+    "build_input_state", "build_classical_input", "phase_scan",
     "TransferMatrix", "expand_inputs"])
 def test_a_port_outside_the_circuit_is_refused(builder, bad):
     # each was a silently wrong state (-1 is mode d - 1, True is mode 1,
@@ -121,7 +121,7 @@ def test_a_port_outside_the_circuit_is_refused(builder, bad):
     calls = {
         "build_input_state": lambda: build_input_state(cfg, d),
         "build_classical_input": lambda: build_classical_input(cfg, d),
-        "PhaseFamily.scan": lambda: PhaseFamily.scan(
+        "phase_scan": lambda: phase_scan(
             cfg, lossy_transfer(d, 0.5, seed=0), [0.0, 1.0]),
         "TransferMatrix": lambda: TransferMatrix(
             2, d, np.eye(2, d) / 2, input_ports=(0, port)),
@@ -209,7 +209,7 @@ class TestKernel:
         # the eigendecomposition of Sigma_Q that validates a state is its
         # only factorisation: building a kernel or a phase scan adds none
         from dgbs.experiment import simulate_records
-        from dgbs.probability import PhaseFamily, StateKernel
+        from dgbs.probability import StateKernel
         calls, states = [], []
 
         def counting(name):
@@ -238,9 +238,9 @@ class TestKernel:
         assert kern.log_p_vac == st.gamma_and_log_p_vac(st.delta)[1]
         assert calls == []
         states.clear()
-        PhaseFamily.scan(cfg, t, np.linspace(0, 6, 7))
+        phase_scan(cfg, t, np.linspace(0, 6, 7))
         assert calls == ["eigh"] * len(states) and len(states) == 2
-        # simulate_records scans its three settings as one family
+        # simulate_records runs its three settings as one scan
         calls.clear()
         states.clear()
         simulate_records(cfg, t, second_input_port=3,
