@@ -216,8 +216,8 @@ def predict_twofold(kern: StateKernel, j: int, k: int,
 
 
 # A second closed form of the twofolds, kept apart from low_order_rates:
-# the noisy records pin every bit of low_order_rates, which one shared
-# offset/weight formula would move, and with them every binomial draw.
+# noiseless records print that function's bits and the lock reads these,
+# and one shared formula would move the last bits of one or the other.
 class TwofoldFringe(NamedTuple):
     """The phi-independent parts of one pair's :func:`predict_twofold`:
     p_jk, and p'_jk(phi) = offset + 2 Re(weight e^{2 i phi}) with
