@@ -37,7 +37,6 @@ from .serialize import (canonical_json, circuit_from_config, config_hash,
                         drift_from_config, load_config, phi_grid_from_config,
                         pid_from_config, pulses_from_config, read_text,
                         source_from_config)
-from .states import build_classical_input, build_input_state, propagate
 
 
 def _write(args, blocks) -> int:
@@ -57,14 +56,6 @@ def _write_json(args, fields: dict, config: dict) -> int:
     if config is not None:
         stamp["config_hash"] = config_hash(config)
     return _write(args, [canonical_json({**fields, **stamp}).encode(), b"\n"])
-
-
-def _kernel_for_model(source, transfer, model: ModelSpec) -> StateKernel:
-    """The kernel of the circuit ``source``, ``transfer`` under ``model``:
-    the classical input for the classical model, else the quantum one."""
-    build = build_classical_input if model.kind == "classical" \
-        else build_input_state
-    return StateKernel.from_state(propagate(build(source, transfer.d), transfer))
 
 
 def _parse_model(text: str) -> ModelSpec:
@@ -117,7 +108,7 @@ def _labels(patterns: np.ndarray) -> list:
 def cmd_probs(args) -> int:
     config = load_config(args.config)
     model = _parse_model(args.model)
-    kernel = _kernel_for_model(*circuit_from_config(config), model)
+    kernel = StateKernel.for_model(*circuit_from_config(config), model)
     distributions = {}
     n_max = _largest_sector(args, kernel.d, not args.collisions)
     for total in range(1, n_max + 1):
@@ -177,8 +168,8 @@ def cmd_compare(args) -> int:
     model_a = _parse_model(args.model)
     model_b = _parse_model(args.model_b)
     source, transfer = circuit_from_config(config)
-    kernel_a = _kernel_for_model(source, transfer, model_a)
-    kernel_b = _kernel_for_model(source, transfer, model_b)
+    kernel_a = StateKernel.for_model(source, transfer, model_a)
+    kernel_b = StateKernel.for_model(source, transfer, model_b)
     samples = None
     n_max = _largest_sector(args, kernel_a.d)
     totals = set(range(1, n_max + 1))
@@ -252,7 +243,7 @@ def cmd_oracle(args) -> int:
             transfer, [int(c) for c in args.pattern.split(",")], args.cutoff)
     except (ValueError, ConfigurationError) as exc:
         raise SchemaError(f"bad --pattern {args.pattern!r}: {exc}") from exc
-    engine = float(_kernel_for_model(source, transfer, ModelSpec())
+    engine = float(StateKernel.for_model(source, transfer)
                    .pattern_probabilities([pattern])[0])
     oracle = oracle_probability(source, transfer, pattern,
                                 cutoff=args.cutoff)
@@ -265,7 +256,7 @@ def cmd_sample(args) -> int:
     config = load_config(args.config)
     model = _parse_model(args.model)
     source, transfer = circuit_from_config(config)
-    kernel = _kernel_for_model(source, transfer, model)
+    kernel = StateKernel.for_model(source, transfer, model)
     table = sample_patterns(kernel, model, args.pulses,
                             _largest_sector(args, kernel.d), args.seed,
                             phi=source.phi)

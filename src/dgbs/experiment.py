@@ -15,8 +15,7 @@ from .probability import (ModelSpec, StateKernel, TwofoldFringe,
                           all_patterns, low_order_rates)
 from .reconstruction import MeasurementRecord
 from .serialize import _csv_rows, _read_csv
-from .states import (SourceConfig, TransferMatrix, _require_finite,
-                     build_input_state, phase_scan, propagate)
+from .states import SourceConfig, TransferMatrix, _require_finite, phase_scan
 
 LOCK_SETPOINT = math.pi / 4     # default lock point of the coherent phase
 # the finest phase step (rad) the lock must resolve; a setpoint whose float
@@ -305,8 +304,7 @@ class LockResult:
 def lock_kernel(config: SourceConfig, t: TransferMatrix) -> StateKernel:
     """The circuit's kernel at coherent phase 0, the origin of the phase
     that the lock measures and actuates."""
-    return StateKernel.from_state(propagate(
-        build_input_state(replace(config, phi=0.0), t.d), t))
+    return StateKernel.for_model(replace(config, phi=0.0), t)
 
 
 def build_error_signal(kernel: StateKernel, pairs):

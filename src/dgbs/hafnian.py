@@ -4,10 +4,11 @@ The workhorse is a subset dynamic program that enumerates all matchings
 (optionally with fixed points weighted by the diagonal vector) in a fixed
 order.  A DP row is a subset of a kernel's row positions, which are distinct
 even when a collision pattern repeats a mode, so every kernel of size n runs
-the same plan, built once per n.  :func:`pattern_polynomials` gathers the
-reduced kernels and loop weights of a batch of patterns of one state and
-runs the plan on chunks of them, with the patterns as a trailing vector
-axis.
+the same plan, built once per n.  :func:`_polynomials` takes one matrix, its
+loop weights and P index rows of one length n (the evaluator of pattern
+tables, ``probability.StateKernel``, builds them from photon counts), gathers
+the P kernels and runs the plan on chunks of them, with the kernels as a
+trailing vector axis.
 
 The plan adds each pair term in one of two ways.  Summed, a row holds one
 column, the loop hafnian of its subset (Bjorklund, Gupt and Quesada, ACM JEA
@@ -27,26 +28,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError, EnumerationBudgetError
-from .states import check_counts
 
 SYMMETRY_TOL = 1e-10
 MAX_KERNEL_SIZE = 20  # 2N; a DP row is an int64 mask of the 2N positions
 # the rows of one chunk's DP, each holding its columns for every pattern of
 # the chunk, and the chunk's gathered loop weights and kernels
 DP_CHUNK_BYTES = 1 << 20
-
-
-def _pattern_index(d: int, counts) -> np.ndarray:
-    """The rows/columns of A (and entries of gamma) that a (P, d) counts
-    array of one total N keeps: i and i+d, each repeated n_i times, as
-    (P, 2N)."""
-    counts = check_counts(counts, d)
-    total = int(counts[0].sum()) if len(counts) else 0
-    if (counts.sum(axis=1) != total).any():
-        raise ConfigurationError("a pattern batch must share one photon total")
-    modes = np.repeat(np.tile(np.arange(d), len(counts)), counts.ravel())
-    modes = modes.reshape(len(counts), total)
-    return np.concatenate([modes, modes + d], axis=1)
 
 
 _PLANS = {}   # kernel size n -> its plan, built on first use
@@ -178,15 +165,3 @@ def matching_polynomial(m: np.ndarray, diag: np.ndarray = None) -> np.ndarray:
             1.0, np.abs(m).max()):
         raise ConfigurationError("matrix is not symmetric")
     return _polynomials(m, diag.astype(complex), np.arange(len(m))[None])[0]
-
-
-def pattern_polynomials(a, gamma, counts, *, columns: int = None,
-                        summed: bool = False) -> np.ndarray:
-    """(P, N + 1) matching polynomials of the kernels that the P rows of a
-    (P, d) counts array of one total N reduce (A, gamma) to, for the (2d,)
-    loop weights ``gamma``.  ``columns`` keeps only pair counts
-    0..columns - 1, at lower cost and with the same bits.  ``summed`` gives
-    instead their sum, the loop hafnian, as (P, 1), from one column per DP
-    row.  Memory does not grow with P."""
-    return _polynomials(a.full, np.asarray(gamma, dtype=complex),
-                        _pattern_index(a.d, counts), columns, summed)

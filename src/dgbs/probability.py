@@ -3,14 +3,16 @@
 pr(n) = p_vac / prod(n_i!) * lhaf(A~_n), evaluated under four model kinds:
 the full quantum model, the k-order truncation, the squeezer-only model
 (the loop-free hafnian, times the displaced state's p_vac) and the classical
-surrogate (same formula, evaluated on the closest-classical input state built
-by the caller).  The full and classical models read the loop hafnian of one
-summed subset DP, and the squeezer-only model the same DP with zero loop
-weights.  Only a k-order truncation with k below the photon total reads the
-pair-count terms of the matching polynomial; korder(k) with k >= N is the
-full model.  The singles and twofolds have closed forms besides:
-:func:`low_order_rates` for the members of a :func:`phase_scan` (simulated
-records) and :class:`TwofoldFringe` (the phase lock).
+surrogate (same formula, on the closest-classical input state).  The full
+and classical models read the loop hafnian of one summed subset DP, and the
+squeezer-only model the same DP with zero loop weights.  Only a k-order
+truncation with k below the photon total reads the pair-count terms of the
+matching polynomial; korder(k) with k >= N is the full model.
+:meth:`StateKernel.for_model` builds the kernel that a model reads, and
+:class:`StateKernel` turns checked counts into the DP's index rows, which
+are all that ``hafnian`` sees.  The singles and twofolds have closed forms
+besides: :func:`low_order_rates` for the members of a :func:`phase_scan`
+(simulated records) and :class:`TwofoldFringe` (the phase lock).
 """
 
 from __future__ import annotations
@@ -26,9 +28,10 @@ import numpy as np
 
 from .errors import (ConfigurationError, EnumerationBudgetError,
                      NumericalError)
-from .hafnian import MAX_KERNEL_SIZE, _pattern_index, pattern_polynomials
-from .states import (AMatrix, GaussianState, _frozen, a_matrix,
-                     check_counts)
+from .hafnian import MAX_KERNEL_SIZE, _polynomials
+from .states import (AMatrix, GaussianState, SourceConfig, TransferMatrix,
+                     _frozen, a_matrix, build_classical_input,
+                     build_input_state, check_counts, propagate)
 
 PATTERN_BUDGET = 200_000   # the most patterns of one photon total
 
@@ -114,6 +117,21 @@ def low_order_rates(a: AMatrix, gammas, log_p_vac, pairs) -> np.ndarray:
                                p_vac * (pair * np.where(j == k, 0.5, 1.0))]))
 
 
+def _pattern_index(counts: np.ndarray) -> np.ndarray:
+    """The rows/columns of A (and entries of gamma) that a checked (P, d)
+    counts array of one photon total N keeps: i and i + d, each repeated
+    n_i times, as (P, 2N)."""
+    count, d = counts.shape
+    totals = counts.sum(axis=1)
+    total = int(totals[0]) if count else 0
+    if (totals != total).any():
+        raise ConfigurationError("a pattern batch must share one photon total")
+    # the cells of the nonzero counts, row by row and modes ascending
+    cells = np.flatnonzero(counts)
+    modes = np.repeat(cells % d, counts.ravel()[cells]).reshape(count, total)
+    return np.concatenate([modes, modes + d], axis=1)
+
+
 def _clamped(out: np.ndarray) -> np.ndarray:
     """Probabilities ``out``, negatives (a truncated model's, or rounding's)
     set to 0 in place; NumericalError if any is non-finite."""
@@ -140,6 +158,15 @@ class StateKernel:
         gamma, log_p_vac = state.gamma_and_log_p_vac(state.delta)
         return cls(a_matrix(state), gamma, log_p_vac)
 
+    @classmethod
+    def for_model(cls, source: SourceConfig, transfer: TransferMatrix,
+                  model: ModelSpec = ModelSpec()) -> "StateKernel":
+        """The kernel that ``model`` reads of a circuit: the classical
+        input's for the classical model, else the quantum input's."""
+        build = build_classical_input if model.kind == "classical" \
+            else build_input_state
+        return cls.from_state(propagate(build(source, transfer.d), transfer))
+
     @property
     def d(self) -> int:
         return self.a.d
@@ -151,9 +178,7 @@ class StateKernel:
         Entry p is the term in which p photons came from the squeezers:
         cumulative sums give every k-order value at once, and the top entry
         p = N, the loop-free hafnian, is the squeezer-only value."""
-        poly = pattern_polynomials(self.a, self.gamma, counts,
-                                   columns=columns)
-        return poly / FACTORIALS[np.asarray(counts, int)].prod(axis=1)[:, None]
+        return self._terms(check_counts(counts, self.d), self.gamma, columns)
 
     def pattern_probabilities(self, counts,
                               model: ModelSpec = ModelSpec()) -> np.ndarray:
@@ -168,15 +193,14 @@ class StateKernel:
             if model.kind == "korder" and model.k < total:
                 # korder(k) sums the pair counts 0..k, so it runs k + 1
                 # columns
-                val = self.pattern_terms(counts[rows], model.k + 1).sum(axis=1)
+                val = self._terms(counts[rows], self.gamma,
+                                  model.k + 1).sum(axis=1)
             else:
                 # the loop hafnian; the squeezer-only model has no loop
                 # weights
-                gamma = np.zeros(2 * self.d) \
+                gamma = np.zeros(2 * self.d, dtype=complex) \
                     if model.kind == "squeezer_only" else self.gamma
-                lhaf = pattern_polynomials(self.a, gamma, counts[rows],
-                                           summed=True)[:, 0]
-                val = lhaf / FACTORIALS[counts[rows]].prod(axis=1)
+                val = self._terms(counts[rows], gamma, summed=True)[:, 0]
             bad = np.abs(val.imag) > 1e-9 * np.fmax(1.0, np.abs(val.real))
             if bad.any():
                 raise NumericalError(
@@ -185,12 +209,21 @@ class StateKernel:
             out[rows] = val.real * self.p_vac
         return _clamped(out)
 
+    def _terms(self, counts: np.ndarray, gamma: np.ndarray,
+               columns: int = None, summed: bool = False) -> np.ndarray:
+        """``hafnian._polynomials`` of the kernels that the rows of a
+        checked (P, d) counts array of one total reduce (A, ``gamma``) to,
+        each row divided by its prod(n_i!)."""
+        poly = _polynomials(self.a.full, gamma, _pattern_index(counts),
+                            columns, summed)
+        return poly / FACTORIALS[counts].prod(axis=1)[:, None]
+
     # reduced, korder_terms and pattern_probability take one counts row;
     # they are kept only because the benchmark's tracer looks them up by
     # name, and no command calls them
     def reduced(self, counts) -> tuple:
         """(A_n, gamma~): the kernel and loop weights one pattern keeps."""
-        idx = _pattern_index(self.d, [counts])[0]
+        idx = _pattern_index(check_counts([counts], self.d))[0]
         return self.a.full[np.ix_(idx, idx)], self.gamma[idx]
 
     def korder_terms(self, counts) -> np.ndarray:

@@ -37,7 +37,8 @@ from dgbs.experiment import (LOCK_SETPOINT, SETTLE_FRACTION, DriftModel,
                              tune_pid_gains)
 from dgbs.hafnian import matching_polynomial
 from dgbs.probability import (ModelSpec, StateKernel, TwofoldFringe,
-                              all_patterns, low_order_rates, predict_twofold)
+                              _pattern_index, all_patterns, low_order_rates,
+                              predict_twofold)
 from dgbs.reconstruction import MeasurementRecord, records_to_csv
 from dgbs.states import (AMatrix, SourceConfig, build_classical_input,
                          build_input_state, phase_scan, propagate)
@@ -90,7 +91,7 @@ def reduced(a, gamma, n):
     """The kernel and loop weights that the counts row n reduces (A, gamma)
     to: row/column i and i+d of A, and entries i and i+d of gamma, each
     repeated n_i times."""
-    idx = hafnian._pattern_index(a.d, [n])[0]
+    idx = _pattern_index(np.asarray([n]))[0]
     return a.full[np.ix_(idx, idx)], gamma[idx]
 
 
@@ -198,7 +199,7 @@ def test_dp_batch_matches_single_kernels(d, total, seed, picks, chunk_bytes):
     sector = all_patterns(d, total, collision_free=False)
     patterns = sector[[k % len(sector) for k in picks]]
     with mock.patch.object(hafnian, "DP_CHUNK_BYTES", chunk_bytes):
-        batch = hafnian.pattern_polynomials(a, gamma, patterns)
+        batch = hafnian._polynomials(a.full, gamma, _pattern_index(patterns))
     assert_rows_match_single_kernels(a, gamma, patterns, batch)
 
 
@@ -209,7 +210,7 @@ def test_repeated_modes_match_full_subset_recursion():
     rng = np.random.default_rng(8)
     a, gamma = random_amatrix(rng, d), random_gamma(rng, d)
     patterns = 4 * np.eye(d, dtype=int)
-    batch = hafnian.pattern_polynomials(a, gamma, patterns)
+    batch = hafnian._polynomials(a.full, gamma, _pattern_index(patterns))
     for p, n in enumerate(patterns):
         assert same_bits(batch[p], full_subset_dp(*reduced(a, gamma, n)))
 

@@ -1,22 +1,25 @@
 import math
+from dataclasses import replace
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import benchmark_workloads, lossy_transfer
 from dgbs.errors import (ConfigurationError, EnumerationBudgetError,
                          NumericalError)
+from dgbs.experiment import lock_kernel
 from dgbs.probability import (ModelSpec, PatternDistribution, StateKernel,
-                              all_patterns, distribution_from_kernel,
-                              predict_single, predict_twofold)
+                              _pattern_index, all_patterns,
+                              distribution_from_kernel, predict_single,
+                              predict_twofold)
 from dgbs.serialize import circuit_from_config
-from dgbs.states import (GaussianState, SourceConfig, TransferMatrix,
-                         block_swap, build_classical_input, build_input_state,
-                         propagate)
+from dgbs.states import (AMatrix, GaussianState, SourceConfig,
+                         TransferMatrix, block_swap, build_classical_input,
+                         build_input_state, propagate)
 
 
 def kernel_for(cfg, d, eta=0.6, seed=0):
@@ -178,6 +181,92 @@ class TestPatternEnumeration:
                 assert got.shape == (len(want), d)
                 assert got.tolist() == [list(c) for c in want]
                 assert not got.flags.writeable
+
+
+@st.composite
+def count_batches(draw):
+    """A (P, d) counts array of one photon total: each row the counts of
+    ``total`` modes drawn with repeats, so collisions are frequent."""
+    d = draw(st.integers(1, 15))
+    total = draw(st.integers(0, 10))
+    rows = draw(st.lists(st.lists(st.integers(0, d - 1), min_size=total,
+                                  max_size=total), max_size=8))
+    counts = np.zeros((len(rows), d), dtype=np.int64)
+    for p, modes in enumerate(rows):
+        np.add.at(counts[p], modes, 1)
+    return counts
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(counts=count_batches())
+@example(counts=np.zeros((0, 4), dtype=np.int64))
+@example(counts=np.zeros((3, 5), dtype=np.int64))
+@example(counts=np.array([[0, 3, 0, 1], [2, 0, 0, 2], [4, 0, 0, 0]]))
+def test_pattern_index_matches_row_by_row_reference(counts):
+    # row p: each mode i, then i + d, n_i times
+    d = counts.shape[1]
+    want = []
+    for row in counts.tolist():
+        modes = [i for i in range(d) for _ in range(row[i])]
+        want.append(modes + [i + d for i in modes])
+    total = int(counts[0].sum()) if len(counts) else 0
+    index = _pattern_index(counts)
+    assert index.shape == (len(counts), 2 * total)
+    assert index.tolist() == want
+
+
+def test_pattern_index_refuses_mixed_totals():
+    with pytest.raises(ConfigurationError, match="one photon total"):
+        _pattern_index(np.array([[1, 0, 0], [1, 1, 0]]))
+    with pytest.raises(ConfigurationError, match="one photon total"):
+        _pattern_index(np.array([[0, 0], [0, 1]]))
+
+
+def test_pattern_index_repeats(rng):
+    d = 3
+    b = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    c = (h + h.conj().T) / 2
+    a = AMatrix(d, (b + b.T) / 2, c)
+    half = rng.normal(size=d) + 1j * rng.normal(size=d)
+    g = np.concatenate([half, half.conj()])
+    idx = _pattern_index(np.array([(2, 0, 1)]))[0]
+    a_n, gamma_tilde = a.full[np.ix_(idx, idx)], g[idx]
+    assert a_n.shape == (6, 6)
+    assert len(idx) // 2 == 3
+    # first two rows are the duplicated mode-0 row
+    assert_allclose(a_n[0], a_n[1])
+    assert gamma_tilde[0] == g[0]
+    assert gamma_tilde[2] == g[2]
+    assert gamma_tilde[3] == np.conj(g[0])
+
+
+def assert_same_kernel(got: StateKernel, want: StateKernel):
+    for x, y in ((got.a.full, want.a.full), (got.gamma, want.gamma),
+                 (got.log_p_vac, want.log_p_vac), (got.p_vac, want.p_vac)):
+        assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+@pytest.mark.parametrize("workload", ["tables-d15", "fringes-d15", "lab-d6"])
+def test_for_model_matches_the_state_builders(workload):
+    # each seed-0 workload circuit: the classical model reads the classical
+    # input's kernel, every other model the quantum input's; the lock reads
+    # the quantum kernel at coherent phase 0
+    configs, _ = benchmark_workloads().build(workload, 0)
+    for config in configs.values():
+        source, t = circuit_from_config(config)
+        for text in ("full", "korder(2)", "squeezer_only", "classical"):
+            model = ModelSpec.parse(text)
+            build = build_classical_input if model.kind == "classical" \
+                else build_input_state
+            assert_same_kernel(
+                StateKernel.for_model(source, t, model),
+                StateKernel.from_state(propagate(build(source, t.d), t)))
+        at_zero = replace(source, phi=0.0)
+        assert_same_kernel(lock_kernel(source, t),
+                           StateKernel.for_model(at_zero, t))
+        assert_same_kernel(lock_kernel(source, t), StateKernel.from_state(
+            propagate(build_input_state(at_zero, t.d), t)))
 
 
 class TestDistribution:
